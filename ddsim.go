@@ -52,20 +52,23 @@
 // Options.Runs budget; if the budget is too small for the target,
 // Result.BudgetExhausted is set. Options.OnProgress delivers periodic
 // Progress snapshots (runs completed, running estimates, current
-// Theorem-1 confidence radius). Results are bit-identical across
-// worker counts for a fixed Options.Seed: work is dispatched in fixed
-// chunks of the run-index space, run j always uses RNG seed Seed+j,
-// and partial sums are reduced in run order.
+// Theorem-1 confidence radius). Results are bit-identical per worker
+// count for a fixed Options.Seed: work is dispatched in fixed chunks
+// of the run-index space, run j always uses RNG seed Seed+j, and
+// partial sums are reduced in run order. Across worker counts that
+// holds on the statevec and sparse backends and for cache-resident
+// DDs; a large DD's weight rounding depends on the package's history.
 //
 // # Trajectory checkpointing
 //
-// Stochastic trajectories of the same job are identical up to the
-// first operation where the noise model can act. The engine exploits
-// this (Options.Checkpointing, default CheckpointAuto): the
-// deterministic prefix is simulated once per worker, checkpointed —
-// cheaply, for decision diagrams: the shared unique and compute
-// tables are reused and only root-edge reference counts are bumped —
-// and every trajectory forks from the checkpoint. For noise-free jobs
+// Stochastic trajectories of the same job are identical until their
+// first probabilistic event fires. The engine exploits this
+// (Options.Checkpointing, default CheckpointAuto): the noise-free
+// circuit is simulated once per worker with a few snapshots along it
+// — cheap for decision diagrams: the shared unique and compute tables
+// are reused and only root-edge reference counts are bumped — and a
+// trajectory only consumes its random stream until a roll fires, then
+// forks from the nearest snapshot. For noise-free jobs
 // whose measurements are separated by long deterministic gate runs,
 // multi-level checkpoints keyed by the outcome history skip those
 // runs too. Same-seed results are bit-identical with checkpointing on
@@ -201,10 +204,10 @@ func ExactBackends() []string {
 }
 
 // Checkpointing modes accepted by Options.Checkpointing. Trajectories
-// of the same job are identical up to the first op where the noise
-// model can act, so the engine can simulate that deterministic prefix
-// once per worker and fork every trajectory from the checkpoint
-// (backends implementing the fork capability: dd and statevec).
+// of the same job are identical until their first probabilistic event
+// fires, so the engine can simulate the noise-free circuit once per
+// worker and fork every trajectory at its own first event (backends
+// implementing the fork capability: dd and statevec).
 // Same-seed results are bit-identical in every mode; only the work
 // performed differs.
 const (

@@ -10,7 +10,10 @@
 // of a Schrage-form LCG step costing two integer divisions each — was
 // over a fifth of total CPU. The LCG modulus 2^31-1 is a Mersenne
 // prime, so the step reduces with a shift, a mask and a conditional
-// subtract instead of dividing; the output stream is unchanged.
+// subtract instead of dividing; and the LCG has no increment, so its
+// k-th value is seed·48271^k — Seed multiplies the seed by a table of
+// precomputed powers, 1821 independent products instead of a chain of
+// 1841 dependent steps. The output stream is unchanged.
 //
 // The seeding procedure XORs the LCG stream against math/rand's
 // unexported rngCooked table. Rather than copying those 607 constants
@@ -34,6 +37,11 @@ const (
 
 // cooked is math/rand's rngCooked table, recovered at init.
 var cooked [rngLen]uint64
+
+// seedMul[i] holds the multipliers 48271^k mod 2^31-1 of the three LCG
+// values the seeding procedure packs into register entry i: after 20
+// discarded steps, entry i consumes steps 21+3i, 22+3i and 23+3i.
+var seedMul [rngLen][3]uint32
 
 func init() {
 	src := rand.NewSource(1).(rand.Source64)
@@ -62,17 +70,19 @@ func init() {
 	for j := feed0; j < rngLen; j++ {
 		vec[j] = x[rngLen+feed0-1-j]
 	}
-	// Replay the seed-1 LCG chain and peel it off.
+	// Replay the seed-1 LCG chain and peel it off. Started from 1, the
+	// chain's values are the powers of the multiplier themselves.
 	lcg := int32(1)
 	for i := -20; i < rngLen; i++ {
 		lcg = seedrand(lcg)
 		if i >= 0 {
-			u := uint64(lcg) << 40
+			m := &seedMul[i]
+			m[0] = uint32(lcg)
 			lcg = seedrand(lcg)
-			u ^= uint64(lcg) << 20
+			m[1] = uint32(lcg)
 			lcg = seedrand(lcg)
-			u ^= uint64(lcg)
-			cooked[i] = vec[i] ^ u
+			m[2] = uint32(lcg)
+			cooked[i] = vec[i] ^ (uint64(m[0])<<40 ^ uint64(m[1])<<20 ^ uint64(m[2]))
 		}
 	}
 }
@@ -88,6 +98,20 @@ func seedrand(x int32) int32 {
 		p -= int32max
 	}
 	return int32(p)
+}
+
+// mulmod returns x·m mod 2^31-1 for x, m in [1, 2^31-2]: the 62-bit
+// product folds twice (2^31 ≡ 1) into [0, 2^31], and is non-zero
+// modulo the prime, so one conditional subtract lands on the value the
+// chained seedrand steps reach.
+func mulmod(x, m uint32) uint64 {
+	p := uint64(x) * uint64(m)
+	p = (p & int32max) + (p >> 31)
+	p = (p & int32max) + (p >> 31)
+	if p >= int32max {
+		p -= int32max
+	}
+	return p
 }
 
 // Source is a reseedable drop-in for the source behind
@@ -109,8 +133,8 @@ func New(seed int64) *Source {
 }
 
 // Seed resets the generator to the state rand.NewSource(seed) starts
-// in. Mirrors the stdlib seeding exactly, LCG chain, cooked XOR and
-// all — only the LCG step itself is cheaper.
+// in. Mirrors the stdlib seeding exactly, LCG values, cooked XOR and
+// all — only each value is computed directly instead of by stepping.
 func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
@@ -121,17 +145,10 @@ func (s *Source) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := int32(seed)
-	for i := -20; i < rngLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := uint64(x) << 40
-			x = seedrand(x)
-			u ^= uint64(x) << 20
-			x = seedrand(x)
-			u ^= uint64(x)
-			s.vec[i] = u ^ cooked[i]
-		}
+	x := uint32(seed)
+	for i := range s.vec {
+		m := &seedMul[i]
+		s.vec[i] = mulmod(x, m[0])<<40 ^ mulmod(x, m[1])<<20 ^ mulmod(x, m[2]) ^ cooked[i]
 	}
 }
 

@@ -71,20 +71,6 @@ type Chan1 struct {
 	key string
 }
 
-// newChan1 builds a channel instance with its cache key precomputed.
-func newChan1(kind ChanKind, qubit int, p float64, event bool, label int) Chan1 {
-	ch := Chan1{Kind: kind, Qubit: qubit, Label: label, P: p, Event: event}
-	ch.key = ch.buildKey()
-	return ch
-}
-
-// newPauliChan1 builds a general Pauli channel instance.
-func newPauliChan1(qubit int, probs [4]float64, label int) Chan1 {
-	ch := Chan1{Kind: ChanPauli, Qubit: qubit, Label: label, Probs: probs}
-	ch.key = ch.buildKey()
-	return ch
-}
-
 func (ch *Chan1) buildKey() string {
 	switch ch.Kind {
 	case ChanDepolarizing:
@@ -148,24 +134,40 @@ func (ch *Chan1) Kraus() [][2][2]complex128 {
 	return nil
 }
 
-// Apply samples the channel on one trajectory. The Kind-specific draw
-// patterns for depolarising, damping and phase flip replicate
-// Model.ApplyAfterGate exactly, so a compiled uniform model consumes
-// the same rng stream as the legacy path.
-func (ch *Chan1) Apply(b sim.Backend, rng *rand.Rand) {
+// StateIndependent reports whether the channel's firing decision is a
+// single draw against a fixed threshold. Only exact-channel damping
+// (Event false) is not: its branch probability is γ·P(qubit = 1).
+func (ch *Chan1) StateIndependent() bool {
+	return ch.Kind != ChanDamping || ch.Event
+}
+
+// Threshold is the draw half of a state-independent channel: the
+// channel fires iff one rng.Float64() falls below it. For ChanPauli
+// it is the cumulative X+Y+Z mass, summed in Fire's selection order so
+// that "below the threshold" and "some branch selected" coincide bit
+// for bit.
+func (ch *Chan1) Threshold() float64 {
+	if ch.Kind == ChanPauli {
+		return ch.Probs[1] + ch.Probs[2] + ch.Probs[3]
+	}
+	return ch.P
+}
+
+// Fire is the other half: it applies the channel's event given that
+// the draw r fell below Threshold, consuming whatever further
+// randomness the event needs (the Pauli choice of a depolarising hit,
+// the branch draw of a damping event; a ChanPauli selects its term
+// from r itself).
+func (ch *Chan1) Fire(b sim.Backend, rng *rand.Rand, r float64) {
 	switch ch.Kind {
 	case ChanDepolarizing:
-		if rng.Float64() < ch.P {
-			b.ApplyPauli(sim.Pauli(rng.Intn(4)), ch.Qubit)
-		}
+		// The depolarised qubit receives I, X, Y or Z uniformly.
+		b.ApplyPauli(sim.Pauli(rng.Intn(4)), ch.Qubit)
 	case ChanDamping:
-		ch.applyDamping(b, rng)
+		fireDampingEvent(b, ch.Qubit, rng)
 	case ChanPhaseFlip:
-		if rng.Float64() < ch.P {
-			b.ApplyPauli(sim.PauliZ, ch.Qubit)
-		}
+		b.ApplyPauli(sim.PauliZ, ch.Qubit)
 	case ChanPauli:
-		r := rng.Float64()
 		acc := ch.Probs[1]
 		if r < acc {
 			b.ApplyPauli(sim.PauliX, ch.Qubit)
@@ -176,40 +178,54 @@ func (ch *Chan1) Apply(b sim.Backend, rng *rand.Rand) {
 			b.ApplyPauli(sim.PauliY, ch.Qubit)
 			return
 		}
-		acc += ch.Probs[3]
-		if r < acc {
-			b.ApplyPauli(sim.PauliZ, ch.Qubit)
-		}
+		b.ApplyPauli(sim.PauliZ, ch.Qubit)
 	}
 }
 
-// applyDamping mirrors Model.applyDamping for a bound channel.
-func (ch *Chan1) applyDamping(b sim.Backend, rng *rand.Rand) {
-	q := ch.Qubit
-	if ch.Event {
-		if rng.Float64() >= ch.P {
-			return
-		}
-		p1 := b.ProbOne(q)
-		if p1 <= 0 {
-			return
-		}
-		if p1 >= 1 || rng.Float64() < p1 {
-			b.ApplyDamping(q, 1, true, p1)
-		} else {
-			b.ApplyDamping(q, 1, false, 1-p1)
-		}
+// Apply samples the channel on one trajectory: draw, then fire. The
+// first-event scan of the stochastic engine performs the same draw
+// without a backend and calls Fire itself, so both consume one rng
+// stream; a compiled uniform model consumes the stream of
+// Model.ApplyAfterGate.
+func (ch *Chan1) Apply(b sim.Backend, rng *rand.Rand) {
+	if !ch.StateIndependent() {
+		applyExactDamping(b, ch.Qubit, ch.P, rng)
 		return
 	}
+	if r := rng.Float64(); r < ch.Threshold() {
+		ch.Fire(b, rng, r)
+	}
+}
+
+// fireDampingEvent realises one relaxation event of the Section III
+// event semantics: full-strength damping (γ = 1), branch-selected
+// between decay and the no-decay projection with the probabilities of
+// Example 6.
+func fireDampingEvent(b sim.Backend, q int, rng *rand.Rand) {
 	p1 := b.ProbOne(q)
-	pFire := ch.P * p1
+	if p1 <= 0 {
+		return // qubit already in |0⟩: the event is invisible
+	}
+	if p1 >= 1 || rng.Float64() < p1 {
+		b.ApplyDamping(q, 1, true, p1)
+	} else {
+		b.ApplyDamping(q, 1, false, 1-p1)
+	}
+}
+
+// applyExactDamping samples the exact channel of Example 6 with γ = p:
+// the branch probabilities depend on the current state through
+// P(q = 1), so there is no state-independent draw to split off.
+func applyExactDamping(b sim.Backend, q int, p float64, rng *rand.Rand) {
+	pFire := p * b.ProbOne(q) // ‖A0|ψ⟩‖²
 	if pFire <= 0 {
+		// Qubit is (numerically) in |0⟩; A1 acts as identity.
 		return
 	}
 	if rng.Float64() < pFire {
-		b.ApplyDamping(q, ch.P, true, pFire)
+		b.ApplyDamping(q, p, true, pFire)
 	} else {
-		b.ApplyDamping(q, ch.P, false, 1-pFire)
+		b.ApplyDamping(q, p, false, 1-pFire)
 	}
 }
 
@@ -301,11 +317,20 @@ func (ch *Chan2) Kraus() [][4][4]complex128 {
 	return out
 }
 
-// Apply samples the channel on one trajectory: a single rng draw
-// selects the identity or one correlated Pauli pair. Pauli branches
-// are trace-preserving, so no renormalisation is needed.
-func (ch *Chan2) Apply(b sim.Backend, rng *rand.Rand) {
-	r := rng.Float64()
+// Threshold is the channel's draw: it fires iff one rng.Float64()
+// falls below the summed term mass (accumulated in Fire's selection
+// order; see Chan1.Threshold).
+func (ch *Chan2) Threshold() float64 {
+	acc := 0.0
+	for _, t := range ch.Terms {
+		acc += t.Prob
+	}
+	return acc
+}
+
+// Fire applies the correlated Pauli pair the draw r selected. Pauli
+// branches are trace-preserving, so no renormalisation is needed.
+func (ch *Chan2) Fire(b sim.Backend, r float64) {
 	acc := 0.0
 	for _, t := range ch.Terms {
 		acc += t.Prob
@@ -314,6 +339,12 @@ func (ch *Chan2) Apply(b sim.Backend, rng *rand.Rand) {
 			return
 		}
 	}
+}
+
+// Apply samples the channel on one trajectory: a single rng draw
+// selects the identity or one correlated Pauli pair.
+func (ch *Chan2) Apply(b sim.Backend, rng *rand.Rand) {
+	ch.Fire(b, rng.Float64())
 }
 
 func scale4(m [4][4]complex128, s complex128) [4][4]complex128 {

@@ -251,7 +251,8 @@ func sortedKeys(m map[string]float64) []string {
 // ApplyAfterGate stochastically injects errors on each qubit a gate
 // touched, in the fixed order depolarising → damping → phase flip.
 // All randomness comes from rng, so trajectories are reproducible
-// given a seed.
+// given a seed. Both damping semantics are the bodies Chan1 runs, so
+// this loop and a compiled plan cannot drift apart.
 func (m Model) ApplyAfterGate(b sim.Backend, qubits []int, rng *rand.Rand) {
 	for _, q := range qubits {
 		if m.Depolarizing > 0 && rng.Float64() < m.Depolarizing {
@@ -259,46 +260,16 @@ func (m Model) ApplyAfterGate(b sim.Backend, qubits []int, rng *rand.Rand) {
 			b.ApplyPauli(sim.Pauli(rng.Intn(4)), q)
 		}
 		if m.Damping > 0 {
-			m.applyDamping(b, q, rng)
+			if !m.DampingAsEvent {
+				applyExactDamping(b, q, m.Damping, rng)
+			} else if rng.Float64() < m.Damping {
+				// Section III event semantics: untouched with prob 1−p.
+				fireDampingEvent(b, q, rng)
+			}
 		}
 		if m.PhaseFlip > 0 && rng.Float64() < m.PhaseFlip {
 			b.ApplyPauli(sim.PauliZ, q)
 		}
-	}
-}
-
-// applyDamping realises the T1 error in the configured semantics.
-func (m Model) applyDamping(b sim.Backend, q int, rng *rand.Rand) {
-	if m.DampingAsEvent {
-		// Section III event semantics: untouched with prob 1−p.
-		if rng.Float64() >= m.Damping {
-			return
-		}
-		// A relaxation event: full-strength damping (γ = 1), branch
-		// probabilities from the state as in Example 6.
-		p1 := b.ProbOne(q)
-		if p1 <= 0 {
-			return // qubit already in |0⟩: the event is invisible
-		}
-		if p1 >= 1 || rng.Float64() < p1 {
-			b.ApplyDamping(q, 1, true, p1)
-		} else {
-			b.ApplyDamping(q, 1, false, 1-p1)
-		}
-		return
-	}
-	// Exact-channel semantics (Example 6 with γ = p): the branch
-	// probabilities depend on the current state through P(q = 1).
-	p1 := b.ProbOne(q)
-	pFire := m.Damping * p1 // ‖A0|ψ⟩‖²
-	if pFire <= 0 {
-		// Qubit is (numerically) in |0⟩; A1 acts as identity.
-		return
-	}
-	if rng.Float64() < pFire {
-		b.ApplyDamping(q, m.Damping, true, pFire)
-	} else {
-		b.ApplyDamping(q, m.Damping, false, 1-pFire)
 	}
 }
 

@@ -111,7 +111,12 @@ type OpNoise struct {
 
 // ApplyPre samples the pre-gate (idle) channels on one trajectory.
 func (on *OpNoise) ApplyPre(b sim.Backend, rng *rand.Rand, counts *ChannelCounts) {
-	for i := range on.Pre {
+	on.ApplyPreFrom(0, b, rng, counts)
+}
+
+// ApplyPreFrom samples the pre-gate channels Pre[k:].
+func (on *OpNoise) ApplyPreFrom(k int, b sim.Backend, rng *rand.Rand, counts *ChannelCounts) {
+	for i := k; i < len(on.Pre); i++ {
 		on.Pre[i].Apply(b, rng)
 		counts[on.Pre[i].Label]++
 	}
@@ -119,14 +124,70 @@ func (on *OpNoise) ApplyPre(b sim.Backend, rng *rand.Rand, counts *ChannelCounts
 
 // ApplyPost samples the post-gate channels on one trajectory.
 func (on *OpNoise) ApplyPost(b sim.Backend, rng *rand.Rand, counts *ChannelCounts) {
-	for i := range on.Post {
+	on.ApplyPostFrom(0, b, rng, counts)
+}
+
+// ApplyPostFrom samples the post-gate channels from position k of the
+// sequence Post‖Post2.
+func (on *OpNoise) ApplyPostFrom(k int, b sim.Backend, rng *rand.Rand, counts *ChannelCounts) {
+	for i := k; i < len(on.Post); i++ {
 		on.Post[i].Apply(b, rng)
 		counts[on.Post[i].Label]++
 	}
-	for i := range on.Post2 {
+	for i := max(k-len(on.Post), 0); i < len(on.Post2); i++ {
 		on.Post2[i].Apply(b, rng)
 		counts[on.Post2[i].Label]++
 	}
+}
+
+// Roll is the draw half of one state-independent channel of an
+// operation: the channel fires iff one rng.Float64() falls below
+// Threshold. A trajectory whose rolls all miss left the state exactly
+// where the noise-free circuit puts it, which is what lets the
+// stochastic engine scan a trajectory's rolls without a backend.
+type Roll struct {
+	Threshold float64
+	// Label indexes Labels for telemetry.
+	Label int
+}
+
+// Len returns the number of channels bound to the operation.
+func (on *OpNoise) Len() int { return len(on.Pre) + len(on.Post) + len(on.Post2) }
+
+// Rolls appends the rolls of the operation's leading state-independent
+// channels to dst, in application order — Pre, (the gate's unitary,)
+// Post, Post2 — stopping at the first state-dependent channel
+// (exact-channel damping). Roll k therefore belongs to channel k of
+// the sequence Pre‖Post‖Post2 that Fire indexes, and fewer than Len
+// rolls mean the operation cannot be scanned past that channel.
+func (on *OpNoise) Rolls(dst []Roll) []Roll {
+	for _, chans := range [2][]Chan1{on.Pre, on.Post} {
+		for i := range chans {
+			if !chans[i].StateIndependent() {
+				return dst
+			}
+			dst = append(dst, Roll{chans[i].Threshold(), chans[i].Label})
+		}
+	}
+	for i := range on.Post2 {
+		dst = append(dst, Roll{on.Post2[i].Threshold(), on.Post2[i].Label})
+	}
+	return dst
+}
+
+// Fire applies the event of channel k of the sequence Pre‖Post‖Post2,
+// given that its roll r fell below the threshold Rolls reported.
+func (on *OpNoise) Fire(k int, r float64, b sim.Backend, rng *rand.Rand) {
+	if k < len(on.Pre) {
+		on.Pre[k].Fire(b, rng, r)
+		return
+	}
+	k -= len(on.Pre)
+	if k < len(on.Post) {
+		on.Post[k].Fire(b, rng, r)
+		return
+	}
+	on.Post2[k-len(on.Post)].Fire(b, r)
 }
 
 // Plan is a Model compiled against one circuit: the channel lists for
@@ -172,10 +233,11 @@ func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 		last[i] = -1
 	}
 	idleOn := m.Idle != nil && (m.Device != nil || m.Idle.Damping > 0 || m.Idle.Dephasing > 0)
-	xtalk := []PairTerm(nil)
+	var xtalk Chan2 // bound to each two-qubit gate's pair below
 	if m.Crosstalk != nil {
-		xtalk = m.Crosstalk.terms()
+		xtalk = m.Crosstalk.Channel(0, 0)
 	}
+	keys := chanKeys{}
 	for i := range c.Ops {
 		op := &c.Ops[i]
 		if op.Kind == circuit.KindBarrier {
@@ -194,9 +256,9 @@ func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 						continue
 					}
 					pd, pf := m.idleProbs(q, k)
-					on.Pre = m.appendDamping(on.Pre, q, pd, false, LabelIdle)
+					on.Pre = m.appendDamping(keys, on.Pre, q, pd, false, LabelIdle)
 					if pf > 0 {
-						on.Pre = append(on.Pre, newChan1(ChanPhaseFlip, q, pf, false, LabelIdle))
+						on.Pre = append(on.Pre, keys.bind(Chan1{Kind: ChanPhaseFlip, Qubit: q, Label: LabelIdle, P: pf}))
 					}
 				}
 			}
@@ -210,17 +272,19 @@ func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 			for _, q := range qs {
 				dep, damp, flip, event := m.gateRates(name, q)
 				if dep > 0 {
-					on.Post = append(on.Post, newChan1(ChanDepolarizing, q, dep, false, LabelDepolarizing))
+					on.Post = append(on.Post, keys.bind(Chan1{Kind: ChanDepolarizing, Qubit: q, Label: LabelDepolarizing, P: dep}))
 				}
-				on.Post = m.appendDamping(on.Post, q, damp, event, LabelDamping)
+				on.Post = m.appendDamping(keys, on.Post, q, damp, event, LabelDamping)
 				if flip > 0 {
-					on.Post = append(on.Post, newChan1(ChanPhaseFlip, q, flip, false, LabelPhaseFlip))
+					on.Post = append(on.Post, keys.bind(Chan1{Kind: ChanPhaseFlip, Qubit: q, Label: LabelPhaseFlip, P: flip}))
 				}
 			}
-			if len(xtalk) > 0 && len(qs) == 2 {
-				on.Post2 = append(on.Post2, newChan2(qs[0], qs[1], xtalk, LabelCrosstalk))
+			if len(xtalk.Terms) > 0 && len(qs) == 2 {
+				ch := xtalk
+				ch.Q0, ch.Q1 = qs[0], qs[1]
+				on.Post2 = append(on.Post2, ch)
 			}
-			if len(on.Pre)+len(on.Post)+len(on.Post2) > 0 {
+			if on.Len() > 0 {
 				p.ops[i] = &on
 			}
 		}
@@ -233,20 +297,39 @@ func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 	return p, nil
 }
 
+// chanKeys shares cache keys between the channel instances of one
+// Compile: a plan binds the same few operator contents to many qubits
+// — three per job for a uniform model, compiled for every forking job —
+// and formatting the key is most of what building an instance costs.
+type chanKeys map[Chan1]string
+
+// bind completes a channel instance with its cache key.
+func (ck chanKeys) bind(ch Chan1) Chan1 {
+	content := ch
+	content.Qubit, content.Label = 0, 0
+	key, ok := ck[content]
+	if !ok {
+		key = ch.buildKey()
+		ck[content] = key
+	}
+	ch.key = key
+	return ch
+}
+
 // appendDamping appends the T1 channel with probability p — twirled
 // into its Pauli-channel approximation when the model is Twirled.
-func (m Model) appendDamping(dst []Chan1, q int, p float64, event bool, label int) []Chan1 {
+func (m Model) appendDamping(keys chanKeys, dst []Chan1, q int, p float64, event bool, label int) []Chan1 {
 	if p <= 0 {
 		return dst
 	}
+	ch := Chan1{Kind: ChanDamping, Qubit: q, Label: label, P: p, Event: event}
 	if m.Twirled {
 		if label == LabelDamping {
 			label = LabelTwirled
 		}
-		probe := newChan1(ChanDamping, q, p, event, label)
-		return append(dst, newPauliChan1(q, TwirlProbs(probe.Kraus()), label))
+		ch = Chan1{Kind: ChanPauli, Qubit: q, Label: label, Probs: TwirlProbs(ch.Kraus())}
 	}
-	return append(dst, newChan1(ChanDamping, q, p, event, label))
+	return append(dst, keys.bind(ch))
 }
 
 // gateRates resolves the post-gate channel probabilities for one

@@ -7,6 +7,20 @@ import (
 	"testing"
 )
 
+// newChan1 builds a channel instance with its cache key precomputed.
+func newChan1(kind ChanKind, qubit int, p float64, event bool, label int) Chan1 {
+	ch := Chan1{Kind: kind, Qubit: qubit, Label: label, P: p, Event: event}
+	ch.key = ch.buildKey()
+	return ch
+}
+
+// newPauliChan1 builds a general Pauli channel instance.
+func newPauliChan1(qubit int, probs [4]float64, label int) Chan1 {
+	ch := Chan1{Kind: ChanPauli, Qubit: qubit, Label: label, Probs: probs}
+	ch.key = ch.buildKey()
+	return ch
+}
+
 // applyKraus1 evolves a 2×2 density block through a Kraus set:
 // ρ → Σ_k K ρ K†.
 func applyKraus1(ks [][2][2]complex128, rho [2][2]complex128) [2][2]complex128 {

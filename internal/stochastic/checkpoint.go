@@ -1,23 +1,33 @@
 package stochastic
 
-// Trajectory checkpointing (the tentpole of the paper's performance
-// story): stochastic trajectories of the same noisy circuit are
-// identical up to the point where the first probabilistic event can
-// fire, so the deterministic prefix is simulated exactly once per
-// worker and every trajectory forks from the checkpoint instead of
-// replaying it. When later random sites (measurements, resets) are
-// separated by long deterministic gate runs, the runner additionally
-// caches multi-level checkpoints keyed by the outcome history, so
-// trajectories that took the same branch skip those runs too.
+// First-event forking (the paper's performance story taken to its
+// end): stochastic trajectories of the same noisy circuit are identical
+// until their first probabilistic event fires. Every roll before that
+// event is a draw against a fixed threshold, so the engine runs the
+// noise-free circuit once per worker — the reference path — keeping a
+// few snapshots along it, and per trajectory only consumes the RNG
+// stream, in the draw order of a full replay, until a roll fires. The
+// backend is touched from there on: restore the nearest snapshot,
+// replay the few unitaries up to the fired op, fire, and continue as a
+// plain replay would. A trajectory without any event restores the
+// path's final state and goes straight to sampling.
 //
-// Bit-exactness: the prefix consumes no RNG draws (deterministic ops
-// never touch the trajectory RNG), so a forked trajectory sees exactly
-// the same random stream as a replayed one, and the restored state is
-// the product of the identical operation sequence. Same-seed results
-// are therefore bit-identical with checkpointing on or off; the
-// differential tests in checkpoint_test.go enforce this.
+// The path ends where a draw would need the state: at the first
+// measurement or reset, or at the first exact-channel damping (whose
+// branch probability is γ·P(qubit = 1)). Behind a noise-free path's end
+// the runner additionally caches multi-level checkpoints keyed by the
+// outcome history, so trajectories that took the same measurement
+// branch skip the deterministic runs between random sites too.
+//
+// Bit-exactness: the scan makes exactly the draws the replay makes
+// (noise.Chan1.Apply is draw-then-fire over the same two halves), a
+// roll that misses leaves the state untouched, and the restored state
+// is the product of the identical operation sequence. Same-seed
+// results are therefore bit-identical with checkpointing on or off;
+// the differential tests in checkpoint_test.go enforce this.
 
 import (
+	"math"
 	"math/rand"
 
 	"ddsim/internal/circuit"
@@ -28,138 +38,167 @@ import (
 
 // Checkpointing modes accepted by Options.Checkpointing.
 const (
-	// CheckpointAuto (the default) forks trajectories from checkpoints
-	// whenever the backend implements sim.Forker and the prefix
-	// analyzer finds gate applications to save.
+	// CheckpointAuto (the default) forks trajectories from the
+	// reference path whenever the backend implements sim.Forker and the
+	// path holds gate applications to save.
 	CheckpointAuto = "auto"
 	// CheckpointOn requires checkpointing: jobs on backends that do
 	// not implement sim.Forker fail instead of silently replaying.
 	CheckpointOn = "on"
 	// CheckpointOff replays every gate of every trajectory (the
-	// pre-checkpointing behaviour; useful as a differential baseline).
+	// differential baseline).
 	CheckpointOff = "off"
 )
 
-// Per-worker bounds on the multi-level segment cache. Outcome
-// histories are packed into a uint64, so circuits with more random
-// sites fall back to the single prefix checkpoint; the entry and byte
-// caps keep the retained states (pinned DD nodes, amplitude copies)
-// bounded no matter how many branches a job explores.
+// Per-worker bounds on retained states. A worker keeps at most
+// maxRefSnapshots evenly spaced snapshots of the reference path —
+// fewer when their summed sim.StateSizer cost would pass
+// maxSegRetainedBytes — and replays the unitaries in between, so dense
+// backends pay a handful of amplitude copies, not one per gate.
+// Outcome histories of the segment cache are packed into a uint64, so
+// circuits with more random sites keep only the reference path; the
+// entry cap and the shared byte cap bound the retained states (pinned
+// DD nodes, amplitude copies) no matter how many branches a job
+// explores.
 const (
+	maxRefSnapshots     = 8
 	maxSegHistBits      = 64
 	maxSegEntries       = 64
 	maxSegRetainedBytes = 256 << 20
 )
 
-// ckptPlan is the prefix analysis of one (circuit, noise-model) job:
-// where the first probabilistic event can fire, what the checkpoint
-// saves, and where the remaining random sites sit.
-type ckptPlan struct {
-	// split is the first op index not covered by the prefix
-	// checkpoint: ops [0, split) are identical for every trajectory.
-	split int
-	// deferred is the op index whose post-gate noise must be injected
-	// first on resume, or -1. When the noise model is enabled, the
-	// first executed gate's unitary is still deterministic and is
-	// folded into the checkpoint; only its noise roll is replayed.
-	deferred int
-	// prefixGates is the number of gate applications the checkpoint
-	// saves per forked trajectory.
-	prefixGates int
-	// sites lists the op indices of the remaining random sites
-	// (measurements and resets at or after split). Populated only for
-	// noise-free models: with per-gate noise every gate is a random
-	// site and no deterministic segments exist between them.
+// roll is one state-independent draw of the reference path: channel ch
+// (of the sequence Pre‖Post‖Post2) of gate op fires iff the
+// trajectory's next Float64 falls below thr.
+type roll struct {
+	thr float64
+	op  int32
+	ch  int32
+	// need is the number of reference-path unitaries a trajectory that
+	// fires here has behind it: the op's own is included for a
+	// post-gate channel, pending for an idle one.
+	need  int32
+	label int32 // telemetry label of the channel (noise.Labels)
+}
+
+// refPath is the reference-path analysis of one (circuit, noise-model)
+// job: which unitaries every trajectory shares until its first event,
+// the flat list of rolls scanned along them, where the path ends, and
+// where the remaining random sites sit. Read-only once built, so a
+// job's workers share it.
+type refPath struct {
+	// scan holds the channels the rolls came from: the job's compiled
+	// plan, or — for a uniform model, whose suffix keeps the legacy
+	// per-gate loop — that model compiled for the scan alone. Nil when
+	// the job is noise-free.
+	scan *noise.Plan
+	// gates lists the op indices of the path's unitaries in execution
+	// order; conditions are evaluated against the all-zero classical
+	// register, which is exact on the path: classical bits only change
+	// at measurements, and the first one ends it.
+	gates []int
+	rolls []roll
+	// sums[j] counts the channels behind rolls[:j] per telemetry label,
+	// so a trajectory accounts for everything it scanned in one add.
+	sums []noise.ChannelCounts
+	// endOp/endCh is the first position off the path: channel endCh of
+	// op endOp is state-dependent, or endCh is 0 and endOp is the first
+	// measurement or reset (len(Ops) when the path covers the circuit).
+	endOp, endCh int
+	// sites lists the op indices of the random sites (measurements and
+	// resets) from endOp on. Populated only for noise-free jobs: with
+	// per-gate noise every gate is a random site and no deterministic
+	// segments exist between them.
 	sites []int
 	// tailGates counts gate ops after the first random site — the
 	// material multi-level segment caching can save.
 	tailGates int
 }
 
-// worthwhile reports whether checkpointing can save any gate
-// applications for this plan (the CheckpointAuto enable condition).
-func (p *ckptPlan) worthwhile() bool {
-	return p.prefixGates > 0 || (len(p.sites) > 0 && p.tailGates > 0)
+// worthwhile reports whether forking can save any gate applications
+// (the CheckpointAuto enable condition).
+func (p *refPath) worthwhile() bool {
+	return len(p.gates) > 0 || (len(p.sites) > 0 && p.tailGates > 0)
 }
 
-// analyzeCheckpoint splits a compiled job at the first op where the
-// noise model can act. Conditions are evaluated against the all-zero
-// classical register, which is exact inside the prefix: classical bits
-// only change at measurements, and every measurement is a random site
-// that ends the prefix. Extended models route through their compiled
-// channel plan (nplan); an empty plan — an extended model whose
-// channels all vanished on this circuit — is treated as noise-free.
-func analyzeCheckpoint(c *circuit.Circuit, model noise.Model, nplan *noise.Plan) ckptPlan {
-	if nplan != nil && !nplan.Empty() {
-		return analyzePlanned(c, nplan)
+// planRefPath walks a job's ops until a draw would depend on the
+// state. scan is the compiled channel plan; an empty one — a model
+// whose channels all vanished on this circuit — is noise-free.
+func planRefPath(c *circuit.Circuit, scan *noise.Plan) *refPath {
+	if scan.Empty() {
+		scan = nil
 	}
-	noisy := nplan == nil && model.Enabled()
-	plan := ckptPlan{split: len(c.Ops), deferred: -1}
+	p := &refPath{scan: scan, endOp: len(c.Ops)}
+	var buf []noise.Roll
+	add := func(op, ch0 int, rs []noise.Roll) {
+		for k, r := range rs {
+			p.rolls = append(p.rolls, roll{thr: r.Threshold, op: int32(op), ch: int32(ch0 + k),
+				need: int32(len(p.gates)), label: int32(r.Label)})
+		}
+	}
+walk:
 	for i := range c.Ops {
 		op := &c.Ops[i]
 		if op.Cond != nil && !condHolds(op.Cond, 0) {
-			continue // deterministically skipped inside the prefix
+			continue // deterministically skipped on the path
 		}
 		switch op.Kind {
 		case circuit.KindGate:
-			plan.prefixGates++
-			if noisy {
-				// The unitary is deterministic; only the noise roll
-				// after it is not. Checkpoint past the unitary.
-				plan.split = i + 1
-				plan.deferred = i
-				return plan
+			on := scan.At(i)
+			if on == nil {
+				p.gates = append(p.gates, i)
+				continue
+			}
+			buf = on.Rolls(buf[:0])
+			pre := min(len(buf), len(on.Pre))
+			add(i, 0, buf[:pre])
+			if pre == len(on.Pre) {
+				// Every idle channel is scanned, so the unitary is shared.
+				p.gates = append(p.gates, i)
+				add(i, pre, buf[pre:])
+			}
+			if len(buf) < on.Len() {
+				p.endOp, p.endCh = i, len(buf)
+				break walk
 			}
 		case circuit.KindMeasure, circuit.KindReset:
-			plan.split = i
-			if !noisy {
+			p.endOp = i
+			if scan == nil {
 				for j := i; j < len(c.Ops); j++ {
 					switch c.Ops[j].Kind {
 					case circuit.KindMeasure, circuit.KindReset:
-						plan.sites = append(plan.sites, j)
+						p.sites = append(p.sites, j)
 					case circuit.KindGate:
-						plan.tailGates++
+						p.tailGates++
 					}
 				}
 			}
-			return plan
+			break walk
 		}
 	}
-	return plan
+	p.sums = make([]noise.ChannelCounts, len(p.rolls)+1)
+	for j, ro := range p.rolls {
+		p.sums[j+1] = p.sums[j]
+		p.sums[j+1][ro.label]++
+	}
+	return p
 }
 
-// analyzePlanned is the prefix analysis for a compiled extended-model
-// plan: the prefix ends at the first operation carrying any channel.
-// Pre-gate (idle) channels fire before their gate's unitary, so such
-// a gate cannot be folded into the checkpoint; a gate with only
-// post-gate channels is folded in with its noise roll deferred,
-// exactly like the uniform path.
-func analyzePlanned(c *circuit.Circuit, nplan *noise.Plan) ckptPlan {
-	plan := ckptPlan{split: len(c.Ops), deferred: -1}
-	for i := range c.Ops {
-		op := &c.Ops[i]
-		if op.Cond != nil && !condHolds(op.Cond, 0) {
-			continue
-		}
-		switch op.Kind {
-		case circuit.KindGate:
-			on := nplan.At(i)
-			if on != nil && len(on.Pre) > 0 {
-				plan.split = i
-				return plan
+// refPath returns the job's reference-path analysis, built on first
+// use: only workers whose backend can fork need it.
+func (js *jobState) refPath() (*refPath, error) {
+	js.pathOnce.Do(func() {
+		scan := js.plan
+		if scan == nil && js.job.Model.Enabled() {
+			// Model.Compile reproduces the legacy channel sequence and
+			// draw order for a uniform model.
+			if scan, js.pathErr = js.job.Model.Compile(js.job.Circuit); js.pathErr != nil {
+				return
 			}
-			plan.prefixGates++
-			if on != nil {
-				plan.split = i + 1
-				plan.deferred = i
-				return plan
-			}
-		case circuit.KindMeasure, circuit.KindReset:
-			plan.split = i
-			return plan
 		}
-	}
-	return plan
+		js.path = planRefPath(js.job.Circuit, scan)
+	})
+	return js.path, js.pathErr
 }
 
 // segKey identifies a multi-level checkpoint: the state after the
@@ -188,8 +227,15 @@ type ckptStats struct {
 	forks   int // restores served (trajectory starts + segment reuses)
 }
 
+// refSnap is one snapshot of the reference path: the state after its
+// first gates unitaries.
+type refSnap struct {
+	gates int
+	state sim.State
+}
+
 // ckptRunner executes trajectories of one job on one worker's backend
-// by forking from checkpoints. It is single-goroutine, like the
+// by forking from the reference path. It is single-goroutine, like the
 // backend it drives.
 type ckptRunner struct {
 	backend   sim.Backend
@@ -198,97 +244,190 @@ type ckptRunner struct {
 	circ      *circuit.Circuit
 	model     noise.Model
 	noisePlan *noise.Plan // compiled extended-model channels, or nil
-	plan      ckptPlan
+	path      *refPath
 	qubits    [][]int // precomputed per-op qubit lists (jobState.opQubits)
 
-	base sim.State           // the shared deterministic-prefix checkpoint
-	segs map[segKey]segState // multi-level cache; nil when disabled
+	snaps []refSnap           // reference-path snapshots, ascending
+	segs  map[segKey]segState // multi-level cache; nil when disabled
 
 	retainedNodes int64
 	retainedBytes int64
+	// uncounted absorbs the channel counts of a uniform model: the
+	// legacy loop behind the first event reports none, so the scan and
+	// the fired op must not either.
+	uncounted noise.ChannelCounts
 }
 
-// newCkptRunner simulates the deterministic prefix once on the
-// worker's backend, captures the checkpoint, and prepares the
-// multi-level cache when the plan has later random sites. It returns
-// the runner and the number of gate applications the construction
-// executed (the engine feeds that into the gate telemetry).
-func newCkptRunner(backend sim.Backend, forker sim.Forker, c *circuit.Circuit, model noise.Model, nplan *noise.Plan, plan ckptPlan, qubits [][]int) (*ckptRunner, int) {
+// newCkptRunner walks the reference path on the worker's backend,
+// keeps its snapshots, and prepares the multi-level cache when the
+// path ends at a random site with more behind it. It returns the
+// runner and the number of gate applications the construction executed
+// (the engine feeds that into the gate telemetry).
+func newCkptRunner(backend sim.Backend, forker sim.Forker, c *circuit.Circuit, model noise.Model, nplan *noise.Plan, path *refPath, qubits [][]int) (*ckptRunner, int) {
 	r := &ckptRunner{
 		backend:   backend,
 		forker:    forker,
 		circ:      c,
 		model:     model,
 		noisePlan: nplan,
-		plan:      plan,
+		path:      path,
 		qubits:    qubits,
 	}
 	r.sizer, _ = backend.(sim.StateSizer)
-	backend.Reset()
-	applied := 0
-	for i := 0; i < plan.split; i++ {
-		op := &c.Ops[i]
-		if op.Kind != circuit.KindGate {
-			continue
-		}
-		if op.Cond != nil && !condHolds(op.Cond, 0) {
-			continue
-		}
-		backend.ApplyOp(i)
-		applied++
-	}
-	r.base = forker.Snapshot()
-	r.noteRetained(r.base)
-	telemetry.CheckpointsTaken.With("prefix").Inc()
-	if len(plan.sites) > 0 && len(plan.sites) <= maxSegHistBits {
+	applied := r.takeSnapshots(maxSegRetainedBytes)
+	if len(path.sites) > 0 && len(path.sites) <= maxSegHistBits {
 		r.segs = make(map[segKey]segState)
 	}
 	return r, applied
+}
+
+// takeSnapshots walks the reference path once and keeps its snapshots.
+// The first one — the state at the first roll, or the path's end when
+// nothing is rolled — is what every trajectory can fork from and is
+// always taken. Its cost sizes the rest: as many as fit into budget
+// bytes, at most maxRefSnapshots in all, evenly spaced back from the
+// path's end (which every trajectory without an event restores).
+func (r *ckptRunner) takeSnapshots(budget int64) (applied int) {
+	gates := r.path.gates
+	walkTo := func(g int) {
+		for _, op := range gates[applied:g] {
+			r.backend.ApplyOp(op)
+		}
+		applied = g
+	}
+	base := len(gates)
+	if len(r.path.rolls) > 0 {
+		base = int(r.path.rolls[0].need)
+	}
+	r.backend.Reset()
+	walkTo(base)
+	r.keep(base, math.MaxInt64)
+	n := maxRefSnapshots
+	if cost := r.retainedBytes; cost > 0 && budget/cost < int64(n) {
+		n = int(budget / cost)
+	}
+	span := len(gates) - base
+	if n < 2 || span == 0 {
+		return applied
+	}
+	stride := (span + n - 2) / (n - 1)
+	for g := len(gates) - (span-1)/stride*stride; g <= len(gates); g += stride {
+		walkTo(g)
+		if !r.keep(g, budget) {
+			break
+		}
+	}
+	return applied
+}
+
+// keep snapshots the backend's current state — the reference state
+// after gates unitaries — unless its cost would take the retained
+// bytes past budget. A backend prices a state only once it is
+// captured, so a refused capture is let go again: for a dense backend
+// an amplitude copy the collector reclaims, for the DD backend one
+// root pin that lasts until the backend's release — the caller stops
+// at the first refusal.
+func (r *ckptRunner) keep(gates int, budget int64) bool {
+	state := r.forker.Snapshot()
+	var nodes, bytes int64
+	if r.sizer != nil {
+		nodes, bytes = r.sizer.StateCost(state)
+	}
+	if bytes > budget-r.retainedBytes {
+		return false
+	}
+	r.snaps = append(r.snaps, refSnap{gates: gates, state: state})
+	r.noteRetained(nodes, bytes)
+	telemetry.CheckpointsTaken.With("prefix").Inc()
+	return true
 }
 
 // noteRetained accounts a newly pinned checkpoint against the
 // retention telemetry. DD node counts are per-snapshot, so sub-
 // diagrams shared between checkpoints are counted once per pin — an
 // upper bound on what the pins actually keep alive.
-func (r *ckptRunner) noteRetained(s sim.State) {
-	if r.sizer == nil {
-		return
-	}
-	nodes, bytes := r.sizer.StateCost(s)
+func (r *ckptRunner) noteRetained(nodes, bytes int64) {
 	r.retainedNodes += nodes
 	r.retainedBytes += bytes
 	telemetry.CheckpointNodesRetained.SetMax(r.retainedNodes)
 	telemetry.CheckpointBytesRetained.SetMax(r.retainedBytes)
 }
 
-// run executes one trajectory by forking from the prefix checkpoint.
-// rng and clbits have the same contract as runOne; the trajectory
-// consumes the identical random stream.
+// restore puts the backend into the reference state after need
+// unitaries: the nearest snapshot at or before it — the first one is
+// at the first roll, so there always is one — then the unitaries in
+// between. Their rolls were consumed by the scan, so they replay bare.
+func (r *ckptRunner) restore(need int, st *ckptStats) {
+	i := len(r.snaps) - 1
+	for r.snaps[i].gates > need {
+		i--
+	}
+	from := r.snaps[i].gates
+	r.forker.Restore(r.snaps[i].state)
+	for _, op := range r.path.gates[from:need] {
+		r.backend.ApplyOp(op)
+	}
+	st.skipped += from
+	st.applied += need - from
+}
+
+// run executes one trajectory by forking from the reference path. rng
+// and clbits have the same contract as runOne; the trajectory consumes
+// the identical random stream. A hit that turns out to change nothing
+// (a depolarising I, a damping event on a qubit in |0⟩) is a fire like
+// any other: what matters is that the draws after it are the replay's.
 func (r *ckptRunner) run(rng *rand.Rand, clbits []uint64, st *ckptStats, counts *noise.ChannelCounts) {
-	r.forker.Restore(r.base)
+	p := r.path
+	if r.noisePlan == nil {
+		counts = &r.uncounted
+	}
 	clbits[0] = 0
 	st.forks++
-	st.skipped += r.plan.prefixGates
-	if d := r.plan.deferred; d >= 0 {
-		if r.noisePlan != nil {
-			if on := r.noisePlan.At(d); on != nil {
-				on.ApplyPost(r.backend, rng, counts)
-			}
-		} else {
-			var q []int
-			if r.qubits != nil {
-				q = r.qubits[d]
-			} else {
-				q = r.circ.Ops[d].Qubits()
-			}
-			r.model.ApplyAfterGate(r.backend, q, rng)
+	for j := range p.rolls {
+		if x := rng.Float64(); x < p.rolls[j].thr {
+			ro := &p.rolls[j]
+			r.restore(int(ro.need), st)
+			p.count(counts, j+1)
+			on := p.scan.At(int(ro.op))
+			on.Fire(int(ro.ch), x, r.backend, rng)
+			r.resume(on, int(ro.op), int(ro.ch)+1, int(ro.ch) < len(on.Pre), rng, clbits, st, counts)
+			return
 		}
 	}
-	if r.segs == nil {
-		st.applied += runRange(r.backend, r.circ, r.model, r.noisePlan, rng, clbits, r.qubits, r.plan.split, len(r.circ.Ops), counts)
+	r.restore(len(p.gates), st)
+	p.count(counts, len(p.rolls))
+	if r.segs != nil {
+		r.runSegmented(rng, clbits, st)
 		return
 	}
-	r.runSegmented(rng, clbits, st)
+	on := p.scan.At(p.endOp)
+	r.resume(on, p.endOp, p.endCh, on != nil && p.endCh < len(on.Pre), rng, clbits, st, counts)
+}
+
+// count adds the channels behind the first n rolls to counts.
+func (p *refPath) count(counts *noise.ChannelCounts, n int) {
+	for l, v := range p.sums[n] {
+		counts[l] += v
+	}
+}
+
+// resume continues a trajectory as a plain replay from channel k of op
+// i: the op's remaining channels — with its unitary in between when
+// the trajectory is still before it — then every later op. on is the
+// op's channel list; nil (a site, a bare gate or the circuit's end)
+// means the op has not begun.
+func (r *ckptRunner) resume(on *noise.OpNoise, i, k int, beforeUnitary bool, rng *rand.Rand, clbits []uint64, st *ckptStats, counts *noise.ChannelCounts) {
+	if on != nil {
+		if beforeUnitary {
+			on.ApplyPreFrom(k, r.backend, rng, counts)
+			r.backend.ApplyOp(i)
+			st.applied++
+			k = len(on.Pre)
+		}
+		on.ApplyPostFrom(k-len(on.Pre), r.backend, rng, counts)
+		i++
+	}
+	st.applied += runRange(r.backend, r.circ, r.model, r.noisePlan, rng, clbits, r.qubits, i, len(r.circ.Ops), counts)
 }
 
 // runSegmented walks the tail of a noise-free trajectory site by site:
@@ -300,9 +439,9 @@ func (r *ckptRunner) run(rng *rand.Rand, clbits []uint64, st *ckptStats, counts 
 func (r *ckptRunner) runSegmented(rng *rand.Rand, clbits []uint64, st *ckptStats) {
 	ops := r.circ.Ops
 	hist := uint64(0)
-	i := r.plan.split
-	for site := 0; site < len(r.plan.sites); site++ {
-		op := &ops[i] // i == r.plan.sites[site]
+	i := r.path.endOp
+	for site := 0; site < len(r.path.sites); site++ {
+		op := &ops[i] // i == r.path.sites[site]
 		if op.Cond == nil || condHolds(op.Cond, clbits[0]) {
 			if execSiteOp(r.backend, op, rng, clbits) == 1 {
 				hist |= 1 << uint(site)
@@ -310,8 +449,8 @@ func (r *ckptRunner) runSegmented(rng *rand.Rand, clbits []uint64, st *ckptStats
 		}
 		i++
 		end := len(ops)
-		if site+1 < len(r.plan.sites) {
-			end = r.plan.sites[site+1]
+		if site+1 < len(r.path.sites) {
+			end = r.path.sites[site+1]
 		}
 		i = r.runSegment(i, end, site+1, hist, clbits, st)
 	}
@@ -348,7 +487,9 @@ func (r *ckptRunner) runSegment(i, end, site int, hist uint64, clbits []uint64, 
 	if gates > 0 && len(r.segs) < maxSegEntries && r.retainedBytes < maxSegRetainedBytes {
 		state := r.forker.Snapshot()
 		r.segs[key] = segState{state: state, gates: gates}
-		r.noteRetained(state)
+		if r.sizer != nil {
+			r.noteRetained(r.sizer.StateCost(state))
+		}
 		telemetry.CheckpointsTaken.With("segment").Inc()
 	}
 	return end

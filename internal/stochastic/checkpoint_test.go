@@ -2,11 +2,13 @@ package stochastic
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"ddsim/internal/circuit"
 	"ddsim/internal/ddback"
+	"ddsim/internal/fastrand"
 	"ddsim/internal/noise"
 	"ddsim/internal/sim"
 	"ddsim/internal/sparsemat"
@@ -58,9 +60,25 @@ func dynamicCircuit() *circuit.Circuit {
 	return c
 }
 
-// TestAnalyzeCheckpoint pins the prefix analyzer's split decisions:
-// where the first probabilistic event can fire for noisy vs noise-free
-// models, measurement-led circuits and fully deterministic circuits.
+// pathOf builds the reference path of a job the way a forking worker
+// does.
+func pathOf(t *testing.T, c *circuit.Circuit, m noise.Model) *refPath {
+	t.Helper()
+	js, err := prepareJob(Job{Circuit: c, Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := js.refPath()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestAnalyzeCheckpoint pins where the reference path ends: at the
+// first measurement or reset for noise-free and event-noise models, at
+// the first state-dependent channel otherwise, at the circuit's end
+// when nothing stops it — and which unitaries and rolls lie on it.
 func TestAnalyzeCheckpoint(t *testing.T) {
 	bv := bvLike(7)
 	gates := bv.GateCount()
@@ -71,50 +89,83 @@ func TestAnalyzeCheckpoint(t *testing.T) {
 			break
 		}
 	}
+	touched := 0 // qubits touched by the gates before the first measure
+	for i := 0; i < firstMeasure; i++ {
+		touched += len(bv.Ops[i].Qubits())
+	}
 
-	noisy := noise.PaperDefaults()
 	t.Run("noise-free", func(t *testing.T) {
-		p := analyzeCheckpoint(bv, noise.Model{}, nil)
-		if p.split != firstMeasure || p.deferred != -1 {
-			t.Fatalf("split=%d deferred=%d, want split=%d deferred=-1", p.split, p.deferred, firstMeasure)
+		p := pathOf(t, bv, noise.Model{})
+		if p.endOp != firstMeasure || p.endCh != 0 || len(p.rolls) != 0 {
+			t.Fatalf("end=%d/%d rolls=%d, want end=%d/0 and no rolls", p.endOp, p.endCh, len(p.rolls), firstMeasure)
 		}
-		if p.prefixGates != gates {
-			t.Errorf("prefixGates=%d, want %d", p.prefixGates, gates)
+		if len(p.gates) != gates {
+			t.Errorf("path gates=%d, want %d", len(p.gates), gates)
 		}
 		if len(p.sites) != 6 {
 			t.Errorf("sites=%v, want the 6 measurements", p.sites)
 		}
 		if !p.worthwhile() {
-			t.Error("a full-gate prefix must be worthwhile")
+			t.Error("a full-gate path must be worthwhile")
 		}
 	})
 	t.Run("noisy", func(t *testing.T) {
-		p := analyzeCheckpoint(bv, noisy, nil)
-		if p.split != 1 || p.deferred != 0 || p.prefixGates != 1 {
-			t.Fatalf("split=%d deferred=%d prefixGates=%d, want 1/0/1", p.split, p.deferred, p.prefixGates)
+		// Event noise is state-independent until it fires: the path
+		// runs to the first measurement, three rolls per touched qubit.
+		p := pathOf(t, bv, noise.PaperDefaults())
+		if p.endOp != firstMeasure || len(p.gates) != gates {
+			t.Fatalf("end=%d gates=%d, want %d/%d", p.endOp, len(p.gates), firstMeasure, gates)
+		}
+		if len(p.rolls) != 3*touched {
+			t.Errorf("rolls=%d, want %d", len(p.rolls), 3*touched)
+		}
+		if first, last := p.rolls[0], p.rolls[len(p.rolls)-1]; first.need != 1 || int(last.need) != gates {
+			t.Errorf("post-gate rolls need %d..%d unitaries, want 1..%d", first.need, last.need, gates)
 		}
 		if len(p.sites) != 0 {
-			t.Errorf("noisy plans must not have multi-level sites, got %v", p.sites)
+			t.Errorf("noisy paths must not have multi-level sites, got %v", p.sites)
+		}
+	})
+	t.Run("exact-damping", func(t *testing.T) {
+		// The exact channel's branch probability needs the state: the
+		// path holds the first unitary and its depolarising roll, and
+		// ends at the damping channel behind it — the single-gate
+		// checkpoint as the degenerate case.
+		p := pathOf(t, bv, noise.Model{Depolarizing: 0.01, Damping: 0.02, PhaseFlip: 0.01})
+		if len(p.gates) != 1 || len(p.rolls) != 1 || p.endOp != 0 || p.endCh != 1 {
+			t.Fatalf("gates=%d rolls=%d end=%d/%d, want 1/1/0/1", len(p.gates), len(p.rolls), p.endOp, p.endCh)
+		}
+	})
+	t.Run("idle-before-gate", func(t *testing.T) {
+		// Idle decay is exact damping applied before its gate: the path
+		// must end before that gate's unitary.
+		c := circuit.New("idle", 2)
+		c.H(0).H(1).H(1).H(1).CX(0, 1)
+		m := noise.PaperDefaults()
+		m.Idle = &noise.IdleNoise{Damping: 0.01, Dephasing: 0.01}
+		p := pathOf(t, c, m)
+		if p.endOp != 4 || p.endCh != 0 || len(p.gates) != 4 {
+			t.Fatalf("end=%d/%d gates=%d, want 4/0/4", p.endOp, p.endCh, len(p.gates))
 		}
 	})
 	t.Run("measurement-first", func(t *testing.T) {
 		c := circuit.New("m_first", 2)
 		c.Measure(0, 0).H(1)
-		p := analyzeCheckpoint(c, noise.Model{}, nil)
-		if p.split != 0 || p.prefixGates != 0 {
-			t.Fatalf("split=%d prefixGates=%d, want 0/0", p.split, p.prefixGates)
+		p := pathOf(t, c, noise.Model{})
+		if p.endOp != 0 || len(p.gates) != 0 {
+			t.Fatalf("end=%d gates=%d, want 0/0", p.endOp, len(p.gates))
 		}
 		if !p.worthwhile() {
 			t.Error("a gate after the first site makes segment caching worthwhile")
 		}
 	})
 	t.Run("fully-deterministic", func(t *testing.T) {
-		p := analyzeCheckpoint(circuit.GHZ(5), noise.Model{}, nil)
-		if p.split != len(circuit.GHZ(5).Ops) || len(p.sites) != 0 {
-			t.Fatalf("split=%d sites=%v, want whole circuit and no sites", p.split, p.sites)
+		p := pathOf(t, circuit.GHZ(5), noise.Model{})
+		if p.endOp != len(circuit.GHZ(5).Ops) || len(p.sites) != 0 {
+			t.Fatalf("end=%d sites=%v, want whole circuit and no sites", p.endOp, p.sites)
 		}
-		if p.prefixGates != circuit.GHZ(5).GateCount() {
-			t.Errorf("prefixGates=%d", p.prefixGates)
+		if len(p.gates) != circuit.GHZ(5).GateCount() {
+			t.Errorf("path gates=%d", len(p.gates))
 		}
 	})
 }
@@ -215,9 +266,9 @@ func TestCheckpointAdaptiveEquivalence(t *testing.T) {
 // account for — while staying bit-identical to the plain replay.
 func TestMultiLevelSegmentCheckpoints(t *testing.T) {
 	c := dynamicCircuit()
-	plan := analyzeCheckpoint(c, noise.Model{}, nil)
-	if len(plan.sites) < 3 || plan.tailGates == 0 {
-		t.Fatalf("bad workload for this test: plan %+v", plan)
+	path := pathOf(t, c, noise.Model{})
+	if len(path.sites) < 3 || path.tailGates == 0 {
+		t.Fatalf("bad workload for this test: path %+v", path)
 	}
 	opts := Options{Runs: 200, Seed: 3, Workers: 1, ChunkSize: 32}
 
@@ -241,7 +292,7 @@ func TestMultiLevelSegmentCheckpoints(t *testing.T) {
 	if segTaken == 0 {
 		t.Error("no segment checkpoints were taken")
 	}
-	if want := int64(opts.Runs * plan.prefixGates); skipped <= want {
+	if want := int64(opts.Runs * len(path.gates)); skipped <= want {
 		t.Errorf("skipped %d gate applications, want > %d (prefix alone): segments not reused", skipped, want)
 	}
 }
@@ -273,5 +324,253 @@ func TestCheckpointingValidation(t *testing.T) {
 	opts.Checkpointing = "sometimes"
 	if _, err := Run(circuit.GHZ(3), ddback.Factory(), noise.Model{}, opts); err == nil {
 		t.Fatal("invalid checkpointing mode must be rejected")
+	}
+}
+
+// forkedVsReplay runs one job with checkpointing off and on auto and
+// demands bit-equal estimates, histograms and fidelity.
+func forkedVsReplay(t *testing.T, label string, c *circuit.Circuit, f sim.Factory, m noise.Model, opts Options) {
+	t.Helper()
+	opts.Checkpointing = CheckpointOff
+	plain, err := Run(c, f, m, opts)
+	if err != nil {
+		t.Fatalf("%s replay: %v", label, err)
+	}
+	opts.Checkpointing = CheckpointAuto
+	forked, err := Run(c, f, m, opts)
+	if err != nil {
+		t.Fatalf("%s forked: %v", label, err)
+	}
+	if !forked.Checkpointed {
+		t.Fatalf("%s: auto mode did not fork", label)
+	}
+	assertResultsIdentical(t, label, plain, forked)
+}
+
+// forkCircuit has every op kind the reference path must handle behind
+// its rolls: one- and two-qubit gates, idle gaps, a conditioned gate
+// that holds at clbits 0 and one that does not, a mid-circuit
+// measurement, a reset and final measurements.
+func forkCircuit() *circuit.Circuit {
+	c := circuit.New("fork", 4)
+	c.H(0).CX(0, 1).H(2)
+	c.Append(circuit.Op{Kind: circuit.KindGate, Name: "x", Target: 3,
+		Cond: &circuit.Condition{Bits: []int{0}, Value: 1}}) // skipped on the path
+	c.Append(circuit.Op{Kind: circuit.KindGate, Name: "h", Target: 3,
+		Cond: &circuit.Condition{Bits: []int{0}, Value: 0}}) // taken on the path
+	c.T(2).CX(2, 3).H(2).CX(1, 2).S(0).CX(0, 3)
+	c.Measure(1, 0)
+	c.Append(circuit.Op{Kind: circuit.KindGate, Name: "z", Target: 0,
+		Cond: &circuit.Condition{Bits: []int{0}, Value: 1}})
+	c.Reset(1).H(1).CX(1, 0)
+	c.MeasureAll()
+	return c
+}
+
+// TestForkedMatchesReplay is the first-event-forking differential:
+// every class of reference path — scanned to the first measurement
+// (uniform event noise, with crosstalk, twirled), cut early by idle
+// decay, cut at the first gate by exact damping, and the roll-free
+// path of a noise-free dynamic circuit — on both forking backends, with
+// one and two workers, over twenty seeds each. The DD backend runs the
+// one-worker leg only: its weight interning is history-dependent, so
+// on a circuit with non-Clifford phases two workers do not reproduce
+// even their own previous run (ROADMAP item 1); its multi-worker
+// differential stays on the cache-resident circuits of
+// TestCheckpointedMatchesPlainSameSeed.
+func TestForkedMatchesReplay(t *testing.T) {
+	paper := noise.PaperDefaults().Scale(10)
+	xtalk, idle := paper, paper
+	xtalk.Crosstalk = &noise.Crosstalk{Strength: 0.05, ZZBias: 0.5}
+	idle.Idle = &noise.IdleNoise{Damping: 0.01, Dephasing: 0.01}
+	cases := []struct {
+		name  string
+		circ  *circuit.Circuit
+		model noise.Model
+	}{
+		{"paper", forkCircuit(), paper},
+		{"paper+crosstalk", forkCircuit(), xtalk},
+		{"paper+idle", forkCircuit(), idle},
+		{"exact-damping", forkCircuit(), noise.Model{Depolarizing: 0.01, Damping: 0.03, PhaseFlip: 0.02}},
+		{"twirled", forkCircuit(), paper.Twirl()},
+		{"noise-free-dynamic", dynamicCircuit(), noise.Model{}},
+	}
+	backends := []struct {
+		name    string
+		factory sim.Factory
+	}{
+		{"dd", ddback.Factory()},
+		{"statevec", statevec.Factory()},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			for _, b := range backends {
+				for _, workers := range []int{1, 2} {
+					if workers > 1 && b.name == "dd" {
+						continue // see above
+					}
+					for seed := int64(1); seed <= 20; seed++ {
+						forkedVsReplay(t, b.name, tc.circ, b.factory, tc.model, Options{
+							Runs: 48, Seed: 1000 * seed, Shots: 2, Workers: workers, ChunkSize: 8,
+							TrackStates: []uint64{0, 5, 15}, TrackFidelity: true,
+						})
+					}
+				}
+			}
+		})
+	}
+}
+
+// firstFire replays the scan of one trajectory: the index of the roll
+// its seed fires first, or -1.
+func firstFire(p *refPath, src *fastrand.Source, rng *rand.Rand, seed int64) int {
+	src.Seed(seed)
+	for j := range p.rolls {
+		if rng.Float64() < p.rolls[j].thr {
+			return j
+		}
+	}
+	return -1
+}
+
+// TestForkedMatchesReplayAtEveryPosition runs the two benchmark-size
+// workloads with trajectories picked, by scanning seeds, to fire first
+// at each channel position of the path's first and last gate — the
+// ends of the snapshot layout: before the first snapshot's successor
+// and on the final one — and one that never fires. Rates are raised so
+// the search stays short; the jobs themselves are a few trajectories.
+func TestForkedMatchesReplayAtEveryPosition(t *testing.T) {
+	model := noise.PaperDefaults().Scale(3)
+	for _, tc := range []struct {
+		name    string
+		circ    *circuit.Circuit
+		factory sim.Factory
+	}{
+		{"ghz64/dd", circuit.GHZ(64), ddback.Factory()},
+		{"qft14/statevec", circuit.QFT(14), statevec.Factory()},
+	} {
+		p := pathOf(t, tc.circ, model)
+		gates := len(p.gates)
+		if gates != tc.circ.GateCount() || gates <= maxRefSnapshots {
+			t.Fatalf("%s: %d of %d gates on the path", tc.name, gates, tc.circ.GateCount())
+		}
+		want := map[int]bool{-1: true}
+		for j, ro := range p.rolls {
+			if ro.need == 1 || int(ro.need) == gates {
+				want[j] = true
+			}
+		}
+		src := fastrand.New(0)
+		rng := rand.New(src)
+		for seed := int64(1); len(want) > 0 && seed < 1<<20; seed++ {
+			j := firstFire(p, src, rng, seed)
+			if !want[j] {
+				continue
+			}
+			delete(want, j)
+			forkedVsReplay(t, tc.name, tc.circ, tc.factory, model, Options{
+				Runs: 3, Seed: seed, Workers: 1, TrackStates: []uint64{0, 1}, TrackFidelity: true,
+			})
+		}
+		if len(want) > 0 {
+			t.Errorf("%s: no seed fires first at rolls %v", tc.name, want)
+		}
+	}
+}
+
+// TestReferenceSnapshotsStayWithinBudget: whatever the byte budget, a
+// worker keeps at most maxRefSnapshots snapshots, their summed
+// StateCost stays within it (the first one — the fork point every
+// trajectory needs — is taken regardless), the path's end is among
+// them as soon as two fit, and trajectories forked from the thinner
+// layouts still match the plain replay.
+func TestReferenceSnapshotsStayWithinBudget(t *testing.T) {
+	c := circuit.QFT(6)
+	model := noise.PaperDefaults().Scale(20)
+	p := pathOf(t, c, model)
+	const stateBytes = 16 << 6
+	for _, tc := range []struct {
+		budget int64
+		snaps  int
+	}{
+		{0, 1},
+		{stateBytes, 1},
+		{3*stateBytes + 100, 3},
+		{maxSegRetainedBytes, maxRefSnapshots},
+	} {
+		b, err := statevec.Factory()(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &ckptRunner{backend: b, forker: b.(sim.Forker), sizer: b.(sim.StateSizer), circ: c, model: model, path: p}
+		r.takeSnapshots(tc.budget)
+		if len(r.snaps) != tc.snaps {
+			t.Errorf("budget %d: %d snapshots, want %d", tc.budget, len(r.snaps), tc.snaps)
+		}
+		var sum int64
+		for i, s := range r.snaps {
+			_, bytes := r.sizer.StateCost(s.state)
+			sum += bytes
+			if i > 0 && s.gates <= r.snaps[i-1].gates {
+				t.Errorf("budget %d: snapshots not ascending: %d after %d", tc.budget, s.gates, r.snaps[i-1].gates)
+			}
+		}
+		if sum != r.retainedBytes || sum > max(tc.budget, stateBytes) {
+			t.Errorf("budget %d: snapshots hold %d bytes (accounted %d)", tc.budget, sum, r.retainedBytes)
+		}
+		if r.snaps[0].gates != 1 || (tc.snaps > 1 && r.snaps[tc.snaps-1].gates != len(p.gates)) {
+			t.Errorf("budget %d: snapshots at %+v, want the first roll and the path's end", tc.budget, r.snaps)
+		}
+
+		plain, err := statevec.Factory()(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clbits := make([]uint64, 1)
+		for seed := int64(1); seed <= 40; seed++ {
+			var st ckptStats
+			r.run(rand.New(rand.NewSource(seed)), clbits, &st, new(noise.ChannelCounts))
+			runOne(plain, c, model, nil, rand.New(rand.NewSource(seed)), clbits, nil, nil)
+			for idx := uint64(0); idx < 1<<6; idx++ {
+				if got, want := b.Probability(idx), plain.Probability(idx); got != want {
+					t.Fatalf("budget %d seed %d: P(%d) = %v forked, %v replayed", tc.budget, seed, idx, got, want)
+				}
+			}
+			if st.forks != 1 || st.applied+st.skipped < len(p.gates) {
+				t.Fatalf("budget %d seed %d: stats %+v", tc.budget, seed, st)
+			}
+		}
+	}
+}
+
+// TestForkedCountsEveryChannel: the channel telemetry of an extended
+// model counts every sampled channel, whether the scan rolled it
+// without a backend or the replay applied it — so forked and replayed
+// jobs report the same per-kind totals.
+func TestForkedCountsEveryChannel(t *testing.T) {
+	m := noise.PaperDefaults().Scale(10)
+	m.Crosstalk = &noise.Crosstalk{Strength: 0.05, ZZBias: 0.5}
+	m.Idle = &noise.IdleNoise{Damping: 0.01, Dephasing: 0.01}
+	read := func() (c noise.ChannelCounts) {
+		for l, name := range noise.Labels {
+			c[l] = telemetry.NoiseChannelApplications.With(name).Value()
+		}
+		return c
+	}
+	var deltas [2]noise.ChannelCounts
+	for i, mode := range []string{CheckpointOff, CheckpointOn} {
+		before := read()
+		if _, err := Run(forkCircuit(), statevec.Factory(), m, Options{Runs: 200, Seed: 4, Workers: 1, Checkpointing: mode}); err != nil {
+			t.Fatal(err)
+		}
+		after := read()
+		for l := range after {
+			deltas[i][l] = after[l] - before[l]
+		}
+	}
+	if deltas[0] != deltas[1] || deltas[0][noise.LabelCrosstalk] == 0 || deltas[0][noise.LabelIdle] == 0 {
+		t.Errorf("channel applications replayed %v, forked %v", deltas[0], deltas[1])
 	}
 }

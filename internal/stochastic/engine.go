@@ -183,6 +183,12 @@ type jobState struct {
 	// exact RNG stream. Read-only once built, so workers share it.
 	plan *noise.Plan
 
+	// path is the reference-path analysis behind first-event forking,
+	// built by the first worker whose backend can fork (see refPath).
+	pathOnce sync.Once
+	path     *refPath
+	pathErr  error
+
 	// Guarded by engine.mu:
 	next         int       // next run index to dispatch
 	done         int       // completed runs
@@ -290,8 +296,8 @@ type compiled struct {
 	// generator reinitialisation, by contract — cheap.
 	rngSrc *fastrand.Source
 	rng    *rand.Rand
-	// ckpt, when set, forks trajectories from a deterministic-prefix
-	// checkpoint instead of replaying the whole circuit (see
+	// ckpt, when set, forks trajectories from the noise-free reference
+	// path instead of replaying the whole circuit (see
 	// Options.Checkpointing); nil means plain replay.
 	ckpt *ckptRunner
 	// lastStats is the table-stat snapshot at the last telemetry
@@ -445,10 +451,13 @@ func (e *engine) compile(js *jobState) (*compiled, error) {
 			return nil, fmt.Errorf("stochastic: backend %q cannot checkpoint (Options.Checkpointing %q needs sim.Forker)",
 				backend.Name(), mode)
 		case ok:
-			plan := analyzeCheckpoint(js.job.Circuit, js.job.Model, js.plan)
-			if mode == CheckpointOn || plan.worthwhile() {
-				ckpt, prefixGates := newCkptRunner(backend, forker, js.job.Circuit, js.job.Model, js.plan, plan, js.opQubits)
-				telemetry.GateApplications.Add(int64(prefixGates))
+			path, err := js.refPath()
+			if err != nil {
+				return nil, err
+			}
+			if mode == CheckpointOn || path.worthwhile() {
+				ckpt, pathGates := newCkptRunner(backend, forker, js.job.Circuit, js.job.Model, js.plan, path, js.opQubits)
+				telemetry.GateApplications.Add(int64(pathGates))
 				wb.ckpt = ckpt
 				e.mu.Lock()
 				js.checkpointed = true

@@ -66,7 +66,11 @@ type Options struct {
 	Workers int `json:"workers,omitempty"`
 	// Seed makes the whole simulation deterministic: run j uses an RNG
 	// seeded with Seed+j regardless of which worker executes it, so
-	// results are bit-identical across worker counts.
+	// results are bit-identical per worker count — and across worker
+	// counts on the statevec and sparse backends and for cache-resident
+	// DDs. (A DD package's weight rounding depends on what it computed
+	// before, so at QFT-24 size a 2-worker DD estimate differs from the
+	// 1-worker one at ~1e-12 relative.)
 	Seed int64 `json:"seed,omitempty"`
 	// Shots is the number of basis-state samples drawn from each final
 	// state (default 1).
@@ -107,14 +111,15 @@ type Options struct {
 	// in stochastic mode.
 	ExactBackend string `json:"exact_backend,omitempty"`
 
-	// Checkpointing selects the trajectory checkpoint/fork
-	// optimisation: the deterministic prefix of the circuit (up to the
-	// first op where the noise model can act) is simulated once per
-	// worker and every trajectory forks from the checkpoint instead of
-	// replaying it, with multi-level checkpoints between later random
-	// sites of noise-free jobs. Modes: CheckpointAuto (default; used
-	// when the backend implements sim.Forker and there are gates to
-	// save), CheckpointOn (required — unsupported backends fail) and
+	// Checkpointing selects first-event forking: the noise-free circuit
+	// is simulated once per worker up to the first measurement, reset
+	// or state-dependent channel, a trajectory only consumes its RNG
+	// stream until one of its rolls fires and then forks from the
+	// nearest snapshot of that reference path instead of replaying it,
+	// with multi-level checkpoints between later random sites of
+	// noise-free jobs. Modes: CheckpointAuto (default; used when the
+	// backend implements sim.Forker and there are gates to save),
+	// CheckpointOn (required — unsupported backends fail) and
 	// CheckpointOff. Same-seed results are bit-identical in every
 	// mode.
 	Checkpointing string `json:"checkpointing,omitempty"`
@@ -317,9 +322,9 @@ type Result struct {
 	// planned trajectories completed; the result aggregates the runs
 	// that did complete.
 	Interrupted bool `json:"interrupted,omitempty"`
-	// Checkpointed reports that trajectories were forked from a
-	// deterministic-prefix checkpoint instead of replaying the full
-	// circuit (see Options.Checkpointing). The estimates are
+	// Checkpointed reports that trajectories were forked from the
+	// noise-free reference path instead of replaying the full circuit
+	// (see Options.Checkpointing). The estimates are
 	// bit-identical either way; only the work differs.
 	Checkpointed bool `json:"checkpointed,omitempty"`
 	// Workers echoes the worker count used.
@@ -446,7 +451,8 @@ func runOne(b sim.Backend, c *circuit.Circuit, model noise.Model, plan *noise.Pl
 
 // runRange executes ops [from, to) of a trajectory on the backend's
 // current state and returns the number of gate applications. The
-// checkpoint runner uses it to resume forked trajectories mid-circuit.
+// checkpoint runner uses it to resume forked trajectories behind their
+// first event.
 func runRange(b sim.Backend, c *circuit.Circuit, model noise.Model, plan *noise.Plan, rng *rand.Rand, clbits []uint64, qubits [][]int, from, to int, counts *noise.ChannelCounts) int {
 	if plan != nil {
 		return runRangePlanned(b, c, plan, rng, clbits, from, to, counts)

@@ -70,8 +70,8 @@ var (
 		"Unitary gate applications executed by simulation workers.")
 
 	// CheckpointsTaken counts checkpoints captured by the trajectory
-	// engine, by kind: "prefix" (the shared deterministic prefix of a
-	// job, taken once per worker) or "segment" (a multi-level
+	// engine, by kind: "prefix" (a snapshot of a job's noise-free
+	// reference path, a handful per worker) or "segment" (a multi-level
 	// checkpoint after a deterministic run between noise sites).
 	CheckpointsTaken = NewCounterVec("ddsim_checkpoints_total",
 		"Checkpoints captured by the trajectory engine, by kind.", "kind")
