@@ -250,8 +250,8 @@ type jsonCell struct {
 	Seconds float64 `json:"seconds,omitempty"`
 	Error   string  `json:"error,omitempty"`
 	// AllocsPerOp/BytesPerOp are runtime.MemStats deltas per trajectory
-	// for ok cells — the allocation signal scripts/check_bench.sh gates
-	// on alongside wall time.
+	// for ok cells — the allocation signal that holds when wall time on
+	// a busy host does not.
 	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
 }

@@ -128,10 +128,13 @@ func (s *Simulator) ApplyChannel(name string, kraus [][2][2]complex128, qubit in
 	s.setRho(acc)
 }
 
-// ApplyChan1 applies one compiled single-qubit channel exactly; the
-// embedded operators are cached under the channel's content key.
-func (s *Simulator) ApplyChan1(ch *noise.Chan1) {
-	s.ApplyChannel(ch.Key(), ch.Kraus(), ch.Qubit)
+// ApplyChans1 applies compiled single-qubit channels exactly, in
+// order; the embedded operators are cached under each channel's content
+// key.
+func (s *Simulator) ApplyChans1(chs []noise.Chan1) {
+	for i := range chs {
+		s.ApplyChannel(chs[i].Key(), chs[i].Kraus(), chs[i].Qubit)
+	}
 }
 
 // ApplyChan2 applies one compiled correlated two-qubit channel
@@ -183,23 +186,6 @@ func (s *Simulator) embed2(u [4][4]complex128, q0, q1 int) dd.MEdge {
 		}
 	}
 	return acc
-}
-
-// ApplyNoiseAfterGate applies the exact channels of the stochastic
-// model to every touched qubit, in the driver's order.
-func (s *Simulator) ApplyNoiseAfterGate(m noise.Model, qubits []int) {
-	ops := m.KrausOps()
-	for _, q := range qubits {
-		if k, ok := ops["depolarizing"]; ok {
-			s.ApplyChannel("depolarizing", k, q)
-		}
-		if k, ok := ops["damping"]; ok {
-			s.ApplyChannel("damping", k, q)
-		}
-		if k, ok := ops["phaseflip"]; ok {
-			s.ApplyChannel("phaseflip", k, q)
-		}
-	}
 }
 
 // MeasureDecohere dephases one qubit (ρ → P0ρP0 + P1ρP1), the
@@ -415,23 +401,16 @@ func RunCircuit(c *circuit.Circuit, model noise.Model) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
 	for i := range c.Ops {
 		if c.Ops[i].Cond != nil {
 			return nil, fmt.Errorf("ddensity: classically conditioned gates are not supported")
 		}
 	}
-	s := New(c.NumQubits)
-	var plan *noise.Plan
-	if model.Extended() {
-		var err2 error
-		plan, err2 = model.Compile(c)
-		if err2 != nil {
-			return nil, err2
-		}
+	plan, err := model.Compile(c)
+	if err != nil {
+		return nil, err
 	}
+	s := New(c.NumQubits)
 	for i := range c.Ops {
 		op := &c.Ops[i]
 		switch op.Kind {
@@ -442,21 +421,14 @@ func RunCircuit(c *circuit.Circuit, model noise.Model) (*Simulator, error) {
 			}
 			on := plan.At(i)
 			if on != nil {
-				for k := range on.Pre {
-					s.ApplyChan1(&on.Pre[k])
-				}
+				s.ApplyChans1(on.Pre)
 			}
 			s.ApplyGate(u, op.Target, op.Controls)
-			switch {
-			case on != nil:
-				for k := range on.Post {
-					s.ApplyChan1(&on.Post[k])
-				}
+			if on != nil {
+				s.ApplyChans1(on.Post)
 				for k := range on.Post2 {
 					s.ApplyChan2(&on.Post2[k])
 				}
-			case plan == nil && model.Enabled():
-				s.ApplyNoiseAfterGate(model, op.Qubits())
 			}
 		case circuit.KindMeasure:
 			s.MeasureDecohere(op.Target)

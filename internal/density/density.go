@@ -27,16 +27,11 @@ type Simulator struct {
 	dim int
 	rho [][]complex128
 
-	// superModel/super cache the fused noise superoperator of the last
-	// model seen by ApplyNoiseAfterGate (one model per run in
-	// practice).
-	superModel *noise.Model
-	super      [4][4]complex128
-
-	// chanSuper/chanSuper2 cache per-channel superoperators of
-	// compiled extended-model channels, keyed by the channel's
-	// operator-content key. Clones share the maps: branches of one
-	// exact run evolve sequentially in a single goroutine.
+	// chanSuper/chanSuper2 cache the superoperators of compiled
+	// channels, keyed by operator content: a run of adjacent same-qubit
+	// channels under its joined Chan1.Key()s, a two-qubit channel under
+	// its Chan2.Key(). Clones share the maps: branches of one exact run
+	// evolve sequentially in a single goroutine.
 	chanSuper  map[string]*[4][4]complex128
 	chanSuper2 map[string]*[16][16]complex128
 }
@@ -148,27 +143,6 @@ func cloneMatrix(m [][]complex128) [][]complex128 {
 	return out
 }
 
-// ApplyNoiseAfterGate applies the exact channel versions of the
-// stochastic noise model to each touched qubit, in the same order the
-// stochastic driver uses (depolarising → damping → phase flip). The
-// three channels are fused into one cached superoperator and applied
-// in a single O(4^n) blockwise pass per qubit — the dense engine's
-// hot path — instead of one clone-and-conjugate pass per Kraus
-// operator.
-func (s *Simulator) ApplyNoiseAfterGate(m noise.Model, qubits []int) {
-	if s.superModel == nil || *s.superModel != m {
-		sup, enabled := m.Superoperator()
-		if !enabled {
-			return
-		}
-		mc := m
-		s.superModel, s.super = &mc, sup
-	}
-	for _, q := range qubits {
-		s.ApplySuperOp(&s.super, q)
-	}
-}
-
 // ApplySuperOp applies a single-qubit superoperator to one qubit: for
 // every 2×2 block of ρ over the qubit's bit position, the vectorised
 // block [ρ00, ρ01, ρ10, ρ11] is mapped through sup. One pass touches
@@ -195,19 +169,51 @@ func (s *Simulator) ApplySuperOp(sup *[4][4]complex128, qubit int) {
 	}
 }
 
-// ApplyChan1 applies one compiled single-qubit channel exactly, via
-// a cached per-channel superoperator.
-func (s *Simulator) ApplyChan1(ch *noise.Chan1) {
+// ApplyChans1 applies compiled single-qubit channels exactly, in
+// order. Adjacent channels on one qubit — the depolarising → damping →
+// phase-flip run a plan binds to every qubit a gate touched — are
+// composed into a single cached superoperator, so the run costs one
+// O(4^n) blockwise pass instead of one per channel: the dense engine's
+// hot path.
+func (s *Simulator) ApplyChans1(chs []noise.Chan1) {
+	for i := 0; i < len(chs); {
+		j := i + 1
+		for j < len(chs) && chs[j].Qubit == chs[i].Qubit {
+			j++
+		}
+		s.ApplySuperOp(s.fusedSuper(chs[i:j]), chs[i].Qubit)
+		i = j
+	}
+}
+
+// fusedSuper returns the superoperator of a run of same-qubit channels
+// applied first to last.
+func (s *Simulator) fusedSuper(run []noise.Chan1) *[4][4]complex128 {
+	key := run[0].Key()
+	for k := 1; k < len(run); k++ {
+		key += "|" + run[k].Key()
+	}
+	if sup, ok := s.chanSuper[key]; ok {
+		return sup
+	}
+	sup := noise.Super1(run[0].Kraus())
+	for k := 1; k < len(run); k++ {
+		next := noise.Super1(run[k].Kraus())
+		var prod [4][4]complex128
+		for i := range prod {
+			for j := range prod[i] {
+				for l := range next[i] {
+					prod[i][j] += next[i][l] * sup[l][j]
+				}
+			}
+		}
+		sup = prod
+	}
 	if s.chanSuper == nil {
 		s.chanSuper = make(map[string]*[4][4]complex128)
 	}
-	sup, ok := s.chanSuper[ch.Key()]
-	if !ok {
-		v := noise.Super1(ch.Kraus())
-		sup = &v
-		s.chanSuper[ch.Key()] = sup
-	}
-	s.ApplySuperOp(sup, ch.Qubit)
+	s.chanSuper[key] = &sup
+	return &sup
 }
 
 // ApplyChan2 applies one compiled correlated two-qubit channel
@@ -426,9 +432,6 @@ func RunCircuit(c *circuit.Circuit, model noise.Model) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
 	hasCond := false
 	for i := range c.Ops {
 		if c.Ops[i].Cond != nil {
@@ -442,12 +445,9 @@ func RunCircuit(c *circuit.Circuit, model noise.Model) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var plan *noise.Plan
-	if model.Extended() {
-		plan, err = model.Compile(c)
-		if err != nil {
-			return nil, err
-		}
+	plan, err := model.Compile(c)
+	if err != nil {
+		return nil, err
 	}
 	for i := range c.Ops {
 		op := &c.Ops[i]
@@ -459,21 +459,14 @@ func RunCircuit(c *circuit.Circuit, model noise.Model) (*Simulator, error) {
 			}
 			on := plan.At(i)
 			if on != nil {
-				for k := range on.Pre {
-					s.ApplyChan1(&on.Pre[k])
-				}
+				s.ApplyChans1(on.Pre)
 			}
 			s.ApplyGate(u, op.Target, op.Controls)
-			switch {
-			case on != nil:
-				for k := range on.Post {
-					s.ApplyChan1(&on.Post[k])
-				}
+			if on != nil {
+				s.ApplyChans1(on.Post)
 				for k := range on.Post2 {
 					s.ApplyChan2(&on.Post2[k])
 				}
-			case plan == nil && model.Enabled():
-				s.ApplyNoiseAfterGate(model, op.Qubits())
 			}
 		case circuit.KindMeasure:
 			s.MeasureDecohere(op.Target)

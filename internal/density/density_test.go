@@ -74,7 +74,7 @@ func TestExample3DepolarizingEnsemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ApplyChannel(noise.Model{Depolarizing: p}.KrausOps()["depolarizing"], 0)
+	s.ApplyChannel((&noise.Chan1{Kind: noise.ChanDepolarizing, P: p}).Kraus(), 0)
 
 	probs := s.Probabilities()
 	want := []float64{0.5 - p/4, p / 4, p / 4, 0.5 - p/4}
@@ -96,7 +96,7 @@ func TestExample6DampingChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ApplyChannel(noise.Model{Damping: p}.KrausOps()["damping"], 0)
+	s.ApplyChannel((&noise.Chan1{Kind: noise.ChanDamping, P: p}).Kraus(), 0)
 
 	probs := s.Probabilities()
 	if math.Abs(probs[1]-p/2) > 1e-12 {

@@ -94,10 +94,9 @@ const (
 // receiver types.
 type state interface {
 	ApplyGate(u circuit.Mat2, target int, controls []circuit.Control)
-	ApplyNoiseAfterGate(m noise.Model, qubits []int)
-	// ApplyChan1/ApplyChan2 apply one compiled extended-model channel
-	// exactly (the plan-driven counterpart of ApplyNoiseAfterGate).
-	ApplyChan1(ch *noise.Chan1)
+	// ApplyChans1/ApplyChan2 apply the compiled plan's channels exactly:
+	// a list of single-qubit channels in order, one two-qubit channel.
+	ApplyChans1(chs []noise.Chan1)
 	ApplyChan2(ch *noise.Chan2)
 	ProbOne(qubit int) float64
 	MeasureProject(qubit, outcome int) float64
@@ -124,8 +123,7 @@ type state interface {
 type denseState struct{ s *density.Simulator }
 
 func (d denseState) ApplyGate(u circuit.Mat2, t int, c []circuit.Control) { d.s.ApplyGate(u, t, c) }
-func (d denseState) ApplyNoiseAfterGate(m noise.Model, q []int)           { d.s.ApplyNoiseAfterGate(m, q) }
-func (d denseState) ApplyChan1(ch *noise.Chan1)                           { d.s.ApplyChan1(ch) }
+func (d denseState) ApplyChans1(chs []noise.Chan1)                        { d.s.ApplyChans1(chs) }
 func (d denseState) ApplyChan2(ch *noise.Chan2)                           { d.s.ApplyChan2(ch) }
 func (d denseState) ProbOne(q int) float64                                { return d.s.ProbOne(q) }
 func (d denseState) MeasureProject(q, o int) float64                      { return d.s.MeasureProject(q, o) }
@@ -143,8 +141,7 @@ func (d denseState) LiveNodes() int                                       { retu
 type ddState struct{ s *ddensity.Simulator }
 
 func (d ddState) ApplyGate(u circuit.Mat2, t int, c []circuit.Control) { d.s.ApplyGate(u, t, c) }
-func (d ddState) ApplyNoiseAfterGate(m noise.Model, q []int)           { d.s.ApplyNoiseAfterGate(m, q) }
-func (d ddState) ApplyChan1(ch *noise.Chan1)                           { d.s.ApplyChan1(ch) }
+func (d ddState) ApplyChans1(chs []noise.Chan1)                        { d.s.ApplyChans1(chs) }
 func (d ddState) ApplyChan2(ch *noise.Chan2)                           { d.s.ApplyChan2(ch) }
 func (d ddState) ProbOne(q int) float64                                { return d.s.ProbOne(q) }
 func (d ddState) MeasureProject(q, o int) float64                      { return d.s.MeasureProject(q, o) }
@@ -351,28 +348,9 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 	}
 	branches := []*branch{{st: root, weight: 1}}
 	peakBranches := 1
-	// Extended models (device/crosstalk/idle/twirl) run through a
-	// compiled plan; plain models keep the fused-superoperator path.
-	var plan *noise.Plan
-	if model.Extended() {
-		plan, err = model.Compile(c)
-		if err != nil {
-			return nil, err
-		}
-	}
-	noisy := plan == nil && model.Enabled()
-	channelsPerQubit := int64(len(model.KrausOps()))
-	legacyLabels := make([]int, 0, 3)
-	if noisy {
-		for name, lbl := range map[string]int{
-			"depolarizing": noise.LabelDepolarizing,
-			"damping":      noise.LabelDamping,
-			"phaseflip":    noise.LabelPhaseFlip,
-		} {
-			if _, ok := model.KrausOps()[name]; ok {
-				legacyLabels = append(legacyLabels, lbl)
-			}
-		}
+	plan, err := model.Compile(c)
+	if err != nil {
+		return nil, err
 	}
 	var chanCounts noise.ChannelCounts
 	var channels, gates int64
@@ -428,40 +406,35 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 				finishTelemetry()
 				return nil, fmt.Errorf("exact: op %d: %w", i, err)
 			}
-			qubits := op.Qubits()
 			on := plan.At(i)
+			taken := int64(0) // branches whose classical bits let the gate run
 			for _, b := range branches {
 				if op.Cond != nil && !op.Cond.Holds(b.clbits) {
 					continue
 				}
+				taken++
 				if on != nil {
-					for k := range on.Pre {
-						b.st.ApplyChan1(&on.Pre[k])
-						chanCounts[on.Pre[k].Label]++
-						channels++
-					}
+					b.st.ApplyChans1(on.Pre)
 				}
 				b.st.ApplyGate(u, op.Target, op.Controls)
-				gates++
-				switch {
-				case on != nil:
-					for k := range on.Post {
-						b.st.ApplyChan1(&on.Post[k])
-						chanCounts[on.Post[k].Label]++
-						channels++
-					}
+				if on != nil {
+					b.st.ApplyChans1(on.Post)
 					for k := range on.Post2 {
 						b.st.ApplyChan2(&on.Post2[k])
-						chanCounts[on.Post2[k].Label]++
-						channels++
-					}
-				case noisy:
-					b.st.ApplyNoiseAfterGate(model, qubits)
-					channels += channelsPerQubit * int64(len(qubits))
-					for _, l := range legacyLabels {
-						chanCounts[l] += int64(len(qubits))
 					}
 				}
+			}
+			gates += taken
+			if on != nil {
+				for _, chs := range [2][]noise.Chan1{on.Pre, on.Post} {
+					for k := range chs {
+						chanCounts[chs[k].Label] += taken
+					}
+				}
+				for k := range on.Post2 {
+					chanCounts[on.Post2[k].Label] += taken
+				}
+				channels += taken * int64(on.Len())
 			}
 		case circuit.KindMeasure:
 			measures = true

@@ -12,6 +12,7 @@ import (
 	"ddsim/internal/density"
 	"ddsim/internal/noise"
 	"ddsim/internal/stochastic"
+	"ddsim/internal/telemetry"
 )
 
 func exactOpts(backend string) stochastic.Options {
@@ -339,6 +340,35 @@ func TestResetReleasesEntanglement(t *testing.T) {
 		for i, w := range want {
 			if d := math.Abs(res.Probabilities[i] - w); d > 1e-12 {
 				t.Errorf("%s: P(%d) = %v, want %v", be, i, res.Probabilities[i], w)
+			}
+		}
+	}
+}
+
+// TestChannelTelemetryCountsEveryChannel: the exact engine applies, and
+// reports per kind, every channel of the compiled plan — for a uniform
+// model one depolarising, one damping and one phase-flip channel per
+// qubit a gate touched.
+func TestChannelTelemetryCountsEveryChannel(t *testing.T) {
+	c := circuit.QFT(4)
+	touched := int64(0)
+	for i := range c.Ops {
+		if c.Ops[i].Kind == circuit.KindGate {
+			touched += int64(len(c.Ops[i].Qubits()))
+		}
+	}
+	kinds := []string{"depolarizing", "damping", "phaseflip"}
+	for _, be := range bothBackends {
+		var before [3]int64
+		for i, k := range kinds {
+			before[i] = telemetry.NoiseChannelApplications.With(k).Value()
+		}
+		if _, err := Run(c, noise.PaperDefaults().Scale(10), exactOpts(be)); err != nil {
+			t.Fatalf("%s: %v", be, err)
+		}
+		for i, k := range kinds {
+			if got := telemetry.NoiseChannelApplications.With(k).Value() - before[i]; got != touched {
+				t.Errorf("%s: %d %s applications, want %d (gates × touched qubits)", be, got, k, touched)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
-// Concrete noise-channel instances: the compiled form of the extended
-// model. A Chan1 is one single-qubit channel bound to a qubit, a
-// Chan2 one correlated two-qubit Pauli channel bound to a gate's
-// qubit pair. Both carry a stable key (for superoperator/Kraus-diagram
+// Concrete noise-channel instances: the compiled form of a Model. A
+// Chan1 is one single-qubit channel bound to a qubit, a Chan2 one
+// correlated two-qubit Pauli channel bound to a gate's qubit pair. Both carry a stable key (for superoperator/Kraus-diagram
 // caches in the exact engines), a Kraus view (for the density-matrix
 // reference and CPTP tests) and a stochastic Apply (for trajectory
 // sampling), so the Monte-Carlo and exact engines consume the same
@@ -185,8 +184,8 @@ func (ch *Chan1) Fire(b sim.Backend, rng *rand.Rand, r float64) {
 // Apply samples the channel on one trajectory: draw, then fire. The
 // first-event scan of the stochastic engine performs the same draw
 // without a backend and calls Fire itself, so both consume one rng
-// stream; a compiled uniform model consumes the stream of
-// Model.ApplyAfterGate.
+// stream; a compiled uniform model consumes the stream of the paper's
+// reference loop on Model.
 func (ch *Chan1) Apply(b sim.Backend, rng *rand.Rand) {
 	if !ch.StateIndependent() {
 		applyExactDamping(b, ch.Qubit, ch.P, rng)
@@ -379,10 +378,24 @@ func TwirlProbs(kraus [][2][2]complex128) [4]float64 {
 	return probs
 }
 
-// Super1 vectorises a single-qubit Kraus set into its 4×4
-// superoperator; see channelSuper.
+// Super1 vectorises a single-qubit Kraus set into the 4×4
+// superoperator acting on the vectorised 2×2 block [ρ00, ρ01, ρ10, ρ11]
+// of the qubit: S[(i,j),(a,b)] = Σ_k K[i][a]·conj(K[j][b]), so that
+// Σ_k KρK† = S·vec(ρ) blockwise.
 func Super1(kraus [][2][2]complex128) [4][4]complex128 {
-	return channelSuper(kraus)
+	var s [4][4]complex128
+	for _, k := range kraus {
+		for i := 0; i < 2; i++ {
+			for j := 0; j < 2; j++ {
+				for a := 0; a < 2; a++ {
+					for b := 0; b < 2; b++ {
+						s[i*2+j][a*2+b] += k[i][a] * conj(k[j][b])
+					}
+				}
+			}
+		}
+	}
+	return s
 }
 
 // Super2 vectorises a two-qubit Kraus set into the 16×16

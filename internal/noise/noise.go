@@ -1,6 +1,8 @@
-// Package noise implements the paper's stochastic error model
-// (Sections II-B and III): after every executed gate, each touched
-// qubit is subjected to
+// Package noise implements the stochastic error model and the one form
+// every engine executes it in.
+//
+// The paper's model (Sections II-B and III) subjects each qubit a gate
+// touched, after the gate, to
 //
 //   - a depolarising gate error: with probability p the qubit is set
 //     to a random state, realised by applying one of I, X, Y, Z with
@@ -10,9 +12,16 @@
 //     p·P(qubit = 1);
 //   - a phase-flip (T2) error: with probability p a Z is applied.
 //
-// The model is backend-independent: it drives any sim.Backend, so the
-// same stochastic trajectories can be simulated with decision
-// diagrams, state vectors or sparse operators.
+// A Model holds those three rates and, optionally, the channels beyond
+// them: per-qubit device calibration (Device), correlated two-qubit
+// crosstalk (Crosstalk), idle decay between gates (IdleNoise) and
+// Pauli-twirled damping. Model.Compile lowers any of it against a
+// circuit into a Plan — per operation, the Chan1/Chan2 instances to
+// apply before and after the gate. The stochastic engine samples the
+// plan's channels on any sim.Backend (decision diagrams, state vectors,
+// sparse operators); the exact engines apply the same channels' Kraus
+// sets to a density matrix. The paper's loop written out directly stays
+// on Model as the reference the compiled uniform plan is tested against.
 package noise
 
 import (
@@ -49,7 +58,7 @@ type Model struct {
 	//     (|1⟩ component dropped to |0⟩) and no-decay projection; with
 	//     probability 1−p the state is bit-for-bit untouched.
 	//
-	// Both are trace-preserving channels (see KrausOps) and both are
+	// Both are trace-preserving channels (see Chan1.Kraus) and both are
 	// validated against the exact density-matrix reference. The event
 	// form is what the paper's evaluation performance implies: the
 	// exact-channel form deforms every touched qubit on every gate,
@@ -99,9 +108,11 @@ func (m Model) Enabled() bool {
 }
 
 // Extended reports whether the model uses any channel beyond the
-// paper's uniform per-gate trio. Extended models run through a
-// compiled Plan; plain models keep the legacy per-gate path (and the
-// legacy rng stream, result caches and JobKeys).
+// paper's uniform per-gate trio. It is a fact about the wire format,
+// not about execution — every enabled model runs through its compiled
+// Plan: only extended models emit JobKey's v3 appendix (see
+// CanonicalExtension), so the keys of uniform jobs stay what they were
+// before the appendix existed.
 func (m Model) Extended() bool {
 	return m.Device != nil || m.Crosstalk != nil || m.Idle != nil || m.Twirled
 }
@@ -251,8 +262,9 @@ func sortedKeys(m map[string]float64) []string {
 // ApplyAfterGate stochastically injects errors on each qubit a gate
 // touched, in the fixed order depolarising → damping → phase flip.
 // All randomness comes from rng, so trajectories are reproducible
-// given a seed. Both damping semantics are the bodies Chan1 runs, so
-// this loop and a compiled plan cannot drift apart.
+// given a seed. This is the paper's reference loop: no engine calls it,
+// the stream tests hold a compiled uniform plan to its draws. Both
+// damping semantics are the bodies Chan1 runs.
 func (m Model) ApplyAfterGate(b sim.Backend, qubits []int, rng *rand.Rand) {
 	for _, q := range qubits {
 		if m.Depolarizing > 0 && rng.Float64() < m.Depolarizing {
@@ -273,53 +285,6 @@ func (m Model) ApplyAfterGate(b sim.Backend, qubits []int, rng *rand.Rand) {
 	}
 }
 
-// KrausOps returns the explicit Kraus decomposition of each channel
-// for a damping/depolarising/flip parameter set; used by the exact
-// density-matrix reference simulator and by completeness tests.
-// Each channel is a slice of 2×2 Kraus operators satisfying
-// Σ K†K = I.
-func (m Model) KrausOps() map[string][][2][2]complex128 {
-	out := make(map[string][][2][2]complex128)
-	if m.Depolarizing > 0 {
-		p := m.Depolarizing
-		s := func(f float64) complex128 { return complex(f, 0) }
-		// With probability p the qubit is replaced by a uniformly
-		// random Pauli application (including I): the channel
-		// ρ → (1−p)ρ + p/4 (ρ + XρX + YρY + ZρZ).
-		out["depolarizing"] = [][2][2]complex128{
-			scale2(ident2(), s(sqrt(1-3*p/4))),
-			scale2(pauliX(), s(sqrt(p/4))),
-			scale2(pauliY(), s(sqrt(p/4))),
-			scale2(pauliZ(), s(sqrt(p/4))),
-		}
-	}
-	if m.Damping > 0 {
-		p := m.Damping
-		if m.DampingAsEvent {
-			// With probability p a full relaxation event (γ = 1):
-			// K = {√(1−p)·I, √p·|0⟩⟨1|, √p·|0⟩⟨0|}.
-			out["damping"] = [][2][2]complex128{
-				scale2(ident2(), complex(sqrt(1-p), 0)),
-				{{0, complex(sqrt(p), 0)}, {0, 0}},
-				{{complex(sqrt(p), 0), 0}, {0, 0}},
-			}
-		} else {
-			out["damping"] = [][2][2]complex128{
-				{{0, complex(sqrt(p), 0)}, {0, 0}},
-				{{1, 0}, {0, complex(sqrt(1-p), 0)}},
-			}
-		}
-	}
-	if m.PhaseFlip > 0 {
-		p := m.PhaseFlip
-		out["phaseflip"] = [][2][2]complex128{
-			scale2(ident2(), complex(sqrt(1-p), 0)),
-			scale2(pauliZ(), complex(sqrt(p), 0)),
-		}
-	}
-	return out
-}
-
 // ResetKraus returns the Kraus decomposition of the reset-to-|0⟩
 // channel, K0 = |0⟩⟨0| and K1 = |0⟩⟨1| — trace preserving, final
 // qubit state |0⟩ regardless of prior state or entanglement. Both
@@ -329,67 +294,6 @@ func ResetKraus() [][2][2]complex128 {
 		{{1, 0}, {0, 0}}, // |0⟩⟨0|
 		{{0, 1}, {0, 0}}, // |0⟩⟨1|
 	}
-}
-
-// Superoperator returns the composite single-qubit noise channel of
-// the model — depolarising, then damping, then phase flip, the
-// driver's order — as a 4×4 superoperator acting on the vectorised
-// 2×2 block [ρ00, ρ01, ρ10, ρ11] of each touched qubit, and whether
-// any channel is enabled. Dense density-matrix simulators apply it in
-// a single O(4^n) pass per qubit instead of one clone-and-conjugate
-// pass per Kraus operator, which is the exact engine's hot path.
-func (m Model) Superoperator() ([4][4]complex128, bool) {
-	if !m.Enabled() {
-		return identSuper(), false
-	}
-	ops := m.KrausOps()
-	s := identSuper()
-	for _, name := range []string{"depolarizing", "damping", "phaseflip"} {
-		if k, ok := ops[name]; ok {
-			s = composeSuper(channelSuper(k), s)
-		}
-	}
-	return s, true
-}
-
-// channelSuper vectorises one Kraus set: S[(i,j),(a,b)] = Σ_k
-// K[i][a]·conj(K[j][b]), so that (Σ_k KρK†) = S·vec(ρ) blockwise.
-func channelSuper(kraus [][2][2]complex128) [4][4]complex128 {
-	var s [4][4]complex128
-	for _, k := range kraus {
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				for a := 0; a < 2; a++ {
-					for b := 0; b < 2; b++ {
-						s[i*2+j][a*2+b] += k[i][a] * conj(k[j][b])
-					}
-				}
-			}
-		}
-	}
-	return s
-}
-
-// composeSuper returns after·before (matrix product), the channel
-// composition "before first".
-func composeSuper(after, before [4][4]complex128) [4][4]complex128 {
-	var out [4][4]complex128
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			for k := 0; k < 4; k++ {
-				out[i][j] += after[i][k] * before[k][j]
-			}
-		}
-	}
-	return out
-}
-
-func identSuper() [4][4]complex128 {
-	var s [4][4]complex128
-	for i := 0; i < 4; i++ {
-		s[i][i] = 1
-	}
-	return s
 }
 
 func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }

@@ -41,6 +41,24 @@ func TestPaperDefaults(t *testing.T) {
 	}
 }
 
+// modelKraus returns the Kraus sets of the channels a uniform model
+// binds to a touched qubit, by telemetry label.
+func modelKraus(t testing.TB, m Model) map[string][][2][2]complex128 {
+	c := circuit.New("one_gate", 1)
+	c.H(0)
+	plan, err := m.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][][2][2]complex128{}
+	if on := plan.At(0); on != nil {
+		for i := range on.Post {
+			out[Labels[on.Post[i].Label]] = on.Post[i].Kraus()
+		}
+	}
+	return out
+}
+
 // TestKrausCompleteness checks Σ K†K = I for every channel — the
 // trace-preservation condition.
 func TestKrausCompleteness(t *testing.T) {
@@ -52,7 +70,7 @@ func TestKrausCompleteness(t *testing.T) {
 		{Depolarizing: 0.1, Damping: 0.2, PhaseFlip: 0.3},
 	}
 	for _, m := range models {
-		for name, ks := range m.KrausOps() {
+		for name, ks := range modelKraus(t, m) {
 			var sum [2][2]complex128
 			for _, k := range ks {
 				// K†K
@@ -79,7 +97,7 @@ func TestKrausCompletenessProperty(t *testing.T) {
 			Damping:      math.Abs(math.Mod(a, 1)),
 			PhaseFlip:    math.Abs(math.Mod(p, 1)),
 		}
-		for _, ks := range m.KrausOps() {
+		for _, ks := range modelKraus(t, m) {
 			var sum [2][2]complex128
 			for _, k := range ks {
 				for i := 0; i < 2; i++ {

@@ -1,8 +1,8 @@
-// Plan compilation: lowering an extended Model against a concrete
-// circuit into per-operation channel lists. The stochastic driver and
-// the exact engines both execute the same compiled Plan, so every
-// channel the trajectories sample is exactly the channel the
-// density-matrix reference applies.
+// Plan compilation: lowering a Model against a concrete circuit into
+// per-operation channel lists. The stochastic driver and the exact
+// engines both execute the same compiled Plan, so every channel the
+// trajectories sample is exactly the channel the density-matrix
+// reference applies.
 package noise
 
 import (
@@ -101,8 +101,7 @@ func (id *IdleNoise) Validate() error {
 // OpNoise lists the channels bound to one circuit operation: idle
 // decay applied before the gate, single-qubit gate noise after it,
 // then correlated two-qubit noise. A condition-skipped gate skips all
-// of them — untaken gates inflict no noise, idle noise included,
-// matching the legacy driver's semantics.
+// of them — untaken gates inflict no noise, idle noise included.
 type OpNoise struct {
 	Pre   []Chan1
 	Post  []Chan1
@@ -220,8 +219,9 @@ func (p *Plan) Empty() bool {
 // Compile lowers the model against a circuit: validates it for the
 // register size, schedules the circuit into moments, and binds idle,
 // gate and crosstalk channels to each operation. Zero-probability
-// channels are dropped, so a plan compiled from a plain uniform model
-// reproduces the legacy driver's channel sequence exactly.
+// channels are dropped, so a plan compiled from a uniform model is the
+// channel sequence — and the draw sequence — of the paper's reference
+// loop on Model.
 func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 	if err := m.ValidateFor(c.NumQubits); err != nil {
 		return nil, err
@@ -299,8 +299,8 @@ func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 
 // chanKeys shares cache keys between the channel instances of one
 // Compile: a plan binds the same few operator contents to many qubits
-// — three per job for a uniform model, compiled for every forking job —
-// and formatting the key is most of what building an instance costs.
+// — three per job for a uniform model — and formatting the key is most
+// of what building an instance costs.
 type chanKeys map[Chan1]string
 
 // bind completes a channel instance with its cache key.

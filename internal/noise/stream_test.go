@@ -331,56 +331,86 @@ func (s *scripted) Int63() int64 {
 }
 
 // TestCompiledRollsAreApplyAfterGateDraws: the roll list of a compiled
-// PaperDefaults plan is the draw sequence of Model.ApplyAfterGate — as
-// many draws per gate, and a value placed just under roll j's
-// threshold at draw j makes the legacy loop fire exactly the channel
-// the plan fires for roll j, with the same follow-up draws.
+// uniform plan is the draw sequence of Model.ApplyAfterGate — as many
+// draws per gate, and a value placed just under roll j's threshold at
+// draw j makes the reference loop fire exactly the channel the plan
+// fires for roll j, with the same follow-up draws. Exact-channel damping
+// cuts the roll list at the first qubit's T1 channel; the op's remaining
+// channels replay through ApplyPostFrom from there.
 func TestCompiledRollsAreApplyAfterGateDraws(t *testing.T) {
-	m := PaperDefaults()
-	c := circuit.QFT(3)
-	plan, err := m.Compile(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range c.Ops {
-		op := &c.Ops[i]
-		if op.Kind != circuit.KindGate {
-			continue
+	exactT1 := PaperDefaults()
+	exactT1.DampingAsEvent = false
+	for name, m := range map[string]Model{
+		"paper":      PaperDefaults(),
+		"exact-t1":   exactT1,
+		"depol-only": {Depolarizing: 0.01},
+		"damp+flip":  {Damping: 0.02, PhaseFlip: 0.01, DampingAsEvent: true},
+		"paper-x10":  PaperDefaults().Scale(10),
+	} {
+		perQubit, cut := 0, -1 // channels per touched qubit; position of exact damping among them
+		if m.Depolarizing > 0 {
+			perQubit++
 		}
-		on := plan.At(i)
-		rolls := on.Rolls(nil)
-		if len(rolls) != 3*len(op.Qubits()) || len(rolls) != on.Len() {
-			t.Fatalf("op %d: %d rolls, %d channels for %d qubits", i, len(rolls), on.Len(), len(op.Qubits()))
+		if m.Damping > 0 {
+			if !m.DampingAsEvent {
+				cut = perQubit
+			}
+			perQubit++
 		}
-		for j := -1; j < len(rolls); j++ { // -1: nothing fires
-			script := make([]float64, len(rolls))
-			for k := range script {
-				script[k] = 0.75
+		if m.PhaseFlip > 0 {
+			perQubit++
+		}
+		c := circuit.QFT(3)
+		plan, err := m.Compile(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.Ops {
+			op := &c.Ops[i]
+			if op.Kind != circuit.KindGate {
+				continue
 			}
-			if j >= 0 {
-				script[j] = rolls[j].Threshold / 2
+			on := plan.At(i)
+			rolls := on.Rolls(nil)
+			wantRolls := on.Len()
+			if cut >= 0 {
+				wantRolls = cut
 			}
-			legacySrc := &scripted{script: script}
-			legacy := &recorder{}
-			m.ApplyAfterGate(legacy, op.Qubits(), rand.New(legacySrc))
-
-			planSrc := &scripted{script: script}
-			rng := rand.New(planSrc)
-			planned := &recorder{}
-			var counts ChannelCounts
-			for k := range rolls {
-				if r := rng.Float64(); r < rolls[k].Threshold {
-					on.Fire(k, r, planned, rng)
-					on.ApplyPostFrom(k+1, planned, rng, &counts)
-					break
+			if on.Len() != perQubit*len(op.Qubits()) || len(rolls) != wantRolls {
+				t.Fatalf("%s op %d: %d rolls, %d channels for %d qubits", name, i, len(rolls), on.Len(), len(op.Qubits()))
+			}
+			for j := -1; j < len(rolls); j++ { // -1: nothing fires
+				script := make([]float64, len(rolls))
+				for k := range script {
+					script[k] = 0.75
 				}
-			}
-			if !sameLog(planned.log, legacy.log) || planSrc.draws != legacySrc.draws {
-				t.Errorf("op %d roll %d: plan %v (%d draws), ApplyAfterGate %v (%d draws)",
-					i, j, planned.log, planSrc.draws, legacy.log, legacySrc.draws)
-			}
-			if j >= 0 && len(legacy.log) == 0 {
-				t.Errorf("op %d roll %d: a draw under the threshold fired nothing", i, j)
+				if j >= 0 {
+					script[j] = rolls[j].Threshold / 2
+				}
+				legacySrc := &scripted{script: script}
+				legacy := &recorder{}
+				m.ApplyAfterGate(legacy, op.Qubits(), rand.New(legacySrc))
+
+				planSrc := &scripted{script: script}
+				rng := rand.New(planSrc)
+				planned := &recorder{}
+				var counts ChannelCounts
+				k := 0
+				for ; k < len(rolls); k++ {
+					if r := rng.Float64(); r < rolls[k].Threshold {
+						on.Fire(k, r, planned, rng)
+						k++
+						break
+					}
+				}
+				on.ApplyPostFrom(k, planned, rng, &counts)
+				if !sameLog(planned.log, legacy.log) || planSrc.draws != legacySrc.draws {
+					t.Errorf("%s op %d roll %d: plan %v (%d draws), ApplyAfterGate %v (%d draws)",
+						name, i, j, planned.log, planSrc.draws, legacy.log, legacySrc.draws)
+				}
+				if j >= 0 && len(legacy.log) == 0 {
+					t.Errorf("%s op %d roll %d: a draw under the threshold fired nothing", name, i, j)
+				}
 			}
 		}
 	}

@@ -87,11 +87,9 @@ type roll struct {
 // where the remaining random sites sit. Read-only once built, so a
 // job's workers share it.
 type refPath struct {
-	// scan holds the channels the rolls came from: the job's compiled
-	// plan, or — for a uniform model, whose suffix keeps the legacy
-	// per-gate loop — that model compiled for the scan alone. Nil when
-	// the job is noise-free.
-	scan *noise.Plan
+	// plan is the job's compiled noise, the channels the rolls came from
+	// and the trajectory's suffix samples. Nil when the job is noise-free.
+	plan *noise.Plan
 	// gates lists the op indices of the path's unitaries in execution
 	// order; conditions are evaluated against the all-zero classical
 	// register, which is exact on the path: classical bits only change
@@ -122,13 +120,13 @@ func (p *refPath) worthwhile() bool {
 }
 
 // planRefPath walks a job's ops until a draw would depend on the
-// state. scan is the compiled channel plan; an empty one — a model
+// state. plan is the compiled channel plan; an empty one — a model
 // whose channels all vanished on this circuit — is noise-free.
-func planRefPath(c *circuit.Circuit, scan *noise.Plan) *refPath {
-	if scan.Empty() {
-		scan = nil
+func planRefPath(c *circuit.Circuit, plan *noise.Plan) *refPath {
+	if plan.Empty() {
+		plan = nil
 	}
-	p := &refPath{scan: scan, endOp: len(c.Ops)}
+	p := &refPath{plan: plan, endOp: len(c.Ops)}
 	var buf []noise.Roll
 	add := func(op, ch0 int, rs []noise.Roll) {
 		for k, r := range rs {
@@ -144,7 +142,7 @@ walk:
 		}
 		switch op.Kind {
 		case circuit.KindGate:
-			on := scan.At(i)
+			on := plan.At(i)
 			if on == nil {
 				p.gates = append(p.gates, i)
 				continue
@@ -163,7 +161,7 @@ walk:
 			}
 		case circuit.KindMeasure, circuit.KindReset:
 			p.endOp = i
-			if scan == nil {
+			if plan == nil {
 				for j := i; j < len(c.Ops); j++ {
 					switch c.Ops[j].Kind {
 					case circuit.KindMeasure, circuit.KindReset:
@@ -186,19 +184,9 @@ walk:
 
 // refPath returns the job's reference-path analysis, built on first
 // use: only workers whose backend can fork need it.
-func (js *jobState) refPath() (*refPath, error) {
-	js.pathOnce.Do(func() {
-		scan := js.plan
-		if scan == nil && js.job.Model.Enabled() {
-			// Model.Compile reproduces the legacy channel sequence and
-			// draw order for a uniform model.
-			if scan, js.pathErr = js.job.Model.Compile(js.job.Circuit); js.pathErr != nil {
-				return
-			}
-		}
-		js.path = planRefPath(js.job.Circuit, scan)
-	})
-	return js.path, js.pathErr
+func (js *jobState) refPath() *refPath {
+	js.pathOnce.Do(func() { js.path = planRefPath(js.job.Circuit, js.plan) })
+	return js.path
 }
 
 // segKey identifies a multi-level checkpoint: the state after the
@@ -238,24 +226,17 @@ type refSnap struct {
 // by forking from the reference path. It is single-goroutine, like the
 // backend it drives.
 type ckptRunner struct {
-	backend   sim.Backend
-	forker    sim.Forker
-	sizer     sim.StateSizer // nil when the backend cannot report cost
-	circ      *circuit.Circuit
-	model     noise.Model
-	noisePlan *noise.Plan // compiled extended-model channels, or nil
-	path      *refPath
-	qubits    [][]int // precomputed per-op qubit lists (jobState.opQubits)
+	backend sim.Backend
+	forker  sim.Forker
+	sizer   sim.StateSizer // nil when the backend cannot report cost
+	circ    *circuit.Circuit
+	path    *refPath
 
 	snaps []refSnap           // reference-path snapshots, ascending
 	segs  map[segKey]segState // multi-level cache; nil when disabled
 
 	retainedNodes int64
 	retainedBytes int64
-	// uncounted absorbs the channel counts of a uniform model: the
-	// legacy loop behind the first event reports none, so the scan and
-	// the fired op must not either.
-	uncounted noise.ChannelCounts
 }
 
 // newCkptRunner walks the reference path on the worker's backend,
@@ -263,16 +244,8 @@ type ckptRunner struct {
 // path ends at a random site with more behind it. It returns the
 // runner and the number of gate applications the construction executed
 // (the engine feeds that into the gate telemetry).
-func newCkptRunner(backend sim.Backend, forker sim.Forker, c *circuit.Circuit, model noise.Model, nplan *noise.Plan, path *refPath, qubits [][]int) (*ckptRunner, int) {
-	r := &ckptRunner{
-		backend:   backend,
-		forker:    forker,
-		circ:      c,
-		model:     model,
-		noisePlan: nplan,
-		path:      path,
-		qubits:    qubits,
-	}
+func newCkptRunner(backend sim.Backend, forker sim.Forker, c *circuit.Circuit, path *refPath) (*ckptRunner, int) {
+	r := &ckptRunner{backend: backend, forker: forker, circ: c, path: path}
 	r.sizer, _ = backend.(sim.StateSizer)
 	applied := r.takeSnapshots(maxSegRetainedBytes)
 	if len(path.sites) > 0 && len(path.sites) <= maxSegHistBits {
@@ -378,9 +351,6 @@ func (r *ckptRunner) restore(need int, st *ckptStats) {
 // any other: what matters is that the draws after it are the replay's.
 func (r *ckptRunner) run(rng *rand.Rand, clbits []uint64, st *ckptStats, counts *noise.ChannelCounts) {
 	p := r.path
-	if r.noisePlan == nil {
-		counts = &r.uncounted
-	}
 	clbits[0] = 0
 	st.forks++
 	for j := range p.rolls {
@@ -388,7 +358,7 @@ func (r *ckptRunner) run(rng *rand.Rand, clbits []uint64, st *ckptStats, counts 
 			ro := &p.rolls[j]
 			r.restore(int(ro.need), st)
 			p.count(counts, j+1)
-			on := p.scan.At(int(ro.op))
+			on := p.plan.At(int(ro.op))
 			on.Fire(int(ro.ch), x, r.backend, rng)
 			r.resume(on, int(ro.op), int(ro.ch)+1, int(ro.ch) < len(on.Pre), rng, clbits, st, counts)
 			return
@@ -400,7 +370,7 @@ func (r *ckptRunner) run(rng *rand.Rand, clbits []uint64, st *ckptStats, counts 
 		r.runSegmented(rng, clbits, st)
 		return
 	}
-	on := p.scan.At(p.endOp)
+	on := p.plan.At(p.endOp)
 	r.resume(on, p.endOp, p.endCh, on != nil && p.endCh < len(on.Pre), rng, clbits, st, counts)
 }
 
@@ -427,7 +397,7 @@ func (r *ckptRunner) resume(on *noise.OpNoise, i, k int, beforeUnitary bool, rng
 		on.ApplyPostFrom(k-len(on.Pre), r.backend, rng, counts)
 		i++
 	}
-	st.applied += runRange(r.backend, r.circ, r.model, r.noisePlan, rng, clbits, r.qubits, i, len(r.circ.Ops), counts)
+	st.applied += runRange(r.backend, r.circ, r.path.plan, rng, clbits, i, len(r.circ.Ops), counts)
 }
 
 // runSegmented walks the tail of a noise-free trajectory site by site:

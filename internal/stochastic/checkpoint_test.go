@@ -68,11 +68,7 @@ func pathOf(t *testing.T, c *circuit.Circuit, m noise.Model) *refPath {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := js.refPath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return js.refPath()
 }
 
 // TestAnalyzeCheckpoint pins where the reference path ends: at the
@@ -504,7 +500,7 @@ func TestReferenceSnapshotsStayWithinBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := &ckptRunner{backend: b, forker: b.(sim.Forker), sizer: b.(sim.StateSizer), circ: c, model: model, path: p}
+		r := &ckptRunner{backend: b, forker: b.(sim.Forker), sizer: b.(sim.StateSizer), circ: c, path: p}
 		r.takeSnapshots(tc.budget)
 		if len(r.snaps) != tc.snaps {
 			t.Errorf("budget %d: %d snapshots, want %d", tc.budget, len(r.snaps), tc.snaps)
@@ -532,7 +528,7 @@ func TestReferenceSnapshotsStayWithinBudget(t *testing.T) {
 		for seed := int64(1); seed <= 40; seed++ {
 			var st ckptStats
 			r.run(rand.New(rand.NewSource(seed)), clbits, &st, new(noise.ChannelCounts))
-			runOne(plain, c, model, nil, rand.New(rand.NewSource(seed)), clbits, nil, nil)
+			runOne(plain, c, p.plan, rand.New(rand.NewSource(seed)), clbits, new(noise.ChannelCounts))
 			for idx := uint64(0); idx < 1<<6; idx++ {
 				if got, want := b.Probability(idx), plain.Probability(idx); got != want {
 					t.Fatalf("budget %d seed %d: P(%d) = %v forked, %v replayed", tc.budget, seed, idx, got, want)
@@ -545,32 +541,47 @@ func TestReferenceSnapshotsStayWithinBudget(t *testing.T) {
 	}
 }
 
-// TestForkedCountsEveryChannel: the channel telemetry of an extended
-// model counts every sampled channel, whether the scan rolled it
-// without a backend or the replay applied it — so forked and replayed
-// jobs report the same per-kind totals.
+// TestForkedCountsEveryChannel: the channel telemetry counts every
+// sampled channel, whether the scan rolled it without a backend or the
+// replay applied it — so forked and replayed jobs report the same
+// per-kind totals, for a uniform model as for an extended one.
 func TestForkedCountsEveryChannel(t *testing.T) {
-	m := noise.PaperDefaults().Scale(10)
-	m.Crosstalk = &noise.Crosstalk{Strength: 0.05, ZZBias: 0.5}
-	m.Idle = &noise.IdleNoise{Damping: 0.01, Dephasing: 0.01}
+	uniform := noise.PaperDefaults().Scale(10)
+	extended := uniform
+	extended.Crosstalk = &noise.Crosstalk{Strength: 0.05, ZZBias: 0.5}
+	extended.Idle = &noise.IdleNoise{Damping: 0.01, Dephasing: 0.01}
 	read := func() (c noise.ChannelCounts) {
 		for l, name := range noise.Labels {
 			c[l] = telemetry.NoiseChannelApplications.With(name).Value()
 		}
 		return c
 	}
-	var deltas [2]noise.ChannelCounts
-	for i, mode := range []string{CheckpointOff, CheckpointOn} {
-		before := read()
-		if _, err := Run(forkCircuit(), statevec.Factory(), m, Options{Runs: 200, Seed: 4, Workers: 1, Checkpointing: mode}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		model noise.Model
+		kinds []int // labels that must have been counted
+	}{
+		{"uniform", uniform, []int{noise.LabelDepolarizing, noise.LabelDamping, noise.LabelPhaseFlip}},
+		{"extended", extended, []int{noise.LabelCrosstalk, noise.LabelIdle}},
+	} {
+		var deltas [2]noise.ChannelCounts
+		for i, mode := range []string{CheckpointOff, CheckpointOn} {
+			before := read()
+			if _, err := Run(forkCircuit(), statevec.Factory(), tc.model, Options{Runs: 200, Seed: 4, Workers: 1, Checkpointing: mode}); err != nil {
+				t.Fatal(err)
+			}
+			after := read()
+			for l := range after {
+				deltas[i][l] = after[l] - before[l]
+			}
 		}
-		after := read()
-		for l := range after {
-			deltas[i][l] = after[l] - before[l]
+		if deltas[0] != deltas[1] {
+			t.Errorf("%s: channel applications replayed %v, forked %v", tc.name, deltas[0], deltas[1])
 		}
-	}
-	if deltas[0] != deltas[1] || deltas[0][noise.LabelCrosstalk] == 0 || deltas[0][noise.LabelIdle] == 0 {
-		t.Errorf("channel applications replayed %v, forked %v", deltas[0], deltas[1])
+		for _, l := range tc.kinds {
+			if deltas[0][l] == 0 {
+				t.Errorf("%s: no %s applications counted: %v", tc.name, noise.Labels[l], deltas[0])
+			}
+		}
 	}
 }

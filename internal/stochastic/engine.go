@@ -171,23 +171,16 @@ type jobState struct {
 	// independent of scheduling.
 	chunks []*accumulator
 
-	// opQubits caches Circuit.Ops[i].Qubits() for noisy jobs: the noise
-	// model consults the touched qubits after every gate of every
-	// trajectory, and recomputing the list allocates on the innermost
-	// loop. Read-only once built, so workers share it safely.
-	opQubits [][]int
-
-	// plan is the compiled per-op channel plan for extended noise
-	// models (device calibration, crosstalk, idle noise, twirling);
-	// nil for uniform models, which keep the legacy fast path and its
-	// exact RNG stream. Read-only once built, so workers share it.
+	// plan is the job's noise model compiled against its circuit: the
+	// per-op channel lists every trajectory samples, replayed or forked
+	// (nil for a noise-free job). Read-only once built, so workers share
+	// it.
 	plan *noise.Plan
 
 	// path is the reference-path analysis behind first-event forking,
 	// built by the first worker whose backend can fork (see refPath).
 	pathOnce sync.Once
 	path     *refPath
-	pathErr  error
 
 	// Guarded by engine.mu:
 	next         int       // next run index to dispatch
@@ -251,12 +244,6 @@ func prepareJob(job Job) (*jobState, error) {
 	js.chunks = make([]*accumulator, numChunks)
 	js.progTracked = make([]float64, len(job.Opts.TrackStates))
 	if job.Model.Enabled() {
-		js.opQubits = make([][]int, len(job.Circuit.Ops))
-		for i := range job.Circuit.Ops {
-			js.opQubits[i] = job.Circuit.Ops[i].Qubits()
-		}
-	}
-	if job.Model.Extended() {
 		plan, err := job.Model.Compile(job.Circuit)
 		if err != nil {
 			return nil, err
@@ -439,7 +426,7 @@ func (e *engine) compile(js *jobState) (*compiled, error) {
 		}
 		// Reference trajectory: same circuit, no noise, fixed seed so
 		// every worker derives the identical state.
-		refGates := runOne(backend, js.job.Circuit, noise.Model{}, nil, rand.New(rand.NewSource(js.job.Opts.Seed)), wb.clbits, nil, nil)
+		refGates := runOne(backend, js.job.Circuit, nil, rand.New(rand.NewSource(js.job.Opts.Seed)), wb.clbits, nil)
 		telemetry.GateApplications.Add(int64(refGates))
 		wb.ref = s.Snapshot()
 		wb.snapper = s
@@ -451,12 +438,8 @@ func (e *engine) compile(js *jobState) (*compiled, error) {
 			return nil, fmt.Errorf("stochastic: backend %q cannot checkpoint (Options.Checkpointing %q needs sim.Forker)",
 				backend.Name(), mode)
 		case ok:
-			path, err := js.refPath()
-			if err != nil {
-				return nil, err
-			}
-			if mode == CheckpointOn || path.worthwhile() {
-				ckpt, pathGates := newCkptRunner(backend, forker, js.job.Circuit, js.job.Model, js.plan, path, js.opQubits)
+			if path := js.refPath(); mode == CheckpointOn || path.worthwhile() {
+				ckpt, pathGates := newCkptRunner(backend, forker, js.job.Circuit, path)
 				telemetry.GateApplications.Add(int64(pathGates))
 				wb.ckpt = ckpt
 				e.mu.Lock()
@@ -500,7 +483,7 @@ func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 		if wb.ckpt != nil {
 			wb.ckpt.run(rng, wb.clbits, &st, &chanCounts)
 		} else {
-			st.applied += runOne(wb.backend, js.job.Circuit, js.job.Model, js.plan, rng, wb.clbits, js.opQubits, &chanCounts)
+			st.applied += runOne(wb.backend, js.job.Circuit, js.plan, rng, wb.clbits, &chanCounts)
 		}
 		acc.runs++
 		for s := 0; s < opts.Shots; s++ {

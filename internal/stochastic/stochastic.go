@@ -435,66 +435,26 @@ func circuitMeasures(c *circuit.Circuit) bool {
 	return false
 }
 
-// runOne executes a single noisy trajectory from the all-zero state
-// and returns the number of gate applications it executed. clbits is
-// a 1-element scratch slice holding the packed classical register;
-// qubits, when non-nil, is the precomputed per-op qubit list (see
-// jobState.opQubits) — nil makes each noisy gate recompute its own.
-// plan, when non-nil, is the compiled extended-model channel plan and
-// replaces the uniform model entirely (counts then accumulates
-// per-kind channel applications for telemetry).
-func runOne(b sim.Backend, c *circuit.Circuit, model noise.Model, plan *noise.Plan, rng *rand.Rand, clbits []uint64, qubits [][]int, counts *noise.ChannelCounts) int {
+// runOne executes a single trajectory from the all-zero state and
+// returns the number of gate applications it executed. clbits is a
+// 1-element scratch slice holding the packed classical register. plan
+// is the job's compiled noise (nil for a noise-free run); counts
+// accumulates its per-kind channel applications for telemetry and may
+// be nil when plan is.
+func runOne(b sim.Backend, c *circuit.Circuit, plan *noise.Plan, rng *rand.Rand, clbits []uint64, counts *noise.ChannelCounts) int {
 	b.Reset()
 	clbits[0] = 0
-	return runRange(b, c, model, plan, rng, clbits, qubits, 0, len(c.Ops), counts)
+	return runRange(b, c, plan, rng, clbits, 0, len(c.Ops), counts)
 }
 
-// runRange executes ops [from, to) of a trajectory on the backend's
-// current state and returns the number of gate applications. The
-// checkpoint runner uses it to resume forked trajectories behind their
-// first event.
-func runRange(b sim.Backend, c *circuit.Circuit, model noise.Model, plan *noise.Plan, rng *rand.Rand, clbits []uint64, qubits [][]int, from, to int, counts *noise.ChannelCounts) int {
-	if plan != nil {
-		return runRangePlanned(b, c, plan, rng, clbits, from, to, counts)
-	}
-	noisy := model.Enabled()
-	gates := 0
-	for i := from; i < to; i++ {
-		op := &c.Ops[i]
-		if op.Cond != nil && !condHolds(op.Cond, clbits[0]) {
-			continue
-		}
-		switch op.Kind {
-		case circuit.KindGate:
-			b.ApplyOp(i)
-			gates++
-			if noisy {
-				var q []int
-				if qubits != nil {
-					q = qubits[i]
-				} else {
-					q = op.Qubits()
-				}
-				model.ApplyAfterGate(b, q, rng)
-			}
-		case circuit.KindMeasure, circuit.KindReset:
-			execSiteOp(b, op, rng, clbits)
-		case circuit.KindBarrier:
-			// no effect
-		}
-	}
-	return gates
-}
-
-// runRangePlanned is the extended-model trajectory loop: every gate's
-// channels come from the compiled plan — idle decay before the gate,
-// single- then two-qubit noise after it. A condition-skipped gate
-// skips its channels too, idle noise included (untaken operations
-// inflict no noise, matching the uniform path's semantics).
-func runRangePlanned(b sim.Backend, c *circuit.Circuit, plan *noise.Plan, rng *rand.Rand, clbits []uint64, from, to int, counts *noise.ChannelCounts) int {
-	if counts == nil {
-		counts = new(noise.ChannelCounts)
-	}
+// runRange is the trajectory loop: it executes ops [from, to) on the
+// backend's current state and returns the number of gate applications.
+// Every gate's channels come from the compiled plan — idle decay before
+// the gate, single- then two-qubit noise after it. A condition-skipped
+// gate skips its channels too, idle noise included: untaken operations
+// inflict no noise. The checkpoint runner uses it to resume forked
+// trajectories behind their first event.
+func runRange(b sim.Backend, c *circuit.Circuit, plan *noise.Plan, rng *rand.Rand, clbits []uint64, from, to int, counts *noise.ChannelCounts) int {
 	gates := 0
 	for i := from; i < to; i++ {
 		op := &c.Ops[i]
@@ -582,7 +542,7 @@ func Deterministic(c *circuit.Circuit, factory sim.Factory, seed int64) (sim.Bac
 	}
 	rng := rand.New(rand.NewSource(seed))
 	clbits := make([]uint64, 1)
-	runOne(b, c, noise.Model{}, nil, rng, clbits, nil, nil)
+	runOne(b, c, nil, rng, clbits, nil)
 	return b, nil
 }
 

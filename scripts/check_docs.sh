@@ -7,6 +7,8 @@
 #    http(s) links are not fetched).
 # 2. Every HTTP route registered in cmd/ddsimd/server.go must be
 #    documented in docs/API.md.
+# 3. Every metric name registered in non-test Go under internal/ and
+#    cmd/ must appear in docs/OPERATIONS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,8 +54,24 @@ while IFS= read -r route; do
   fi
 done <<< "$routes"
 
+# --- 3. metric coverage in docs/OPERATIONS.md -------------------------------
+# Metrics are registered by name as "ddsim_..." string literals.
+metrics="$(grep -rhoE --include='*.go' --exclude='*_test.go' '"ddsim_[a-z0-9_]+"' internal cmd | tr -d '"' | sort -u)"
+if [ -z "$metrics" ]; then
+  echo "NO METRICS FOUND under internal/ and cmd/ — checker broken?" >&2
+  exit 1
+fi
+while IFS= read -r metric; do
+  # The name must be followed by a non-name character, so a metric is
+  # not covered by a longer one it prefixes.
+  if ! grep -qE "${metric}([^a-z0-9_]|\$)" docs/OPERATIONS.md; then
+    echo "UNDOCUMENTED METRIC: $metric missing from docs/OPERATIONS.md" >&2
+    fail=1
+  fi
+done <<< "$metrics"
+
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED" >&2
   exit 1
 fi
-echo "docs check OK: links resolve, all $(wc -l <<< "$routes") ddsimd routes documented"
+echo "docs check OK: links resolve, all $(wc -l <<< "$routes") ddsimd routes and $(wc -l <<< "$metrics") metrics documented"
