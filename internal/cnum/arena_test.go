@@ -11,9 +11,6 @@ import (
 // Lookup reuses a slot while keeping its (still unique) ID.
 func TestMarkSweepRecycles(t *testing.T) {
 	tb := NewTable()
-	if !tb.recycle {
-		t.Skip("arena disabled (DDSIM_DD_ARENA=off)")
-	}
 	keep := tb.Lookup(0.25, 0.5)
 	drop := tb.Lookup(0.125, -0.5)
 	dropID := drop.ID()
@@ -94,12 +91,12 @@ func TestReleaseReturnsSlabs(t *testing.T) {
 	for i := 0; i < valueSlabSize+10; i++ {
 		tb.Lookup(float64(i)*1e-3, 1)
 	}
-	if tb.recycle && len(tb.slabs) < 2 {
+	if len(tb.slabs) < 2 {
 		t.Fatalf("expected ≥2 slabs, got %d", len(tb.slabs))
 	}
 	tb.Release()
 	tb.Release() // idempotent
-	if tb.recycle && (tb.buckets != nil || tb.Zero != nil) {
+	if tb.slabs != nil || tb.cells.slots != nil || tb.Zero != nil {
 		t.Fatal("Release left table fields populated")
 	}
 	fresh := NewTable()
@@ -112,37 +109,8 @@ func TestReleaseReturnsSlabs(t *testing.T) {
 	}
 }
 
-// TestHeapModeMatchesArenaMode: with DDSIM_DD_ARENA=off values come
-// from the Go heap and sweeps drop rather than recycle; interning
-// semantics must be unchanged.
-func TestHeapModeMatchesArenaMode(t *testing.T) {
-	t.Setenv("DDSIM_DD_ARENA", "off")
-	tb := NewTable()
-	if tb.recycle {
-		t.Fatal("DDSIM_DD_ARENA=off ignored")
-	}
-	a := tb.Lookup(0.25, 0.5)
-	b := tb.Lookup(0.25, 0.5)
-	if a != b {
-		t.Fatal("interning broken in heap mode")
-	}
-	before := tb.Count()
-	tb.BeginMark()
-	if dropped := tb.Sweep(); dropped != 1 || tb.Count() != before-1 {
-		t.Fatalf("heap-mode sweep dropped %d (count %d, want %d)", dropped, tb.Count(), before-1)
-	}
-	// Heap mode never poisons: the Go GC owns the memory.
-	if math.IsNaN(a.Re()) {
-		t.Fatal("heap-mode sweep poisoned a value")
-	}
-	tb.Release() // no-op in heap mode
-	if tb.Zero == nil {
-		t.Fatal("heap-mode Release cleared fields")
-	}
-}
-
-// TestGrowRehashes: inserting past the initial bucket load factor
-// grows the table; every previously interned value must still be
+// TestGrowRehashes: inserting past the initial cell-directory load
+// factor grows the table; every previously interned value must still be
 // found at its identity afterwards.
 func TestGrowRehashes(t *testing.T) {
 	tb := NewTableTol(1e-12) // tight tolerance: every insert is distinct

@@ -15,19 +15,19 @@
 // hash table over tolerance-grid cells (not a Go map): weight
 // interning sits on the innermost simulation loop, and the home-cell
 // fast path plus cheap integer hashing are what keep it off the
-// profile. Two lookup planes implement the same cell semantics: the
-// default open-addressing swiss table (internal/swiss) and the
-// original chained-bucket table, kept behind DDSIM_DD_TABLES=chained.
-// Both resolve tolerance ties identically — cells are scanned in the
-// same order and hold their values newest first — so the differential
-// suites can demand bit-identical simulation results across planes.
+// profile. The cells live in an open-addressing swiss table (see
+// swisstable.go and internal/swiss). Tolerance ties resolve to the
+// first match in a fixed order — home cell, real-axis neighbour,
+// imaginary-axis neighbour, diagonal; newest value first within a cell
+// — which the tests pin against a brute-force model.
 package cnum
 
 import (
 	"fmt"
 	"math"
-	"os"
 	"sync"
+
+	"ddsim/internal/swiss"
 )
 
 // Tolerance is the default per-component distance below which two
@@ -45,7 +45,7 @@ type Value struct {
 	id     uint32 // table-unique, used for cheap hashing downstream
 	pins   int32  // root-weight pin count (see Pin/Unpin)
 	marked bool   // mark-and-sweep flag (see BeginMark/Mark/Sweep)
-	next   *Value // hash-bucket chain, or free-list chain once recycled
+	next   *Value // grid-cell chain, or free-list chain once recycled
 }
 
 // Re returns the real part of the value.
@@ -86,23 +86,17 @@ func trimFloat(f float64) string {
 // create one with NewTable. Tables are not safe for concurrent use;
 // the simulator gives every worker its own table (and DD package).
 type Table struct {
-	// Exactly one lookup plane is active, chosen at construction from
-	// DDSIM_DD_TABLES (see SwissTables): the open-addressing cell
-	// table (cells) or the legacy chained buckets.
-	swissOn bool
-	cells   cellTable
-	buckets []*Value
+	cells cellTable
 
 	count  int
 	nextID uint32
 
-	// Arena storage (see ArenaEnabled): values live in append-only
-	// slabs whose backing arrays never move, and Sweep recycles dead
-	// values through the free list instead of dropping them to the Go
-	// collector. A recycled slot keeps its id, so live IDs stay dense.
-	slabs   [][]Value
-	free    *Value
-	recycle bool
+	// Arena storage: values live in append-only slabs whose backing
+	// arrays never move, and Sweep recycles dead values through the
+	// free list instead of dropping them to the Go collector. A
+	// recycled slot keeps its id, so live IDs stay dense.
+	slabs [][]Value
+	free  *Value
 
 	released bool
 
@@ -129,47 +123,14 @@ func NewTable() *Table { return NewTableTol(Tolerance) }
 // density-matrix results carry no visible interning error, while the
 // stochastic engine keeps the JKU default for maximal node sharing.
 func NewTableTol(tol float64) *Table {
-	return newTableTolOpts(tol, SwissTables(), ArenaEnabled())
-}
-
-// newTableTolOpts is the injectable constructor behind NewTableTol:
-// the differential tests and FuzzInternTol build both lookup planes
-// side by side regardless of the process environment.
-func newTableTolOpts(tol float64, swissOn, recycle bool) *Table {
 	if tol <= 0 {
 		panic("cnum: tolerance must be positive")
 	}
-	t := &Table{nextID: 1, tol: tol, cell: 4 * tol,
-		swissOn: swissOn, recycle: recycle}
-	if swissOn {
-		if recycle {
-			t.cells = getCellTable()
-		} else {
-			t.cells = newCellTable(minCellGroups)
-		}
-	} else {
-		t.buckets = make([]*Value, 1<<12)
-	}
+	t := &Table{nextID: 1, tol: tol, cell: 4 * tol, cells: getCellTable()}
 	t.Zero = t.Lookup(0, 0)
 	t.One = t.Lookup(1, 0)
 	return t
 }
-
-// SwissTables reports whether the open-addressing swiss-table lookup
-// plane is active for the DD kernel (this package's weight-interning
-// cell table and internal/dd's unique tables). It is on unless the
-// DDSIM_DD_TABLES environment variable is set to "chained" — the
-// escape hatch that keeps the legacy chained tables differentially
-// testable forever, read once at Table/Package construction exactly
-// like DDSIM_DD_ARENA.
-func SwissTables() bool { return os.Getenv("DDSIM_DD_TABLES") != "chained" }
-
-// ArenaEnabled reports whether the value arena (slab allocation, free-
-// list recycling on Sweep, slab pooling on Release) is active. It is on
-// unless the DDSIM_DD_ARENA environment variable is set to "off" — the
-// escape hatch the differential tests use to compare arena-on and
-// arena-off results bit for bit.
-func ArenaEnabled() bool { return os.Getenv("DDSIM_DD_ARENA") != "off" }
 
 // valueSlabSize is the number of values per arena slab. Slabs are
 // append-only (the backing array never moves, so interior pointers
@@ -185,19 +146,14 @@ var valueSlabPool = sync.Pool{
 
 // newValue materialises one interned value: from the free list (the
 // slot keeps its id — live IDs stay unique because a value is only
-// recycled after Sweep removed it from every bucket chain), from the
-// current slab, or — with the arena disabled — from the Go heap.
+// recycled after Sweep removed it from its cell chain) or from the
+// current slab.
 func (t *Table) newValue(re, im float64) *Value {
 	if v := t.free; v != nil {
 		t.free = v.next
 		v.re, v.im = re, im
 		v.next = nil
 		v.marked = false
-		return v
-	}
-	if !t.recycle {
-		v := &Value{re: re, im: im, id: t.nextID}
-		t.nextID++
 		return v
 	}
 	if len(t.slabs) == 0 || len(t.slabs[len(t.slabs)-1]) == valueSlabSize {
@@ -212,9 +168,8 @@ func (t *Table) newValue(re, im float64) *Value {
 // Pin marks v as a root weight: a weight held outside the diagram
 // structure (the DD package pins the weight of every Ref'd root edge).
 // Pinned values survive Sweep even when no live node stores them —
-// necessary since Sweep recycles storage when the arena is enabled, so
-// "swept but still usable as a number" no longer holds. Pins nest;
-// nil is ignored.
+// necessary since Sweep recycles storage, so a swept value is no
+// longer usable as a number. Pins nest; nil is ignored.
 func (t *Table) Pin(v *Value) {
 	if v != nil {
 		v.pins++
@@ -234,10 +189,9 @@ func (t *Table) Unpin(v *Value) {
 
 // Release returns the table's arena slabs to the process-wide pool for
 // reuse by future tables. The table must not be used afterwards, and no
-// *Value obtained from it may be dereferenced again. No-op when the
-// arena is disabled (heap values are left to the Go collector).
+// *Value obtained from it may be dereferenced again.
 func (t *Table) Release() {
-	if !t.recycle || t.released {
+	if t.released {
 		return
 	}
 	t.released = true
@@ -247,10 +201,8 @@ func (t *Table) Release() {
 		s = s[:0]
 		valueSlabPool.Put(&s)
 	}
-	t.slabs, t.free, t.buckets = nil, nil, nil
-	if t.swissOn {
-		putCellTable(&t.cells)
-	}
+	t.slabs, t.free = nil, nil
+	putCellTable(&t.cells)
 	t.cells = cellTable{}
 	t.Zero, t.One = nil, nil
 }
@@ -302,26 +254,6 @@ func cellHash(qr, qi int64) uint64 {
 	return h
 }
 
-func (t *Table) bucketIndex(qr, qi int64) uint64 {
-	return cellHash(qr, qi) & uint64(len(t.buckets)-1)
-}
-
-// findInCell scans one grid cell's chain for a match. Chains mix
-// values from all cells hashing to the bucket, so the cell is
-// re-derived from each candidate's coordinates and only true members
-// of the probed cell are considered — the swiss cell table probes
-// exactly one cell at a time, and the two implementations must resolve
-// tolerance ties identically for the differential suites to hold.
-func (t *Table) findInCell(qr, qi int64, re, im float64) *Value {
-	for v := t.buckets[t.bucketIndex(qr, qi)]; v != nil; v = v.next {
-		if t.quantize(v.re) == qr && t.quantize(v.im) == qi &&
-			t.closeEnough(v.re, re) && t.closeEnough(v.im, im) {
-			return v
-		}
-	}
-	return nil
-}
-
 // Lookup interns the complex number re+im·i and returns its canonical
 // representative. Values within Tolerance of 0 (per component) are
 // snapped to exactly 0 so that zero edges are structurally exact;
@@ -335,87 +267,60 @@ func (t *Table) Lookup(re, im float64) *Value {
 	im = t.snap(im)
 	t.lookups++
 
+	// Cell scan order (home, real-axis neighbour, imaginary-axis
+	// neighbour, diagonal; newest value first within each cell) is the
+	// tie breaker of tolerance matching. A match can sit across a grid
+	// boundary only when the value lies within tol of that boundary.
 	qr, qi := t.quantize(re), t.quantize(im)
-	if t.swissOn {
-		return t.lookupSwiss(qr, qi, re, im)
-	}
-	// Fast path: the home cell (repeat lookups of the same value).
-	if v := t.findInCell(qr, qi, re, im); v != nil {
+	home := t.cells.findCell(qr, qi)
+	if v := t.scanCell(home, re, im); v != nil {
 		t.hits++
 		return v
 	}
-	// A match can sit across a grid boundary only when the value lies
-	// within Tolerance of that boundary.
 	nr := t.neighborDir(re, qr)
 	ni := t.neighborDir(im, qi)
 	if nr != 0 {
-		if v := t.findInCell(qr+nr, qi, re, im); v != nil {
+		if v := t.scanCell(t.cells.findCell(qr+nr, qi), re, im); v != nil {
 			t.hits++
 			return v
 		}
 	}
 	if ni != 0 {
-		if v := t.findInCell(qr, qi+ni, re, im); v != nil {
+		if v := t.scanCell(t.cells.findCell(qr, qi+ni), re, im); v != nil {
 			t.hits++
 			return v
 		}
 	}
 	if nr != 0 && ni != 0 {
-		if v := t.findInCell(qr+nr, qi+ni, re, im); v != nil {
+		if v := t.scanCell(t.cells.findCell(qr+nr, qi+ni), re, im); v != nil {
 			t.hits++
 			return v
 		}
 	}
 
-	if t.count >= len(t.buckets)*2 {
-		t.grow()
-	}
 	v := t.newValue(re, im)
-	idx := t.bucketIndex(qr, qi)
-	v.next = t.buckets[idx]
-	t.buckets[idx] = v
+	if home != nil {
+		v.next = home.head
+		home.head = v
+	} else {
+		if t.cells.resident >= t.cells.growAt {
+			t.cells.rebuild(t.cells.resident + 1)
+			// home stayed nil, so no slot pointer went stale here.
+		}
+		v.next = nil
+		t.cells.addCell(qr, qi, v)
+	}
 	t.count++
 	return v
 }
 
-// grow doubles the bucket array and rehashes every value into the
-// bucket of its own grid cell. Chains are rebuilt order-preserving
-// (tail append, not head prepend): within-cell order is the tie
-// breaker of tolerance matching, and both lookup planes maintain it as
-// newest-value-first so their results stay bit-identical.
-func (t *Table) grow() {
-	old := t.buckets
-	t.buckets = make([]*Value, len(old)*2)
-	for i, chain := range old {
-		// Doubling splits bucket i into buckets i and i+len(old).
-		var lo, hi *Value
-		loTail, hiTail := &lo, &hi
-		for v := chain; v != nil; {
-			next := v.next
-			v.next = nil
-			if t.bucketIndex(t.quantize(v.re), t.quantize(v.im)) == uint64(i) {
-				*loTail = v
-				loTail = &v.next
-			} else {
-				*hiTail = v
-				hiTail = &v.next
-			}
-			v = next
-		}
-		t.buckets[i] = lo
-		t.buckets[i+len(old)] = hi
-	}
-}
-
 // BeginMark clears all mark bits in preparation for a sweep.
 func (t *Table) BeginMark() {
-	if t.swissOn {
-		t.forEachValueSwiss(func(v *Value) { v.marked = false })
-		return
-	}
-	for _, chain := range t.buckets {
-		for v := chain; v != nil; v = v.next {
-			v.marked = false
+	for g := range t.cells.ctrl {
+		for m := swiss.MatchOccupied(t.cells.ctrl[g]); m != 0; m = swiss.Next(m) {
+			for v := t.cells.slots[g*swiss.GroupSize+swiss.First(m)].head; v != nil; v = v.next {
+				v.marked = false
+			}
 		}
 	}
 }
@@ -432,47 +337,46 @@ func (t *Table) Mark(v *Value) {
 // DD package's garbage collector) must have Marked every value that is
 // still referenced *structurally* — i.e. every edge weight stored in a
 // live node — and Pinned every root weight held outside the structure
-// (the DD package does this inside Ref/RefM). With the arena enabled a
-// swept value's storage is recycled by a later Lookup, so dereferencing
-// it afterwards is a use-after-free; the freed slot is poisoned with
-// NaNs so such a bug surfaces as a loud non-finite-value panic instead
-// of silent corruption.
+// (the DD package does this inside Ref/RefM). A swept value's storage
+// is recycled by a later Lookup, so dereferencing it afterwards is a
+// use-after-free; the freed slot is poisoned with NaNs so such a bug
+// surfaces as a loud non-finite-value panic instead of silent
+// corruption.
+//
+// Every cell chain is filtered in slot order, keeping within-cell
+// order; the control words are then rebuilt from the surviving cells,
+// so emptied cells leave no tombstones behind.
 func (t *Table) Sweep() int {
-	if t.swissOn {
-		return t.sweepSwiss()
-	}
 	dropped := 0
-	for i, chain := range t.buckets {
-		// Survivors are re-linked order-preserving (see grow).
-		var keep *Value
-		tail := &keep
-		for v := chain; v != nil; {
-			next := v.next
-			if v.marked || v.pins > 0 || v == t.Zero || v == t.One {
-				*tail = v
-				v.next = nil
-				tail = &v.next
-			} else {
-				dropped++
-				t.count--
-				t.retire(v)
+	liveCells := 0
+	for g := range t.cells.ctrl {
+		for m := swiss.MatchOccupied(t.cells.ctrl[g]); m != 0; m = swiss.Next(m) {
+			s := &t.cells.slots[g*swiss.GroupSize+swiss.First(m)]
+			var head *Value
+			tail := &head
+			for v := s.head; v != nil; {
+				next := v.next
+				if v.marked || v.pins > 0 || v == t.Zero || v == t.One {
+					*tail = v
+					v.next = nil
+					tail = &v.next
+				} else {
+					dropped++
+					t.count--
+					v.re, v.im = math.NaN(), math.NaN()
+					v.next = t.free
+					t.free = v
+				}
+				v = next
 			}
-			v = next
+			s.head = head
+			if head != nil {
+				liveCells++
+			}
 		}
-		t.buckets[i] = keep
 	}
+	t.cells.rebuild(liveCells)
 	return dropped
-}
-
-// retire disposes one swept value: with the arena enabled the slot is
-// NaN-poisoned and pushed on the free list for recycling; without it
-// the value is simply dropped to the Go collector.
-func (t *Table) retire(v *Value) {
-	if t.recycle {
-		v.re, v.im = math.NaN(), math.NaN()
-		v.next = t.free
-		t.free = v
-	}
 }
 
 // snap collapses values numerically indistinguishable from the exact

@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// FuzzInternTol feeds one lookup sequence to both lookup planes (swiss
-// and chained) and demands bit-identical representatives. For every
-// fuzzed value it also probes boundary-straddling derivatives — ±tol/2
-// (must alias), ±2·tol (must not), ±(cell−tol/2) (adjacent grid cell,
-// reachable only through the neighbour probe) — which is exactly where
-// a semantic divergence between the planes would hide. Periodic
-// identical mark/sweep rounds exercise chain filtering and the
-// tombstone-free rebuild mid-sequence.
+// FuzzInternTol feeds one lookup sequence to the interning table and
+// to the brute-force model of swiss_test.go and demands bit-identical
+// representatives. For every fuzzed value it also probes
+// boundary-straddling derivatives — ±tol/2 (must alias), ±2·tol (must
+// not), ±(cell−tol/2) (adjacent grid cell, reachable only through the
+// neighbour probe) — which is exactly where the cell directory could
+// diverge from the plain scan. Periodic identical mark/sweep rounds
+// exercise chain filtering and the tombstone-free rebuild mid-sequence.
 //
 // The seed corpus covers the near-underflow scales of
 // zeroweight_test.go (1e-4 … 1e-6 amplitude factors, whose products
@@ -37,23 +37,16 @@ func FuzzInternTol(f *testing.F) {
 	f.Add(seed(0, 1, -1, math.Sqrt2/2, -math.Sqrt2/2, 1+5e-11, math.Sqrt2/2-5e-11, 1e-11))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, tol := range []float64{Tolerance, 1e-14} {
-			sw := newTableTolOpts(tol, true, true)
-			ch := newTableTolOpts(tol, false, true)
-			cell := 4 * tol
-			var swVals, chVals []*Value
+			p := newTablePair(t, tol)
+			var tbVals []*Value
+			var mdVals []*modelValue
 			probe := func(re, im float64) {
 				if math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
 					return
 				}
-				a := sw.Lookup(re, im)
-				b := ch.Lookup(re, im)
-				if math.Float64bits(a.Re()) != math.Float64bits(b.Re()) ||
-					math.Float64bits(a.Im()) != math.Float64bits(b.Im()) {
-					t.Fatalf("tol=%g Lookup(%g,%g): swiss %v%+vi, chained %v%+vi",
-						tol, re, im, a.Re(), a.Im(), b.Re(), b.Im())
-				}
-				swVals = append(swVals, a)
-				chVals = append(chVals, b)
+				v, m := p.lookup(re, im)
+				tbVals = append(tbVals, v)
+				mdVals = append(mdVals, m)
 			}
 			var vals []float64
 			for i := 0; i+8 <= len(data); i += 8 {
@@ -65,30 +58,20 @@ func FuzzInternTol(f *testing.F) {
 					im = vals[i+1]
 				}
 				probe(re, im)
-				for _, d := range []float64{tol / 2, -tol / 2, 2 * tol, -2 * tol, cell - tol/2, -(cell - tol/2)} {
+				for _, d := range boundaryOffsets(tol) {
 					probe(re+d, im)
 					probe(re, im+d)
 					probe(re+d, im-d)
 				}
-				// Identical mark/sweep rounds partway through: keep every
-				// other interned value alive in both planes, then keep
-				// interning into the (partly recycled) tables.
+				// A mark/sweep round partway through: keep every other
+				// interned value alive on both sides, then keep
+				// interning into the (partly recycled) table.
 				if i%5 == 4 {
-					sw.BeginMark()
-					ch.BeginMark()
-					for j := 0; j < len(swVals); j += 2 {
-						sw.Mark(swVals[j])
-						ch.Mark(chVals[j])
-					}
-					if ds, dc := sw.Sweep(), ch.Sweep(); ds != dc {
-						t.Fatalf("tol=%g: sweep dropped %d (swiss) vs %d (chained)", tol, ds, dc)
-					}
-					swVals, chVals = swVals[:0], chVals[:0]
+					p.sweep(tbVals, mdVals, 2)
+					tbVals, mdVals = tbVals[:0], mdVals[:0]
 				}
 			}
-			if sw.Count() != ch.Count() {
-				t.Fatalf("tol=%g: swiss holds %d values, chained %d", tol, sw.Count(), ch.Count())
-			}
+			p.count()
 		}
 	})
 }

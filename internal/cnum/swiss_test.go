@@ -6,51 +6,150 @@ import (
 	"testing"
 )
 
-// newPlanePair returns a swiss and a chained table with identical
-// tolerance and recycling, for differential checks.
-func newPlanePair(tol float64) (sw, ch *Table) {
-	return newTableTolOpts(tol, true, true), newTableTolOpts(tol, false, true)
+// modelTable is the brute-force reference the interning table is held
+// to: a plain slice of live values in intern order, with no hashing and
+// no growth. It shares only the tolerance-grid geometry (snap,
+// quantize, neighborDir, closeEnough — pure functions of tol) with
+// Table, so it pins the tie order of tolerance matching: home cell,
+// real-axis neighbour, imaginary-axis neighbour, diagonal, newest value
+// first within a cell.
+type modelTable struct {
+	grid *Table        // geometry only; never interned into
+	live []*modelValue // oldest first; [0] and [1] are Zero and One
 }
 
-// boundaryProbes derives lookups that straddle the hash-grid cell
-// boundaries around (re,im): offsets of ±tol/2 (same representative),
-// ±2·tol (distinct representative) and ±(cell−tol/2) (adjacent cell,
-// within reach of the single-probe neighbour guarantee).
-func boundaryProbes(t *Table, re, im float64) [][2]float64 {
-	offs := []float64{0, t.tol / 2, -t.tol / 2, 2 * t.tol, -2 * t.tol, t.cell - t.tol/2, -(t.cell - t.tol / 2)}
-	var out [][2]float64
-	for _, dr := range offs {
-		out = append(out, [2]float64{re + dr, im}, [2]float64{re, im + dr}, [2]float64{re + dr, im - dr})
+type modelValue struct {
+	re, im float64
+	marked bool
+	pins   int
+}
+
+func newModelTable(tol float64) *modelTable {
+	m := &modelTable{grid: &Table{tol: tol, cell: 4 * tol}}
+	m.Lookup(0, 0)
+	m.Lookup(1, 0)
+	return m
+}
+
+func (m *modelTable) Lookup(re, im float64) *modelValue {
+	g := m.grid
+	re, im = g.snap(re), g.snap(im)
+	qr, qi := g.quantize(re), g.quantize(im)
+	nr, ni := g.neighborDir(re, qr), g.neighborDir(im, qi)
+	cells := [][2]int64{{qr, qi}}
+	if nr != 0 {
+		cells = append(cells, [2]int64{qr + nr, qi})
 	}
-	return out
-}
-
-// feedBoth sends one lookup to both planes and fails unless the
-// returned representatives are bit-identical.
-func feedBoth(t *testing.T, sw, ch *Table, re, im float64) (*Value, *Value) {
-	t.Helper()
-	a := sw.Lookup(re, im)
-	b := ch.Lookup(re, im)
-	if math.Float64bits(a.Re()) != math.Float64bits(b.Re()) ||
-		math.Float64bits(a.Im()) != math.Float64bits(b.Im()) {
-		t.Fatalf("tol=%g Lookup(%v,%v): swiss %v%+vi, chained %v%+vi",
-			sw.tol, re, im, a.Re(), a.Im(), b.Re(), b.Im())
+	if ni != 0 {
+		cells = append(cells, [2]int64{qr, qi + ni})
 	}
-	return a, b
+	if nr != 0 && ni != 0 {
+		cells = append(cells, [2]int64{qr + nr, qi + ni})
+	}
+	for _, c := range cells {
+		for i := len(m.live) - 1; i >= 0; i-- {
+			v := m.live[i]
+			if g.closeEnough(v.re, re) && g.closeEnough(v.im, im) &&
+				g.quantize(v.re) == c[0] && g.quantize(v.im) == c[1] {
+				return v
+			}
+		}
+	}
+	v := &modelValue{re: re, im: im}
+	m.live = append(m.live, v)
+	return v
 }
 
-// TestSwissChainedLookupIdentical drives identical random workloads —
-// including cell-boundary straddlers and derived Mul/Div/Add/Neg/Conj
-// traffic — through both lookup planes at the default and the exact-
-// engine tolerance, demanding bit-identical representatives
-// throughout. This is the table-level core of the kernel's
-// differential guarantee.
+// Sweep drops every unmarked, unpinned value except Zero and One and
+// clears the marks of the survivors (the next round's BeginMark).
+func (m *modelTable) Sweep() int {
+	zero, one := m.live[0], m.live[1]
+	before := len(m.live)
+	keep := m.live[:0]
+	for _, v := range m.live {
+		if v.marked || v.pins > 0 || v == zero || v == one {
+			v.marked = false
+			keep = append(keep, v)
+		}
+	}
+	m.live = keep
+	return before - len(keep)
+}
+
+// tablePair drives a Table and its model in lockstep.
+type tablePair struct {
+	t  *testing.T
+	tb *Table
+	md *modelTable
+}
+
+func newTablePair(t *testing.T, tol float64) *tablePair {
+	return &tablePair{t: t, tb: NewTableTol(tol), md: newModelTable(tol)}
+}
+
+// same fails unless the table's and the model's representative are
+// bit-identical.
+func (p *tablePair) same(what string, v *Value, m *modelValue) {
+	p.t.Helper()
+	if math.Float64bits(v.Re()) != math.Float64bits(m.re) ||
+		math.Float64bits(v.Im()) != math.Float64bits(m.im) {
+		p.t.Fatalf("tol=%g %s: table %v%+vi, model %v%+vi", p.tb.tol, what, v.Re(), v.Im(), m.re, m.im)
+	}
+}
+
+// lookup sends one lookup to both sides.
+func (p *tablePair) lookup(re, im float64) (*Value, *modelValue) {
+	p.t.Helper()
+	v, m := p.tb.Lookup(re, im), p.md.Lookup(re, im)
+	p.same("Lookup", v, m)
+	return v, m
+}
+
+// sweep keeps vals[i]/mods[i] for every i that is a multiple of stride
+// (plus whatever is pinned) and demands equal drop counts and
+// populations.
+func (p *tablePair) sweep(vals []*Value, mods []*modelValue, stride int) {
+	p.t.Helper()
+	p.tb.BeginMark()
+	for i := 0; i < len(vals); i += stride {
+		p.tb.Mark(vals[i])
+		mods[i].marked = true
+	}
+	if dt, dm := p.tb.Sweep(), p.md.Sweep(); dt != dm {
+		p.t.Fatalf("tol=%g: Sweep dropped %d (table) vs %d (model)", p.tb.tol, dt, dm)
+	}
+	p.count()
+}
+
+func (p *tablePair) count() {
+	p.t.Helper()
+	if p.tb.Count() != len(p.md.live) {
+		p.t.Fatalf("tol=%g: table holds %d values, model %d", p.tb.tol, p.tb.Count(), len(p.md.live))
+	}
+}
+
+// boundaryOffsets are the per-component displacements that straddle
+// the hash-grid cell boundaries around a value: ±tol/2 (same
+// representative), ±2·tol (distinct representative) and ±(cell−tol/2)
+// (adjacent cell, reachable only through the neighbour probe).
+func boundaryOffsets(tol float64) []float64 {
+	cell := 4 * tol
+	return []float64{tol / 2, -tol / 2, 2 * tol, -2 * tol, cell - tol/2, -(cell - tol/2)}
+}
+
+// TestSwissChainedLookupIdentical drives a random workload — including
+// cell-boundary straddlers and derived Mul/Div/Add/Neg/Conj traffic —
+// through the table and the brute-force model at the default and the
+// exact-engine tolerance, demanding bit-identical representatives
+// throughout: the swiss cell directory must resolve tolerance ties in
+// the first-seen order a newest-first chain scan would.
 func TestSwissChainedLookupIdentical(t *testing.T) {
 	for _, tol := range []float64{Tolerance, 1e-14} {
-		sw, ch := newPlanePair(tol)
+		p := newTablePair(t, tol)
+		tb := p.tb
 		rng := rand.New(rand.NewSource(41))
-		var swVals, chVals []*Value
-		for i := 0; i < 4000; i++ {
+		var vals []*Value
+		for i := 0; i < 300; i++ { // the model scans every live value per lookup
 			var re, im float64
 			switch i % 3 {
 			case 0: // generic amplitudes
@@ -59,88 +158,74 @@ func TestSwissChainedLookupIdentical(t *testing.T) {
 				s := math.Pow(10, -4-6*rng.Float64()) // 1e-4 .. 1e-10
 				re, im = s*rng.NormFloat64(), s*rng.NormFloat64()
 			default: // revisit an earlier value's neighbourhood
-				if len(swVals) == 0 {
+				if len(vals) == 0 {
 					continue
 				}
-				v := swVals[rng.Intn(len(swVals))]
+				v := vals[rng.Intn(len(vals))]
 				re = v.Re() + (rng.Float64()-0.5)*4*tol
 				im = v.Im() + (rng.Float64()-0.5)*4*tol
 			}
-			a, b := feedBoth(t, sw, ch, re, im)
-			swVals = append(swVals, a)
-			chVals = append(chVals, b)
-			for _, pr := range boundaryProbes(sw, re, im) {
-				feedBoth(t, sw, ch, pr[0], pr[1])
+			a, _ := p.lookup(re, im)
+			vals = append(vals, a)
+			p.lookup(re, im) // the repeat must hit
+			for _, d := range boundaryOffsets(tol) {
+				p.lookup(re+d, im)
+				p.lookup(re, im+d)
+				p.lookup(re+d, im-d)
 			}
-			// Derived arithmetic traffic exercises the snap/identity
-			// fast paths on interned operands.
-			if len(swVals) > 1 {
-				j := rng.Intn(len(swVals) - 1)
-				sa, ca := swVals[j], chVals[j]
-				cmp := func(x, y *Value) {
-					if math.Float64bits(x.Re()) != math.Float64bits(y.Re()) ||
-						math.Float64bits(x.Im()) != math.Float64bits(y.Im()) {
-						t.Fatalf("tol=%g derived op diverged: %v vs %v", tol, x, y)
-					}
+			// Derived arithmetic traffic: the identity fast paths on
+			// interned operands must agree with interning the plain
+			// complex result.
+			if len(vals) > 1 {
+				b := vals[rng.Intn(len(vals)-1)]
+				derived := func(what string, got *Value, want complex128) {
+					p.same(what, got, p.md.Lookup(real(want), imag(want)))
 				}
-				cmp(sw.Mul(a, sa), ch.Mul(b, ca))
-				cmp(sw.Add(a, sa), ch.Add(b, ca))
-				cmp(sw.Neg(a), ch.Neg(b))
-				cmp(sw.Conj(a), ch.Conj(b))
-				if sa != sw.Zero {
-					cmp(sw.Div(a, sa), ch.Div(b, ca))
+				derived("Mul", tb.Mul(a, b), a.Complex()*b.Complex())
+				derived("Add", tb.Add(a, b), a.Complex()+b.Complex())
+				derived("Neg", tb.Neg(a), -a.Complex())
+				derived("Conj", tb.Conj(a), complex(a.Re(), -a.Im()))
+				if b != tb.Zero {
+					derived("Div", tb.Div(a, b), a.Complex()/b.Complex())
 				}
 			}
 		}
-		if sw.Count() != ch.Count() {
-			t.Fatalf("tol=%g: swiss holds %d values, chained %d", tol, sw.Count(), ch.Count())
-		}
+		p.count()
 	}
 }
 
-// TestSwissSweepIdentical marks the same survivor set in both planes
-// and checks Sweep agrees on the drop count, the surviving population,
-// and the representatives returned afterwards — covering the per-cell
-// chain filtering and the tombstone-free control-word rebuild.
+// TestSwissSweepIdentical marks the same survivor set in the table and
+// the model and checks Sweep agrees on the drop count, the surviving
+// population, and the representatives returned afterwards — covering
+// the per-cell chain filtering and the tombstone-free control-word
+// rebuild.
 func TestSwissSweepIdentical(t *testing.T) {
-	sw, ch := newPlanePair(Tolerance)
+	p := newTablePair(t, Tolerance)
 	rng := rand.New(rand.NewSource(97))
-	var swVals, chVals []*Value
+	var vals []*Value
+	var mods []*modelValue
 	for i := 0; i < 3000; i++ {
-		re, im := rng.NormFloat64(), rng.NormFloat64()
-		a, b := feedBoth(t, sw, ch, re, im)
-		swVals = append(swVals, a)
-		chVals = append(chVals, b)
+		v, m := p.lookup(rng.NormFloat64(), rng.NormFloat64())
+		vals = append(vals, v)
+		mods = append(mods, m)
 	}
 	// Pin a few root weights; mark every third value.
 	for i := 0; i < 10; i++ {
-		sw.Pin(swVals[i*7])
-		ch.Pin(chVals[i*7])
+		p.tb.Pin(vals[i*7])
+		mods[i*7].pins++
 	}
-	sw.BeginMark()
-	ch.BeginMark()
-	for i := 0; i < len(swVals); i += 3 {
-		sw.Mark(swVals[i])
-		ch.Mark(chVals[i])
-	}
-	ds, dc := sw.Sweep(), ch.Sweep()
-	if ds != dc {
-		t.Fatalf("Sweep dropped %d (swiss) vs %d (chained)", ds, dc)
-	}
-	if sw.Count() != ch.Count() {
-		t.Fatalf("post-sweep counts differ: %d vs %d", sw.Count(), ch.Count())
-	}
+	p.sweep(vals, mods, 3)
 	// Survivors must still intern to themselves; new traffic must stay
 	// identical after the rebuild (recycled slots included).
-	for i := 0; i < len(swVals); i += 3 {
-		if got := sw.Lookup(swVals[i].Re(), swVals[i].Im()); got != swVals[i] {
-			t.Fatalf("marked survivor %d not found after swiss sweep", i)
+	for i := 0; i < len(vals); i += 3 {
+		if got := p.tb.Lookup(vals[i].Re(), vals[i].Im()); got != vals[i] {
+			t.Fatalf("marked survivor %d not found after sweep", i)
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		re, im := rng.NormFloat64(), rng.NormFloat64()
-		feedBoth(t, sw, ch, re, im)
+		p.lookup(rng.NormFloat64(), rng.NormFloat64())
 	}
+	p.count()
 }
 
 // TestSwissCellGrowth forces the cell directory through several
@@ -148,7 +233,7 @@ func TestSwissSweepIdentical(t *testing.T) {
 // previously interned representative is still found by a fresh lookup
 // of its exact coordinates, and the live count matches.
 func TestSwissCellGrowth(t *testing.T) {
-	tb := newTableTolOpts(Tolerance, true, true)
+	tb := NewTable()
 	const n = 20000 // well past the 4096-slot initial directory
 	vals := make([]*Value, 0, n)
 	for i := 0; i < n; i++ {
@@ -169,10 +254,10 @@ func TestSwissCellGrowth(t *testing.T) {
 
 // TestSwissNeighborGuarantee: the 4·tol cell geometry must keep the
 // "home cell plus at most the boundary-adjacent cell per axis"
-// single-probe guarantee in the swiss plane: a value interned just
-// under a cell boundary is found when probed from the far side.
+// single-probe guarantee: a value interned just under a cell boundary
+// is found when probed from the far side.
 func TestSwissNeighborGuarantee(t *testing.T) {
-	tb := newTableTolOpts(Tolerance, true, true)
+	tb := NewTable()
 	cell := tb.cell
 	base := 123 * cell // a cell boundary
 	v := tb.Lookup(base-tb.tol/4, 0)
@@ -190,11 +275,10 @@ func TestSwissNeighborGuarantee(t *testing.T) {
 	}
 }
 
-// TestSwissPinSurvivesSweep: Pin/Unpin semantics are plane-independent
-// — a pinned root weight survives an unmarked sweep in the swiss plane
-// and its storage is not recycled.
+// TestSwissPinSurvivesSweep: a pinned root weight survives an unmarked
+// sweep and its storage is not recycled.
 func TestSwissPinSurvivesSweep(t *testing.T) {
-	tb := newTableTolOpts(Tolerance, true, true)
+	tb := NewTable()
 	v := tb.Lookup(0.123456, -0.654321)
 	tb.Pin(v)
 	tb.BeginMark()

@@ -1,18 +1,15 @@
 package cnum
 
-// The swiss-table lookup plane of the weight-interning table (see
-// internal/swiss for the control-byte machinery and DDSIM_DD_TABLES
-// for the toggle).
+// The cell directory of the weight-interning table (see internal/swiss
+// for the control-byte machinery).
 //
 // The open-addressing table is keyed on tolerance-grid cells, not on
 // individual values: one slot per occupied 4·tol cell, holding the
 // cell's values as a newest-first chain (almost always length one —
 // two values share a cell only when they are between tol and 4·tol
-// apart). This keeps the chained table's matching semantics exactly:
-// a lookup probes the home cell and at most the boundary-adjacent
-// cells reported by neighborDir, scanning each cell's values newest
-// first, so both implementations resolve tolerance ties identically
-// and the differential suites can demand bit-identical results.
+// apart). A lookup probes the home cell and at most the
+// boundary-adjacent cells reported by neighborDir, scanning each
+// cell's values newest first.
 //
 // There are no tombstones: values die only inside Sweep (the DD
 // package's garbage collection), which filters the cell chains and
@@ -25,10 +22,10 @@ import (
 )
 
 // cellTablePool recycles minimum-geometry cell directories across
-// Table lifetimes (arena mode only, like the value-slab pool): a short
-// job builds one weight table per worker, and the ~100 KiB directory
-// would otherwise dominate its allocation profile. Tables that grew
-// past the minimum are left to the Go collector.
+// Table lifetimes (like the value-slab pool): a short job builds one
+// weight table per worker, and the ~100 KiB directory would otherwise
+// dominate its allocation profile. Tables that grew past the minimum
+// are left to the Go collector.
 var cellTablePool = sync.Pool{
 	New: func() interface{} {
 		t := newCellTable(minCellGroups)
@@ -57,9 +54,8 @@ func putCellTable(t *cellTable) {
 }
 
 // minCellGroups is the smallest cell-table size (512 groups = 4096
-// slots, matching the chained implementation's initial bucket array).
-// Sweep never compacts below it, so steady-state workloads do not
-// thrash between shrink and regrow.
+// slots). Sweep never compacts below it, so steady-state workloads do
+// not thrash between shrink and regrow.
 const minCellGroups = 512
 
 // cellSlot is one occupied tolerance-grid cell: its coordinates and
@@ -120,7 +116,7 @@ func (t *cellTable) findCell(qr, qi int64) *cellSlot {
 }
 
 // addCell inserts a slot for cell (qr,qi), which must not be resident.
-// The caller has already ensured capacity (see Table.lookupSwiss).
+// The caller has already ensured capacity (see Table.Lookup).
 func (t *cellTable) addCell(qr, qi int64, head *Value) {
 	h := cellHash(qr, qi)
 	p := swiss.NewProbe(swiss.H1(h), t.mask)
@@ -141,10 +137,9 @@ func (t *cellTable) addCell(qr, qi int64, head *Value) {
 // sized for n cells — the rehash-on-load path shared by growth (n >
 // current capacity) and Sweep compaction (dead cells dropped, control
 // words rebuilt). Chains move as units, so within-cell value order is
-// untouched. The directory never shrinks (matching the chained
-// plane's bucket array): when the geometry is unchanged the existing
-// arrays are rebuilt in place through the scratch buffer, so
-// steady-state sweeps allocate nothing.
+// untouched. The directory never shrinks: when the geometry is
+// unchanged the existing arrays are rebuilt in place through the
+// scratch buffer, so steady-state sweeps allocate nothing.
 func (t *cellTable) rebuild(n int) {
 	groups := swiss.GroupsFor(n, len(t.ctrl))
 	if groups != len(t.ctrl) {
@@ -179,55 +174,6 @@ func (t *cellTable) rebuild(n int) {
 	t.scratch = t.scratch[:0]
 }
 
-// lookupSwiss is Lookup's swiss-table body: probe the home cell, then
-// the boundary-adjacent cells that could hold a within-tolerance
-// match, then intern a fresh value. Cell scan order (home, real-axis
-// neighbour, imaginary-axis neighbour, diagonal; newest value first
-// within each cell) is identical to the chained implementation, so the
-// two resolve tolerance ties the same way.
-func (t *Table) lookupSwiss(qr, qi int64, re, im float64) *Value {
-	home := t.cells.findCell(qr, qi)
-	if v := t.scanCell(home, re, im); v != nil {
-		t.hits++
-		return v
-	}
-	nr := t.neighborDir(re, qr)
-	ni := t.neighborDir(im, qi)
-	if nr != 0 {
-		if v := t.scanCell(t.cells.findCell(qr+nr, qi), re, im); v != nil {
-			t.hits++
-			return v
-		}
-	}
-	if ni != 0 {
-		if v := t.scanCell(t.cells.findCell(qr, qi+ni), re, im); v != nil {
-			t.hits++
-			return v
-		}
-	}
-	if nr != 0 && ni != 0 {
-		if v := t.scanCell(t.cells.findCell(qr+nr, qi+ni), re, im); v != nil {
-			t.hits++
-			return v
-		}
-	}
-
-	v := t.newValue(re, im)
-	if home != nil {
-		v.next = home.head
-		home.head = v
-	} else {
-		if t.cells.resident >= t.cells.growAt {
-			t.cells.rebuild(t.cells.resident + 1)
-			// home stayed nil, so no slot pointer went stale here.
-		}
-		v.next = nil
-		t.cells.addCell(qr, qi, v)
-	}
-	t.count++
-	return v
-}
-
 // scanCell walks one cell's value chain for a within-tolerance match.
 func (t *Table) scanCell(s *cellSlot, re, im float64) *Value {
 	if s == nil {
@@ -239,50 +185,4 @@ func (t *Table) scanCell(s *cellSlot, re, im float64) *Value {
 		}
 	}
 	return nil
-}
-
-// sweepSwiss is Sweep's swiss-table body: filter every cell chain in
-// slot order (preserving within-cell order), then rebuild the control
-// words from the surviving cells so emptied cells leave no tombstones
-// behind.
-func (t *Table) sweepSwiss() int {
-	dropped := 0
-	liveCells := 0
-	for g := range t.cells.ctrl {
-		for m := swiss.MatchOccupied(t.cells.ctrl[g]); m != 0; m = swiss.Next(m) {
-			s := &t.cells.slots[int(g)*swiss.GroupSize+swiss.First(m)]
-			var head *Value
-			tail := &head
-			for v := s.head; v != nil; {
-				next := v.next
-				if v.marked || v.pins > 0 || v == t.Zero || v == t.One {
-					*tail = v
-					v.next = nil
-					tail = &v.next
-				} else {
-					dropped++
-					t.count--
-					t.retire(v)
-				}
-				v = next
-			}
-			s.head = head
-			if head != nil {
-				liveCells++
-			}
-		}
-	}
-	t.cells.rebuild(liveCells)
-	return dropped
-}
-
-// forEachValueSwiss visits every live value (BeginMark).
-func (t *Table) forEachValueSwiss(fn func(*Value)) {
-	for g := range t.cells.ctrl {
-		for m := swiss.MatchOccupied(t.cells.ctrl[g]); m != 0; m = swiss.Next(m) {
-			for v := t.cells.slots[int(g)*swiss.GroupSize+swiss.First(m)].head; v != nil; v = v.next {
-				fn(v)
-			}
-		}
-	}
 }

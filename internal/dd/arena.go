@@ -10,20 +10,16 @@ package dd
 // batch. Instead, nodes live in append-only slabs owned by their
 // Package (backing arrays never move, so node pointers stay valid) and
 // dead nodes are recycled through a free list when the package's own
-// GarbageCollect unlinks them — the only point where no compute-cache
-// entry or unique-table chain can still mention them. A recycled slot
-// keeps the id it was assigned at first materialisation, so live node
-// IDs stay dense and stable for the unique-table hashing.
+// GarbageCollect drops them from the unique tables — the only point
+// where no compute-cache entry or unique-table slot can still mention
+// them. A recycled slot keeps the id it was assigned at first
+// materialisation, so live node IDs stay dense and stable for the
+// unique-table hashing.
 //
 // The compute caches (~9 fixed-size direct-mapped tables, several MB
 // per Package) dominate the allocation profile of short jobs, where a
 // fresh Package is compiled per worker per job. Release returns them —
 // and the node slabs — to process-wide pools for the next Package.
-//
-// Everything here is disabled when DDSIM_DD_ARENA=off (see
-// cnum.ArenaEnabled): nodes come from the Go heap, GC drops them, and
-// Release is a no-op — the legacy behaviour the differential tests
-// compare against bit for bit.
 
 import (
 	"sync"
@@ -84,10 +80,10 @@ var cacheSetPool = sync.Pool{
 }
 
 // vTablePool/mTablePool recycle minimum-geometry swiss unique tables
-// across Package lifetimes (arena mode only, same rationale as the
-// cell-directory pool in cnum): short jobs compile a fresh Package per
-// worker, and the initial table arrays would otherwise be re-allocated
-// every time. Grown tables are dropped to the Go collector.
+// across Package lifetimes (same rationale as the cell-directory pool
+// in cnum): short jobs compile a fresh Package per worker, and the
+// initial table arrays would otherwise be re-allocated every time.
+// Grown tables are dropped to the Go collector.
 var vTablePool = sync.Pool{
 	New: func() interface{} {
 		t := newVTable(minVGroups)
@@ -122,19 +118,13 @@ func putNodeTables(vt *vTable, mt *mTable) {
 }
 
 // allocVNode materialises a vector node: from the free list (recycled
-// at the last GarbageCollect; the slot keeps its id), from the current
-// slab, or — arena disabled — from the Go heap. The caller fills E,
-// Level and the bucket chain; ref is zero either way.
+// at the last GarbageCollect; the slot keeps its id) or from the
+// current slab. The caller fills E and Level; ref is zero either way.
 func (p *Package) allocVNode() *VNode {
 	p.nodesCreated++
 	if n := p.vFree; n != nil {
 		p.vFree = n.next
 		n.next = nil
-		return n
-	}
-	if !p.recycle {
-		n := &VNode{id: p.nextVID}
-		p.nextVID++
 		return n
 	}
 	if len(p.vSlabs) == 0 || len(p.vSlabs[len(p.vSlabs)-1]) == nodeSlabSize {
@@ -153,11 +143,6 @@ func (p *Package) allocMNode() *MNode {
 		n.next = nil
 		return n
 	}
-	if !p.recycle {
-		n := &MNode{id: p.nextMID}
-		p.nextMID++
-		return n
-	}
 	if len(p.mSlabs) == 0 || len(p.mSlabs[len(p.mSlabs)-1]) == nodeSlabSize {
 		p.mSlabs = append(p.mSlabs, (*mSlabPool.Get().(*[]MNode))[:0])
 	}
@@ -167,13 +152,10 @@ func (p *Package) allocMNode() *MNode {
 	return &(*s)[len(*s)-1]
 }
 
-// freeVNode pushes a node just unlinked by GarbageCollect onto the
-// free list. Edges are cleared so the dead node retains neither child
-// nodes nor weights; no-op when recycling is disabled.
+// freeVNode pushes a node just dropped by GarbageCollect onto the free
+// list. Edges are cleared so the dead node retains neither child nodes
+// nor weights.
 func (p *Package) freeVNode(n *VNode) {
-	if !p.recycle {
-		return
-	}
 	n.E[0] = VEdge{}
 	n.E[1] = VEdge{}
 	n.next = p.vFree
@@ -182,9 +164,6 @@ func (p *Package) freeVNode(n *VNode) {
 
 // freeMNode is the matrix analogue of freeVNode.
 func (p *Package) freeMNode(n *MNode) {
-	if !p.recycle {
-		return
-	}
 	for i := range n.E {
 		n.E[i] = MEdge{}
 	}
@@ -197,10 +176,9 @@ func (p *Package) freeMNode(n *MNode) {
 // pools for the next Package. The package (and every edge, node or
 // weight obtained from it) must not be used afterwards; the unique
 // tables are dropped so accidental use fails fast. Backends call this
-// when a worker retires a compiled job (sim.Releaser). No-op when the
-// arena is disabled.
+// when a worker retires a compiled job (sim.Releaser).
 func (p *Package) Release() {
-	if !p.recycle || p.released {
+	if p.released {
 		return
 	}
 	p.released = true
@@ -223,10 +201,7 @@ func (p *Package) Release() {
 	}
 	p.vSlabs, p.mSlabs = nil, nil
 	p.vFree, p.mFree = nil, nil
-	p.vBuckets, p.mBuckets = nil, nil
-	if p.swissOn {
-		putNodeTables(&p.vt, &p.mt)
-	}
+	putNodeTables(&p.vt, &p.mt)
 	p.vt, p.mt = vTable{}, mTable{}
 	p.W.Release()
 }

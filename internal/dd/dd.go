@@ -20,13 +20,12 @@
 //   - equal sub-diagrams are identified structurally in the unique
 //     table, so equality of diagrams is pointer equality of edges;
 //   - unique tables are custom hash tables over small integer
-//     node/weight IDs — by default open-addressing swiss tables with
-//     control-byte group probing (internal/swiss; the original chained
-//     buckets remain behind DDSIM_DD_TABLES=chained) — and compute
-//     tables are fixed-size direct-mapped caches (lossy, overwrite on
-//     collision) — the same engineering that makes the C++ package
-//     fast, because generic hash maps on the innermost loop dominate
-//     the profile otherwise.
+//     node/weight IDs — open-addressing swiss tables with control-byte
+//     group probing (internal/swiss) — and compute tables are
+//     fixed-size direct-mapped caches (lossy, overwrite on collision)
+//     — the same engineering that makes the C++ package fast, because
+//     generic hash maps on the innermost loop dominate the profile
+//     otherwise.
 //
 // A Package is deliberately NOT safe for concurrent use. The
 // stochastic simulator (internal/stochastic) exploits concurrency
@@ -53,7 +52,7 @@ type VNode struct {
 	Level int
 	id    uint32
 	ref   int32
-	next  *VNode // unique-table bucket chain
+	next  *VNode // free-list link, or GC/rehash survivor list (chainLive)
 }
 
 // MNode is a matrix decision diagram node with four successors
@@ -213,31 +212,22 @@ type Package struct {
 
 	nQubits int
 
-	// Unique tables. Exactly one lookup plane is active, chosen at
-	// construction (cnum.SwissTables, i.e. DDSIM_DD_TABLES): the
-	// open-addressing swiss tables vt/mt (default, see swisstable.go)
-	// or the chained bucket arrays vBuckets/mBuckets
-	// (DDSIM_DD_TABLES=chained). vCount/mCount track the live
-	// population in either plane.
-	swissOn  bool
-	vt       vTable
-	mt       mTable
-	vBuckets []*VNode
-	vCount   int
-	nextVID  uint32
-	mBuckets []*MNode
-	mCount   int
-	nextMID  uint32
+	// Unique tables (open-addressing swiss tables, see swisstable.go);
+	// vCount/mCount track the live populations.
+	vt      vTable
+	mt      mTable
+	vCount  int
+	nextVID uint32
+	mCount  int
+	nextMID uint32
 
 	// Node arena (see arena.go): append-only slabs owning every node of
 	// this package, with free lists of slots recycled by GarbageCollect.
-	// recycle is fixed at construction from cnum.ArenaEnabled.
 	vSlabs       [][]VNode
 	vFree        *VNode
 	mSlabs       [][]MNode
 	mFree        *MNode
 	nodesCreated int
-	recycle      bool
 	released     bool
 
 	// cs owns the compute-cache storage below; the slice fields alias
@@ -299,10 +289,8 @@ type Stats struct {
 	// probe of this package (vector and matrix tables combined);
 	// UniqueHits the subset that found an existing node. Both are
 	// per-Package lifetime totals: they accumulate monotonically from
-	// construction, survive GarbageCollect (a collection removes
-	// nodes, not history) and are independent of the active lookup
-	// plane — migrating between the swiss and chained tables changes
-	// probe cost, not what counts as a lookup or a hit.
+	// construction and survive GarbageCollect (a collection removes
+	// nodes, not history).
 	// ComputeLookups/ComputeHits: memoisation-cache probes that hit.
 	UniqueLookups, UniqueHits   uint64
 	ComputeLookups, ComputeHits uint64
@@ -315,11 +303,11 @@ type Stats struct {
 	ComputeConflicts uint64
 	// UniqueProbe is the unique-table probe-length histogram:
 	// UniqueProbe[i] counts probes that examined i+1 control-word
-	// groups (swiss plane) or chain nodes (chained plane), with the
-	// last bucket absorbing longer probes. UniqueMaxProbe is the
-	// longest probe ever observed; UniqueLoad the current resident
-	// fraction of the table's slot capacity. Together they are the
-	// evidence that rehash-on-load keeps lookups at one cache line.
+	// groups, with the last bucket absorbing longer probes.
+	// UniqueMaxProbe is the longest probe ever observed; UniqueLoad the
+	// current resident fraction of the table's slot capacity. Together
+	// they are the evidence that rehash-on-load keeps lookups at one
+	// cache line.
 	UniqueProbe    [9]uint64
 	UniqueMaxProbe int
 	UniqueLoad     float64
@@ -328,25 +316,21 @@ type Stats struct {
 // Stats returns the package's current table statistics.
 func (p *Package) Stats() Stats {
 	s := Stats{
-		VNodes:         p.vCount,
-		MNodes:         p.mCount,
-		Weights:        p.W.Count(),
-		NodesCreated:   p.NodesCreated(),
-		PeakVNodes:     p.peakVNodes,
-		GCRuns:         p.gcRuns,
-		UniqueLookups:  p.uLookups,
-		UniqueHits:     p.uHits,
+		VNodes:           p.vCount,
+		MNodes:           p.mCount,
+		Weights:          p.W.Count(),
+		NodesCreated:     p.NodesCreated(),
+		PeakVNodes:       p.peakVNodes,
+		GCRuns:           p.gcRuns,
+		UniqueLookups:    p.uLookups,
+		UniqueHits:       p.uHits,
 		ComputeLookups:   p.cLookups,
 		ComputeHits:      p.cHits,
 		ComputeConflicts: p.cConflicts,
-		UniqueProbe:    p.probeHist,
-		UniqueMaxProbe: p.maxProbe,
+		UniqueProbe:      p.probeHist,
+		UniqueMaxProbe:   p.maxProbe,
 	}
-	if p.swissOn {
-		if slots := len(p.vt.slots) + len(p.mt.slots); slots > 0 {
-			s.UniqueLoad = float64(p.vCount+p.mCount) / float64(slots)
-		}
-	} else if slots := len(p.vBuckets) + len(p.mBuckets); slots > 0 {
+	if slots := len(p.vt.slots) + len(p.mt.slots); slots > 0 {
 		s.UniqueLoad = float64(p.vCount+p.mCount) / float64(slots)
 	}
 	return s
@@ -375,20 +359,8 @@ func NewPackageTol(n int, tol float64) *Package {
 		nextMID:      1,
 		gcThreshold:  250000,
 		wGCThreshold: 400000,
-		recycle:      cnum.ArenaEnabled(),
-		swissOn:      cnum.SwissTables(),
-	}
-	if p.swissOn {
-		if p.recycle {
-			p.vt = *vTablePool.Get().(*vTable)
-			p.mt = *mTablePool.Get().(*mTable)
-		} else {
-			p.vt = newVTable(minVGroups)
-			p.mt = newMTable(minMGroups)
-		}
-	} else {
-		p.vBuckets = make([]*VNode, 1<<12)
-		p.mBuckets = make([]*MNode, 1<<10)
+		vt:           *vTablePool.Get().(*vTable),
+		mt:           *mTablePool.Get().(*mTable),
 	}
 	p.allocCaches()
 	return p
@@ -412,13 +384,9 @@ func (p *Package) levelToQubit(level int) int { return p.nQubits - level }
 func (p *Package) allocCaches() {
 	// The nine caches total several MB and dominate the allocation
 	// profile of short jobs (one fresh Package per worker per job), so
-	// arena-mode packages draw a pre-cleared set from the process-wide
-	// pool instead of allocating; Release returns it.
-	if p.recycle {
-		p.cs = cacheSetPool.Get().(*cacheSet)
-	} else {
-		p.cs = newCacheSet()
-	}
+	// packages draw a pre-cleared set from the process-wide pool
+	// instead of allocating; Release returns it.
+	p.cs = cacheSetPool.Get().(*cacheSet)
 	p.mvCache = p.cs.mv
 	p.addCache = p.cs.add
 	p.maddCache = p.cs.madd
@@ -481,7 +449,7 @@ func (p *Package) factorSlice() []*Mat2 {
 }
 
 // vHash hashes a vector node key (level, child ids, normalised weight
-// ids) — full width, shared by both lookup planes.
+// ids).
 func (p *Package) vHash(level int, e0, e1 VEdge) uint64 {
 	return mixHash(uint64(level),
 		uint64(vid(e0.N)), uint64(e0.W.ID()),
@@ -495,14 +463,6 @@ func (p *Package) mHash(level int, e [4]MEdge) uint64 {
 		uint64(mid(e[1].N)), uint64(e[1].W.ID()),
 		uint64(mid(e[2].N)), uint64(e[2].W.ID()),
 		uint64(mid(e[3].N)), uint64(e[3].W.ID()))
-}
-
-func (p *Package) vBucketIndex(level int, e0, e1 VEdge) uint64 {
-	return p.vHash(level, e0, e1) & uint64(len(p.vBuckets)-1)
-}
-
-func (p *Package) mBucketIndex(level int, e [4]MEdge) uint64 {
-	return p.mHash(level, e) & uint64(len(p.mBuckets)-1)
 }
 
 // makeVNode normalises and hash-conses a vector node at the given
@@ -534,71 +494,28 @@ func (p *Package) makeVNode(level int, e0, e1 VEdge) VEdge {
 	w1 := p.W.Div(e1.W, top)
 
 	p.uLookups++
-	if p.swissOn {
-		h := p.vHash(level, VEdge{e0.N, w0}, VEdge{e1.N, w1})
-		hit, plen, slot := p.vt.find(h, level, e0.N, w0, e1.N, w1)
-		p.noteProbe(plen)
-		if hit != nil {
-			p.uHits++
-			return VEdge{N: hit, W: top}
-		}
-		n := p.allocVNode()
-		n.E[0] = VEdge{N: e0.N, W: w0}
-		n.E[1] = VEdge{N: e1.N, W: w1}
-		n.Level = level
-		if p.vCount >= p.vt.growAt {
-			p.rehashV(p.vt.chainLive(), p.vCount+1)
-			p.vt.insert(h, n) // the rehash moved the insertion point
-		} else {
-			p.vt.place(slot, h, n)
-		}
-		p.vCount++
-		if p.vCount > p.peakVNodes {
-			p.peakVNodes = p.vCount
-		}
-		return VEdge{N: n, W: top}
-	}
-	idx := p.vBucketIndex(level, VEdge{e0.N, w0}, VEdge{e1.N, w1})
-	steps := 1
-	for n := p.vBuckets[idx]; n != nil; n = n.next {
-		if n.Level == level && n.E[0].N == e0.N && n.E[0].W == w0 &&
-			n.E[1].N == e1.N && n.E[1].W == w1 {
-			p.uHits++
-			p.noteProbe(steps)
-			return VEdge{N: n, W: top}
-		}
-		steps++
-	}
-	p.noteProbe(steps)
-	if p.vCount >= len(p.vBuckets)*2 {
-		p.growV()
-		idx = p.vBucketIndex(level, VEdge{e0.N, w0}, VEdge{e1.N, w1})
+	h := p.vHash(level, VEdge{e0.N, w0}, VEdge{e1.N, w1})
+	hit, plen, slot := p.vt.find(h, level, e0.N, w0, e1.N, w1)
+	p.noteProbe(plen)
+	if hit != nil {
+		p.uHits++
+		return VEdge{N: hit, W: top}
 	}
 	n := p.allocVNode()
 	n.E[0] = VEdge{N: e0.N, W: w0}
 	n.E[1] = VEdge{N: e1.N, W: w1}
 	n.Level = level
-	n.next = p.vBuckets[idx]
-	p.vBuckets[idx] = n
+	if p.vCount >= p.vt.growAt {
+		p.rehashV(p.vt.chainLive(), p.vCount+1)
+		p.vt.insert(h, n) // the rehash moved the insertion point
+	} else {
+		p.vt.place(slot, h, n)
+	}
 	p.vCount++
 	if p.vCount > p.peakVNodes {
 		p.peakVNodes = p.vCount
 	}
 	return VEdge{N: n, W: top}
-}
-
-func (p *Package) growV() {
-	old := p.vBuckets
-	p.vBuckets = make([]*VNode, len(old)*2)
-	for _, chain := range old {
-		for n := chain; n != nil; {
-			next := n.next
-			idx := p.vBucketIndex(n.Level, n.E[0], n.E[1])
-			n.next = p.vBuckets[idx]
-			p.vBuckets[idx] = n
-			n = next
-		}
-	}
 }
 
 // makeMNode is the matrix analogue of makeVNode with four children.
@@ -627,62 +544,24 @@ func (p *Package) makeMNode(level int, e [4]MEdge) MEdge {
 	}
 
 	p.uLookups++
-	if p.swissOn {
-		h := p.mHash(level, norm)
-		hit, plen, slot := p.mt.find(h, level, norm)
-		p.noteProbe(plen)
-		if hit != nil {
-			p.uHits++
-			return MEdge{N: hit, W: top}
-		}
-		n := p.allocMNode()
-		n.E = norm
-		n.Level = level
-		if p.mCount >= p.mt.growAt {
-			p.rehashM(p.mt.chainLive(), p.mCount+1)
-			p.mt.insert(h, n)
-		} else {
-			p.mt.place(slot, h, n)
-		}
-		p.mCount++
-		return MEdge{N: n, W: top}
-	}
-	idx := p.mBucketIndex(level, norm)
-	steps := 1
-	for n := p.mBuckets[idx]; n != nil; n = n.next {
-		if n.Level == level && n.E == norm {
-			p.uHits++
-			p.noteProbe(steps)
-			return MEdge{N: n, W: top}
-		}
-		steps++
-	}
-	p.noteProbe(steps)
-	if p.mCount >= len(p.mBuckets)*2 {
-		p.growM()
-		idx = p.mBucketIndex(level, norm)
+	h := p.mHash(level, norm)
+	hit, plen, slot := p.mt.find(h, level, norm)
+	p.noteProbe(plen)
+	if hit != nil {
+		p.uHits++
+		return MEdge{N: hit, W: top}
 	}
 	n := p.allocMNode()
 	n.E = norm
 	n.Level = level
-	n.next = p.mBuckets[idx]
-	p.mBuckets[idx] = n
+	if p.mCount >= p.mt.growAt {
+		p.rehashM(p.mt.chainLive(), p.mCount+1)
+		p.mt.insert(h, n)
+	} else {
+		p.mt.place(slot, h, n)
+	}
 	p.mCount++
 	return MEdge{N: n, W: top}
-}
-
-func (p *Package) growM() {
-	old := p.mBuckets
-	p.mBuckets = make([]*MNode, len(old)*2)
-	for _, chain := range old {
-		for n := chain; n != nil; {
-			next := n.next
-			idx := p.mBucketIndex(n.Level, n.E)
-			n.next = p.mBuckets[idx]
-			p.mBuckets[idx] = n
-			n = next
-		}
-	}
 }
 
 // scaleV returns e with its weight multiplied by w. A product that

@@ -7,9 +7,9 @@ package dd
 // removed. Following the JKU package, live diagrams are pinned with
 // explicit reference counts: Ref marks an externally held root (the
 // current state, pre-built gate diagrams), Unref releases it. A sweep
-// unlinks every node whose reference count is zero from the unique
-// table chains and clears the compute caches (whose entries may
-// mention swept nodes).
+// drops every node whose reference count is zero from the unique
+// tables, rebuilds their control words from the survivors, and clears
+// the compute caches (whose entries may mention swept nodes).
 //
 // Collections only run when the caller invokes GarbageCollect or
 // MaybeGC — never from inside diagram construction — so freshly built,
@@ -18,8 +18,7 @@ package dd
 // Ref pins the diagram rooted at e against garbage collection. The
 // root weight is pinned in the weight table too: it hangs off the
 // caller's edge, not off any node, so the mark phase cannot see it —
-// and with recycling on, an unpinned swept weight is poisoned rather
-// than merely dropped.
+// and an unpinned swept weight is poisoned and recycled.
 func (p *Package) Ref(e VEdge) {
 	p.W.Pin(e.W)
 	if e.N != nil {
@@ -105,80 +104,26 @@ func unrefM(n *MNode) {
 // and clears every compute table and cache. Diagrams not pinned with
 // Ref/RefM become invalid. It returns the number of nodes collected.
 //
-// In the swiss plane the sweep rebuilds the control words from the
-// survivors (see gcSwissV/gcSwissM) rather than unlinking chains —
-// dead slots leave no tombstones, so probe lengths reset with every
-// collection. Either way the lookup/hit counters are untouched: they
-// are lifetime totals (see Stats).
+// The sweep rebuilds the control words from the survivors (see
+// gcSwissV/gcSwissM) — dead slots leave no tombstones, so probe
+// lengths reset with every collection. The lookup/hit counters are
+// untouched: they are lifetime totals (see Stats).
 func (p *Package) GarbageCollect() int {
-	if p.swissOn {
-		collected := p.gcSwissV() + p.gcSwissM()
-		p.W.BeginMark()
-		p.vt.forEach(func(n *VNode) {
-			p.W.Mark(n.E[0].W)
-			p.W.Mark(n.E[1].W)
-		})
-		p.mt.forEach(func(n *MNode) {
-			for i := range n.E {
-				p.W.Mark(n.E[i].W)
-			}
-		})
-		p.W.Sweep()
-		p.clearCaches()
-		p.gcRuns++
-		return collected
-	}
-	collected := 0
-	for i, chain := range p.vBuckets {
-		var keep *VNode
-		for n := chain; n != nil; {
-			next := n.next
-			if n.ref == 0 {
-				collected++
-				p.vCount--
-				p.freeVNode(n)
-			} else {
-				n.next = keep
-				keep = n
-			}
-			n = next
-		}
-		p.vBuckets[i] = keep
-	}
-	for i, chain := range p.mBuckets {
-		var keep *MNode
-		for n := chain; n != nil; {
-			next := n.next
-			if n.ref == 0 {
-				collected++
-				p.mCount--
-				p.freeMNode(n)
-			} else {
-				n.next = keep
-				keep = n
-			}
-			n = next
-		}
-		p.mBuckets[i] = keep
-	}
+	collected := p.gcSwissV() + p.gcSwissM()
 	// Sweep the weight table as well: long noisy simulations of
 	// circuits with incommensurate rotation angles otherwise grow it
 	// without bound. Every weight stored in a surviving node is
 	// structural and must keep its identity; everything else can go.
 	p.W.BeginMark()
-	for _, chain := range p.vBuckets {
-		for n := chain; n != nil; n = n.next {
-			p.W.Mark(n.E[0].W)
-			p.W.Mark(n.E[1].W)
+	p.vt.forEach(func(n *VNode) {
+		p.W.Mark(n.E[0].W)
+		p.W.Mark(n.E[1].W)
+	})
+	p.mt.forEach(func(n *MNode) {
+		for i := range n.E {
+			p.W.Mark(n.E[i].W)
 		}
-	}
-	for _, chain := range p.mBuckets {
-		for n := chain; n != nil; n = n.next {
-			for i := range n.E {
-				p.W.Mark(n.E[i].W)
-			}
-		}
-	}
+	})
 	p.W.Sweep()
 	p.clearCaches()
 	p.gcRuns++

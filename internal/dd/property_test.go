@@ -149,10 +149,10 @@ func checkNormalized(t *testing.T, p *Package, n *VNode, seen map[*VNode]bool) {
 
 // checkArenaInvariants walks the package's unique tables and free
 // lists after a collection: live node IDs are unique, every resident
-// node is stored consistently with its hash (bucket index in the
-// chained plane; control byte and re-findability in the swiss plane),
-// and no free-list slot aliases a live node (a recycled slot
-// reappearing in the table would corrupt hash-consing silently).
+// node is stored consistently with its hash (control byte and
+// re-findability), and no free-list slot aliases a live node (a
+// recycled slot reappearing in the table would corrupt hash-consing
+// silently).
 func checkArenaInvariants(t *testing.T, p *Package) {
 	t.Helper()
 	liveV := make(map[*VNode]bool)
@@ -171,42 +171,23 @@ func checkArenaInvariants(t *testing.T, p *Package) {
 		countM++
 		liveM[n] = true
 	}
-	if p.swissOn {
-		p.vt.forEach(func(n *VNode) {
-			visitV(n)
-			if n.next != nil {
-				t.Fatalf("resident vector node id %d has a dangling next pointer", n.id)
-			}
-			h := p.vHash(n.Level, n.E[0], n.E[1])
-			if got, _, _ := p.vt.find(h, n.Level, n.E[0].N, n.E[0].W, n.E[1].N, n.E[1].W); got != n {
-				t.Fatalf("vector node id %d not re-findable under its own key", n.id)
-			}
-		})
-		p.mt.forEach(func(n *MNode) {
-			visitM(n)
-			if got, _, _ := p.mt.find(p.mHash(n.Level, n.E), n.Level, n.E); got != n {
-				t.Fatalf("matrix node id %d not re-findable under its own key", n.id)
-			}
-		})
-		checkCtrlConsistency(t, p)
-	} else {
-		for idx, chain := range p.vBuckets {
-			for n := chain; n != nil; n = n.next {
-				visitV(n)
-				if got := p.vBucketIndex(n.Level, n.E[0], n.E[1]); got != uint64(idx) {
-					t.Fatalf("vector node id %d chained in bucket %d, hashes to %d", n.id, idx, got)
-				}
-			}
+	p.vt.forEach(func(n *VNode) {
+		visitV(n)
+		if n.next != nil {
+			t.Fatalf("resident vector node id %d has a dangling next pointer", n.id)
 		}
-		for idx, chain := range p.mBuckets {
-			for n := chain; n != nil; n = n.next {
-				visitM(n)
-				if got := p.mBucketIndex(n.Level, n.E); got != uint64(idx) {
-					t.Fatalf("matrix node id %d chained in bucket %d, hashes to %d", n.id, idx, got)
-				}
-			}
+		h := p.vHash(n.Level, n.E[0], n.E[1])
+		if got, _, _ := p.vt.find(h, n.Level, n.E[0].N, n.E[0].W, n.E[1].N, n.E[1].W); got != n {
+			t.Fatalf("vector node id %d not re-findable under its own key", n.id)
 		}
-	}
+	})
+	p.mt.forEach(func(n *MNode) {
+		visitM(n)
+		if got, _, _ := p.mt.find(p.mHash(n.Level, n.E), n.Level, n.E); got != n {
+			t.Fatalf("matrix node id %d not re-findable under its own key", n.id)
+		}
+	})
+	checkCtrlConsistency(t, p)
 	if countV != p.vCount {
 		t.Fatalf("vCount %d but %d nodes resident", p.vCount, countV)
 	}
@@ -275,9 +256,6 @@ func checkCtrlConsistency(t *testing.T, p *Package) {
 // still evaluate to the amplitudes they were built from.
 func TestArenaRecycleInvariants(t *testing.T) {
 	p := NewPackage(5)
-	if !p.recycle {
-		t.Skip("arena disabled (DDSIM_DD_ARENA=off)")
-	}
 	rng := rand.New(rand.NewSource(123))
 	type pinned struct {
 		e    VEdge

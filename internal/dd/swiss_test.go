@@ -1,55 +1,15 @@
 package dd
 
 import (
-	"math/cmplx"
 	"math/rand"
 	"testing"
 )
-
-// newPackagePlanes returns a swiss-plane and a chained-plane package of
-// the same size for differential checks, regardless of the process
-// environment.
-func newPackagePlanes(t *testing.T, n int) (sw, ch *Package) {
-	t.Helper()
-	t.Setenv("DDSIM_DD_TABLES", "")
-	sw = NewPackage(n)
-	t.Setenv("DDSIM_DD_TABLES", "chained")
-	ch = NewPackage(n)
-	t.Setenv("DDSIM_DD_TABLES", "")
-	return sw, ch
-}
-
-// TestSwissChainedCanonicalIdentical builds the same random diagrams in
-// both planes and compares the extracted amplitudes bitwise: the lookup
-// plane must be invisible to everything above makeVNode/makeMNode.
-func TestSwissChainedCanonicalIdentical(t *testing.T) {
-	sw, ch := newPackagePlanes(t, 5)
-	rng := rand.New(rand.NewSource(11))
-	for round := 0; round < 30; round++ {
-		amps := make([]complex128, 1<<5)
-		for i := range amps {
-			amps[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		es := sw.FromVector(amps)
-		ec := ch.FromVector(amps)
-		vs, vc := sw.ToVector(es), ch.ToVector(ec)
-		for i := range vs {
-			if vs[i] != vc[i] {
-				t.Fatalf("round %d amplitude %d: swiss %v, chained %v", round, i, vs[i], vc[i])
-			}
-		}
-		if cmplx.Abs(sw.Dot(es, es)-ch.Dot(ec, ec)) != 0 {
-			t.Fatalf("round %d: norms diverge", round)
-		}
-	}
-}
 
 // TestSwissIDStableAcrossGC pins a diagram, runs collections that
 // rehash the swiss tables (dead nodes freed, control words rebuilt),
 // and checks the surviving nodes keep their identity AND their ids —
 // the arena contract that makes recycled-slot hashing stable.
 func TestSwissIDStableAcrossGC(t *testing.T) {
-	t.Setenv("DDSIM_DD_TABLES", "")
 	p := NewPackage(6)
 	rng := rand.New(rand.NewSource(5))
 	amps := make([]complex128, 1<<6)
@@ -103,59 +63,55 @@ func TestSwissIDStableAcrossGC(t *testing.T) {
 
 // TestStatsSurviveSwissAndGC is the regression guard for the Stats
 // counter contract: UniqueLookups/UniqueHits are per-Package lifetime
-// totals that accumulate monotonically, survive GarbageCollect, and
-// mean the same thing in both lookup planes.
+// totals that accumulate monotonically and survive GarbageCollect.
 func TestStatsSurviveSwissAndGC(t *testing.T) {
-	for _, mode := range []string{"", "chained"} {
-		t.Setenv("DDSIM_DD_TABLES", mode)
-		p := NewPackage(4)
-		rng := rand.New(rand.NewSource(21))
-		amps := make([]complex128, 1<<4)
+	p := NewPackage(4)
+	rng := rand.New(rand.NewSource(21))
+	amps := make([]complex128, 1<<4)
+	for i := range amps {
+		amps[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	e := p.FromVector(amps)
+	p.Ref(e)
+	before := p.Stats()
+	if before.UniqueLookups == 0 {
+		t.Fatalf("no unique lookups recorded")
+	}
+	if p.GarbageCollect() == 0 {
+		// Build garbage and retry so the collection is real.
 		for i := range amps {
 			amps[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		e := p.FromVector(amps)
-		p.Ref(e)
-		before := p.Stats()
-		if before.UniqueLookups == 0 {
-			t.Fatalf("mode %q: no unique lookups recorded", mode)
-		}
-		if p.GarbageCollect() == 0 {
-			// Build garbage and retry so the collection is real.
-			for i := range amps {
-				amps[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-			p.FromVector(amps)
-			p.GarbageCollect()
-		}
-		after := p.Stats()
-		if after.UniqueLookups < before.UniqueLookups || after.UniqueHits < before.UniqueHits {
-			t.Fatalf("mode %q: lifetime counters went backwards across GC: %+v -> %+v", mode, before, after)
-		}
-		if after.ComputeLookups < before.ComputeLookups {
-			t.Fatalf("mode %q: compute lookups went backwards across GC", mode)
-		}
-		// Rebuilding the pinned diagram is pure hash-consing: lookups
-		// and hits must both advance.
-		mid := p.Stats()
-		p.FromVector(p.ToVector(e))
-		final := p.Stats()
-		if final.UniqueLookups <= mid.UniqueLookups || final.UniqueHits <= mid.UniqueHits {
-			t.Fatalf("mode %q: re-consing pinned diagram did not advance unique counters", mode)
-		}
-		// Probe telemetry must be alive and bounded by the lookup count.
-		var probes uint64
-		for _, c := range final.UniqueProbe {
-			probes += c
-		}
-		if probes != final.UniqueLookups {
-			t.Fatalf("mode %q: probe histogram holds %d observations, want %d", mode, probes, final.UniqueLookups)
-		}
-		if final.UniqueMaxProbe < 1 {
-			t.Fatalf("mode %q: no max probe recorded", mode)
-		}
-		if final.UniqueLoad <= 0 || final.UniqueLoad > 2 {
-			t.Fatalf("mode %q: implausible load factor %v", mode, final.UniqueLoad)
-		}
+		p.FromVector(amps)
+		p.GarbageCollect()
+	}
+	after := p.Stats()
+	if after.UniqueLookups < before.UniqueLookups || after.UniqueHits < before.UniqueHits {
+		t.Fatalf("lifetime counters went backwards across GC: %+v -> %+v", before, after)
+	}
+	if after.ComputeLookups < before.ComputeLookups {
+		t.Fatalf("compute lookups went backwards across GC")
+	}
+	// Rebuilding the pinned diagram is pure hash-consing: lookups
+	// and hits must both advance.
+	mid := p.Stats()
+	p.FromVector(p.ToVector(e))
+	final := p.Stats()
+	if final.UniqueLookups <= mid.UniqueLookups || final.UniqueHits <= mid.UniqueHits {
+		t.Fatalf("re-consing pinned diagram did not advance unique counters")
+	}
+	// Probe telemetry must be alive and bounded by the lookup count.
+	var probes uint64
+	for _, c := range final.UniqueProbe {
+		probes += c
+	}
+	if probes != final.UniqueLookups {
+		t.Fatalf("probe histogram holds %d observations, want %d", probes, final.UniqueLookups)
+	}
+	if final.UniqueMaxProbe < 1 {
+		t.Fatalf("no max probe recorded")
+	}
+	if final.UniqueLoad <= 0 || final.UniqueLoad > 1 {
+		t.Fatalf("implausible load factor %v", final.UniqueLoad)
 	}
 }

@@ -1,17 +1,15 @@
 package dd
 
-// The swiss-table lookup plane of the unique tables (see internal/swiss
-// for the control-byte machinery; DDSIM_DD_TABLES=chained restores the
-// bucket-chain plane).
+// The unique tables: open-addressing swiss tables (see internal/swiss
+// for the control-byte machinery).
 //
 // Unlike the weight table, the unique tables are exact-match: a node's
 // key is (level, child ids, normalised weight ids), and two distinct
 // nodes never compare equal. Slots therefore store node pointers
-// directly — no per-cell chain — and the control-word group probe
-// replaces the bucket chain walk: one 64-bit load summarises eight
-// candidate slots, so the hash-consing fast path touches a single
-// metadata cache line instead of chasing list pointers through the
-// slab arena.
+// directly — no per-cell chain: one 64-bit control-word load
+// summarises eight candidate slots, so the hash-consing fast path
+// touches a single metadata cache line instead of chasing list
+// pointers through the slab arena.
 //
 // There are no tombstones. Nodes die only inside GarbageCollect, which
 // threads the survivors through their (otherwise unused) next fields
@@ -29,9 +27,8 @@ import (
 
 const (
 	// minVGroups/minMGroups are the smallest unique-table sizes
-	// (512 groups = 4096 slots and 128 groups = 1024 slots, matching
-	// the chained plane's initial bucket arrays). GC never compacts
-	// below them.
+	// (512 groups = 4096 slots and 128 groups = 1024 slots). GC never
+	// compacts below them.
 	minVGroups = 512
 	minMGroups = 128
 )
@@ -84,8 +81,7 @@ func newMTable(groups int) mTable {
 // with no tombstones the probe ends at the first group holding an
 // empty slot, which is exactly where insertion goes, so the caller
 // places a new node without a second probe. H2 false positives are
-// weeded out by the exact key comparison, the same comparison the
-// chained plane performs per chain node.
+// weeded out by the exact key comparison.
 func (t *vTable) find(h uint64, level int, n0 *VNode, w0 *cnum.Value, n1 *VNode, w1 *cnum.Value) (*VNode, int, int) {
 	h2 := swiss.H2(h)
 	pr := swiss.NewProbe(swiss.H1(h), t.mask)
@@ -172,7 +168,7 @@ func (t *mTable) insert(h uint64, n *MNode) {
 // chainLive threads every resident node through its next field and
 // returns the head — the allocation-free survivor list that rehashV
 // consumes. Outside GarbageCollect a resident node's next field is
-// unused in the swiss plane.
+// unused.
 func (t *vTable) chainLive() *VNode {
 	var head *VNode
 	for g := range t.ctrl {
@@ -199,10 +195,10 @@ func (t *mTable) chainLive() *MNode {
 
 // rehashV rebuilds the vector table for n residents from a survivor
 // list (linked through next) — the shared rehash-on-load path of
-// growth and GC compaction. The table never shrinks (like the chained
-// plane's bucket arrays): compaction clears the existing arrays in
-// place, so steady-state collections allocate nothing and probe
-// lengths still reset because the load factor only drops.
+// growth and GC compaction. The table never shrinks: compaction clears
+// the existing arrays in place, so steady-state collections allocate
+// nothing and probe lengths still reset because the load factor only
+// drops.
 func (p *Package) rehashV(live *VNode, n int) {
 	groups := swiss.GroupsFor(n, len(p.vt.ctrl))
 	if groups != len(p.vt.ctrl) {
@@ -239,10 +235,10 @@ func (p *Package) rehashM(live *MNode, n int) {
 	}
 }
 
-// gcSwissV is GarbageCollect's vector pass in the swiss plane: free
-// dead slots, thread survivors through their next fields, rebuild the
-// control words. Compaction comes for free — there is no tombstone
-// state to accumulate.
+// gcSwissV is GarbageCollect's vector pass: free dead slots, thread
+// survivors through their next fields, rebuild the control words.
+// Compaction comes for free — there is no tombstone state to
+// accumulate.
 func (p *Package) gcSwissV() int {
 	collected := 0
 	var live *VNode
@@ -304,10 +300,8 @@ func (t *mTable) forEach(fn func(*MNode)) {
 }
 
 // noteProbe records one unique-table probe of length l in the
-// probe-length telemetry. In the swiss plane l counts control-word
-// groups examined; in the chained plane it counts chain nodes compared
-// (plus one for the bucket load) — both are "cache lines touched per
-// lookup", the quantity the histogram exists to watch.
+// probe-length telemetry: l counts control-word groups examined, i.e.
+// metadata cache lines touched per lookup.
 func (p *Package) noteProbe(l int) {
 	if l > p.maxProbe {
 		p.maxProbe = l

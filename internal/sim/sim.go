@@ -121,10 +121,9 @@ type TableStats struct {
 	// GCRuns counts decision-diagram garbage collections.
 	GCRuns int64
 	// UniqueProbe is the unique-table probe-length histogram:
-	// UniqueProbe[i] counts probes that examined i+1 cache lines
-	// (control-word groups in the swiss plane, chain nodes in the
-	// chained plane), the last bucket absorbing longer probes. Its
-	// entries sum to UniqueLookups.
+	// UniqueProbe[i] counts probes that examined i+1 control-word
+	// groups (cache lines), the last bucket absorbing longer probes.
+	// Its entries sum to UniqueLookups.
 	UniqueProbe [9]int64
 	// UniqueMaxProbe is the longest unique-table probe the instance
 	// ever performed; UniqueLoad the resident fraction of the

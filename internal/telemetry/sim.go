@@ -34,14 +34,13 @@ var (
 
 	// DDComputeConflicts counts compute-cache misses that evicted a
 	// resident entry — the conflict-miss rate of the direct-mapped
-	// caches (see docs/PERFORMANCE.md "Knob 2c").
+	// caches (see docs/PERFORMANCE.md "DD kernel planes").
 	DDComputeConflicts = NewCounter("ddsim_dd_compute_conflicts_total",
 		"Decision-diagram compute-table misses that evicted a resident entry.")
 
 	// DDUniqueProbeLen is the unique-table probe-length distribution:
-	// cache lines touched per hash-consing lookup (control-word groups
-	// in the swiss plane, chain nodes in the chained plane). The last
-	// bucket absorbs probes longer than 8. DDUniqueMaxProbe is the
+	// control-word groups (cache lines) touched per hash-consing
+	// lookup. The last bucket absorbs probes longer than 8. DDUniqueMaxProbe is the
 	// longest probe any DD package ever performed in this process;
 	// DDUniqueLoadFactor the unique-table load factor of the most
 	// recently reported package snapshot.

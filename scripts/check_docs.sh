@@ -9,6 +9,9 @@
 #    documented in docs/API.md.
 # 3. Every metric name registered in non-test Go under internal/ and
 #    cmd/ must appear in docs/OPERATIONS.md.
+# 4. Every DDSIM_* environment variable named in README.md or
+#    docs/*.md must be read by non-test Go under internal/ or cmd/, so
+#    a doc cannot keep advertising a deleted toggle.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,6 +72,15 @@ while IFS= read -r metric; do
     fail=1
   fi
 done <<< "$metrics"
+
+# --- 4. documented environment variables exist ------------------------------
+envvars="$(grep -hoE 'DDSIM_[A-Z0-9_]+' README.md docs/*.md | sort -u || true)"
+for v in $envvars; do
+  if ! grep -rqw --include='*.go' --exclude='*_test.go' "$v" internal cmd; then
+    echo "STALE ENV VAR: $v is documented but no non-test Go under internal/ or cmd/ mentions it" >&2
+    fail=1
+  fi
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED" >&2
