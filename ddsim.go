@@ -54,7 +54,9 @@
 // Progress snapshots (runs completed, running estimates, current
 // Theorem-1 confidence radius). Results are bit-identical per worker
 // count for a fixed Options.Seed: work is dispatched in fixed chunks
-// of the run-index space, run j always uses RNG seed Seed+j, and
+// of the run-index space, run j always draws from its own random
+// stream — a SplitMix64 generator whose state is mixed from all 64 bits
+// of Seed and of j (stream v2, internal/stochastic/stream.go) — and
 // partial sums are reduced in run order. Across worker counts that
 // holds on the statevec and sparse backends and for cache-resident
 // DDs; a large DD's weight rounding depends on the package's history.
@@ -67,8 +69,9 @@
 // circuit is simulated once per worker with a few snapshots along it
 // — cheap for decision diagrams: the shared unique and compute tables
 // are reused and only root-edge reference counts are bumped — and a
-// trajectory only consumes its random stream until a roll fires, then
-// forks from the nearest snapshot. For noise-free jobs
+// trajectory draws the position of its next fired roll instead of
+// rolling each one, forks from the nearest snapshot before its first
+// event, and restores the final one when it has none. For noise-free jobs
 // whose measurements are separated by long deterministic gate runs,
 // multi-level checkpoints keyed by the outcome history skip those
 // runs too. Same-seed results are bit-identical with checkpointing on
@@ -375,13 +378,16 @@ func BatchSimulate(ctx context.Context, backend string, jobs []BatchJob, workers
 // Workers, Checkpointing and the progress knobs are excluded because
 // results are bit-identical across them).
 //
-// Because the engine is deterministic — run j always uses RNG seed
-// Seed+j and reductions happen in run order — two jobs with equal
-// keys produce bit-identical Results, which makes the key safe to use
-// for result caching and in-flight deduplication (the ddsimd service
-// does both; see internal/rescache). Circuits containing an op the
-// QASM writer cannot express return an error; such jobs simply have
-// no canonical identity and must not be cached.
+// Because the engine is deterministic — run j always draws from the
+// stream of (Seed, j) and reductions happen in run order — two jobs
+// with equal keys produce bit-identical Results, which makes the key
+// safe to use for result caching and in-flight deduplication (the
+// ddsimd service does both; see internal/rescache). A trajectory job's
+// key ends in the version of that stream's definition
+// (stochastic.StreamVersion), so results sampled under an older one
+// stop hitting; exact-mode keys carry none. Circuits containing an op
+// the QASM writer cannot express return an error; such jobs simply
+// have no canonical identity and must not be cached.
 func JobKey(c *Circuit, backend string, models []NoiseModel, opts Options) (string, error) {
 	src, err := WriteQASM(c)
 	if err != nil {
@@ -400,7 +406,8 @@ func JobKey(c *Circuit, backend string, models []NoiseModel, opts Options) (stri
 	// be invalidated. Extend only by appending new fields (and bump
 	// the version tag when doing so). v2 appended mode= and
 	// exact_backend= for the exact engine; v3 appends the extended
-	// noise-channel fields, but only for models that carry them.
+	// noise-channel fields, but only for models that carry them; the
+	// stream= line closes every trajectory job's key.
 	fmt.Fprintf(h, "ddsim-job-v2\nbackend=%s\nqasm=%d:%s\n", backend, len(src), src)
 	for _, m := range models {
 		fmt.Fprintf(h, "noise=%.17g,%.17g,%.17g,%t\n",
@@ -431,6 +438,12 @@ func JobKey(c *Circuit, backend string, models []NoiseModel, opts Options) (stri
 			ext := m.CanonicalExtension()
 			fmt.Fprintf(h, "xnoise=%d:%s\n", len(ext), ext)
 		}
+	}
+	// A trajectory result is a function of the random stream's
+	// definition too; an exact one is not, so exact keys end here, as
+	// they always have.
+	if o.Mode != ModeExact {
+		fmt.Fprintf(h, "stream=%d\n", stochastic.StreamVersion)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -181,11 +181,12 @@ func (ch *Chan1) Fire(b sim.Backend, rng *rand.Rand, r float64) {
 	}
 }
 
-// Apply samples the channel on one trajectory: draw, then fire. The
-// first-event scan of the stochastic engine performs the same draw
-// without a backend and calls Fire itself, so both consume one rng
-// stream; a compiled uniform model consumes the stream of the paper's
-// reference loop on Model.
+// Apply samples the channel on one trajectory: draw, then fire. Along
+// its reference path the stochastic engine does not draw per channel:
+// it samples which roll fires next from the Thresholds and calls Fire
+// with a draw uniform below the fired one's. Roll by roll, a compiled
+// uniform model consumes the stream of the paper's reference loop on
+// Model.
 func (ch *Chan1) Apply(b sim.Backend, rng *rand.Rand) {
 	if !ch.StateIndependent() {
 		applyExactDamping(b, ch.Qubit, ch.P, rng)

@@ -142,8 +142,10 @@ func (on *OpNoise) ApplyPostFrom(k int, b sim.Backend, rng *rand.Rand, counts *C
 // Roll is the draw half of one state-independent channel of an
 // operation: the channel fires iff one rng.Float64() falls below
 // Threshold. A trajectory whose rolls all miss left the state exactly
-// where the noise-free circuit puts it, which is what lets the
-// stochastic engine scan a trajectory's rolls without a backend.
+// where the noise-free circuit puts it, and the rolls are independent
+// of it and of each other, which is what lets the stochastic engine
+// sample the position of a trajectory's next fired roll without a
+// backend.
 type Roll struct {
 	Threshold float64
 	// Label indexes Labels for telemetry.
@@ -158,7 +160,7 @@ func (on *OpNoise) Len() int { return len(on.Pre) + len(on.Post) + len(on.Post2)
 // Post, Post2 — stopping at the first state-dependent channel
 // (exact-channel damping). Roll k therefore belongs to channel k of
 // the sequence Pre‖Post‖Post2 that Fire indexes, and fewer than Len
-// rolls mean the operation cannot be scanned past that channel.
+// rolls mean the engine's reference path ends at that channel.
 func (on *OpNoise) Rolls(dst []Roll) []Roll {
 	for _, chans := range [2][]Chan1{on.Pre, on.Post} {
 		for i := range chans {

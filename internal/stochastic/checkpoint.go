@@ -2,33 +2,44 @@ package stochastic
 
 // First-event forking (the paper's performance story taken to its
 // end): stochastic trajectories of the same noisy circuit are identical
-// until their first probabilistic event fires. Every roll before that
-// event is a draw against a fixed threshold, so the engine runs the
-// noise-free circuit once per worker — the reference path — keeping a
-// few snapshots along it, and per trajectory only consumes the RNG
-// stream, in the draw order of a full replay, until a roll fires. The
-// backend is touched from there on: restore the nearest snapshot,
-// replay the few unitaries up to the fired op, fire, and continue as a
-// plain replay would. A trajectory without any event restores the
-// path's final state and goes straight to sampling.
+// until their first probabilistic event fires. Every roll before — and
+// between — events is a draw against a fixed threshold, so the engine
+// analyses the noise-free circuit once per job — the reference path and
+// the rolls along it — and a trajectory does not roll them one by one:
+// it draws the position of its next fired roll by inversion from the
+// path's cumulative hazard table (one uniform and a binary search),
+// brings the backend there, fires, and draws the next position. A
+// trajectory costs O(events), and one without any event is a single
+// draw.
+//
+// Bringing the backend there is the only difference between the two
+// ways a trajectory runs. Forked (a sim.Forker backend): the worker
+// walked the path once and kept a few snapshots, so the first event
+// restores the nearest one and replays the few unitaries up to the
+// fired op; a trajectory without an event restores the path's final
+// state and goes straight to sampling. Replayed (Checkpointing off, or
+// a backend that cannot fork): Reset and apply the path's unitaries
+// from the start. Between events both apply the path's bare unitaries.
 //
 // The path ends where a draw would need the state: at the first
 // measurement or reset, or at the first exact-channel damping (whose
-// branch probability is γ·P(qubit = 1)). Behind a noise-free path's end
-// the runner additionally caches multi-level checkpoints keyed by the
-// outcome history, so trajectories that took the same measurement
-// branch skip the deterministic runs between random sites too.
+// branch probability is γ·P(qubit = 1)). Behind it the trajectory
+// rolls, measures and resets op by op (runRange). Behind a noise-free
+// path's end the forking runner additionally caches multi-level
+// checkpoints keyed by the outcome history, so trajectories that took
+// the same measurement branch skip the deterministic runs between
+// random sites too.
 //
-// Bit-exactness: the scan makes exactly the draws the replay makes
-// (noise.Chan1.Apply is draw-then-fire over the same two halves), a
-// roll that misses leaves the state untouched, and the restored state
-// is the product of the identical operation sequence. Same-seed
-// results are therefore bit-identical with checkpointing on or off;
-// the differential tests in checkpoint_test.go enforce this.
+// Bit-exactness: forked and replayed trajectories are one function
+// (ckptRunner.run) making the same draws, and a restored state is the
+// product of the identical operation sequence. Same-seed results are
+// therefore bit-identical with checkpointing on or off; the
+// differential tests in checkpoint_test.go enforce this.
 
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"ddsim/internal/circuit"
 	"ddsim/internal/noise"
@@ -68,8 +79,8 @@ const (
 )
 
 // roll is one state-independent draw of the reference path: channel ch
-// (of the sequence Pre‖Post‖Post2) of gate op fires iff the
-// trajectory's next Float64 falls below thr.
+// (of the sequence Pre‖Post‖Post2) of gate op fires with probability
+// thr.
 type roll struct {
 	thr float64
 	op  int32
@@ -77,18 +88,23 @@ type roll struct {
 	// need is the number of reference-path unitaries a trajectory that
 	// fires here has behind it: the op's own is included for a
 	// post-gate channel, pending for an idle one.
-	need  int32
-	label int32 // telemetry label of the channel (noise.Labels)
+	need int32
 }
 
+// certainHazard stands in for the infinite hazard of a roll that always
+// fires. The largest exponential nextFire can draw from a 53-bit
+// uniform is 53·ln 2 ≈ 36.7, so no trajectory gets past such a roll,
+// and the table stays finite for the rolls behind it.
+const certainHazard = 64
+
 // refPath is the reference-path analysis of one (circuit, noise-model)
-// job: which unitaries every trajectory shares until its first event,
-// the flat list of rolls scanned along them, where the path ends, and
-// where the remaining random sites sit. Read-only once built, so a
-// job's workers share it.
+// job: which unitaries every trajectory shares between its events, the
+// flat list of rolls along them, where the path ends, and where the
+// remaining random sites sit. Read-only once built, so a job's workers
+// share it.
 type refPath struct {
 	// plan is the job's compiled noise, the channels the rolls came from
-	// and the trajectory's suffix samples. Nil when the job is noise-free.
+	// and the trajectory's tail samples. Nil when the job is noise-free.
 	plan *noise.Plan
 	// gates lists the op indices of the path's unitaries in execution
 	// order; conditions are evaluated against the all-zero classical
@@ -96,9 +112,15 @@ type refPath struct {
 	// at measurements, and the first one ends it.
 	gates []int
 	rolls []roll
-	// sums[j] counts the channels behind rolls[:j] per telemetry label,
-	// so a trajectory accounts for everything it scanned in one add.
-	sums []noise.ChannelCounts
+	// hazard[j] is Σ −ln(1 − thr) over rolls[:j]: the rolls are
+	// independent, so a trajectory standing before roll i passes
+	// rolls[i:j] without a fire with probability
+	// exp(hazard[i] − hazard[j]). A sum, not the survival product, so
+	// that a long path cannot underflow it.
+	hazard []float64
+	// channels counts the rolls per telemetry label: what one
+	// trajectory samples along the path.
+	channels noise.ChannelCounts
 	// endOp/endCh is the first position off the path: channel endCh of
 	// op endOp is state-dependent, or endCh is 0 and endOp is the first
 	// measurement or reset (len(Ops) when the path covers the circuit).
@@ -130,8 +152,8 @@ func planRefPath(c *circuit.Circuit, plan *noise.Plan) *refPath {
 	var buf []noise.Roll
 	add := func(op, ch0 int, rs []noise.Roll) {
 		for k, r := range rs {
-			p.rolls = append(p.rolls, roll{thr: r.Threshold, op: int32(op), ch: int32(ch0 + k),
-				need: int32(len(p.gates)), label: int32(r.Label)})
+			p.rolls = append(p.rolls, roll{thr: r.Threshold, op: int32(op), ch: int32(ch0 + k), need: int32(len(p.gates))})
+			p.channels[r.Label]++
 		}
 	}
 walk:
@@ -151,7 +173,7 @@ walk:
 			pre := min(len(buf), len(on.Pre))
 			add(i, 0, buf[:pre])
 			if pre == len(on.Pre) {
-				// Every idle channel is scanned, so the unitary is shared.
+				// Every idle channel is on the path, so the unitary is too.
 				p.gates = append(p.gates, i)
 				add(i, pre, buf[pre:])
 			}
@@ -174,19 +196,39 @@ walk:
 			break walk
 		}
 	}
-	p.sums = make([]noise.ChannelCounts, len(p.rolls)+1)
-	for j, ro := range p.rolls {
-		p.sums[j+1] = p.sums[j]
-		p.sums[j+1][ro.label]++
-	}
+	p.hazard = hazardTable(p.rolls)
 	return p
 }
 
-// refPath returns the job's reference-path analysis, built on first
-// use: only workers whose backend can fork need it.
-func (js *jobState) refPath() *refPath {
-	js.pathOnce.Do(func() { js.path = planRefPath(js.job.Circuit, js.plan) })
-	return js.path
+// hazardTable returns the cumulative hazard of rolls (refPath.hazard).
+func hazardTable(rolls []roll) []float64 {
+	h := make([]float64, len(rolls)+1)
+	for j, ro := range rolls {
+		h[j+1] = h[j] + min(-math.Log1p(-ro.thr), certainHazard)
+	}
+	return h
+}
+
+// nextFire draws the index of the first roll at or behind from that
+// fires on this trajectory, len(p.rolls) when none does: an exponential
+// variate is how much hazard the trajectory survives. It draws nothing
+// when no roll is left.
+func (p *refPath) nextFire(rng *rand.Rand, from int) int {
+	left := len(p.rolls) - from
+	if left == 0 {
+		return from
+	}
+	limit := p.hazard[from] - math.Log1p(-rng.Float64())
+	return from + sort.Search(left, func(i int) bool { return p.hazard[from+i+1] > limit })
+}
+
+// fire applies the event of roll j, given that it fired. The channel's
+// own draw is uniform below its threshold: the product of a float below
+// 1 and thr rounds to below thr, so the event always selects one of the
+// channel's branches.
+func (p *refPath) fire(j int, b sim.Backend, rng *rand.Rand) {
+	ro := &p.rolls[j]
+	p.plan.At(int(ro.op)).Fire(int(ro.ch), rng.Float64()*ro.thr, b, rng)
 }
 
 // segKey identifies a multi-level checkpoint: the state after the
@@ -222,12 +264,13 @@ type refSnap struct {
 	state sim.State
 }
 
-// ckptRunner executes trajectories of one job on one worker's backend
-// by forking from the reference path. It is single-goroutine, like the
-// backend it drives.
+// ckptRunner executes the trajectories of one job on one worker's
+// backend, forking from the reference path when forker is set and
+// replaying it otherwise. It is single-goroutine, like the backend it
+// drives.
 type ckptRunner struct {
 	backend sim.Backend
-	forker  sim.Forker
+	forker  sim.Forker     // nil: every trajectory replays the path
 	sizer   sim.StateSizer // nil when the backend cannot report cost
 	circ    *circuit.Circuit
 	path    *refPath
@@ -239,13 +282,17 @@ type ckptRunner struct {
 	retainedBytes int64
 }
 
-// newCkptRunner walks the reference path on the worker's backend,
-// keeps its snapshots, and prepares the multi-level cache when the
-// path ends at a random site with more behind it. It returns the
-// runner and the number of gate applications the construction executed
-// (the engine feeds that into the gate telemetry).
+// newCkptRunner prepares a worker's trajectory runner. With a forker it
+// walks the reference path on the worker's backend, keeps its
+// snapshots, and prepares the multi-level cache when the path ends at a
+// random site with more behind it. It returns the runner and the number
+// of gate applications the construction executed (the engine feeds that
+// into the gate telemetry).
 func newCkptRunner(backend sim.Backend, forker sim.Forker, c *circuit.Circuit, path *refPath) (*ckptRunner, int) {
 	r := &ckptRunner{backend: backend, forker: forker, circ: c, path: path}
+	if forker == nil {
+		return r, 0
+	}
 	r.sizer, _ = backend.(sim.StateSizer)
 	applied := r.takeSnapshots(maxSegRetainedBytes)
 	if len(path.sites) > 0 && len(path.sites) <= maxSegHistBits {
@@ -326,63 +373,71 @@ func (r *ckptRunner) noteRetained(nodes, bytes int64) {
 	telemetry.CheckpointBytesRetained.SetMax(r.retainedBytes)
 }
 
-// restore puts the backend into the reference state after need
-// unitaries: the nearest snapshot at or before it — the first one is
-// at the first roll, so there always is one — then the unitaries in
-// between. Their rolls were consumed by the scan, so they replay bare.
-func (r *ckptRunner) restore(need int, st *ckptStats) {
-	i := len(r.snaps) - 1
-	for r.snaps[i].gates > need {
-		i--
-	}
-	from := r.snaps[i].gates
-	r.forker.Restore(r.snaps[i].state)
-	for _, op := range r.path.gates[from:need] {
-		r.backend.ApplyOp(op)
-	}
-	st.skipped += from
-	st.applied += need - from
-}
-
-// run executes one trajectory by forking from the reference path. rng
-// and clbits have the same contract as runOne; the trajectory consumes
-// the identical random stream. A hit that turns out to change nothing
-// (a depolarising I, a damping event on a qubit in |0⟩) is a fire like
-// any other: what matters is that the draws after it are the replay's.
-func (r *ckptRunner) run(rng *rand.Rand, clbits []uint64, st *ckptStats, counts *noise.ChannelCounts) {
-	p := r.path
-	clbits[0] = 0
-	st.forks++
-	for j := range p.rolls {
-		if x := rng.Float64(); x < p.rolls[j].thr {
-			ro := &p.rolls[j]
-			r.restore(int(ro.need), st)
-			p.count(counts, j+1)
-			on := p.plan.At(int(ro.op))
-			on.Fire(int(ro.ch), x, r.backend, rng)
-			r.resume(on, int(ro.op), int(ro.ch)+1, int(ro.ch) < len(on.Pre), rng, clbits, st, counts)
-			return
+// advance brings the backend from the reference path's state after
+// `at` unitaries to the one after need, applying the bare unitaries in
+// between. at < 0 means the trajectory has not touched the backend yet:
+// it starts from the nearest snapshot at or before need — a forking
+// runner's first one is at the first roll, so it always has one — and
+// from Reset without any. It reports whether the backend now holds a
+// snapshot as restored, with nothing applied on top.
+func (r *ckptRunner) advance(at, need int, st *ckptStats) (restored bool) {
+	if at < 0 {
+		i := len(r.snaps) - 1
+		for i >= 0 && r.snaps[i].gates > need {
+			i--
+		}
+		if i < 0 {
+			r.backend.Reset()
+			at = 0
+		} else {
+			r.forker.Restore(r.snaps[i].state)
+			at = r.snaps[i].gates
+			st.forks++
+			st.skipped += at
+			restored = at == need
 		}
 	}
-	r.restore(len(p.gates), st)
-	p.count(counts, len(p.rolls))
+	for _, op := range r.path.gates[at:need] {
+		r.backend.ApplyOp(op)
+	}
+	st.applied += need - at
+	return restored
+}
+
+// run executes one trajectory: rng is positioned at its stream's start
+// and clbits is a 1-element scratch slice that holds the packed
+// classical register afterwards. Along the reference path it visits
+// only the rolls that fire (see stream.go for what it draws); a hit
+// that turns out to change nothing (a depolarising I, a damping event
+// on a qubit in |0⟩) is a fire like any other. It reports whether the
+// backend holds the restored snapshot of the whole circuit's final
+// reference state, untouched — the state of every trajectory without
+// an event when the path covers the circuit.
+func (r *ckptRunner) run(rng *rand.Rand, clbits []uint64, st *ckptStats, counts *noise.ChannelCounts) (reference bool) {
+	p := r.path
+	clbits[0] = 0
+	at := -1
+	for j := p.nextFire(rng, 0); j < len(p.rolls); j = p.nextFire(rng, j+1) {
+		need := int(p.rolls[j].need)
+		r.advance(at, need, st)
+		at = need
+		p.fire(j, r.backend, rng)
+	}
+	restored := r.advance(at, len(p.gates), st)
+	for l, n := range p.channels {
+		counts[l] += n
+	}
 	if r.segs != nil {
 		r.runSegmented(rng, clbits, st)
-		return
+		return false
 	}
 	on := p.plan.At(p.endOp)
 	r.resume(on, p.endOp, p.endCh, on != nil && p.endCh < len(on.Pre), rng, clbits, st, counts)
+	return restored && p.endOp == len(r.circ.Ops)
 }
 
-// count adds the channels behind the first n rolls to counts.
-func (p *refPath) count(counts *noise.ChannelCounts, n int) {
-	for l, v := range p.sums[n] {
-		counts[l] += v
-	}
-}
-
-// resume continues a trajectory as a plain replay from channel k of op
-// i: the op's remaining channels — with its unitary in between when
+// resume continues a trajectory roll by roll from channel k of op i:
+// the op's remaining channels — with its unitary in between when
 // the trajectory is still before it — then every later op. on is the
 // op's channel list; nil (a site, a bare gate or the circuit's end)
 // means the op has not begun.

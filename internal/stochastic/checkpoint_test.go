@@ -8,7 +8,6 @@ import (
 
 	"ddsim/internal/circuit"
 	"ddsim/internal/ddback"
-	"ddsim/internal/fastrand"
 	"ddsim/internal/noise"
 	"ddsim/internal/sim"
 	"ddsim/internal/sparsemat"
@@ -68,7 +67,7 @@ func pathOf(t *testing.T, c *circuit.Circuit, m noise.Model) *refPath {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return js.refPath()
+	return js.path
 }
 
 // TestAnalyzeCheckpoint pins where the reference path ends: at the
@@ -419,14 +418,12 @@ func TestForkedMatchesReplay(t *testing.T) {
 	}
 }
 
-// firstFire replays the scan of one trajectory: the index of the roll
-// its seed fires first, or -1.
-func firstFire(p *refPath, src *fastrand.Source, rng *rand.Rand, seed int64) int {
-	src.Seed(seed)
-	for j := range p.rolls {
-		if rng.Float64() < p.rolls[j].thr {
-			return j
-		}
+// firstFire is the schedule's first draw for run 0 of a job with the
+// given seed: the index of the roll it fires first, or -1.
+func firstFire(p *refPath, src *stream, rng *rand.Rand, seed int64) int {
+	src.seek(seed, 0)
+	if j := p.nextFire(rng, 0); j < len(p.rolls) {
+		return j
 	}
 	return -1
 }
@@ -458,8 +455,7 @@ func TestForkedMatchesReplayAtEveryPosition(t *testing.T) {
 				want[j] = true
 			}
 		}
-		src := fastrand.New(0)
-		rng := rand.New(src)
+		rng, src := newStream()
 		for seed := int64(1); len(want) > 0 && seed < 1<<20; seed++ {
 			j := firstFire(p, src, rng, seed)
 			if !want[j] {
@@ -524,11 +520,12 @@ func TestReferenceSnapshotsStayWithinBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		replay, _ := newCkptRunner(plain, nil, c, p)
 		clbits := make([]uint64, 1)
 		for seed := int64(1); seed <= 40; seed++ {
 			var st ckptStats
 			r.run(rand.New(rand.NewSource(seed)), clbits, &st, new(noise.ChannelCounts))
-			runOne(plain, c, p.plan, rand.New(rand.NewSource(seed)), clbits, new(noise.ChannelCounts))
+			replay.run(rand.New(rand.NewSource(seed)), clbits, new(ckptStats), new(noise.ChannelCounts))
 			for idx := uint64(0); idx < 1<<6; idx++ {
 				if got, want := b.Probability(idx), plain.Probability(idx); got != want {
 					t.Fatalf("budget %d seed %d: P(%d) = %v forked, %v replayed", tc.budget, seed, idx, got, want)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ddsim/internal/circuit"
-	"ddsim/internal/fastrand"
 	"ddsim/internal/noise"
 	"ddsim/internal/obs"
 	"ddsim/internal/sim"
@@ -78,9 +77,9 @@ func RunContext(ctx context.Context, c *circuit.Circuit, factory sim.Factory, mo
 // RunBatch executes a set of (circuit, noise-point) jobs through one
 // shared worker pool of the given size (0 means GOMAXPROCS). Work is
 // dispatched in chunks of Options.ChunkSize trajectories; run j of a
-// job always uses RNG seed Opts.Seed+j and per-chunk partial sums are
-// reduced in run order, so every job's result is bit-identical to a
-// standalone Run with any worker count.
+// job always draws from the stream of (Opts.Seed, j) and per-chunk
+// partial sums are reduced in run order, so every job's result is
+// bit-identical to a standalone Run with any worker count.
 //
 // The returned slice is indexed like jobs. Jobs that fail (invalid
 // input, backend error, zero completed runs) have a nil entry and
@@ -171,16 +170,10 @@ type jobState struct {
 	// independent of scheduling.
 	chunks []*accumulator
 
-	// plan is the job's noise model compiled against its circuit: the
-	// per-op channel lists every trajectory samples, replayed or forked
-	// (nil for a noise-free job). Read-only once built, so workers share
-	// it.
-	plan *noise.Plan
-
-	// path is the reference-path analysis behind first-event forking,
-	// built by the first worker whose backend can fork (see refPath).
-	pathOnce sync.Once
-	path     *refPath
+	// path is the job's noise model compiled against its circuit and
+	// the reference path every trajectory runs along (see refPath).
+	// Read-only once built, so workers share it.
+	path *refPath
 
 	// Guarded by engine.mu:
 	next         int       // next run index to dispatch
@@ -243,13 +236,13 @@ func prepareJob(job Job) (*jobState, error) {
 	numChunks := (js.target + job.Opts.ChunkSize - 1) / job.Opts.ChunkSize
 	js.chunks = make([]*accumulator, numChunks)
 	js.progTracked = make([]float64, len(job.Opts.TrackStates))
+	var plan *noise.Plan
 	if job.Model.Enabled() {
-		plan, err := job.Model.Compile(job.Circuit)
-		if err != nil {
+		if plan, err = job.Model.Compile(job.Circuit); err != nil {
 			return nil, err
 		}
-		js.plan = plan
 	}
+	js.path = planRefPath(job.Circuit, plan)
 	return js, nil
 }
 
@@ -275,18 +268,18 @@ type compiled struct {
 	snapper sim.Snapshotter
 	ref     sim.Snapshot
 	clbits  []uint64
-	// rngSrc/rng are the worker's reusable trajectory RNG: run j
-	// reseeds the source with Seed+j, which reproduces the stream of a
-	// fresh rand.New(rand.NewSource(Seed+j)) bit for bit without
-	// re-allocating the 607-word generator state per trajectory. The
-	// fastrand source makes the per-trajectory reseed — one full
-	// generator reinitialisation, by contract — cheap.
-	rngSrc *fastrand.Source
-	rng    *rand.Rand
-	// ckpt, when set, forks trajectories from the noise-free reference
-	// path instead of replaying the whole circuit (see
-	// Options.Checkpointing); nil means plain replay.
-	ckpt *ckptRunner
+	// rng draws from src, the worker's reusable trajectory stream: run j
+	// seeks it to (Seed, j) (see stream.go).
+	rng *rand.Rand
+	src *stream
+	// traj runs the job's trajectories on backend: forked from the
+	// noise-free reference path, or replaying it (see
+	// Options.Checkpointing).
+	traj *ckptRunner
+	// refTracked caches Probability(idx) of Options.TrackStates on the
+	// reference path's final state, for the trajectories that end in
+	// exactly that state; nil until the first one.
+	refTracked []float64
 	// lastStats is the table-stat snapshot at the last telemetry
 	// report; reportTableStats pushes the delta since then.
 	lastStats sim.TableStats
@@ -417,8 +410,7 @@ func (e *engine) compile(js *jobState) (*compiled, error) {
 	}
 	e.mu.Unlock()
 	wb := &compiled{backend: backend, clbits: make([]uint64, 1)}
-	wb.rngSrc = fastrand.New(0)
-	wb.rng = rand.New(wb.rngSrc)
+	wb.rng, wb.src = newStream()
 	if js.job.Opts.TrackFidelity {
 		s, ok := backend.(sim.Snapshotter)
 		if !ok {
@@ -426,28 +418,29 @@ func (e *engine) compile(js *jobState) (*compiled, error) {
 		}
 		// Reference trajectory: same circuit, no noise, fixed seed so
 		// every worker derives the identical state.
-		refGates := runOne(backend, js.job.Circuit, nil, rand.New(rand.NewSource(js.job.Opts.Seed)), wb.clbits, nil)
+		wb.src.seek(js.job.Opts.Seed, 0)
+		refGates := runOne(backend, js.job.Circuit, wb.rng, wb.clbits)
 		telemetry.GateApplications.Add(int64(refGates))
 		wb.ref = s.Snapshot()
 		wb.snapper = s
 	}
+	var forker sim.Forker
 	if mode := js.job.Opts.Checkpointing; mode != CheckpointOff {
-		forker, ok := backend.(sim.Forker)
+		f, ok := backend.(sim.Forker)
 		switch {
 		case !ok && mode == CheckpointOn:
 			return nil, fmt.Errorf("stochastic: backend %q cannot checkpoint (Options.Checkpointing %q needs sim.Forker)",
 				backend.Name(), mode)
-		case ok:
-			if path := js.refPath(); mode == CheckpointOn || path.worthwhile() {
-				ckpt, pathGates := newCkptRunner(backend, forker, js.job.Circuit, path)
-				telemetry.GateApplications.Add(int64(pathGates))
-				wb.ckpt = ckpt
-				e.mu.Lock()
-				js.checkpointed = true
-				e.mu.Unlock()
-			}
+		case ok && (mode == CheckpointOn || js.path.worthwhile()):
+			forker = f
+			e.mu.Lock()
+			js.checkpointed = true
+			e.mu.Unlock()
 		}
 	}
+	traj, pathGates := newCkptRunner(backend, forker, js.job.Circuit, js.path)
+	telemetry.GateApplications.Add(int64(pathGates))
+	wb.traj = traj
 	return wb, nil
 }
 
@@ -478,13 +471,9 @@ func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 			deadlineHit = true
 			break
 		}
-		wb.rngSrc.Seed(opts.Seed + int64(first+k))
+		wb.src.seek(opts.Seed, uint64(first+k))
 		rng := wb.rng
-		if wb.ckpt != nil {
-			wb.ckpt.run(rng, wb.clbits, &st, &chanCounts)
-		} else {
-			st.applied += runOne(wb.backend, js.job.Circuit, js.plan, rng, wb.clbits, &chanCounts)
-		}
+		reference := wb.traj.run(rng, wb.clbits, &st, &chanCounts)
 		acc.runs++
 		for s := 0; s < opts.Shots; s++ {
 			acc.counts[wb.backend.SampleBasis(rng)]++
@@ -492,8 +481,19 @@ func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 		if js.hasMeasure {
 			acc.classical[wb.clbits[0]]++
 		}
+		if reference && wb.refTracked == nil {
+			wb.refTracked = make([]float64, len(opts.TrackStates))
+			for i, idx := range opts.TrackStates {
+				wb.refTracked[i] = wb.backend.Probability(idx)
+			}
+		}
 		for i, idx := range opts.TrackStates {
-			acc.tracked[i] += wb.backend.Probability(idx)
+			if reference {
+				// The same restored state every time: the same values.
+				acc.tracked[i] += wb.refTracked[i]
+			} else {
+				acc.tracked[i] += wb.backend.Probability(idx)
+			}
 		}
 		if wb.snapper != nil {
 			acc.fidelity += wb.snapper.FidelityTo(wb.ref)

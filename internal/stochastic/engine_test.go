@@ -245,7 +245,7 @@ func TestRunBatchMatchesStandaloneRuns(t *testing.T) {
 		{Depolarizing: 0.01, Damping: 0.02, PhaseFlip: 0.01},
 		{Depolarizing: 0.05, Damping: 0.08, PhaseFlip: 0.05},
 	}
-	opts := Options{Runs: 300, Seed: 21, ChunkSize: 32, TrackStates: []uint64{0, 15}}
+	opts := Options{Runs: 300, Seed: 23, ChunkSize: 32, TrackStates: []uint64{0, 15}}
 	jobs := make([]Job, len(models))
 	for i, m := range models {
 		jobs[i] = Job{Circuit: c, Model: m, Opts: opts}

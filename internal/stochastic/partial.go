@@ -13,10 +13,11 @@ import (
 // chunked run-index space that RunBatch dispatches to goroutines is
 // exposed so that chunks can be computed by *other processes* and the
 // partial sums merged back bit-identically. The contract mirrors the
-// in-process one exactly — run j uses RNG seed Seed+j, every chunk is
-// a fixed block of the run-index space accumulated in run order, and
-// the final reduction merges per-chunk sums strictly in chunk order —
-// so a cluster that leases chunk ranges to workers (internal/cluster)
+// in-process one exactly — run j draws from the stream of (Seed, j)
+// whichever process runs it (stream.go), every chunk is a fixed block
+// of the run-index space accumulated in run order, and the final
+// reduction merges per-chunk sums strictly in chunk order — so a
+// cluster that leases chunk ranges to workers (internal/cluster)
 // reproduces a single-node same-seed Result bit for bit.
 
 // ChunkPlan describes the fixed chunk layout of one job's run-index
@@ -97,8 +98,9 @@ type ChunkSum struct {
 // RunChunks executes chunks [first, first+count) of the job's plan on
 // one backend instance and returns their per-chunk sums in chunk
 // order. Within each chunk trajectories run in ascending run-index
-// order with RNG seed Seed+j, exactly as the in-process engine does,
-// so the sums are interchangeable with locally computed ones. onChunk,
+// order, run j from the stream of (Seed, j), exactly as the in-process
+// engine does, so the sums are interchangeable with locally computed
+// ones. onChunk,
 // when non-nil, is called after each completed chunk with the number
 // of chunks finished so far (progress for lease heartbeats).
 //

@@ -64,13 +64,15 @@ type Options struct {
 	// Workers is the number of concurrent workers; 0 means GOMAXPROCS.
 	// Ignored by RunBatch, which sizes one shared pool for all jobs.
 	Workers int `json:"workers,omitempty"`
-	// Seed makes the whole simulation deterministic: run j uses an RNG
-	// seeded with Seed+j regardless of which worker executes it, so
-	// results are bit-identical per worker count — and across worker
-	// counts on the statevec and sparse backends and for cache-resident
-	// DDs. (A DD package's weight rounding depends on what it computed
-	// before, so at QFT-24 size a 2-worker DD estimate differs from the
-	// 1-worker one at ~1e-12 relative.)
+	// Seed makes the whole simulation deterministic: run j draws from
+	// its own stream, a generator whose state is mixed from all 64 bits
+	// of Seed and of j (stream.go), regardless of which worker executes
+	// it, so jobs at different seeds share no trajectory and results are
+	// bit-identical per worker count — and across worker counts on the
+	// statevec and sparse backends and for cache-resident DDs. (A DD
+	// package's weight rounding depends on what it computed before, so
+	// at QFT-24 size a 2-worker DD estimate differs from the 1-worker
+	// one at ~1e-12 relative.)
 	Seed int64 `json:"seed,omitempty"`
 	// Shots is the number of basis-state samples drawn from each final
 	// state (default 1).
@@ -113,9 +115,9 @@ type Options struct {
 
 	// Checkpointing selects first-event forking: the noise-free circuit
 	// is simulated once per worker up to the first measurement, reset
-	// or state-dependent channel, a trajectory only consumes its RNG
-	// stream until one of its rolls fires and then forks from the
-	// nearest snapshot of that reference path instead of replaying it,
+	// or state-dependent channel, and a trajectory forks from the
+	// nearest snapshot of that reference path before its first event
+	// (from the final one when it has none) instead of replaying it,
 	// with multi-level checkpoints between later random sites of
 	// noise-free jobs. Modes: CheckpointAuto (default; used when the
 	// backend implements sim.Forker and there are gates to save),
@@ -435,25 +437,22 @@ func circuitMeasures(c *circuit.Circuit) bool {
 	return false
 }
 
-// runOne executes a single trajectory from the all-zero state and
-// returns the number of gate applications it executed. clbits is a
-// 1-element scratch slice holding the packed classical register. plan
-// is the job's compiled noise (nil for a noise-free run); counts
-// accumulates its per-kind channel applications for telemetry and may
-// be nil when plan is.
-func runOne(b sim.Backend, c *circuit.Circuit, plan *noise.Plan, rng *rand.Rand, clbits []uint64, counts *noise.ChannelCounts) int {
+// runOne executes one noise-free pass over the circuit from the
+// all-zero state and returns the number of gate applications. clbits
+// is a 1-element scratch slice holding the packed classical register.
+func runOne(b sim.Backend, c *circuit.Circuit, rng *rand.Rand, clbits []uint64) int {
 	b.Reset()
 	clbits[0] = 0
-	return runRange(b, c, plan, rng, clbits, 0, len(c.Ops), counts)
+	return runRange(b, c, nil, rng, clbits, 0, len(c.Ops), nil)
 }
 
-// runRange is the trajectory loop: it executes ops [from, to) on the
-// backend's current state and returns the number of gate applications.
-// Every gate's channels come from the compiled plan — idle decay before
-// the gate, single- then two-qubit noise after it. A condition-skipped
-// gate skips its channels too, idle noise included: untaken operations
-// inflict no noise. The checkpoint runner uses it to resume forked
-// trajectories behind their first event.
+// runRange is the roll-by-roll trajectory loop, the one behind the
+// reference path's end: it executes ops [from, to) on the backend's
+// current state and returns the number of gate applications. Every
+// gate's channels come from the compiled plan (nil: none) — idle decay
+// before the gate, single- then two-qubit noise after it. A
+// condition-skipped gate skips its channels too, idle noise included:
+// untaken operations inflict no noise.
 func runRange(b sim.Backend, c *circuit.Circuit, plan *noise.Plan, rng *rand.Rand, clbits []uint64, from, to int, counts *noise.ChannelCounts) int {
 	gates := 0
 	for i := from; i < to; i++ {
@@ -540,9 +539,9 @@ func Deterministic(c *circuit.Circuit, factory sim.Factory, seed int64) (sim.Bac
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	clbits := make([]uint64, 1)
-	runOne(b, c, nil, rng, clbits, nil)
+	rng, src := newStream()
+	src.seek(seed, 0)
+	runOne(b, c, rng, make([]uint64, 1))
 	return b, nil
 }
 

@@ -9,11 +9,15 @@ import (
 	"ddsim"
 )
 
-// v2JobKey is an independent reimplementation of the pre-extension
-// (v2) wire format. Legacy uniform jobs must keep hashing to exactly
-// this value forever — the ddsimd result cache persists keys across
-// releases — so the v3 appendix may only fire for models that
-// actually carry extended channels.
+// v2JobKey is an independent reimplementation of the wire format of
+// jobs without extended noise channels: the pre-extension (v2) fields
+// and, for trajectory jobs, the version of the random stream their
+// numbers come from (written out as the literal it is today — moving
+// it is the point at which every cached trajectory result stops
+// hitting). The v3 appendix may only fire for models that actually
+// carry extended channels, and exact-mode keys — whose results no
+// stream feeds — must stay the bare v2 bytes forever: the ddsimd result
+// cache persists keys across releases.
 func v2JobKey(t *testing.T, c *ddsim.Circuit, backend string, models []ddsim.NoiseModel, opts ddsim.Options) string {
 	t.Helper()
 	src, err := ddsim.WriteQASM(c)
@@ -37,13 +41,17 @@ func v2JobKey(t *testing.T, c *ddsim.Circuit, backend string, models []ddsim.Noi
 		fmt.Fprintf(h, "track=%d\n", ts)
 	}
 	fmt.Fprintf(h, "mode=%s\nexact_backend=%s\n", o.Mode, o.ExactBackend)
+	if o.Mode != ddsim.ModeExact {
+		fmt.Fprintf(h, "stream=2\n")
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestJobKeyLegacyUniformKeysByteIdentical pins the compatibility
 // contract of the v3 extension: every job whose models are plain
 // uniform (no device, crosstalk, idle noise or twirling) hashes to a
-// key byte-identical to the v2 serialisation.
+// key byte-identical to the v2 serialisation — plus the stream line
+// when it samples trajectories, and nothing else when it is exact.
 func TestJobKeyLegacyUniformKeysByteIdentical(t *testing.T) {
 	circ := ddsim.GHZ(4)
 	cases := []struct {
@@ -72,6 +80,10 @@ func TestJobKeyLegacyUniformKeysByteIdentical(t *testing.T) {
 		}
 		if want := v2JobKey(t, circ, tc.backend, tc.models, tc.opts); got != want {
 			t.Errorf("%s: JobKey = %s, want the v2 serialisation %s", tc.name, got, want)
+		}
+		// The key this exact job had before the stream was versioned.
+		if want := "587861dbfe27933567b10de60dfcbbba8aab063c8161173b3db44a58419ddf2c"; tc.name == "exact-mode" && got != want {
+			t.Errorf("exact-mode key moved: %s, want %s", got, want)
 		}
 	}
 }

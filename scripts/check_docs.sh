@@ -12,6 +12,9 @@
 # 4. Every DDSIM_* environment variable named in README.md or
 #    docs/*.md must be read by non-test Go under internal/ or cmd/, so
 #    a doc cannot keep advertising a deleted toggle.
+# 5. Every internal/<pkg> path named in README.md or docs/*.md must be
+#    an existing directory, so a doc cannot keep describing a deleted
+#    package.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,6 +81,15 @@ envvars="$(grep -hoE 'DDSIM_[A-Z0-9_]+' README.md docs/*.md | sort -u || true)"
 for v in $envvars; do
   if ! grep -rqw --include='*.go' --exclude='*_test.go' "$v" internal cmd; then
     echo "STALE ENV VAR: $v is documented but no non-test Go under internal/ or cmd/ mentions it" >&2
+    fail=1
+  fi
+done
+
+# --- 5. documented internal packages exist -----------------------------------
+pkgs="$(grep -hoE 'internal/[a-z0-9_]+' README.md docs/*.md | sort -u || true)"
+for p in $pkgs; do
+  if [ ! -d "$p" ]; then
+    echo "STALE PACKAGE: $p is documented but is not a directory" >&2
     fail=1
   fi
 done
