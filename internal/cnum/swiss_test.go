@@ -137,13 +137,13 @@ func boundaryOffsets(tol float64) []float64 {
 	return []float64{tol / 2, -tol / 2, 2 * tol, -2 * tol, cell - tol/2, -(cell - tol/2)}
 }
 
-// TestSwissChainedLookupIdentical drives a random workload — including
+// TestLookupMatchesModel drives a random workload — including
 // cell-boundary straddlers and derived Mul/Div/Add/Neg/Conj traffic —
 // through the table and the brute-force model at the default and the
 // exact-engine tolerance, demanding bit-identical representatives
 // throughout: the swiss cell directory must resolve tolerance ties in
 // the first-seen order a newest-first chain scan would.
-func TestSwissChainedLookupIdentical(t *testing.T) {
+func TestLookupMatchesModel(t *testing.T) {
 	for _, tol := range []float64{Tolerance, 1e-14} {
 		p := newTablePair(t, tol)
 		tb := p.tb

@@ -315,7 +315,7 @@ func (b *Backend) Restore(s sim.State) {
 }
 
 // approxVNodeBytes is the rough heap footprint of one vector node
-// (two child edges, level, id, refcount, bucket chain pointer), used
+// (two child edges, level, id, refcount, arena free-list link), used
 // only for the checkpoint-retention telemetry.
 const approxVNodeBytes = 56
 

@@ -4,7 +4,10 @@
 // simulator (reference [12] of the paper), against which the proposed
 // DD simulator is compared in Tables Ia–Ic. Its per-gate cost is
 // Θ(2^n) regardless of state structure — the "curse of
-// dimensionality" the paper's Section III describes.
+// dimensionality" the paper's Section III describes — but not
+// regardless of gate structure: every op is compiled once to the
+// cheapest kernel the zero pattern of its 2×2 admits, and a kernel
+// visits only the amplitudes its controls select (kernels.go).
 package statevec
 
 import (
@@ -20,11 +23,13 @@ import (
 // largest state this baseline will allocate.
 const MaxQubits = 26
 
+// compiledGate is an op as the kernels run it: the matrix, the kernel
+// its zero pattern admits, and the amplitude pairs its target and
+// controls select. All three are fixed when the circuit is compiled.
 type compiledGate struct {
-	u        circuit.Mat2
-	bit      uint // target bit position (n-1-qubit)
-	ctrlMask uint64
-	ctrlWant uint64
+	u      circuit.Mat2
+	kernel kernel
+	sub    subspace
 }
 
 // Backend is the dense state-vector simulation backend.
@@ -58,15 +63,15 @@ func New(c *circuit.Circuit) (*Backend, error) {
 		if err != nil {
 			return nil, fmt.Errorf("statevec: op %d: %w", i, err)
 		}
-		g := compiledGate{u: u, bit: b.bitOf(op.Target)}
+		var ctrlMask, ctrlWant uint64
 		for _, ctl := range op.Controls {
 			m := uint64(1) << b.bitOf(ctl.Qubit)
-			g.ctrlMask |= m
+			ctrlMask |= m
 			if !ctl.Negative {
-				g.ctrlWant |= m
+				ctrlWant |= m
 			}
 		}
-		b.gates[i] = g
+		b.gates[i] = b.compile(u, b.bitOf(op.Target), ctrlMask, ctrlWant)
 	}
 	b.Reset()
 	return b, nil
@@ -100,52 +105,65 @@ func (b *Backend) ApplyOp(i int) {
 	b.applyCompiled(&b.gates[i])
 }
 
-func (b *Backend) applyCompiled(g *compiledGate) {
-	b.applyKernel(g.u, g.bit, g.ctrlMask, g.ctrlWant)
+// compile classifies a 2×2 on the given target bit and control
+// condition.
+func (b *Backend) compile(u circuit.Mat2, bit uint, ctrlMask, ctrlWant uint64) compiledGate {
+	return compiledGate{u: u, kernel: classify(u), sub: newSubspace(len(b.v), bit, ctrlMask, ctrlWant)}
 }
 
-// applyKernel performs the in-place 2×2 update on all amplitude pairs
-// selected by the target bit and control condition.
-func (b *Backend) applyKernel(u circuit.Mat2, bit uint, ctrlMask, ctrlWant uint64) {
-	stride := uint64(1) << bit
-	dim := uint64(len(b.v))
-	u00, u01, u10, u11 := u[0][0], u[0][1], u[1][0], u[1][1]
-	for base := uint64(0); base < dim; base += 2 * stride {
-		for i := base; i < base+stride; i++ {
-			if i&ctrlMask != ctrlWant {
-				continue
-			}
-			a0 := b.v[i]
-			a1 := b.v[i|stride]
-			b.v[i] = u00*a0 + u01*a1
-			b.v[i|stride] = u10*a0 + u11*a1
+func (b *Backend) applyCompiled(g *compiledGate) {
+	switch g.kernel {
+	case kernDiag:
+		// A factor of exactly 1 leaves its half alone: a controlled
+		// phase is one multiply on the amplitudes with control = target
+		// = 1, a quarter of the register.
+		if g.u[0][0] != 1 {
+			scale(b.v, g.sub, 0, g.u[0][0])
 		}
+		if g.u[1][1] != 1 {
+			scale(b.v, g.sub, g.sub.stride, g.u[1][1])
+		}
+	case kernAntiDiag:
+		swapScale(b.v, g.sub, g.u[0][1], g.u[1][0])
+	default:
+		general(b.v, g.sub, g.u)
 	}
 }
 
-// ApplyPauli implements sim.Backend.
+// target is the subspace of an uncontrolled op on a qubit: every pair.
+func (b *Backend) target(qubit int) subspace {
+	return newSubspace(len(b.v), b.bitOf(qubit), 0, 0)
+}
+
+// ApplyPauli implements sim.Backend: X swaps the target's halves, Z
+// negates the target-1 half, Y does both with a factor ∓i.
 func (b *Backend) ApplyPauli(p sim.Pauli, qubit int) {
+	sub := b.target(qubit)
 	switch p {
 	case sim.PauliI:
 	case sim.PauliX:
-		b.applyKernel(circuit.MatX, b.bitOf(qubit), 0, 0)
+		swapScale(b.v, sub, 1, 1)
 	case sim.PauliY:
-		b.applyKernel(circuit.MatY, b.bitOf(qubit), 0, 0)
+		swapScale(b.v, sub, circuit.MatY[0][1], circuit.MatY[1][0])
 	case sim.PauliZ:
-		b.applyKernel(circuit.MatZ, b.bitOf(qubit), 0, 0)
+		scale(b.v, sub, sub.stride, -1)
 	}
 }
 
-// ProbOne implements sim.Backend.
+// ProbOne implements sim.Backend. The target-1 half is summed in index
+// order into one accumulator, so the rounding is that of a plain scan.
 func (b *Backend) ProbOne(qubit int) float64 {
-	mask := uint64(1) << b.bitOf(qubit)
+	sub := b.target(qubit)
 	sum := 0.0
-	for i, a := range b.v {
-		if uint64(i)&mask != 0 {
+	for s := uint64(0); ; {
+		i := s | sub.stride
+		for _, a := range b.v[i : i+sub.run] {
 			sum += real(a)*real(a) + imag(a)*imag(a)
 		}
+		if s = (s - sub.free) & sub.free; s == 0 {
+			return sum
+		}
 	}
-	return sum
 }
 
 // Collapse implements sim.Backend.
@@ -153,34 +171,28 @@ func (b *Backend) Collapse(qubit, outcome int, prob float64) {
 	if prob <= 0 {
 		panic("statevec: Collapse with non-positive probability")
 	}
-	mask := uint64(1) << b.bitOf(qubit)
-	keepSet := outcome == 1
-	s := complex(1/math.Sqrt(prob), 0)
-	for i := range b.v {
-		if (uint64(i)&mask != 0) == keepSet {
-			b.v[i] *= s
-		} else {
-			b.v[i] = 0
+	sub := b.target(qubit)
+	keep, drop := uint64(0), sub.stride
+	if outcome == 1 {
+		keep, drop = drop, keep
+	}
+	scale(b.v, sub, keep, complex(1/math.Sqrt(prob), 0))
+	for s := uint64(0); ; {
+		i := s | drop
+		clear(b.v[i : i+sub.run])
+		if s = (s - sub.free) & sub.free; s == 0 {
+			return
 		}
 	}
 }
 
-// ApplyDamping implements sim.Backend.
+// ApplyDamping implements sim.Backend: the branch's Kraus operator and
+// the 1/√branchProb renormalisation in one pass over the pairs.
 func (b *Backend) ApplyDamping(qubit int, p float64, fire bool, branchProb float64) {
 	if branchProb <= 0 {
 		panic("statevec: ApplyDamping with non-positive branch probability")
 	}
-	var k circuit.Mat2
-	if fire {
-		k = circuit.Mat2{{0, complex(math.Sqrt(p), 0)}, {0, 0}}
-	} else {
-		k = circuit.Mat2{{1, 0}, {0, complex(math.Sqrt(1-p), 0)}}
-	}
-	b.applyKernel(k, b.bitOf(qubit), 0, 0)
-	s := complex(1/math.Sqrt(branchProb), 0)
-	for i := range b.v {
-		b.v[i] *= s
-	}
+	damp(b.v, b.target(qubit), p, fire, 1/math.Sqrt(branchProb))
 }
 
 // ApplyKraus2 implements sim.Backend: the 4×4 update runs over all

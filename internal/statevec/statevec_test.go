@@ -18,6 +18,27 @@ func build(t *testing.T, c *circuit.Circuit) *Backend {
 	return b
 }
 
+// applyKernel is the generic update every op ran through before the
+// structure-aware kernels: all 2^(n-1) pairs visited, the control
+// condition tested per index, a full 2×2 on each selected pair. It is
+// kept, unchanged, as the reference the kernels are held to.
+func (b *Backend) applyKernel(u circuit.Mat2, bit uint, ctrlMask, ctrlWant uint64) {
+	stride := uint64(1) << bit
+	dim := uint64(len(b.v))
+	u00, u01, u10, u11 := u[0][0], u[0][1], u[1][0], u[1][1]
+	for base := uint64(0); base < dim; base += 2 * stride {
+		for i := base; i < base+stride; i++ {
+			if i&ctrlMask != ctrlWant {
+				continue
+			}
+			a0 := b.v[i]
+			a1 := b.v[i|stride]
+			b.v[i] = u00*a0 + u01*a1
+			b.v[i|stride] = u10*a0 + u11*a1
+		}
+	}
+}
+
 func TestInitialState(t *testing.T) {
 	b := build(t, circuit.New("empty", 3))
 	amps := b.Amplitudes()

@@ -10,30 +10,30 @@ import (
 	"ddsim/internal/circuit"
 	"ddsim/internal/ddback"
 	"ddsim/internal/noise"
+	"ddsim/internal/sim"
+	"ddsim/internal/statevec"
 )
 
-// kernelGoldenLog runs the DD jobs pinned by testdata/kernel_golden.txt
-// and renders every deterministic field of their results, floats in
-// hex so the comparison is bit-exact.
-func kernelGoldenLog(t *testing.T) string {
+// goldenJob is one pinned circuit of a golden file and the worker
+// counts it is recorded at.
+type goldenJob struct {
+	name    string
+	c       *circuit.Circuit
+	tracked []uint64
+	workers []int
+}
+
+// goldenLog runs the jobs a golden file pins, checkpointing off and on
+// at every worker count, and renders every deterministic field of their
+// results, floats in hex so the comparison is bit-exact.
+func goldenLog(t *testing.T, factory sim.Factory, jobs []goldenJob) string {
 	t.Helper()
 	m := noise.Model{Depolarizing: 0.01, Damping: 0.02, PhaseFlip: 0.01}
-	jobs := []struct {
-		name    string
-		c       *circuit.Circuit
-		tracked []uint64
-		workers []int
-	}{
-		{"ghz4+measure", circuit.GHZ(4).MeasureAll(), []uint64{0, 7, 15}, []int{1, 4}},
-		// Non-Clifford phases: two DD workers do not reproduce their
-		// own previous run here, so one worker only.
-		{"qft6", circuit.QFT(6), []uint64{0, 21, 63}, []int{1}},
-	}
 	var sb strings.Builder
 	for _, j := range jobs {
 		for _, w := range j.workers {
 			for _, ck := range []string{CheckpointOff, CheckpointOn} {
-				res, err := Run(j.c, ddback.Factory(), m, Options{
+				res, err := Run(j.c, factory, m, Options{
 					Runs: 400, Seed: 7, Shots: 2, ChunkSize: 16, Workers: w,
 					TrackStates: j.tracked, TrackFidelity: true,
 					Checkpointing: ck,
@@ -56,6 +56,23 @@ func kernelGoldenLog(t *testing.T) string {
 	return sb.String()
 }
 
+// checkGolden compares got with the named golden file, whose leading
+// '#' lines (the commit that recorded it) are not part of the record.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(raw)
+	for strings.HasPrefix(want, "#") {
+		want = want[strings.IndexByte(want, '\n')+1:]
+	}
+	if got != want {
+		t.Errorf("results differ from %s:\n%s", file, got)
+	}
+}
+
 func histLine(h map[uint64]int) string {
 	keys := make([]uint64, 0, len(h))
 	for k := range h {
@@ -75,15 +92,39 @@ func histLine(h map[uint64]int) string {
 // implementation. The file's header ('#' lines) names the commit that
 // recorded it; record again only with a new stream version.
 func TestKernelGolden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/kernel_golden.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := string(raw)
-	for strings.HasPrefix(want, "#") {
-		want = want[strings.IndexByte(want, '\n')+1:]
-	}
-	if got := kernelGoldenLog(t); got != want {
-		t.Errorf("DD results differ from testdata/kernel_golden.txt:\n%s", got)
-	}
+	checkGolden(t, "testdata/kernel_golden.txt", goldenLog(t, ddback.Factory(), []goldenJob{
+		{"ghz4+measure", circuit.GHZ(4).MeasureAll(), []uint64{0, 7, 15}, []int{1, 4}},
+		// Non-Clifford phases: two DD workers do not reproduce their
+		// own previous run here, so one worker only.
+		{"qft6", circuit.QFT(6), []uint64{0, 21, 63}, []int{1}},
+	}))
+}
+
+// ctrlGeneralCircuit exercises what GHZ and QFT do not reach in the
+// dense kernels: controlled general gates, a negative control, two
+// controls of mixed polarity around the target, and controlled
+// anti-diagonal and diagonal gates with the target above the control.
+func ctrlGeneralCircuit() *circuit.Circuit {
+	c := circuit.New("ctrl-general", 4)
+	c.H(0).H(2).CGate("ry", 0, 1, 0.9)
+	c.Append(circuit.Op{Kind: circuit.KindGate, Name: "u3", Params: []float64{0.7, 0.3, -1.1}, Target: 3,
+		Controls: []circuit.Control{{Qubit: 2, Negative: true}}})
+	c.CGate("h", 1, 3)
+	c.Append(circuit.Op{Kind: circuit.KindGate, Name: "rx", Params: []float64{1.3}, Target: 1,
+		Controls: []circuit.Control{{Qubit: 0}, {Qubit: 3, Negative: true}}})
+	c.CGate("y", 3, 0).CGate("rz", 2, 1, 0.4).CPhase(3, 2, 0.8)
+	return c
+}
+
+// TestStatevecGolden is TestKernelGolden for the dense backend. Dense
+// arithmetic is history-free, so every worker count belongs. The file
+// was recorded at the commit before the structure-aware kernels, and a
+// kernel may differ from the generic 2×2 loop it replaced only in the
+// sign of a zero, which no recorded field can see.
+func TestStatevecGolden(t *testing.T) {
+	checkGolden(t, "testdata/statevec_golden.txt", goldenLog(t, statevec.Factory(), []goldenJob{
+		{"ghz4+measure", circuit.GHZ(4).MeasureAll(), []uint64{0, 7, 15}, []int{1, 4}},
+		{"qft6", circuit.QFT(6), []uint64{0, 21, 63}, []int{1, 4}},
+		{"ctrl-general", ctrlGeneralCircuit(), []uint64{0, 5, 10, 15}, []int{1, 4}},
+	}))
 }
