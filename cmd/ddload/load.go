@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -340,12 +341,19 @@ func (l *loader) backend() string {
 	return l.cfg.Backend
 }
 
+// picked reports whether submission n falls in fraction f of the run:
+// n is picked when ⌊(n+1)·f⌋ > ⌊n·f⌋, so the picks are spread evenly
+// and exactly ⌊N·f⌋ of submissions 0..N-1 are picked.
+func picked(n int, f float64) bool {
+	return math.Floor(float64(n+1)*f) > math.Floor(float64(n)*f)
+}
+
 // watch drives one accepted job to an observed terminal state and
 // records its end-to-end latency. Selection by submission index keeps
 // the SSE/cancel mix deterministic for a given config.
 func (l *loader) watch(ctx context.Context, j acceptedJob) {
 	defer l.inFlight.Add(-1)
-	if frac := l.cfg.CancelFraction; frac > 0 && j.n%max(1, int(1/frac)) == 0 {
+	if picked(j.n, l.cfg.CancelFraction) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, l.cfg.BaseURL+"/jobs/"+j.id, nil)
 		if err == nil {
 			if resp, err := l.client.Do(req); err == nil {
@@ -356,7 +364,7 @@ func (l *loader) watch(ctx context.Context, j acceptedJob) {
 	}
 	var status string
 	var ok bool
-	if frac := l.cfg.SSEFraction; frac > 0 && j.n%max(1, int(1/frac)) == 1 {
+	if picked(j.n, l.cfg.SSEFraction) {
 		status, ok = l.watchSSE(ctx, j.id)
 		if !ok {
 			// Stream broke (e.g. deadline): fall back to one poll pass.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -136,6 +137,24 @@ func TestLoaderConservation(t *testing.T) {
 	}
 	if rep.PeakInFlight < 1 {
 		t.Fatalf("peak in-flight %d, want >= 1", rep.PeakInFlight)
+	}
+}
+
+// TestPickedFraction pins the SSE/cancel selection: over N submissions
+// a fraction f picks exactly f·N of them — not a rounding to 1/k, and
+// not zero for f above one half.
+func TestPickedFraction(t *testing.T) {
+	const n = 1000
+	for _, f := range []float64{0, 0.02, 0.2, 0.5, 0.75, 1} {
+		got := 0
+		for i := 0; i < n; i++ {
+			if picked(i, f) {
+				got++
+			}
+		}
+		if want := int(math.Round(f * n)); got != want {
+			t.Errorf("f=%v picked %d of %d, want %d", f, got, n, want)
+		}
 	}
 }
 

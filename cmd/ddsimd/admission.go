@@ -15,8 +15,8 @@ import (
 // up to burst tokens; a submission spends one token or is rejected
 // with the time until the next one.
 //
-// Refills ride the service timing wheel instead of being computed on
-// every request: a wheel task calls refill every refillEvery, topping
+// Refills run on a maintenance ticker instead of being computed on
+// every request: the server calls refill every refillEvery, topping
 // up every bucket by rate×refillEvery in one O(buckets) pass. That
 // keeps the request path to one map lookup and one subtraction, makes
 // the Retry-After hint an exact statement about the refill schedule
@@ -29,12 +29,12 @@ import (
 type rateLimiter struct {
 	rate        float64       // tokens per second
 	burst       float64       // bucket capacity
-	refillEvery time.Duration // wheel refill cadence
+	refillEvery time.Duration // refill ticker cadence
 	idleAfter   time.Duration // evict buckets full and untouched this long
 
 	mu         sync.Mutex
 	buckets    map[string]*bucket
-	nextRefill time.Time // when the wheel will next top up (zero until first refill)
+	nextRefill time.Time // when the ticker will next top up (zero until first refill)
 }
 
 // bucket is one client's token balance.
@@ -54,7 +54,7 @@ const (
 
 // newRateLimiter creates a limiter admitting rate submissions per
 // second per client with the given burst capacity (minimum 1). The
-// server schedules refill on its timing wheel every refillEvery.
+// server's maintenance ticker calls refill every refillEvery.
 func newRateLimiter(rate float64, burst int) *rateLimiter {
 	if burst < 1 {
 		burst = 1
@@ -91,10 +91,10 @@ func (rl *rateLimiter) allow(key string, now time.Time) (bool, time.Duration) {
 }
 
 // waitLocked computes the time until b will hold ≥1 token under the
-// wheel refill schedule: the next refill tick, plus however many full
-// cadences beyond it the deficit needs. Before the first wheel tick
-// (or without a wheel, in tests) it falls back to the continuous-rate
-// estimate. Caller holds rl.mu.
+// refill schedule: the next refill tick, plus however many full
+// cadences beyond it the deficit needs. Before the first refill (or
+// without a running ticker, in tests) it falls back to the
+// continuous-rate estimate. Caller holds rl.mu.
 func (rl *rateLimiter) waitLocked(b *bucket, now time.Time) time.Duration {
 	need := 1 - b.tokens
 	if rl.nextRefill.IsZero() || rl.rate <= 0 {
@@ -110,8 +110,8 @@ func (rl *rateLimiter) waitLocked(b *bucket, now time.Time) time.Duration {
 }
 
 // refill tops up every bucket by one cadence of tokens and evicts
-// buckets that are full and idle — the wheel calls this every
-// refillEvery. One O(buckets) pass per cadence replaces per-request
+// buckets that are full and idle — the server's ticker calls this
+// every refillEvery. One O(buckets) pass per cadence replaces per-request
 // clock math and per-entry cleanup timers.
 func (rl *rateLimiter) refill(now time.Time) {
 	rl.mu.Lock()

@@ -1,8 +1,8 @@
 package main
 
 // Regression tests for the lock-free dispatch plane swap: SSE
-// keepalive cadence from the timing wheel, Retry-After hints derived
-// from the wheel refill schedule, bounded rate-bucket tables, phase
+// keepalive cadence from the per-stream ticker, Retry-After hints
+// derived from the refill schedule, bounded rate-bucket tables, phase
 // histograms on /metrics, and — the property the whole swap must not
 // disturb — bit-identical same-seed results.
 
@@ -14,13 +14,19 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"ddsim/internal/jobstore"
+	"ddsim/internal/telemetry"
 )
 
 // TestSSEKeepaliveCadence subscribes to a job that is queued behind a
-// busy slot — its stream is otherwise silent — and expects the wheel
+// busy slot — its stream is otherwise silent — and expects its ticker
 // to deliver keepalive comments at the configured cadence without
 // corrupting the event framing.
 func TestSSEKeepaliveCadence(t *testing.T) {
@@ -91,8 +97,98 @@ func TestSSEKeepaliveCadence(t *testing.T) {
 	}
 }
 
+// TestTimersStopOnClose holds 50 SSE streams open on queued jobs at a
+// 10ms keepalive cadence beside fast maintenance duties, then closes
+// everything: no duty may run once close has returned, and the
+// goroutine count must return to its pre-server baseline.
+func TestTimersStopOnClose(t *testing.T) {
+	const streams = 50
+	before := runtime.NumGoroutine()
+
+	store, err := jobstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s := newServer(ctx, 1, 1, 10_000_000)
+	s.sseKeepalive = 10 * time.Millisecond
+	s.store = store
+	s.compactEvery = 5 * time.Millisecond
+	s.limiter = newRateLimiter(1e6, 1e6)
+	s.limiter.refillEvery = time.Millisecond
+	s.startMaintenance()
+	ts := httptest.NewServer(s.handler())
+
+	submit(t, ts, `{"circuit":{"name":"ghz","n":16},"options":{"runs":10000000,"seed":1}}`)
+	tr := &http.Transport{}
+	streamCtx, closeStreams := context.WithCancel(context.Background())
+	var keptAlive atomic.Int32 // streams that saw a keepalive
+	var ended sync.WaitGroup
+	for i := 0; i < streams; i++ {
+		id := submit(t, ts, fmt.Sprintf(`{"circuit":{"name":"ghz","n":4},"options":{"runs":10,"seed":%d}}`, i+2))
+		req, _ := http.NewRequestWithContext(streamCtx, http.MethodGet, ts.URL+"/jobs/"+id+"/events", nil)
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatalf("subscribe %s: %v", id, err)
+		}
+		ended.Add(1)
+		go func() {
+			defer ended.Done()
+			defer resp.Body.Close()
+			sc := bufio.NewScanner(resp.Body)
+			for first := true; sc.Scan(); {
+				if first && strings.HasPrefix(sc.Text(), ":") {
+					first = false
+					keptAlive.Add(1)
+				}
+			}
+		}()
+	}
+	waitFor(t, "a keepalive on every stream", func() bool { return keptAlive.Load() == streams })
+
+	lastRefill := func() time.Time {
+		s.limiter.mu.Lock()
+		defer s.limiter.mu.Unlock()
+		return s.limiter.nextRefill
+	}
+	compactions := telemetry.WALCompactions.Value()
+	waitFor(t, "maintenance duties running", func() bool {
+		return telemetry.WALCompactions.Value() >= compactions+2 && !lastRefill().IsZero()
+	})
+
+	closeStreams()
+	ended.Wait()
+	ts.Close()
+	cancel()
+	s.wait()
+	s.close()
+	compactions, refill := telemetry.WALCompactions.Value(), lastRefill()
+	time.Sleep(50 * time.Millisecond) // ten compaction and fifty refill periods
+	if telemetry.WALCompactions.Value() != compactions || !lastRefill().Equal(refill) {
+		t.Fatal("a maintenance duty ran after close returned")
+	}
+	store.Close()
+	tr.CloseIdleConnections()
+
+	waitFor(t, fmt.Sprintf("goroutines back to the baseline of %d", before),
+		func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// waitFor polls cond for up to 10s and fails the test with what it
+// was waiting for if cond never holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestRetryAfterFromRefillSchedule pins the Retry-After computation to
-// the wheel refill schedule: once a refill tick has run, the wait for
+// the refill schedule: once a refill tick has run, the wait for
 // an empty bucket is exactly (time to next tick) + (full ticks still
 // needed), not a continuous-rate guess.
 func TestRetryAfterFromRefillSchedule(t *testing.T) {
@@ -127,7 +223,7 @@ func TestRetryAfterFromRefillSchedule(t *testing.T) {
 
 // TestRateBucketIdleEviction proves the per-client bucket table cannot
 // grow without bound: full buckets idle past idleAfter are evicted by
-// the wheel-scheduled refill pass.
+// the periodic refill pass.
 func TestRateBucketIdleEviction(t *testing.T) {
 	rl := newRateLimiter(100, 1) // refills to full in one tick
 	rl.idleAfter = 10 * time.Millisecond

@@ -123,7 +123,7 @@ func main() {
 		rateLimit  = flag.Float64("rate-limit", 0, "per-client submissions per second (0 = unlimited)")
 		rateBurst  = flag.Int("rate-burst", 10, "per-client submission burst capacity")
 		keepalive  = flag.Duration("sse-keepalive", defaultSSEKeepalive, "keepalive-comment cadence on idle event streams (0 disables)")
-		cacheTTL   = flag.Duration("cache-ttl", 0, "result-cache entry lifetime; swept on the timing wheel (0 = entries never age out)")
+		cacheTTL   = flag.Duration("cache-ttl", 0, "result-cache entry lifetime; expired entries are swept periodically (0 = entries never age out)")
 		compactEvr = flag.Duration("compact-every", 10*time.Minute, "jobstore WAL compaction cadence (0 disables; needs -data-dir)")
 
 		// Cluster modes (see cluster.go and docs/OPERATIONS.md).

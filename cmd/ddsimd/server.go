@@ -20,7 +20,6 @@ import (
 	"ddsim/internal/qbench"
 	"ddsim/internal/rescache"
 	"ddsim/internal/telemetry"
-	"ddsim/internal/timewheel"
 )
 
 // Request resource bounds: a submission is parsed and compiled
@@ -50,10 +49,9 @@ const (
 	// any maxPending the admission layer allows through.
 	dispatchRingCap = 1024
 	// defaultSSEKeepalive is the cadence of ": keepalive" comments on
-	// idle event streams (wheel-scheduled; one timer per connection,
-	// O(1) tick cost in the number of connections).
+	// idle event streams (one runtime ticker per open stream).
 	defaultSSEKeepalive = 15 * time.Second
-	// gaugeRefreshEvery is how often wheel/dispatch snapshot gauges are
+	// gaugeRefreshEvery is how often dispatch snapshot gauges are
 	// pushed to telemetry.
 	gaugeRefreshEvery = time.Second
 	// cacheSweepEvery is the TTL sweep cadence of the result cache.
@@ -244,7 +242,6 @@ type server struct {
 	clusterCfg *cluster.Config
 
 	disp    *dispatch.Dispatcher // lock-free submit ring + priority-ordered slots
-	wheel   *timewheel.Wheel     // every periodic schedule in the process
 	store   *jobstore.Store      // durable job/result persistence; nil = ephemeral
 	cache   *rescache.Cache      // content-addressed result cache; nil = disabled
 	limiter *rateLimiter         // per-client submission rate limit; nil = off
@@ -253,7 +250,11 @@ type server struct {
 	// compactEvery schedules jobstore WAL compaction (0 disables).
 	sseKeepalive time.Duration
 	compactEvery time.Duration
-	compacting   atomic.Bool // one compaction at a time
+
+	// stop ends the maintenance goroutines started by every; maint
+	// counts them so close can wait.
+	stop  chan struct{}
+	maint sync.WaitGroup
 
 	pending atomic.Int64 // jobs whose run goroutine has not finished
 
@@ -280,59 +281,68 @@ func newServer(ctx context.Context, maxActive, workers, maxRuns int) *server {
 		maxJobs:      256,
 		maxPending:   128,
 		disp:         dispatch.NewDispatcher(maxActive, dispatchRingCap),
-		wheel:        timewheel.New(timewheel.DefaultTick),
 		sseKeepalive: defaultSSEKeepalive,
+		stop:         make(chan struct{}),
 		jobs:         make(map[string]*job),
 	}
 }
 
-// startMaintenance schedules every periodic duty on the timing wheel:
+// startMaintenance starts every periodic duty on its own ticker:
 // rate-bucket refills (which also evict idle buckets), result-cache
 // TTL sweeps, jobstore WAL compaction, and the telemetry snapshot
 // refresh. Call once, after the optional store/cache/limiter fields
-// are set. Wheel callbacks run on the wheel goroutine and must stay
-// short; compaction fsyncs, so it is handed to its own goroutine with
-// an overlap guard.
+// are set; close stops them.
 func (s *server) startMaintenance() {
 	if s.limiter != nil {
-		s.wheel.Every(s.limiter.refillEvery, func() { s.limiter.refill(time.Now()) })
+		s.every(s.limiter.refillEvery, func() { s.limiter.refill(time.Now()) })
 	}
 	if s.cache != nil {
-		s.wheel.Every(cacheSweepEvery, func() { s.cache.Sweep(time.Now()) })
+		s.every(cacheSweepEvery, func() { s.cache.Sweep(time.Now()) })
 	}
 	if s.store != nil && s.compactEvery > 0 {
-		s.wheel.Every(s.compactEvery, func() {
-			if !s.compacting.CompareAndSwap(false, true) {
-				return
+		s.every(s.compactEvery, func() {
+			if err := s.store.Compact(); err != nil {
+				fmt.Fprintf(os.Stderr, "ddsimd: compact WAL: %v\n", err)
 			}
-			go func() {
-				defer s.compacting.Store(false)
-				if err := s.store.Compact(); err != nil {
-					fmt.Fprintf(os.Stderr, "ddsimd: compact WAL: %v\n", err)
-				}
-			}()
 		})
 	}
-	s.wheel.Every(gaugeRefreshEvery, s.refreshGauges)
+	s.every(gaugeRefreshEvery, s.refreshGauges)
 }
 
-// refreshGauges pushes dispatch-plane and wheel snapshots into the
-// telemetry gauges exposed on /metrics.
+// every runs f every d on a goroutine of its own until close. A run
+// that overruns d delays the next one instead of overlapping it (the
+// ticker drops the ticks it missed).
+func (s *server) every(d time.Duration, f func()) {
+	s.maint.Add(1)
+	go func() {
+		defer s.maint.Done()
+		t := time.NewTicker(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				f()
+			case <-s.stop:
+				return
+			}
+		}
+	}()
+}
+
+// refreshGauges pushes dispatch-plane snapshots into the telemetry
+// gauges exposed on /metrics.
 func (s *server) refreshGauges() {
 	telemetry.DispatchWaiting.Set(s.disp.Waiting())
 	telemetry.DispatchGranted.Set(s.disp.Granted())
-	st := s.wheel.Stats()
-	telemetry.WheelTimers.Set(int64(st.Active))
-	telemetry.WheelFired.Set(int64(st.Fired))
-	telemetry.WheelCancelled.Set(int64(st.Cancelled))
-	telemetry.WheelCascades.Set(int64(st.Cascades))
 }
 
-// close stops the dispatch consumer and the timing wheel. Call after
-// wait() — every job goroutine must have released its slot first.
+// close stops the maintenance duties, waiting for a running one to
+// finish, and then the dispatch consumer. Call after wait() — every
+// job goroutine must have released its slot first.
 func (s *server) close() {
+	close(s.stop)
+	s.maint.Wait()
 	s.disp.Stop()
-	s.wheel.Stop()
 }
 
 // handler returns the service's HTTP routing table.
@@ -980,7 +990,6 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"persistence":      s.store != nil,
 		"dispatch_waiting": s.disp.Waiting(),
 		"dispatch_granted": s.disp.Granted(),
-		"wheel_timers":     s.wheel.Stats().Active,
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
@@ -1026,22 +1035,13 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sub := j.subscribe()
 	defer j.unsubscribe(sub)
 
-	// Keepalive: a wheel timer per connection rings a one-slot doorbell
-	// and this goroutine writes the SSE comment, so the wheel callback
-	// never blocks on a slow consumer and the stream is only ever
-	// written from one goroutine. With N streams open the process still
-	// holds no per-connection time.Timer — all cadences live on the one
-	// wheel.
-	var keepalive chan struct{} // nil (blocks forever) when disabled
-	if s.sseKeepalive > 0 && s.wheel != nil {
-		keepalive = make(chan struct{}, 1)
-		kt := s.wheel.Every(s.sseKeepalive, func() {
-			select {
-			case keepalive <- struct{}{}:
-			default:
-			}
-		})
+	// Keepalive: one ticker per stream, read by this goroutine, so the
+	// stream is only ever written from one goroutine.
+	var keepalive <-chan time.Time // nil (blocks forever) when disabled
+	if s.sseKeepalive > 0 {
+		kt := time.NewTicker(s.sseKeepalive)
 		defer kt.Stop()
+		keepalive = kt.C
 	}
 
 	// Replay the latest snapshot so late subscribers still observe

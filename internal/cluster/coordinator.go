@@ -52,7 +52,7 @@ type Config struct {
 	// when nil).
 	Client *http.Client
 	// Clock supplies the coordinator's notion of now for lease expiry
-	// (time.Now when nil); tests inject a timewheel manual clock.
+	// (time.Now when nil); tests inject a manual clock.
 	Clock func() time.Time
 	// Node is this coordinator's clusterid node (0..1023).
 	Node int

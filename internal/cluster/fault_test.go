@@ -11,7 +11,6 @@ import (
 	"ddsim/internal/clusterid"
 	"ddsim/internal/stochastic"
 	"ddsim/internal/telemetry"
-	"ddsim/internal/timewheel"
 )
 
 // Fault-injection schedules. Every test here ends on the same
@@ -91,7 +90,7 @@ func TestWorkerKilledMidChunk(t *testing.T) {
 }
 
 // TestLeaseExpiryByClockAdvance drives lease expiry purely by
-// advancing a manual timewheel clock: worker 0 accepts a lease, its
+// advancing a manual clock: worker 0 accepts a lease, its
 // heartbeat path partitions, and nothing happens until the clock
 // advances past the TTL — then the lease is reclaimed, re-simulated
 // by worker 1, and the merged result stays bit-identical.
@@ -104,7 +103,7 @@ func TestLeaseExpiryByClockAdvance(t *testing.T) {
 	dropping.Store(true)
 	workers[0].DropHeartbeats = dropping.Load
 
-	wheel := timewheel.NewManual(10*time.Millisecond, 32, 4, time.Unix(1000, 0))
+	clk := newManualClock(time.Unix(1000, 0))
 	partsBefore := telemetry.ClusterPartsCompleted.Value()
 	expiredBefore := telemetry.ClusterLeasesExpired.Value()
 	coord, err := New(Config{
@@ -112,7 +111,7 @@ func TestLeaseExpiryByClockAdvance(t *testing.T) {
 		LeaseTTL:       time.Second, // manual-clock seconds: frozen until Advance
 		HeartbeatEvery: 2 * time.Millisecond,
 		LeaseChunks:    1,
-		Clock:          wheel.Now,
+		Clock:          clk.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +148,7 @@ func TestLeaseExpiryByClockAdvance(t *testing.T) {
 
 	// One clock advance past the TTL is the whole failure: the lease
 	// expires, worker 1 reclaims and re-simulates the lost chunk.
-	wheel.Advance(1500 * time.Millisecond)
+	clk.Advance(1500 * time.Millisecond)
 	select {
 	case res := <-done:
 		assertIdentical(t, "expiry", want, res)
@@ -186,17 +185,17 @@ func TestStaleCompletionFenced(t *testing.T) {
 	dropping.Store(true)
 	workers[0].DropHeartbeats = dropping.Load
 
-	wheel := timewheel.NewManual(10*time.Millisecond, 32, 4, time.Unix(2000, 0))
-	gen, err := clusterid.NewWithClock(7, wheel.Now)
+	clk := newManualClock(time.Unix(2000, 0))
+	gen, err := clusterid.NewWithClock(7, clk.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := newTable(plan.NumChunks, plan.NumChunks, time.Second, wheel.Now, gen)
+	tb := newTable(plan.NumChunks, plan.NumChunks, time.Second, clk.Now, gen)
 	coord, err := New(Config{
 		Workers:        urls,
 		LeaseTTL:       time.Second,
 		HeartbeatEvery: time.Millisecond,
-		Clock:          wheel.Now,
+		Clock:          clk.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +222,7 @@ func TestStaleCompletionFenced(t *testing.T) {
 	}()
 
 	// Partitioned heartbeats + clock advance: the lease expires.
-	wheel.Advance(1500 * time.Millisecond)
+	clk.Advance(1500 * time.Millisecond)
 
 	// Reassignment: the coordinator re-leases the part and the chunks
 	// are re-simulated (here inline — same seeds, same sums).

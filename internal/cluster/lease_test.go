@@ -2,24 +2,44 @@ package cluster
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"ddsim/internal/clusterid"
 	"ddsim/internal/stochastic"
-	"ddsim/internal/timewheel"
 )
 
-// testTable builds a table on a manual timewheel clock so expiry is
-// driven by Advance, never by wall time.
-func testTable(t *testing.T, numChunks, leaseChunks int, ttl time.Duration) (*table, *timewheel.Wheel) {
+// manualClock is a test clock that only moves when Advance is called.
+type manualClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func newManualClock(start time.Time) *manualClock { return &manualClock{now: start} }
+
+func (c *manualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *manualClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// testTable builds a table on a manual clock so expiry is driven by
+// Advance, never by wall time.
+func testTable(t *testing.T, numChunks, leaseChunks int, ttl time.Duration) (*table, *manualClock) {
 	t.Helper()
-	w := timewheel.NewManual(10*time.Millisecond, 32, 4, time.Unix(0, 0))
-	gen, err := clusterid.NewWithClock(1, w.Now)
+	clk := newManualClock(time.Unix(0, 0))
+	gen, err := clusterid.NewWithClock(1, clk.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newTable(numChunks, leaseChunks, ttl, w.Now, gen), w
+	return newTable(numChunks, leaseChunks, ttl, clk.Now, gen), clk
 }
 
 func dummySums(first, count int) []stochastic.ChunkSum {

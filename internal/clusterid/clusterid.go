@@ -12,8 +12,8 @@
 // strictly monotonic, which the cluster lease table relies on for
 // fencing: a newer lease always carries a numerically larger token.
 //
-// The clock is injectable so tests (and the coordinator, which runs on
-// the timewheel's manual clock) stay deterministic. When a node mints
+// The clock is injectable so tests (and a coordinator running on a
+// manual test clock) stay deterministic. When a node mints
 // more than 4096 IDs within one millisecond the generator borrows from
 // the future — it advances its internal timestamp by one millisecond
 // instead of sleeping — preserving monotonicity without blocking.
@@ -76,8 +76,8 @@ type Generator struct {
 func New(node int) (*Generator, error) { return NewWithClock(node, time.Now) }
 
 // NewWithClock returns a generator with an injectable clock; the
-// coordinator passes its timewheel's Now so IDs stay deterministic
-// under the manual test clock.
+// coordinator passes its own clock so IDs stay deterministic under a
+// manual test clock.
 func NewWithClock(node int, now func() time.Time) (*Generator, error) {
 	if node < 0 || node > MaxNode {
 		return nil, fmt.Errorf("clusterid: node %d outside [0,%d]", node, MaxNode)

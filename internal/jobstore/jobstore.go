@@ -248,8 +248,8 @@ func (s *Store) Close() error { return s.wal.Close() }
 // Compact rewrites the WAL down to one entry per live job, dropping
 // the status-transition history (and delete tombstones) accumulated
 // since the last open or Compact. Open does this once at startup; a
-// long-running server calls Compact periodically (ddsimd schedules it
-// on the timing wheel) so weeks of churn cannot grow the WAL without
+// long-running server calls Compact periodically (ddsimd runs it on a
+// ticker, -compact-every) so weeks of churn cannot grow the WAL without
 // bound. Crash-safe: WAL.Compact rewrites atomically under the append
 // lock, so no concurrent transition can fall between replay and
 // rewrite.

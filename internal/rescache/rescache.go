@@ -145,9 +145,9 @@ func (c *Cache) SetNow(now func() time.Time) {
 }
 
 // Sweep removes every entry older than the TTL, returning how many it
-// evicted. The service schedules Sweep periodically on its timing
-// wheel so an idle cache does not pin stale payloads until the next
-// lookup happens to touch them. A no-op without a TTL.
+// evicted. The service runs Sweep periodically on a ticker so an idle
+// cache does not pin stale payloads until the next lookup happens to
+// touch them. A no-op without a TTL.
 func (c *Cache) Sweep(now time.Time) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -155,7 +155,7 @@ var (
 
 	// WALAppends counts fsync'd appends to the job store's write-ahead
 	// log (one per durable status transition); WALCompactions counts
-	// runtime WAL rewrites (wheel-scheduled; one more happens inside
+	// runtime WAL rewrites (ticker-driven; one more happens inside
 	// every Open).
 	WALAppends = NewCounter("ddsim_jobstore_wal_appends_total",
 		"Fsync'd write-ahead-log appends in the job store.")
@@ -182,7 +182,7 @@ var (
 		"Total payload bytes currently held by the result cache.")
 
 	// ResCacheTTLEvictions counts entries dropped by the cache's
-	// age bound (wheel-scheduled sweeps plus lazy expiry on lookup),
+	// age bound (periodic sweeps plus lazy expiry on lookup),
 	// as opposed to the LRU capacity bounds counted above.
 	ResCacheTTLEvictions = NewCounter("ddsim_rescache_ttl_evictions_total",
 		"Result-cache entries evicted because they outlived the TTL.")
@@ -211,35 +211,21 @@ var (
 	// DispatchWaiting / DispatchGranted mirror the lock-free dispatch
 	// plane: tickets queued for a simulation slot (ring + priority
 	// heap) and slots granted since start. Snapshots are refreshed by
-	// a wheel-scheduled task in ddsimd, not at scrape time.
+	// a ddsimd maintenance ticker, not at scrape time.
 	DispatchWaiting = NewGauge("ddsim_dispatch_waiting",
 		"Submissions queued in the dispatch plane for a simulation slot.")
 	DispatchGranted = NewGauge("ddsim_dispatch_granted",
 		"Simulation slots granted by the dispatch plane since start.")
 
-	// Timing-wheel activity: live timers, callbacks fired, timers
-	// cancelled before firing, and inter-level cascades. One wheel
-	// serves every schedule in the process (SSE keepalives, rate
-	// refills, TTL sweeps, compaction), so WheelTimers is the whole
-	// timer population — O(1) in connected clients by design.
-	WheelTimers = NewGauge("ddsim_timewheel_timers",
-		"Timers currently scheduled on the service timing wheel.")
-	WheelFired = NewGauge("ddsim_timewheel_fired",
-		"Timing-wheel callbacks fired since start (snapshot).")
-	WheelCancelled = NewGauge("ddsim_timewheel_cancelled",
-		"Timing-wheel timers cancelled before firing (snapshot).")
-	WheelCascades = NewGauge("ddsim_timewheel_cascades",
-		"Timing-wheel slot promotions between levels (snapshot).")
-
 	// SSEKeepalives counts keepalive comments written to idle SSE
-	// streams by the wheel schedule.
+	// streams by their per-stream ticker.
 	SSEKeepalives = NewCounter("ddsim_sse_keepalives_total",
 		"Keepalive comments written to idle SSE event streams.")
 
 	// RateBucketsEvicted counts per-client token buckets evicted by
-	// the wheel-scheduled idle sweep; RateBuckets is the live count.
+	// the periodic refill pass; RateBuckets is the live count.
 	RateBucketsEvicted = NewCounter("ddsim_rate_buckets_evicted_total",
-		"Idle per-client rate-limit buckets evicted by the wheel sweep.")
+		"Idle per-client rate-limit buckets evicted by the refill sweep.")
 	RateBuckets = NewGauge("ddsim_rate_buckets",
 		"Per-client rate-limit buckets currently tracked.")
 )

@@ -74,6 +74,11 @@ while read -r pkg cur; do
     total_base="$base"
   fi
 done <<< "$current"
+# Baseline packages the tree no longer has are listed, not skipped:
+# a deleted package leaves the total's denominator, which moves it.
+awk 'NR == FNR { cur[$1]; next }
+  !($1 in cur) { printf "  %-40s         baseline %6.1f%%  (removed package)\n", $1, $2 }' \
+  <(echo "$current") "$baseline_file"
 
 if [ -z "$total_cur" ] || [ -z "$total_base" ]; then
   echo "coverage check BROKEN: no total computed" >&2

@@ -15,6 +15,10 @@
 # 5. Every internal/<pkg> path named in README.md or docs/*.md must be
 #    an existing directory, so a doc cannot keep describing a deleted
 #    package.
+# 6. Every ddsim_* metric named in a docs/OPERATIONS.md table row must
+#    be registered in non-test Go under internal/ or cmd/ (the reverse
+#    of check 3), so the catalogue cannot keep describing a deleted
+#    metric.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,6 +94,18 @@ pkgs="$(grep -hoE 'internal/[a-z0-9_]+' README.md docs/*.md | sort -u || true)"
 for p in $pkgs; do
   if [ ! -d "$p" ]; then
     echo "STALE PACKAGE: $p is documented but is not a directory" >&2
+    fail=1
+  fi
+done
+
+# --- 6. documented metrics are registered ------------------------------------
+# Histogram series suffixes are stripped ({label} parts never match the
+# name pattern), leaving the registered name.
+documented="$(grep -E '^\|' docs/OPERATIONS.md | grep -oE 'ddsim_[a-z0-9_]+' \
+  | sed -E 's/_(bucket|sum|count|p50|p95|p99)$//' | sort -u || true)"
+for m in $documented; do
+  if ! grep -qx "$m" <<< "$metrics"; then
+    echo "STALE METRIC: $m is in a docs/OPERATIONS.md table but no non-test Go under internal/ or cmd/ registers it" >&2
     fail=1
   fi
 done
