@@ -10,9 +10,9 @@
 // simulation *against* this deterministic alternative: tracking ρ
 // exactly squares the representation (2^n × 2^n), but produces exact
 // probabilities with a single pass instead of M samples. Keeping both
-// engines in one repository makes the trade-off measurable — see the
-// BenchmarkAblationStochasticVsDeterministic benchmark and the
-// deterministic-vs-stochastic section of EXPERIMENTS.md.
+// engines in one repository makes the trade-off measurable — see
+// BenchmarkAblationDeterministicDensityDD in bench_test.go and the
+// "Exact-mode read-outs" section of docs/PERFORMANCE.md.
 package ddensity
 
 import (
@@ -58,8 +58,11 @@ const WeightTolerance = 1e-14
 
 // New returns a simulator initialised to ρ = |0…0⟩⟨0…0| (an n-node
 // projector chain — linear, like the zero state's vector DD).
-func New(n int) *Simulator {
-	p := dd.NewPackageTol(n, WeightTolerance)
+func New(n int) *Simulator { return newTol(n, WeightTolerance) }
+
+// newTol is New interning edge weights at tol.
+func newTol(n int, tol float64) *Simulator {
+	p := dd.NewPackageTol(n, tol)
 	p0 := dd.Mat2{{1, 0}, {0, 0}}
 	factors := make([]*dd.Mat2, n)
 	for i := range factors {
@@ -358,26 +361,31 @@ func (s *Simulator) Trace() float64 {
 	return real(walk(s.rho))
 }
 
-// Purity returns tr(ρ²).
+// Purity returns tr(ρ²) = Σ_ij ρ_ij ρ_ji without forming ρ²: a walk over
+// node pairs, tr(A·B) = Σ_rc tr(A_rc·B_cr) per quadrant, memoised per
+// pair. It creates no node, no interned weight and no compute-cache entry.
 func (s *Simulator) Purity() float64 {
-	sq := s.pkg.MulMM(s.rho, s.rho)
-	cache := make(map[*dd.MNode]complex128)
-	var walk func(e dd.MEdge) complex128
-	walk = func(e dd.MEdge) complex128 {
-		if e.IsZero() {
+	type pair struct{ a, b *dd.MNode }
+	cache := make(map[pair]complex128)
+	var walk func(a, b dd.MEdge) complex128
+	walk = func(a, b dd.MEdge) complex128 {
+		if a.IsZero() || b.IsZero() {
 			return 0
 		}
-		if e.IsTerminal() {
-			return e.W.Complex()
+		w := a.W.Complex() * b.W.Complex()
+		if a.IsTerminal() {
+			return w // diagrams never skip levels: b is terminal too
 		}
-		if r, ok := cache[e.N]; ok {
-			return e.W.Complex() * r
+		k := pair{a.N, b.N}
+		r, ok := cache[k]
+		if !ok {
+			x, y := a.N.E, b.N.E
+			r = walk(x[0], y[0]) + walk(x[1], y[2]) + walk(x[2], y[1]) + walk(x[3], y[3])
+			cache[k] = r
 		}
-		r := walk(e.N.E[0]) + walk(e.N.E[3])
-		cache[e.N] = r
-		return e.W.Complex() * r
+		return w * r
 	}
-	return real(walk(sq))
+	return real(walk(s.rho, s.rho))
 }
 
 // Probabilities returns the full diagonal for small registers.
@@ -398,6 +406,11 @@ func (s *Simulator) Probabilities() []float64 {
 // not representable in a deterministic mixed-state pass and are
 // rejected.
 func RunCircuit(c *circuit.Circuit, model noise.Model) (*Simulator, error) {
+	return runCircuit(c, model, WeightTolerance)
+}
+
+// runCircuit is RunCircuit on a package interning edge weights at tol.
+func runCircuit(c *circuit.Circuit, model noise.Model, tol float64) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -410,7 +423,7 @@ func RunCircuit(c *circuit.Circuit, model noise.Model) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := New(c.NumQubits)
+	s := newTol(c.NumQubits, tol)
 	for i := range c.Ops {
 		op := &c.Ops[i]
 		switch op.Kind {

@@ -3,12 +3,14 @@ package exact
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ddsim/internal/circuit"
+	"ddsim/internal/ddensity"
 	"ddsim/internal/density"
 	"ddsim/internal/noise"
 	"ddsim/internal/stochastic"
@@ -342,6 +344,48 @@ func TestResetReleasesEntanglement(t *testing.T) {
 				t.Errorf("%s: P(%d) = %v, want %v", be, i, res.Probabilities[i], w)
 			}
 		}
+	}
+}
+
+// TestQFT10PurityReadout: at ten qubits of noisy QFT, squaring ρ to
+// read its purity interned gigabytes of weights. The read-out must
+// cost no more than a walk, and both backends must still agree.
+func TestQFT10PurityReadout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("QFT-10 exact evolution takes seconds")
+	}
+	c, model := circuit.QFT(10), noise.PaperDefaults()
+	var results [2]*stochastic.Result
+	for i, be := range bothBackends {
+		opts := exactOpts(be)
+		opts.TrackStates = []uint64{0}
+		res, err := Run(c, model, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", be, err)
+		}
+		results[i] = res
+	}
+	got, want := results[0], results[1]
+	if d := math.Abs(got.Purity - want.Purity); d > 1e-9 {
+		t.Errorf("purity: ddensity %v, dense %v", got.Purity, want.Purity)
+	}
+	if d := math.Abs(got.TrackedProbs[0] - want.TrackedProbs[0]); d > 1e-9 {
+		t.Errorf("P(0): ddensity %v, dense %v", got.TrackedProbs[0], want.TrackedProbs[0])
+	}
+
+	s, err := ddensity.RunCircuit(c, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pu := s.Purity()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Errorf("Purity allocated %d MiB, want < 64", alloc>>20)
+	}
+	if d := math.Abs(pu - got.Purity); d > 1e-12 {
+		t.Errorf("Purity on the evolved state = %v, exact.Run reported %v", pu, got.Purity)
 	}
 }
 

@@ -312,8 +312,7 @@ func (t *Table) Format() string {
 // SpeedupVsFirst returns, for each row, the ratio of column j's
 // runtime to column 0's runtime (how much slower backend j is than
 // the first/reference backend). Cells that did not complete yield
-// +Inf. Used by EXPERIMENTS.md generation and by tests asserting the
-// paper's win/loss pattern.
+// +Inf. Used by tests asserting the paper's win/loss pattern.
 func (t *Table) SpeedupVsFirst(j int) []float64 {
 	out := make([]float64, len(t.Rows))
 	for i, r := range t.Rows {
