@@ -36,6 +36,9 @@ func TestMarkSweepRecycles(t *testing.T) {
 	if reborn != drop {
 		t.Errorf("free-list slot not reused: got %p, want %p", reborn, drop)
 	}
+	if tb.ByID(dropID) != reborn || tb.ByID(keep.ID()) != keep {
+		t.Error("ByID does not resolve a recycled or surviving ID to its value")
+	}
 	if keep.Re() != 0.25 || keep.Im() != 0.5 {
 		t.Errorf("marked value corrupted by sweep: %v", keep.Complex())
 	}
@@ -127,6 +130,9 @@ func TestGrowRehashes(t *testing.T) {
 	for _, p := range vals {
 		if got := tb.Lookup(p.re, p.im); got != p.v {
 			t.Fatalf("value (%v,%v) lost its identity after grow", p.re, p.im)
+		}
+		if tb.ByID(p.v.ID()) != p.v { // 20000 values span ten slabs
+			t.Fatalf("ByID(%d) does not resolve to value (%v,%v)", p.v.ID(), p.re, p.im)
 		}
 	}
 }

@@ -165,6 +165,16 @@ func (t *Table) newValue(re, im float64) *Value {
 	return &(*s)[len(*s)-1]
 }
 
+// ByID returns the value with the given ID, which must have been
+// issued by this table and not swept since. IDs are dense slab
+// positions: ID k lives at slab (k−1)/valueSlabSize, index
+// (k−1)%valueSlabSize. Compute caches store weight IDs instead of
+// pointers and resolve them here.
+func (t *Table) ByID(id uint32) *Value {
+	k := id - 1
+	return &t.slabs[k/valueSlabSize][k%valueSlabSize]
+}
+
 // Pin marks v as a root weight: a weight held outside the diagram
 // structure (the DD package pins the weight of every Ref'd root edge).
 // Pinned values survive Sweep even when no live node stores them —

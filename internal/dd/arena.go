@@ -1,8 +1,8 @@
 package dd
 
 // The kernel memory plane: slab arenas and free lists for decision-
-// diagram nodes, and a process-wide pool for the per-Package compute
-// caches.
+// diagram nodes, and process-wide pools (one per geometry) for the
+// per-Package compute caches.
 //
 // makeVNode/makeMNode sit on the innermost simulation loop; allocating
 // every transient node individually hands millions of short-lived,
@@ -14,12 +14,15 @@ package dd
 // where no compute-cache entry or unique-table slot can still mention
 // them. A recycled slot keeps the id it was assigned at first
 // materialisation, so live node IDs stay dense and stable for the
-// unique-table hashing.
+// unique-table hashing, and an ID addresses its slot directly
+// (vnodeAt, mnodeAt) — which is what lets the compute caches store IDs
+// instead of pointers.
 //
-// The compute caches (~9 fixed-size direct-mapped tables, several MB
-// per Package) dominate the allocation profile of short jobs, where a
-// fresh Package is compiled per worker per job. Release returns them —
-// and the node slabs — to process-wide pools for the next Package.
+// The compute caches (nine direct-mapped tables, 3.1 or 6.1 MiB per
+// Package depending on the register size, see newCacheSet) dominate
+// the allocation profile of short jobs, where a fresh Package is
+// compiled per worker per job. Release returns them — and the node
+// slabs — to process-wide pools for the next Package.
 
 import (
 	"sync"
@@ -47,36 +50,102 @@ var mSlabPool = sync.Pool{
 
 // cacheSet bundles the direct-mapped compute caches so they can be
 // pooled as one unit across Package lifetimes. Sets are cleared before
-// they are pooled, so a Get returns ready-to-use memory and the pool
-// retains no node or weight pointers.
+// they are pooled, so a Get returns ready-to-use memory. Every cache
+// length is a power of two; lookups index with hash & (len−1).
 type cacheSet struct {
-	mv    []mvEntry
-	add   []addEntry
-	madd  []maddEntry
-	mm    []mmEntry
-	kron  []kronEntry
+	mv    []pairEntry
+	add   []tripleEntry
+	madd  []tripleEntry
+	mm    []pairEntry
+	kron  []tripleEntry
 	dot   []dotEntry
 	ct    []ctEntry
 	norm2 []norm2Entry
 	prob  []probEntry
 }
 
-func newCacheSet() *cacheSet {
-	return &cacheSet{
-		mv:    make([]mvEntry, 1<<mvCacheBits),
-		add:   make([]addEntry, 1<<addCacheBits),
-		madd:  make([]maddEntry, 1<<mmCacheBits),
-		mm:    make([]mmEntry, 1<<mmCacheBits),
-		kron:  make([]kronEntry, 1<<kronCacheBits),
-		dot:   make([]dotEntry, 1<<dotCacheBits),
-		ct:    make([]ctEntry, 1<<ctCacheBits),
-		norm2: make([]norm2Entry, 1<<norm2CacheBits),
-		prob:  make([]probEntry, 1<<probCacheBits),
+// Mat-vec cache geometries: 2^smallMVCacheBits entries below
+// largeMVCacheQubits qubits, 2^largeMVCacheBits from there on.
+const (
+	smallMVCacheBits   = 16
+	largeMVCacheBits   = 18
+	largeMVCacheQubits = 24
+)
+
+// mvCacheBits sizes the mat-vec cache from the register. The mat-vec
+// cache holds the gate × sub-state products that trajectories share:
+// at 2^16 entries a 24-qubit QFT trajectory evicts a live entry on 412
+// of its 1054 lookups, at 2^18 on 200 of 760, and beyond 2^18 time
+// stays flat while memory grows. Smaller registers keep 2^16 entries
+// because the 10-qubit service workload with 2^18 entries peaked
+// 8 MiB higher in resident memory for no measured gain
+// (docs/PERFORMANCE.md "Compute-cache geometry").
+func mvCacheBits(n int) int {
+	if n >= largeMVCacheQubits {
+		return largeMVCacheBits
+	}
+	return smallMVCacheBits
+}
+
+// newCacheSet allocates a cache set whose mat-vec cache has 2^mvBits
+// entries. The other caches have one geometry: add 2^16 (the partner
+// of every mat-vec miss), the matrix-side caches (madd, mm, kron, ct)
+// sized for gate construction and the exact engine, and the scalar
+// read-out caches (dot, norm2, prob).
+func newCacheSet(mvBits int) cacheSet {
+	return cacheSet{
+		mv:    make([]pairEntry, 1<<mvBits),
+		add:   make([]tripleEntry, 1<<16),
+		madd:  make([]tripleEntry, 1<<12),
+		mm:    make([]pairEntry, 1<<12),
+		kron:  make([]tripleEntry, 1<<10),
+		dot:   make([]dotEntry, 1<<12),
+		ct:    make([]ctEntry, 1<<10),
+		norm2: make([]norm2Entry, 1<<15),
+		prob:  make([]probEntry, 1<<13),
 	}
 }
 
-var cacheSetPool = sync.Pool{
-	New: func() interface{} { return newCacheSet() },
+// smallCacheSets and largeCacheSets pool the two geometries apart, so
+// a 10-qubit job never draws (or clears) a 24-qubit job's cache.
+var smallCacheSets, largeCacheSets sync.Pool
+
+// cacheSetPool returns the pool for a mat-vec cache of mvLen entries.
+func cacheSetPool(mvLen int) *sync.Pool {
+	if mvLen == 1<<largeMVCacheBits {
+		return &largeCacheSets
+	}
+	return &smallCacheSets
+}
+
+// getCacheSet returns a cleared cache set with a 2^mvBits-entry
+// mat-vec cache, pooled when one is available.
+func getCacheSet(mvBits int) cacheSet {
+	if cs, ok := cacheSetPool(1 << mvBits).Get().(*cacheSet); ok {
+		return *cs
+	}
+	return newCacheSet(mvBits)
+}
+
+// vnodeAt resolves a vector node ID to its arena slot; ID 0 is the
+// terminal. allocVNode opens a slab only once the previous one is
+// full, so ID k lives at slab (k−1)/nodeSlabSize, index
+// (k−1)%nodeSlabSize.
+func (p *Package) vnodeAt(id uint32) *VNode {
+	if id == 0 {
+		return nil
+	}
+	k := id - 1
+	return &p.vSlabs[k/nodeSlabSize][k%nodeSlabSize]
+}
+
+// mnodeAt is the matrix analogue of vnodeAt.
+func (p *Package) mnodeAt(id uint32) *MNode {
+	if id == 0 {
+		return nil
+	}
+	k := id - 1
+	return &p.mSlabs[k/nodeSlabSize][k%nodeSlabSize]
 }
 
 // vTablePool/mTablePool recycle minimum-geometry swiss unique tables
@@ -183,10 +252,9 @@ func (p *Package) Release() {
 	}
 	p.released = true
 	p.clearCaches()
-	cacheSetPool.Put(p.cs)
-	p.cs = nil
-	p.mvCache, p.addCache, p.maddCache, p.mmCache = nil, nil, nil, nil
-	p.kronCache, p.dotCache, p.ctCache, p.norm2Cache, p.probCache = nil, nil, nil, nil, nil
+	cs := p.caches
+	cacheSetPool(len(cs.mv)).Put(&cs)
+	p.caches = cacheSet{}
 	for i := range p.vSlabs {
 		s := p.vSlabs[i][:cap(p.vSlabs[i])]
 		clear(s) // pooled slabs must not retain nodes or weights

@@ -22,10 +22,11 @@
 //   - unique tables are custom hash tables over small integer
 //     node/weight IDs — open-addressing swiss tables with control-byte
 //     group probing (internal/swiss) — and compute tables are
-//     fixed-size direct-mapped caches (lossy, overwrite on collision)
-//     — the same engineering that makes the C++ package fast, because
-//     generic hash maps on the innermost loop dominate the profile
-//     otherwise.
+//     direct-mapped caches (lossy, overwrite on collision) whose
+//     entries hold node and weight IDs, not pointers, and whose
+//     mat-vec cache is sized from the register — the same engineering
+//     that makes the C++ package fast, because generic hash maps on the
+//     innermost loop dominate the profile otherwise.
 //
 // A Package is deliberately NOT safe for concurrent use. The
 // stochastic simulator (internal/stochastic) exploits concurrency
@@ -137,67 +138,61 @@ func mixHash(words ...uint64) uint64 {
 	return h
 }
 
-// Direct-mapped compute-cache geometry. Lossy by design: a collision
-// overwrites the previous entry, bounding memory and avoiding any
-// per-operation allocation, exactly as in the reference C++ package.
-const (
-	mvCacheBits    = 16
-	addCacheBits   = 16
-	mmCacheBits    = 12
-	kronCacheBits  = 10
-	dotCacheBits   = 12
-	ctCacheBits    = 10
-	norm2CacheBits = 15
-	probCacheBits  = 13
-)
+// Compute-cache entries. Every cache is direct-mapped and lossy by
+// design: a collision overwrites the previous entry, bounding memory and
+// avoiding any per-operation allocation, exactly as in the reference
+// C++ package (geometry in newCacheSet). Entries hold node and weight
+// IDs instead of pointers — half the bytes per entry, and no cache
+// memory for the Go collector to scan — and results are resolved back
+// through the arenas (vnodeAt, mnodeAt, cnum.Table.ByID). IDs start at
+// 1, so a zero key marks an empty slot. An ID stays bound to its node
+// or weight until the next GarbageCollect, the only point where slots
+// are recycled, and that clears every cache.
 
-type mvEntry struct {
-	m *MNode
-	v *VNode
-	r VEdge
+// edgeRef is a cached result edge: node ID (0 = terminal) and weight ID.
+type edgeRef struct{ n, w uint32 }
+
+func vRef(e VEdge) edgeRef { return edgeRef{vid(e.N), e.W.ID()} }
+func mRef(e MEdge) edgeRef { return edgeRef{mid(e.N), e.W.ID()} }
+
+func (p *Package) vEdgeOf(r edgeRef) VEdge { return VEdge{N: p.vnodeAt(r.n), W: p.W.ByID(r.w)} }
+func (p *Package) mEdgeOf(r edgeRef) MEdge { return MEdge{N: p.mnodeAt(r.n), W: p.W.ByID(r.w)} }
+
+// pairEntry memoises an operation on two nodes (MulMV, MulMM); key is
+// a.id<<32 | b.id.
+type pairEntry struct {
+	key uint64
+	r   edgeRef
 }
 
-type addEntry struct {
-	a, b *VNode
-	bw   *cnum.Value
-	r    VEdge
-}
+// pairKey packs two non-zero node IDs into a pairEntry key.
+func pairKey(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
 
-type maddEntry struct {
-	a, b *MNode
-	bw   *cnum.Value
-	r    MEdge
-}
-
-type mmEntry struct {
-	a, b *MNode
-	r    MEdge
-}
-
-type kronEntry struct {
-	a, b *MNode
-	bw   *cnum.Value
-	r    MEdge
+// tripleEntry memoises an operation on two nodes and a relative weight
+// (Add, AddM, Kron); a == 0 marks an empty slot (b is 0 for a terminal
+// Kron operand).
+type tripleEntry struct {
+	a, b, bw uint32
+	r        edgeRef
 }
 
 type dotEntry struct {
-	a, b *VNode
-	r    complex128
-	ok   bool
+	key uint64 // pairKey
+	r   complex128
 }
 
 type ctEntry struct {
-	m *MNode
-	r MEdge
+	m uint32
+	r edgeRef
 }
 
 type norm2Entry struct {
-	n *VNode
+	n uint32
 	v float64
 }
 
 type probEntry struct {
-	n     *VNode
+	n     uint32
 	level int32
 	v     float64
 }
@@ -230,18 +225,9 @@ type Package struct {
 	nodesCreated int
 	released     bool
 
-	// cs owns the compute-cache storage below; the slice fields alias
-	// it so the hot paths keep their direct indexing.
-	cs         *cacheSet
-	mvCache    []mvEntry
-	addCache   []addEntry
-	maddCache  []maddEntry
-	mmCache    []mmEntry
-	kronCache  []kronEntry
-	dotCache   []dotEntry
-	ctCache    []ctEntry
-	norm2Cache []norm2Entry
-	probCache  []probEntry
+	// caches is the compute-cache storage, drawn from and returned to
+	// the process-wide pool of its geometry (see arena.go).
+	caches cacheSet
 
 	// factorScratch is the reusable per-qubit factor list of
 	// ProductOperator callers (gate builders, collapse, Kraus
@@ -297,9 +283,10 @@ type Stats struct {
 	// ComputeConflicts counts the compute-cache misses that evicted a
 	// resident entry (the slot held a different key) rather than
 	// filling an empty slot — the conflict-miss rate of the
-	// direct-mapped caches, which is the number that would justify
-	// set-associative caches. Counted on the miss path only, so the
-	// hot hit path is untouched.
+	// direct-mapped caches. Evictions fall with capacity: a larger
+	// mat-vec cache is what recovered them, where 2-way sets of the
+	// same size did not (docs/PERFORMANCE.md). Counted on the miss
+	// path only, so the hot hit path is untouched.
 	ComputeConflicts uint64
 	// UniqueProbe is the unique-table probe-length histogram:
 	// UniqueProbe[i] counts probes that examined i+1 control-word
@@ -361,8 +348,8 @@ func NewPackageTol(n int, tol float64) *Package {
 		wGCThreshold: 400000,
 		vt:           *vTablePool.Get().(*vTable),
 		mt:           *mTablePool.Get().(*mTable),
+		caches:       getCacheSet(mvCacheBits(n)),
 	}
-	p.allocCaches()
 	return p
 }
 
@@ -381,33 +368,17 @@ func (p *Package) qubitToLevel(q int) int {
 // levelToQubit converts a diagram level to a qubit index.
 func (p *Package) levelToQubit(level int) int { return p.nQubits - level }
 
-func (p *Package) allocCaches() {
-	// The nine caches total several MB and dominate the allocation
-	// profile of short jobs (one fresh Package per worker per job), so
-	// packages draw a pre-cleared set from the process-wide pool
-	// instead of allocating; Release returns it.
-	p.cs = cacheSetPool.Get().(*cacheSet)
-	p.mvCache = p.cs.mv
-	p.addCache = p.cs.add
-	p.maddCache = p.cs.madd
-	p.mmCache = p.cs.mm
-	p.kronCache = p.cs.kron
-	p.dotCache = p.cs.dot
-	p.ctCache = p.cs.ct
-	p.norm2Cache = p.cs.norm2
-	p.probCache = p.cs.prob
-}
-
 func (p *Package) clearCaches() {
-	clear(p.mvCache)
-	clear(p.addCache)
-	clear(p.maddCache)
-	clear(p.mmCache)
-	clear(p.kronCache)
-	clear(p.dotCache)
-	clear(p.ctCache)
-	clear(p.norm2Cache)
-	clear(p.probCache)
+	c := &p.caches
+	clear(c.mv)
+	clear(c.add)
+	clear(c.madd)
+	clear(c.mm)
+	clear(c.kron)
+	clear(c.dot)
+	clear(c.ct)
+	clear(c.norm2)
+	clear(c.prob)
 }
 
 // ZeroEdge returns the canonical zero stub for vectors.

@@ -18,18 +18,18 @@ func (p *Package) nodeNorm2(n *VNode) float64 {
 		return 1
 	}
 	p.cLookups++
-	idx := mixHash(uint64(n.id), 41) & (1<<norm2CacheBits - 1)
-	ent := &p.norm2Cache[idx]
-	if ent.n == n {
+	c := p.caches.norm2
+	ent := &c[mixHash(uint64(n.id), 41)&uint64(len(c)-1)]
+	if ent.n == n.id {
 		p.cHits++
 		return ent.v
 	}
-	if ent.n != nil {
+	if ent.n != 0 {
 		p.cConflicts++
 	}
 	r := n.E[0].W.Mag2()*p.nodeNorm2(n.E[0].N) +
 		n.E[1].W.Mag2()*p.nodeNorm2(n.E[1].N)
-	*ent = norm2Entry{n: n, v: r}
+	*ent = norm2Entry{n: n.id, v: r}
 	return r
 }
 
@@ -68,18 +68,18 @@ func (p *Package) probOneNode(n *VNode, level int) float64 {
 		panic("dd: probOneNode descended past target level")
 	}
 	p.cLookups++
-	idx := mixHash(uint64(n.id), uint64(level), 43) & (1<<probCacheBits - 1)
-	ent := &p.probCache[idx]
-	if ent.n == n && int(ent.level) == level {
+	c := p.caches.prob
+	ent := &c[mixHash(uint64(n.id), uint64(level), 43)&uint64(len(c)-1)]
+	if ent.n == n.id && int(ent.level) == level {
 		p.cHits++
 		return ent.v
 	}
-	if ent.n != nil {
+	if ent.n != 0 {
 		p.cConflicts++
 	}
 	r := n.E[0].W.Mag2()*p.probOneNode(n.E[0].N, level) +
 		n.E[1].W.Mag2()*p.probOneNode(n.E[1].N, level)
-	*ent = probEntry{n: n, level: int32(level), v: r}
+	*ent = probEntry{n: n.id, level: int32(level), v: r}
 	return r
 }
 

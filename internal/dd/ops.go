@@ -47,20 +47,20 @@ func (p *Package) Add(a, b VEdge) VEdge {
 
 	bw := p.W.Div(b.W, a.W)
 	p.cLookups++
-	idx := mixHash(uint64(a.N.id), uint64(b.N.id), uint64(bw.ID())) & (1<<addCacheBits - 1)
-	ent := &p.addCache[idx]
-	if ent.a == a.N && ent.b == b.N && ent.bw == bw {
+	c := p.caches.add
+	ent := &c[mixHash(uint64(a.N.id), uint64(b.N.id), uint64(bw.ID()))&uint64(len(c)-1)]
+	if ent.a == a.N.id && ent.b == b.N.id && ent.bw == bw.ID() {
 		p.cHits++
-		return p.scaleV(ent.r, a.W)
+		return p.scaleV(p.vEdgeOf(ent.r), a.W)
 	}
-	if ent.a != nil {
+	if ent.a != 0 {
 		p.cConflicts++
 	}
 
 	e0 := p.Add(a.N.E[0], p.scaleV(b.N.E[0], bw))
 	e1 := p.Add(a.N.E[1], p.scaleV(b.N.E[1], bw))
 	r := p.makeVNode(a.N.Level, e0, e1)
-	*ent = addEntry{a: a.N, b: b.N, bw: bw, r: r}
+	*ent = tripleEntry{a: a.N.id, b: b.N.id, bw: bw.ID(), r: vRef(r)}
 	return p.scaleV(r, a.W)
 }
 
@@ -99,13 +99,13 @@ func (p *Package) AddM(a, b MEdge) MEdge {
 
 	bw := p.W.Div(b.W, a.W)
 	p.cLookups++
-	idx := mixHash(uint64(a.N.id), uint64(b.N.id), uint64(bw.ID())) & (1<<mmCacheBits - 1)
-	ent := &p.maddCache[idx]
-	if ent.a == a.N && ent.b == b.N && ent.bw == bw {
+	c := p.caches.madd
+	ent := &c[mixHash(uint64(a.N.id), uint64(b.N.id), uint64(bw.ID()))&uint64(len(c)-1)]
+	if ent.a == a.N.id && ent.b == b.N.id && ent.bw == bw.ID() {
 		p.cHits++
-		return p.scaleM(ent.r, a.W)
+		return p.scaleM(p.mEdgeOf(ent.r), a.W)
 	}
-	if ent.a != nil {
+	if ent.a != 0 {
 		p.cConflicts++
 	}
 
@@ -114,7 +114,7 @@ func (p *Package) AddM(a, b MEdge) MEdge {
 		kids[i] = p.AddM(a.N.E[i], p.scaleM(b.N.E[i], bw))
 	}
 	r := p.makeMNode(a.N.Level, kids)
-	*ent = maddEntry{a: a.N, b: b.N, bw: bw, r: r}
+	*ent = tripleEntry{a: a.N.id, b: b.N.id, bw: bw.ID(), r: mRef(r)}
 	return p.scaleM(r, a.W)
 }
 
@@ -143,13 +143,14 @@ func (p *Package) MulMV(m MEdge, v VEdge) VEdge {
 	}
 
 	p.cLookups++
-	idx := mixHash(uint64(m.N.id), uint64(v.N.id)) & (1<<mvCacheBits - 1)
-	ent := &p.mvCache[idx]
-	if ent.m == m.N && ent.v == v.N {
+	key := pairKey(m.N.id, v.N.id)
+	c := p.caches.mv
+	ent := &c[mixHash(uint64(m.N.id), uint64(v.N.id))&uint64(len(c)-1)]
+	if ent.key == key {
 		p.cHits++
-		return p.scaleV(ent.r, w)
+		return p.scaleV(p.vEdgeOf(ent.r), w)
 	}
-	if ent.m != nil {
+	if ent.key != 0 {
 		p.cConflicts++
 	}
 
@@ -160,7 +161,7 @@ func (p *Package) MulMV(m MEdge, v VEdge) VEdge {
 		kids[row] = p.Add(p0, p1)
 	}
 	r := p.makeVNode(m.N.Level, kids[0], kids[1])
-	*ent = mvEntry{m: m.N, v: v.N, r: r}
+	*ent = pairEntry{key: key, r: vRef(r)}
 	return p.scaleV(r, w)
 }
 
@@ -183,13 +184,14 @@ func (p *Package) MulMM(a, b MEdge) MEdge {
 	}
 
 	p.cLookups++
-	idx := mixHash(uint64(a.N.id), uint64(b.N.id), 7) & (1<<mmCacheBits - 1)
-	ent := &p.mmCache[idx]
-	if ent.a == a.N && ent.b == b.N {
+	key := pairKey(a.N.id, b.N.id)
+	c := p.caches.mm
+	ent := &c[mixHash(uint64(a.N.id), uint64(b.N.id), 7)&uint64(len(c)-1)]
+	if ent.key == key {
 		p.cHits++
-		return p.scaleM(ent.r, w)
+		return p.scaleM(p.mEdgeOf(ent.r), w)
 	}
-	if ent.a != nil {
+	if ent.key != 0 {
 		p.cConflicts++
 	}
 
@@ -202,7 +204,7 @@ func (p *Package) MulMM(a, b MEdge) MEdge {
 		}
 	}
 	r := p.makeMNode(a.N.Level, kids)
-	*ent = mmEntry{a: a.N, b: b.N, r: r}
+	*ent = pairEntry{key: key, r: mRef(r)}
 	return p.scaleM(r, w)
 }
 
@@ -219,18 +221,18 @@ func (p *Package) Kron(a, b MEdge) MEdge {
 	bTop := b.Level()
 
 	p.cLookups++
-	idx := mixHash(uint64(a.N.id), uint64(mid(b.N)), uint64(b.W.ID()), 13) & (1<<kronCacheBits - 1)
-	ent := &p.kronCache[idx]
-	if ent.a == a.N && ent.b == b.N && ent.bw == b.W {
+	c := p.caches.kron
+	ent := &c[mixHash(uint64(a.N.id), uint64(mid(b.N)), uint64(b.W.ID()), 13)&uint64(len(c)-1)]
+	if ent.a == a.N.id && ent.b == mid(b.N) && ent.bw == b.W.ID() {
 		p.cHits++
-		return p.scaleM(ent.r, a.W)
+		return p.scaleM(p.mEdgeOf(ent.r), a.W)
 	}
-	if ent.a != nil {
+	if ent.a != 0 {
 		p.cConflicts++
 	}
 
 	r := p.kronRec(MEdge{N: a.N, W: p.W.One}, b, bTop)
-	*ent = kronEntry{a: a.N, b: b.N, bw: b.W, r: r}
+	*ent = tripleEntry{a: a.N.id, b: mid(b.N), bw: b.W.ID(), r: mRef(r)}
 	return p.scaleM(r, a.W)
 }
 
@@ -263,17 +265,18 @@ func (p *Package) Dot(a, b VEdge) complex128 {
 	}
 
 	p.cLookups++
-	idx := mixHash(uint64(a.N.id), uint64(b.N.id), 29) & (1<<dotCacheBits - 1)
-	ent := &p.dotCache[idx]
-	if ent.ok && ent.a == a.N && ent.b == b.N {
+	key := pairKey(a.N.id, b.N.id)
+	c := p.caches.dot
+	ent := &c[mixHash(uint64(a.N.id), uint64(b.N.id), 29)&uint64(len(c)-1)]
+	if ent.key == key {
 		p.cHits++
 		return w * ent.r
 	}
-	if ent.ok {
+	if ent.key != 0 {
 		p.cConflicts++
 	}
 	r := p.Dot(a.N.E[0], b.N.E[0]) + p.Dot(a.N.E[1], b.N.E[1])
-	*ent = dotEntry{a: a.N, b: b.N, r: r, ok: true}
+	*ent = dotEntry{key: key, r: r}
 	return w * r
 }
 
@@ -292,13 +295,13 @@ func (p *Package) ConjugateTranspose(m MEdge) MEdge {
 	}
 	w := p.W.Conj(m.W)
 	p.cLookups++
-	idx := mixHash(uint64(m.N.id), 31) & (1<<ctCacheBits - 1)
-	ent := &p.ctCache[idx]
-	if ent.m == m.N {
+	c := p.caches.ct
+	ent := &c[mixHash(uint64(m.N.id), 31)&uint64(len(c)-1)]
+	if ent.m == m.N.id {
 		p.cHits++
-		return p.scaleM(ent.r, w)
+		return p.scaleM(p.mEdgeOf(ent.r), w)
 	}
-	if ent.m != nil {
+	if ent.m != 0 {
 		p.cConflicts++
 	}
 	var kids [4]MEdge
@@ -307,6 +310,6 @@ func (p *Package) ConjugateTranspose(m MEdge) MEdge {
 	kids[2] = p.ConjugateTranspose(m.N.E[1])
 	kids[3] = p.ConjugateTranspose(m.N.E[3])
 	r := p.makeMNode(m.N.Level, kids)
-	*ent = ctEntry{m: m.N, r: r}
+	*ent = ctEntry{m: m.N.id, r: mRef(r)}
 	return p.scaleM(r, w)
 }

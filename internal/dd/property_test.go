@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ddsim/internal/cnum"
 	"ddsim/internal/swiss"
 )
 
@@ -150,15 +151,21 @@ func checkNormalized(t *testing.T, p *Package, n *VNode, seen map[*VNode]bool) {
 // checkArenaInvariants walks the package's unique tables and free
 // lists after a collection: live node IDs are unique, every resident
 // node is stored consistently with its hash (control byte and
-// re-findability), and no free-list slot aliases a live node (a
-// recycled slot reappearing in the table would corrupt hash-consing
-// silently).
+// re-findability), no free-list slot aliases a live node (a recycled
+// slot reappearing in the table would corrupt hash-consing silently),
+// and every resident node and every weight a node stores resolves
+// from its ID — the addressing the compute caches rely on.
 func checkArenaInvariants(t *testing.T, p *Package) {
 	t.Helper()
 	liveV := make(map[*VNode]bool)
 	liveM := make(map[*MNode]bool)
 	seenVID := make(map[uint32]*VNode)
 	countV, countM := 0, 0
+	checkW := func(w *cnum.Value) {
+		if got := p.W.ByID(w.ID()); got != w {
+			t.Fatalf("weight id %d resolves to %p, want %p", w.ID(), got, w)
+		}
+	}
 	visitV := func(n *VNode) {
 		countV++
 		liveV[n] = true
@@ -166,11 +173,25 @@ func checkArenaInvariants(t *testing.T, p *Package) {
 			t.Fatalf("two live vector nodes share id %d", n.id)
 		}
 		seenVID[n.id] = n
+		if got := p.vnodeAt(n.id); got != n {
+			t.Fatalf("vector node id %d resolves to %p, want %p", n.id, got, n)
+		}
+		for i := range n.E {
+			checkW(n.E[i].W)
+		}
 	}
 	visitM := func(n *MNode) {
 		countM++
 		liveM[n] = true
+		if got := p.mnodeAt(n.id); got != n {
+			t.Fatalf("matrix node id %d resolves to %p, want %p", n.id, got, n)
+		}
+		for i := range n.E {
+			checkW(n.E[i].W)
+		}
 	}
+	checkW(p.W.Zero)
+	checkW(p.W.One)
 	p.vt.forEach(func(n *VNode) {
 		visitV(n)
 		if n.next != nil {
