@@ -56,8 +56,8 @@ func TestCheckpointingReducesGateApplications(t *testing.T) {
 	if !forked.Checkpointed || plain.Checkpointed {
 		t.Fatalf("Checkpointed flags wrong: off=%v auto=%v", plain.Checkpointed, forked.Checkpointed)
 	}
-	if forks < int64(opts.Runs) {
-		t.Errorf("forks served = %d, want at least one per trajectory (%d)", forks, opts.Runs)
+	if forks != int64(opts.Runs) {
+		t.Errorf("forks served = %d, want one per trajectory (%d)", forks, opts.Runs)
 	}
 	if appliedForked > appliedPlain*7/10 {
 		t.Errorf("checkpointing applied %d gates vs %d plain — less than the required 30%% reduction",

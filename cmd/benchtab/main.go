@@ -287,7 +287,6 @@ func writeJSON(path string, r *qbench.Runner, tables []*qbench.Table, interrupte
 			"checkpoint_gates_skipped":   telemetry.CheckpointGatesSkipped.Value(),
 			"checkpoint_forks":           telemetry.CheckpointForks.Value(),
 			"checkpoints_prefix":         telemetry.CheckpointsTaken.With("prefix").Value(),
-			"checkpoints_segment":        telemetry.CheckpointsTaken.With("segment").Value(),
 			"dd_nodes_created":           telemetry.DDNodesCreated.Value(),
 			"dd_peak_nodes":              telemetry.DDPeakNodes.Value(),
 			"dd_gc_runs":                 telemetry.DDGCRuns.Value(),

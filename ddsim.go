@@ -71,12 +71,12 @@
 // are reused and only root-edge reference counts are bumped — and a
 // trajectory draws the position of its next fired roll instead of
 // rolling each one, forks from the nearest snapshot before its first
-// event, and restores the final one when it has none. For noise-free jobs
-// whose measurements are separated by long deterministic gate runs,
-// multi-level checkpoints keyed by the outcome history skip those
-// runs too. Same-seed results are bit-identical with checkpointing on
-// or off; /metrics and the CLI telemetry digests report prefix gates
-// skipped, checkpoints taken, forks served and memory retained.
+// event, and restores the final one when it has none. The path ends at
+// the first measurement or reset; behind it every trajectory runs op by
+// op, noisy or not. Same-seed results are bit-identical with
+// checkpointing on or off; /metrics and the CLI telemetry digests
+// report prefix gates skipped, checkpoints taken, forks served and
+// memory retained.
 //
 // # Batch simulation
 //
@@ -215,7 +215,9 @@ func ExactBackends() []string {
 // performed differs.
 const (
 	// CheckpointAuto (the default) forks from checkpoints whenever the
-	// backend supports it and the circuit has gates to save.
+	// backend supports it and the shared reference path holds gates to
+	// save; a circuit that starts with a measurement or reset has none
+	// and replays.
 	CheckpointAuto = stochastic.CheckpointAuto
 	// CheckpointOn requires checkpointing; unsupported backends fail.
 	CheckpointOn = stochastic.CheckpointOn

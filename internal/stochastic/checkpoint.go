@@ -24,11 +24,7 @@ package stochastic
 // The path ends where a draw would need the state: at the first
 // measurement or reset, or at the first exact-channel damping (whose
 // branch probability is γ·P(qubit = 1)). Behind it the trajectory
-// rolls, measures and resets op by op (runRange). Behind a noise-free
-// path's end the forking runner additionally caches multi-level
-// checkpoints keyed by the outcome history, so trajectories that took
-// the same measurement branch skip the deterministic runs between
-// random sites too.
+// rolls, measures and resets op by op (runRange), noisy or not.
 //
 // Bit-exactness: forked and replayed trajectories are one function
 // (ckptRunner.run) making the same draws, and a restored state is the
@@ -64,18 +60,11 @@ const (
 // Per-worker bounds on retained states. A worker keeps at most
 // maxRefSnapshots evenly spaced snapshots of the reference path —
 // fewer when their summed sim.StateSizer cost would pass
-// maxSegRetainedBytes — and replays the unitaries in between, so dense
+// maxSnapshotBytes — and replays the unitaries in between, so dense
 // backends pay a handful of amplitude copies, not one per gate.
-// Outcome histories of the segment cache are packed into a uint64, so
-// circuits with more random sites keep only the reference path; the
-// entry cap and the shared byte cap bound the retained states (pinned
-// DD nodes, amplitude copies) no matter how many branches a job
-// explores.
 const (
-	maxRefSnapshots     = 8
-	maxSegHistBits      = 64
-	maxSegEntries       = 64
-	maxSegRetainedBytes = 256 << 20
+	maxRefSnapshots  = 8
+	maxSnapshotBytes = 256 << 20
 )
 
 // roll is one state-independent draw of the reference path: channel ch
@@ -99,9 +88,8 @@ const certainHazard = 64
 
 // refPath is the reference-path analysis of one (circuit, noise-model)
 // job: which unitaries every trajectory shares between its events, the
-// flat list of rolls along them, where the path ends, and where the
-// remaining random sites sit. Read-only once built, so a job's workers
-// share it.
+// flat list of rolls along them, and where the path ends. Read-only
+// once built, so a job's workers share it.
 type refPath struct {
 	// plan is the job's compiled noise, the channels the rolls came from
 	// and the trajectory's tail samples. Nil when the job is noise-free.
@@ -125,20 +113,13 @@ type refPath struct {
 	// op endOp is state-dependent, or endCh is 0 and endOp is the first
 	// measurement or reset (len(Ops) when the path covers the circuit).
 	endOp, endCh int
-	// sites lists the op indices of the random sites (measurements and
-	// resets) from endOp on. Populated only for noise-free jobs: with
-	// per-gate noise every gate is a random site and no deterministic
-	// segments exist between them.
-	sites []int
-	// tailGates counts gate ops after the first random site — the
-	// material multi-level segment caching can save.
-	tailGates int
 }
 
 // worthwhile reports whether forking can save any gate applications
-// (the CheckpointAuto enable condition).
+// (the CheckpointAuto enable condition): only the path's unitaries are
+// shared, so a path without any has nothing to fork.
 func (p *refPath) worthwhile() bool {
-	return len(p.gates) > 0 || (len(p.sites) > 0 && p.tailGates > 0)
+	return len(p.gates) > 0
 }
 
 // planRefPath walks a job's ops until a draw would depend on the
@@ -159,7 +140,7 @@ func planRefPath(c *circuit.Circuit, plan *noise.Plan) *refPath {
 walk:
 	for i := range c.Ops {
 		op := &c.Ops[i]
-		if op.Cond != nil && !condHolds(op.Cond, 0) {
+		if op.Cond != nil && !op.Cond.Holds(0) {
 			continue // deterministically skipped on the path
 		}
 		switch op.Kind {
@@ -183,16 +164,6 @@ walk:
 			}
 		case circuit.KindMeasure, circuit.KindReset:
 			p.endOp = i
-			if plan == nil {
-				for j := i; j < len(c.Ops); j++ {
-					switch c.Ops[j].Kind {
-					case circuit.KindMeasure, circuit.KindReset:
-						p.sites = append(p.sites, j)
-					case circuit.KindGate:
-						p.tailGates++
-					}
-				}
-			}
 			break walk
 		}
 	}
@@ -231,30 +202,11 @@ func (p *refPath) fire(j int, b sim.Backend, rng *rand.Rand) {
 	p.plan.At(int(ro.op)).Fire(int(ro.ch), rng.Float64()*ro.thr, b, rng)
 }
 
-// segKey identifies a multi-level checkpoint: the state after the
-// deterministic segment that follows the site-th random site, given
-// the packed outcome history of all sites resolved so far. Two
-// trajectories with equal histories are in bit-identical states there
-// (collapses depend only on outcomes, conditions only on classical
-// bits, and deterministic runs consume no randomness).
-type segKey struct {
-	site int
-	hist uint64
-}
-
-// segState is one cached multi-level checkpoint and the number of gate
-// applications a restore saves.
-type segState struct {
-	state sim.State
-	gates int
-}
-
 // ckptStats accumulates the checkpointing effect of one work chunk;
 // the engine flushes it into the process telemetry per chunk.
 type ckptStats struct {
 	applied int // gate applications executed
 	skipped int // gate applications avoided via restores
-	forks   int // restores served (trajectory starts + segment reuses)
 }
 
 // refSnap is one snapshot of the reference path: the state after its
@@ -275,30 +227,24 @@ type ckptRunner struct {
 	circ    *circuit.Circuit
 	path    *refPath
 
-	snaps []refSnap           // reference-path snapshots, ascending
-	segs  map[segKey]segState // multi-level cache; nil when disabled
+	snaps []refSnap // reference-path snapshots, ascending
 
 	retainedNodes int64
 	retainedBytes int64
 }
 
 // newCkptRunner prepares a worker's trajectory runner. With a forker it
-// walks the reference path on the worker's backend, keeps its
-// snapshots, and prepares the multi-level cache when the path ends at a
-// random site with more behind it. It returns the runner and the number
-// of gate applications the construction executed (the engine feeds that
-// into the gate telemetry).
+// walks the reference path on the worker's backend and keeps its
+// snapshots. It returns the runner and the number of gate applications
+// the construction executed (the engine feeds that into the gate
+// telemetry).
 func newCkptRunner(backend sim.Backend, forker sim.Forker, c *circuit.Circuit, path *refPath) (*ckptRunner, int) {
 	r := &ckptRunner{backend: backend, forker: forker, circ: c, path: path}
 	if forker == nil {
 		return r, 0
 	}
 	r.sizer, _ = backend.(sim.StateSizer)
-	applied := r.takeSnapshots(maxSegRetainedBytes)
-	if len(path.sites) > 0 && len(path.sites) <= maxSegHistBits {
-		r.segs = make(map[segKey]segState)
-	}
-	return r, applied
+	return r, r.takeSnapshots(maxSnapshotBytes)
 }
 
 // takeSnapshots walks the reference path once and keeps its snapshots.
@@ -357,29 +303,25 @@ func (r *ckptRunner) keep(gates int, budget int64) bool {
 		return false
 	}
 	r.snaps = append(r.snaps, refSnap{gates: gates, state: state})
-	r.noteRetained(nodes, bytes)
-	telemetry.CheckpointsTaken.With("prefix").Inc()
-	return true
-}
-
-// noteRetained accounts a newly pinned checkpoint against the
-// retention telemetry. DD node counts are per-snapshot, so sub-
-// diagrams shared between checkpoints are counted once per pin — an
-// upper bound on what the pins actually keep alive.
-func (r *ckptRunner) noteRetained(nodes, bytes int64) {
+	// DD node counts are per-snapshot, so sub-diagrams shared between
+	// snapshots are counted once per pin — an upper bound on what the
+	// pins actually keep alive.
 	r.retainedNodes += nodes
 	r.retainedBytes += bytes
 	telemetry.CheckpointNodesRetained.SetMax(r.retainedNodes)
 	telemetry.CheckpointBytesRetained.SetMax(r.retainedBytes)
+	telemetry.CheckpointsTaken.With("prefix").Inc()
+	return true
 }
 
 // advance brings the backend from the reference path's state after
 // `at` unitaries to the one after need, applying the bare unitaries in
 // between. at < 0 means the trajectory has not touched the backend yet:
-// it starts from the nearest snapshot at or before need — a forking
-// runner's first one is at the first roll, so it always has one — and
-// from Reset without any. It reports whether the backend now holds a
-// snapshot as restored, with nothing applied on top.
+// it starts from the nearest snapshot at or before need, or from Reset
+// without any. A forking runner's first snapshot is at the first roll,
+// so it always has one, and a forked trajectory restores exactly once.
+// It reports whether the backend now holds a snapshot as restored, with
+// nothing applied on top.
 func (r *ckptRunner) advance(at, need int, st *ckptStats) (restored bool) {
 	if at < 0 {
 		i := len(r.snaps) - 1
@@ -392,7 +334,6 @@ func (r *ckptRunner) advance(at, need int, st *ckptStats) (restored bool) {
 		} else {
 			r.forker.Restore(r.snaps[i].state)
 			at = r.snaps[i].gates
-			st.forks++
 			st.skipped += at
 			restored = at == need
 		}
@@ -427,10 +368,6 @@ func (r *ckptRunner) run(rng *rand.Rand, clbits []uint64, st *ckptStats, counts 
 	for l, n := range p.channels {
 		counts[l] += n
 	}
-	if r.segs != nil {
-		r.runSegmented(rng, clbits, st)
-		return false
-	}
 	on := p.plan.At(p.endOp)
 	r.resume(on, p.endOp, p.endCh, on != nil && p.endCh < len(on.Pre), rng, clbits, st, counts)
 	return restored && p.endOp == len(r.circ.Ops)
@@ -453,69 +390,4 @@ func (r *ckptRunner) resume(on *noise.OpNoise, i, k int, beforeUnitary bool, rng
 		i++
 	}
 	st.applied += runRange(r.backend, r.circ, r.path.plan, rng, clbits, i, len(r.circ.Ops), counts)
-}
-
-// runSegmented walks the tail of a noise-free trajectory site by site:
-// resolve the random site (measurement or reset), then serve the
-// deterministic segment up to the next site from the outcome-history
-// cache when possible. The tail contains no noise by construction
-// (the plan only records sites for disabled noise models), so
-// segments are pure gate runs.
-func (r *ckptRunner) runSegmented(rng *rand.Rand, clbits []uint64, st *ckptStats) {
-	ops := r.circ.Ops
-	hist := uint64(0)
-	i := r.path.endOp
-	for site := 0; site < len(r.path.sites); site++ {
-		op := &ops[i] // i == r.path.sites[site]
-		if op.Cond == nil || condHolds(op.Cond, clbits[0]) {
-			if execSiteOp(r.backend, op, rng, clbits) == 1 {
-				hist |= 1 << uint(site)
-			}
-		}
-		i++
-		end := len(ops)
-		if site+1 < len(r.path.sites) {
-			end = r.path.sites[site+1]
-		}
-		i = r.runSegment(i, end, site+1, hist, clbits, st)
-	}
-}
-
-// runSegment advances through the deterministic ops [i, end): restored
-// from the segment cache when this (site, outcome-history) branch was
-// executed before, computed — and cached, within the retention caps —
-// otherwise. Returns end.
-func (r *ckptRunner) runSegment(i, end, site int, hist uint64, clbits []uint64, st *ckptStats) int {
-	if end <= i {
-		return end
-	}
-	key := segKey{site: site, hist: hist}
-	if cs, ok := r.segs[key]; ok {
-		r.forker.Restore(cs.state)
-		st.skipped += cs.gates
-		st.forks++
-		return end
-	}
-	gates := 0
-	for ; i < end; i++ {
-		op := &r.circ.Ops[i]
-		if op.Kind != circuit.KindGate {
-			continue
-		}
-		if op.Cond != nil && !condHolds(op.Cond, clbits[0]) {
-			continue
-		}
-		r.backend.ApplyOp(i)
-		gates++
-	}
-	st.applied += gates
-	if gates > 0 && len(r.segs) < maxSegEntries && r.retainedBytes < maxSegRetainedBytes {
-		state := r.forker.Snapshot()
-		r.segs[key] = segState{state: state, gates: gates}
-		if r.sizer != nil {
-			r.noteRetained(r.sizer.StateCost(state))
-		}
-		telemetry.CheckpointsTaken.With("segment").Inc()
-	}
-	return end
 }

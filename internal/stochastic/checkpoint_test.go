@@ -38,8 +38,8 @@ func bvLike(n int) *circuit.Circuit {
 }
 
 // dynamicCircuit interleaves measurements, conditionals and resets
-// with long deterministic gate runs — the multi-level checkpoint
-// workload.
+// with long deterministic gate runs: a noise-free path that ends at
+// the first measurement with most of the circuit behind it.
 func dynamicCircuit() *circuit.Circuit {
 	c := circuit.New("dynamic", 4)
 	c.H(0).CX(0, 1)
@@ -97,9 +97,6 @@ func TestAnalyzeCheckpoint(t *testing.T) {
 		if len(p.gates) != gates {
 			t.Errorf("path gates=%d, want %d", len(p.gates), gates)
 		}
-		if len(p.sites) != 6 {
-			t.Errorf("sites=%v, want the 6 measurements", p.sites)
-		}
 		if !p.worthwhile() {
 			t.Error("a full-gate path must be worthwhile")
 		}
@@ -116,9 +113,6 @@ func TestAnalyzeCheckpoint(t *testing.T) {
 		}
 		if first, last := p.rolls[0], p.rolls[len(p.rolls)-1]; first.need != 1 || int(last.need) != gates {
 			t.Errorf("post-gate rolls need %d..%d unitaries, want 1..%d", first.need, last.need, gates)
-		}
-		if len(p.sites) != 0 {
-			t.Errorf("noisy paths must not have multi-level sites, got %v", p.sites)
 		}
 	})
 	t.Run("exact-damping", func(t *testing.T) {
@@ -144,20 +138,45 @@ func TestAnalyzeCheckpoint(t *testing.T) {
 		}
 	})
 	t.Run("measurement-first", func(t *testing.T) {
+		// No unitary is shared, so auto replays: forking would restore
+		// the initial state and save nothing. On still forks, bit-equal.
 		c := circuit.New("m_first", 2)
 		c.Measure(0, 0).H(1)
 		p := pathOf(t, c, noise.Model{})
 		if p.endOp != 0 || len(p.gates) != 0 {
 			t.Fatalf("end=%d gates=%d, want 0/0", p.endOp, len(p.gates))
 		}
-		if !p.worthwhile() {
-			t.Error("a gate after the first site makes segment caching worthwhile")
+		if p.worthwhile() {
+			t.Error("a path without unitaries has nothing to fork")
 		}
+		opts := Options{Runs: 64, Seed: 2, Shots: 1, TrackStates: []uint64{0, 3}}
+		opts.Checkpointing = CheckpointAuto
+		auto, err := Run(c, statevec.Factory(), noise.Model{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auto.Checkpointed {
+			t.Error("auto forked a path without unitaries")
+		}
+		opts.Checkpointing = CheckpointOff
+		plain, err := Run(c, statevec.Factory(), noise.Model{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Checkpointing = CheckpointOn
+		forked, err := Run(c, statevec.Factory(), noise.Model{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !forked.Checkpointed {
+			t.Error("on did not fork")
+		}
+		assertResultsIdentical(t, "measurement-first", plain, forked)
 	})
 	t.Run("fully-deterministic", func(t *testing.T) {
 		p := pathOf(t, circuit.GHZ(5), noise.Model{})
-		if p.endOp != len(circuit.GHZ(5).Ops) || len(p.sites) != 0 {
-			t.Fatalf("end=%d sites=%v, want whole circuit and no sites", p.endOp, p.sites)
+		if p.endOp != len(circuit.GHZ(5).Ops) {
+			t.Fatalf("end=%d, want the whole circuit", p.endOp)
 		}
 		if len(p.gates) != circuit.GHZ(5).GateCount() {
 			t.Errorf("path gates=%d", len(p.gates))
@@ -255,14 +274,14 @@ func TestCheckpointAdaptiveEquivalence(t *testing.T) {
 	}
 }
 
-// TestMultiLevelSegmentCheckpoints: a dynamic circuit whose random
-// sites are separated by long deterministic runs must take segment
-// checkpoints and skip more gates than the shared prefix alone can
-// account for — while staying bit-identical to the plain replay.
-func TestMultiLevelSegmentCheckpoints(t *testing.T) {
+// TestNoiseFreeDynamicForksOnce: a noise-free dynamic circuit shares
+// only its reference path, so each trajectory forks exactly once, from
+// the path's end, skips exactly the path's unitaries, and runs the rest
+// op by op — bit-identical to the plain replay.
+func TestNoiseFreeDynamicForksOnce(t *testing.T) {
 	c := dynamicCircuit()
 	path := pathOf(t, c, noise.Model{})
-	if len(path.sites) < 3 || path.tailGates == 0 {
+	if len(path.gates) == 0 || path.endOp == len(c.Ops) {
 		t.Fatalf("bad workload for this test: path %+v", path)
 	}
 	opts := Options{Runs: 200, Seed: 3, Workers: 1, ChunkSize: 32}
@@ -273,22 +292,22 @@ func TestMultiLevelSegmentCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segBefore := telemetry.CheckpointsTaken.With("segment").Value()
+	forksBefore := telemetry.CheckpointForks.Value()
 	skipBefore := telemetry.CheckpointGatesSkipped.Value()
 	opts.Checkpointing = CheckpointOn
 	forked, err := Run(c, ddback.Factory(), noise.Model{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segTaken := telemetry.CheckpointsTaken.With("segment").Value() - segBefore
+	forks := telemetry.CheckpointForks.Value() - forksBefore
 	skipped := telemetry.CheckpointGatesSkipped.Value() - skipBefore
 
 	assertResultsIdentical(t, "dynamic", plain, forked)
-	if segTaken == 0 {
-		t.Error("no segment checkpoints were taken")
+	if forks != int64(opts.Runs) {
+		t.Errorf("forks = %d, want one per trajectory (%d)", forks, opts.Runs)
 	}
-	if want := int64(opts.Runs * len(path.gates)); skipped <= want {
-		t.Errorf("skipped %d gate applications, want > %d (prefix alone): segments not reused", skipped, want)
+	if want := int64(opts.Runs * len(path.gates)); skipped != want {
+		t.Errorf("skipped %d gate applications, want %d (the path's unitaries per trajectory)", skipped, want)
 	}
 }
 
@@ -490,7 +509,7 @@ func TestReferenceSnapshotsStayWithinBudget(t *testing.T) {
 		{0, 1},
 		{stateBytes, 1},
 		{3*stateBytes + 100, 3},
-		{maxSegRetainedBytes, maxRefSnapshots},
+		{maxSnapshotBytes, maxRefSnapshots},
 	} {
 		b, err := statevec.Factory()(c)
 		if err != nil {
@@ -531,7 +550,7 @@ func TestReferenceSnapshotsStayWithinBudget(t *testing.T) {
 					t.Fatalf("budget %d seed %d: P(%d) = %v forked, %v replayed", tc.budget, seed, idx, got, want)
 				}
 			}
-			if st.forks != 1 || st.applied+st.skipped < len(p.gates) {
+			if st.applied+st.skipped < len(p.gates) {
 				t.Fatalf("budget %d seed %d: stats %+v", tc.budget, seed, st)
 			}
 		}

@@ -502,7 +502,10 @@ func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 	e.commit(js, acc, first, deadlineHit)
 	telemetry.GateApplications.Add(int64(st.applied))
 	telemetry.CheckpointGatesSkipped.Add(int64(st.skipped))
-	telemetry.CheckpointForks.Add(int64(st.forks))
+	if wb.traj.forker != nil {
+		// A forked trajectory restores exactly once (ckptRunner.advance).
+		telemetry.CheckpointForks.Add(int64(acc.runs))
+	}
 	for l, n := range chanCounts {
 		if n > 0 {
 			telemetry.NoiseChannelApplications.With(noise.Labels[l]).Add(n)

@@ -117,11 +117,12 @@ type Options struct {
 	// is simulated once per worker up to the first measurement, reset
 	// or state-dependent channel, and a trajectory forks from the
 	// nearest snapshot of that reference path before its first event
-	// (from the final one when it has none) instead of replaying it,
-	// with multi-level checkpoints between later random sites of
-	// noise-free jobs. Modes: CheckpointAuto (default; used when the
-	// backend implements sim.Forker and there are gates to save),
-	// CheckpointOn (required — unsupported backends fail) and
+	// (from the final one when it has none) instead of replaying it.
+	// Behind the path's end every trajectory runs op by op, forked or
+	// not. Modes: CheckpointAuto (default; used when the backend
+	// implements sim.Forker and the path holds gates to save — not for
+	// a circuit whose first op is a measurement or reset, which leaves
+	// it none), CheckpointOn (required — unsupported backends fail) and
 	// CheckpointOff. Same-seed results are bit-identical in every
 	// mode.
 	Checkpointing string `json:"checkpointing,omitempty"`
@@ -457,7 +458,7 @@ func runRange(b sim.Backend, c *circuit.Circuit, plan *noise.Plan, rng *rand.Ran
 	gates := 0
 	for i := from; i < to; i++ {
 		op := &c.Ops[i]
-		if op.Cond != nil && !condHolds(op.Cond, clbits[0]) {
+		if op.Cond != nil && !op.Cond.Holds(clbits[0]) {
 			continue
 		}
 		switch op.Kind {
@@ -481,31 +482,22 @@ func runRange(b sim.Backend, c *circuit.Circuit, plan *noise.Plan, rng *rand.Ran
 }
 
 // execSiteOp executes one random-site op — a measurement or a reset,
-// already condition-checked by the caller — and returns its outcome
-// bit. It is the single definition of the site semantics (classical
-// bit update, reset correction), shared by the plain replay path and
-// the checkpoint runner so the two can never drift apart.
-func execSiteOp(b sim.Backend, op *circuit.Op, rng *rand.Rand, clbits []uint64) int {
+// already condition-checked by the caller. It is the single definition
+// of the site semantics: the classical bit update and the reset
+// correction.
+func execSiteOp(b sim.Backend, op *circuit.Op, rng *rand.Rand, clbits []uint64) {
 	switch op.Kind {
 	case circuit.KindMeasure:
-		outcome := measure(b, op.Target, rng)
-		if outcome == 1 {
+		if measure(b, op.Target, rng) == 1 {
 			clbits[0] |= 1 << uint(op.Cbit)
 		} else {
 			clbits[0] &^= 1 << uint(op.Cbit)
 		}
-		return outcome
 	case circuit.KindReset:
 		if measure(b, op.Target, rng) == 1 {
 			b.ApplyPauli(sim.PauliX, op.Target)
-			return 1
 		}
 	}
-	return 0
-}
-
-func condHolds(cond *circuit.Condition, clbits uint64) bool {
-	return cond.Holds(clbits)
 }
 
 // measure samples one qubit and collapses the state.

@@ -69,14 +69,13 @@ var (
 		"Unitary gate applications executed by simulation workers.")
 
 	// CheckpointsTaken counts checkpoints captured by the trajectory
-	// engine, by kind: "prefix" (a snapshot of a job's noise-free
-	// reference path, a handful per worker) or "segment" (a multi-level
-	// checkpoint after a deterministic run between noise sites).
+	// engine, by kind. The one kind is "prefix": a snapshot of a job's
+	// noise-free reference path, at most 8 per worker and job.
 	CheckpointsTaken = NewCounterVec("ddsim_checkpoints_total",
 		"Checkpoints captured by the trajectory engine, by kind.", "kind")
 
 	// CheckpointForks counts state restores served from checkpoints:
-	// one per forked trajectory plus one per reused segment.
+	// exactly one per forked trajectory.
 	CheckpointForks = NewCounter("ddsim_checkpoint_forks_total",
 		"Trajectory forks served from checkpoints (state restores).")
 

@@ -19,6 +19,10 @@
 #    be registered in non-test Go under internal/ or cmd/ (the reverse
 #    of check 3), so the catalogue cannot keep describing a deleted
 #    metric.
+# 7. Every kind value in the docs/OPERATIONS.md row for
+#    ddsim_checkpoints_total must appear as a CheckpointsTaken.With("…")
+#    literal in non-test Go under internal/ or cmd/, so the row cannot
+#    keep describing a checkpoint kind the engine no longer takes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,6 +110,23 @@ documented="$(grep -E '^\|' docs/OPERATIONS.md | grep -oE 'ddsim_[a-z0-9_]+' \
 for m in $documented; do
   if ! grep -qx "$m" <<< "$metrics"; then
     echo "STALE METRIC: $m is in a docs/OPERATIONS.md table but no non-test Go under internal/ or cmd/ registers it" >&2
+    fail=1
+  fi
+done
+
+# --- 7. documented checkpoint kinds are emitted -----------------------------
+# The kinds are the backquoted words of the row's Meaning column.
+row="$(grep -E '^\| `ddsim_checkpoints_total\{kind\}`' docs/OPERATIONS.md || true)"
+kinds="$(cut -d'|' -f4- <<< "$row" | grep -oE '`[a-z0-9_]+`' | tr -d '`' | sort -u || true)"
+if [ -z "$kinds" ]; then
+  echo "NO CHECKPOINT KINDS FOUND in the docs/OPERATIONS.md row for ddsim_checkpoints_total — checker broken?" >&2
+  exit 1
+fi
+emitted="$(grep -rhoE --include='*.go' --exclude='*_test.go' 'CheckpointsTaken\.With\("[a-z0-9_]+"\)' internal cmd \
+  | sed -E 's/.*"([a-z0-9_]+)".*/\1/' | sort -u || true)"
+for k in $kinds; do
+  if ! grep -qx "$k" <<< "$emitted"; then
+    echo "STALE CHECKPOINT KIND: $k is in the docs/OPERATIONS.md row for ddsim_checkpoints_total but no non-test Go under internal/ or cmd/ uses CheckpointsTaken.With(\"$k\")" >&2
     fail=1
   fi
 done
