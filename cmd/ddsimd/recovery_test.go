@@ -271,6 +271,36 @@ func TestResultCacheHit(t *testing.T) {
 	}
 }
 
+// TestDeviceGateNameIsNotACacheHit: a device gate name that spells
+// another table's entries ("h:35\ngate_time=x" timed 40 ns against h at
+// 35 ns and x at 40 ns) is a different noise point with different
+// exact probabilities, so the second submission must be simulated, not
+// served the first one's cached result.
+func TestDeviceGateNameIsNotACacheHit(t *testing.T) {
+	ts, _ := newTestServer(t, 2)
+	body := func(gateTimes string) string {
+		return fmt.Sprintf(`{
+			"circuit": {"name": "ghz", "n": 2},
+			"noise": {"device": {"name": "g", "qubits": [{"t1_us": 80, "t2_us": 100}, {"t1_us": 60, "t2_us": 60}],
+				"gate_times_ns": %s}},
+			"options": {"mode": "exact"}
+		}`, gateTimes)
+	}
+	first := waitTerminal(t, ts, submit(t, ts, body(`{"h:35\ngate_time=x": 40}`)))
+	second := waitTerminal(t, ts, submit(t, ts, body(`{"h": 35, "x": 40}`)))
+	for _, v := range []jobView{first, second} {
+		if v.Status != statusDone || len(v.Results) != 1 {
+			t.Fatalf("job %s: status %q (%s), %d results", v.ID, v.Status, v.Error, len(v.Results))
+		}
+	}
+	if second.Cached {
+		t.Fatal("a different device gate table was served from the cache")
+	}
+	if p1, p2 := first.Results[0].Probabilities[0], second.Results[0].Probabilities[0]; p1 == p2 {
+		t.Fatalf("P(00) = %v for both gate tables, want them to differ", p1)
+	}
+}
+
 // TestInFlightDedup: N identical submissions run the simulation once
 // and fan the result out to all N. A blocker occupies the only
 // simulation slot, so all four identical jobs register with the cache

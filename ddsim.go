@@ -384,12 +384,11 @@ func BatchSimulate(ctx context.Context, backend string, jobs []BatchJob, workers
 // stream of (Seed, j) and reductions happen in run order — two jobs
 // with equal keys produce bit-identical Results, which makes the key
 // safe to use for result caching and in-flight deduplication (the
-// ddsimd service does both; see internal/rescache). A trajectory job's
-// key ends in the version of that stream's definition
-// (stochastic.StreamVersion), so results sampled under an older one
-// stop hitting; exact-mode keys carry none. Circuits containing an op
-// the QASM writer cannot express return an error; such jobs simply
-// have no canonical identity and must not be cached.
+// ddsimd service does both; see internal/rescache). A key is stable
+// within one build only: it is never persisted or sent over the wire,
+// so the serialisation may change freely between builds. Circuits
+// containing an op the QASM writer cannot express return an error;
+// such jobs simply have no canonical identity and must not be cached.
 func JobKey(c *Circuit, backend string, models []NoiseModel, opts Options) (string, error) {
 	src, err := WriteQASM(c)
 	if err != nil {
@@ -402,50 +401,21 @@ func JobKey(c *Circuit, backend string, models []NoiseModel, opts Options) (stri
 	if o.Mode == ModeExact {
 		backend = "-"
 	}
+	// Every field is always written, in this order, and every string
+	// carries its length, so no caller-supplied value (a backend name,
+	// a device gate name) can pass for a field boundary.
 	h := sha256.New()
-	// The serialisation below is a stable wire format: field order and
-	// formatting must never change, or every persisted cache key would
-	// be invalidated. Extend only by appending new fields (and bump
-	// the version tag when doing so). v2 appended mode= and
-	// exact_backend= for the exact engine; v3 appends the extended
-	// noise-channel fields, but only for models that carry them; the
-	// stream= line closes every trajectory job's key.
-	fmt.Fprintf(h, "ddsim-job-v2\nbackend=%s\nqasm=%d:%s\n", backend, len(src), src)
-	for _, m := range models {
-		fmt.Fprintf(h, "noise=%.17g,%.17g,%.17g,%t\n",
-			m.Depolarizing, m.Damping, m.PhaseFlip, m.DampingAsEvent)
-	}
+	fmt.Fprintf(h, "ddsim-jobkey\nbackend=%d:%s\nqasm=%d:%s\nmode=%d:%s\nexact_backend=%d:%s\n",
+		len(backend), backend, len(src), src, len(o.Mode), o.Mode, len(o.ExactBackend), o.ExactBackend)
 	fmt.Fprintf(h, "runs=%d\nseed=%d\nshots=%d\nfidelity=%t\ntimeout=%d\naccuracy=%.17g\nconfidence=%.17g\nchunk=%d\n",
 		o.Runs, o.Seed, o.Shots, o.TrackFidelity, int64(o.Timeout),
 		o.TargetAccuracy, o.TargetConfidence, o.ChunkSize)
 	for _, t := range o.TrackStates {
 		fmt.Fprintf(h, "track=%d\n", t)
 	}
-	fmt.Fprintf(h, "mode=%s\nexact_backend=%s\n", o.Mode, o.ExactBackend)
-	// v3 appendix: extended noise-channel configuration (device
-	// calibration, crosstalk, idle noise, twirling). Emitted only when
-	// at least one model carries extended channels, so every key for a
-	// plain uniform job — the entire pre-v3 population — is
-	// byte-identical to its v2 form and persisted caches stay valid.
-	extended := false
 	for _, m := range models {
-		if m.Extended() {
-			extended = true
-			break
-		}
-	}
-	if extended {
-		fmt.Fprintf(h, "ddsim-job-v3\n")
-		for _, m := range models {
-			ext := m.CanonicalExtension()
-			fmt.Fprintf(h, "xnoise=%d:%s\n", len(ext), ext)
-		}
-	}
-	// A trajectory result is a function of the random stream's
-	// definition too; an exact one is not, so exact keys end here, as
-	// they always have.
-	if o.Mode != ModeExact {
-		fmt.Fprintf(h, "stream=%d\n", stochastic.StreamVersion)
+		s := m.Canonical()
+		fmt.Fprintf(h, "noise=%d:%s\n", len(s), s)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

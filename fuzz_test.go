@@ -21,7 +21,12 @@ import (
 //  4. the documented exact-mode collapses hold: in exact mode the
 //     trajectory knobs (runs, seed, shots, chunking, adaptive
 //     stopping) and the stochastic backend name must not move the
-//     key.
+//     key;
+//  5. the extended noise channels are result-relevant: dropping the
+//     extended model from the sweep moves the key;
+//  6. strings are length-prefixed: the fuzzed backend string, used as a
+//     device gate name, can never make two different gate-time tables
+//     hash equal.
 //
 // The checked-in seeds live under testdata/fuzz/FuzzCanonical and run
 // as ordinary test cases on every `go test`; CI additionally fuzzes
@@ -38,9 +43,9 @@ func FuzzCanonical(f *testing.F) {
 
 	circ := ddsim.GHZ(3)
 	// The model slice spans the full vocabulary: the paper's uniform
-	// rates, the noise-free point, and an extended model exercising the
-	// v3 appendix (device calibration, crosstalk, idle noise, twirl) on
-	// every fuzz execution.
+	// rates, the noise-free point, and an extended model (device
+	// calibration, crosstalk, idle noise, twirl) on every fuzz
+	// execution.
 	extended := ddsim.NoiseModel{
 		Device: &ddsim.Device{
 			Name:        "fuzz-3q",
@@ -134,11 +139,26 @@ func FuzzCanonical(f *testing.F) {
 		}
 
 		// 5. The extended channels are result-relevant: dropping the
-		// extended model from the sweep must move the key (the v3
-		// appendix fires only for extended models).
+		// extended model from the sweep must move the key.
 		kl, err := ddsim.JobKey(circ, backend, legacyModels, opts)
 		if err != nil || kl == k1 {
 			t.Fatalf("key did not move when the extended model was dropped (err %v)", err)
+		}
+
+		// 6. A gate name cannot forge a table entry: the fuzzed string
+		// as one gate name next to "x", against the same bytes spelled
+		// as its own entry followed by x's.
+		gateTimes := func(times map[string]float64) []ddsim.NoiseModel {
+			d := *extended.Device
+			d.GateTimesNs = times
+			m := extended
+			m.Device = &d
+			return []ddsim.NoiseModel{m}
+		}
+		ka, errA := ddsim.JobKey(circ, backend, gateTimes(map[string]float64{backend: 35, "x": 40}), opts)
+		kb, errB := ddsim.JobKey(circ, backend, gateTimes(map[string]float64{backend + ":35\ngate_time=x": 40}), opts)
+		if errA != nil || errB != nil || ka == kb {
+			t.Fatalf("gate name %q forged a gate-time entry (errs %v, %v)", backend, errA, errB)
 		}
 	})
 }

@@ -5,7 +5,7 @@
 // The design leans entirely on the engine's determinism invariant
 // (PR 1): run j draws from a random stream that is a function of
 // (Seed, j) alone (stochastic/stream.go; every node of a cluster must
-// run the same stochastic.StreamVersion), the run-index space is split
+// run the same build), the run-index space is split
 // into fixed chunks, and per-chunk sums merged strictly in chunk order
 // reproduce the single-node result bit for bit. That makes distributed
 // simulation an exercise in exactly-once chunk accounting rather than

@@ -309,14 +309,25 @@ func TestModelScaleExtended(t *testing.T) {
 	}
 }
 
-func TestCanonicalExtension(t *testing.T) {
-	if got := PaperDefaults().CanonicalExtension(); got != "" {
-		t.Errorf("uniform model extension = %q, want empty", got)
+func TestModelCanonical(t *testing.T) {
+	// A uniform model serialises its trio and damping semantics: each
+	// one moves the string.
+	u := PaperDefaults()
+	for _, v := range []Model{
+		{},
+		{Depolarizing: 0.002, Damping: u.Damping, PhaseFlip: u.PhaseFlip, DampingAsEvent: true},
+		{Depolarizing: u.Depolarizing, Damping: 0.003, PhaseFlip: u.PhaseFlip, DampingAsEvent: true},
+		{Depolarizing: u.Depolarizing, Damping: u.Damping, PhaseFlip: 0.002, DampingAsEvent: true},
+		{Depolarizing: u.Depolarizing, Damping: u.Damping, PhaseFlip: u.PhaseFlip},
+	} {
+		if v.Canonical() == u.Canonical() {
+			t.Errorf("%+v serialised like the paper model", v)
+		}
 	}
 	m := Model{Device: testDevice(), Crosstalk: &Crosstalk{Strength: 0.02}}
-	a, b := m.CanonicalExtension(), m.CanonicalExtension()
-	if a == "" || a != b {
-		t.Fatalf("extension not stable: %q vs %q", a, b)
+	a, b := m.Canonical(), m.Canonical()
+	if a != b {
+		t.Fatalf("canonical form not deterministic: %q vs %q", a, b)
 	}
 	// Map iteration order must not leak into the serialisation.
 	for i := 0; i < 20; i++ {
@@ -325,13 +336,13 @@ func TestCanonicalExtension(t *testing.T) {
 		d.GateErrors = map[string]float64{"*": 0.0005, "cx": 0.01}
 		d.GateTimesNs = map[string]float64{"cx": 300, "h": 35}
 		m2.Device = &d
-		if got := m2.CanonicalExtension(); got != a {
-			t.Fatalf("extension moved under map rebuild:\n%q\nvs\n%q", got, a)
+		if got := m2.Canonical(); got != a {
+			t.Fatalf("canonical form moved under map rebuild:\n%q\nvs\n%q", got, a)
 		}
 	}
 	m3 := m
 	m3.Crosstalk = &Crosstalk{Strength: 0.03}
-	if m3.CanonicalExtension() == a {
+	if m3.Canonical() == a {
 		t.Error("different crosstalk serialised identically")
 	}
 }

@@ -108,11 +108,11 @@ func (m Model) Enabled() bool {
 }
 
 // Extended reports whether the model uses any channel beyond the
-// paper's uniform per-gate trio. It is a fact about the wire format,
-// not about execution — every enabled model runs through its compiled
-// Plan: only extended models emit JobKey's v3 appendix (see
-// CanonicalExtension), so the keys of uniform jobs stay what they were
-// before the appendix existed.
+// paper's uniform per-gate trio. No engine or key branches on it —
+// every enabled model runs through its compiled Plan and Canonical
+// writes every field. Its last non-test caller is the benchmark's
+// layer probe; it goes once that probe reads per-job statistics
+// (ROADMAP item 1).
 func (m Model) Extended() bool {
 	return m.Device != nil || m.Crosstalk != nil || m.Idle != nil || m.Twirled
 }
@@ -217,37 +217,39 @@ func (m Model) String() string {
 	return s
 }
 
-// CanonicalExtension serialises the extended-channel configuration
-// into a stable string for JobKey's v3 appendix: every field in a
-// fixed order, map entries sorted by key, floats at full precision.
-// Non-extended models serialise to "".
-func (m Model) CanonicalExtension() string {
-	if !m.Extended() {
-		return ""
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "twirled=%t\n", m.Twirled)
+// Canonical serialises every field of the model, in a fixed order,
+// into the string ddsim.JobKey hashes: the uniform trio and
+// DampingAsEvent, Twirled, then the device, crosstalk and idle
+// sub-configurations, each written as a length-prefixed block that is
+// empty when the sub-configuration is absent. Strings (the device name,
+// gate names) are length-prefixed too, so no value can forge a field
+// boundary; map entries are sorted by key and floats written at full
+// precision. Equal strings mean equal models.
+func (m Model) Canonical() string {
+	var dev, xtalk, idle strings.Builder
 	if d := m.Device; d != nil {
-		fmt.Fprintf(&sb, "device=%s\n", d.Name)
-		for i, q := range d.Qubits {
-			fmt.Fprintf(&sb, "qubit=%d:%.17g,%.17g\n", i, q.T1us, q.T2us)
+		fmt.Fprintf(&dev, "name=%d:%s\n", len(d.Name), d.Name)
+		for _, q := range d.Qubits {
+			fmt.Fprintf(&dev, "qubit=%.17g,%.17g\n", q.T1us, q.T2us)
 		}
 		for _, k := range sortedKeys(d.GateTimesNs) {
-			fmt.Fprintf(&sb, "gate_time=%s:%.17g\n", k, d.GateTimesNs[k])
+			fmt.Fprintf(&dev, "gate_time=%d:%s=%.17g\n", len(k), k, d.GateTimesNs[k])
 		}
-		fmt.Fprintf(&sb, "default_gate_time=%.17g\n", d.DefaultGateTimeNs)
+		fmt.Fprintf(&dev, "default_gate_time=%.17g\n", d.DefaultGateTimeNs)
 		for _, k := range sortedKeys(d.GateErrors) {
-			fmt.Fprintf(&sb, "gate_error=%s:%.17g\n", k, d.GateErrors[k])
+			fmt.Fprintf(&dev, "gate_error=%d:%s=%.17g\n", len(k), k, d.GateErrors[k])
 		}
-		fmt.Fprintf(&sb, "error_scale=%.17g\n", d.ErrorScale)
+		fmt.Fprintf(&dev, "error_scale=%.17g\n", d.ErrorScale)
 	}
 	if x := m.Crosstalk; x != nil {
-		fmt.Fprintf(&sb, "crosstalk=%.17g,%.17g\n", x.Strength, x.ZZBias)
+		fmt.Fprintf(&xtalk, "%.17g,%.17g", x.Strength, x.ZZBias)
 	}
 	if id := m.Idle; id != nil {
-		fmt.Fprintf(&sb, "idle=%.17g,%.17g,%.17g\n", id.Damping, id.Dephasing, id.MomentNs)
+		fmt.Fprintf(&idle, "%.17g,%.17g,%.17g", id.Damping, id.Dephasing, id.MomentNs)
 	}
-	return sb.String()
+	return fmt.Sprintf("uniform=%.17g,%.17g,%.17g,%t\ntwirled=%t\ndevice=%d:%s\ncrosstalk=%d:%s\nidle=%d:%s\n",
+		m.Depolarizing, m.Damping, m.PhaseFlip, m.DampingAsEvent, m.Twirled,
+		dev.Len(), dev.String(), xtalk.Len(), xtalk.String(), idle.Len(), idle.String())
 }
 
 func sortedKeys(m map[string]float64) []string {

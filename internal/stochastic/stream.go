@@ -26,11 +26,8 @@ import "math/rand"
 //  3. Options.Shots calls of Backend.SampleBasis.
 //
 // Changing any of this changes every sampled number of every job, so it
-// goes with a new StreamVersion (which ddsim.JobKey embeds) and
-// re-recorded goldens.
-
-// StreamVersion names the definition above in cache keys.
-const StreamVersion = 2
+// goes with re-recorded goldens. Job keys need no stream tag: a key is
+// only ever compared within the same build.
 
 const splitMixGamma = 0x9e3779b97f4a7c15
 

@@ -23,6 +23,11 @@
 #    ddsim_checkpoints_total must appear as a CheckpointsTaken.With("…")
 #    literal in non-test Go under internal/ or cmd/, so the row cannot
 #    keep describing a checkpoint kind the engine no longer takes.
+# 8. Every job-key generation token (ddsim-job-v<N>, "v<N> appendix",
+#    "v<N> cache-key appendix", StreamVersion) named in README.md,
+#    docs/*.md or .claude/skills/verify/SKILL.md must occur in non-test
+#    Go under the repo root, internal/ or cmd/, so a doc cannot keep
+#    describing a key format the code no longer writes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -130,6 +135,21 @@ for k in $kinds; do
     fail=1
   fi
 done
+
+# --- 8. documented job-key generations exist --------------------------------
+keydocs="README.md docs/*.md"
+[ -f .claude/skills/verify/SKILL.md ] && keydocs="$keydocs .claude/skills/verify/SKILL.md"
+# shellcheck disable=SC2086 # keydocs is a word list of paths
+keytokens="$(grep -hoE 'ddsim-job-v[0-9]+|v[0-9]+ (cache-key )?appendix|StreamVersion' $keydocs | sort -u || true)"
+gosrc="$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go'; find internal cmd -name '*.go' ! -name '*_test.go')"
+while IFS= read -r tok; do
+  [ -z "$tok" ] && continue
+  # shellcheck disable=SC2086 # gosrc is a word list of paths
+  if ! grep -qF -- "$tok" $gosrc; then
+    echo "STALE JOB-KEY TOKEN: '$tok' is documented but no non-test Go under the repo root, internal/ or cmd/ mentions it" >&2
+    fail=1
+  fi
+done <<< "$keytokens"
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED" >&2
