@@ -144,40 +144,73 @@ func (p *Package) SingleQubitGate(u Mat2, target int) MEdge {
 // operator: u is applied to the target qubit iff every positive
 // control is |1⟩ and every negative control is |0⟩.
 //
-// The diagram is assembled compositionally:
-//
-//	CU = I − (P_ctrl ⊗ I_target) + (P_ctrl ⊗ U_target)
-//
-// where P_ctrl is the projector chain selecting the triggering control
-// subspace. All three pieces are linear-size product operators, so the
-// construction costs O(n) nodes regardless of the number of controls.
+// The diagram is built bottom-up in one pass, one node per quadrant
+// and level. Below the target it carries the four quadrants of u
+// separately: a free level passes each through on the diagonal, and a
+// control level puts the quadrant on its triggering side and, on the
+// other side, the identity for the diagonal quadrants and zero for the
+// off-diagonal ones. The target level joins the four. Above it there
+// is one node per level: the gate and the identity beside a control,
+// the gate twice on the diagonal elsewhere. So the cost is O(n) nodes
+// whatever the number of controls, and no diagram arithmetic runs.
 func (p *Package) ControlledGate(u Mat2, target int, controls []Control) MEdge {
-	if len(controls) == 0 {
-		return p.SingleQubitGate(u, target)
-	}
-	p0 := Mat2{{1, 0}, {0, 0}}
-	p1 := Mat2{{0, 0}, {0, 1}}
-	id := Mat2{{1, 0}, {0, 1}}
-
-	factors := p.factorSlice()
+	const free, pos, neg = 0, 1, 2
+	var kind [MaxQubits]uint8
+	top := 0 // the highest control level: no identity is needed above it
 	for _, c := range controls {
 		if c.Qubit == target {
 			panic("dd: control coincides with target")
 		}
-		if factors[c.Qubit] != nil {
+		top = max(top, p.qubitToLevel(c.Qubit))
+		if kind[c.Qubit] != free {
 			panic(fmt.Sprintf("dd: duplicate control on qubit %d", c.Qubit))
 		}
+		kind[c.Qubit] = pos
 		if c.Negative {
-			factors[c.Qubit] = &p0
-		} else {
-			factors[c.Qubit] = &p1
+			kind[c.Qubit] = neg
 		}
 	}
-
-	factors[target] = &id
-	projID := p.ProductOperator(factors) // P_ctrl ⊗ I_target
-	factors[target] = &u
-	projU := p.ProductOperator(factors) // P_ctrl ⊗ U_target
-
-	return p.AddM(p.SubM(p.Identity(), projID), projU)
+	t := p.qubitToLevel(target)
+	zero := p.ZeroMEdge()
+	// diag is a level's node with e on the diagonal: on the triggering
+	// side of a control, with other on the side that does not trigger,
+	// or on both sides of a free level.
+	diag := func(level int, e, other MEdge) MEdge {
+		switch kind[p.levelToQubit(level)] {
+		case pos:
+			return p.makeMNode(level, [4]MEdge{other, zero, zero, e})
+		case neg:
+			return p.makeMNode(level, [4]MEdge{e, zero, zero, other})
+		}
+		return p.makeMNode(level, [4]MEdge{e, zero, zero, e})
+	}
+	id := MEdge{N: nil, W: p.W.One} // the identity on the levels below
+	var quad [4]MEdge
+	for i := range quad {
+		quad[i] = MEdge{N: nil, W: p.W.LookupC(u[i/2][i%2])}
+	}
+	var e MEdge
+	for level := 1; level <= p.nQubits; level++ {
+		switch {
+		case level < t:
+			for i := range quad {
+				// Where a control does not trigger, the gate is the
+				// identity: its diagonal quadrants hold the identity
+				// there, its off-diagonal ones zero.
+				other := zero
+				if i == 0 || i == 3 {
+					other = id
+				}
+				quad[i] = diag(level, quad[i], other)
+			}
+		case level == t:
+			e = p.makeMNode(level, quad)
+		default:
+			e = diag(level, e, id)
+		}
+		if level < top {
+			id = p.makeMNode(level, [4]MEdge{id, zero, zero, id})
+		}
+	}
+	return e
 }

@@ -118,11 +118,6 @@ func (p *Package) AddM(a, b MEdge) MEdge {
 	return p.scaleM(r, a.W)
 }
 
-// SubM returns a−b for matrix diagrams.
-func (p *Package) SubM(a, b MEdge) MEdge {
-	return p.AddM(a, p.scaleM(b, p.W.Lookup(-1, 0)))
-}
-
 // MulMV applies the operator m to the state v (matrix–vector product).
 // This is the workhorse of simulation: one call per gate or error
 // event. Results are memoised on the node pair; scalar weights are

@@ -33,7 +33,10 @@ var classMatrices = []struct {
 	{"y", kernAntiDiag, circuit.MatY},
 	{"antidiag", kernAntiDiag, circuit.Mat2{{0, cmplx.Exp(0.3i)}, {cmplx.Exp(-1.1i), 0}}},
 	{"antidiag-negzero", kernAntiDiag, circuit.Mat2{{negZero, 1}, {2, negZero}}},
-	{"h", kernGeneral, circuit.MatH},
+	{"h", kernReal, circuit.MatH},
+	{"ry", kernReal, circuit.RYMat(1.3)},
+	{"real-negative", kernReal, circuit.Mat2{{-0.3, 1.7}, {-2.5, -0.1}}},
+	{"real-negzero", kernReal, circuit.Mat2{{complex(0.6, math.Copysign(0, -1)), negZero}, {0.8, -0.6}}},
 	{"u3", kernGeneral, circuit.U3Mat(0.7, 0.3, -1.1)},
 	{"jump", kernAntiDiag, circuit.Mat2{{0, 0.5}, {0, 0}}},
 	// cos(π/2) is 6e-17 in floating point, not 0: nearly X, and general.
@@ -229,7 +232,9 @@ func TestCompiledCircuitMatchesReference(t *testing.T) {
 
 // TestClassifierDropsNothing: whatever the classifier answers, every
 // entry the chosen kernel does not read is exactly zero — over all 16
-// zero patterns, with the non-zero entries as small as a float gets.
+// zero patterns, with the non-zero entries as small as a float gets —
+// and the real kernel, which reads only real parts, leaves unread only
+// imaginary parts that are ±0.
 func TestClassifierDropsNothing(t *testing.T) {
 	values := []complex128{1, complex(5e-324, 0), complex(0, 5e-324), complex(0, -1e-300),
 		complex(math.NaN(), 0), complex(0, math.Inf(1)), cmplx.Exp(0.3i)}
@@ -253,8 +258,23 @@ func TestClassifierDropsNothing(t *testing.T) {
 					if u[0][0] != 0 || u[1][1] != 0 {
 						t.Errorf("%v classified anti-diagonal", u)
 					}
+				case kernReal:
+					for e := 0; e < 4; e++ {
+						if imag(u[e/2][e%2]) != 0 {
+							t.Errorf("%v classified real", u)
+						}
+					}
 				}
 			}
+		}
+	}
+	// A Hadamard with the smallest imaginary part a float can hold on
+	// any one entry is no longer real.
+	for e := 0; e < 4; e++ {
+		u := circuit.MatH
+		u[e/2][e%2] += 5e-324i
+		if k := classify(u); k != kernGeneral {
+			t.Errorf("%v classified %d, want general", u, k)
 		}
 	}
 }
@@ -365,31 +385,46 @@ func TestKernelsNeverAliasSnapshot(t *testing.T) {
 }
 
 // BenchmarkKernel prices one op of each class on a 14-qubit register,
-// uncontrolled and singly controlled, with the number of amplitudes
-// the op writes: what backend.gate_ns on the benchmark's qft14_statevec
-// workload (91 controlled phases, 14 Hadamards) is made of. The target
-// is a middle bit and the control the bit above it.
+// with the number of amplitudes the op writes: what backend.gate_ns on
+// the benchmark's qft14_statevec workload (91 controlled phases, 14
+// Hadamards) is made of. ctrl0 and ctrl1 put the target on a middle bit,
+// uncontrolled and controlled by the bit above it; bit0 and bit1 put an
+// uncontrolled target on the lowest two bits, where the runs are one
+// and two pairs long (bit 0 is walked one index at a time, bit 1 is
+// sliced). A QFT's last Hadamard is on bit 0.
 func BenchmarkKernel(b *testing.B) {
-	const n, bit = 14, 6
+	const n, mid = 14, 6
 	classes := []struct {
 		name string
 		u    circuit.Mat2
 		// halves of each selected pair the kernel writes
 		halves int
+		// low also prices the class on bits 0 and 1
+		low bool
 	}{
-		{"phase", circuit.PhaseMat(0.7), 1},
-		{"diag", circuit.RZMat(0.9), 2},
-		{"antidiag", circuit.MatX, 2},
-		{"general", circuit.MatH, 2},
+		{"phase", circuit.PhaseMat(0.7), 1, false},
+		{"diag", circuit.RZMat(0.9), 2, false},
+		{"antidiag", circuit.MatX, 2, false},
+		{"real", circuit.MatH, 2, true},
+		{"general", circuit.U3Mat(0.7, 0.3, -1.1), 2, true},
+	}
+	type place struct {
+		name string
+		bit  uint
+		ctrl int
 	}
 	for _, cl := range classes {
-		for ctrl := 0; ctrl <= 1; ctrl++ {
-			b.Run(fmt.Sprintf("%s/ctrl%d", cl.name, ctrl), func(b *testing.B) {
+		places := []place{{"ctrl0", mid, 0}, {"ctrl1", mid, 1}}
+		if cl.low {
+			places = append(places, place{"bit0", 0, 0}, place{"bit1", 1, 0})
+		}
+		for _, pl := range places {
+			b.Run(cl.name+"/"+pl.name, func(b *testing.B) {
 				p := newPair(b, n)
 				copy(p.got.v, randomState(n, rand.New(rand.NewSource(1))))
-				mask := uint64(ctrl) << (bit + 1)
-				g := p.got.compile(cl.u, bit, mask, mask)
-				pairs := len(p.got.v) >> (1 + ctrl)
+				mask := uint64(pl.ctrl) << (pl.bit + 1)
+				g := p.got.compile(cl.u, pl.bit, mask, mask)
+				pairs := len(p.got.v) >> (1 + pl.ctrl)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					p.got.applyCompiled(&g)

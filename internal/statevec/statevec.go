@@ -6,8 +6,10 @@
 // Θ(2^n) regardless of state structure — the "curse of
 // dimensionality" the paper's Section III describes — but not
 // regardless of gate structure: every op is compiled once to the
-// cheapest kernel the zero pattern of its 2×2 admits, and a kernel
-// visits only the amplitudes its controls select (kernels.go).
+// cheapest kernel the zeros of its 2×2 admit — diagonal, anti-diagonal,
+// real (every imaginary part zero: H, RY) or general — and a kernel
+// visits only the amplitudes its controls select, one index at a time
+// where runs are too short to slice (kernels.go).
 package statevec
 
 import (
@@ -24,8 +26,8 @@ import (
 const MaxQubits = 26
 
 // compiledGate is an op as the kernels run it: the matrix, the kernel
-// its zero pattern admits, and the amplitude pairs its target and
-// controls select. All three are fixed when the circuit is compiled.
+// its zeros admit, and the amplitude pairs its target and controls
+// select. All three are fixed when the circuit is compiled.
 type compiledGate struct {
 	u      circuit.Mat2
 	kernel kernel
@@ -125,6 +127,8 @@ func (b *Backend) applyCompiled(g *compiledGate) {
 		}
 	case kernAntiDiag:
 		swapScale(b.v, g.sub, g.u[0][1], g.u[1][0])
+	case kernReal:
+		generalReal(b.v, g.sub, g.u)
 	default:
 		general(b.v, g.sub, g.u)
 	}

@@ -389,7 +389,7 @@ func forkCircuit() *circuit.Circuit {
 // one and two workers, over twenty seeds each. The DD backend runs the
 // one-worker leg only: its weight interning is history-dependent, so
 // on a circuit with non-Clifford phases two workers do not reproduce
-// even their own previous run (ROADMAP item 1); its multi-worker
+// even their own previous run (ROADMAP item 2); its multi-worker
 // differential stays on the cache-resident circuits of
 // TestCheckpointedMatchesPlainSameSeed.
 func TestForkedMatchesReplay(t *testing.T) {
