@@ -17,11 +17,10 @@ import (
 // restore replays the job store into the server: jobs that reached a
 // terminal state before the restart are re-inserted with their
 // persisted results and served without any simulation, while jobs
-// that were queued or running at the crash (or whose terminal WAL
-// entry has no durable payload) are re-queued and re-run — the engine
-// is deterministic for a fixed seed, so a re-run is bit-identical to
-// what the lost run would have produced. Call once, after the store
-// is attached and before the listener starts.
+// that were queued or running at the crash are re-queued and re-run —
+// the engine is deterministic for a fixed seed, so a re-run is
+// bit-identical to what the lost run would have produced. Call once,
+// after the store is attached and before the listener starts.
 func (s *server) restore() (served, requeued int) {
 	if s.store == nil {
 		return 0, 0
@@ -35,7 +34,7 @@ func (s *server) restore() (served, requeued int) {
 			fmt.Fprintf(os.Stderr, "ddsimd: restore %s: corrupt spec: %v\n", rc.Record.ID, err)
 			continue
 		}
-		if isTerminal(rc.Status) && rc.Final != nil {
+		if rc.Final != nil {
 			s.restoreFinished(rc, spec)
 			telemetry.JobsRecovered.With("served").Inc()
 			served++
@@ -58,10 +57,6 @@ func (s *server) restore() (served, requeued int) {
 	s.mu.Unlock()
 	s.evictFromStore(evicted)
 	return served, requeued
-}
-
-func isTerminal(status string) bool {
-	return status == statusDone || status == statusCancelled || status == statusFailed
 }
 
 // restoreFinished inserts a terminal job reconstructed purely from

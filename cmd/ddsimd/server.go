@@ -602,9 +602,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// The durability contract is broken; refuse the job rather
 			// than accept work that a restart would silently lose. The
 			// job was never published, so nothing observed it; the
-			// store delete sweeps up a record file that may have
-			// landed before the WAL append failed (a surviving record
-			// would be recovered as queued on the next restart).
+			// tombstone covers a WAL line that may still reach the
+			// disk after the failed append (it would be recovered as
+			// queued on the next restart).
 			j.cancel()
 			_ = s.store.Delete(j.id)
 			writeErr(w, http.StatusInternalServerError, "persist job: %v", err)
@@ -669,9 +669,6 @@ func (s *server) run(j *job) {
 	j.status = statusRunning
 	j.started = time.Now()
 	j.mu.Unlock()
-	if s.store != nil {
-		_ = s.store.SetStatus(j.id, statusRunning)
-	}
 
 	simStart := time.Now()
 	var results []*ddsim.Result

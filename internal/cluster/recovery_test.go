@@ -191,3 +191,44 @@ func TestJournalPartReplayDeduped(t *testing.T) {
 		t.Fatalf("replay = %v, want part 0 restored once with 2 sums", parts)
 	}
 }
+
+// TestJournalLongPartLine journals a part whose line exceeds 2 MiB
+// ahead of further parts: replay must restore every one of them.
+func TestJournalLongPartLine(t *testing.T) {
+	dataDir := t.TempDir()
+	spec := benchSpec(t, circuit.GHZ(5), 32)
+	job, err := spec.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := stochastic.PlanChunks(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, _, _, err := openJournal(dataDir, "long")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.plan(spec, plan); err != nil {
+		t.Fatal(err)
+	}
+	big := dummySums(0, 1)
+	big[0].Counts = make(map[uint64]int)
+	for k := uint64(0); k < 1<<17; k++ {
+		big[0].Counts[1<<40+k] = 1 // 18 bytes of JSON each: a line of 2.3 MiB
+	}
+	for i, sums := range [][]stochastic.ChunkSum{big, dummySums(1, 1), dummySums(2, 1)} {
+		if err := jr.part(i, sums); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jr.close()
+	jr2, prev, parts, err := openJournal(dataDir, "long")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr2.close()
+	if prev == nil || len(parts) != 3 || len(parts[0][0].Counts) != 1<<17 {
+		t.Fatalf("replay restored plan %v and %d parts, want the plan and 3 parts", prev != nil, len(parts))
+	}
+}

@@ -3,29 +3,33 @@
 // finished jobs are served from disk, and jobs that were queued or
 // running at the crash are re-queued and re-run.
 //
-// The store is dependency-free (standard library only) and built from
-// three crash-safe pieces under one data directory:
+// The store is dependency-free (standard library only) and is one
+// file under its data directory:
 //
 //	dir/
-//	  jobs/<id>.json     one Record per accepted submission
-//	  results/<id>.json  one Final per job that reached a terminal state
-//	  wal.log            append-only WAL of status transitions
+//	  wal.log   append-only WAL of JSON lines, fsync'd per append
 //
-// Record and Final files are written atomically (temp file, fsync,
-// rename, directory fsync). The WAL is a sequence of JSON lines, one
-// per status transition, fsync'd after every append; a torn final
-// line (the signature of a crash mid-append) is tolerated and ignored
-// on replay. Opening the store replays the WAL to reconstruct the
-// last known status of every job, drops entries for deleted jobs, and
-// rewrites the WAL compacted to one entry per live job.
+// Each line names a job and its status after the line. PutJob appends
+// a "queued" line that carries the job's Record inline; PutFinal
+// appends a terminal line that carries its Final inline; SetStatus
+// and Delete append status-only lines. A job therefore costs two
+// synced appends and creates no file. A torn final line (the
+// signature of a crash mid-append) is tolerated and ignored on
+// replay. Opening the store replays the WAL to reconstruct every
+// job's record, last status and final state, drops deleted jobs, and
+// rewrites the WAL compacted to one line per live job with its record
+// and final inline.
 //
-// The write ordering gives recovery its meaning: a Final file is
-// written and synced *before* the terminal WAL entry, so a WAL that
-// says "done" implies the result bytes are durable. Conversely a job
-// whose last durable status is "queued" or "running" (or whose
-// terminal entry has no result file, which only a crash in the window
-// between the two writes can produce) was in flight and must be
+// Because a terminal status and its payload are one line, a WAL that
+// says "done" implies the result bytes are durable. A job whose last
+// durable line is "queued" or "running" was in flight and must be
 // re-queued by the caller.
+//
+// Open also reads a data directory written before the WAL carried
+// records and finals: one jobs/<id>.json Record per submission,
+// one results/<id>.json Final per finished job, and a WAL of status
+// lines only. The first compaction moves their contents into the WAL;
+// the two directories are then removed.
 //
 // A Store is safe for concurrent use by multiple goroutines.
 package jobstore
@@ -45,8 +49,7 @@ import (
 // request body plus the summary fields the service needs to list the
 // job without re-parsing the circuit.
 type Record struct {
-	// ID is the job identifier; it doubles as the record's file name
-	// and therefore must match ValidID.
+	// ID is the job identifier; it must match ValidID.
 	ID string `json:"id"`
 	// Spec is the submission body, stored verbatim so a re-queued job
 	// re-enters the exact submit path.
@@ -84,26 +87,40 @@ type Final struct {
 type Recovered struct {
 	// Record is the persisted submission.
 	Record Record
-	// Status is the last durable status ("queued" when the WAL had no
-	// entry for the job, which a crash between the record write and
-	// the WAL append can produce).
+	// Status is the last durable status. A job whose last durable
+	// status is terminal but whose Final is not durable — which only a
+	// data directory from before the WAL carried finals can hold —
+	// recovers as "queued", so a terminal Status always comes with
+	// its Final.
 	Status string
 	// Final is the terminal payload, or nil for jobs that were still
-	// in flight. A terminal Status with a nil Final means the crash
-	// hit the window between the two writes; callers should re-queue.
+	// in flight and must be re-queued.
 	Final *Final
 }
 
-// walEntry is one WAL line: job id, new status, transition time.
+// walEntry is one WAL line: job id, new status, transition time, and
+// the record (PutJob, compaction) or final (PutFinal, compaction)
+// the line makes durable.
 type walEntry struct {
 	ID     string    `json:"id"`
 	Status string    `json:"status"`
 	Time   time.Time `json:"t"`
+	Record *Record   `json:"record,omitempty"`
+	Final  *Final    `json:"final,omitempty"`
 }
 
 // StatusDeleted is the WAL status recorded by Delete; jobs whose last
 // entry is StatusDeleted are dropped on replay.
 const StatusDeleted = "deleted"
+
+// statusQueued is the status PutJob records.
+const statusQueued = "queued"
+
+// terminal reports whether status ends a job; only a Final carries
+// one.
+func terminal(status string) bool {
+	return status == "done" || status == "cancelled" || status == "failed"
+}
 
 // Store is the on-disk job store. All methods are safe for concurrent
 // use.
@@ -117,7 +134,8 @@ type Store struct {
 
 // ValidID reports whether id is acceptable as a job identifier: non-
 // empty, at most 128 bytes, and built only from letters, digits, '.',
-// '_' and '-' (ids become file names).
+// '_' and '-' (ids name files: the cluster journals and the record
+// files of older data directories).
 func ValidID(id string) bool {
 	if id == "" || len(id) > 128 {
 		return false
@@ -134,37 +152,35 @@ func ValidID(id string) bool {
 }
 
 // Open opens (creating if necessary) the store rooted at dir, replays
-// the WAL, loads every surviving record and final state, compacts the
-// WAL, and returns the store with the recovery snapshot available via
-// Recover.
+// the WAL and any record and result files of an older data directory,
+// compacts the WAL, removes those files, and returns the store with
+// the recovery snapshot available via Recover.
 func Open(dir string) (*Store, error) {
-	for _, d := range []string{dir, filepath.Join(dir, "jobs"), filepath.Join(dir, "results")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("jobstore: %w", err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	s := &Store{dir: dir}
 	wal, err := OpenWAL(filepath.Join(dir, "wal.log"))
 	if err != nil {
 		return nil, err
 	}
-	s.wal = wal
-	status := make(map[string]string)
-	if err := wal.Replay(func(line []byte) error {
-		applyStatusLine(status, line)
-		return nil
-	}); err != nil {
+	s := &Store{dir: dir, wal: wal}
+	var jobs map[string]*jobState
+	// One read of the log serves both recovery and compaction.
+	err = wal.Compact(func(lines [][]byte) ([][]byte, error) {
+		jobs = replay(lines)
+		if err := s.loadLegacy(jobs); err != nil {
+			return nil, err
+		}
+		return compactLines(jobs)
+	})
+	if err == nil {
+		err = s.removeLegacy()
+	}
+	if err != nil {
 		wal.Close()
 		return nil, err
 	}
-	if err := s.loadRecords(status); err != nil {
-		wal.Close()
-		return nil, err
-	}
-	if err := wal.Compact(compactStatuses); err != nil {
-		wal.Close()
-		return nil, err
-	}
+	s.recovered = recoveredJobs(jobs)
 	return s, nil
 }
 
@@ -180,120 +196,133 @@ func (s *Store) Recover() []Recovered {
 // Dir returns the store's data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// PutJob durably records an accepted submission: the record file is
-// written atomically, then a "queued" transition is appended to the
-// WAL. After PutJob returns, a restart recovers the job.
+// PutJob durably records an accepted submission: one synced "queued"
+// WAL line carries the record. After PutJob returns, a restart
+// recovers the job.
 func (s *Store) PutJob(rec Record) error {
 	if !ValidID(rec.ID) {
 		return fmt.Errorf("jobstore: invalid job id %q", rec.ID)
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("jobstore: marshal record %s: %w", rec.ID, err)
-	}
-	if err := atomicWrite(s.jobPath(rec.ID), data); err != nil {
-		return err
-	}
-	return s.SetStatus(rec.ID, "queued")
+	return s.wal.Append(walEntry{ID: rec.ID, Status: statusQueued, Time: time.Now().UTC(), Record: &rec})
 }
 
-// SetStatus appends a status transition to the WAL and syncs it.
+// SetStatus appends an in-flight status transition to the WAL and
+// syncs it.
 func (s *Store) SetStatus(id, status string) error {
 	if !ValidID(id) {
 		return fmt.Errorf("jobstore: invalid job id %q", id)
 	}
-	return s.appendWAL(walEntry{ID: id, Status: status, Time: time.Now().UTC()})
+	return s.wal.Append(walEntry{ID: id, Status: status, Time: time.Now().UTC()})
 }
 
-// PutFinal durably records a job's terminal state: the Final file is
-// written atomically and synced *before* the terminal status reaches
-// the WAL, so a durable terminal status always has its payload.
+// PutFinal durably records a job's terminal state: one synced WAL
+// line carries the terminal status and the Final together, so a
+// durable terminal status always has its payload.
 func (s *Store) PutFinal(id string, f Final) error {
 	if !ValidID(id) {
 		return fmt.Errorf("jobstore: invalid job id %q", id)
 	}
-	data, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("jobstore: marshal final %s: %w", id, err)
+	if !terminal(f.Status) {
+		return fmt.Errorf("jobstore: final state of %s has non-terminal status %q", id, f.Status)
 	}
-	if err := atomicWrite(s.resultPath(id), data); err != nil {
-		return err
-	}
-	return s.SetStatus(id, f.Status)
+	return s.wal.Append(walEntry{ID: id, Status: f.Status, Time: time.Now().UTC(), Final: &f})
 }
 
-// Delete removes a job from the store: a tombstone transition is
-// appended to the WAL first (so replay drops the job even if the file
-// removals are lost), then the record and result files are removed.
-// The file removals are attempted even when the tombstone append
-// fails (e.g. a sick disk): recovery is driven by the record files,
-// so removing them is sufficient to keep the job dead.
+// Delete removes a job from the store by appending a tombstone to the
+// WAL; replay drops the job, and the next compaction drops its lines.
 func (s *Store) Delete(id string) error {
-	if !ValidID(id) {
-		return fmt.Errorf("jobstore: invalid job id %q", id)
-	}
-	walErr := s.SetStatus(id, StatusDeleted)
-	if err := os.Remove(s.jobPath(id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if err := os.Remove(s.resultPath(id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	return walErr
+	return s.SetStatus(id, StatusDeleted)
 }
 
 // Close closes the WAL handle. The store must not be used afterwards.
 func (s *Store) Close() error { return s.wal.Close() }
 
-// Compact rewrites the WAL down to one entry per live job, dropping
-// the status-transition history (and delete tombstones) accumulated
-// since the last open or Compact. Open does this once at startup; a
+// Compact rewrites the WAL down to one line per live job, carrying
+// its record, last durable status and final state, and drops the
+// transition history (and delete tombstones) accumulated since the
+// last open or Compact. Open does this once at startup; a
 // long-running server calls Compact periodically (ddsimd runs it on a
-// ticker, -compact-every) so weeks of churn cannot grow the WAL without
-// bound. Crash-safe: WAL.Compact rewrites atomically under the append
-// lock, so no concurrent transition can fall between replay and
-// rewrite.
-func (s *Store) Compact() error { return s.wal.Compact(compactStatuses) }
-
-func (s *Store) jobPath(id string) string { return filepath.Join(s.dir, "jobs", id+".json") }
-func (s *Store) resultPath(id string) string {
-	return filepath.Join(s.dir, "results", id+".json")
+// ticker, -compact-every) so weeks of churn cannot grow the WAL
+// without bound. Crash-safe: WAL.Compact rewrites atomically under
+// the append lock, so no concurrent transition can fall between
+// replay and rewrite.
+func (s *Store) Compact() error {
+	return s.wal.Compact(func(lines [][]byte) ([][]byte, error) {
+		return compactLines(replay(lines))
+	})
 }
 
-func (s *Store) appendWAL(e walEntry) error { return s.wal.Append(e) }
-
-// applyStatusLine folds one WAL line into the last-status map.
-// Tombstones stay in the map (dropped at compaction) so a record file
-// whose removal was lost in a crash is not resurrected by the
-// no-WAL-entry fallback in loadRecords. Lines that are valid JSON but
-// not walEntries are skipped.
-func applyStatusLine(status map[string]string, line []byte) {
-	var e walEntry
-	if err := json.Unmarshal(line, &e); err == nil && e.ID != "" {
-		status[e.ID] = e.Status
-	}
+// jobState is one job as the WAL (and an older data directory's
+// files) describe it. Tombstoned jobs stay in the map until
+// compaction, so an older directory's record file whose job was
+// deleted is not resurrected.
+type jobState struct {
+	rec    *Record
+	status string
+	final  *Final
 }
 
-// compactStatuses is the WAL.Compact transform: the surviving log is
-// one entry per live job carrying its last durable status, sorted by
-// id; tombstones die here.
-func compactStatuses(lines [][]byte) ([][]byte, error) {
-	status := make(map[string]string)
+// replay folds WAL lines into per-job state. A line carrying a record
+// starts the job afresh (an id reused after a delete); a status-only
+// line moves the status and keeps the final, which resolve attaches
+// only while the status is still the final's. Lines that do not parse
+// as a walEntry (a tear that kept its newline), name an invalid id, or
+// carry another job's record are skipped.
+func replay(lines [][]byte) map[string]*jobState {
+	jobs := make(map[string]*jobState)
 	for _, line := range lines {
-		applyStatusLine(status, line)
-	}
-	var ids []string
-	for id, st := range status {
-		if st == StatusDeleted {
+		var e walEntry
+		if err := json.Unmarshal(line, &e); err != nil || !ValidID(e.ID) ||
+			(e.Record != nil && e.Record.ID != e.ID) {
 			continue
 		}
-		ids = append(ids, id)
+		j := jobs[e.ID]
+		if j == nil || e.Record != nil {
+			j = &jobState{rec: e.Record}
+			jobs[e.ID] = j
+		}
+		j.status = e.Status
+		if e.Final != nil {
+			j.final = e.Final
+		}
+	}
+	return jobs
+}
+
+// resolve returns the job's recovered status and final: the final
+// only while the status is still the final's, and a terminal status
+// without its final read as queued.
+func (j *jobState) resolve() (string, *Final) {
+	switch {
+	case !terminal(j.status):
+		return j.status, nil
+	case j.final != nil && j.final.Status == j.status:
+		return j.status, j.final
+	default:
+		return statusQueued, nil
+	}
+}
+
+// live reports whether the job survives compaction: it has a record
+// and no tombstone.
+func (j *jobState) live() bool { return j.rec != nil && j.status != StatusDeleted }
+
+// compactLines is the compacted log: one line per live job carrying
+// its record, resolved status and final, sorted by id.
+func compactLines(jobs map[string]*jobState) ([][]byte, error) {
+	ids := make([]string, 0, len(jobs))
+	for id, j := range jobs {
+		if j.live() {
+			ids = append(ids, id)
+		}
 	}
 	sort.Strings(ids)
 	out := make([][]byte, 0, len(ids))
 	now := time.Now().UTC()
 	for _, id := range ids {
-		line, err := json.Marshal(walEntry{ID: id, Status: status[id], Time: now})
+		j := jobs[id]
+		status, fin := j.resolve()
+		line, err := json.Marshal(walEntry{ID: id, Status: status, Time: now, Record: j.rec, Final: fin})
 		if err != nil {
 			return nil, fmt.Errorf("jobstore: compact wal: %w", err)
 		}
@@ -302,47 +331,16 @@ func compactStatuses(lines [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// loadRecords builds the recovery snapshot from the job files and the
-// replayed statuses. Records without a WAL entry (a crash between the
-// record write and the WAL append) recover as "queued"; result files
-// without a record are orphans and are ignored.
-func (s *Store) loadRecords(status map[string]string) error {
-	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
+// recoveredJobs is the recovery snapshot: every live job, sorted by
+// submission time (ties broken by id).
+func recoveredJobs(jobs map[string]*jobState) []Recovered {
 	var out []Recovered
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".json") {
+	for _, j := range jobs {
+		if !j.live() {
 			continue
 		}
-		id := strings.TrimSuffix(name, ".json")
-		data, err := os.ReadFile(s.jobPath(id))
-		if err != nil {
-			continue // racing deletion; skip
-		}
-		var rec Record
-		if err := json.Unmarshal(data, &rec); err != nil || rec.ID != id {
-			continue // corrupt or mismatched record: unrecoverable, skip
-		}
-		st, ok := status[id]
-		if st == StatusDeleted {
-			// Tombstoned: the job is gone even though its files
-			// survived a crash; finish the removal now.
-			_ = os.Remove(s.jobPath(id))
-			_ = os.Remove(s.resultPath(id))
-			continue
-		}
-		if !ok {
-			st = "queued"
-			status[id] = st
-		}
-		r := Recovered{Record: rec, Status: st}
-		if fin := s.loadFinal(id); fin != nil && fin.Status == st {
-			r.Final = fin
-		}
-		out = append(out, r)
+		status, fin := j.resolve()
+		out = append(out, Recovered{Record: *j.rec, Status: status, Final: fin})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Record, out[j].Record
@@ -351,11 +349,69 @@ func (s *Store) loadRecords(status map[string]string) error {
 		}
 		return a.ID < b.ID
 	})
-	s.recovered = out
+	return out
+}
+
+func (s *Store) jobPath(id string) string { return filepath.Join(s.dir, "jobs", id+".json") }
+func (s *Store) resultPath(id string) string {
+	return filepath.Join(s.dir, "results", id+".json")
+}
+
+// loadLegacy folds an older data directory's files into jobs. A
+// record file fills in a job the WAL has no record for; one without
+// any WAL line (a crash between the record write and the WAL append)
+// recovers as queued. A result file fills in a missing final, which
+// resolve attaches only if its status is the WAL's. Result files
+// without a record are orphans and are ignored. The record files of
+// tombstoned jobs are removed, durably, before the compaction that
+// drops the tombstones.
+func (s *Store) loadLegacy(jobs map[string]*jobState) error {
+	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("jobstore: %w", err)
+	}
+	removed := false
+	for _, ent := range entries {
+		id, ok := strings.CutSuffix(ent.Name(), ".json")
+		if ent.IsDir() || !ok || !ValidID(id) {
+			continue
+		}
+		j := jobs[id]
+		if j != nil && j.status == StatusDeleted {
+			if err := os.Remove(s.jobPath(id)); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("jobstore: %w", err)
+			}
+			removed = true
+			continue
+		}
+		if j != nil && j.rec != nil {
+			continue // the WAL's own record wins
+		}
+		var rec Record
+		if data, err := os.ReadFile(s.jobPath(id)); err != nil ||
+			json.Unmarshal(data, &rec) != nil || rec.ID != id {
+			continue // unreadable, corrupt or mismatched: unrecoverable
+		}
+		if j == nil {
+			j = &jobState{status: statusQueued}
+			jobs[id] = j
+		}
+		j.rec = &rec
+		if j.final == nil {
+			j.final = s.loadFinal(id)
+		}
+	}
+	if removed {
+		return syncDir(filepath.Join(s.dir, "jobs"))
+	}
 	return nil
 }
 
-// loadFinal reads a job's Final file, or nil when absent or corrupt.
+// loadFinal reads an older data directory's Final file, or nil when
+// absent or corrupt.
 func (s *Store) loadFinal(id string) *Final {
 	data, err := os.ReadFile(s.resultPath(id))
 	if err != nil {
@@ -366,4 +422,15 @@ func (s *Store) loadFinal(id string) *Final {
 		return nil
 	}
 	return &f
+}
+
+// removeLegacy deletes an older data directory's record and result
+// files once the compacted WAL holds their contents.
+func (s *Store) removeLegacy() error {
+	for _, d := range []string{"jobs", "results"} {
+		if err := os.RemoveAll(filepath.Join(s.dir, d)); err != nil {
+			return fmt.Errorf("jobstore: remove %s: %w", d, err)
+		}
+	}
+	return nil
 }

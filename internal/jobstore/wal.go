@@ -1,7 +1,7 @@
 package jobstore
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -61,11 +61,15 @@ func (w *WAL) Append(v any) error {
 	return nil
 }
 
-// Replay reads the log from the start and calls fn with every intact
-// line, in order. Replay stops silently at the first line that is not
-// valid JSON — appends are synced in order, so only a torn tail can
-// produce one, and everything after it is untrustworthy. An error from
-// fn aborts the replay and is returned.
+// Replay reads the log from the start and calls fn with every
+// newline-terminated line, in order. Append writes a line and its
+// newline in one synced write, so only a crash mid-append leaves an
+// unterminated tail; Replay ignores it and cuts it from the file, so
+// the next append starts a line of its own instead of extending the
+// torn one. Lines are handed on unparsed: fn skips one it cannot
+// parse, which is how a tear that kept its newline ends replay too.
+// An error from fn aborts the replay and is returned. The lines share
+// one buffer; fn must copy what it keeps past the call.
 func (w *WAL) Replay(fn func(line []byte) error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -81,11 +85,12 @@ func (w *WAL) Replay(fn func(line []byte) error) error {
 	return nil
 }
 
-// Compact atomically rewrites the log: transform receives every intact
-// line currently in the log and returns the lines (without trailing
-// newlines) the new log should contain. The rewrite happens under the
-// append lock, so entries appended concurrently are either visible to
-// transform or blocked until the new log is in place — never lost.
+// Compact atomically rewrites the log: transform receives every
+// newline-terminated line currently in the log and returns the lines
+// (without trailing newlines) the new log should contain. The rewrite
+// happens under the append lock, so entries appended concurrently are
+// either visible to transform or blocked until the new log is in
+// place — never lost.
 func (w *WAL) Compact(transform func(lines [][]byte) ([][]byte, error)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -100,7 +105,11 @@ func (w *WAL) Compact(transform func(lines [][]byte) ([][]byte, error)) error {
 	if err != nil {
 		return err
 	}
-	var buf []byte
+	size := 0
+	for _, line := range out {
+		size += len(line) + 1
+	}
+	buf := make([]byte, 0, size)
 	for _, line := range out {
 		buf = append(buf, line...)
 		buf = append(buf, '\n')
@@ -137,33 +146,46 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// readLines returns every intact line, stopping at a torn tail.
-// Callers hold w.mu.
+// readLines returns every newline-terminated line and cuts an
+// unterminated tail from the file. Lines have no length cap: one may
+// carry a job's whole result payload. Callers hold w.mu.
 func (w *WAL) readLines() ([][]byte, error) {
-	f, err := os.Open(w.path)
+	data, err := os.ReadFile(w.path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("jobstore: open wal: %w", err)
+		return nil, fmt.Errorf("jobstore: read wal: %w", err)
 	}
-	defer f.Close()
 	var lines [][]byte
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		if !json.Valid(sc.Bytes()) {
-			break // torn tail: ignore it and everything after
+	off := 0
+	for {
+		n := bytes.IndexByte(data[off:], '\n')
+		if n < 0 {
+			break
 		}
-		lines = append(lines, append([]byte(nil), sc.Bytes()...))
+		lines = append(lines, data[off:off+n])
+		off += n + 1
+	}
+	if off < len(data) && w.f != nil {
+		if err := w.f.Truncate(int64(off)); err != nil {
+			return nil, fmt.Errorf("jobstore: cut torn wal tail: %w", err)
+		}
+		if err := w.f.Sync(); err != nil {
+			return nil, fmt.Errorf("jobstore: sync wal: %w", err)
+		}
 	}
 	return lines, nil
 }
 
 // atomicWrite writes data to path crash-safely: temp file in the same
-// directory, fsync, rename over the target, fsync the directory.
+// directory (created if missing), fsync, rename over the target, fsync
+// the directory.
 func atomicWrite(path string, data []byte) error {
 	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("jobstore: %w", err)
+	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("jobstore: %w", err)
@@ -189,9 +211,19 @@ func atomicWrite(path string, data []byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("jobstore: rename %s: %w", path, err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the creations, renames and
+// removals in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("jobstore: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("jobstore: sync %s: %w", dir, err)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -138,5 +139,48 @@ func TestWALClosed(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Errorf("double close: %v", err)
+	}
+}
+
+// TestWALLongLineKeepsLaterEntries puts a 2 MiB line ahead of others:
+// replay must return it and every entry after it.
+func TestWALLongLineKeepsLaterEntries(t *testing.T) {
+	w, _ := openTestWAL(t)
+	big := strings.Repeat("x", 2<<20)
+	for i, s := range []string{big, "", "y"} {
+		if err := w.Append(walRec{N: i, S: s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := replayAll(t, w)
+	if len(got) != 3 || got[0].S != big || got[2].N != 2 {
+		t.Fatalf("replay after a 2 MiB line returned %d entries, want 3 intact", len(got))
+	}
+}
+
+// TestWALAppendAfterTornTail replays over a torn tail and appends: the
+// new entry must start a line of its own, not extend the torn one, so
+// a later replay sees it.
+func TestWALAppendAfterTornTail(t *testing.T) {
+	w, path := openTestWAL(t)
+	if err := w.Append(walRec{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"n":2}`); err != nil { // valid JSON, but its newline never landed
+		t.Fatal(err)
+	}
+	f.Close()
+	if got := replayAll(t, w); len(got) != 1 {
+		t.Fatalf("replay over a torn tail = %+v, want only the intact entry", got)
+	}
+	if err := w.Append(walRec{N: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayAll(t, w); len(got) != 2 || got[1].N != 3 {
+		t.Fatalf("replay after appending past a torn tail = %+v, want entries 1 and 3", got)
 	}
 }

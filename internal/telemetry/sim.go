@@ -152,10 +152,10 @@ var (
 	JobsRecovered = NewCounterVec("ddsim_jobs_recovered_total",
 		"Jobs reconstructed from the on-disk store at startup, by outcome.", "outcome")
 
-	// WALAppends counts fsync'd appends to the job store's write-ahead
-	// log (one per durable status transition); WALCompactions counts
-	// runtime WAL rewrites (ticker-driven; one more happens inside
-	// every Open).
+	// WALAppends counts fsync'd appends to a write-ahead log: the job
+	// store's accept, terminal and tombstone lines and the cluster
+	// journals' entries; WALCompactions counts runtime WAL rewrites
+	// (ticker-driven; one more happens inside every Open).
 	WALAppends = NewCounter("ddsim_jobstore_wal_appends_total",
 		"Fsync'd write-ahead-log appends in the job store.")
 	WALCompactions = NewCounter("ddsim_jobstore_wal_compactions_total",

@@ -28,6 +28,11 @@
 #    docs/*.md or .claude/skills/verify/SKILL.md must occur in non-test
 #    Go under the repo root, internal/ or cmd/, so a doc cannot keep
 #    describing a key format the code no longer writes.
+# 9. Every paragraph of README.md, docs/*.md or
+#    .claude/skills/verify/SKILL.md that names jobs/<id>.json or
+#    results/<id>.json must say it describes an "older" layout: the
+#    job store writes records and results inline in wal.log, so a doc
+#    cannot keep describing per-job files as written.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -150,6 +155,19 @@ while IFS= read -r tok; do
     fail=1
   fi
 done <<< "$keytokens"
+
+# --- 9. per-job store files are documented only as the older layout --------
+# Paragraph mode (blank-line separated), so a sentence wrapped across
+# lines is judged whole.
+# shellcheck disable=SC2086 # keydocs is a word list of paths
+if ! awk 'BEGIN { RS = "" }
+  /(jobs|results)\/<id>\.json/ && !/older/ {
+    printf "PER-JOB STORE FILE: %s documents %s as written; the job store writes only wal.log (say \"older\" if describing the old layout)\n", FILENAME, ($0 ~ /jobs\/<id>/ ? "jobs/<id>.json" : "results/<id>.json") > "/dev/stderr"
+    bad = 1
+  }
+  END { exit bad }' $keydocs; then
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED" >&2
