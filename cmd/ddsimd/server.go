@@ -601,12 +601,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if err := s.store.PutJob(j.record()); err != nil {
 			// The durability contract is broken; refuse the job rather
 			// than accept work that a restart would silently lose. The
-			// job was never published, so nothing observed it; the
-			// tombstone covers a WAL line that may still reach the
-			// disk after the failed append (it would be recovered as
-			// queued on the next restart).
+			// job was never published, so nothing observed it, and the
+			// failed append cut its line back out of the WAL (or, if
+			// it could not, closed the WAL for every later write).
 			j.cancel()
-			_ = s.store.Delete(j.id)
 			writeErr(w, http.StatusInternalServerError, "persist job: %v", err)
 			return
 		}

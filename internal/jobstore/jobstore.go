@@ -243,9 +243,10 @@ func (s *Store) Close() error { return s.wal.Close() }
 // last open or Compact. Open does this once at startup; a
 // long-running server calls Compact periodically (ddsimd runs it on a
 // ticker, -compact-every) so weeks of churn cannot grow the WAL
-// without bound. Crash-safe: WAL.Compact rewrites atomically under
-// the append lock, so no concurrent transition can fall between
-// replay and rewrite.
+// without bound. A job whose state is already one compacted line is
+// copied verbatim; only jobs that changed are re-encoded. Crash-safe:
+// WAL.Compact rewrites atomically and carries over the transitions
+// appended while it ran, which wait only for the swap.
 func (s *Store) Compact() error {
 	return s.wal.Compact(func(lines [][]byte) ([][]byte, error) {
 		return compactLines(replay(lines))
@@ -260,6 +261,13 @@ type jobState struct {
 	rec    *Record
 	status string
 	final  *Final
+	// line is the job's one WAL line while that line is all there is
+	// to the job: it carries the record, and no later line moved the
+	// job on. Compaction copies it verbatim if it already says what a
+	// compacted line would. Only jobs without a record line take
+	// anything from an older data directory's files, so those files
+	// never change a job that has one.
+	line []byte
 }
 
 // replay folds WAL lines into per-job state. A line carrying a record
@@ -280,6 +288,10 @@ func replay(lines [][]byte) map[string]*jobState {
 		if j == nil || e.Record != nil {
 			j = &jobState{rec: e.Record}
 			jobs[e.ID] = j
+		}
+		j.line = nil
+		if e.Record != nil {
+			j.line = line
 		}
 		j.status = e.Status
 		if e.Final != nil {
@@ -308,7 +320,8 @@ func (j *jobState) resolve() (string, *Final) {
 func (j *jobState) live() bool { return j.rec != nil && j.status != StatusDeleted }
 
 // compactLines is the compacted log: one line per live job carrying
-// its record, resolved status and final, sorted by id.
+// its record, resolved status and final, sorted by id. A job's one
+// line is reused as it is when resolving changes nothing.
 func compactLines(jobs map[string]*jobState) ([][]byte, error) {
 	ids := make([]string, 0, len(jobs))
 	for id, j := range jobs {
@@ -322,6 +335,10 @@ func compactLines(jobs map[string]*jobState) ([][]byte, error) {
 	for _, id := range ids {
 		j := jobs[id]
 		status, fin := j.resolve()
+		if j.line != nil && status == j.status && fin == j.final {
+			out = append(out, j.line)
+			continue
+		}
 		line, err := json.Marshal(walEntry{ID: id, Status: status, Time: now, Record: j.rec, Final: fin})
 		if err != nil {
 			return nil, fmt.Errorf("jobstore: compact wal: %w", err)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,6 +103,130 @@ func TestTornFinalLineRequeues(t *testing.T) {
 	}
 }
 
+// TestAppendAfterFragmentKeepsJob leaves an unterminated fragment at
+// the end of the log while the store is open, as a write that failed
+// part-way would. The next PutJob is acknowledged, so its job must come
+// back as queued: its line must not be glued onto the fragment.
+func TestAppendAfterFragmentKeepsJob(t *testing.T) {
+	long := `{"id":"j0","status":"queued","record":{"id":"j0","spec":"` + strings.Repeat("x", 1000)
+	for _, frag := range []string{`{"id":"j0","st`, long} {
+		dir := t.TempDir()
+		s := reopen(t, dir)
+		if err := s.PutJob(testRecord("j1")); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(frag); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if err := s.PutJob(testRecord("j2")); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, r := range reopen(t, dir).Recover() {
+			got[r.Record.ID] = r.Status
+		}
+		if len(got) != 2 || got["j1"] != "queued" || got["j2"] != "queued" {
+			t.Fatalf("fragment of %d bytes: recovered %v, want j1 and j2 queued", len(frag), got)
+		}
+	}
+}
+
+// TestCompactCopiesSettledLines compacts twice: a job whose state is
+// one compacted line must keep that line byte for byte (its timestamp
+// included), while a job with new lines is folded into a fresh one.
+func TestCompactCopiesSettledLines(t *testing.T) {
+	dir := t.TempDir()
+	s := reopen(t, dir)
+	if err := s.PutJob(testRecord("j1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutFinal("j1", Final{Status: "done", Results: json.RawMessage(`[{"runs":10}]`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "wal.log")
+	settled, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutJob(testRecord("j2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetStatus("j2", "running"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Millisecond) // a re-encoded line would carry a later time
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if len(lines) != 3 || !bytes.Equal(lines[0], settled) {
+		t.Fatalf("compacted log = %q, want j1's line %q kept and one line for j2", data, settled)
+	}
+	var e walEntry
+	if err := json.Unmarshal(lines[1], &e); err != nil || e.ID != "j2" || e.Status != "running" || e.Record == nil {
+		t.Fatalf("j2's compacted line = %q (%v), want it running with its record", lines[1], err)
+	}
+}
+
+// TestCompactDuringAppends compacts over and over while jobs are
+// submitted and finished from several goroutines: every job's lines
+// must survive, whichever side of a compaction's read they land on.
+func TestCompactDuringAppends(t *testing.T) {
+	dir := t.TempDir()
+	s := reopen(t, dir)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				id := fmt.Sprintf("g%d-%d", g, i)
+				if err := s.PutJob(testRecord(id)); err != nil {
+					t.Errorf("PutJob %s: %v", id, err)
+					return
+				}
+				if err := s.PutFinal(id, Final{Status: "done", Results: json.RawMessage(`[1]`)}); err != nil {
+					t.Errorf("PutFinal %s: %v", id, err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for compacting := true; compacting; {
+		select {
+		case <-done:
+			compacting = false
+		default:
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs := reopen(t, dir).Recover()
+	if len(recs) != 100 {
+		t.Fatalf("recovered %d jobs, want 100", len(recs))
+	}
+	for _, r := range recs {
+		if r.Status != "done" || r.Final == nil {
+			t.Errorf("job %s recovered as %q (final %v)", r.Record.ID, r.Status, r.Final)
+		}
+	}
+}
+
 // TestLongLineKeepsLaterJobs puts a 2 MiB result payload ahead of
 // other jobs' lines: replay must keep every line after it, and so
 // must the compaction at open.
@@ -132,6 +257,20 @@ func TestLongLineKeepsLaterJobs(t *testing.T) {
 			t.Fatalf("restart %d lost j1's 2 MiB payload", restart)
 		}
 	}
+}
+
+// atomicWrite writes data to path crash-safely, as the store wrote
+// the files of an older data directory.
+func atomicWrite(path string, data []byte) error {
+	tmp, err := createTemp(path)
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		discard(tmp)
+		return err
+	}
+	return commitTemp(tmp, path)
 }
 
 // legacyJSON writes v as one file of an older data directory.

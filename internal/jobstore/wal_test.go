@@ -2,10 +2,12 @@ package jobstore
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 type walRec struct {
@@ -182,5 +184,95 @@ func TestWALAppendAfterTornTail(t *testing.T) {
 	}
 	if got := replayAll(t, w); len(got) != 2 || got[1].N != 3 {
 		t.Fatalf("replay after appending past a torn tail = %+v, want entries 1 and 3", got)
+	}
+}
+
+// TestWALFailedAppendIsCut leaves what a failed append can leave past
+// the last good line, a fragment or a whole line whose sync failed,
+// and runs the undo an append error takes: the log must end at the
+// last good line, and the next append must land as a line of its own.
+func TestWALFailedAppendIsCut(t *testing.T) {
+	for _, junk := range []string{`{"n":2,"s":"par`, "{\"n\":2}\n"} {
+		w, path := openTestWAL(t)
+		if err := w.Append(walRec{N: 1}); err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		if _, err := w.f.WriteAt([]byte(junk), w.end); err != nil {
+			t.Fatal(err)
+		}
+		err := w.undo(errors.New("injected"))
+		w.mu.Unlock()
+		if err == nil || w.broken != nil {
+			t.Fatalf("undo = %v, broken = %v; want the append error and a usable WAL", err, w.broken)
+		}
+		if err := w.Append(walRec{N: 3}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "{\"n\":1}\n{\"n\":3}\n"; string(data) != want {
+			t.Fatalf("log after a cut append = %q, want %q", data, want)
+		}
+	}
+}
+
+// TestWALFailsClosed appends to a log whose writes and truncations
+// both fail: the append errors, and so does every later Append and
+// Compact, instead of writing after a fragment it could not cut.
+func TestWALFailsClosed(t *testing.T) {
+	w, err := OpenWAL("/dev/full")
+	if err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	defer w.Close()
+	if err := w.Append(walRec{N: 1}); err == nil {
+		t.Fatal("append to a full device succeeded")
+	}
+	if w.broken == nil {
+		t.Fatal("WAL still open after a failed append it could not cut")
+	}
+	if err := w.Append(walRec{N: 2}); err != w.broken {
+		t.Errorf("later append = %v, want the fail-closed error", err)
+	}
+	if err := w.Compact(func(l [][]byte) ([][]byte, error) { return l, nil }); err != w.broken {
+		t.Errorf("compact = %v, want the fail-closed error", err)
+	}
+}
+
+// TestWALCompactCarriesConcurrentAppends appends while transform runs:
+// the append must not wait for the compaction, and its entry must
+// land after transform's output in the new log, as must later ones.
+func TestWALCompactCarriesConcurrentAppends(t *testing.T) {
+	w, _ := openTestWAL(t)
+	for i := 0; i < 3; i++ {
+		if err := w.Append(walRec{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := w.Compact(func(lines [][]byte) ([][]byte, error) {
+		done := make(chan error, 1)
+		go func() { done <- w.Append(walRec{N: 99}) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				return nil, err
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("append waited for the compaction's transform")
+		}
+		return lines[2:], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(walRec{N: 100}); err != nil {
+		t.Fatal(err)
+	}
+	got := replayAll(t, w)
+	if len(got) != 3 || got[0].N != 2 || got[1].N != 99 || got[2].N != 100 {
+		t.Fatalf("replay after a compaction with a concurrent append = %+v, want entries 2, 99, 100", got)
 	}
 }
