@@ -60,14 +60,14 @@ func (s *server) restore() (served, requeued int) {
 }
 
 // restoreFinished inserts a terminal job reconstructed purely from
-// disk: no circuit is compiled and no context exists — the job only
-// serves reads (GET returns the persisted results, DELETE is the
-// documented no-op, the event stream emits the final result
-// immediately).
+// disk: no circuit is compiled, the results stay encoded as stored
+// and no context exists — the job only serves reads (GET returns the
+// persisted results, DELETE is the documented no-op, the event
+// stream emits the final result immediately).
 func (s *server) restoreFinished(rc jobstore.Recovered, spec jobSpec) {
 	j := &job{
 		id:        rc.Record.ID,
-		spec:      spec,
+		spec:      jobSpec{Sweep: spec.Sweep},
 		backend:   rc.Record.Backend,
 		priority:  rc.Record.Priority,
 		circName:  rc.Record.Circuit,
@@ -79,11 +79,9 @@ func (s *server) restoreFinished(rc jobstore.Recovered, spec jobSpec) {
 		started:   rc.Final.Started,
 		finished:  rc.Final.Finished,
 		errMsg:    rc.Final.Error,
+		results:   rc.Final.Results,
 		subs:      make(map[chan ddsim.Progress]struct{}),
 		done:      make(chan struct{}),
-	}
-	if len(rc.Final.Results) > 0 {
-		_ = json.Unmarshal(rc.Final.Results, &j.results)
 	}
 	close(j.done)
 	s.insertRestored(j)
@@ -135,7 +133,7 @@ func (s *server) failRestored(rc jobstore.Recovered, spec jobSpec, cause error) 
 	now := time.Now()
 	j := &job{
 		id:        rc.Record.ID,
-		spec:      spec,
+		spec:      jobSpec{Sweep: spec.Sweep},
 		backend:   rc.Record.Backend,
 		priority:  rc.Record.Priority,
 		circName:  rc.Record.Circuit,

@@ -116,13 +116,31 @@ type jobView struct {
 	Finished  *time.Time      `json:"finished_at,omitempty"`
 	Error     string          `json:"error,omitempty"`
 	Progress  *ddsim.Progress `json:"progress,omitempty"`
-	Results   []*ddsim.Result `json:"results,omitempty"`
+	// Results is only decoded into, by clients of the API; the
+	// server writes the encoded results below in its place.
+	Results []*ddsim.Result `json:"results,omitempty"`
+
+	// results is the job's encoded []*ddsim.Result, which MarshalJSON
+	// writes verbatim as the results member.
+	results json.RawMessage
 }
 
-// job is one accepted submission and its lifecycle state. Jobs
-// restored from the store in a terminal state have a nil circ (the
-// circuit summary fields below serve the API without re-compiling)
-// and a no-op cancel.
+// MarshalJSON renders the view with its encoded results in place of
+// Results, so a finished job is never re-marshalled.
+func (v jobView) MarshalJSON() ([]byte, error) {
+	type fields jobView // without this method, so Marshal does not recurse
+	return json.Marshal(struct {
+		fields
+		Results json.RawMessage `json:"results,omitempty"`
+	}{fields(v), v.results})
+}
+
+// job is one accepted submission and its lifecycle state. Once the
+// job is terminal it holds only what view prints: the transition
+// drops its circuit, noise points and submitted source (spec keeps
+// only the sweep) and keeps its results as one encoded slice, shared
+// with the store and the result cache. Jobs restored from the store
+// in a terminal state start out that way, with a no-op cancel.
 type job struct {
 	id       string
 	seq      int64 // dispatch tiebreak: submission order
@@ -152,7 +170,8 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	progress  *ddsim.Progress
-	results   []*ddsim.Result
+	results   json.RawMessage // encoded []*ddsim.Result, set on reaching a terminal status
+	cacheable bool            // results are a pure function of key (see encodeResults)
 	errMsg    string
 	cached    bool // result served from the cache or an identical in-flight job
 	subs      map[chan ddsim.Progress]struct{}
@@ -217,9 +236,16 @@ func (j *job) view(includeResults bool) jobView {
 		v.Finished = &t
 	}
 	if includeResults {
-		v.Results = j.results
+		v.results = j.results
 	}
 	return v
+}
+
+// dropInputs releases what a terminal job was compiled from; view
+// needs only the sweep. Caller holds j.mu.
+func (j *job) dropInputs() {
+	j.circ, j.models = nil, nil
+	j.spec = jobSpec{Sweep: j.spec.Sweep}
 }
 
 func (j *job) terminal() bool {
@@ -740,9 +766,10 @@ func (s *server) serveCached(j *job) (finished, leader bool) {
 }
 
 // finishFromCache completes a job with a cached payload, marking it
-// done without burning any trajectories. A payload that fails to
-// decode (cannot happen with payloads this process wrote) reports
-// false and the job simulates normally.
+// done without burning any trajectories; the job adopts the payload
+// as its encoded results. A payload that fails to decode (cannot
+// happen with payloads this process wrote) reports false and the job
+// simulates normally.
 func (s *server) finishFromCache(j *job, payload []byte) bool {
 	var results []*ddsim.Result
 	if err := json.Unmarshal(payload, &results); err != nil || len(results) == 0 {
@@ -754,8 +781,9 @@ func (s *server) finishFromCache(j *job, payload []byte) bool {
 	j.status = statusDone
 	j.started = now
 	j.finished = now
-	j.results = results
+	j.results = payload
 	j.cached = true
+	j.dropInputs()
 	telemetry.E2ESeconds.Observe(now.Sub(j.submitted).Seconds())
 	j.mu.Unlock()
 	telemetry.JobsDone.With(statusDone).Inc()
@@ -764,26 +792,12 @@ func (s *server) finishFromCache(j *job, payload []byte) bool {
 	return true
 }
 
-// cachePayload marshals the job's results for the cache, but only
-// when they are a pure function of the job key: a clean, complete,
-// un-truncated success. Partial, failed, interrupted or timed-out
-// outcomes must never be served to a later identical submission.
+// cachePayload returns the job's encoded results for the cache, but
+// only when completion judged them a pure function of the job key.
 func (j *job) cachePayload() ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != statusDone || j.errMsg != "" || len(j.results) == 0 {
-		return nil, false
-	}
-	for _, r := range j.results {
-		if r == nil || r.Interrupted || r.TimedOut {
-			return nil, false
-		}
-	}
-	payload, err := json.Marshal(j.results)
-	if err != nil {
-		return nil, false
-	}
-	return payload, true
+	return j.results, j.cacheable
 }
 
 // finalize records a job's terminal state and persists it.
@@ -805,13 +819,9 @@ func (s *server) persistFinal(j *job) {
 	f := jobstore.Final{
 		Status:   j.status,
 		Error:    j.errMsg,
+		Results:  j.results,
 		Started:  j.started,
 		Finished: j.finished,
-	}
-	if len(j.results) > 0 {
-		if data, err := json.Marshal(j.results); err == nil {
-			f.Results = data
-		}
 	}
 	j.mu.Unlock()
 	if f.Status == statusCancelled && !j.userCancel.Load() {
@@ -829,11 +839,15 @@ func (s *server) persistFinal(j *job) {
 // event stream. A cancelled job keeps whatever partial results the
 // engine aggregated (their Interrupted flag is set by the engine). A
 // cancellation that raced the natural end of the simulation — every
-// point finished, nothing interrupted — still counts as done.
+// point finished, nothing interrupted — still counts as done. The
+// results are encoded here, once, outside the lock.
 func (j *job) complete(results []*ddsim.Result, err error) {
+	enc, cacheable := encodeResults(results)
 	j.mu.Lock()
 	j.finished = time.Now()
-	j.results = results
+	j.results = enc
+	j.cacheable = cacheable && err == nil
+	j.dropInputs()
 	switch {
 	case err == nil && allResultsClean(results):
 		j.status = statusDone
@@ -851,6 +865,27 @@ func (j *job) complete(results []*ddsim.Result, err error) {
 	telemetry.JobsDone.With(j.status).Inc()
 	j.mu.Unlock()
 	close(j.done)
+}
+
+// encodeResults renders results in the wire form of GET /jobs/{id}
+// (nil when there are none) and reports whether a later identical
+// submission may be served them: only a complete, un-truncated
+// outcome may. An unencodable outcome has no results and is not
+// cacheable.
+func encodeResults(results []*ddsim.Result) (json.RawMessage, bool) {
+	if len(results) == 0 {
+		return nil, false
+	}
+	enc, err := json.Marshal(results)
+	if err != nil {
+		return nil, false
+	}
+	for _, r := range results {
+		if r == nil || r.Interrupted || r.TimedOut {
+			return enc, false
+		}
+	}
+	return enc, true
 }
 
 // allResultsClean reports whether every point produced a result and
