@@ -291,35 +291,6 @@ func BenchmarkAblationDeterministicDensityDD(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCheckpointing isolates the trajectory
-// checkpoint/fork optimisation: the same perfect-device BV sampling
-// job with forking on vs off, on both fork-capable backends. The gap
-// is the cost of replaying the deterministic prefix M times.
-func BenchmarkAblationCheckpointing(b *testing.B) {
-	circ := qbench.BV(15).Circuit
-	for _, bk := range []struct {
-		name    string
-		factory sim.Factory
-	}{{"dd", ddback.Factory()}, {"statevec", statevec.Factory()}} {
-		for _, mode := range []string{stochastic.CheckpointOff, stochastic.CheckpointOn} {
-			b.Run(fmt.Sprintf("%s/checkpoint=%s", bk.name, mode), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := stochastic.Run(circ, bk.factory, noise.Model{}, stochastic.Options{
-						Runs: 100, Seed: 1, Workers: 1, Checkpointing: mode,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Runs != 100 {
-						b.Fatalf("completed %d runs", res.Runs)
-					}
-				}
-			})
-		}
-	}
-}
-
 func BenchmarkAblationStochasticSamplingDD(b *testing.B) {
 	c := circuit.GHZ(12)
 	b.ReportAllocs()

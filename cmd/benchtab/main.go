@@ -15,10 +15,7 @@
 //
 //	benchtab -table 1b -runs 30000 -accuracy 0.05 -confidence 0.95
 //
-// Trajectory checkpointing (-checkpoint auto|on|off, default auto)
-// toggles the engine's deterministic-prefix fork optimisation, so A/B
-// runs isolate its effect; same-seed cells are bit-identical either
-// way. Machine-readable output (-json PATH) writes every regenerated
+// Machine-readable output (-json PATH) writes every regenerated
 // table plus run parameters and a telemetry digest (gates applied,
 // gates skipped via checkpoints, forks served) as one JSON document —
 // the format consumed by the CI benchmark job (BENCH_pr.json):
@@ -67,7 +64,6 @@ func main() {
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		accuracy   = flag.Float64("accuracy", 0, "adaptive stopping per cell: run only the trajectories Theorem 1 requires for this ε (0 = always run -runs)")
 		confidence = flag.Float64("confidence", 0.95, "confidence level 1−δ for -accuracy")
-		checkpoint = flag.String("checkpoint", ddsim.CheckpointAuto, "trajectory checkpointing per cell: auto, on (fails backends without fork support), off; cells are bit-identical either way")
 		mode       = flag.String("mode", ddsim.ModeStochastic, "engine per cell: stochastic (Monte-Carlo over the three backends) or exact (deterministic density-matrix passes)")
 		exactBack  = flag.String("exact-backend", "", "exact-mode representation column(s): ddensity, density, or empty for both")
 		jsonPath   = flag.String("json", "", "also write the regenerated tables and a telemetry digest as JSON to this path (the BENCH_pr.json format)")
@@ -133,7 +129,6 @@ func main() {
 		Context:          ctx,
 		TargetAccuracy:   *accuracy,
 		TargetConfidence: *confidence,
-		Checkpointing:    *checkpoint,
 		Mode:             *mode,
 		ExactBackends:    exactBackends,
 	}
@@ -147,8 +142,8 @@ func main() {
 		fmt.Printf("exact deterministic simulation: one density-matrix pass/cell, budget=%s/cell, noise %s\n\n",
 			*budget, model)
 	} else {
-		fmt.Printf("stochastic noisy simulation: M=%d runs/cell, budget=%s/cell, noise %s, checkpointing %s\n\n",
-			*runs, *budget, model, *checkpoint)
+		fmt.Printf("stochastic noisy simulation: M=%d runs/cell, budget=%s/cell, noise %s\n\n",
+			*runs, *budget, model)
 	}
 
 	var tables []*qbench.Table
@@ -221,7 +216,6 @@ type jsonReport struct {
 	BudgetNS      int64       `json:"budget_ns"`
 	Seed          int64       `json:"seed"`
 	Accuracy      float64     `json:"accuracy,omitempty"`
-	Checkpointing string      `json:"checkpointing"`
 	Mode          string      `json:"mode,omitempty"`
 	ExactBackends []string    `json:"exact_backends,omitempty"`
 	Interrupted   bool        `json:"interrupted,omitempty"`
@@ -277,7 +271,6 @@ func writeJSON(path string, r *qbench.Runner, tables []*qbench.Table, interrupte
 		BudgetNS:      int64(r.Budget),
 		Seed:          r.Seed,
 		Accuracy:      r.TargetAccuracy,
-		Checkpointing: r.Checkpointing,
 		Mode:          r.Mode,
 		ExactBackends: r.ExactBackends,
 		Interrupted:   interrupted,

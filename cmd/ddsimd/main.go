@@ -24,7 +24,7 @@
 // A submission selects a circuit (inline OpenQASM 2.0 or a built-in
 // benchmark family), a backend, a noise point — optionally swept over
 // several scale factors through one shared worker pool — the engine
-// options (runs, seed, shots, adaptive stopping, checkpointing, ...)
+// options (runs, seed, shots, adaptive stopping, ...)
 // and an optional "priority" (±100; higher starts sooner when
 // simulation slots are contended):
 //

@@ -506,19 +506,6 @@ func (s *server) compile(spec *jobSpec) (*ddsim.Circuit, []ddsim.NoiseModel, err
 		return nil, nil, fmt.Errorf("options.runs %d exceeds the server limit %d",
 			spec.Options.Runs, s.maxRuns)
 	}
-	switch spec.Options.Checkpointing {
-	case "", ddsim.CheckpointAuto, ddsim.CheckpointOff:
-	case ddsim.CheckpointOn:
-		// The sparse baseline has no fork support; reject at submit
-		// instead of failing the job after it queued.
-		if spec.Backend == ddsim.BackendSparse {
-			return nil, nil, fmt.Errorf(
-				"options.checkpointing %q is unsupported by backend %q", ddsim.CheckpointOn, spec.Backend)
-		}
-	default:
-		return nil, nil, fmt.Errorf("options.checkpointing %q invalid (want %s, %s or %s)",
-			spec.Options.Checkpointing, ddsim.CheckpointAuto, ddsim.CheckpointOn, ddsim.CheckpointOff)
-	}
 	return circ, models, nil
 }
 

@@ -435,11 +435,14 @@ func TestSubmissionValidation(t *testing.T) {
 		{"qubits over limit", `{"circuit": {"name": "ghz", "n": 2000000000}}`},
 		{"qasm qubits over limit", `{"circuit": {"qasm": "OPENQASM 2.0;\nqreg q[70];\n"}}`},
 		{"dense backend too large", `{"circuit": {"name": "ghz", "n": 40}, "backend": "statevec"}`},
-		{"bad checkpointing mode", `{"circuit": {"name": "ghz", "n": 3}, "options": {"runs": 10, "checkpointing": "maybe"}}`},
 		{"priority out of range", `{"circuit": {"name": "ghz", "n": 3}, "options": {"runs": 10}, "priority": 101}`},
 		{"priority below range", `{"circuit": {"name": "ghz", "n": 3}, "options": {"runs": 10}, "priority": -101}`},
-		{"checkpointing on sparse", `{"circuit": {"name": "ghz", "n": 3}, "backend": "sparse", "options": {"runs": 10, "checkpointing": "on"}}`},
+		// options.checkpointing was removed: jobs fork whenever the
+		// backend can, and the field is now an unknown one.
+		{"removed checkpointing field", `{"circuit": {"name": "ghz", "n": 3}, "options": {"runs": 10, "checkpointing": "off"}}`},
 	}
+	// Error bodies (JSON-escaped) that must name the offending field.
+	names := map[string]string{"removed checkpointing field": `unknown field \"checkpointing\"`}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -447,8 +450,8 @@ func TestSubmissionValidation(t *testing.T) {
 		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d (%s), want 400", tc.name, resp.StatusCode, raw)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), names[tc.name]) {
+			t.Errorf("%s: status = %d (%s), want 400 naming %q", tc.name, resp.StatusCode, raw, names[tc.name])
 		}
 	}
 

@@ -19,12 +19,11 @@
 //
 //	sqcsim -circuit ghz -n 12 -runs 2000 -sweep 0,1,2,5,10
 //
-// Trajectory checkpointing (-checkpoint auto|on|off, default auto)
-// simulates the deterministic prefix of the circuit once per worker
-// and forks every trajectory from the checkpoint instead of replaying
-// it — a large win for perfect-device sampling (-perfect) of circuits
-// that measure at the end, where the entire gate sequence is shared.
-// Results are bit-identical in every mode:
+// On the dd and statevec backends the engine simulates the
+// deterministic prefix of the circuit once per worker and forks every
+// trajectory from it instead of replaying it — a large win for
+// perfect-device sampling (-perfect) of circuits that measure at the
+// end, where the entire gate sequence is shared:
 //
 //	sqcsim -circuit bv -n 19 -perfect -runs 5000 -progress
 //
@@ -89,7 +88,6 @@ func main() {
 		confidence = flag.Float64("confidence", 0.95, "confidence level 1−δ for -accuracy and the reported radius")
 		progress   = flag.Bool("progress", false, "print periodic progress lines and a final telemetry digest to stderr")
 		sweep      = flag.String("sweep", "", "noise sweep: comma-separated multiples of the base noise point, e.g. 0,1,2,5,10 (batch mode, one shared worker pool)")
-		checkpoint = flag.String("checkpoint", ddsim.CheckpointAuto, "trajectory checkpointing: auto (fork from the deterministic prefix when the backend supports it), on (required), off (always replay); results are bit-identical either way")
 		mode       = flag.String("mode", ddsim.ModeStochastic, "simulation mode: stochastic (Monte-Carlo trajectories) or exact (deterministic density-matrix pass, small registers)")
 		exactBack  = flag.String("exact-backend", ddsim.ExactDDensity, "exact-mode density-matrix representation: "+strings.Join(ddsim.ExactBackends(), ", "))
 		devicePath = flag.String("device", "", "calibrated device description (JSON file): per-qubit T1/T2 and per-gate error rates replace the uniform -depol/-damp/-flip rates")
@@ -139,7 +137,7 @@ func main() {
 	opts := ddsim.Options{
 		Runs: *runs, Workers: *workers, Seed: *seed, Shots: *shots, Timeout: *timeout,
 		TrackFidelity: *fidelity, TargetAccuracy: *accuracy, TargetConfidence: *confidence,
-		Checkpointing: *checkpoint, Mode: *mode, ExactBackend: *exactBack,
+		Mode: *mode, ExactBackend: *exactBack,
 	}
 	exactMode := *mode == ddsim.ModeExact
 	if *progress {

@@ -64,19 +64,22 @@
 // # Trajectory checkpointing
 //
 // Stochastic trajectories of the same job are identical until their
-// first probabilistic event fires. The engine exploits this
-// (Options.Checkpointing, default CheckpointAuto): the noise-free
-// circuit is simulated once per worker with a few snapshots along it
-// — cheap for decision diagrams: the shared unique and compute tables
-// are reused and only root-edge reference counts are bumped — and a
-// trajectory draws the position of its next fired roll instead of
-// rolling each one, forks from the nearest snapshot before its first
-// event, and restores the final one when it has none. The path ends at
-// the first measurement or reset; behind it every trajectory runs op by
-// op, noisy or not. Same-seed results are bit-identical with
-// checkpointing on or off; /metrics and the CLI telemetry digests
-// report prefix gates skipped, checkpoints taken, forks served and
-// memory retained.
+// first probabilistic event fires. The engine exploits this on every
+// backend that can fork (dd and statevec): the noise-free circuit is
+// simulated once per worker with a few snapshots along it — cheap for
+// decision diagrams: the shared unique and compute tables are reused
+// and only root-edge reference counts are bumped — and a trajectory
+// draws the position of its next fired roll instead of rolling each
+// one, forks from the nearest snapshot before its first event, and
+// restores the final one when it has none. The path ends at the first
+// measurement or reset; behind it every trajectory runs op by op,
+// noisy or not. There is no switch: sparse jobs, and circuits whose
+// first op is a measurement or reset (a path with nothing to share),
+// replay the path instead, and Result.Checkpointed says which
+// happened. Forked and replayed runs are tested bit-equal; on dd only
+// where the weight rounding does not depend on the package's history.
+// /metrics and the CLI telemetry digests report prefix gates skipped,
+// checkpoints taken, forks served and memory retained.
 //
 // # Batch simulation
 //
@@ -205,25 +208,6 @@ const (
 func ExactBackends() []string {
 	return []string{ExactDDensity, ExactDensity}
 }
-
-// Checkpointing modes accepted by Options.Checkpointing. Trajectories
-// of the same job are identical until their first probabilistic event
-// fires, so the engine can simulate the noise-free circuit once per
-// worker and fork every trajectory at its own first event (backends
-// implementing the fork capability: dd and statevec).
-// Same-seed results are bit-identical in every mode; only the work
-// performed differs.
-const (
-	// CheckpointAuto (the default) forks from checkpoints whenever the
-	// backend supports it and the shared reference path holds gates to
-	// save; a circuit that starts with a measurement or reset has none
-	// and replays.
-	CheckpointAuto = stochastic.CheckpointAuto
-	// CheckpointOn requires checkpointing; unsupported backends fail.
-	CheckpointOn = stochastic.CheckpointOn
-	// CheckpointOff always replays every gate of every trajectory.
-	CheckpointOff = stochastic.CheckpointOff
-)
 
 // Backends lists the available engine identifiers.
 func Backends() []string {
@@ -377,8 +361,8 @@ func BatchSimulate(ctx context.Context, backend string, jobs []BatchJob, workers
 // backend identifier, every noise point of the job (a sweep passes
 // all its scaled models, a single run a one-element slice), and the
 // result-relevant options in canonical form (Options.Canonical —
-// Workers, Checkpointing and the progress knobs are excluded because
-// results are bit-identical across them).
+// Workers and the progress knobs are excluded because results are
+// bit-identical across them).
 //
 // Because the engine is deterministic — run j always draws from the
 // stream of (Seed, j) and reductions happen in run order — two jobs

@@ -6,6 +6,7 @@ import (
 	"reflect"
 
 	"ddsim"
+	"ddsim/internal/telemetry"
 )
 
 // ExampleSimulate estimates outcome probabilities of a GHZ state with
@@ -88,15 +89,15 @@ func ExampleBatchSimulate() {
 	// noise-free P(|0000⟩) = 0.50
 }
 
-// ExampleOptions_checkpointing demonstrates the trajectory
-// checkpoint/fork optimisation. Every gate of this circuit precedes
-// its measurements, so on a perfect (noise-free) device the whole
-// gate sequence is a deterministic prefix: the engine simulates it
-// once per worker and forks all trajectories from the checkpoint.
-// Same-seed results are bit-identical with checkpointing on or off —
-// only the work performed differs (see the ddsim_checkpoint_* metrics
-// and the telemetry digest).
-func ExampleOptions_checkpointing() {
+// ExampleResult_checkpointed shows trajectory forking. Every gate of
+// this circuit precedes its measurements, so on a perfect (noise-free)
+// device the whole gate sequence is a deterministic prefix: a backend
+// that can fork (dd, statevec) simulates it once per worker and forks
+// all trajectories from it, while the sparse backend replays it for
+// every trajectory. The histograms agree bit for bit; only the work
+// differs, as Result.Checkpointed and the gate-application telemetry
+// (also exported as ddsim_gate_applications_total) show.
+func ExampleResult_checkpointed() {
 	c := ddsim.NewCircuit("checkpoint_demo", 8)
 	c.H(0)
 	for q := 1; q < 8; q++ {
@@ -104,23 +105,23 @@ func ExampleOptions_checkpointing() {
 	}
 	c.MeasureAll()
 
-	opts := ddsim.Options{Runs: 400, Seed: 3, Checkpointing: ddsim.CheckpointOff}
-	plain, err := ddsim.Simulate(c, ddsim.BackendDD, ddsim.NoNoise(), opts)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
+	opts := ddsim.Options{Runs: 400, Seed: 3, Workers: 1}
+	var results []*ddsim.Result
+	for _, backend := range []string{ddsim.BackendDD, ddsim.BackendSparse} {
+		before := telemetry.GateApplications.Value()
+		res, err := ddsim.Simulate(c, backend, ddsim.NoNoise(), opts)
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		fmt.Printf("%-6s checkpointed=%v gate applications=%d\n",
+			backend, res.Checkpointed, telemetry.GateApplications.Value()-before)
+		results = append(results, res)
 	}
-	opts.Checkpointing = ddsim.CheckpointAuto
-	forked, err := ddsim.Simulate(c, ddsim.BackendDD, ddsim.NoNoise(), opts)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-
-	fmt.Println("checkpointed:", forked.Checkpointed)
-	fmt.Println("bit-identical histograms:", reflect.DeepEqual(plain.ClassicalCounts, forked.ClassicalCounts))
+	fmt.Println("bit-identical histograms:", reflect.DeepEqual(results[0].ClassicalCounts, results[1].ClassicalCounts))
 	// Output:
-	// checkpointed: true
+	// dd     checkpointed=true gate applications=8
+	// sparse checkpointed=false gate applications=3200
 	// bit-identical histograms: true
 }
 
@@ -234,7 +235,6 @@ func ExampleJobKey() {
 		Seed:          7,
 		Workers:       32,
 		ProgressEvery: 1,
-		Checkpointing: ddsim.CheckpointOff,
 	})
 	// A different seed is a different Monte-Carlo experiment:
 	d, _ := ddsim.JobKey(c, ddsim.BackendDD, models, ddsim.Options{Runs: 1000, Seed: 8})
@@ -251,7 +251,7 @@ func ExampleJobKey() {
 // ExampleOptions_Canonical shows the canonicalisation underneath
 // JobKey: the result-relevant fields survive with engine defaults
 // filled in, and everything that only changes *how* the work is done
-// (workers, progress callbacks, checkpointing) is discarded.
+// (workers, progress callbacks) is discarded.
 func ExampleOptions_Canonical() {
 	opts := ddsim.Options{
 		Seed:          3,

@@ -98,10 +98,6 @@ type Runner struct {
 	// trajectories as Theorem 1 requires, capped by Runs.
 	TargetAccuracy   float64
 	TargetConfidence float64
-	// Checkpointing selects the engine's trajectory checkpoint/fork
-	// mode per cell ("auto", "on", "off"; empty means auto). Same-seed
-	// cells are bit-identical in every mode — only runtimes move.
-	Checkpointing string
 	// Mode selects the engine for every cell: "" or
 	// stochastic.ModeStochastic runs the Monte-Carlo engine over
 	// Backends; stochastic.ModeExact runs one deterministic
@@ -188,7 +184,6 @@ func (r *Runner) measure(b Benchmark, col engineCol) Cell {
 			Timeout:          r.Budget,
 			TargetAccuracy:   r.TargetAccuracy,
 			TargetConfidence: r.TargetConfidence,
-			Checkpointing:    r.Checkpointing,
 		})
 	}
 	if err != nil {

@@ -17,9 +17,10 @@ package stochastic
 // walked the path once and kept a few snapshots, so the first event
 // restores the nearest one and replays the few unitaries up to the
 // fired op; a trajectory without an event restores the path's final
-// state and goes straight to sampling. Replayed (Checkpointing off, or
-// a backend that cannot fork): Reset and apply the path's unitaries
-// from the start. Between events both apply the path's bare unitaries.
+// state and goes straight to sampling. Replayed (a backend that cannot
+// fork, or a path without unitaries): Reset and apply the path's
+// unitaries from the start. Between events both apply the path's bare
+// unitaries.
 //
 // The path ends where a draw would need the state: at the first
 // measurement or reset, or at the first exact-channel damping (whose
@@ -29,8 +30,10 @@ package stochastic
 // Bit-exactness: forked and replayed trajectories are one function
 // (ckptRunner.run) making the same draws, and a restored state is the
 // product of the identical operation sequence. Same-seed results are
-// therefore bit-identical with checkpointing on or off; the
-// differential tests in checkpoint_test.go enforce this.
+// therefore bit-identical forked or replayed, wherever the backend's
+// rounding does not depend on its history; the differential tests in
+// checkpoint_test.go enforce this against a backend wrapper that hides
+// sim.Forker.
 
 import (
 	"math"
@@ -41,20 +44,6 @@ import (
 	"ddsim/internal/noise"
 	"ddsim/internal/sim"
 	"ddsim/internal/telemetry"
-)
-
-// Checkpointing modes accepted by Options.Checkpointing.
-const (
-	// CheckpointAuto (the default) forks trajectories from the
-	// reference path whenever the backend implements sim.Forker and the
-	// path holds gate applications to save.
-	CheckpointAuto = "auto"
-	// CheckpointOn requires checkpointing: jobs on backends that do
-	// not implement sim.Forker fail instead of silently replaying.
-	CheckpointOn = "on"
-	// CheckpointOff replays every gate of every trajectory (the
-	// differential baseline).
-	CheckpointOff = "off"
 )
 
 // Per-worker bounds on retained states. A worker keeps at most
@@ -115,9 +104,10 @@ type refPath struct {
 	endOp, endCh int
 }
 
-// worthwhile reports whether forking can save any gate applications
-// (the CheckpointAuto enable condition): only the path's unitaries are
-// shared, so a path without any has nothing to fork.
+// worthwhile reports whether forking can save any gate applications,
+// which decides whether a job on a sim.Forker backend forks: only the
+// path's unitaries are shared, so a path without any has nothing to
+// fork.
 func (p *refPath) worthwhile() bool {
 	return len(p.gates) > 0
 }

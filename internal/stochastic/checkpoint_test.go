@@ -70,6 +70,28 @@ func pathOf(t *testing.T, c *circuit.Circuit, m noise.Model) *refPath {
 	return js.path
 }
 
+// replayFactory wraps f so that its backends hide sim.Forker: a job on
+// them replays the reference path for every trajectory, the baseline
+// of the forked-vs-replay differentials. sim.Snapshotter is forwarded,
+// so fidelity tracking still works. The other optional capabilities
+// (StateSizer, TableStatser, Releaser) are hidden too; none of them
+// changes a result.
+func replayFactory(f sim.Factory) sim.Factory {
+	return func(c *circuit.Circuit) (sim.Backend, error) {
+		b, err := f(c)
+		if err != nil {
+			return nil, err
+		}
+		if s, ok := b.(sim.Snapshotter); ok {
+			return struct {
+				sim.Backend
+				sim.Snapshotter
+			}{b, s}, nil
+		}
+		return struct{ sim.Backend }{b}, nil
+	}
+}
+
 // TestAnalyzeCheckpoint pins where the reference path ends: at the
 // first measurement or reset for noise-free and event-noise models, at
 // the first state-dependent channel otherwise, at the circuit's end
@@ -138,8 +160,9 @@ func TestAnalyzeCheckpoint(t *testing.T) {
 		}
 	})
 	t.Run("measurement-first", func(t *testing.T) {
-		// No unitary is shared, so auto replays: forking would restore
-		// the initial state and save nothing. On still forks, bit-equal.
+		// No unitary is shared, so the job replays even on a forking
+		// backend: forking would restore the initial state and save
+		// nothing.
 		c := circuit.New("m_first", 2)
 		c.Measure(0, 0).H(1)
 		p := pathOf(t, c, noise.Model{})
@@ -150,28 +173,13 @@ func TestAnalyzeCheckpoint(t *testing.T) {
 			t.Error("a path without unitaries has nothing to fork")
 		}
 		opts := Options{Runs: 64, Seed: 2, Shots: 1, TrackStates: []uint64{0, 3}}
-		opts.Checkpointing = CheckpointAuto
-		auto, err := Run(c, statevec.Factory(), noise.Model{}, opts)
+		res, err := Run(c, statevec.Factory(), noise.Model{}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if auto.Checkpointed {
-			t.Error("auto forked a path without unitaries")
+		if res.Checkpointed {
+			t.Error("forked a path without unitaries")
 		}
-		opts.Checkpointing = CheckpointOff
-		plain, err := Run(c, statevec.Factory(), noise.Model{}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Checkpointing = CheckpointOn
-		forked, err := Run(c, statevec.Factory(), noise.Model{}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !forked.Checkpointed {
-			t.Error("on did not fork")
-		}
-		assertResultsIdentical(t, "measurement-first", plain, forked)
 	})
 	t.Run("fully-deterministic", func(t *testing.T) {
 		p := pathOf(t, circuit.GHZ(5), noise.Model{})
@@ -214,21 +222,19 @@ func TestCheckpointedMatchesPlainSameSeed(t *testing.T) {
 					Runs: 300, Seed: 11, Shots: 2, Workers: workers, ChunkSize: 16,
 					TrackStates: []uint64{0, 9},
 				}
-				opts.Checkpointing = CheckpointOff
-				plain, err := Run(w.circ, b.factory, w.model, opts)
+				plain, err := Run(w.circ, replayFactory(b.factory), w.model, opts)
 				if err != nil {
 					t.Fatalf("%s/%s plain: %v", b.name, w.name, err)
 				}
 				if plain.Checkpointed {
-					t.Fatalf("%s/%s: Checkpointed set with checkpointing off", b.name, w.name)
+					t.Fatalf("%s/%s: Checkpointed set without sim.Forker", b.name, w.name)
 				}
-				opts.Checkpointing = CheckpointOn
 				forked, err := Run(w.circ, b.factory, w.model, opts)
 				if err != nil {
 					t.Fatalf("%s/%s forked: %v", b.name, w.name, err)
 				}
 				if !forked.Checkpointed {
-					t.Fatalf("%s/%s: Checkpointed not set with checkpointing on", b.name, w.name)
+					t.Fatalf("%s/%s: Checkpointed not set", b.name, w.name)
 				}
 				assertResultsIdentical(t, b.name+"/"+w.name, plain, forked)
 			}
@@ -248,12 +254,10 @@ func TestCheckpointAdaptiveEquivalence(t *testing.T) {
 		TrackStates:    []uint64{0, 15},
 		TargetAccuracy: 0.08, TargetConfidence: 0.95,
 	}
-	opts.Checkpointing = CheckpointOff
-	plain, err := Run(c, ddback.Factory(), m, opts)
+	plain, err := Run(c, replayFactory(ddback.Factory()), m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Checkpointing = CheckpointAuto
 	forked, err := Run(c, ddback.Factory(), m, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -286,15 +290,13 @@ func TestNoiseFreeDynamicForksOnce(t *testing.T) {
 	}
 	opts := Options{Runs: 200, Seed: 3, Workers: 1, ChunkSize: 32}
 
-	opts.Checkpointing = CheckpointOff
-	plain, err := Run(c, ddback.Factory(), noise.Model{}, opts)
+	plain, err := Run(c, replayFactory(ddback.Factory()), noise.Model{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	forksBefore := telemetry.CheckpointForks.Value()
 	skipBefore := telemetry.CheckpointGatesSkipped.Value()
-	opts.Checkpointing = CheckpointOn
 	forked, err := Run(c, ddback.Factory(), noise.Model{}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -311,18 +313,49 @@ func TestNoiseFreeDynamicForksOnce(t *testing.T) {
 	}
 }
 
-// TestCheckpointOnUnsupportedBackend: the sparse baseline has no fork
-// support, so CheckpointOn must fail the job while CheckpointAuto
-// silently replays.
-func TestCheckpointOnUnsupportedBackend(t *testing.T) {
-	c := circuit.GHZ(3).MeasureAll()
-	opts := Options{Runs: 20, Seed: 1}
-	opts.Checkpointing = CheckpointOn
-	if _, err := Run(c, sparsemat.Factory(), noise.Model{}, opts); err == nil {
-		t.Fatal("CheckpointOn on the sparse backend must fail")
+// TestCheckpointingReducesGateApplications is the acceptance check of
+// forking on a circuit whose first random site sits late:
+// Bernstein–Vazirani applies every gate before its measurements, so on
+// a perfect (noise-free) device the whole gate sequence is the shared
+// reference path. Forking from it must cut the job's gate applications
+// by well over 30% — asserted via the engine's telemetry counters —
+// while staying bit-identical to the replay with the same seed.
+func TestCheckpointingReducesGateApplications(t *testing.T) {
+	c := bvLike(15)
+	if p := pathOf(t, c, noise.Model{}); p.endOp < len(c.Ops)/2 {
+		t.Fatalf("precondition broken: the first random site is op %d of %d, not past halfway", p.endOp, len(c.Ops))
 	}
-	opts.Checkpointing = CheckpointAuto
-	res, err := Run(c, sparsemat.Factory(), noise.Model{}, opts)
+	opts := Options{Runs: 200, Seed: 9, Workers: 2, ChunkSize: 32}
+	run := func(f sim.Factory) (*Result, int64, int64) {
+		appliedBefore := telemetry.GateApplications.Value()
+		forksBefore := telemetry.CheckpointForks.Value()
+		res, err := Run(c, f, noise.Model{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, telemetry.GateApplications.Value() - appliedBefore,
+			telemetry.CheckpointForks.Value() - forksBefore
+	}
+	plain, appliedPlain, _ := run(replayFactory(ddback.Factory()))
+	forked, appliedForked, forks := run(ddback.Factory())
+
+	if !forked.Checkpointed || plain.Checkpointed {
+		t.Fatalf("Checkpointed flags wrong: replay=%v forked=%v", plain.Checkpointed, forked.Checkpointed)
+	}
+	if forks != int64(opts.Runs) {
+		t.Errorf("forks served = %d, want one per trajectory (%d)", forks, opts.Runs)
+	}
+	if appliedForked > appliedPlain*7/10 {
+		t.Errorf("forking applied %d gates vs %d replayed — less than the required 30%% reduction",
+			appliedForked, appliedPlain)
+	}
+	assertResultsIdentical(t, "bv", plain, forked)
+}
+
+// TestCheckpointOnUnsupportedBackend: the sparse baseline has no fork
+// support, so its jobs replay the reference path.
+func TestCheckpointOnUnsupportedBackend(t *testing.T) {
+	res, err := Run(circuit.GHZ(3).MeasureAll(), sparsemat.Factory(), noise.Model{}, Options{Runs: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,32 +364,20 @@ func TestCheckpointOnUnsupportedBackend(t *testing.T) {
 	}
 }
 
-// TestCheckpointingValidation: unknown modes are rejected before any
-// work is dispatched.
-func TestCheckpointingValidation(t *testing.T) {
-	opts := Options{Runs: 10, Seed: 1}
-	opts.Checkpointing = "sometimes"
-	if _, err := Run(circuit.GHZ(3), ddback.Factory(), noise.Model{}, opts); err == nil {
-		t.Fatal("invalid checkpointing mode must be rejected")
-	}
-}
-
-// forkedVsReplay runs one job with checkpointing off and on auto and
-// demands bit-equal estimates, histograms and fidelity.
+// forkedVsReplay runs one job on f and on replayFactory(f) and demands
+// bit-equal estimates, histograms and fidelity.
 func forkedVsReplay(t *testing.T, label string, c *circuit.Circuit, f sim.Factory, m noise.Model, opts Options) {
 	t.Helper()
-	opts.Checkpointing = CheckpointOff
-	plain, err := Run(c, f, m, opts)
+	plain, err := Run(c, replayFactory(f), m, opts)
 	if err != nil {
 		t.Fatalf("%s replay: %v", label, err)
 	}
-	opts.Checkpointing = CheckpointAuto
 	forked, err := Run(c, f, m, opts)
 	if err != nil {
 		t.Fatalf("%s forked: %v", label, err)
 	}
 	if !forked.Checkpointed {
-		t.Fatalf("%s: auto mode did not fork", label)
+		t.Fatalf("%s: did not fork", label)
 	}
 	assertResultsIdentical(t, label, plain, forked)
 }
@@ -581,9 +602,9 @@ func TestForkedCountsEveryChannel(t *testing.T) {
 		{"extended", extended, []int{noise.LabelCrosstalk, noise.LabelIdle}},
 	} {
 		var deltas [2]noise.ChannelCounts
-		for i, mode := range []string{CheckpointOff, CheckpointOn} {
+		for i, f := range []sim.Factory{replayFactory(statevec.Factory()), statevec.Factory()} {
 			before := read()
-			if _, err := Run(forkCircuit(), statevec.Factory(), tc.model, Options{Runs: 200, Seed: 4, Workers: 1, Checkpointing: mode}); err != nil {
+			if _, err := Run(forkCircuit(), f, tc.model, Options{Runs: 200, Seed: 4, Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 			after := read()
@@ -598,6 +619,36 @@ func TestForkedCountsEveryChannel(t *testing.T) {
 			if deltas[0][l] == 0 {
 				t.Errorf("%s: no %s applications counted: %v", tc.name, noise.Labels[l], deltas[0])
 			}
+		}
+	}
+}
+
+// BenchmarkForkVsReplay isolates trajectory forking: the same
+// perfect-device BV sampling job forked from the reference path and
+// replaying it, on both forking backends. The gap is the cost of
+// replaying the deterministic prefix M times.
+func BenchmarkForkVsReplay(b *testing.B) {
+	c := bvLike(15)
+	for _, bk := range []struct {
+		name    string
+		factory sim.Factory
+	}{{"dd", ddback.Factory()}, {"statevec", statevec.Factory()}} {
+		for _, leg := range []struct {
+			name    string
+			factory sim.Factory
+		}{{"replay", replayFactory(bk.factory)}, {"fork", bk.factory}} {
+			b.Run(bk.name+"/"+leg.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := Run(c, leg.factory, noise.Model{}, Options{Runs: 100, Seed: 1, Workers: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Runs != 100 || res.Checkpointed != (leg.name == "fork") {
+						b.Fatalf("completed %d runs, checkpointed %v", res.Runs, res.Checkpointed)
+					}
+				}
+			})
 		}
 	}
 }

@@ -208,9 +208,6 @@ func prepareJob(job Job) (*jobState, error) {
 		return nil, errors.New("stochastic: exact-mode job routed to the trajectory engine (dispatch through ddsim.Simulate/BatchSimulate or internal/exact)")
 	}
 	job.Opts.normalize()
-	if err := job.Opts.validateCheckpointing(); err != nil {
-		return nil, err
-	}
 	delta, err := job.Opts.delta()
 	if err != nil {
 		return nil, err
@@ -273,8 +270,8 @@ type compiled struct {
 	rng *rand.Rand
 	src *stream
 	// traj runs the job's trajectories on backend: forked from the
-	// noise-free reference path, or replaying it (see
-	// Options.Checkpointing).
+	// noise-free reference path when the backend implements sim.Forker,
+	// or replaying it.
 	traj *ckptRunner
 	// refTracked caches Probability(idx) of Options.TrackStates on the
 	// reference path's final state, for the trajectories that end in
@@ -425,18 +422,11 @@ func (e *engine) compile(js *jobState) (*compiled, error) {
 		wb.snapper = s
 	}
 	var forker sim.Forker
-	if mode := js.job.Opts.Checkpointing; mode != CheckpointOff {
-		f, ok := backend.(sim.Forker)
-		switch {
-		case !ok && mode == CheckpointOn:
-			return nil, fmt.Errorf("stochastic: backend %q cannot checkpoint (Options.Checkpointing %q needs sim.Forker)",
-				backend.Name(), mode)
-		case ok && (mode == CheckpointOn || js.path.worthwhile()):
-			forker = f
-			e.mu.Lock()
-			js.checkpointed = true
-			e.mu.Unlock()
-		}
+	if f, ok := backend.(sim.Forker); ok && js.path.worthwhile() {
+		forker = f
+		e.mu.Lock()
+		js.checkpointed = true
+		e.mu.Unlock()
 	}
 	traj, pathGates := newCkptRunner(backend, forker, js.job.Circuit, js.path)
 	telemetry.GateApplications.Add(int64(pathGates))

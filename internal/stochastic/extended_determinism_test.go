@@ -7,6 +7,7 @@ import (
 	"ddsim/internal/circuit"
 	"ddsim/internal/ddback"
 	"ddsim/internal/noise"
+	"ddsim/internal/sim"
 )
 
 // extDevice is a 4-qubit calibration table for the extended-channel
@@ -44,7 +45,7 @@ func extDeterminismCircuit() *circuit.Circuit {
 // channel kind — calibrated device, correlated crosstalk,
 // time-dependent idle noise and Pauli-twirled damping — the same seed
 // must produce bit-identical results across worker counts 1, 4 and
-// GOMAXPROCS, with trajectory checkpointing both forced on and off.
+// GOMAXPROCS, both forked and replayed (replayFactory).
 // Run under -race this doubles as the lock audit for the plan path.
 func TestExtendedDeterminismAcrossWorkersAndCheckpointing(t *testing.T) {
 	models := []struct {
@@ -63,7 +64,10 @@ func TestExtendedDeterminismAcrossWorkersAndCheckpointing(t *testing.T) {
 		{"twirled", noise.Model{Depolarizing: 0.01, Damping: 0.05, PhaseFlip: 0.01}.Twirl()},
 	}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	checkpoints := []string{CheckpointOn, CheckpointOff}
+	legs := []struct {
+		ckpt    string
+		factory sim.Factory
+	}{{"on", ddback.Factory()}, {"off", replayFactory(ddback.Factory())}}
 
 	c := extDeterminismCircuit()
 	for _, tc := range models {
@@ -73,33 +77,31 @@ func TestExtendedDeterminismAcrossWorkersAndCheckpointing(t *testing.T) {
 			if !tc.model.Extended() {
 				t.Fatalf("model %v is not extended", tc.model)
 			}
-			for _, ckpt := range checkpoints {
+			for _, leg := range legs {
 				var ref *Result
 				for _, w := range workerCounts {
 					opts := Options{
 						Runs: 400, Seed: 23, Shots: 2, ChunkSize: 16,
-						Workers: w, Checkpointing: ckpt,
-						TrackStates: []uint64{0, 5, 15},
+						Workers: w, TrackStates: []uint64{0, 5, 15},
 					}
-					res, err := Run(c, ddback.Factory(), tc.model, opts)
+					res, err := Run(c, leg.factory, tc.model, opts)
 					if err != nil {
-						t.Fatalf("ckpt=%s workers=%d: %v", ckpt, w, err)
+						t.Fatalf("ckpt=%s workers=%d: %v", leg.ckpt, w, err)
 					}
 					if ref == nil {
 						ref = res
 						continue
 					}
-					assertResultsIdentical(t, tc.name+"/ckpt="+ckpt, ref, res)
+					assertResultsIdentical(t, tc.name+"/ckpt="+leg.ckpt, ref, res)
 				}
 			}
 		})
 	}
 }
 
-// TestExtendedCheckpointingOnOffAgree: with checkpointing the plan's
-// noise-free prefix is executed once and trajectories fork from the
-// saved state; the estimates must still be bit-identical to the
-// uncheckpointed path, per the Options.Checkpointing contract.
+// TestExtendedCheckpointingOnOffAgree: forked, the plan's noise-free
+// prefix is executed once and trajectories fork from the saved state;
+// the estimates must still be bit-identical to the replayed path.
 func TestExtendedCheckpointingOnOffAgree(t *testing.T) {
 	model := noise.Model{
 		Device:    extDevice(),
@@ -108,22 +110,22 @@ func TestExtendedCheckpointingOnOffAgree(t *testing.T) {
 	}
 	c := extDeterminismCircuit()
 	var results []*Result
-	for _, ckpt := range []string{CheckpointOn, CheckpointOff} {
+	for _, f := range []sim.Factory{ddback.Factory(), replayFactory(ddback.Factory())} {
 		opts := Options{
 			Runs: 300, Seed: 9, Workers: 4, ChunkSize: 16,
-			Checkpointing: ckpt, TrackStates: []uint64{0, 15},
+			TrackStates: []uint64{0, 15},
 		}
-		res, err := Run(c, ddback.Factory(), model, opts)
+		res, err := Run(c, f, model, opts)
 		if err != nil {
-			t.Fatalf("ckpt=%s: %v", ckpt, err)
+			t.Fatal(err)
 		}
 		results = append(results, res)
 	}
 	if !results[0].Checkpointed {
-		t.Error("CheckpointOn did not report a checkpointed run")
+		t.Error("the forking backend did not report a checkpointed run")
 	}
 	if results[1].Checkpointed {
-		t.Error("CheckpointOff reported a checkpointed run")
+		t.Error("the replay wrapper reported a checkpointed run")
 	}
 	assertResultsIdentical(t, "ckpt-on-vs-off", results[0], results[1])
 }

@@ -28,24 +28,27 @@ type goldenJob struct {
 // goldenNoise is the model of the kernel and statevec records.
 var goldenNoise = noise.Model{Depolarizing: 0.01, Damping: 0.02, PhaseFlip: 0.01}
 
-// goldenLog runs the jobs a golden file pins, checkpointing off and on
-// at every worker count, and renders every deterministic field of their
+// goldenLog runs the jobs a golden file pins, replayed (ckpt=off, on
+// replayFactory) and on the plain factory (ckpt=on) at every worker
+// count, and renders every deterministic field of their
 // results, floats in hex so the comparison is bit-exact.
 func goldenLog(t *testing.T, factory sim.Factory, jobs []goldenJob) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, j := range jobs {
 		for _, w := range j.workers {
-			for _, ck := range []string{CheckpointOff, CheckpointOn} {
-				res, err := Run(j.c, factory, j.model, Options{
+			for _, leg := range []struct {
+				ck      string
+				factory sim.Factory
+			}{{"off", replayFactory(factory)}, {"on", factory}} {
+				res, err := Run(j.c, leg.factory, j.model, Options{
 					Runs: 400, Seed: 7, Shots: 2, ChunkSize: 16, Workers: w,
 					TrackStates: j.tracked, TrackFidelity: true,
-					Checkpointing: ck,
 				})
 				if err != nil {
-					t.Fatalf("%s workers=%d ckpt=%s: %v", j.name, w, ck, err)
+					t.Fatalf("%s workers=%d ckpt=%s: %v", j.name, w, leg.ck, err)
 				}
-				fmt.Fprintf(&sb, "%s workers=%d ckpt=%s\n", j.name, w, ck)
+				fmt.Fprintf(&sb, "%s workers=%d ckpt=%s\n", j.name, w, leg.ck)
 				fmt.Fprintf(&sb, "runs %d checkpointed %v\n", res.Runs, res.Checkpointed)
 				fmt.Fprintf(&sb, "counts%s\n", histLine(res.Counts))
 				fmt.Fprintf(&sb, "classical%s\n", histLine(res.ClassicalCounts))

@@ -436,8 +436,7 @@ func TestReferenceTrajectoriesReuseTrackedProbabilities(t *testing.T) {
 	c := circuit.QFT(8)
 	m := noise.PaperDefaults()
 	for name, factory := range map[string]sim.Factory{"dd": ddback.Factory(), "statevec": statevec.Factory()} {
-		opts := Options{Runs: 400, ChunkSize: 400, Seed: 9, Workers: 1, Checkpointing: CheckpointOn,
-			TrackStates: []uint64{0, 1, 100, 255}}
+		opts := Options{Runs: 400, ChunkSize: 400, Seed: 9, Workers: 1, TrackStates: []uint64{0, 1, 100, 255}}
 		res, err := Run(c, factory, m, opts)
 		if err != nil {
 			t.Fatal(err)

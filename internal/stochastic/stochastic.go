@@ -113,20 +113,6 @@ type Options struct {
 	// in stochastic mode.
 	ExactBackend string `json:"exact_backend,omitempty"`
 
-	// Checkpointing selects first-event forking: the noise-free circuit
-	// is simulated once per worker up to the first measurement, reset
-	// or state-dependent channel, and a trajectory forks from the
-	// nearest snapshot of that reference path before its first event
-	// (from the final one when it has none) instead of replaying it.
-	// Behind the path's end every trajectory runs op by op, forked or
-	// not. Modes: CheckpointAuto (default; used when the backend
-	// implements sim.Forker and the path holds gates to save — not for
-	// a circuit whose first op is a measurement or reset, which leaves
-	// it none), CheckpointOn (required — unsupported backends fail) and
-	// CheckpointOff. Same-seed results are bit-identical in every
-	// mode.
-	Checkpointing string `json:"checkpointing,omitempty"`
-
 	// OnProgress, when set, receives periodic snapshots (every
 	// ProgressEvery completed runs, and once at job completion) from
 	// worker goroutines. Calls are serialised; keep the callback fast.
@@ -149,8 +135,8 @@ type Options struct {
 // model, so canonicalisation deliberately discards every knob that
 // changes only *how* the work is done:
 //
-//   - Workers and Checkpointing are dropped (results are bit-identical
-//     across worker counts and checkpoint modes by construction);
+//   - Workers is dropped (results are bit-identical across worker
+//     counts by construction);
 //   - OnProgress and ProgressEvery are dropped (observation only);
 //   - Runs, Shots and ChunkSize are normalised to the engine defaults
 //     (ChunkSize is kept: chunk boundaries set the floating-point
@@ -243,21 +229,6 @@ func (o *Options) normalize() {
 	if o.ProgressEvery <= 0 {
 		o.ProgressEvery = defaultProgressEvery
 	}
-	if o.Checkpointing == "" {
-		o.Checkpointing = CheckpointAuto
-	}
-}
-
-// validateCheckpointing rejects unknown Options.Checkpointing values
-// (after normalize mapped "" to CheckpointAuto).
-func (o *Options) validateCheckpointing() error {
-	switch o.Checkpointing {
-	case CheckpointAuto, CheckpointOn, CheckpointOff:
-		return nil
-	default:
-		return fmt.Errorf("stochastic: unknown checkpointing mode %q (want %s, %s or %s)",
-			o.Checkpointing, CheckpointAuto, CheckpointOn, CheckpointOff)
-	}
 }
 
 // properties returns the number L of simultaneously tracked quadratic
@@ -326,9 +297,10 @@ type Result struct {
 	// that did complete.
 	Interrupted bool `json:"interrupted,omitempty"`
 	// Checkpointed reports that trajectories were forked from the
-	// noise-free reference path instead of replaying the full circuit
-	// (see Options.Checkpointing). The estimates are
-	// bit-identical either way; only the work differs.
+	// noise-free reference path instead of replaying the full circuit.
+	// A job forks whenever its backend implements sim.Forker and the
+	// path holds gates to save; sparse jobs, and circuits whose first
+	// op is a measurement or reset, replay. Only the work differs.
 	Checkpointed bool `json:"checkpointed,omitempty"`
 	// Workers echoes the worker count used.
 	Workers int `json:"workers"`

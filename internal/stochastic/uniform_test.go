@@ -124,11 +124,12 @@ func TestUniformPlanMatchesApplyAfterGate(t *testing.T) {
 	backends := []struct {
 		name    string
 		factory sim.Factory
-		modes   []string
 	}{
-		{"statevec", statevec.Factory(), []string{CheckpointOff, CheckpointOn}},
-		{"dd", ddback.Factory(), []string{CheckpointOff, CheckpointOn}},
-		{"sparse", sparsemat.Factory(), []string{CheckpointOff}}, // no sim.Forker
+		{"statevec/ckpt=off", replayFactory(statevec.Factory())},
+		{"statevec/ckpt=on", statevec.Factory()},
+		{"dd/ckpt=off", replayFactory(ddback.Factory())},
+		{"dd/ckpt=on", ddback.Factory()},
+		{"sparse/ckpt=off", sparsemat.Factory()}, // no sim.Forker
 	}
 	runs := 6000
 	if raceEnabled {
@@ -158,18 +159,14 @@ func TestUniformPlanMatchesApplyAfterGate(t *testing.T) {
 			within(label+"/reference", refTracked)
 
 			for _, b := range backends {
-				for _, mode := range b.modes {
-					opts.Checkpointing = mode
-					got, err := Run(c, b.factory, m, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					within(fmt.Sprintf("%s/%s/ckpt=%s", label, b.name, mode), got.TrackedProbs)
+				got, err := Run(c, b.factory, m, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
+				within(label+"/"+b.name, got.TrackedProbs)
 			}
 
 			var counter *eventCounter
-			opts.Checkpointing = CheckpointAuto
 			_, err = Run(c, func(c *circuit.Circuit) (sim.Backend, error) {
 				inner, err := statevec.Factory()(c)
 				counter = &eventCounter{Backend: inner}

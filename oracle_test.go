@@ -14,8 +14,8 @@ import (
 // loop: for every paper benchmark family that fits the exact engine
 // (≤ 10 qubits), under both noise settings (noise-free and the
 // paper's rates), the stochastic estimates of both sampling backends
-// — with trajectory checkpointing on and off — must fall within the
-// Theorem-1 confidence radius of the exact density-matrix result.
+// must fall within the Theorem-1 confidence radius of the exact
+// density-matrix result.
 //
 // Workload depths are scaled down from the paper's evaluation sizes
 // (e.g. basis_trotter 40 of 400 steps, vqe_uccsd_8 4 of 60 layers) so
@@ -68,7 +68,6 @@ func TestDifferentialOracleStochasticWithinTheorem1Radius(t *testing.T) {
 		{"paper-noise", ddsim.PaperNoise()},
 	}
 	backends := []string{ddsim.BackendDD, ddsim.BackendStatevector}
-	checkpoints := []string{ddsim.CheckpointOn, ddsim.CheckpointOff}
 
 	for _, oc := range oracleCases() {
 		oc := oc
@@ -87,27 +86,24 @@ func TestDifferentialOracleStochasticWithinTheorem1Radius(t *testing.T) {
 					t.Fatalf("%s: exact oracle: %v", ns.name, err)
 				}
 				for _, backend := range backends {
-					for _, ckpt := range checkpoints {
-						opts := ddsim.Options{
-							Runs:          600,
-							Seed:          11,
-							TrackStates:   tracked,
-							Checkpointing: ckpt,
-						}
-						res, err := ddsim.Simulate(oc.bench.Circuit, backend, ns.model, opts)
-						if err != nil {
-							t.Fatalf("%s/%s/ckpt=%s: %v", ns.name, backend, ckpt, err)
-						}
-						if res.ConfidenceRadius <= 0 {
-							t.Fatalf("%s/%s: no confidence radius", ns.name, backend)
-						}
-						for i, idx := range tracked {
-							diff := math.Abs(res.TrackedProbs[i] - exactRes.TrackedProbs[i])
-							if diff > res.ConfidenceRadius {
-								t.Errorf("%s/%s/ckpt=%s: |ô−o| = %.5f for state %d exceeds the Theorem-1 radius ±%.5f (est %.5f, exact %.5f)",
-									ns.name, backend, ckpt, diff, idx,
-									res.ConfidenceRadius, res.TrackedProbs[i], exactRes.TrackedProbs[i])
-							}
+					opts := ddsim.Options{
+						Runs:        600,
+						Seed:        11,
+						TrackStates: tracked,
+					}
+					res, err := ddsim.Simulate(oc.bench.Circuit, backend, ns.model, opts)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", ns.name, backend, err)
+					}
+					if res.ConfidenceRadius <= 0 {
+						t.Fatalf("%s/%s: no confidence radius", ns.name, backend)
+					}
+					for i, idx := range tracked {
+						diff := math.Abs(res.TrackedProbs[i] - exactRes.TrackedProbs[i])
+						if diff > res.ConfidenceRadius {
+							t.Errorf("%s/%s: |ô−o| = %.5f for state %d exceeds the Theorem-1 radius ±%.5f (est %.5f, exact %.5f)",
+								ns.name, backend, diff, idx,
+								res.ConfidenceRadius, res.TrackedProbs[i], exactRes.TrackedProbs[i])
 						}
 					}
 				}
@@ -137,9 +133,8 @@ func oracleDevice(n int) *ddsim.Device {
 // to the extended channel vocabulary: calibrated per-qubit device
 // noise, correlated crosstalk, time-dependent idle decay and
 // Pauli-twirled damping each run through the compiled-plan stochastic
-// path — both sampling backends, checkpointing on and off — and must
-// land within the confidence radius of the exact density-matrix
-// result for the same model.
+// path on both sampling backends and must land within the confidence
+// radius of the exact density-matrix result for the same model.
 func TestDifferentialOracleExtendedChannels(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -166,7 +161,6 @@ func TestDifferentialOracleExtendedChannels(t *testing.T) {
 			}},
 	}
 	backends := []string{ddsim.BackendDD, ddsim.BackendStatevector}
-	checkpoints := []string{ddsim.CheckpointOn, ddsim.CheckpointOff}
 
 	for _, oc := range cases {
 		oc := oc
@@ -183,27 +177,24 @@ func TestDifferentialOracleExtendedChannels(t *testing.T) {
 				t.Fatalf("exact oracle: %v", err)
 			}
 			for _, backend := range backends {
-				for _, ckpt := range checkpoints {
-					opts := ddsim.Options{
-						Runs:          600,
-						Seed:          11,
-						TrackStates:   tracked,
-						Checkpointing: ckpt,
-					}
-					res, err := ddsim.Simulate(oc.bench.Circuit, backend, oc.model, opts)
-					if err != nil {
-						t.Fatalf("%s/ckpt=%s: %v", backend, ckpt, err)
-					}
-					if res.ConfidenceRadius <= 0 {
-						t.Fatalf("%s: no confidence radius", backend)
-					}
-					for i, idx := range tracked {
-						diff := math.Abs(res.TrackedProbs[i] - exactRes.TrackedProbs[i])
-						if diff > res.ConfidenceRadius {
-							t.Errorf("%s/ckpt=%s: |ô−o| = %.5f for state %d exceeds the Theorem-1 radius ±%.5f (est %.5f, exact %.5f)",
-								backend, ckpt, diff, idx,
-								res.ConfidenceRadius, res.TrackedProbs[i], exactRes.TrackedProbs[i])
-						}
+				opts := ddsim.Options{
+					Runs:        600,
+					Seed:        11,
+					TrackStates: tracked,
+				}
+				res, err := ddsim.Simulate(oc.bench.Circuit, backend, oc.model, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", backend, err)
+				}
+				if res.ConfidenceRadius <= 0 {
+					t.Fatalf("%s: no confidence radius", backend)
+				}
+				for i, idx := range tracked {
+					diff := math.Abs(res.TrackedProbs[i] - exactRes.TrackedProbs[i])
+					if diff > res.ConfidenceRadius {
+						t.Errorf("%s: |ô−o| = %.5f for state %d exceeds the Theorem-1 radius ±%.5f (est %.5f, exact %.5f)",
+							backend, diff, idx,
+							res.ConfidenceRadius, res.TrackedProbs[i], exactRes.TrackedProbs[i])
 					}
 				}
 			}

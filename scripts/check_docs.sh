@@ -33,6 +33,11 @@
 #    results/<id>.json must say it describes an "older" layout: the
 #    job store writes records and results inline in wal.log, so a doc
 #    cannot keep describing per-job files as written.
+# 10. Every paragraph of README.md, docs/*.md or
+#    .claude/skills/verify/SKILL.md that names the -checkpoint flag,
+#    Options.Checkpointing or Checkpoint{Auto,On,Off} must say
+#    "removed": a job forks whenever its backend can, so a doc cannot
+#    keep offering the knob as a choice.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -163,6 +168,17 @@ done <<< "$keytokens"
 if ! awk 'BEGIN { RS = "" }
   /(jobs|results)\/<id>\.json/ && !/older/ {
     printf "PER-JOB STORE FILE: %s documents %s as written; the job store writes only wal.log (say \"older\" if describing the old layout)\n", FILENAME, ($0 ~ /jobs\/<id>/ ? "jobs/<id>.json" : "results/<id>.json") > "/dev/stderr"
+    bad = 1
+  }
+  END { exit bad }' $keydocs; then
+  fail=1
+fi
+
+# --- 10. the checkpointing knob is documented only as removed --------------
+# shellcheck disable=SC2086 # keydocs is a word list of paths
+if ! awk 'BEGIN { RS = "" }
+  /(^|[^a-z-])-checkpoint([^a-z]|$)|Options\.Checkpointing|Checkpoint(Auto|On|Off)/ && !/removed/ {
+    printf "CHECKPOINTING KNOB: a paragraph of %s offers -checkpoint, Options.Checkpointing or Checkpoint{Auto,On,Off}; jobs fork whenever the backend can (say \"removed\" if describing the old knob)\n", FILENAME > "/dev/stderr"
     bad = 1
   }
   END { exit bad }' $keydocs; then
