@@ -30,8 +30,8 @@ var goldenNoise = noise.Model{Depolarizing: 0.01, Damping: 0.02, PhaseFlip: 0.01
 
 // goldenLog runs the jobs a golden file pins, replayed (ckpt=off, on
 // replayFactory) and on the plain factory (ckpt=on) at every worker
-// count, and renders every deterministic field of their
-// results, floats in hex so the comparison is bit-exact.
+// count, and renders every deterministic field of their results, floats
+// in hex so the comparison is bit-exact.
 func goldenLog(t *testing.T, factory sim.Factory, jobs []goldenJob) string {
 	t.Helper()
 	var sb strings.Builder
