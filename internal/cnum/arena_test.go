@@ -99,7 +99,7 @@ func TestReleaseReturnsSlabs(t *testing.T) {
 	}
 	tb.Release()
 	tb.Release() // idempotent
-	if tb.slabs != nil || tb.cells.slots != nil || tb.Zero != nil {
+	if tb.slabs != nil || tb.cells.Groups() != 0 || tb.Zero != nil {
 		t.Fatal("Release left table fields populated")
 	}
 	fresh := NewTable()

@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"ddsim/internal/swiss"
 )
 
 // Tolerance is the default per-component distance below which two
@@ -313,12 +311,12 @@ func (t *Table) Lookup(re, im float64) *Value {
 		v.next = home.head
 		home.head = v
 	} else {
-		if t.cells.resident >= t.cells.growAt {
+		if t.cells.Full(t.cells.resident) {
 			t.cells.rebuild(t.cells.resident + 1)
 			// home stayed nil, so no slot pointer went stale here.
 		}
 		v.next = nil
-		t.cells.addCell(qr, qi, v)
+		t.cells.addCell(cellSlot{qr: qr, qi: qi, head: v})
 	}
 	t.count++
 	return v
@@ -326,13 +324,11 @@ func (t *Table) Lookup(re, im float64) *Value {
 
 // BeginMark clears all mark bits in preparation for a sweep.
 func (t *Table) BeginMark() {
-	for g := range t.cells.ctrl {
-		for m := swiss.MatchOccupied(t.cells.ctrl[g]); m != 0; m = swiss.Next(m) {
-			for v := t.cells.slots[g*swiss.GroupSize+swiss.First(m)].head; v != nil; v = v.next {
-				v.marked = false
-			}
+	t.cells.ForEach(func(s *cellSlot) {
+		for v := s.head; v != nil; v = v.next {
+			v.marked = false
 		}
-	}
+	})
 }
 
 // Mark pins one value against the next Sweep. Nil is ignored.
@@ -359,32 +355,29 @@ func (t *Table) Mark(v *Value) {
 func (t *Table) Sweep() int {
 	dropped := 0
 	liveCells := 0
-	for g := range t.cells.ctrl {
-		for m := swiss.MatchOccupied(t.cells.ctrl[g]); m != 0; m = swiss.Next(m) {
-			s := &t.cells.slots[g*swiss.GroupSize+swiss.First(m)]
-			var head *Value
-			tail := &head
-			for v := s.head; v != nil; {
-				next := v.next
-				if v.marked || v.pins > 0 || v == t.Zero || v == t.One {
-					*tail = v
-					v.next = nil
-					tail = &v.next
-				} else {
-					dropped++
-					t.count--
-					v.re, v.im = math.NaN(), math.NaN()
-					v.next = t.free
-					t.free = v
-				}
-				v = next
+	t.cells.ForEach(func(s *cellSlot) {
+		var head *Value
+		tail := &head
+		for v := s.head; v != nil; {
+			next := v.next
+			if v.marked || v.pins > 0 || v == t.Zero || v == t.One {
+				*tail = v
+				v.next = nil
+				tail = &v.next
+			} else {
+				dropped++
+				t.count--
+				v.re, v.im = math.NaN(), math.NaN()
+				v.next = t.free
+				t.free = v
 			}
-			s.head = head
-			if head != nil {
-				liveCells++
-			}
+			v = next
 		}
-	}
+		s.head = head
+		if head != nil {
+			liveCells++
+		}
+	})
 	t.cells.rebuild(liveCells)
 	return dropped
 }

@@ -1,9 +1,7 @@
 package cnum
 
-// The cell directory of the weight-interning table (see internal/swiss
-// for the control-byte machinery).
-//
-// The open-addressing table is keyed on tolerance-grid cells, not on
+// The cell directory of the weight-interning table: a swiss.Table (see
+// internal/swiss) keyed on tolerance-grid cells, not on
 // individual values: one slot per occupied 4·tol cell, holding the
 // cell's values as a newest-first chain (almost always length one —
 // two values share a cell only when they are between tol and 4·tol
@@ -28,8 +26,7 @@ import (
 // are left to the Go collector.
 var cellTablePool = sync.Pool{
 	New: func() interface{} {
-		t := newCellTable(minCellGroups)
-		return &t
+		return &cellTable{Table: swiss.NewTable[cellSlot](minCellGroups)}
 	},
 }
 
@@ -39,17 +36,12 @@ func getCellTable() cellTable { return *cellTablePool.Get().(*cellTable) }
 // putCellTable returns a directory to the pool, scrubbed of value
 // pointers. Grown directories are dropped.
 func putCellTable(t *cellTable) {
-	if len(t.ctrl) != minCellGroups {
+	if t.Groups() != minCellGroups {
 		return
 	}
-	for i := range t.ctrl {
-		t.ctrl[i] = swiss.EmptyWord
-	}
-	clear(t.slots)
-	clear(t.scratch)
-	t.scratch = t.scratch[:0]
-	t.resident = 0
 	ct := *t
+	ct.Reset(0)
+	ct.resident = 0
 	cellTablePool.Put(&ct)
 }
 
@@ -65,14 +57,11 @@ type cellSlot struct {
 	head   *Value
 }
 
-// cellTable is the open-addressing cell directory: one control byte
-// and one slot per cell, probed in groups of eight.
+// cellTable is the cell directory: a swiss.Table of cells plus the
+// occupied-cell count.
 type cellTable struct {
-	ctrl     []uint64
-	slots    []cellSlot
-	mask     uint64 // group count − 1
-	resident int    // occupied cells
-	growAt   int    // resident bound before the next insert rehashes
+	swiss.Table[cellSlot]
+	resident int // occupied cells
 
 	// scratch stashes the live cells during an in-place rebuild (the
 	// directory cannot be read while it is being re-inserted into).
@@ -80,95 +69,57 @@ type cellTable struct {
 	scratch []cellSlot
 }
 
-func newCellTable(groups int) cellTable {
-	t := cellTable{
-		ctrl:   make([]uint64, groups),
-		slots:  make([]cellSlot, groups*swiss.GroupSize),
-		mask:   uint64(groups - 1),
-		growAt: swiss.GrowAt(groups),
-	}
-	for i := range t.ctrl {
-		t.ctrl[i] = swiss.EmptyWord
-	}
-	return t
-}
-
-// findCell returns the slot of cell (qr,qi), or nil. One control-word
-// load covers eight cells; H2 false positives are weeded out by the
-// exact cell-coordinate comparison.
+// findCell returns the slot of cell (qr,qi), or nil. Fingerprint
+// false positives are weeded out by the exact cell-coordinate
+// comparison.
 func (t *cellTable) findCell(qr, qi int64) *cellSlot {
-	h := cellHash(qr, qi)
-	h2 := swiss.H2(h)
-	p := swiss.NewProbe(swiss.H1(h), t.mask)
-	for {
-		w := t.ctrl[p.Group()]
-		for m := swiss.MatchH2(w, h2); m != 0; m = swiss.Next(m) {
-			s := &t.slots[int(p.Group())*swiss.GroupSize+swiss.First(m)]
-			if s.qr == qr && s.qi == qi {
+	for p := t.Probe(cellHash(qr, qi)); ; p = t.Next(p) {
+		for m := p.Matches(); m.Any(); m = m.Next() {
+			if s := t.At(m.Slot()); s.qr == qr && s.qi == qi {
 				return s
 			}
 		}
-		if swiss.MatchEmpty(w) != 0 {
+		if _, ok := p.Empty(); ok {
 			return nil
 		}
-		p.Advance()
 	}
 }
 
-// addCell inserts a slot for cell (qr,qi), which must not be resident.
-// The caller has already ensured capacity (see Table.Lookup).
-func (t *cellTable) addCell(qr, qi int64, head *Value) {
-	h := cellHash(qr, qi)
-	p := swiss.NewProbe(swiss.H1(h), t.mask)
-	for {
-		g := p.Group()
-		if m := swiss.MatchEmpty(t.ctrl[g]); m != 0 {
-			i := swiss.First(m)
-			t.ctrl[g] = swiss.SetByte(t.ctrl[g], i, swiss.H2(h))
-			t.slots[int(g)*swiss.GroupSize+i] = cellSlot{qr: qr, qi: qi, head: head}
-			t.resident++
-			return
-		}
-		p.Advance()
-	}
+// addCell inserts cell s, which must not be resident. The caller has
+// already ensured capacity (see Table.Lookup).
+func (t *cellTable) addCell(s cellSlot) {
+	t.Insert(cellHash(s.qr, s.qi), s)
+	t.resident++
 }
 
-// rebuild re-inserts every cell with a non-empty chain into a table
-// sized for n cells — the rehash-on-load path shared by growth (n >
-// current capacity) and Sweep compaction (dead cells dropped, control
-// words rebuilt). Chains move as units, so within-cell value order is
-// untouched. The directory never shrinks: when the geometry is
-// unchanged the existing arrays are rebuilt in place through the
-// scratch buffer, so steady-state sweeps allocate nothing.
+// rebuild re-inserts every cell with a non-empty chain, in slot order,
+// into a table sized for n cells — the rehash-on-load path shared by
+// growth (n > current capacity) and Sweep compaction (dead cells
+// dropped, control words rebuilt). Chains move as units, so
+// within-cell value order is untouched. Growth moves the cells
+// straight from the old arrays into the new ones; otherwise the
+// directory is rebuilt in place through the scratch buffer, so
+// steady-state sweeps allocate nothing.
 func (t *cellTable) rebuild(n int) {
-	groups := swiss.GroupsFor(n, len(t.ctrl))
-	if groups != len(t.ctrl) {
-		nt := newCellTable(groups)
-		for g := range t.ctrl {
-			for m := swiss.MatchOccupied(t.ctrl[g]); m != 0; m = swiss.Next(m) {
-				s := &t.slots[int(g)*swiss.GroupSize+swiss.First(m)]
-				if s.head != nil {
-					nt.addCell(s.qr, s.qi, s.head)
-				}
+	t.resident = 0
+	if t.Full(n) {
+		old := t.Table
+		t.Reset(n)
+		old.ForEach(func(s *cellSlot) {
+			if s.head != nil {
+				t.addCell(*s)
 			}
-		}
-		*t = nt
+		})
 		return
 	}
-	t.scratch = t.scratch[:0]
-	for g := range t.ctrl {
-		for m := swiss.MatchOccupied(t.ctrl[g]); m != 0; m = swiss.Next(m) {
-			s := &t.slots[int(g)*swiss.GroupSize+swiss.First(m)]
-			if s.head != nil {
-				t.scratch = append(t.scratch, *s)
-			}
+	t.ForEach(func(s *cellSlot) {
+		if s.head != nil {
+			t.scratch = append(t.scratch, *s)
 		}
-		t.ctrl[g] = swiss.EmptyWord
-	}
-	clear(t.slots)
-	t.resident = 0
-	for i := range t.scratch {
-		t.addCell(t.scratch[i].qr, t.scratch[i].qi, t.scratch[i].head)
+	})
+	t.Reset(n)
+	for _, s := range t.scratch {
+		t.addCell(s)
 	}
 	clear(t.scratch)
 	t.scratch = t.scratch[:0]

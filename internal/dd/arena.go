@@ -155,35 +155,16 @@ func (p *Package) mnodeAt(id uint32) *MNode {
 // Grown tables are dropped to the Go collector.
 var vTablePool = sync.Pool{
 	New: func() interface{} {
-		t := newVTable(minVGroups)
+		t := swiss.NewTable[*VNode](minVGroups)
 		return &t
 	},
 }
 
 var mTablePool = sync.Pool{
 	New: func() interface{} {
-		t := newMTable(minMGroups)
+		t := swiss.NewTable[*MNode](minMGroups)
 		return &t
 	},
-}
-
-func putNodeTables(vt *vTable, mt *mTable) {
-	if len(vt.ctrl) == minVGroups {
-		for i := range vt.ctrl {
-			vt.ctrl[i] = swiss.EmptyWord
-		}
-		clear(vt.slots)
-		t := *vt
-		vTablePool.Put(&t)
-	}
-	if len(mt.ctrl) == minMGroups {
-		for i := range mt.ctrl {
-			mt.ctrl[i] = swiss.EmptyWord
-		}
-		clear(mt.slots)
-		t := *mt
-		mTablePool.Put(&t)
-	}
 }
 
 // allocVNode materialises a vector node: from the free list (recycled
@@ -269,7 +250,16 @@ func (p *Package) Release() {
 	}
 	p.vSlabs, p.mSlabs = nil, nil
 	p.vFree, p.mFree = nil, nil
-	putNodeTables(&p.vt, &p.mt)
-	p.vt, p.mt = vTable{}, mTable{}
+	if p.vt.Groups() == minVGroups {
+		t := p.vt
+		t.Reset(0)
+		vTablePool.Put(&t)
+	}
+	if p.mt.Groups() == minMGroups {
+		t := p.mt
+		t.Reset(0)
+		mTablePool.Put(&t)
+	}
+	p.vt, p.mt = swiss.Table[*VNode]{}, swiss.Table[*MNode]{}
 	p.W.Release()
 }

@@ -20,13 +20,14 @@
 //   - equal sub-diagrams are identified structurally in the unique
 //     table, so equality of diagrams is pointer equality of edges;
 //   - unique tables are custom hash tables over small integer
-//     node/weight IDs — open-addressing swiss tables with control-byte
-//     group probing (internal/swiss) — and compute tables are
-//     direct-mapped caches (lossy, overwrite on collision) whose
-//     entries hold node and weight IDs, not pointers, and whose
-//     mat-vec cache is sized from the register — the same engineering
-//     that makes the C++ package fast, because generic hash maps on the
-//     innermost loop dominate the profile otherwise.
+//     node/weight IDs — instances of the generic open-addressing
+//     swiss.Table with control-byte group probing (internal/swiss),
+//     probed with this package's hashes and key comparisons — and
+//     compute tables are direct-mapped caches (lossy, overwrite on
+//     collision) whose entries hold node and weight IDs, not pointers,
+//     and whose mat-vec cache is sized from the register — the same
+//     engineering that makes the C++ package fast, because generic
+//     hash maps on the innermost loop dominate the profile otherwise.
 //
 // A Package is deliberately NOT safe for concurrent use. The
 // stochastic simulator (internal/stochastic) exploits concurrency
@@ -39,6 +40,7 @@ import (
 	"fmt"
 
 	"ddsim/internal/cnum"
+	"ddsim/internal/swiss"
 )
 
 // MaxQubits is the largest register size supported by the package.
@@ -53,7 +55,7 @@ type VNode struct {
 	Level int
 	id    uint32
 	ref   int32
-	next  *VNode // free-list link, or GC/rehash survivor list (chainLive)
+	next  *VNode // free-list link, or GC/rehash survivor list (rehashV)
 }
 
 // MNode is a matrix decision diagram node with four successors
@@ -209,8 +211,8 @@ type Package struct {
 
 	// Unique tables (open-addressing swiss tables, see swisstable.go);
 	// vCount/mCount track the live populations.
-	vt      vTable
-	mt      mTable
+	vt      swiss.Table[*VNode]
+	mt      swiss.Table[*MNode]
 	vCount  int
 	nextVID uint32
 	mCount  int
@@ -317,7 +319,7 @@ func (p *Package) Stats() Stats {
 		UniqueProbe:      p.probeHist,
 		UniqueMaxProbe:   p.maxProbe,
 	}
-	if slots := len(p.vt.slots) + len(p.mt.slots); slots > 0 {
+	if slots := (p.vt.Groups() + p.mt.Groups()) * swiss.GroupSize; slots > 0 {
 		s.UniqueLoad = float64(p.vCount+p.mCount) / float64(slots)
 	}
 	return s
@@ -346,8 +348,8 @@ func NewPackageTol(n int, tol float64) *Package {
 		nextMID:      1,
 		gcThreshold:  250000,
 		wGCThreshold: 400000,
-		vt:           *vTablePool.Get().(*vTable),
-		mt:           *mTablePool.Get().(*mTable),
+		vt:           *vTablePool.Get().(*swiss.Table[*VNode]),
+		mt:           *mTablePool.Get().(*swiss.Table[*MNode]),
 		caches:       getCacheSet(mvCacheBits(n)),
 	}
 	return p
@@ -466,7 +468,7 @@ func (p *Package) makeVNode(level int, e0, e1 VEdge) VEdge {
 
 	p.uLookups++
 	h := p.vHash(level, VEdge{e0.N, w0}, VEdge{e1.N, w1})
-	hit, plen, slot := p.vt.find(h, level, e0.N, w0, e1.N, w1)
+	hit, plen, slot := p.findV(h, level, e0.N, w0, e1.N, w1)
 	p.noteProbe(plen)
 	if hit != nil {
 		p.uHits++
@@ -476,11 +478,11 @@ func (p *Package) makeVNode(level int, e0, e1 VEdge) VEdge {
 	n.E[0] = VEdge{N: e0.N, W: w0}
 	n.E[1] = VEdge{N: e1.N, W: w1}
 	n.Level = level
-	if p.vCount >= p.vt.growAt {
-		p.rehashV(p.vt.chainLive(), p.vCount+1)
-		p.vt.insert(h, n) // the rehash moved the insertion point
+	if p.vt.Full(p.vCount) {
+		p.rehashV(false)
+		p.vt.Insert(h, n) // the rehash moved the insertion point
 	} else {
-		p.vt.place(slot, h, n)
+		p.vt.Place(slot, h, n)
 	}
 	p.vCount++
 	if p.vCount > p.peakVNodes {
@@ -516,7 +518,7 @@ func (p *Package) makeMNode(level int, e [4]MEdge) MEdge {
 
 	p.uLookups++
 	h := p.mHash(level, norm)
-	hit, plen, slot := p.mt.find(h, level, norm)
+	hit, plen, slot := p.findM(h, level, norm)
 	p.noteProbe(plen)
 	if hit != nil {
 		p.uHits++
@@ -525,11 +527,11 @@ func (p *Package) makeMNode(level int, e [4]MEdge) MEdge {
 	n := p.allocMNode()
 	n.E = norm
 	n.Level = level
-	if p.mCount >= p.mt.growAt {
-		p.rehashM(p.mt.chainLive(), p.mCount+1)
-		p.mt.insert(h, n)
+	if p.mt.Full(p.mCount) {
+		p.rehashM(false)
+		p.mt.Insert(h, n)
 	} else {
-		p.mt.place(slot, h, n)
+		p.mt.Place(slot, h, n)
 	}
 	p.mCount++
 	return MEdge{N: n, W: top}

@@ -105,23 +105,23 @@ func unrefM(n *MNode) {
 // Ref/RefM become invalid. It returns the number of nodes collected.
 //
 // The sweep rebuilds the control words from the survivors (see
-// gcSwissV/gcSwissM) — dead slots leave no tombstones, so probe
+// rehashV/rehashM) — dead slots leave no tombstones, so probe
 // lengths reset with every collection. The lookup/hit counters are
 // untouched: they are lifetime totals (see Stats).
 func (p *Package) GarbageCollect() int {
-	collected := p.gcSwissV() + p.gcSwissM()
+	collected := p.rehashV(true) + p.rehashM(true)
 	// Sweep the weight table as well: long noisy simulations of
 	// circuits with incommensurate rotation angles otherwise grow it
 	// without bound. Every weight stored in a surviving node is
 	// structural and must keep its identity; everything else can go.
 	p.W.BeginMark()
-	p.vt.forEach(func(n *VNode) {
-		p.W.Mark(n.E[0].W)
-		p.W.Mark(n.E[1].W)
+	p.vt.ForEach(func(n **VNode) {
+		p.W.Mark((*n).E[0].W)
+		p.W.Mark((*n).E[1].W)
 	})
-	p.mt.forEach(func(n *MNode) {
-		for i := range n.E {
-			p.W.Mark(n.E[i].W)
+	p.mt.ForEach(func(n **MNode) {
+		for i := range (*n).E {
+			p.W.Mark((*n).E[i].W)
 		}
 	})
 	p.W.Sweep()

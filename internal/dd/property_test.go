@@ -192,23 +192,27 @@ func checkArenaInvariants(t *testing.T, p *Package) {
 	}
 	checkW(p.W.Zero)
 	checkW(p.W.One)
-	p.vt.forEach(func(n *VNode) {
+	vHash := func(n *VNode) uint64 { return p.vHash(n.Level, n.E[0], n.E[1]) }
+	mHash := func(n *MNode) uint64 { return p.mHash(n.Level, n.E) }
+	p.vt.ForEach(func(s **VNode) {
+		n := *s
 		visitV(n)
 		if n.next != nil {
 			t.Fatalf("resident vector node id %d has a dangling next pointer", n.id)
 		}
-		h := p.vHash(n.Level, n.E[0], n.E[1])
-		if got, _, _ := p.vt.find(h, n.Level, n.E[0].N, n.E[0].W, n.E[1].N, n.E[1].W); got != n {
+		if got, _, _ := p.findV(vHash(n), n.Level, n.E[0].N, n.E[0].W, n.E[1].N, n.E[1].W); got != n {
 			t.Fatalf("vector node id %d not re-findable under its own key", n.id)
 		}
 	})
-	p.mt.forEach(func(n *MNode) {
+	p.mt.ForEach(func(s **MNode) {
+		n := *s
 		visitM(n)
-		if got, _, _ := p.mt.find(p.mHash(n.Level, n.E), n.Level, n.E); got != n {
+		if got, _, _ := p.findM(mHash(n), n.Level, n.E); got != n {
 			t.Fatalf("matrix node id %d not re-findable under its own key", n.id)
 		}
 	})
-	checkCtrlConsistency(t, p)
+	checkCtrlConsistency(t, "vt", &p.vt, vHash)
+	checkCtrlConsistency(t, "mt", &p.mt, mHash)
 	if countV != p.vCount {
 		t.Fatalf("vCount %d but %d nodes resident", p.vCount, countV)
 	}
@@ -227,45 +231,45 @@ func checkArenaInvariants(t *testing.T, p *Package) {
 	}
 }
 
-// checkCtrlConsistency verifies the swiss control words against the
-// slot arrays: every occupied control byte carries the H2 fingerprint
-// of the node stored in its slot, and every empty byte has a nil slot.
-func checkCtrlConsistency(t *testing.T, p *Package) {
+// checkCtrlConsistency verifies a unique table's control words against
+// its slots: every resident is found again at its own slot under its
+// own hash — so its control byte carries its H2 fingerprint and lies
+// on its probe sequence — and the slots ForEach reports occupied are
+// exactly the non-nil ones.
+func checkCtrlConsistency[N comparable](t *testing.T, name string, tab *swiss.Table[N], hash func(N) uint64) {
 	t.Helper()
-	for g := range p.vt.ctrl {
-		for i := 0; i < swiss.GroupSize; i++ {
-			c := uint8(p.vt.ctrl[g] >> (uint(i) * 8))
-			n := p.vt.slots[g*swiss.GroupSize+i]
-			if c == swiss.Empty {
-				if n != nil {
-					t.Fatalf("vt group %d slot %d: empty control byte over node id %d", g, i, n.id)
-				}
-				continue
-			}
-			if n == nil {
-				t.Fatalf("vt group %d slot %d: occupied control byte over nil slot", g, i)
-			}
-			if want := swiss.H2(p.vHash(n.Level, n.E[0], n.E[1])); c != want {
-				t.Fatalf("vt group %d slot %d: control byte %#x, node hashes to %#x", g, i, c, want)
-			}
+	var nilN N
+	occupied := 0
+	tab.ForEach(func(s *N) {
+		occupied++
+		if *s == nilN {
+			t.Fatalf("%s: occupied control byte over nil slot", name)
+		}
+		if !found(tab, hash(*s), s) {
+			t.Fatalf("%s: resident not found at its own slot under its own hash", name)
+		}
+	})
+	nonNil := 0
+	for i := 0; i < tab.Groups()*swiss.GroupSize; i++ {
+		if *tab.At(i) != nilN {
+			nonNil++
 		}
 	}
-	for g := range p.mt.ctrl {
-		for i := 0; i < swiss.GroupSize; i++ {
-			c := uint8(p.mt.ctrl[g] >> (uint(i) * 8))
-			n := p.mt.slots[g*swiss.GroupSize+i]
-			if c == swiss.Empty {
-				if n != nil {
-					t.Fatalf("mt group %d slot %d: empty control byte over node id %d", g, i, n.id)
-				}
-				continue
+	if nonNil != occupied {
+		t.Fatalf("%s: %d non-nil slots but %d occupied control bytes", name, nonNil, occupied)
+	}
+}
+
+// found reports whether a probe of hash h reaches slot s.
+func found[N any](tab *swiss.Table[N], h uint64, s *N) bool {
+	for p := tab.Probe(h); ; p = tab.Next(p) {
+		for m := p.Matches(); m.Any(); m = m.Next() {
+			if tab.At(m.Slot()) == s {
+				return true
 			}
-			if n == nil {
-				t.Fatalf("mt group %d slot %d: occupied control byte over nil slot", g, i)
-			}
-			if want := swiss.H2(p.mHash(n.Level, n.E)); c != want {
-				t.Fatalf("mt group %d slot %d: control byte %#x, node hashes to %#x", g, i, c, want)
-			}
+		}
+		if _, ok := p.Empty(); ok {
+			return false
 		}
 	}
 }

@@ -94,14 +94,18 @@ func (d *Dispatcher) Stop() {
 // 50µs steps until space frees or ctx is done.
 func (d *Dispatcher) Submit(ctx context.Context, priority int, seq int64) (*Ticket, error) {
 	t := &Ticket{Priority: priority, Seq: seq, ready: make(chan struct{})}
+	// Counted before publishing: once published the ticket can be
+	// granted, and the grant's decrement must never precede this
+	// increment (Waiting would dip below the true count).
+	d.waiting.Add(1)
 	for !d.ring.TryPublish(t) {
 		select {
 		case <-ctx.Done():
+			d.waiting.Add(-1)
 			return nil, ctx.Err()
 		case <-time.After(50 * time.Microsecond):
 		}
 	}
-	d.waiting.Add(1)
 	return t, nil
 }
 
@@ -153,10 +157,12 @@ func (d *Dispatcher) consume() {
 		for free > 0 && waiters.Len() > 0 {
 			t := heap.Pop(&waiters).(*Ticket)
 			if t.state.CompareAndSwap(ticketWaiting, ticketGranted) {
-				close(t.ready)
 				free--
+				// Counters first: a waiter woken by the close must
+				// already read its own grant in Granted and Waiting.
 				d.granted.Add(1)
 				d.waiting.Add(-1)
+				close(t.ready)
 			}
 			// else: abandoned while queued; the canceller already
 			// decremented waiting.

@@ -175,6 +175,28 @@ func TestDispatcherConservation(t *testing.T) {
 	}
 }
 
+// TestDispatcherCountsBeforeGrant checks that the counters feeding
+// the service's gauges and status view never lag a grant: the moment a
+// waiter wakes, Granted already includes its grant and Waiting no
+// longer includes its ticket.
+func TestDispatcherCountsBeforeGrant(t *testing.T) {
+	d := NewDispatcher(1, 8)
+	defer d.Stop()
+	for i := int64(0); i < 5000; i++ {
+		tk, err := d.Submit(context.Background(), 0, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Wait(context.Background(), tk); err != nil {
+			t.Fatal(err)
+		}
+		if g, w := d.Granted(), d.Waiting(); g != i+1 || w != 0 {
+			t.Fatalf("cycle %d: woken waiter reads Granted %d, Waiting %d; want %d, 0", i, g, w, i+1)
+		}
+		d.Release()
+	}
+}
+
 // TestDispatcherPriorityOrder holds the single slot, queues waiters
 // with known priorities, then releases one slot at a time: grants
 // must come back in (priority desc, seq asc) order — including the

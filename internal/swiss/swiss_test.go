@@ -19,7 +19,7 @@ func wordOf(b [8]uint8) uint64 {
 	return w
 }
 
-// TestMatchH2Property: against a brute-force scan, MatchH2 must flag
+// TestMatchH2Property: against a brute-force scan, matchH2 must flag
 // every true match and only ever add false positives above the first
 // true match (the documented SWAR borrow artefact) — and when a word
 // contains no true match, no bit at all.
@@ -29,13 +29,13 @@ func TestMatchH2Property(t *testing.T) {
 		var b [8]uint8
 		for i := range b {
 			if rng.Intn(2) == 0 {
-				b[i] = Empty
+				b[i] = empty
 			} else {
 				b[i] = uint8(rng.Intn(128))
 			}
 		}
 		h2 := uint8(rng.Intn(128))
-		m := MatchH2(wordOf(b), h2)
+		m := matchH2(wordOf(b), h2)
 		firstTrue := -1
 		for i := 0; i < 8; i++ {
 			if b[i] == h2 {
@@ -70,18 +70,18 @@ func TestMatchEmptyExact(t *testing.T) {
 		var b [8]uint8
 		for i := range b {
 			if rng.Intn(2) == 0 {
-				b[i] = Empty
+				b[i] = empty
 			} else {
 				b[i] = uint8(rng.Intn(128))
 			}
 		}
 		w := wordOf(b)
-		me, mo := MatchEmpty(w), MatchOccupied(w)
+		me, mo := matchEmpty(w), matchOccupied(w)
 		if me&mo != 0 || me|mo != hiBits {
 			return false
 		}
 		for i := 0; i < 8; i++ {
-			want := b[i] == Empty
+			want := b[i] == empty
 			if (me&(1<<(uint(i)*8+7)) != 0) != want {
 				return false
 			}
@@ -93,7 +93,7 @@ func TestMatchEmptyExact(t *testing.T) {
 	}
 }
 
-// TestFirstMatchBelowFalsePositives: taking First on a MatchH2 mask is
+// TestFirstMatchBelowFalsePositives: taking first on a matchH2 mask is
 // always a true match when any true match exists — the property insert
 // and lookup fast paths rely on.
 func TestFirstMatchBelowFalsePositives(t *testing.T) {
@@ -101,9 +101,9 @@ func TestFirstMatchBelowFalsePositives(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var b [8]uint8
 		for i := range b {
-			b[i] = uint8(rng.Intn(129)) // 128 == Empty
+			b[i] = uint8(rng.Intn(129)) // 128 == empty
 			if b[i] == 128 {
-				b[i] = Empty
+				b[i] = empty
 			}
 		}
 		h2 := uint8(rng.Intn(128))
@@ -113,51 +113,56 @@ func TestFirstMatchBelowFalsePositives(t *testing.T) {
 				hasTrue = true
 			}
 		}
-		m := MatchH2(wordOf(b), h2)
+		m := matchH2(wordOf(b), h2)
 		if !hasTrue {
 			// No true match: any set bit must be a false positive, which
 			// requires a borrow from a true zero byte — impossible.
 			return m == 0
 		}
-		return b[First(m)] == h2
+		return b[first(m)] == h2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestSetByte: SetByte touches exactly the addressed byte.
+// TestSetByte: setByte touches exactly the addressed byte.
 func TestSetByte(t *testing.T) {
-	w := EmptyWord
+	w := emptyWord
 	for i := 0; i < 8; i++ {
-		w2 := SetByte(w, i, 0x5a)
+		w2 := setByte(w, i, 0x5a)
 		for j := 0; j < 8; j++ {
-			want := uint8(Empty)
+			want := uint8(empty)
 			if j == i {
 				want = 0x5a
 			}
 			if byteOf(w2, j) != want {
-				t.Fatalf("SetByte(%d): byte %d = %#x, want %#x", i, j, byteOf(w2, j), want)
+				t.Fatalf("setByte(%d): byte %d = %#x, want %#x", i, j, byteOf(w2, j), want)
 			}
 		}
 	}
 }
 
-// TestProbeVisitsAllGroups: the triangular sequence must visit every
-// group exactly once within the first groups steps, for every
-// power-of-two size and start — the termination guarantee of insert.
+// TestProbeVisitsAllGroups: the probe sequence must be the triangular
+// one, start + k(k+1)/2 — table layouts, and through them the kernel's
+// compute-cache evictions, depend on it — and must visit every group
+// exactly once within the first groups steps, for every power-of-two
+// size and start: the termination guarantee of insert.
 func TestProbeVisitsAllGroups(t *testing.T) {
 	for _, groups := range []int{1, 2, 4, 8, 64, 512} {
-		mask := uint64(groups - 1)
+		tab := NewTable[uint64](groups)
 		for start := 0; start < groups; start++ {
 			seen := make(map[uint64]bool, groups)
-			p := NewProbe(uint64(start), mask)
+			p := tab.Probe(uint64(start) << 7) // h1 selects the start group
 			for i := 0; i < groups; i++ {
-				if seen[p.Group()] {
-					t.Fatalf("groups=%d start=%d: group %d visited twice", groups, start, p.Group())
+				if want := uint64(start+i*(i+1)/2) % uint64(groups); p.g != want || p.Len() != i+1 {
+					t.Fatalf("groups=%d start=%d: step %d at group %d (len %d), want %d", groups, start, i, p.g, p.Len(), want)
 				}
-				seen[p.Group()] = true
-				p.Advance()
+				if seen[p.g] {
+					t.Fatalf("groups=%d start=%d: group %d visited twice", groups, start, p.g)
+				}
+				seen[p.g] = true
+				p = tab.Next(p)
 			}
 			if len(seen) != groups {
 				t.Fatalf("groups=%d start=%d: visited %d distinct groups", groups, start, len(seen))
@@ -166,42 +171,24 @@ func TestProbeVisitsAllGroups(t *testing.T) {
 	}
 }
 
-// TestGeometry: GroupsFor/GrowAt respect the 7/8 bound and powers of
+// TestGeometry: groupsFor/growAt respect the 7/8 bound and powers of
 // two.
 func TestGeometry(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 55, 56, 57, 1000, 250000} {
-		g := GroupsFor(n, 4)
+		g := groupsFor(n, 4)
 		if bits.OnesCount(uint(g)) != 1 {
-			t.Fatalf("GroupsFor(%d) = %d, not a power of two", n, g)
+			t.Fatalf("groupsFor(%d) = %d, not a power of two", n, g)
 		}
-		if GrowAt(g) <= n {
-			t.Fatalf("GroupsFor(%d) = %d holds only %d residents", n, g, GrowAt(g))
+		if growAt(g) <= n {
+			t.Fatalf("groupsFor(%d) = %d holds only %d residents", n, g, growAt(g))
 		}
-		if g > 4 && GrowAt(g/2) > n {
-			t.Fatalf("GroupsFor(%d) = %d not minimal", n, g)
+		if g > 4 && growAt(g/2) > n {
+			t.Fatalf("groupsFor(%d) = %d not minimal", n, g)
 		}
 	}
-	if GrowAt(512) != 512*8*7/8 {
-		t.Fatalf("GrowAt(512) = %d", GrowAt(512))
+	if growAt(512) != 512*8*7/8 {
+		t.Fatalf("growAt(512) = %d", growAt(512))
 	}
-}
-
-// swissSet is a minimal reference table over uint64 keys built only on
-// the exported primitives — the model for the insert/lookup/rehash
-// invariants the kernel tables rely on.
-type swissSet struct {
-	ctrl  []uint64
-	slots []uint64
-	mask  uint64
-	n     int
-}
-
-func newSwissSet(groups int) *swissSet {
-	s := &swissSet{ctrl: make([]uint64, groups), slots: make([]uint64, groups*GroupSize), mask: uint64(groups - 1)}
-	for i := range s.ctrl {
-		s.ctrl[i] = EmptyWord
-	}
-	return s
 }
 
 func hashKey(k uint64) uint64 {
@@ -212,93 +199,134 @@ func hashKey(k uint64) uint64 {
 	return h
 }
 
-func (s *swissSet) find(k uint64) (int, bool) {
-	h := hashKey(k)
-	h2 := H2(h)
-	p := NewProbe(H1(h), s.mask)
-	for {
-		w := s.ctrl[p.Group()]
-		for m := MatchH2(w, h2); m != 0; m = Next(m) {
-			i := int(p.Group())*GroupSize + First(m)
-			if s.slots[i] == k {
-				return i, true
+// refSet is the simplest client of Table: a set of uint64 keys that
+// looks up over a Probe, places on a miss and grows by moving every key
+// straight into fresh arrays, as the kernel tables do.
+type refSet struct {
+	Table[uint64]
+	n int
+}
+
+// find returns the slot holding k, or the empty slot where k belongs.
+func (s *refSet) find(k uint64) (slot int, ok bool) {
+	for p := s.Probe(hashKey(k)); ; p = s.Next(p) {
+		for m := p.Matches(); m.Any(); m = m.Next() {
+			if *s.At(m.Slot()) == k {
+				return m.Slot(), true
 			}
 		}
-		if MatchEmpty(w) != 0 {
-			return -1, false
+		if i, ok := p.Empty(); ok {
+			return i, false
 		}
-		p.Advance()
 	}
 }
 
-func (s *swissSet) insert(k uint64) {
-	if _, ok := s.find(k); ok {
+func (s *refSet) insert(k uint64) {
+	slot, ok := s.find(k)
+	if ok {
 		return
 	}
-	if s.n >= GrowAt(len(s.ctrl)) {
-		old := s.slots
-		oldCtrl := s.ctrl
-		ns := newSwissSet(len(s.ctrl) * 2)
-		for g := range oldCtrl {
-			for m := MatchOccupied(oldCtrl[g]); m != 0; m = Next(m) {
-				ns.insert(old[g*GroupSize+First(m)])
+	if s.Full(s.n) {
+		old := s.Table
+		s.Reset(s.n + 1)
+		old.ForEach(func(x *uint64) { s.Insert(hashKey(*x), *x) })
+		s.Insert(hashKey(k), k)
+	} else {
+		s.Place(slot, hashKey(k), k)
+	}
+	s.n++
+}
+
+// checkTable verifies the set against a model: no key lost, none
+// fabricated, and every control byte consistent with its slot.
+func checkTable(s *refSet, model map[uint64]bool) bool {
+	if s.n != len(model) {
+		return false
+	}
+	occupied := 0
+	for g := range s.ctrl {
+		for i := 0; i < GroupSize; i++ {
+			c, k := byteOf(s.ctrl[g], i), s.slots[g*GroupSize+i]
+			if c == empty {
+				if k != 0 {
+					return false // empty control byte over a stale key
+				}
+				continue
+			}
+			occupied++
+			if !model[k] || c != h2(hashKey(k)) {
+				return false // unknown key, or control byte disagrees with its hash
 			}
 		}
-		*s = *ns
 	}
-	h := hashKey(k)
-	p := NewProbe(H1(h), s.mask)
-	for {
-		g := p.Group()
-		if m := MatchEmpty(s.ctrl[g]); m != 0 {
-			i := First(m)
-			s.ctrl[g] = SetByte(s.ctrl[g], i, H2(h))
-			s.slots[int(g)*GroupSize+i] = k
-			s.n++
-			return
+	if occupied != len(model) {
+		return false
+	}
+	for k := range model {
+		if _, ok := s.find(k); !ok {
+			return false
 		}
-		p.Advance()
 	}
+	return true
 }
 
 // TestReferenceTableProperty drives random insert/lookup workloads
-// through the reference table against a Go map: no key lost, none
-// fabricated, across rehashes, and control words stay consistent with
-// slot occupancy.
+// through a Table against a Go map across growth, then rebuilds it
+// in place with Reset (the garbage-collection compaction path: same
+// geometry, arrays cleared and refilled with the survivors) and regrows
+// it past its old size.
 func TestReferenceTableProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := newSwissSet(1)
+		s := &refSet{Table: NewTable[uint64](1)}
 		model := make(map[uint64]bool)
 		for i := 0; i < 2000; i++ {
-			k := uint64(rng.Intn(3000))
+			k := uint64(1 + rng.Intn(3000)) // 0 marks an empty slot
 			if rng.Intn(2) == 0 {
 				s.insert(k)
 				model[k] = true
-			} else {
-				_, got := s.find(k)
-				if got != model[k] {
-					return false
-				}
+			} else if _, got := s.find(k); got != model[k] {
+				return false
 			}
 		}
-		if s.n != len(model) {
+		if !checkTable(s, model) {
 			return false
 		}
-		occupied := 0
-		for g := range s.ctrl {
-			for m := MatchOccupied(s.ctrl[g]); m != 0; m = Next(m) {
-				i := g*GroupSize + First(m)
-				occupied++
-				if !model[s.slots[i]] {
-					return false // occupied slot holds an unknown key
-				}
-				if h := hashKey(s.slots[i]); byteOf(s.ctrl[g], First(m)) != H2(h) {
-					return false // control byte disagrees with slot hash
-				}
+
+		// In-place Reset: keep every other key.
+		groups, ctrl := s.Groups(), &s.ctrl[0]
+		var live []uint64
+		s.ForEach(func(x *uint64) {
+			if *x%2 == 0 {
+				live = append(live, *x)
+			} else {
+				delete(model, *x)
 			}
+		})
+		if s.Full(len(live)) {
+			return false
 		}
-		return occupied == len(model)
+		s.Reset(len(live))
+		if s.Groups() != groups || &s.ctrl[0] != ctrl {
+			return false // compaction must neither shrink nor reallocate
+		}
+		s.n = 0
+		if !checkTable(s, map[uint64]bool{}) {
+			return false
+		}
+		for _, k := range live {
+			s.insert(k)
+		}
+		if !checkTable(s, model) {
+			return false
+		}
+
+		// Regrow past the old geometry.
+		for k := uint64(3001); s.Groups() == groups; k++ {
+			s.insert(k)
+			model[k] = true
+		}
+		return checkTable(s, model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -38,6 +38,11 @@
 #    Options.Checkpointing or Checkpoint{Auto,On,Off} must say
 #    "removed": a job forks whenever its backend can, so a doc cannot
 #    keep offering the knob as a choice.
+# 11. No non-test Go outside internal/swiss may declare a swiss
+#    control-word slice (a `ctrl []uint64` field or variable): the DD
+#    unique tables and the weight cell directory are instances of
+#    swiss.Table, so a hand-rolled probe table elsewhere is a second
+#    copy of it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -182,6 +187,16 @@ if ! awk 'BEGIN { RS = "" }
     bad = 1
   }
   END { exit bad }' $keydocs; then
+  fail=1
+fi
+
+# --- 11. one swiss table ------------------------------------------------------
+ctrlsrc="$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/swiss/*' ! -path './.bench_build/*')"
+# shellcheck disable=SC2086 # ctrlsrc is a word list of paths
+if ctrldecl="$(grep -nE 'ctrl +\[\]uint64' $ctrlsrc)"; then
+  while IFS= read -r hit; do
+    echo "HAND-ROLLED SWISS TABLE: $hit declares a control-word slice; use swiss.Table" >&2
+  done <<< "$ctrldecl"
   fail=1
 fi
 
