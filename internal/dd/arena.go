@@ -1,8 +1,8 @@
 package dd
 
 // The kernel memory plane: slab arenas and free lists for decision-
-// diagram nodes, and process-wide pools (one per geometry) for the
-// per-Package compute caches.
+// diagram nodes, and process-wide pools (one per register class) for
+// the per-Package tables.
 //
 // makeVNode/makeMNode sit on the innermost simulation loop; allocating
 // every transient node individually hands millions of short-lived,
@@ -18,11 +18,21 @@ package dd
 // (vnodeAt, mnodeAt) — which is what lets the compute caches store IDs
 // instead of pointers.
 //
-// The compute caches (nine direct-mapped tables, 3.1 or 6.1 MiB per
-// Package depending on the register size, see newCacheSet) dominate
-// the allocation profile of short jobs, where a fresh Package is
-// compiled per worker per job. Release returns them — and the node
-// slabs — to process-wide pools for the next Package.
+// The per-Package tables — the two unique tables and the nine compute
+// caches (3.1 or 6.1 MiB depending on the register size, see
+// newCacheSet) — are one pooled unit, a tableSet, drawn whole by
+// NewPackageTol and returned whole by Release. A short job compiles a
+// fresh Package per worker per job; with the unit pooled, the next
+// package of the same register class starts from the geometry the
+// last one grew its unique tables to, instead of regrowing them from
+// 4 096 slots and dropping every intermediate table. Only emptied
+// geometry crosses Release: the caches are cleared and the tables
+// Reset, so no node, weight or cache entry survives, and node and
+// weight IDs start at 1 in every package. That geometry cannot change
+// a result because GarbageCollect frees and re-inserts nodes in ID
+// order (rehashV), never in table-slot order. The node slabs (and
+// cnum's value slabs) stay in class-independent pools, so a small
+// package reuses the slabs a large one released.
 
 import (
 	"sync"
@@ -48,9 +58,7 @@ var mSlabPool = sync.Pool{
 	},
 }
 
-// cacheSet bundles the direct-mapped compute caches so they can be
-// pooled as one unit across Package lifetimes. Sets are cleared before
-// they are pooled, so a Get returns ready-to-use memory. Every cache
+// cacheSet bundles the direct-mapped compute caches. Every cache
 // length is a power of two; lookups index with hash & (len−1).
 type cacheSet struct {
 	mv    []pairEntry
@@ -106,25 +114,47 @@ func newCacheSet(mvBits int) cacheSet {
 	}
 }
 
-// smallCacheSets and largeCacheSets pool the two geometries apart, so
-// a 10-qubit job never draws (or clears) a 24-qubit job's cache.
-var smallCacheSets, largeCacheSets sync.Pool
-
-// cacheSetPool returns the pool for a mat-vec cache of mvLen entries.
-func cacheSetPool(mvLen int) *sync.Pool {
-	if mvLen == 1<<largeMVCacheBits {
-		return &largeCacheSets
-	}
-	return &smallCacheSets
+// tableSet is the unit a Package draws from its register class's pool
+// and Release returns to it: the unique tables (see swisstable.go) and
+// the compute caches. A pooled set is empty — tables Reset, caches
+// cleared — but keeps the geometry its last package grew it to.
+type tableSet struct {
+	vt     swiss.Table[*VNode]
+	mt     swiss.Table[*MNode]
+	caches cacheSet
 }
 
-// getCacheSet returns a cleared cache set with a 2^mvBits-entry
-// mat-vec cache, pooled when one is available.
-func getCacheSet(mvBits int) cacheSet {
-	if cs, ok := cacheSetPool(1 << mvBits).Get().(*cacheSet); ok {
-		return *cs
+// smallTableSets and largeTableSets pool the two register classes
+// (mvCacheBits) apart, so a 10-qubit job never draws, or clears, the
+// tables a 24-qubit job grew.
+var smallTableSets, largeTableSets sync.Pool
+
+// tableSetPool returns the pool of the class whose mat-vec cache has
+// mvLen entries.
+func tableSetPool(mvLen int) *sync.Pool {
+	if mvLen == 1<<largeMVCacheBits {
+		return &largeTableSets
 	}
-	return newCacheSet(mvBits)
+	return &smallTableSets
+}
+
+// getTableSet returns an empty table set of the class with a
+// 2^mvBits-entry mat-vec cache, pooled when one is available.
+func getTableSet(mvBits int) tableSet {
+	if ts, ok := tableSetPool(1 << mvBits).Get().(*tableSet); ok {
+		return *ts
+	}
+	return newTableSet(mvBits)
+}
+
+// newTableSet allocates a table set: minimum-size unique tables and
+// fresh caches with a 2^mvBits-entry mat-vec cache.
+func newTableSet(mvBits int) tableSet {
+	return tableSet{
+		vt:     swiss.NewTable[*VNode](minVGroups),
+		mt:     swiss.NewTable[*MNode](minMGroups),
+		caches: newCacheSet(mvBits),
+	}
 }
 
 // vnodeAt resolves a vector node ID to its arena slot; ID 0 is the
@@ -146,25 +176,6 @@ func (p *Package) mnodeAt(id uint32) *MNode {
 	}
 	k := id - 1
 	return &p.mSlabs[k/nodeSlabSize][k%nodeSlabSize]
-}
-
-// vTablePool/mTablePool recycle minimum-geometry swiss unique tables
-// across Package lifetimes (same rationale as the cell-directory pool
-// in cnum): short jobs compile a fresh Package per worker, and the
-// initial table arrays would otherwise be re-allocated every time.
-// Grown tables are dropped to the Go collector.
-var vTablePool = sync.Pool{
-	New: func() interface{} {
-		t := swiss.NewTable[*VNode](minVGroups)
-		return &t
-	},
-}
-
-var mTablePool = sync.Pool{
-	New: func() interface{} {
-		t := swiss.NewTable[*MNode](minMGroups)
-		return &t
-	},
 }
 
 // allocVNode materialises a vector node: from the free list (recycled
@@ -204,10 +215,12 @@ func (p *Package) allocMNode() *MNode {
 
 // freeVNode pushes a node just dropped by GarbageCollect onto the free
 // list. Edges are cleared so the dead node retains neither child nodes
-// nor weights.
+// nor weights, and Level 0 — which no interned node has — marks the
+// slot free for the slab walk of rehashV.
 func (p *Package) freeVNode(n *VNode) {
 	n.E[0] = VEdge{}
 	n.E[1] = VEdge{}
+	n.Level = 0
 	n.next = p.vFree
 	p.vFree = n
 }
@@ -217,25 +230,29 @@ func (p *Package) freeMNode(n *MNode) {
 	for i := range n.E {
 		n.E[i] = MEdge{}
 	}
+	n.Level = 0
 	n.next = p.mFree
 	p.mFree = n
 }
 
-// Release returns the package's pooled kernel memory — compute caches,
-// node slabs and the weight table's value slabs — to the process-wide
-// pools for the next Package. The package (and every edge, node or
-// weight obtained from it) must not be used afterwards; the unique
-// tables are dropped so accidental use fails fast. Backends call this
-// when a worker retires a compiled job (sim.Releaser).
+// Release returns the package's pooled kernel memory — the table set
+// of its register class, node slabs and the weight table's value slabs
+// — to the process-wide pools for the next Package. The table set goes
+// back emptied but with its grown geometry. The package (and every
+// edge, node or weight obtained from it) must not be used afterwards;
+// its tables are dropped so accidental use fails fast. Backends call
+// this when a worker retires a compiled job (sim.Releaser).
 func (p *Package) Release() {
 	if p.released {
 		return
 	}
 	p.released = true
 	p.clearCaches()
-	cs := p.caches
-	cacheSetPool(len(cs.mv)).Put(&cs)
-	p.caches = cacheSet{}
+	p.vt.Reset(0) // keeps the geometry, drops every node pointer
+	p.mt.Reset(0)
+	ts := p.tableSet
+	tableSetPool(len(ts.caches.mv)).Put(&ts)
+	p.tableSet = tableSet{}
 	for i := range p.vSlabs {
 		s := p.vSlabs[i][:cap(p.vSlabs[i])]
 		clear(s) // pooled slabs must not retain nodes or weights
@@ -250,16 +267,5 @@ func (p *Package) Release() {
 	}
 	p.vSlabs, p.mSlabs = nil, nil
 	p.vFree, p.mFree = nil, nil
-	if p.vt.Groups() == minVGroups {
-		t := p.vt
-		t.Reset(0)
-		vTablePool.Put(&t)
-	}
-	if p.mt.Groups() == minMGroups {
-		t := p.mt
-		t.Reset(0)
-		mTablePool.Put(&t)
-	}
-	p.vt, p.mt = swiss.Table[*VNode]{}, swiss.Table[*MNode]{}
 	p.W.Release()
 }

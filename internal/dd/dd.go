@@ -55,7 +55,7 @@ type VNode struct {
 	Level int
 	id    uint32
 	ref   int32
-	next  *VNode // free-list link, or GC/rehash survivor list (rehashV)
+	next  *VNode // free-list link (see freeVNode)
 }
 
 // MNode is a matrix decision diagram node with four successors
@@ -209,10 +209,11 @@ type Package struct {
 
 	nQubits int
 
-	// Unique tables (open-addressing swiss tables, see swisstable.go);
-	// vCount/mCount track the live populations.
-	vt      swiss.Table[*VNode]
-	mt      swiss.Table[*MNode]
+	// tableSet holds the unique tables (open-addressing swiss tables,
+	// see swisstable.go) and the compute caches, drawn from and returned
+	// to the pool of the package's register class (see arena.go);
+	// vCount/mCount track the live unique-table populations.
+	tableSet
 	vCount  int
 	nextVID uint32
 	mCount  int
@@ -226,10 +227,6 @@ type Package struct {
 	mFree        *MNode
 	nodesCreated int
 	released     bool
-
-	// caches is the compute-cache storage, drawn from and returned to
-	// the process-wide pool of its geometry (see arena.go).
-	caches cacheSet
 
 	// factorScratch is the reusable per-qubit factor list of
 	// ProductOperator callers (gate builders, collapse, Kraus
@@ -348,9 +345,7 @@ func NewPackageTol(n int, tol float64) *Package {
 		nextMID:      1,
 		gcThreshold:  250000,
 		wGCThreshold: 400000,
-		vt:           *vTablePool.Get().(*swiss.Table[*VNode]),
-		mt:           *mTablePool.Get().(*swiss.Table[*MNode]),
-		caches:       getCacheSet(mvCacheBits(n)),
+		tableSet:     getTableSet(mvCacheBits(n)),
 	}
 	return p
 }
@@ -477,13 +472,13 @@ func (p *Package) makeVNode(level int, e0, e1 VEdge) VEdge {
 	n := p.allocVNode()
 	n.E[0] = VEdge{N: e0.N, W: w0}
 	n.E[1] = VEdge{N: e1.N, W: w1}
-	n.Level = level
 	if p.vt.Full(p.vCount) {
-		p.rehashV(false)
+		p.rehashV(false)  // skips n: its Level is still 0
 		p.vt.Insert(h, n) // the rehash moved the insertion point
 	} else {
 		p.vt.Place(slot, h, n)
 	}
+	n.Level = level
 	p.vCount++
 	if p.vCount > p.peakVNodes {
 		p.peakVNodes = p.vCount
@@ -526,13 +521,13 @@ func (p *Package) makeMNode(level int, e [4]MEdge) MEdge {
 	}
 	n := p.allocMNode()
 	n.E = norm
-	n.Level = level
 	if p.mt.Full(p.mCount) {
-		p.rehashM(false)
+		p.rehashM(false) // skips n: its Level is still 0
 		p.mt.Insert(h, n)
 	} else {
 		p.mt.Place(slot, h, n)
 	}
+	n.Level = level
 	p.mCount++
 	return MEdge{N: n, W: top}
 }

@@ -109,21 +109,13 @@ func unrefM(n *MNode) {
 // lengths reset with every collection. The lookup/hit counters are
 // untouched: they are lifetime totals (see Stats).
 func (p *Package) GarbageCollect() int {
-	collected := p.rehashV(true) + p.rehashM(true)
 	// Sweep the weight table as well: long noisy simulations of
 	// circuits with incommensurate rotation angles otherwise grow it
 	// without bound. Every weight stored in a surviving node is
-	// structural and must keep its identity; everything else can go.
+	// structural and must keep its identity (the rehash marks them);
+	// everything else can go.
 	p.W.BeginMark()
-	p.vt.ForEach(func(n **VNode) {
-		p.W.Mark((*n).E[0].W)
-		p.W.Mark((*n).E[1].W)
-	})
-	p.mt.ForEach(func(n **MNode) {
-		for i := range (*n).E {
-			p.W.Mark((*n).E[i].W)
-		}
-	})
+	collected := p.rehashV(true) + p.rehashM(true)
 	p.W.Sweep()
 	p.clearCaches()
 	p.gcRuns++

@@ -87,13 +87,21 @@ func (p *Package) probOneNode(n *VNode, level int) float64 {
 // (normalised) state: a top-down walk choosing each branch with its
 // conditional probability. Bit i of the result (LSB first) is the
 // outcome of qubit q_{n-1-i}, i.e. the result is the state-vector
-// index of the sampled basis state. Cost: O(n) per sample after the
-// norm cache is warm.
+// index of the sampled basis state. Every level draws one uniform.
+// Cost: O(n) per sample after the norm cache is warm.
 func (p *Package) SampleBasis(e VEdge, rng *rand.Rand) uint64 {
 	var bits uint64
 	cur := e
 	for !cur.IsTerminal() {
 		n := cur.N
+		if n.E[1].W == p.W.Zero {
+			// Only branch 0 has mass (every level below the top on a
+			// GHZ state's all-zero path): its norm cannot change the
+			// outcome, but the draw still keeps the stream in step.
+			rng.Float64()
+			cur = n.E[0]
+			continue
+		}
 		p0 := n.E[0].W.Mag2() * p.nodeNorm2(n.E[0].N)
 		p1 := n.E[1].W.Mag2() * p.nodeNorm2(n.E[1].N)
 		total := p0 + p1

@@ -223,10 +223,31 @@ func checkArenaInvariants(t *testing.T, p *Package) {
 		if liveV[f] {
 			t.Fatalf("free-list vector node id %d aliases a live unique-table node", f.id)
 		}
+		if f.Level != 0 {
+			t.Fatalf("free-list vector node id %d is not marked free (level %d)", f.id, f.Level)
+		}
 	}
 	for f := p.mFree; f != nil; f = f.next {
 		if liveM[f] {
 			t.Fatalf("free-list matrix node id %d aliases a live unique-table node", f.id)
+		}
+		if f.Level != 0 {
+			t.Fatalf("free-list matrix node id %d is not marked free (level %d)", f.id, f.Level)
+		}
+	}
+	// The slab walk of rehashV/rehashM sees exactly the residents.
+	for _, s := range p.vSlabs {
+		for i := range s {
+			if s[i].Level != 0 && !liveV[&s[i]] {
+				t.Fatalf("vector node id %d has a level but is not resident", s[i].id)
+			}
+		}
+	}
+	for _, s := range p.mSlabs {
+		for i := range s {
+			if s[i].Level != 0 && !liveM[&s[i]] {
+				t.Fatalf("matrix node id %d has a level but is not resident", s[i].id)
+			}
 		}
 	}
 }
@@ -321,19 +342,24 @@ func TestArenaRecycleInvariants(t *testing.T) {
 	}
 }
 
-// TestPackageReleasePools churns packages through build/GC/Release in
-// parallel so the process-wide slab and cache pools see concurrent
-// Put/Get traffic — under -race this is the data-race check for the
-// memory plane's only cross-goroutine surface.
+// TestPackageReleasePools churns packages of both register classes
+// through build/GC/Release in parallel so the process-wide slab pools
+// and the per-class table-set pools (with tables grown past their
+// minimum) see concurrent Put/Get traffic — under -race this is the
+// data-race check for the memory plane's only cross-goroutine surface.
 func TestPackageReleasePools(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		w := w
 		t.Run(fmt.Sprintf("worker%d", w), func(t *testing.T) {
 			t.Parallel()
 			for j := 0; j < 6; j++ {
-				p := NewPackage(6)
-				rng := rand.New(rand.NewSource(int64(w*100 + j)))
-				e, _ := randomVecDD(p, rng)
+				n := 6
+				if j%2 == 1 {
+					n = 24
+				}
+				p := NewPackage(n)
+				growNodes(p, 5000)
+				e := p.MulMV(p.SingleQubitGate(matH, w), p.BasisState(uint64(j)))
 				p.Ref(e)
 				p.GarbageCollect()
 				checkArenaInvariants(t, p)
@@ -369,6 +395,65 @@ func TestKronDistributesOverMulProperty(t *testing.T) {
 						t.Fatalf("(A⊗B)(C⊗D) != (AC)⊗(BD) for %v %v %v %v", a, b, c, d)
 					}
 				}
+			}
+		}
+	}
+}
+
+// sampleBasisRef is the sampling walk that computes both branch norms
+// at every level, the reference SampleBasis must agree with.
+func sampleBasisRef(p *Package, e VEdge, rng *rand.Rand) uint64 {
+	var bits uint64
+	cur := e
+	for !cur.IsTerminal() {
+		n := cur.N
+		p0 := n.E[0].W.Mag2() * p.nodeNorm2(n.E[0].N)
+		p1 := n.E[1].W.Mag2() * p.nodeNorm2(n.E[1].N)
+		if rng.Float64()*(p0+p1) < p1 {
+			bits |= 1 << uint(n.Level-1)
+			cur = n.E[1]
+		} else {
+			cur = n.E[0]
+		}
+	}
+	return bits
+}
+
+// TestSampleBasisMatchesReferenceProperty: SampleBasis, which skips the
+// norm of branch 0 when branch 1 is the zero stub, draws the same
+// outcomes as the reference walk and leaves the random stream at the
+// same position — on GHZ and basis states and on random states with
+// zero stubs.
+func TestSampleBasisMatchesReferenceProperty(t *testing.T) {
+	const n = 6
+	p := NewPackage(n)
+	rng := rand.New(rand.NewSource(31))
+	ghz := make([]complex128, 1<<n)
+	ghz[0], ghz[len(ghz)-1] = complex(math.Sqrt(0.5), 0), complex(0, math.Sqrt(0.5))
+	states := []VEdge{p.FromVector(ghz), p.ZeroState(), p.BasisState(0b101100), p.BasisState(1<<n - 1)}
+	for len(states) < 40 {
+		amps := make([]complex128, 1<<n)
+		nonzero := false
+		for i := range amps {
+			if rng.Float64() < 0.6 {
+				amps[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				nonzero = true
+			}
+		}
+		if nonzero {
+			states = append(states, p.Normalize(p.FromVector(amps)))
+		}
+	}
+	for si, e := range states {
+		for seed := int64(0); seed < 8; seed++ {
+			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for k := 0; k < 64; k++ {
+				if a, b := p.SampleBasis(e, got), sampleBasisRef(p, e, want); a != b {
+					t.Fatalf("state %d seed %d sample %d: %b, reference %b", si, seed, k, a, b)
+				}
+			}
+			if a, b := got.Int63(), want.Int63(); a != b {
+				t.Fatalf("state %d seed %d: random stream out of step after sampling", si, seed)
 			}
 		}
 	}

@@ -11,8 +11,7 @@ package dd
 // directly, with no per-cell chain.
 //
 // There are no tombstones. Nodes die only inside GarbageCollect, which
-// threads the survivors through their (otherwise unused) next fields
-// and rebuilds the control words from that list — the same
+// rebuilds the control words from the survivors — the same
 // rehash-on-load path growth uses, so a collection compacts the table
 // and probe lengths do not degrade over the life of a long simulation.
 // Node IDs live on the nodes themselves and are untouched by rebuilds:
@@ -21,9 +20,9 @@ package dd
 import "ddsim/internal/cnum"
 
 const (
-	// minVGroups/minMGroups are the smallest unique-table sizes
-	// (512 groups = 4096 slots and 128 groups = 1024 slots). GC never
-	// compacts below them.
+	// minVGroups/minMGroups are the unique-table sizes of a new table
+	// set (512 groups = 4096 slots and 128 groups = 1024 slots). Tables
+	// never shrink, so a pooled set keeps what it grew to.
 	minVGroups = 512
 	minMGroups = 128
 )
@@ -62,64 +61,69 @@ func (p *Package) findM(h uint64, level int, e [4]MEdge) (*MNode, int, int) {
 
 // rehashV rebuilds the vector table — the rehash-on-load path shared
 // by growth (every resident survives, with room for one more) and GC
-// compaction (gc: unreferenced nodes are freed). The survivors are
-// threaded through their next fields in slot order, so the list is
-// allocation-free and re-inserts them newest-visited first. The table
+// compaction (gc: unreferenced nodes are freed, and the survivors'
+// weights are marked for the weight table's Sweep). It walks the node
+// slabs in ID order, skipping free slots (Level 0, see freeVNode),
+// never the table's slots: the order in which dead nodes reach the
+// free list decides the IDs handed out after a collection, and slot
+// order depends on the geometry the table started at, which a pooled
+// table inherits from an earlier package (see arena.go). The table
 // never shrinks (see swiss.Table.Reset), so steady-state collections
 // allocate nothing and probe lengths still reset because the load
 // factor only drops. It returns the number of nodes collected.
 func (p *Package) rehashV(gc bool) int {
-	collected := 0
-	var live *VNode
-	p.vt.ForEach(func(s **VNode) {
-		if n := *s; gc && n.ref == 0 {
-			collected++
-			p.freeVNode(n)
-		} else {
-			n.next = live
-			live = n
-		}
-	})
-	p.vCount -= collected
 	if gc {
-		p.vt.Reset(p.vCount)
+		p.vt.Reset(0)
 	} else {
 		p.vt.Reset(p.vCount + 1)
 	}
-	for n := live; n != nil; {
-		next := n.next
-		n.next = nil
-		p.vt.Insert(p.vHash(n.Level, n.E[0], n.E[1]), n)
-		n = next
+	collected := 0
+	for _, s := range p.vSlabs {
+		for i := range s {
+			switch n := &s[i]; {
+			case n.Level == 0:
+			case gc && n.ref == 0:
+				collected++
+				p.freeVNode(n)
+			default:
+				if gc {
+					p.W.Mark(n.E[0].W)
+					p.W.Mark(n.E[1].W)
+				}
+				p.vt.Insert(p.vHash(n.Level, n.E[0], n.E[1]), n)
+			}
+		}
 	}
+	p.vCount -= collected
 	return collected
 }
 
 // rehashM is the matrix analogue of rehashV.
 func (p *Package) rehashM(gc bool) int {
-	collected := 0
-	var live *MNode
-	p.mt.ForEach(func(s **MNode) {
-		if n := *s; gc && n.ref == 0 {
-			collected++
-			p.freeMNode(n)
-		} else {
-			n.next = live
-			live = n
-		}
-	})
-	p.mCount -= collected
 	if gc {
-		p.mt.Reset(p.mCount)
+		p.mt.Reset(0)
 	} else {
 		p.mt.Reset(p.mCount + 1)
 	}
-	for n := live; n != nil; {
-		next := n.next
-		n.next = nil
-		p.mt.Insert(p.mHash(n.Level, n.E), n)
-		n = next
+	collected := 0
+	for _, s := range p.mSlabs {
+		for i := range s {
+			switch n := &s[i]; {
+			case n.Level == 0:
+			case gc && n.ref == 0:
+				collected++
+				p.freeMNode(n)
+			default:
+				if gc {
+					for j := range n.E {
+						p.W.Mark(n.E[j].W)
+					}
+				}
+				p.mt.Insert(p.mHash(n.Level, n.E), n)
+			}
+		}
 	}
+	p.mCount -= collected
 	return collected
 }
 

@@ -78,8 +78,13 @@ func RunContext(ctx context.Context, c *circuit.Circuit, factory sim.Factory, mo
 // shared worker pool of the given size (0 means GOMAXPROCS). Work is
 // dispatched in chunks of Options.ChunkSize trajectories; run j of a
 // job always draws from the stream of (Opts.Seed, j) and per-chunk
-// partial sums are reduced in run order, so every job's result is
-// bit-identical to a standalone Run with any worker count.
+// partial sums are reduced in run order. So a job's result on one
+// worker reproduces itself bit for bit, and on the statevec and sparse
+// backends and on cache-resident DDs it is bit-identical to a
+// standalone Run with any worker count. On a DD whose diagrams
+// outgrow the compute caches the last bits can depend on which chunks
+// a worker's package ran before (docs/ARCHITECTURE.md, concurrency
+// invariant 2).
 //
 // The returned slice is indexed like jobs. Jobs that fail (invalid
 // input, backend error, zero completed runs) have a nil entry and

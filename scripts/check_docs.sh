@@ -43,6 +43,13 @@
 #    unique tables and the weight cell directory are instances of
 #    swiss.Table, so a hand-rolled probe table elsewhere is a second
 #    copy of it.
+# 12. Every backticked Test…, Fuzz…, Benchmark… or Example… name in
+#    README.md or docs/*.md (brace lists such as
+#    `BenchmarkUniqueTable{Hit,Miss,GC}` expanded) must be declared in
+#    a _test.go file, and every paragraph of README.md or docs/*.md
+#    that says "bit-identical" must name, in backticks, a Test… or
+#    Fuzz… function that checks it, so a determinism claim cannot
+#    outlive, or go without, its test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -197,6 +204,35 @@ if ctrldecl="$(grep -nE 'ctrl +\[\]uint64' $ctrlsrc)"; then
   while IFS= read -r hit; do
     echo "HAND-ROLLED SWISS TABLE: $hit declares a control-word slice; use swiss.Table" >&2
   done <<< "$ctrldecl"
+  fail=1
+fi
+
+# --- 12. named tests exist; bit-identity claims name their test ------------
+testsrc="$(find . -name '*_test.go' ! -path './.bench_build/*')"
+# shellcheck disable=SC2086 # testsrc is a word list of paths
+declared="$(grep -hoE '^func (Test|Fuzz|Benchmark|Example)[A-Za-z0-9_]*' $testsrc | sed 's/^func //' | sort -u)"
+testnames="$(grep -hoE '`[^`]+`' README.md docs/*.md \
+  | grep -oE '(Test|Fuzz|Benchmark|Example)[A-Z0-9_{][A-Za-z0-9_]*(\{[A-Za-z0-9_,]*\}[A-Za-z0-9_]*)?' \
+  | awk '{
+      if (match($0, /\{[^}]*\}/)) {
+        pre = substr($0, 1, RSTART - 1); post = substr($0, RSTART + RLENGTH)
+        n = split(substr($0, RSTART + 1, RLENGTH - 2), alt, ",")
+        for (i = 1; i <= n; i++) print pre alt[i] post
+      } else print
+    }' | sort -u || true)"
+for name in $testnames; do
+  if ! grep -qx "$name" <<< "$declared"; then
+    echo "UNKNOWN TEST: \`$name\` is named in README.md or docs/*.md but no _test.go file declares it" >&2
+    fail=1
+  fi
+done
+if ! awk 'BEGIN { RS = "" }
+  /bit-identical/ && !/`[^`]*(Test|Fuzz)[A-Z0-9_][A-Za-z0-9_]*[^`]*`/ {
+    line = $0; sub(/\n.*/, "", line)
+    printf "UNTESTED BIT-IDENTITY CLAIM: a paragraph of %s says \"bit-identical\" but names no test in backticks: %s\n", FILENAME, line > "/dev/stderr"
+    bad = 1
+  }
+  END { exit bad }' README.md docs/*.md; then
   fail=1
 fi
 
