@@ -9,8 +9,10 @@
 //     stochastic job is fanned out to the given workers through
 //     internal/cluster — chunk ranges are leased under
 //     heartbeat-renewed fencing tokens and the per-chunk sums merge
-//     in chunk order, so results are bit-identical to local
-//     simulation. Exact-mode jobs stay on the local path.
+//     in chunk order, so a job reproduces itself for a fixed
+//     -lease-chunks, and matches local simulation on statevec, sparse
+//     and cache-resident DDs (TestClusterModeBitIdentical). Exact-mode
+//     jobs stay on the local path.
 package main
 
 import (

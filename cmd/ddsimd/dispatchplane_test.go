@@ -1,10 +1,10 @@
 package main
 
-// Regression tests for the lock-free dispatch plane swap: SSE
-// keepalive cadence from the per-stream ticker, Retry-After hints
-// derived from the refill schedule, bounded rate-bucket tables, phase
-// histograms on /metrics, and — the property the whole swap must not
-// disturb — bit-identical same-seed results.
+// Regression tests for the serving plane: SSE keepalive cadence from
+// the per-stream ticker, no goroutine outliving close, Retry-After
+// hints derived from the refill schedule, bounded rate-bucket tables,
+// phase histograms on /metrics, and bit-identical same-seed results
+// through the dispatcher.
 
 import (
 	"bufio"
@@ -187,6 +187,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// TestServerStartsNoGoroutine: newServer starts no goroutine of its
+// own (the dispatcher grants inside Acquire and Release), and after
+// close the goroutine count is back at its baseline.
+func TestServerStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := newServer(ctx, 2, 1, 10_000_000)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("newServer started %d goroutines", n-before)
+	}
+	s.close()
+	waitFor(t, fmt.Sprintf("goroutines back to the baseline of %d", before),
+		func() bool { return runtime.NumGoroutine() <= before })
+}
+
 // TestRetryAfterFromRefillSchedule pins the Retry-After computation to
 // the refill schedule: once a refill tick has run, the wait for
 // an empty bucket is exactly (time to next tick) + (full ticks still
@@ -279,9 +295,8 @@ func TestPhaseHistogramsExposed(t *testing.T) {
 }
 
 // TestSameSeedBitIdentical re-runs an identical submission (cache
-// disabled, so both actually simulate through the new dispatch plane)
-// and requires byte-identical results — the determinism contract the
-// dispatcher swap must preserve.
+// disabled, so both actually simulate through the dispatcher) and
+// requires byte-identical results.
 func TestSameSeedBitIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := newServer(ctx, 2, 2, 10_000_000)

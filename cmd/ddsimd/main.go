@@ -43,11 +43,13 @@
 //	curl -s localhost:8344/metrics
 //
 // Durability: with -data-dir set, every accepted submission and every
-// final result is persisted (JSON records plus an fsync'd write-ahead
-// log of status transitions). A restart — graceful or kill -9 —
+// final result is persisted in an fsync'd write-ahead log that carries
+// the records and results inline. A restart — graceful or kill -9 —
 // replays the store: finished jobs are served from disk and jobs that
-// were queued or running are re-queued and re-run to bit-identical
-// same-seed results. Without -data-dir the service is ephemeral.
+// were queued or running are re-queued and re-run with the same seed,
+// bit-identical to the lost run wherever the engine reproduces itself
+// (one worker; statevec, sparse and cache-resident DDs;
+// TestCrashRecovery). Without -data-dir the service is ephemeral.
 //
 // Caching: a simulation is a pure function of its canonical job key
 // (circuit text, backend, noise points, seed-relevant options — see
@@ -75,9 +77,9 @@
 // /work/heartbeat, /work/complete) plus /metrics and /healthz; with
 // -coordinator <urls> the job API is unchanged but every stochastic
 // job's chunk ranges are leased to the listed workers under
-// heartbeat-renewed fencing tokens and merged bit-identically to
-// local simulation (-lease-ttl, -lease-heartbeat, -lease-chunks tune
-// the leases; see docs/OPERATIONS.md for the cluster runbook).
+// heartbeat-renewed fencing tokens and merged in chunk order, as
+// cluster.go describes (-lease-ttl, -lease-heartbeat, -lease-chunks
+// tune the leases; see docs/OPERATIONS.md for the cluster runbook).
 package main
 
 import (
@@ -128,7 +130,7 @@ func main() {
 
 		// Cluster modes (see cluster.go and docs/OPERATIONS.md).
 		workerMode  = flag.Bool("worker", false, "run as a stateless cluster worker: serve only the /work lease endpoints (plus /metrics and /healthz) and compute chunk ranges leased by a coordinator")
-		coordinator = flag.String("coordinator", "", "comma-separated worker base URLs (e.g. http://h1:8345,http://h2:8345); run the job API as a cluster coordinator leasing every stochastic job's chunk ranges to these workers — results stay bit-identical to local simulation")
+		coordinator = flag.String("coordinator", "", "comma-separated worker base URLs (e.g. http://h1:8345,http://h2:8345); run the job API as a cluster coordinator leasing every stochastic job's chunk ranges to these workers — results match local simulation on statevec, sparse and cache-resident DDs")
 		leaseTTL    = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator: lease lifetime without a heartbeat renewal; an expired lease is reassigned and re-simulated")
 		leaseHB     = flag.Duration("lease-heartbeat", 0, "coordinator: heartbeat/renewal cadence per lease (0 = lease-ttl/3)")
 		leaseChunks = flag.Int("lease-chunks", cluster.DefaultLeaseChunks, "coordinator: consecutive chunks per lease")

@@ -17,9 +17,9 @@ import (
 // restore replays the job store into the server: jobs that reached a
 // terminal state before the restart are re-inserted with their
 // persisted results and served without any simulation, while jobs
-// that were queued or running at the crash are re-queued and re-run —
-// the engine is deterministic for a fixed seed, so a re-run is
-// bit-identical to what the lost run would have produced. Call once,
+// that were queued or running at the crash are re-queued and re-run
+// with the same seed (main.go says when that reproduces the lost
+// run). Call once,
 // after the store is attached and before the listener starts.
 func (s *server) restore() (served, requeued int) {
 	if s.store == nil {

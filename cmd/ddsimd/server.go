@@ -41,13 +41,8 @@ const (
 	queueFullRetryAfter = 5
 )
 
-// Dispatch-plane sizing and maintenance cadences.
+// Maintenance cadences.
 const (
-	// dispatchRingCap sizes the submit ring. The consumer drains the
-	// ring into its heap continuously, so the ring only needs to absorb
-	// the burst between two consumer wakeups — 1024 slots is far beyond
-	// any maxPending the admission layer allows through.
-	dispatchRingCap = 1024
 	// defaultSSEKeepalive is the cadence of ": keepalive" comments on
 	// idle event streams (one runtime ticker per open stream).
 	defaultSSEKeepalive = 15 * time.Second
@@ -267,7 +262,7 @@ type server struct {
 	// worker fleet instead of the local pool (see cluster.go).
 	clusterCfg *cluster.Config
 
-	disp    *dispatch.Dispatcher // lock-free submit ring + priority-ordered slots
+	disp    *dispatch.Dispatcher // priority-ordered execution slots
 	store   *jobstore.Store      // durable job/result persistence; nil = ephemeral
 	cache   *rescache.Cache      // content-addressed result cache; nil = disabled
 	limiter *rateLimiter         // per-client submission rate limit; nil = off
@@ -306,7 +301,7 @@ func newServer(ctx context.Context, maxActive, workers, maxRuns int) *server {
 		maxRuns:      maxRuns,
 		maxJobs:      256,
 		maxPending:   128,
-		disp:         dispatch.NewDispatcher(maxActive, dispatchRingCap),
+		disp:         dispatch.NewDispatcher(maxActive),
 		sseKeepalive: defaultSSEKeepalive,
 		stop:         make(chan struct{}),
 		jobs:         make(map[string]*job),
@@ -363,12 +358,10 @@ func (s *server) refreshGauges() {
 }
 
 // close stops the maintenance duties, waiting for a running one to
-// finish, and then the dispatch consumer. Call after wait() — every
-// job goroutine must have released its slot first.
+// finish.
 func (s *server) close() {
 	close(s.stop)
 	s.maint.Wait()
-	s.disp.Stop()
 }
 
 // handler returns the service's HTTP routing table.
@@ -659,11 +652,7 @@ func (s *server) run(j *job) {
 		return
 	}
 	enqueued := time.Now()
-	tkt, err := s.disp.Submit(j.ctx, j.priority, j.seq)
-	if err == nil {
-		err = s.disp.Wait(j.ctx, tkt)
-	}
-	if err != nil {
+	if err := s.disp.Acquire(j.ctx, j.priority, j.seq); err != nil {
 		telemetry.JobsQueued.Dec()
 		s.finalize(j, nil, nil)
 		if leader {
@@ -683,11 +672,14 @@ func (s *server) run(j *job) {
 
 	simStart := time.Now()
 	var results []*ddsim.Result
+	var err error
 	if s.clusterCfg != nil && j.spec.Options.Mode != ddsim.ModeExact {
 		// Coordinator mode: chunk ranges lease out to the worker
-		// fleet; the merged result is bit-identical to the local
-		// path below. Exact-mode jobs have no chunked run-index
-		// space and stay local.
+		// fleet; the merged result reproduces itself for a fixed
+		// lease size, and matches the local path below only where
+		// results agree across worker counts (statevec, sparse,
+		// cache-resident DDs). Exact-mode jobs have no chunked
+		// run-index space and stay local.
 		results, err = s.runOnCluster(j)
 	} else {
 		batch := make([]ddsim.BatchJob, len(j.models))
@@ -797,7 +789,7 @@ func (s *server) finalize(j *job, results []*ddsim.Result, err error) {
 // cancellation that was *not* an explicit DELETE — i.e. the server is
 // shutting down or crashed — is deliberately not persisted: the WAL
 // keeps the job's last in-flight status, so the next start re-queues
-// and re-runs it (same seed, bit-identical result).
+// and re-runs it with the same seed.
 func (s *server) persistFinal(j *job) {
 	if s.store == nil {
 		return

@@ -52,14 +52,19 @@
 // Options.Runs budget; if the budget is too small for the target,
 // Result.BudgetExhausted is set. Options.OnProgress delivers periodic
 // Progress snapshots (runs completed, running estimates, current
-// Theorem-1 confidence radius). Results are bit-identical per worker
-// count for a fixed Options.Seed: work is dispatched in fixed chunks
-// of the run-index space, run j always draws from its own random
-// stream — a SplitMix64 generator whose state is mixed from all 64 bits
-// of Seed and of j (stream v2, internal/stochastic/stream.go) — and
-// partial sums are reduced in run order. Across worker counts that
-// holds on the statevec and sparse backends and for cache-resident
-// DDs; a large DD's weight rounding depends on the package's history.
+// Theorem-1 confidence radius). For a fixed Options.Seed, work is
+// dispatched in fixed chunks of the run-index space, run j always
+// draws from its own random stream — a SplitMix64 generator whose
+// state is mixed from all 64 bits of Seed and of j (stream v2,
+// internal/stochastic/stream.go) — and partial sums are reduced in
+// run order. So one worker reproduces itself bit for bit
+// (TestOneWorkerDDReproducesItselfQFT16), and on the statevec and
+// sparse backends and on cache-resident DDs results are bit-identical
+// across worker counts (TestDeterminismAcrossWorkerCounts). A DD
+// whose diagrams outgrow the compute caches (QFT-16 and up) can give
+// another result with more than one worker: its weight rounding
+// depends on what each worker's package computed before, and a
+// trajectory can then take another branch.
 //
 // # Trajectory checkpointing
 //
@@ -94,8 +99,9 @@
 //	}
 //	results, err := ddsim.BatchSimulate(ctx, ddsim.BackendDD, jobs, 0)
 //
-// Each job's result is bit-identical to a standalone Simulate call
-// with the same seed.
+// Each job's result matches a standalone Simulate call with the same
+// seed wherever Simulate's results do not depend on the worker count
+// (TestBatchSimulateNoiseSweep checks it bit for bit).
 //
 // # Tools, service and telemetry
 //
@@ -286,8 +292,10 @@ func SimulateContext(ctx context.Context, c *Circuit, backend string, model Nois
 // workloads. The returned slice is indexed like jobs; failed jobs have
 // a nil entry and contribute to the joined error while the remaining
 // jobs still complete. Per-job options (seed, runs, adaptive stopping,
-// progress callbacks) apply independently, and each job's result is
-// bit-identical to a standalone Simulate call with the same seed.
+// progress callbacks) apply independently, and each job's result
+// matches a standalone Simulate call with the same seed wherever
+// Simulate's results do not depend on the worker count
+// (TestBatchSimulateNoiseSweep).
 // Jobs may mix modes: stochastic jobs run through the trajectory
 // engine's shared pool, exact-mode jobs (Opts.Mode = ModeExact)
 // through the density-matrix engine's pool (the two pools run
@@ -361,14 +369,16 @@ func BatchSimulate(ctx context.Context, backend string, jobs []BatchJob, workers
 // backend identifier, every noise point of the job (a sweep passes
 // all its scaled models, a single run a one-element slice), and the
 // result-relevant options in canonical form (Options.Canonical —
-// Workers and the progress knobs are excluded because results are
-// bit-identical across them).
+// Workers and the progress knobs are excluded: they change how the
+// work is scheduled, not the distribution it samples).
 //
-// Because the engine is deterministic — run j always draws from the
-// stream of (Seed, j) and reductions happen in run order — two jobs
-// with equal keys produce bit-identical Results, which makes the key
-// safe to use for result caching and in-flight deduplication (the
-// ddsimd service does both; see internal/rescache). A key is stable
+// Run j always draws from the stream of (Seed, j) and reductions
+// happen in run order, so two jobs with equal keys sample the same
+// trajectories, and their Results are equal wherever the engine's
+// results do not depend on the worker count (see Simulate). That
+// makes the key safe to use for result caching and in-flight
+// deduplication (the ddsimd service does both; see internal/rescache):
+// a cached answer is one the job could have computed. A key is stable
 // within one build only: it is never persisted or sent over the wire,
 // so the serialisation may change freely between builds. Circuits
 // containing an op the QASM writer cannot express return an error;

@@ -96,8 +96,8 @@ func New(cfg Config) (*Coordinator, error) {
 	return &Coordinator{cfg: cfg, gen: gen}, nil
 }
 
-// Run executes one job across the cluster and returns its result,
-// bit-identical to a single-node same-seed run. jobID keys the
+// Run executes one job across the cluster and returns its result (see
+// the package comment for what it reproduces). jobID keys the
 // journal; rerunning a jobID whose journal survives a restart resumes
 // where the previous incarnation durably left off.
 func (c *Coordinator) Run(ctx context.Context, jobID string, spec JobSpec) (*stochastic.Result, error) {

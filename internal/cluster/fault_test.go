@@ -89,6 +89,58 @@ func TestWorkerKilledMidChunk(t *testing.T) {
 	}
 }
 
+// TestClusterQFT16ReproducesItselfAcrossFailures runs a QFT-16 job —
+// the smallest DD size whose results move with the worker count —
+// through a 2-worker cluster with a fixed lease size twice: once
+// clean, and once with worker 0 killed inside its first lease. Every
+// lease re-runs on a fresh backend, so the two merged results must be
+// bit-identical to each other (not to a single-node run, which cuts
+// the run-index space differently).
+func TestClusterQFT16ReproducesItselfAcrossFailures(t *testing.T) {
+	spec := benchSpec(t, circuit.QFTWithInput(16, 0x5a5a), 160) // 20 chunks, 10 leases
+	const leaseChunks = 2
+	urls, _, _ := startWorkers(t, 2)
+	clean := runCluster(t, urls, spec, "qft16-clean", func(c *Config) { c.LeaseChunks = leaseChunks })
+
+	urls, workers, servers := startWorkers(t, 2)
+	gate := newBlockingGate(t, workers[0])
+	failuresBefore := telemetry.ClusterWorkerFailures.Value()
+	coord, err := New(Config{
+		Workers:        urls,
+		LeaseTTL:       100 * time.Millisecond,
+		HeartbeatEvery: 5 * time.Millisecond,
+		LeaseChunks:    leaseChunks,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	type outcome struct {
+		res *stochastic.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := coord.Run(ctx, "qft16-killed", spec)
+		done <- outcome{res, err}
+	}()
+	<-gate.blocked
+	servers[0].CloseClientConnections()
+	servers[0].Close()
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	assertIdentical(t, "QFT-16, worker 0 killed mid-part", clean, out.res)
+	// The lost part comes back either by lease expiry or, when the
+	// kill also cut the grant's reply, by an immediate release; both
+	// count a worker failure.
+	if telemetry.ClusterWorkerFailures.Value() == failuresBefore {
+		t.Error("the coordinator saw no worker failure despite the killed worker")
+	}
+}
+
 // TestLeaseExpiryByClockAdvance drives lease expiry purely by
 // advancing a manual clock: worker 0 accepts a lease, its
 // heartbeat path partitions, and nothing happens until the clock

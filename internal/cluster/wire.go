@@ -1,13 +1,18 @@
 // Package cluster shards one stochastic simulation job's trajectory
-// budget across a set of worker processes, bit-identically to a
-// single-node run.
+// budget across a set of worker processes.
 //
-// The design leans entirely on the engine's determinism invariant
-// (PR 1): run j draws from a random stream that is a function of
-// (Seed, j) alone (stochastic/stream.go; every node of a cluster must
-// run the same build), the run-index space is split
-// into fixed chunks, and per-chunk sums merged strictly in chunk order
-// reproduce the single-node result bit for bit. That makes distributed
+// The design leans entirely on the engine's determinism invariant:
+// run j draws from a random stream that is a function of (Seed, j)
+// alone (stochastic/stream.go; every node of a cluster must run the
+// same build), the run-index space is split into fixed chunks, and
+// per-chunk sums are merged strictly in chunk order. Each lease runs
+// on a fresh backend, so a cluster run reproduces itself bit for bit
+// for a fixed lease size, whatever the failure schedule
+// (TestClusterQFT16ReproducesItselfAcrossFailures), and reproduces the
+// single-node result bit for bit on statevec, sparse and
+// cache-resident DDs (TestClusterBitIdentical). A larger DD's rounding
+// depends on what its package computed before, so there the cluster
+// and a single-node run can differ. That makes distributed
 // simulation an exercise in exactly-once chunk accounting rather than
 // numerical reconciliation — a lost chunk is simply re-simulated (same
 // seeds, same sums), and the only thing that must never happen is the

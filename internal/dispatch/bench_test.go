@@ -1,192 +1,30 @@
 package dispatch
 
-// Benchmarks comparing the lock-free dispatch plane against the
-// mutex-guarded heap dispatcher it replaced (kept below, test-only,
-// as the baseline). The numbers feed the before/after table in
-// docs/PERFORMANCE.md.
+// The acquire → release handoff, whose numbers are in the dispatch
+// tables of docs/PERFORMANCE.md.
 //
-//	go test -bench 'Dispatch|Ring' -benchtime 2s ./internal/dispatch
+//	go test -bench Dispatcher -benchtime 2s ./internal/dispatch
 
 import (
-	"container/heap"
 	"context"
-	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// BenchmarkRingPublishPoll measures the raw ring handoff: one
-// producer per RunParallel worker publishing, a consumer goroutine
-// polling everything back out.
-func BenchmarkRingPublishPoll(b *testing.B) {
-	r := NewRing[int64](1024)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var got int
-		for got < b.N {
-			if _, ok := r.Poll(); ok {
-				got++
-				continue
-			}
-			<-r.Wake()
-		}
-	}()
-	b.RunParallel(func(pb *testing.PB) {
-		var i int64
-		for pb.Next() {
-			i++
-			for !r.TryPublish(i) {
-			}
-		}
-	})
-	<-done
-}
-
-// benchCycle runs one submit→wait→release cycle per iteration across
-// parallel producers against a single execution slot — the contended
-// path of the service under a submission storm.
+// BenchmarkDispatcherCycle runs one acquire→release cycle per
+// iteration across parallel producers against a single execution
+// slot — the contended path of the service under a submission storm.
 func BenchmarkDispatcherCycle(b *testing.B) {
-	d := NewDispatcher(1, 1024)
-	defer d.Stop()
+	d := NewDispatcher(1)
 	ctx := context.Background()
-	var seq int64
-	var mu sync.Mutex
+	var seq atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			mu.Lock()
-			seq++
-			s := seq
-			mu.Unlock()
-			t, err := d.Submit(ctx, 0, s)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if err := d.Wait(ctx, t); err != nil {
+			if err := d.Acquire(ctx, 0, seq.Add(1)); err != nil {
 				b.Error(err)
 				return
 			}
 			d.Release()
 		}
 	})
-}
-
-// BenchmarkMutexDispatcherCycle is the same cycle through the old
-// mutex+heap dispatcher (the pre-swap implementation from
-// cmd/ddsimd/admission.go, preserved verbatim below).
-func BenchmarkMutexDispatcherCycle(b *testing.B) {
-	d := newMutexDispatcher(1)
-	ctx := context.Background()
-	var seq int64
-	var mu sync.Mutex
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			mu.Lock()
-			seq++
-			s := seq
-			mu.Unlock()
-			if err := d.acquire(ctx, 0, s); err != nil {
-				b.Error(err)
-				return
-			}
-			d.release()
-		}
-	})
-}
-
-// --- baseline: the dispatcher this package replaced ----------------
-
-type mutexDispatcher struct {
-	mu      sync.Mutex
-	free    int
-	waiting benchHeap
-}
-
-type benchWaiter struct {
-	priority int
-	seq      int64
-	index    int
-	ready    chan struct{}
-}
-
-func newMutexDispatcher(slots int) *mutexDispatcher {
-	if slots < 1 {
-		slots = 1
-	}
-	return &mutexDispatcher{free: slots}
-}
-
-func (d *mutexDispatcher) acquire(ctx context.Context, priority int, seq int64) error {
-	d.mu.Lock()
-	if d.free > 0 && d.waiting.Len() == 0 {
-		d.free--
-		d.mu.Unlock()
-		return nil
-	}
-	w := &benchWaiter{priority: priority, seq: seq, ready: make(chan struct{})}
-	heap.Push(&d.waiting, w)
-	d.mu.Unlock()
-
-	select {
-	case <-w.ready:
-		return nil
-	case <-ctx.Done():
-		d.mu.Lock()
-		select {
-		case <-w.ready:
-			d.free++
-			d.grantLocked()
-		default:
-			heap.Remove(&d.waiting, w.index)
-		}
-		d.mu.Unlock()
-		return ctx.Err()
-	}
-}
-
-func (d *mutexDispatcher) release() {
-	d.mu.Lock()
-	d.free++
-	d.grantLocked()
-	d.mu.Unlock()
-}
-
-func (d *mutexDispatcher) grantLocked() {
-	for d.free > 0 && d.waiting.Len() > 0 {
-		w := heap.Pop(&d.waiting).(*benchWaiter)
-		d.free--
-		close(w.ready)
-	}
-}
-
-type benchHeap []*benchWaiter
-
-func (h benchHeap) Len() int { return len(h) }
-
-func (h benchHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h benchHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *benchHeap) Push(x any) {
-	w := x.(*benchWaiter)
-	w.index = len(*h)
-	*h = append(*h, w)
-}
-
-func (h *benchHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return w
 }

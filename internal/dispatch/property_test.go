@@ -1,9 +1,9 @@
-// Property/invariant tests for the dispatch plane, in the style of
+// Property/invariant tests for the dispatcher, in the style of
 // internal/dd/property_test.go: generate adversarial concurrent
-// schedules and assert the structural invariants — no submission lost
-// or duplicated, per-producer FIFO through the ring, priority order
-// at the consumer, and slot conservation under cancellation races —
-// all meaningful only under -race (the CI test job runs them so).
+// schedules and assert the structural invariants — slot conservation,
+// counters that never lag a grant, priority order, and no slot lost to
+// a cancellation racing a grant — all meaningful only under -race (the
+// CI test job runs them so).
 package dispatch
 
 import (
@@ -27,105 +27,16 @@ func producerCounts() []int {
 	return counts
 }
 
-// item tags a publication with its producer and per-producer sequence
-// so the consumer can check loss, duplication and FIFO in one pass.
-type item struct {
-	producer int
-	seq      int
-}
-
-// TestRingNoLossNoDupFIFO publishes from P concurrent producers
-// through rings small enough to wrap around thousands of times and
-// asserts every item arrives exactly once and in per-producer order.
-func TestRingNoLossNoDupFIFO(t *testing.T) {
-	const perProducer = 5000
-	for _, producers := range producerCounts() {
-		for _, ringCap := range []int{2, 8, 64} {
-			name := fmt.Sprintf("producers=%d/cap=%d", producers, ringCap)
-			t.Run(name, func(t *testing.T) {
-				r := NewRing[item](ringCap)
-				var wg sync.WaitGroup
-				for p := 0; p < producers; p++ {
-					wg.Add(1)
-					go func(p int) {
-						defer wg.Done()
-						for i := 0; i < perProducer; i++ {
-							for !r.TryPublish(item{p, i}) {
-								runtime.Gosched() // ring full: wait for the consumer
-							}
-						}
-					}(p)
-				}
-
-				total := producers * perProducer
-				lastSeq := make([]int, producers)
-				for i := range lastSeq {
-					lastSeq[i] = -1
-				}
-				received := 0
-				for received < total {
-					v, ok := r.Poll()
-					if !ok {
-						select {
-						case <-r.Wake():
-						case <-time.After(5 * time.Second):
-							t.Fatalf("consumer stalled at %d/%d items", received, total)
-						}
-						continue
-					}
-					if v.producer < 0 || v.producer >= producers {
-						t.Fatalf("corrupt item: %+v", v)
-					}
-					if v.seq != lastSeq[v.producer]+1 {
-						t.Fatalf("producer %d: received seq %d after %d (FIFO violated or item lost/duplicated)",
-							v.producer, v.seq, lastSeq[v.producer])
-					}
-					lastSeq[v.producer] = v.seq
-					received++
-				}
-				if v, ok := r.Poll(); ok {
-					t.Fatalf("ring held an extra item after all %d were consumed: %+v", total, v)
-				}
-				wg.Wait()
-			})
-		}
-	}
-}
-
-// TestRingFull pins the backpressure signal: a ring at capacity
-// refuses the next publish, and one Poll reopens exactly one slot.
-func TestRingFull(t *testing.T) {
-	r := NewRing[int](4)
-	if r.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", r.Cap())
-	}
-	for i := 0; i < 4; i++ {
-		if !r.TryPublish(i) {
-			t.Fatalf("publish %d refused below capacity", i)
-		}
-	}
-	if r.TryPublish(99) {
-		t.Fatal("publish accepted on a full ring")
-	}
-	if v, ok := r.Poll(); !ok || v != 0 {
-		t.Fatalf("Poll = %d,%v, want 0,true", v, ok)
-	}
-	if !r.TryPublish(4) {
-		t.Fatal("publish refused after a Poll freed a slot")
-	}
-}
-
 // TestDispatcherConservation drives P producers × jobs through the
-// full submit/wait/release cycle with random priorities and asserts
-// slot conservation: every ticket granted exactly once, never more
+// full acquire/release cycle with random priorities and asserts slot
+// conservation: every acquisition granted exactly once, never more
 // than `slots` held at a time, and a drained dispatcher at the end.
 func TestDispatcherConservation(t *testing.T) {
 	const perProducer = 200
 	for _, producers := range producerCounts() {
 		for _, slots := range []int{1, 3} {
 			t.Run(fmt.Sprintf("producers=%d/slots=%d", producers, slots), func(t *testing.T) {
-				d := NewDispatcher(slots, 8) // tiny ring: force wrap + backoff
-				defer d.Stop()
+				d := NewDispatcher(slots)
 				var held, maxHeld, grants atomic.Int64
 				var wg sync.WaitGroup
 				for p := 0; p < producers; p++ {
@@ -134,13 +45,8 @@ func TestDispatcherConservation(t *testing.T) {
 						defer wg.Done()
 						rng := rand.New(rand.NewSource(int64(p)))
 						for i := 0; i < perProducer; i++ {
-							tk, err := d.Submit(context.Background(), rng.Intn(7)-3, int64(p*perProducer+i))
-							if err != nil {
-								t.Errorf("submit: %v", err)
-								return
-							}
-							if err := d.Wait(context.Background(), tk); err != nil {
-								t.Errorf("wait: %v", err)
+							if err := d.Acquire(context.Background(), rng.Intn(7)-3, int64(p*perProducer+i)); err != nil {
+								t.Errorf("acquire: %v", err)
 								return
 							}
 							h := held.Add(1)
@@ -159,13 +65,13 @@ func TestDispatcherConservation(t *testing.T) {
 				wg.Wait()
 				want := int64(producers * perProducer)
 				if g := grants.Load(); g != want {
-					t.Fatalf("granted %d tickets, want %d", g, want)
+					t.Fatalf("granted %d acquisitions, want %d", g, want)
 				}
 				if m := maxHeld.Load(); m > int64(slots) {
 					t.Fatalf("%d slots held concurrently, limit %d", m, slots)
 				}
 				if w := d.Waiting(); w != 0 {
-					t.Fatalf("%d tickets still waiting after drain", w)
+					t.Fatalf("%d acquisitions still waiting after drain", w)
 				}
 				if g := d.Granted(); g != want {
 					t.Fatalf("dispatcher counted %d grants, want %d", g, want)
@@ -178,20 +84,23 @@ func TestDispatcherConservation(t *testing.T) {
 // TestDispatcherCountsBeforeGrant checks that the counters feeding
 // the service's gauges and status view never lag a grant: the moment a
 // waiter wakes, Granted already includes its grant and Waiting no
-// longer includes its ticket.
+// longer includes it. A second goroutine holds the slot on every other
+// cycle, so half the grants go through the wake path, not the fast one.
 func TestDispatcherCountsBeforeGrant(t *testing.T) {
-	d := NewDispatcher(1, 8)
-	defer d.Stop()
-	for i := int64(0); i < 5000; i++ {
-		tk, err := d.Submit(context.Background(), 0, i)
-		if err != nil {
+	d := NewDispatcher(1)
+	for i := int64(0); i < 5000; i += 2 {
+		if err := d.Acquire(context.Background(), 0, i); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Wait(context.Background(), tk); err != nil {
+		woken := make(chan error, 1)
+		go func() { woken <- d.Acquire(context.Background(), 0, i+1) }()
+		waitFor(t, "the second acquisition queued", func() bool { return d.Waiting() == 1 })
+		d.Release()
+		if err := <-woken; err != nil {
 			t.Fatal(err)
 		}
-		if g, w := d.Granted(), d.Waiting(); g != i+1 || w != 0 {
-			t.Fatalf("cycle %d: woken waiter reads Granted %d, Waiting %d; want %d, 0", i, g, w, i+1)
+		if g, w := d.Granted(), d.Waiting(); g != i+2 || w != 0 {
+			t.Fatalf("cycle %d: woken waiter reads Granted %d, Waiting %d; want %d, 0", i, g, w, i+2)
 		}
 		d.Release()
 	}
@@ -202,14 +111,8 @@ func TestDispatcherCountsBeforeGrant(t *testing.T) {
 // must come back in (priority desc, seq asc) order — including the
 // FIFO tiebreak among equal priorities.
 func TestDispatcherPriorityOrder(t *testing.T) {
-	d := NewDispatcher(1, 64)
-	defer d.Stop()
-
-	holder, err := d.Submit(context.Background(), 1000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Wait(context.Background(), holder); err != nil {
+	d := NewDispatcher(1)
+	if err := d.Acquire(context.Background(), 1000, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -220,26 +123,20 @@ func TestDispatcherPriorityOrder(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, pr := range priorities {
 		seq := int64(i + 1)
-		tk, err := d.Submit(context.Background(), pr, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
-		go func(tk *Ticket, seq int64) {
+		go func() {
 			defer wg.Done()
-			if err := d.Wait(context.Background(), tk); err != nil {
-				t.Errorf("wait seq %d: %v", seq, err)
+			if err := d.Acquire(context.Background(), pr, seq); err != nil {
+				t.Errorf("acquire seq %d: %v", seq, err)
 				return
 			}
 			// One slot ⇒ grants are serialised through Release, so the
 			// buffered sends below arrive in grant order.
 			grants <- seq
 			d.Release()
-		}(tk, seq)
+		}()
 	}
-	// All six tickets are published (Submit returned), so the consumer
-	// sees the full set before the first release below reaches it:
-	// each grant decision drains the ring before popping the heap.
+	waitFor(t, "all six acquisitions queued", func() bool { return d.Waiting() == int64(len(priorities)) })
 	var got []int64
 	d.Release() // release the holder's slot
 	for range priorities {
@@ -259,56 +156,71 @@ func TestDispatcherPriorityOrder(t *testing.T) {
 }
 
 // TestDispatcherCancelWhileQueued cancels a queued waiter and proves
-// the slot accounting survives: the cancelled ticket is never
-// granted, and the next submission still gets the slot.
+// the slot accounting survives: the cancelled acquisition is never
+// granted, and the next one still gets the slot. An acquisition whose
+// context is already done is refused even while a slot is free.
 func TestDispatcherCancelWhileQueued(t *testing.T) {
-	d := NewDispatcher(1, 8)
-	defer d.Stop()
-
-	holder, _ := d.Submit(context.Background(), 0, 1)
-	if err := d.Wait(context.Background(), holder); err != nil {
+	d := NewDispatcher(1)
+	if err := d.Acquire(context.Background(), 0, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	queued, _ := d.Submit(ctx, 10, 2)
+	queued := make(chan error, 1)
+	go func() { queued <- d.Acquire(ctx, 10, 2) }()
+	waitFor(t, "the acquisition queued", func() bool { return d.Waiting() == 1 })
 	cancel()
-	if err := d.Wait(ctx, queued); err != context.Canceled {
-		t.Fatalf("Wait on cancelled ticket = %v, want context.Canceled", err)
-	}
-
-	after, _ := d.Submit(context.Background(), 0, 3)
-	d.Release()
-	if err := d.Wait(context.Background(), after); err != nil {
-		t.Fatalf("ticket after a cancellation never granted: %v", err)
-	}
-	d.Release()
-	select {
-	case <-queued.Ready():
-		t.Fatal("cancelled ticket was granted")
-	default:
+	if err := <-queued; err != context.Canceled {
+		t.Fatalf("Acquire on a cancelled context = %v, want context.Canceled", err)
 	}
 	if w := d.Waiting(); w != 0 {
-		t.Fatalf("%d waiting after drain, want 0", w)
+		t.Fatalf("%d waiting after the cancellation, want 0", w)
+	}
+
+	after := make(chan error, 1)
+	go func() { after <- d.Acquire(context.Background(), 0, 3) }()
+	waitFor(t, "the next acquisition queued", func() bool { return d.Waiting() == 1 })
+	d.Release()
+	if err := <-after; err != nil {
+		t.Fatalf("acquisition after a cancellation never granted: %v", err)
+	}
+	d.Release()
+	if err := d.Acquire(ctx, 0, 4); err != context.Canceled {
+		t.Fatalf("Acquire with a done context on a free slot = %v, want context.Canceled", err)
+	}
+	if g, w := d.Granted(), d.Waiting(); g != 2 || w != 0 {
+		t.Fatalf("after drain: Granted %d, Waiting %d; want 2, 0 (the cancelled acquisitions were granted)", g, w)
 	}
 }
 
 // TestDispatcherCancelGrantRace hammers the grant/cancel race: many
 // waiters whose contexts are cancelled at random around the moment
-// the slot frees. Whatever the interleaving, the slot must be
-// conserved — proven by a sentinel submission that must still be
-// granted after the storm.
+// the slot frees, first one queued waiter at a time (the cancel and
+// the release land together, so some grants reach a waiter that has
+// already seen its cancellation and must hand the slot on), then all
+// at once. Whatever the interleaving, the slot must be conserved —
+// proven by a sentinel acquisition that must still be granted after
+// the storm.
 func TestDispatcherCancelGrantRace(t *testing.T) {
-	d := NewDispatcher(1, 256)
-	defer d.Stop()
+	d := NewDispatcher(1)
 	const rounds = 300
+	for i := 0; i < rounds; i++ {
+		if err := d.Acquire(context.Background(), 0, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- d.Acquire(ctx, 0, int64(i)) }()
+		waitFor(t, "the acquisition queued", func() bool { return d.Waiting() == 1 })
+		cancel()
+		d.Release()
+		if err := <-done; err == nil {
+			d.Release()
+		}
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < rounds; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		tk, err := d.Submit(ctx, i%5, int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
@@ -317,20 +229,32 @@ func TestDispatcherCancelGrantRace(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if err := d.Wait(ctx, tk); err == nil {
+			if err := d.Acquire(ctx, i%5, int64(i)); err == nil {
 				d.Release()
 			}
 		}()
 	}
 	wg.Wait()
-	sentinel, err := d.Submit(context.Background(), -100, 1<<40)
-	if err != nil {
-		t.Fatal(err)
+	if w := d.Waiting(); w != 0 {
+		t.Fatalf("%d waiting after the storm, want 0", w)
 	}
 	waitCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := d.Wait(waitCtx, sentinel); err != nil {
+	if err := d.Acquire(waitCtx, -100, 1<<40); err != nil {
 		t.Fatalf("slot leaked: sentinel never granted (%v)", err)
 	}
 	d.Release()
+}
+
+// waitFor polls cond for up to 10s and fails the test with what it
+// was waiting for if cond never holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
 }

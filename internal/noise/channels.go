@@ -144,7 +144,7 @@ func (ch *Chan1) StateIndependent() bool {
 // channel fires iff one rng.Float64() falls below it. For ChanPauli
 // it is the cumulative X+Y+Z mass, summed in Fire's selection order so
 // that "below the threshold" and "some branch selected" coincide bit
-// for bit.
+// for bit (TestDrawThenFireMatchesLegacyApply).
 func (ch *Chan1) Threshold() float64 {
 	if ch.Kind == ChanPauli {
 		return ch.Probs[1] + ch.Probs[2] + ch.Probs[3]

@@ -32,8 +32,8 @@ package stochastic
 // product of the identical operation sequence. Same-seed results are
 // therefore bit-identical forked or replayed, wherever the backend's
 // rounding does not depend on its history; the differential tests in
-// checkpoint_test.go enforce this against a backend wrapper that hides
-// sim.Forker.
+// checkpoint_test.go (TestCheckpointedMatchesPlainSameSeed) enforce
+// this against a backend wrapper that hides sim.Forker.
 
 import (
 	"math"

@@ -79,9 +79,11 @@ func RunContext(ctx context.Context, c *circuit.Circuit, factory sim.Factory, mo
 // dispatched in chunks of Options.ChunkSize trajectories; run j of a
 // job always draws from the stream of (Opts.Seed, j) and per-chunk
 // partial sums are reduced in run order. So a job's result on one
-// worker reproduces itself bit for bit, and on the statevec and sparse
-// backends and on cache-resident DDs it is bit-identical to a
-// standalone Run with any worker count. On a DD whose diagrams
+// worker reproduces itself bit for bit
+// (TestOneWorkerDDReproducesItselfQFT16), and on the statevec and
+// sparse backends and on cache-resident DDs it is bit-identical to a
+// standalone Run with any worker count
+// (TestRunBatchMatchesStandaloneRuns). On a DD whose diagrams
 // outgrow the compute caches the last bits can depend on which chunks
 // a worker's package ran before (docs/ARCHITECTURE.md, concurrency
 // invariant 2).

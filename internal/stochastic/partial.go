@@ -12,13 +12,18 @@ import (
 // This file is the distribution seam of the trajectory engine: the
 // chunked run-index space that RunBatch dispatches to goroutines is
 // exposed so that chunks can be computed by *other processes* and the
-// partial sums merged back bit-identically. The contract mirrors the
-// in-process one exactly — run j draws from the stream of (Seed, j)
-// whichever process runs it (stream.go), every chunk is a fixed block
-// of the run-index space accumulated in run order, and the final
-// reduction merges per-chunk sums strictly in chunk order — so a
-// cluster that leases chunk ranges to workers (internal/cluster)
-// reproduces a single-node same-seed Result bit for bit.
+// partial sums merged back. The contract mirrors the in-process one
+// exactly — run j draws from the stream of (Seed, j) whichever process
+// runs it (stream.go), every chunk is a fixed block of the run-index
+// space accumulated in run order, and the final reduction merges
+// per-chunk sums strictly in chunk order. So a cluster that leases
+// chunk ranges to workers (internal/cluster) reproduces a single-node
+// same-seed Result bit for bit on statevec, sparse and cache-resident
+// DDs (TestRunChunksReduceBitIdentical). Every RunChunks call compiles
+// a fresh backend, so on a larger DD a cluster run reproduces itself
+// for a fixed lease size, whatever the failure schedule
+// (TestClusterQFT16ReproducesItselfAcrossFailures in internal/cluster),
+// but not a single-node run.
 
 // ChunkPlan describes the fixed chunk layout of one job's run-index
 // space, as the engine would dispatch it. The plan is a pure function
@@ -105,7 +110,8 @@ type ChunkSum struct {
 // of chunks finished so far (progress for lease heartbeats).
 //
 // Cancelling ctx aborts with an error: a partially accumulated chunk
-// is never returned, because only full chunks merge bit-identically.
+// is never returned, because the reduction is defined over full chunks
+// only.
 func RunChunks(ctx context.Context, factory sim.Factory, job Job, first, count int, onChunk func(done int)) ([]ChunkSum, error) {
 	js, err := prepareJob(job)
 	if err != nil {
@@ -184,11 +190,13 @@ func chunkSumOf(c int, a *accumulator) ChunkSum {
 // ReduceChunks merges per-chunk sums — exactly one for every chunk of
 // the job's plan, in chunk order — into the job's Result. The merge
 // applies the sums strictly in chunk order, which is the same
-// floating-point reduction order RunBatch uses, so the Result is
-// bit-identical to a single-node same-seed run on every numerical
+// floating-point reduction order RunBatch uses, so every numerical
 // field (Counts, ClassicalCounts, TrackedProbs, MeanFidelity,
-// ConfidenceRadius; Elapsed and Workers are scheduling artefacts and
-// are left to the caller).
+// ConfidenceRadius) equals what RunBatch would reduce from the same
+// sums; Elapsed and Workers are scheduling artefacts and are left to
+// the caller. Where the sums do not depend on which process computed
+// them, the Result is bit-identical to a single-node same-seed run
+// (TestRunChunksReduceBitIdentical).
 //
 // Validation is strict: a missing, duplicated, out-of-order or
 // short-run chunk is an error, never silently absorbed — the cluster

@@ -64,15 +64,18 @@ type Options struct {
 	// Workers is the number of concurrent workers; 0 means GOMAXPROCS.
 	// Ignored by RunBatch, which sizes one shared pool for all jobs.
 	Workers int `json:"workers,omitempty"`
-	// Seed makes the whole simulation deterministic: run j draws from
-	// its own stream, a generator whose state is mixed from all 64 bits
-	// of Seed and of j (stream.go), regardless of which worker executes
-	// it, so jobs at different seeds share no trajectory and results are
-	// bit-identical per worker count — and across worker counts on the
-	// statevec and sparse backends and for cache-resident DDs. (A DD
-	// package's weight rounding depends on what it computed before, so
-	// at QFT-24 size a 2-worker DD estimate differs from the 1-worker
-	// one at ~1e-12 relative.)
+	// Seed fixes the random draws: run j draws from its own stream, a
+	// generator whose state is mixed from all 64 bits of Seed and of j
+	// (stream.go), regardless of which worker executes it, so jobs at
+	// different seeds share no trajectory. One worker reproduces itself
+	// bit for bit (TestOneWorkerDDReproducesItselfQFT16); results are
+	// bit-identical across worker counts on the statevec and sparse
+	// backends and on cache-resident DDs
+	// (TestDeterminismAcrossWorkerCounts). A DD package's weight
+	// rounding depends on what it computed before, so from QFT-16 size
+	// up a multi-worker DD run need not reproduce even itself: at
+	// QFT-24 a fidelity moved by 4.9e-5 relative and a trajectory took
+	// another branch.
 	Seed int64 `json:"seed,omitempty"`
 	// Shots is the number of basis-state samples drawn from each final
 	// state (default 1).
@@ -123,20 +126,21 @@ type Options struct {
 	ProgressEvery int `json:"progress_every,omitempty"`
 	// ChunkSize is the number of trajectories a worker claims per
 	// dequeue (default 64). Chunks are fixed blocks of the run-index
-	// space, so results stay bit-identical for any worker count.
+	// space, so the reduction order does not depend on the worker
+	// count.
 	ChunkSize int `json:"chunk_size,omitempty"`
 }
 
 // Canonical returns a copy of o reduced to the fields that determine
 // the numerical content of a Result, with engine defaults filled in —
 // the options half of a job's content-addressed identity (see
-// ddsim.JobKey). Two option sets with equal Canonical forms produce
-// bit-identical Results for the same circuit, backend and noise
-// model, so canonicalisation deliberately discards every knob that
-// changes only *how* the work is done:
+// ddsim.JobKey). Two option sets with equal Canonical forms sample the
+// same trajectories for the same circuit, backend and noise model, so
+// canonicalisation deliberately discards every knob that changes only
+// *how* the work is done:
 //
-//   - Workers is dropped (results are bit-identical across worker
-//     counts by construction);
+//   - Workers is dropped (it moves a result only where the backend's
+//     rounding depends on its history; see Seed);
 //   - OnProgress and ProgressEvery are dropped (observation only);
 //   - Runs, Shots and ChunkSize are normalised to the engine defaults
 //     (ChunkSize is kept: chunk boundaries set the floating-point

@@ -207,10 +207,10 @@ var (
 		"Time from job acceptance to its terminal state.",
 		LogBuckets(1e-5, 100, 5))
 
-	// DispatchWaiting / DispatchGranted mirror the lock-free dispatch
-	// plane: tickets queued for a simulation slot (ring + priority
-	// heap) and slots granted since start. Snapshots are refreshed by
-	// a ddsimd maintenance ticker, not at scrape time.
+	// DispatchWaiting / DispatchGranted mirror ddsimd's dispatcher:
+	// jobs waiting in its priority heap for a simulation slot, and
+	// slots granted since start. Snapshots are refreshed by a ddsimd
+	// maintenance ticker, not at scrape time.
 	DispatchWaiting = NewGauge("ddsim_dispatch_waiting",
 		"Submissions queued in the dispatch plane for a simulation slot.")
 	DispatchGranted = NewGauge("ddsim_dispatch_granted",

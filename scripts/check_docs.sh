@@ -49,7 +49,15 @@
 #    a _test.go file, and every paragraph of README.md or docs/*.md
 #    that says "bit-identical" must name, in backticks, a Test… or
 #    Fuzz… function that checks it, so a determinism claim cannot
-#    outlive, or go without, its test.
+#    outlive, or go without, its test. The same holds for comments in
+#    non-test Go outside benchmark/ (a module of its own): a comment
+#    paragraph — consecutive // lines up to a bare // — that says
+#    "bit-identical" or "bit for bit" must name a Test… function that
+#    a _test.go file declares.
+# 13. "MPSC", "disruptor", "Vyukov" and "lock-free dispatch" appear
+#    nowhere in README.md, docs/*.md or non-test Go outside benchmark/:
+#    ddsimd's dispatcher is one mutex-guarded heap, so a doc or comment
+#    cannot keep describing the submit ring it replaced.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -233,6 +241,46 @@ if ! awk 'BEGIN { RS = "" }
     bad = 1
   }
   END { exit bad }' README.md docs/*.md; then
+  fail=1
+fi
+
+gosrc_nt="$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*')"
+# shellcheck disable=SC2086 # gosrc_nt is a word list of paths
+if ! awk 'NR == FNR { declared[$0] = 1; next }
+  function flush() {
+    if (para ~ /bit-identical|bit for bit/) {
+      named = 0; rest = para
+      while (match(rest, /Test[A-Z0-9_][A-Za-z0-9_]*/)) {
+        if (substr(rest, RSTART, RLENGTH) in declared) named = 1
+        rest = substr(rest, RSTART + RLENGTH)
+      }
+      if (!named) {
+        printf "UNTESTED BIT-IDENTITY CLAIM: the comment paragraph at %s:%d-%d says \"bit-identical\" or \"bit for bit\" but names no declared Test… function\n", prevfile, start, end > "/dev/stderr"
+        bad = 1
+      }
+    }
+    para = ""
+  }
+  FNR == 1 { flush(); prevfile = FILENAME }
+  /^[ \t]*\/\// {
+    text = $0; sub(/^[ \t]*\/\/[ \t]*/, "", text)
+    if (text == "") { flush(); next }
+    if (para == "") start = FNR
+    end = FNR
+    para = para " " text
+    next
+  }
+  { flush() }
+  END { flush(); exit bad }' <(grep '^Test' <<< "$declared") $gosrc_nt; then
+  fail=1
+fi
+
+# --- 13. no submit-ring vocabulary --------------------------------------------
+# shellcheck disable=SC2086 # gosrc_nt is a word list of paths
+if ringhits="$(grep -niE 'MPSC|disruptor|Vyukov|lock-free dispatch' README.md docs/*.md $gosrc_nt)"; then
+  while IFS= read -r hit; do
+    echo "SUBMIT-RING VOCABULARY: $hit; the dispatcher is one mutex-guarded heap" >&2
+  done <<< "$ringhits"
   fail=1
 fi
 
