@@ -51,6 +51,16 @@ func TestWorkerKilledMidChunk(t *testing.T) {
 	want := singleNode(t, spec)
 	urls, workers, servers := startWorkers(t, 2)
 	gate := newBlockingGate(t, workers[0])
+	// The coordinator heartbeats a lease only after it has read the
+	// worker's 202 for it. Killing worker 0 before that could cut the
+	// reply, and the coordinator would release the part at once instead
+	// of letting it expire, which is the path this test pins.
+	heartbeat := make(chan struct{})
+	var heartbeatOnce sync.Once
+	workers[0].DropHeartbeats = func() bool {
+		heartbeatOnce.Do(func() { close(heartbeat) })
+		return false
+	}
 
 	reassignedBefore := telemetry.ClusterReassignments.Value()
 	coord, err := New(Config{
@@ -74,8 +84,10 @@ func TestWorkerKilledMidChunk(t *testing.T) {
 		done <- outcome{res, err}
 	}()
 
-	// Worker 0 is now stalled inside its first leased chunk; kill it.
+	// Worker 0 is now stalled inside its first leased chunk, and the
+	// coordinator holds the lease; kill it.
 	<-gate.blocked
+	<-heartbeat
 	servers[0].CloseClientConnections()
 	servers[0].Close()
 

@@ -304,6 +304,20 @@ func (r *ckptRunner) keep(gates int, budget int64) bool {
 	return true
 }
 
+// finalState returns the state after all of the reference path's
+// unitaries — for a path that covers the circuit, its noise-free final
+// state. It is the snapshot a forking runner kept there; when the
+// snapshot budget left none at the end, the runner walks there and s
+// captures it.
+func (r *ckptRunner) finalState(s sim.Snapshotter, st *ckptStats) sim.Snapshot {
+	end := len(r.path.gates)
+	if n := len(r.snaps); n > 0 && r.snaps[n-1].gates == end {
+		return r.snaps[n-1].state
+	}
+	r.advance(-1, end, st)
+	return s.Snapshot()
+}
+
 // advance brings the backend from the reference path's state after
 // `at` unitaries to the one after need, applying the bare unitaries in
 // between. at < 0 means the trajectory has not touched the backend yet:

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ddsim/internal/circuit"
@@ -352,6 +353,41 @@ func TestCheckpointingReducesGateApplications(t *testing.T) {
 	assertResultsIdentical(t, "bv", plain, forked)
 }
 
+// TestFidelityReferenceCostsNoGates: on a measurement-free circuit the
+// reference path covers the circuit, so the forking runner's final
+// snapshot is the fidelity reference and no second noise-free pass
+// runs. A fidelity job applies exactly the gates of the same job
+// without fidelity.
+func TestFidelityReferenceCostsNoGates(t *testing.T) {
+	c := circuit.QFT(6)
+	m := noise.Model{Depolarizing: 0.01, PhaseFlip: 0.01}
+	if p := pathOf(t, c, m); p.endOp != len(c.Ops) {
+		t.Fatalf("precondition broken: the path ends at op %d of %d", p.endOp, len(c.Ops))
+	}
+	for _, tc := range []struct {
+		name    string
+		factory sim.Factory
+	}{
+		{"dd", ddback.Factory()},
+		{"statevec", statevec.Factory()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			applied := func(fidelity bool) int64 {
+				before := telemetry.GateApplications.Value()
+				opts := Options{Runs: 100, Seed: 3, Workers: 1, TrackFidelity: fidelity}
+				if _, err := Run(c, tc.factory, m, opts); err != nil {
+					t.Fatal(err)
+				}
+				return telemetry.GateApplications.Value() - before
+			}
+			without, with := applied(false), applied(true)
+			if with != without {
+				t.Errorf("fidelity job applied %d gates, the same job without fidelity %d", with, without)
+			}
+		})
+	}
+}
+
 // TestCheckpointOnUnsupportedBackend: the sparse baseline has no fork
 // support, so its jobs replay the reference path.
 func TestCheckpointOnUnsupportedBackend(t *testing.T) {
@@ -516,7 +552,8 @@ func TestForkedMatchesReplayAtEveryPosition(t *testing.T) {
 // worker keeps at most maxRefSnapshots snapshots, their summed
 // StateCost stays within it (the first one — the fork point every
 // trajectory needs — is taken regardless), the path's end is among
-// them as soon as two fit, and trajectories forked from the thinner
+// them as soon as two fit, its end state is the same with or without
+// that snapshot (finalState), and trajectories forked from the thinner
 // layouts still match the plain replay.
 func TestReferenceSnapshotsStayWithinBudget(t *testing.T) {
 	c := circuit.QFT(6)
@@ -561,6 +598,13 @@ func TestReferenceSnapshotsStayWithinBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		replay, _ := newCkptRunner(plain, nil, c, p)
+		// The path's end state comes out the same whether a snapshot
+		// was kept there or the runner has to walk there.
+		end := r.finalState(b.(sim.Snapshotter), new(ckptStats))
+		replay.advance(-1, len(p.gates), new(ckptStats))
+		if !slices.Equal(end.([]complex128), plain.(sim.Snapshotter).Snapshot().([]complex128)) {
+			t.Errorf("budget %d: finalState differs from the replayed path's end", tc.budget)
+		}
 		clbits := make([]uint64, 1)
 		for seed := int64(1); seed <= 40; seed++ {
 			var st ckptStats

@@ -77,8 +77,9 @@ func RunContext(ctx context.Context, c *circuit.Circuit, factory sim.Factory, mo
 // RunBatch executes a set of (circuit, noise-point) jobs through one
 // shared worker pool of the given size (0 means GOMAXPROCS). Work is
 // dispatched in chunks of Options.ChunkSize trajectories; run j of a
-// job always draws from the stream of (Opts.Seed, j) and per-chunk
-// partial sums are reduced in run order. So a job's result on one
+// job always draws from the stream of (Opts.Seed, j), and the per-chunk
+// ChunkSums are reduced in chunk order by reduce — the same function
+// ReduceChunks merges a cluster's chunks with. So a job's result on one
 // worker reproduces itself bit for bit
 // (TestOneWorkerDDReproducesItselfQFT16), and on the statevec and
 // sparse backends and on cache-resident DDs it is bit-identical to a
@@ -171,11 +172,11 @@ type jobState struct {
 	started  time.Time
 	deadline time.Time // zero until first dispatch, or when Timeout is unset
 
-	// chunks holds one accumulator per fixed chunk of the run-index
-	// space, committed by whichever worker executed it; the final
-	// reduction merges them in chunk order so float sums are
-	// independent of scheduling.
-	chunks []*accumulator
+	// chunks holds one sum per fixed chunk of the run-index space,
+	// committed by whichever worker executed it; reduce merges them in
+	// chunk order so float sums are independent of scheduling. A chunk
+	// never dispatched keeps the zero ChunkSum.
+	chunks []ChunkSum
 
 	// path is the job's noise model compiled against its circuit and
 	// the reference path every trajectory runs along (see refPath).
@@ -238,7 +239,7 @@ func prepareJob(job Job) (*jobState, error) {
 		}
 	}
 	numChunks := (js.target + job.Opts.ChunkSize - 1) / job.Opts.ChunkSize
-	js.chunks = make([]*accumulator, numChunks)
+	js.chunks = make([]ChunkSum, numChunks)
 	js.progTracked = make([]float64, len(job.Opts.TrackStates))
 	var plan *noise.Plan
 	if job.Model.Enabled() {
@@ -415,19 +416,6 @@ func (e *engine) compile(js *jobState) (*compiled, error) {
 	e.mu.Unlock()
 	wb := &compiled{backend: backend, clbits: make([]uint64, 1)}
 	wb.rng, wb.src = newStream()
-	if js.job.Opts.TrackFidelity {
-		s, ok := backend.(sim.Snapshotter)
-		if !ok {
-			return nil, fmt.Errorf("stochastic: backend %q cannot track fidelity", backend.Name())
-		}
-		// Reference trajectory: same circuit, no noise, fixed seed so
-		// every worker derives the identical state.
-		wb.src.seek(js.job.Opts.Seed, 0)
-		refGates := runOne(backend, js.job.Circuit, wb.rng, wb.clbits)
-		telemetry.GateApplications.Add(int64(refGates))
-		wb.ref = s.Snapshot()
-		wb.snapper = s
-	}
 	var forker sim.Forker
 	if f, ok := backend.(sim.Forker); ok && js.path.worthwhile() {
 		forker = f
@@ -435,7 +423,30 @@ func (e *engine) compile(js *jobState) (*compiled, error) {
 		js.checkpointed = true
 		e.mu.Unlock()
 	}
+	// The fidelity reference is the circuit's noise-free final state.
+	// When the reference path covers the circuit, the forking runner
+	// walks to it anyway (fromPath); otherwise a replaying runner walks
+	// the noise-free circuit, with measurements drawing from the stream
+	// of (Seed, 0), so every worker derives the identical state.
+	fromPath := forker != nil && js.path.endOp == len(js.job.Circuit.Ops)
+	if js.job.Opts.TrackFidelity {
+		s, ok := backend.(sim.Snapshotter)
+		if !ok {
+			return nil, fmt.Errorf("stochastic: backend %q cannot track fidelity", backend.Name())
+		}
+		wb.snapper = s
+		if !fromPath {
+			wb.src.seek(js.job.Opts.Seed, 0)
+			telemetry.GateApplications.Add(int64(replayNoiseFree(backend, js.job.Circuit, wb.rng, wb.clbits)))
+			wb.ref = s.Snapshot()
+		}
+	}
 	traj, pathGates := newCkptRunner(backend, forker, js.job.Circuit, js.path)
+	if js.job.Opts.TrackFidelity && fromPath {
+		var st ckptStats
+		wb.ref = traj.finalState(wb.snapper, &st)
+		pathGates += st.applied
+	}
 	telemetry.GateApplications.Add(int64(pathGates))
 	wb.traj = traj
 	return wb, nil
@@ -451,12 +462,18 @@ func (e *engine) failJob(js *jobState, err error) {
 }
 
 // runChunk executes trajectories [first, first+count) of a job on the
-// worker's private backend and commits the chunk's partial sums. The
+// worker's private backend and commits the chunk's ChunkSum. The
 // context and the job deadline are checked between trajectories, so a
 // cancelled chunk commits the prefix it completed.
 func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 	opts := &js.job.Opts
-	acc := newAccumulator(len(opts.TrackStates))
+	sum := ChunkSum{Chunk: first / opts.ChunkSize, Counts: make(map[uint64]int)}
+	if js.hasMeasure {
+		sum.Classical = make(map[uint64]int)
+	}
+	if len(opts.TrackStates) > 0 {
+		sum.Tracked = make([]float64, len(opts.TrackStates))
+	}
 	deadlineHit := false
 	var st ckptStats
 	var chanCounts noise.ChannelCounts
@@ -471,12 +488,12 @@ func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 		wb.src.seek(opts.Seed, uint64(first+k))
 		rng := wb.rng
 		reference := wb.traj.run(rng, wb.clbits, &st, &chanCounts)
-		acc.runs++
+		sum.Runs++
 		for s := 0; s < opts.Shots; s++ {
-			acc.counts[wb.backend.SampleBasis(rng)]++
+			sum.Counts[wb.backend.SampleBasis(rng)]++
 		}
 		if js.hasMeasure {
-			acc.classical[wb.clbits[0]]++
+			sum.Classical[wb.clbits[0]]++
 		}
 		if reference && wb.refTracked == nil {
 			wb.refTracked = make([]float64, len(opts.TrackStates))
@@ -487,21 +504,21 @@ func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 		for i, idx := range opts.TrackStates {
 			if reference {
 				// The same restored state every time: the same values.
-				acc.tracked[i] += wb.refTracked[i]
+				sum.Tracked[i] += wb.refTracked[i]
 			} else {
-				acc.tracked[i] += wb.backend.Probability(idx)
+				sum.Tracked[i] += wb.backend.Probability(idx)
 			}
 		}
 		if wb.snapper != nil {
-			acc.fidelity += wb.snapper.FidelityTo(wb.ref)
+			sum.Fidelity += wb.snapper.FidelityTo(wb.ref)
 		}
 	}
-	e.commit(js, acc, first, deadlineHit)
+	e.commit(js, sum, deadlineHit)
 	telemetry.GateApplications.Add(int64(st.applied))
 	telemetry.CheckpointGatesSkipped.Add(int64(st.skipped))
 	if wb.traj.forker != nil {
 		// A forked trajectory restores exactly once (ckptRunner.advance).
-		telemetry.CheckpointForks.Add(int64(acc.runs))
+		telemetry.CheckpointForks.Add(int64(sum.Runs))
 	}
 	for l, n := range chanCounts {
 		if n > 0 {
@@ -511,7 +528,7 @@ func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 	wb.reportTableStats()
 }
 
-// commit stores a chunk's accumulator and fires the progress callback
+// commit stores a chunk's sum and fires the progress callback
 // when due. The snapshot is built under the engine lock but the
 // callback itself runs outside it, so a slow Options.OnProgress never
 // stalls chunk dispatch; at most one callback is in flight (cbBusy),
@@ -519,16 +536,16 @@ func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 // Skipped ticks are recovered later because lastProgress only
 // advances when a callback actually fires (finish delivers the final
 // snapshot unconditionally).
-func (e *engine) commit(js *jobState, acc *accumulator, first int, deadlineHit bool) {
-	telemetry.Trajectories.Add(int64(acc.runs))
+func (e *engine) commit(js *jobState, sum ChunkSum, deadlineHit bool) {
+	telemetry.Trajectories.Add(int64(sum.Runs))
 	e.mu.Lock()
-	js.chunks[first/js.job.Opts.ChunkSize] = acc
-	js.done += acc.runs
+	js.chunks[sum.Chunk] = sum
+	js.done += sum.Runs
 	js.ended = time.Now()
-	for i := range acc.tracked {
-		js.progTracked[i] += acc.tracked[i]
+	for i, v := range sum.Tracked {
+		js.progTracked[i] += v
 	}
-	js.progFid += acc.fidelity
+	js.progFid += sum.Fidelity
 	if deadlineHit {
 		js.timedOut = true
 		js.next = js.target
@@ -582,23 +599,17 @@ func (e *engine) jobIndex(js *jobState) int {
 	return 0
 }
 
-// finish reduces a job's chunk accumulators — in chunk order, so the
-// result is independent of which workers ran which chunks — into its
-// Result.
+// finish reduces a job's committed chunk sums — in chunk order, so the
+// numerical fields do not depend on which workers ran which chunks —
+// into its Result, and adds the scheduling fields.
 func (e *engine) finish(js *jobState) (*Result, error) {
 	if js.err != nil {
 		return nil, js.err
 	}
-	total := newAccumulator(len(js.job.Opts.TrackStates))
-	for i, acc := range js.chunks {
-		if acc != nil {
-			total.merge(acc)
-			acc.release()
-			js.chunks[i] = nil
-		}
-	}
+	res := reduce(js, js.chunks)
+	js.chunks = nil
 	interrupted := e.ctx.Err() != nil && js.done < js.target && !js.timedOut
-	if total.runs == 0 {
+	if res.Runs == 0 {
 		if interrupted {
 			return nil, fmt.Errorf("stochastic: no runs completed: %w", e.ctx.Err())
 		}
@@ -611,27 +622,11 @@ func (e *engine) finish(js *jobState) (*Result, error) {
 		js.lastProgress = js.done
 		cb(e.progressLocked(js))
 	}
-	res := &Result{
-		Runs:             total.runs,
-		TargetRuns:       js.target,
-		Counts:           total.counts,
-		ClassicalCounts:  total.classical,
-		TrackedProbs:     total.tracked,
-		Properties:       js.props,
-		ConfidenceRadius: obs.ConfidenceRadius(total.runs, js.props, js.delta),
-		Elapsed:          js.ended.Sub(js.started),
-		TimedOut:         js.timedOut,
-		BudgetExhausted:  js.exhausted,
-		Interrupted:      interrupted,
-		Checkpointed:     js.checkpointed,
-		Workers:          e.workers,
-	}
-	for i := range res.TrackedProbs {
-		res.TrackedProbs[i] /= float64(total.runs)
-	}
-	if js.job.Opts.TrackFidelity {
-		res.MeanFidelity = total.fidelity / float64(total.runs)
-	}
+	res.Elapsed = js.ended.Sub(js.started)
+	res.TimedOut = js.timedOut
+	res.Interrupted = interrupted
+	res.Checkpointed = js.checkpointed
+	res.Workers = e.workers
 	// Runs > 0 implies at least one chunk ran, so a backend was
 	// compiled and backendName is set.
 	telemetry.BackendSeconds.With(e.backendName).Add(res.Elapsed.Seconds())

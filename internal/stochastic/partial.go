@@ -12,16 +12,19 @@ import (
 // This file is the distribution seam of the trajectory engine: the
 // chunked run-index space that RunBatch dispatches to goroutines is
 // exposed so that chunks can be computed by *other processes* and the
-// partial sums merged back. The contract mirrors the in-process one
-// exactly — run j draws from the stream of (Seed, j) whichever process
-// runs it (stream.go), every chunk is a fixed block of the run-index
-// space accumulated in run order, and the final reduction merges
-// per-chunk sums strictly in chunk order. So a cluster that leases
-// chunk ranges to workers (internal/cluster) reproduces a single-node
-// same-seed Result bit for bit on statevec, sparse and cache-resident
-// DDs (TestRunChunksReduceBitIdentical). Every RunChunks call compiles
-// a fresh backend, so on a larger DD a cluster run reproduces itself
-// for a fixed lease size, whatever the failure schedule
+// partial sums merged back. It is the in-process contract itself, not
+// a copy of it: run j draws from the stream of (Seed, j) whichever
+// process runs it (stream.go), every chunk is a fixed block of the
+// run-index space that runChunk accumulates into one ChunkSum in run
+// order, and both executors — RunBatch's finish and ReduceChunks —
+// merge the sums strictly in chunk order through one function, reduce.
+// So a cluster that leases chunk ranges to workers (internal/cluster)
+// reproduces a single-node same-seed Result bit for bit on statevec,
+// sparse and cache-resident DDs (TestRunChunksReduceBitIdentical), and
+// one RunChunks call over the whole plan reproduces a 1-worker Run,
+// on a QFT-16 DD too (TestExecutorsAgreeQFT16). Every RunChunks call
+// compiles a fresh backend, so on a larger DD a cluster run reproduces
+// itself for a fixed lease size, whatever the failure schedule
 // (TestClusterQFT16ReproducesItselfAcrossFailures in internal/cluster),
 // but not a single-node run.
 
@@ -76,11 +79,13 @@ func (p ChunkPlan) ChunkRuns(c int) int {
 	return n
 }
 
-// ChunkSum is the serialisable partial sum of one chunk: exactly the
-// engine-internal accumulator a worker goroutine commits, in wire
-// form. Float fields survive a JSON round trip bit-exactly (Go
-// marshals float64 in shortest round-trip form), so sums computed on
-// a remote worker reduce to the same Result as local ones.
+// ChunkSum is the partial sum of one chunk — the one type both
+// executors accumulate into: the in-process engine commits one per
+// chunk, RunChunks returns them, and both reduce through the same
+// chunk-order merge. Float fields survive a JSON round trip
+// bit-exactly (Go marshals float64 in shortest round-trip form), so
+// sums computed on a remote worker reduce to the same Result as local
+// ones.
 type ChunkSum struct {
 	// Chunk is the chunk index within the job's plan.
 	Chunk int `json:"chunk"`
@@ -103,11 +108,11 @@ type ChunkSum struct {
 // RunChunks executes chunks [first, first+count) of the job's plan on
 // one backend instance and returns their per-chunk sums in chunk
 // order. Within each chunk trajectories run in ascending run-index
-// order, run j from the stream of (Seed, j), exactly as the in-process
-// engine does, so the sums are interchangeable with locally computed
-// ones. onChunk,
-// when non-nil, is called after each completed chunk with the number
-// of chunks finished so far (progress for lease heartbeats).
+// order, run j from the stream of (Seed, j), through the same runChunk
+// the in-process engine uses, so the sums are interchangeable with
+// locally computed ones. onChunk, when non-nil, is called after each
+// completed chunk with the number of chunks finished so far (progress
+// for lease heartbeats).
 //
 // Cancelling ctx aborts with an error: a partially accumulated chunk
 // is never returned, because the reduction is defined over full chunks
@@ -131,71 +136,34 @@ func RunChunks(ctx context.Context, factory sim.Factory, job Job, first, count i
 	}
 	defer wb.release()
 	size := js.job.Opts.ChunkSize
-	sums := make([]ChunkSum, 0, count)
 	for c := first; c < first+count; c++ {
 		lo := c * size
-		n := size
-		if lo+n > js.target {
-			n = js.target - lo
-		}
+		n := min(size, js.target-lo)
 		e.runChunk(js, wb, lo, n)
-		acc := js.chunks[c]
-		if acc == nil || acc.runs != n {
+		if got := js.chunks[c].Runs; got != n {
 			// The context was cancelled mid-chunk; the partial prefix
 			// must not escape.
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			return nil, fmt.Errorf("stochastic: chunk %d incomplete (%d of %d runs)", c, accRuns(acc), n)
+			return nil, fmt.Errorf("stochastic: chunk %d incomplete (%d of %d runs)", c, got, n)
 		}
-		sums = append(sums, chunkSumOf(c, acc))
-		acc.release()
-		js.chunks[c] = nil
 		if onChunk != nil {
 			onChunk(c - first + 1)
 		}
 	}
-	return sums, nil
-}
-
-func accRuns(a *accumulator) int {
-	if a == nil {
-		return 0
-	}
-	return a.runs
-}
-
-// chunkSumOf copies an accumulator into its wire form (the
-// accumulator's maps are pooled and must not escape).
-func chunkSumOf(c int, a *accumulator) ChunkSum {
-	s := ChunkSum{Chunk: c, Runs: a.runs, Fidelity: a.fidelity}
-	if len(a.counts) > 0 {
-		s.Counts = make(map[uint64]int, len(a.counts))
-		for k, v := range a.counts {
-			s.Counts[k] = v
-		}
-	}
-	if len(a.classical) > 0 {
-		s.Classical = make(map[uint64]int, len(a.classical))
-		for k, v := range a.classical {
-			s.Classical[k] = v
-		}
-	}
-	if len(a.tracked) > 0 {
-		s.Tracked = append([]float64(nil), a.tracked...)
-	}
-	return s
+	return js.chunks[first : first+count : first+count], nil
 }
 
 // ReduceChunks merges per-chunk sums — exactly one for every chunk of
-// the job's plan, in chunk order — into the job's Result. The merge
-// applies the sums strictly in chunk order, which is the same
-// floating-point reduction order RunBatch uses, so every numerical
-// field (Counts, ClassicalCounts, TrackedProbs, MeanFidelity,
+// the job's plan, in chunk order — into the job's Result. It validates
+// the sums against the plan and hands them to reduce, the one
+// chunk-order reduction RunBatch uses too, so every numerical field
+// (Counts, ClassicalCounts, TrackedProbs, MeanFidelity,
 // ConfidenceRadius) equals what RunBatch would reduce from the same
-// sums; Elapsed and Workers are scheduling artefacts and are left to
-// the caller. Where the sums do not depend on which process computed
-// them, the Result is bit-identical to a single-node same-seed run
+// sums; Elapsed is a scheduling artefact and is left to the caller.
+// Where the sums do not depend on which process computed them, the
+// Result is bit-identical to a single-node same-seed run
 // (TestRunChunksReduceBitIdentical).
 //
 // Validation is strict: a missing, duplicated, out-of-order or
@@ -212,54 +180,61 @@ func ReduceChunks(job Job, sums []ChunkSum, workers int) (*Result, error) {
 	}
 	size := js.job.Opts.ChunkSize
 	tracked := len(js.job.Opts.TrackStates)
-	total := &accumulator{
-		counts:    make(map[uint64]int),
-		classical: make(map[uint64]int),
-		tracked:   make([]float64, tracked),
-	}
 	for i := range sums {
 		cs := &sums[i]
 		if cs.Chunk != i {
 			return nil, fmt.Errorf("stochastic: chunk sum %d carries index %d (missing or out of order)", i, cs.Chunk)
 		}
-		want := size
-		if i*size+want > js.target {
-			want = js.target - i*size
-		}
-		if cs.Runs != want {
+		if want := min(size, js.target-i*size); cs.Runs != want {
 			return nil, fmt.Errorf("stochastic: chunk %d has %d runs, plan requires %d", i, cs.Runs, want)
 		}
 		if len(cs.Tracked) != tracked && len(cs.Tracked) != 0 {
 			return nil, fmt.Errorf("stochastic: chunk %d tracks %d states, job tracks %d", i, len(cs.Tracked), tracked)
 		}
+	}
+	res := reduce(js, sums)
+	res.Workers = workers
+	return res, nil
+}
+
+// reduce merges chunk sums strictly in the order given — chunk order,
+// from both callers — into every numerical field of a Result: the
+// histograms, the tracked-probability and fidelity means, the run
+// counts, the properties and the confidence radius. The float sums
+// therefore do not depend on which worker or process computed which
+// chunk. A sum with no runs (a chunk the engine never dispatched)
+// adds nothing. The scheduling fields (Elapsed, TimedOut, Interrupted,
+// Checkpointed, Workers) are the caller's.
+func reduce(js *jobState, sums []ChunkSum) *Result {
+	res := &Result{
+		TargetRuns:      js.target,
+		Counts:          make(map[uint64]int),
+		ClassicalCounts: make(map[uint64]int),
+		TrackedProbs:    make([]float64, len(js.job.Opts.TrackStates)),
+		Properties:      js.props,
+		BudgetExhausted: js.exhausted,
+	}
+	var fidelity float64
+	for i := range sums {
+		cs := &sums[i]
 		for k, v := range cs.Counts {
-			total.counts[k] += v
+			res.Counts[k] += v
 		}
 		for k, v := range cs.Classical {
-			total.classical[k] += v
+			res.ClassicalCounts[k] += v
 		}
-		for t := range cs.Tracked {
-			total.tracked[t] += cs.Tracked[t]
+		for t, v := range cs.Tracked {
+			res.TrackedProbs[t] += v
 		}
-		total.fidelity += cs.Fidelity
-		total.runs += cs.Runs
-	}
-	res := &Result{
-		Runs:             total.runs,
-		TargetRuns:       js.target,
-		Counts:           total.counts,
-		ClassicalCounts:  total.classical,
-		TrackedProbs:     total.tracked,
-		Properties:       js.props,
-		ConfidenceRadius: obs.ConfidenceRadius(total.runs, js.props, js.delta),
-		BudgetExhausted:  js.exhausted,
-		Workers:          workers,
+		fidelity += cs.Fidelity
+		res.Runs += cs.Runs
 	}
 	for i := range res.TrackedProbs {
-		res.TrackedProbs[i] /= float64(total.runs)
+		res.TrackedProbs[i] /= float64(res.Runs)
 	}
 	if js.job.Opts.TrackFidelity {
-		res.MeanFidelity = total.fidelity / float64(total.runs)
+		res.MeanFidelity = fidelity / float64(res.Runs)
 	}
-	return res, nil
+	res.ConfidenceRadius = obs.ConfidenceRadius(res.Runs, js.props, js.delta)
+	return res
 }

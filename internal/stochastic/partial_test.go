@@ -175,3 +175,41 @@ func TestReduceChunksRejectsBadSums(t *testing.T) {
 		t.Error("short chunk accepted")
 	}
 }
+
+// TestExecutorsAgreeQFT16: a 1-worker local Run and one RunChunks call
+// over the whole plan both run every chunk in order on one backend, and
+// both reduce through the same chunk-order merge, so on QFT-16 — the
+// smallest DD size whose bits move with the worker count — every
+// numerical field is bit-identical.
+func TestExecutorsAgreeQFT16(t *testing.T) {
+	job := Job{
+		Circuit: circuit.QFTWithInput(16, 0x5a5a),
+		Model:   noise.Model{Depolarizing: 0.01, Damping: 0.02, PhaseFlip: 0.01},
+		Opts: Options{Runs: 120, Seed: 11, Shots: 2, Workers: 1, ChunkSize: 16,
+			TrackFidelity: true, TrackStates: []uint64{0, 0x5a5a}},
+	}
+	local, err := Run(job.Circuit, ddback.Factory(), job.Model, job.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanChunks(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, err := RunChunks(context.Background(), ddback.Factory(), job, 0, plan.NumChunks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := ReduceChunks(job, sums, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsIdentical(t, "QFT-16, local vs RunChunks", local, merged)
+	if len(local.TrackedProbs) != len(merged.TrackedProbs) {
+		t.Errorf("tracked %d vs %d estimates", len(local.TrackedProbs), len(merged.TrackedProbs))
+	}
+	if local.TargetRuns != merged.TargetRuns || local.Properties != merged.Properties ||
+		local.ConfidenceRadius != merged.ConfidenceRadius || local.BudgetExhausted != merged.BudgetExhausted {
+		t.Errorf("plan fields differ: %+v vs %+v", local, merged)
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"ddsim/internal/circuit"
@@ -351,60 +350,6 @@ func (r *Result) SampleFraction(idx uint64) float64 {
 	return float64(r.Counts[idx]) / float64(total)
 }
 
-type accumulator struct {
-	counts    map[uint64]int
-	classical map[uint64]int
-	tracked   []float64
-	fidelity  float64
-	runs      int
-}
-
-// accPool recycles chunk accumulators across runChunk calls: a long
-// job churns through target/ChunkSize of them, and the histogram maps
-// keep their capacity across reuse. Accumulators whose maps escape
-// into a Result (the finish totals) are simply never released.
-var accPool = sync.Pool{New: func() interface{} { return new(accumulator) }}
-
-func newAccumulator(tracked int) *accumulator {
-	a := accPool.Get().(*accumulator)
-	if a.counts == nil {
-		a.counts = make(map[uint64]int)
-		a.classical = make(map[uint64]int)
-	}
-	if cap(a.tracked) < tracked {
-		a.tracked = make([]float64, tracked)
-	} else {
-		a.tracked = a.tracked[:tracked]
-		clear(a.tracked)
-	}
-	return a
-}
-
-// release clears the accumulator (maps keep their capacity) and
-// returns it to the pool. The caller must drop every reference.
-func (a *accumulator) release() {
-	clear(a.counts)
-	clear(a.classical)
-	a.tracked = a.tracked[:0]
-	a.fidelity = 0
-	a.runs = 0
-	accPool.Put(a)
-}
-
-func (a *accumulator) merge(b *accumulator) {
-	for k, v := range b.counts {
-		a.counts[k] += v
-	}
-	for k, v := range b.classical {
-		a.classical[k] += v
-	}
-	for i := range b.tracked {
-		a.tracked[i] += b.tracked[i]
-	}
-	a.fidelity += b.fidelity
-	a.runs += b.runs
-}
-
 func circuitMeasures(c *circuit.Circuit) bool {
 	for i := range c.Ops {
 		if c.Ops[i].Kind == circuit.KindMeasure {
@@ -414,13 +359,18 @@ func circuitMeasures(c *circuit.Circuit) bool {
 	return false
 }
 
-// runOne executes one noise-free pass over the circuit from the
-// all-zero state and returns the number of gate applications. clbits
-// is a 1-element scratch slice holding the packed classical register.
-func runOne(b sim.Backend, c *circuit.Circuit, rng *rand.Rand, clbits []uint64) int {
-	b.Reset()
-	clbits[0] = 0
-	return runRange(b, c, nil, rng, clbits, 0, len(c.Ops), nil)
+// replayNoiseFree runs the circuit's noise-free trajectory on b from
+// the all-zero state — a replaying ckptRunner over the noise-free
+// reference path, then op by op past its end — and returns the number
+// of gate applications. rng must be positioned at the stream the
+// measurements draw from; clbits is a 1-element scratch slice holding
+// the packed classical register afterwards.
+func replayNoiseFree(b sim.Backend, c *circuit.Circuit, rng *rand.Rand, clbits []uint64) int {
+	r, _ := newCkptRunner(b, nil, c, planRefPath(c, nil))
+	var st ckptStats
+	var counts noise.ChannelCounts
+	r.run(rng, clbits, &st, &counts)
+	return st.applied
 }
 
 // runRange is the roll-by-roll trajectory loop, the one behind the
@@ -509,7 +459,7 @@ func Deterministic(c *circuit.Circuit, factory sim.Factory, seed int64) (sim.Bac
 	}
 	rng, src := newStream()
 	src.seek(seed, 0)
-	runOne(b, c, rng, make([]uint64, 1))
+	replayNoiseFree(b, c, rng, make([]uint64, 1))
 	return b, nil
 }
 

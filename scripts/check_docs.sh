@@ -58,6 +58,12 @@
 #    nowhere in README.md, docs/*.md or non-test Go outside benchmark/:
 #    ddsimd's dispatcher is one mutex-guarded heap, so a doc or comment
 #    cannot keep describing the submit ring it replaced.
+# 14. Non-test Go under internal/stochastic declares no `type
+#    accumulator` and no `func runOne`, and ranges over a Counts or
+#    Classical histogram with key and value — merging it into a total —
+#    only inside `func reduce`: ChunkSum is the one partial sum, reduce
+#    the one reduction both executors share, and the ckptRunner the one
+#    noise-free walker.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -281,6 +287,26 @@ if ringhits="$(grep -niE 'MPSC|disruptor|Vyukov|lock-free dispatch' README.md do
   while IFS= read -r hit; do
     echo "SUBMIT-RING VOCABULARY: $hit; the dispatcher is one mutex-guarded heap" >&2
   done <<< "$ringhits"
+  fail=1
+fi
+
+# --- 14. one partial sum, one reducer, one walker -----------------------------
+stochsrc="$(find internal/stochastic -name '*.go' ! -name '*_test.go')"
+# shellcheck disable=SC2086 # stochsrc is a word list of paths
+if dups="$(grep -nE '^type accumulator\b|^func runOne\(' $stochsrc)"; then
+  while IFS= read -r hit; do
+    echo "SECOND PARTIAL SUM OR WALKER: $hit; use ChunkSum and reduce, or the ckptRunner" >&2
+  done <<< "$dups"
+  fail=1
+fi
+# shellcheck disable=SC2086 # stochsrc is a word list of paths
+if ! awk '
+  /^func / { fn = $0 }
+  /for [a-z][A-Za-z0-9_]*, [a-z][A-Za-z0-9_]* := range [A-Za-z_.]*\.([Cc]ounts|[Cc]lassical) \{/ && fn !~ /^func reduce\(/ {
+    printf "SECOND REDUCTION: %s:%d merges a histogram outside func reduce\n", FILENAME, FNR > "/dev/stderr"
+    bad = 1
+  }
+  END { exit bad }' $stochsrc; then
   fail=1
 fi
 
