@@ -175,8 +175,11 @@ type jobState struct {
 	// chunks holds one sum per fixed chunk of the run-index space,
 	// committed by whichever worker executed it; reduce merges them in
 	// chunk order so float sums are independent of scheduling. A chunk
-	// never dispatched keeps the zero ChunkSum.
-	chunks []ChunkSum
+	// never dispatched keeps the zero ChunkSum. tracked backs every
+	// chunk's Tracked slice, len(TrackStates) floats per chunk, so a
+	// job allocates them once rather than once per chunk.
+	chunks  []ChunkSum
+	tracked []float64
 
 	// path is the job's noise model compiled against its circuit and
 	// the reference path every trajectory runs along (see refPath).
@@ -240,6 +243,7 @@ func prepareJob(job Job) (*jobState, error) {
 	}
 	numChunks := (js.target + job.Opts.ChunkSize - 1) / job.Opts.ChunkSize
 	js.chunks = make([]ChunkSum, numChunks)
+	js.tracked = make([]float64, numChunks*len(job.Opts.TrackStates))
 	js.progTracked = make([]float64, len(job.Opts.TrackStates))
 	var plan *noise.Plan
 	if job.Model.Enabled() {
@@ -461,18 +465,35 @@ func (e *engine) failJob(js *jobState, err error) {
 	e.mu.Unlock()
 }
 
+// histPool recycles the histogram maps of the chunk sums the engine
+// commits: a job churns through target/ChunkSize of them (469 on a
+// 30000-run job), and a cleared map keeps its capacity, so a warm
+// engine allocates no histogram per chunk. finish returns the maps once
+// reduce has merged them; the sums RunChunks hands to its caller are
+// never returned.
+var histPool = sync.Pool{New: func() any { return make(map[uint64]int) }}
+
+// releaseHist clears a chunk histogram and returns it to histPool.
+func releaseHist(h map[uint64]int) {
+	if h != nil {
+		clear(h)
+		histPool.Put(h)
+	}
+}
+
 // runChunk executes trajectories [first, first+count) of a job on the
 // worker's private backend and commits the chunk's ChunkSum. The
 // context and the job deadline are checked between trajectories, so a
 // cancelled chunk commits the prefix it completed.
 func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 	opts := &js.job.Opts
-	sum := ChunkSum{Chunk: first / opts.ChunkSize, Counts: make(map[uint64]int)}
+	c, t := first/opts.ChunkSize, len(opts.TrackStates)
+	sum := ChunkSum{Chunk: c, Counts: histPool.Get().(map[uint64]int)}
 	if js.hasMeasure {
-		sum.Classical = make(map[uint64]int)
+		sum.Classical = histPool.Get().(map[uint64]int)
 	}
-	if len(opts.TrackStates) > 0 {
-		sum.Tracked = make([]float64, len(opts.TrackStates))
+	if t > 0 {
+		sum.Tracked = js.tracked[c*t : (c+1)*t : (c+1)*t]
 	}
 	deadlineHit := false
 	var st ckptStats
@@ -607,7 +628,11 @@ func (e *engine) finish(js *jobState) (*Result, error) {
 		return nil, js.err
 	}
 	res := reduce(js, js.chunks)
-	js.chunks = nil
+	for i := range js.chunks {
+		releaseHist(js.chunks[i].Counts)
+		releaseHist(js.chunks[i].Classical)
+	}
+	js.chunks, js.tracked = nil, nil
 	interrupted := e.ctx.Err() != nil && js.done < js.target && !js.timedOut
 	if res.Runs == 0 {
 		if interrupted {
