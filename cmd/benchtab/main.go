@@ -23,10 +23,11 @@
 //	benchtab -table all -runs 10 -budget 5s -quiet -json BENCH_pr.json
 //
 // Exact mode (-mode exact) measures the deterministic density-matrix
-// engine instead of the stochastic one: each cell is one exact pass,
-// with one column per representation (-exact-backend ddensity,
-// density, or empty for both) — the paper's stochastic-versus-
-// deterministic trade-off regenerated on the same workloads:
+// engine instead of the stochastic one: each cell is one exact pass
+// per density-matrix representation, in an exact(ddensity) and an
+// exact(density) column — the paper's stochastic-versus-deterministic
+// trade-off regenerated on the same workloads, with the DD form of
+// the deterministic baseline measured against the dense one:
 //
 //	benchtab -table 1a -mode exact -sizes-1a 6,8,10,12,14
 //
@@ -65,7 +66,6 @@ func main() {
 		accuracy   = flag.Float64("accuracy", 0, "adaptive stopping per cell: run only the trajectories Theorem 1 requires for this ε (0 = always run -runs)")
 		confidence = flag.Float64("confidence", 0.95, "confidence level 1−δ for -accuracy")
 		mode       = flag.String("mode", ddsim.ModeStochastic, "engine per cell: stochastic (Monte-Carlo over the three backends) or exact (deterministic density-matrix passes)")
-		exactBack  = flag.String("exact-backend", "", "exact-mode representation column(s): ddensity, density, or empty for both")
 		jsonPath   = flag.String("json", "", "also write the regenerated tables and a telemetry digest as JSON to this path (the BENCH_pr.json format)")
 		sizesA     = flag.String("sizes-1a", "8,12,16,20,22,24,28,32,48,64", "entanglement qubit counts")
 		sizesB     = flag.String("sizes-1b", "8,10,12,14,16,18,20,24,28,32", "QFT qubit counts")
@@ -86,22 +86,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchtab: unknown mode %q (want %s or %s)\n",
 			*mode, ddsim.ModeStochastic, ddsim.ModeExact)
 		os.Exit(1)
-	}
-	var exactBackends []string
-	if *exactBack != "" {
-		for _, b := range strings.Split(*exactBack, ",") {
-			b = strings.TrimSpace(b)
-			valid := false
-			for _, known := range ddsim.ExactBackends() {
-				valid = valid || b == known
-			}
-			if !valid {
-				fmt.Fprintf(os.Stderr, "benchtab: unknown exact backend %q (want %s)\n",
-					b, strings.Join(ddsim.ExactBackends(), " or "))
-				os.Exit(1)
-			}
-			exactBackends = append(exactBackends, b)
-		}
 	}
 	model := noise.PaperDefaults()
 	if *devicePath != "" {
@@ -130,7 +114,6 @@ func main() {
 		TargetAccuracy:   *accuracy,
 		TargetConfidence: *confidence,
 		Mode:             *mode,
-		ExactBackends:    exactBackends,
 	}
 	if !*quiet {
 		runner.Verbose = func(format string, args ...interface{}) {
@@ -210,16 +193,15 @@ func parseSizes(s string) []int {
 // document per benchtab invocation, stable enough to diff between PRs
 // (the CI benchmark job uploads it as BENCH_pr.json).
 type jsonReport struct {
-	GoVersion     string      `json:"go_version"`
-	GOMAXPROCS    int         `json:"gomaxprocs"`
-	Runs          int         `json:"runs"`
-	BudgetNS      int64       `json:"budget_ns"`
-	Seed          int64       `json:"seed"`
-	Accuracy      float64     `json:"accuracy,omitempty"`
-	Mode          string      `json:"mode,omitempty"`
-	ExactBackends []string    `json:"exact_backends,omitempty"`
-	Interrupted   bool        `json:"interrupted,omitempty"`
-	Tables        []jsonTable `json:"tables"`
+	GoVersion   string      `json:"go_version"`
+	GOMAXPROCS  int         `json:"gomaxprocs"`
+	Runs        int         `json:"runs"`
+	BudgetNS    int64       `json:"budget_ns"`
+	Seed        int64       `json:"seed"`
+	Accuracy    float64     `json:"accuracy,omitempty"`
+	Mode        string      `json:"mode,omitempty"`
+	Interrupted bool        `json:"interrupted,omitempty"`
+	Tables      []jsonTable `json:"tables"`
 	// Telemetry is the process-wide counter digest after all cells
 	// ran: trajectories, gate applications, checkpoint effect, DD
 	// table activity.
@@ -265,15 +247,14 @@ func cellStatus(s qbench.CellStatus) string {
 
 func writeJSON(path string, r *qbench.Runner, tables []*qbench.Table, interrupted bool) error {
 	rep := jsonReport{
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Runs:          r.Runs,
-		BudgetNS:      int64(r.Budget),
-		Seed:          r.Seed,
-		Accuracy:      r.TargetAccuracy,
-		Mode:          r.Mode,
-		ExactBackends: r.ExactBackends,
-		Interrupted:   interrupted,
+		GoVersion:   runtime.Version(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Runs:        r.Runs,
+		BudgetNS:    int64(r.Budget),
+		Seed:        r.Seed,
+		Accuracy:    r.TargetAccuracy,
+		Mode:        r.Mode,
+		Interrupted: interrupted,
 		Telemetry: map[string]int64{
 			"trajectories":               telemetry.Trajectories.Value(),
 			"gate_applications":          telemetry.GateApplications.Value(),

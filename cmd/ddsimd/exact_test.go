@@ -19,13 +19,13 @@ func jsonDecode(resp *http.Response, v any) error {
 
 // exactGHZBody is the canonical exact-mode submission used across the
 // service tests: GHZ-8 under the paper's noise rates.
-func exactGHZBody(backend, exactBackend string) string {
+func exactGHZBody(backend string) string {
 	return fmt.Sprintf(`{
 		"circuit": {"name": "ghz", "n": 8},
 		"backend": %q,
 		"noise": {"depolarizing": 0.001, "damping": 0.002, "phase_flip": 0.001, "damping_as_event": true},
-		"options": {"mode": "exact", "exact_backend": %q}
-	}`, backend, exactBackend)
+		"options": {"mode": "exact"}
+	}`, backend)
 }
 
 // ghzExactReference computes the ground-truth GHZ-8 distribution the
@@ -41,32 +41,30 @@ func ghzExactReference(t *testing.T) []float64 {
 
 // TestExactSubmissionRoundTrip is the service half of the exact-mode
 // acceptance criterion: a GHZ-8 exact submission round-trips through
-// a live ddsimd (202 → terminal result with "exact":true, Runs 0) and
-// its probabilities match ExactProbabilities to 1e-12 on both exact
-// backends.
+// a live ddsimd (202 → terminal result with "exact":true, Runs 0), on
+// the dense form the engine picks for a measurement-free 8-qubit
+// register, and its probabilities match ExactProbabilities to 1e-12.
 func TestExactSubmissionRoundTrip(t *testing.T) {
 	ts, _ := newTestServer(t, 2)
 	want := ghzExactReference(t)
-	for _, be := range ddsim.ExactBackends() {
-		id := submit(t, ts, exactGHZBody(ddsim.BackendDD, be))
-		v := waitTerminal(t, ts, id)
-		if v.Status != statusDone {
-			t.Fatalf("%s: status %q (error %q)", be, v.Status, v.Error)
-		}
-		if len(v.Results) != 1 {
-			t.Fatalf("%s: %d results", be, len(v.Results))
-		}
-		r := v.Results[0]
-		if !r.Exact || r.Runs != 0 || r.ExactBackend != be {
-			t.Fatalf("%s: exact=%v runs=%d backend=%q", be, r.Exact, r.Runs, r.ExactBackend)
-		}
-		if len(r.Probabilities) != len(want) {
-			t.Fatalf("%s: %d probabilities, want %d", be, len(r.Probabilities), len(want))
-		}
-		for i, p := range r.Probabilities {
-			if d := math.Abs(p - want[i]); d > 1e-12 {
-				t.Fatalf("%s: P(%d) differs from ExactProbabilities by %v", be, i, d)
-			}
+	id := submit(t, ts, exactGHZBody(ddsim.BackendDD))
+	v := waitTerminal(t, ts, id)
+	if v.Status != statusDone {
+		t.Fatalf("status %q (error %q)", v.Status, v.Error)
+	}
+	if len(v.Results) != 1 {
+		t.Fatalf("%d results", len(v.Results))
+	}
+	r := v.Results[0]
+	if !r.Exact || r.Runs != 0 || r.ExactBackend != "density" {
+		t.Fatalf("exact=%v runs=%d backend=%q, want true/0/density", r.Exact, r.Runs, r.ExactBackend)
+	}
+	if len(r.Probabilities) != len(want) {
+		t.Fatalf("%d probabilities, want %d", len(r.Probabilities), len(want))
+	}
+	for i, p := range r.Probabilities {
+		if d := math.Abs(p - want[i]); d > 1e-12 {
+			t.Fatalf("P(%d) differs from ExactProbabilities by %v", i, d)
 		}
 	}
 }
@@ -77,14 +75,14 @@ func TestExactSubmissionRoundTrip(t *testing.T) {
 // second density-matrix pass.
 func TestExactResubmissionServedFromCache(t *testing.T) {
 	ts, _ := newTestServer(t, 2)
-	id1 := submit(t, ts, exactGHZBody(ddsim.BackendDD, ddsim.ExactDDensity))
+	id1 := submit(t, ts, exactGHZBody(ddsim.BackendDD))
 	v1 := waitTerminal(t, ts, id1)
 	if v1.Status != statusDone || v1.Cached {
 		t.Fatalf("first run: status %q cached=%v", v1.Status, v1.Cached)
 	}
 	// The stochastic backend name takes no part in an exact job; the
 	// canonical key ignores it, so this still hits.
-	id2 := submit(t, ts, exactGHZBody(ddsim.BackendStatevector, ddsim.ExactDDensity))
+	id2 := submit(t, ts, exactGHZBody(ddsim.BackendStatevector))
 	v2 := waitTerminal(t, ts, id2)
 	if v2.Status != statusDone || !v2.Cached {
 		t.Fatalf("resubmission: status %q cached=%v, want done from cache", v2.Status, v2.Cached)
@@ -97,12 +95,6 @@ func TestExactResubmissionServedFromCache(t *testing.T) {
 			t.Fatalf("cached probabilities differ at %d", i)
 		}
 	}
-	// A different exact backend is a different job (the representation
-	// is result-relevant at the 1e-9 level and documented as such).
-	id3 := submit(t, ts, exactGHZBody(ddsim.BackendDD, ddsim.ExactDensity))
-	if v3 := waitTerminal(t, ts, id3); v3.Cached {
-		t.Fatal("different exact backend must not be served from the cache")
-	}
 }
 
 // TestExactJobSurvivesRestart checks the jobstore leg: after a
@@ -112,7 +104,7 @@ func TestExactResubmissionServedFromCache(t *testing.T) {
 func TestExactJobSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	ts1, _, stop1 := newPersistentServer(t, dir)
-	id := submit(t, ts1, exactGHZBody(ddsim.BackendDD, ddsim.ExactDDensity))
+	id := submit(t, ts1, exactGHZBody(ddsim.BackendDD))
 	v1 := waitTerminal(t, ts1, id)
 	if v1.Status != statusDone {
 		t.Fatalf("status %q", v1.Status)
@@ -148,17 +140,7 @@ func TestExactSubmissionValidation(t *testing.T) {
 			wantErr: "unknown mode",
 		},
 		{
-			name:    "unknown exact backend",
-			body:    `{"circuit": {"name": "ghz", "n": 3}, "options": {"mode": "exact", "exact_backend": "tensor"}}`,
-			wantErr: "unknown exact backend",
-		},
-		{
-			name:    "dense register too large",
-			body:    `{"circuit": {"name": "ghz", "n": 11}, "options": {"mode": "exact", "exact_backend": "density"}}`,
-			wantErr: "qubit limit",
-		},
-		{
-			name:    "ddensity register too large",
+			name:    "register too large",
 			body:    `{"circuit": {"name": "ghz", "n": 21}, "options": {"mode": "exact"}}`,
 			wantErr: "qubit limit",
 		},

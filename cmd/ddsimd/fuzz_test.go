@@ -95,7 +95,7 @@ func FuzzSubmit(f *testing.F) {
 		  "sweep": [0, 1], "options": {"runs": 16, "seed": 2, "track_states": [0, 3]}}`,
 		`{"circuit": {"name": "qft", "n": 3}, "backend": "statevec", "priority": 5,
 		  "options": {"runs": 32, "seed": 3, "track_fidelity": true, "chunk_size": 4, "progress_every": 1}}`,
-		`{"circuit": {"name": "ghz", "n": 3}, "options": {"mode": "exact", "exact_backend": "density"}}`,
+		`{"circuit": {"name": "bv", "n": 4}, "options": {"mode": "exact", "track_states": [0]}}`,
 		`{"circuit": {"name": "qft", "n": 4}, "options": {"runs": 256, "timeout_ns": 1}}`,
 		`{"circuit": {"name": "ghz", "n": 2}, "backend": "sparse", "options": {"checkpointing": "on"}}`,
 		`{"circuit": {"name": "ghz", "n": -1}}`,

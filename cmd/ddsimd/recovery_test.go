@@ -609,40 +609,55 @@ func TestRecoverParentFormatDataDir(t *testing.T) {
 	}
 }
 
-// TestRecoverRemovedCheckpointingOption restarts on a data dir whose
-// WAL carries a job accepted while options.checkpointing still
-// existed: the spec names "checkpointing":"off". Recovery decodes
-// specs without rejecting unknown fields, so the job re-runs, to the
+// TestRecoverRemovedOptions restarts on data dirs whose WAL carries a
+// job accepted while a since-removed option still existed:
+// options.checkpointing ("checkpointing":"off") and
+// options.exact_backend ("exact_backend":"ddensity"). Recovery decodes
+// specs without rejecting unknown fields, so each job re-runs, to the
 // same results as a fresh submission without the field.
-func TestRecoverRemovedCheckpointingOption(t *testing.T) {
-	const spec = `{"circuit":{"name":"ghz","n":4},"noise":{"depolarizing":0.001,"damping":0.002,"damping_as_event":true},"options":{"runs":60,"seed":11,"track_states":[0]}}`
-	tsRef, _, _ := newPersistentServer(t, t.TempDir())
-	ref := waitTerminal(t, tsRef, submit(t, tsRef, spec))
+func TestRecoverRemovedOptions(t *testing.T) {
+	const noise = `"noise":{"depolarizing":0.001,"damping":0.002,"damping_as_event":true}`
+	cases := []struct {
+		name, spec, field string
+	}{
+		{"checkpointing",
+			`{"circuit":{"name":"ghz","n":4},` + noise + `,"options":{"runs":60,"seed":11,"track_states":[0]}}`,
+			`"checkpointing":"off"`},
+		{"exact_backend",
+			`{"circuit":{"name":"ghz","n":4},` + noise + `,"options":{"mode":"exact","track_states":[0]}}`,
+			`"exact_backend":"ddensity"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tsRef, _, _ := newPersistentServer(t, t.TempDir())
+			ref := waitTerminal(t, tsRef, submit(t, tsRef, tc.spec))
 
-	old := strings.Replace(spec, `"seed":11`, `"seed":11,"checkpointing":"off"`, 1)
-	rec, err := json.Marshal(jobstore.Record{
-		ID: ref.ID, Spec: json.RawMessage(old), Submitted: ref.Submitted,
-		Circuit: ref.Circuit, Qubits: ref.Qubits, Gates: ref.Gates, Backend: ref.Backend,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	line := fmt.Sprintf(`{"id":%q,"status":"queued","t":"2024-01-01T00:00:00Z","record":%s}`+"\n", ref.ID, rec)
-	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			old := strings.Replace(tc.spec, `"options":{`, `"options":{`+tc.field+`,`, 1)
+			rec, err := json.Marshal(jobstore.Record{
+				ID: ref.ID, Spec: json.RawMessage(old), Submitted: ref.Submitted,
+				Circuit: ref.Circuit, Qubits: ref.Qubits, Gates: ref.Gates, Backend: ref.Backend,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			line := fmt.Sprintf(`{"id":%q,"status":"queued","t":"2024-01-01T00:00:00Z","record":%s}`+"\n", ref.ID, rec)
+			if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte(line), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	requeuedBefore := telemetry.JobsRecovered.With("requeued").Value()
-	ts, _, _ := newPersistentServer(t, dir)
-	if got := telemetry.JobsRecovered.With("requeued").Value() - requeuedBefore; got != 1 {
-		t.Fatalf("%d jobs re-queued, want 1", got)
-	}
-	v := waitTerminal(t, ts, ref.ID)
-	if v.Status != statusDone {
-		t.Fatalf("recovered job status %q (error %q), want done", v.Status, v.Error)
-	}
-	if got, want := canonicalResults(t, v), canonicalResults(t, ref); got != want {
-		t.Fatalf("recovered job's results differ from a fresh run:\n%s\n%s", got, want)
+			requeuedBefore := telemetry.JobsRecovered.With("requeued").Value()
+			ts, _, _ := newPersistentServer(t, dir)
+			if got := telemetry.JobsRecovered.With("requeued").Value() - requeuedBefore; got != 1 {
+				t.Fatalf("%d jobs re-queued, want 1", got)
+			}
+			v := waitTerminal(t, ts, ref.ID)
+			if v.Status != statusDone {
+				t.Fatalf("recovered job status %q (error %q), want done", v.Status, v.Error)
+			}
+			if got, want := canonicalResults(t, v), canonicalResults(t, ref); got != want {
+				t.Fatalf("recovered job's results differ from a fresh run:\n%s\n%s", got, want)
+			}
+		})
 	}
 }

@@ -440,9 +440,15 @@ func TestSubmissionValidation(t *testing.T) {
 		// options.checkpointing was removed: jobs fork whenever the
 		// backend can, and the field is now an unknown one.
 		{"removed checkpointing field", `{"circuit": {"name": "ghz", "n": 3}, "options": {"runs": 10, "checkpointing": "off"}}`},
+		// options.exact_backend was removed: exact mode picks dense ρ
+		// or the density DD from the circuit.
+		{"removed exact_backend field", `{"circuit": {"name": "ghz", "n": 3}, "options": {"mode": "exact", "exact_backend": "density"}}`},
 	}
 	// Error bodies (JSON-escaped) that must name the offending field.
-	names := map[string]string{"removed checkpointing field": `unknown field \"checkpointing\"`}
+	names := map[string]string{
+		"removed checkpointing field": `unknown field \"checkpointing\"`,
+		"removed exact_backend field": `unknown field \"exact_backend\"`,
+	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -37,13 +37,15 @@
 // Exact mode (-mode exact) replaces Monte-Carlo sampling with a
 // deterministic density-matrix pass through the same circuit/noise
 // pipeline: the printed distribution is the exact one (no runs, no
-// confidence radius), with ρ stored as a decision diagram
-// (-exact-backend ddensity, default) or densely (-exact-backend
-// density). Small registers only — this is precisely the exponential
-// object stochastic simulation avoids:
+// confidence radius). The engine stores ρ densely for registers of up
+// to 10 qubits whose circuit measures nothing and as a decision
+// diagram otherwise, up to 20 qubits; the result line names the form
+// it picked (exact(density) or exact(ddensity)). Small registers only
+// — this is precisely the exponential object stochastic simulation
+// avoids:
 //
 //	sqcsim -circuit ghz -n 8 -mode exact
-//	sqcsim -circuit qft -n 6 -mode exact -exact-backend density
+//	sqcsim -circuit ghz -n 14 -mode exact
 //
 // A running simulation can be interrupted with Ctrl-C: the completed
 // trajectories are aggregated and reported as a partial result. For a
@@ -89,7 +91,6 @@ func main() {
 		progress   = flag.Bool("progress", false, "print periodic progress lines and a final telemetry digest to stderr")
 		sweep      = flag.String("sweep", "", "noise sweep: comma-separated multiples of the base noise point, e.g. 0,1,2,5,10 (batch mode, one shared worker pool)")
 		mode       = flag.String("mode", ddsim.ModeStochastic, "simulation mode: stochastic (Monte-Carlo trajectories) or exact (deterministic density-matrix pass, small registers)")
-		exactBack  = flag.String("exact-backend", ddsim.ExactDDensity, "exact-mode density-matrix representation: "+strings.Join(ddsim.ExactBackends(), ", "))
 		devicePath = flag.String("device", "", "calibrated device description (JSON file): per-qubit T1/T2 and per-gate error rates replace the uniform -depol/-damp/-flip rates")
 		crosstalk  = flag.Float64("crosstalk", 0, "correlated two-qubit Pauli error probability applied after every two-qubit gate")
 		zzBias     = flag.Float64("crosstalk-zz", 0, "fraction of the crosstalk mass concentrated on the ZZ term (0 = uniform over the 15 non-identity Pauli pairs)")
@@ -137,7 +138,7 @@ func main() {
 	opts := ddsim.Options{
 		Runs: *runs, Workers: *workers, Seed: *seed, Shots: *shots, Timeout: *timeout,
 		TrackFidelity: *fidelity, TargetAccuracy: *accuracy, TargetConfidence: *confidence,
-		Mode: *mode, ExactBackend: *exactBack,
+		Mode: *mode,
 	}
 	exactMode := *mode == ddsim.ModeExact
 	if *progress {
@@ -153,7 +154,7 @@ func main() {
 
 	fmt.Printf("circuit : %s (%d qubits, %d gates)\n", circ.Name, circ.NumQubits, circ.GateCount())
 	if exactMode {
-		fmt.Printf("backend : exact density matrix (%s)\n", *exactBack)
+		fmt.Println("backend : exact density matrix")
 	} else {
 		fmt.Printf("backend : %s\n", *backend)
 	}

@@ -28,11 +28,12 @@
 // Options.Mode = ModeExact routes Simulate/SimulateContext/
 // BatchSimulate to a deterministic pass that returns the entire
 // outcome distribution with zero sampling error (Result.Exact,
-// Runs = 0), with the density matrix stored either as a decision
-// diagram (ExactDDensity, the default) or densely (ExactDensity);
-// see Options.ExactBackend. Measurements, resets and classically
-// conditioned gates are handled exactly by probability-weighted
-// branching over outcome histories.
+// Runs = 0). The engine stores the density matrix densely when the
+// register has at most 10 qubits and the circuit measures nothing,
+// and as a decision diagram otherwise (up to 20 qubits);
+// Result.ExactBackend says which. Measurements, resets and
+// classically conditioned gates are handled exactly by
+// probability-weighted branching over outcome histories.
 //
 // Quick start:
 //
@@ -200,20 +201,6 @@ const (
 	ModeStochastic = stochastic.ModeStochastic
 	ModeExact      = stochastic.ModeExact
 )
-
-// Exact-mode density-matrix representations accepted by
-// Options.ExactBackend: ExactDDensity (default) stores ρ as a
-// decision diagram — the structural-compression approach the paper
-// compares against — and ExactDensity as a dense 2^n × 2^n array.
-const (
-	ExactDDensity = stochastic.ExactDDensity
-	ExactDensity  = stochastic.ExactDensity
-)
-
-// ExactBackends lists the exact-mode density-matrix representations.
-func ExactBackends() []string {
-	return []string{ExactDDensity, ExactDensity}
-}
 
 // Backends lists the available engine identifiers.
 func Backends() []string {
@@ -399,8 +386,8 @@ func JobKey(c *Circuit, backend string, models []NoiseModel, opts Options) (stri
 	// carries its length, so no caller-supplied value (a backend name,
 	// a device gate name) can pass for a field boundary.
 	h := sha256.New()
-	fmt.Fprintf(h, "ddsim-jobkey\nbackend=%d:%s\nqasm=%d:%s\nmode=%d:%s\nexact_backend=%d:%s\n",
-		len(backend), backend, len(src), src, len(o.Mode), o.Mode, len(o.ExactBackend), o.ExactBackend)
+	fmt.Fprintf(h, "ddsim-jobkey\nbackend=%d:%s\nqasm=%d:%s\nmode=%d:%s\n",
+		len(backend), backend, len(src), src, len(o.Mode), o.Mode)
 	fmt.Fprintf(h, "runs=%d\nseed=%d\nshots=%d\nfidelity=%t\ntimeout=%d\naccuracy=%.17g\nconfidence=%.17g\nchunk=%d\n",
 		o.Runs, o.Seed, o.Shots, o.TrackFidelity, int64(o.Timeout),
 		o.TargetAccuracy, o.TargetConfidence, o.ChunkSize)

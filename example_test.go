@@ -130,23 +130,24 @@ func ExampleResult_checkpointed() {
 // evolves ρ through the exact noise channels and returns the entire
 // outcome distribution with zero sampling error — Runs is 0, there is
 // no confidence radius, and Result.Purity reports how much the noise
-// mixed the state. The representation is selectable: decision-diagram
-// (ExactDDensity, default) or dense (ExactDensity).
+// mixed the state. The engine picks how to store ρ from the circuit:
+// densely for this measurement-free 4-qubit register, as a decision
+// diagram for registers past 10 qubits or circuits that measure, and
+// Result.ExactBackend says which it picked.
 func ExampleOptions_exactMode() {
 	c := ddsim.GHZ(4)
 	res, err := ddsim.Simulate(c, ddsim.BackendDD, ddsim.NoNoise(), ddsim.Options{
-		Mode:         ddsim.ModeExact,
-		ExactBackend: ddsim.ExactDDensity,
+		Mode: ddsim.ModeExact,
 	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println("exact:", res.Exact, "runs:", res.Runs)
+	fmt.Println("exact:", res.Exact, "runs:", res.Runs, "form:", res.ExactBackend)
 	fmt.Printf("P(|0000⟩) = %.4f, P(|1111⟩) = %.4f\n", res.Probabilities[0], res.Probabilities[15])
 	fmt.Printf("purity    = %.4f\n", res.Purity)
 	// Output:
-	// exact: true runs: 0
+	// exact: true runs: 0 form: density
 	// P(|0000⟩) = 0.5000, P(|1111⟩) = 0.5000
 	// purity    = 1.0000
 }

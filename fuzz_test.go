@@ -33,13 +33,13 @@ import (
 // the target for ~30s per run.
 func FuzzCanonical(f *testing.F) {
 	f.Add(int64(30000), int64(1), int64(1), int64(64), int64(0),
-		0.02, 0.95, true, byte(0), byte(0), "dd", []byte{1, 0, 0, 0, 0, 0, 0, 0})
+		0.02, 0.95, true, byte(0), "dd", []byte{1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(int64(-5), int64(-1), int64(0), int64(-64), int64(-1),
-		-1.5, 1.5, false, byte(1), byte(1), "statevec", []byte{})
+		-1.5, 1.5, false, byte(1), "statevec", []byte{})
 	f.Add(int64(0), int64(9e18), int64(1<<40), int64(1), int64(1<<60),
-		0.0, 0.0, false, byte(2), byte(2), "sparse", []byte("\xff\xff\xff\xff\xff\xff\xff\xff"))
+		0.0, 0.0, false, byte(2), "sparse", []byte("\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add(int64(1), int64(2), int64(3), int64(4), int64(5),
-		1e308, 1e-308, true, byte(3), byte(3), "no-such-backend", []byte("abcdefgh12345678"))
+		1e308, 1e-308, true, byte(3), "no-such-backend", []byte("abcdefgh12345678"))
 
 	circ := ddsim.GHZ(3)
 	// The model slice spans the full vocabulary: the paper's uniform
@@ -60,10 +60,9 @@ func FuzzCanonical(f *testing.F) {
 	models := []ddsim.NoiseModel{ddsim.PaperNoise(), ddsim.NoNoise(), extended}
 	legacyModels := models[:2]
 	modes := []string{"", ddsim.ModeStochastic, ddsim.ModeExact, "bogus-mode"}
-	exacts := []string{"", ddsim.ExactDDensity, ddsim.ExactDensity, "bogus-backend"}
 
 	f.Fuzz(func(t *testing.T, runs, seed, shots, chunk, timeout int64,
-		acc, conf float64, fid bool, modeSel, backSel byte, backend string, trackRaw []byte) {
+		acc, conf float64, fid bool, modeSel byte, backend string, trackRaw []byte) {
 		var track []uint64
 		for len(trackRaw) >= 8 && len(track) < 16 {
 			track = append(track, binary.LittleEndian.Uint64(trackRaw))
@@ -80,7 +79,6 @@ func FuzzCanonical(f *testing.F) {
 			TrackFidelity:    fid,
 			TrackStates:      track,
 			Mode:             modes[int(modeSel)%len(modes)],
-			ExactBackend:     exacts[int(backSel)%len(exacts)],
 		}
 
 		// 1. No panics, ever.

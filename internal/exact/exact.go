@@ -8,15 +8,23 @@
 // result carries the entire 2^n outcome distribution with zero
 // sampling error (stochastic.Result with Exact set and Runs = 0).
 //
-// Two interchangeable density-matrix representations are provided,
-// selected by Options.ExactBackend:
+// The density matrix takes one of two forms, picked from the circuit
+// (representation), never by the caller:
 //
-//   - ExactDDensity (default) — the density matrix as a decision
-//     diagram (internal/ddensity): the structural-compression story
-//     of Grurl/Fuß/Wille (ICCAD 2020), compact whenever ρ has
-//     structure, squared representation notwithstanding;
-//   - ExactDensity — a dense 2^n × 2^n array (internal/density): the
-//     brute-force reference, limited to density.MaxQubits.
+//   - Dense — a dense 2^n × 2^n array (internal/density), for
+//     registers of at most density.MaxQubits qubits whose circuit
+//     measures nothing: one ρ of at most 16 MiB, faster than the
+//     diagram on 7 of 8 benchmark families at n = 6–10
+//     (docs/PERFORMANCE.md);
+//   - DDensity — the density matrix as a decision diagram
+//     (internal/ddensity), the method of Grurl/Fuß/Wille (ICCAD 2020),
+//     for everything else up to MaxDDQubits. A measurement clones
+//     every live branch before branches coalesce, and a diagram clone
+//     is a reference-count bump where a dense one copies 16·4^n bytes.
+//
+// RunAs forces one form; it exists for the ablation that measures the
+// two against each other and for the tests that hold them to 1e-9 of
+// each other.
 //
 // # Outcome-history branching
 //
@@ -72,9 +80,10 @@ const (
 	// fails rather than silently approximating.
 	MaxBranches = 256
 
-	// MaxDDQubits bounds the ddensity backend: probability extraction
-	// walks all 2^n diagonal paths, and the squared representation
-	// can degenerate to 4^n paths on unstructured states.
+	// MaxDDQubits bounds the DDensity form, and with it exact mode:
+	// probability extraction walks all 2^n diagonal paths, and the
+	// squared representation can degenerate to 4^n paths on
+	// unstructured states.
 	MaxDDQubits = 20
 
 	// MaxProbQubits bounds the register size up to which Result.
@@ -87,6 +96,28 @@ const (
 	// the 1e-12 agreement the engine is verified to.
 	branchEps = 1e-14
 )
+
+// The density-matrix forms; Result.ExactBackend echoes the one a job
+// ran on.
+const (
+	DDensity = "ddensity"
+	Dense    = "density"
+)
+
+// representation picks the form for c: Dense when the register fits
+// the dense engine and no measurement can multiply branches (each
+// branch is a full dense copy), DDensity otherwise.
+func representation(c *circuit.Circuit) string {
+	if c.NumQubits > density.MaxQubits {
+		return DDensity
+	}
+	for i := range c.Ops {
+		if c.Ops[i].Kind == circuit.KindMeasure {
+			return DDensity
+		}
+	}
+	return Dense
+}
 
 // state is the contract between the branching engine and a
 // density-matrix representation. Both simulators implement the
@@ -156,50 +187,45 @@ func (d ddState) Release()                                             { d.s.Rel
 func (d ddState) NodeCount() int                                       { return d.s.NodeCount() }
 func (d ddState) LiveNodes() int                                       { return d.s.Package().MNodeCount() }
 
-// newState constructs the selected representation for n qubits.
-func newState(backend string, n int) (state, error) {
-	switch backend {
-	case stochastic.ExactDensity:
+// newState constructs the given representation for n qubits.
+func newState(rep string, n int) (state, error) {
+	if rep == Dense {
 		s, err := density.New(n)
 		if err != nil {
 			return nil, err
 		}
 		return denseState{s}, nil
-	case stochastic.ExactDDensity:
-		return ddState{ddensity.New(n)}, nil
-	default:
-		return nil, fmt.Errorf("exact: unknown exact backend %q", backend)
 	}
+	return ddState{ddensity.New(n)}, nil
 }
 
 // Validate checks that a job can run in exact mode under the given
-// options: known backend, register within the backend's limit, and a
-// fidelity request only on circuits whose noise-free final state is a
-// well-defined pure state (no measurements or resets). The ddsimd
-// service calls it at submission time; Run repeats it before
-// simulating.
+// options: a register within MaxDDQubits, and a fidelity request only
+// on circuits whose noise-free final state is a well-defined pure
+// state (no measurements or resets). The ddsimd service calls it at
+// submission time; Run repeats it before simulating.
 func Validate(c *circuit.Circuit, opts stochastic.Options) error {
+	return validate(c, opts, representation(c))
+}
+
+func validate(c *circuit.Circuit, opts stochastic.Options, rep string) error {
 	if err := opts.ValidateMode(); err != nil {
 		return err
 	}
 	if opts.Mode != stochastic.ModeExact {
 		return fmt.Errorf("exact: options select mode %q, not %q", opts.Mode, stochastic.ModeExact)
 	}
-	backend := opts.ExactBackend
-	if backend == "" {
-		backend = stochastic.ExactDDensity
+	limit := MaxDDQubits
+	switch rep {
+	case Dense:
+		limit = density.MaxQubits
+	case DDensity:
+	default:
+		return fmt.Errorf("exact: unknown representation %q (want %s or %s)", rep, DDensity, Dense)
 	}
-	switch backend {
-	case stochastic.ExactDensity:
-		if c.NumQubits > density.MaxQubits {
-			return fmt.Errorf("exact: %d qubits exceeds the %d-qubit limit of the dense %s backend (4^n complex entries)",
-				c.NumQubits, density.MaxQubits, backend)
-		}
-	case stochastic.ExactDDensity:
-		if c.NumQubits > MaxDDQubits {
-			return fmt.Errorf("exact: %d qubits exceeds the %d-qubit limit of the %s backend",
-				c.NumQubits, MaxDDQubits, backend)
-		}
+	if c.NumQubits > limit {
+		return fmt.Errorf("exact: %d qubits exceeds the %d-qubit limit of the %s representation",
+			c.NumQubits, limit, rep)
 	}
 	if opts.TrackFidelity && hasRandomSite(c) {
 		return errors.New("exact: track_fidelity needs a measurement- and reset-free circuit (the noise-free reference state is not pure otherwise)")
@@ -245,11 +271,15 @@ func Run(c *circuit.Circuit, model noise.Model, opts stochastic.Options) (*stoch
 // density-matrix pass, unlike a partial Monte-Carlo aggregate, has no
 // meaningful value).
 func RunContext(ctx context.Context, c *circuit.Circuit, model noise.Model, opts stochastic.Options) (*stochastic.Result, error) {
-	results, err := RunBatch(ctx, []stochastic.Job{{Circuit: c, Model: model, Opts: opts}}, 1)
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
+	return RunAs(ctx, "", c, model, opts)
+}
+
+// RunAs is RunContext on the representation rep (Dense or DDensity)
+// instead of the one the circuit selects; "" keeps the selection. It
+// is for measuring the two forms against each other, not for
+// production jobs.
+func RunAs(ctx context.Context, rep string, c *circuit.Circuit, model noise.Model, opts stochastic.Options) (*stochastic.Result, error) {
+	return runJob(ctx, 0, stochastic.Job{Circuit: c, Model: model, Opts: opts}, 1, rep)
 }
 
 // RunBatch executes a set of exact (circuit, noise-point) jobs over
@@ -276,7 +306,7 @@ func RunBatch(ctx context.Context, jobs []stochastic.Job, workers int) ([]*stoch
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				res, err := runJob(ctx, i, jobs[i], workers)
+				res, err := runJob(ctx, i, jobs[i], workers, "")
 				if err != nil {
 					if len(jobs) > 1 {
 						name := "?"
@@ -300,8 +330,9 @@ func RunBatch(ctx context.Context, jobs []stochastic.Job, workers int) ([]*stoch
 	return results, errors.Join(errs...)
 }
 
-// runJob evolves one job's density matrix through the whole circuit.
-func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) (*stochastic.Result, error) {
+// runJob evolves one job's density matrix through the whole circuit,
+// in the representation rep ("" picks it from the circuit).
+func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int, rep string) (*stochastic.Result, error) {
 	c, model, opts := job.Circuit, job.Model, job.Opts
 	if c == nil {
 		return nil, errors.New("exact: nil circuit")
@@ -312,12 +343,11 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	if err := Validate(c, opts); err != nil {
-		return nil, err
+	if rep == "" {
+		rep = representation(c)
 	}
-	backend := opts.ExactBackend
-	if backend == "" {
-		backend = stochastic.ExactDDensity
+	if err := validate(c, opts, rep); err != nil {
+		return nil, err
 	}
 
 	// The noise-free pure reference for fidelity tracking, computed
@@ -342,7 +372,7 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 		progressEvery = 512
 	}
 
-	root, err := newState(backend, c.NumQubits)
+	root, err := newState(rep, c.NumQubits)
 	if err != nil {
 		return nil, err
 	}
@@ -391,7 +421,7 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 			// report, so the result carries only the timeout flag.
 			return &stochastic.Result{
 				Exact:        true,
-				ExactBackend: backend,
+				ExactBackend: rep,
 				TimedOut:     true,
 				Branches:     peakBranches,
 				Elapsed:      time.Since(start),
@@ -446,7 +476,7 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 			if len(branches) > peakBranches {
 				peakBranches = len(branches)
 			}
-			if backend == stochastic.ExactDDensity {
+			if rep == DDensity {
 				// Branches share one DD package (Clone is a refcount
 				// bump), so summing per-branch reachable counts would
 				// double-count shared structure; the package's live
@@ -489,7 +519,7 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 
 	res := &stochastic.Result{
 		Exact:          true,
-		ExactBackend:   backend,
+		ExactBackend:   rep,
 		ClassicalProbs: classical,
 		Branches:       peakBranches,
 		Purity:         final.Purity(),
@@ -516,13 +546,13 @@ func runJob(ctx context.Context, jobIndex int, job stochastic.Job, workers int) 
 	if res.Properties == 0 {
 		res.Properties = 1
 	}
-	if backend == stochastic.ExactDDensity {
+	if rep == DDensity {
 		telemetry.ExactDDNodes.SetMax(int64(res.DDNodes))
 	}
 	telemetry.ExactPurity.Set(res.Purity)
 	finishTelemetry()
-	telemetry.BackendSeconds.With(backend).Add(res.Elapsed.Seconds())
-	telemetry.BackendJobs.With(backend).Inc()
+	telemetry.BackendSeconds.With(rep).Add(res.Elapsed.Seconds())
+	telemetry.BackendJobs.With(rep).Inc()
 	final.Release()
 	progress(len(c.Ops))
 	return res, nil

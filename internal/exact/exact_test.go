@@ -17,12 +17,20 @@ import (
 	"ddsim/internal/telemetry"
 )
 
-func exactOpts(backend string) stochastic.Options {
-	return stochastic.Options{Mode: stochastic.ModeExact, ExactBackend: backend}
+func exactOpts() stochastic.Options {
+	return stochastic.Options{Mode: stochastic.ModeExact}
 }
 
-var bothBackends = []string{stochastic.ExactDDensity, stochastic.ExactDensity}
+// runAs runs one job on a forced representation.
+func runAs(rep string, c *circuit.Circuit, model noise.Model, opts stochastic.Options) (*stochastic.Result, error) {
+	return RunAs(context.Background(), rep, c, model, opts)
+}
 
+var bothBackends = []string{DDensity, Dense}
+
+// TestMatchesDenseReferenceGHZ holds both representations to the
+// dense reference of the facade's ExactProbabilities: GHZ-8 under the
+// paper's noise, to 1e-12.
 func TestMatchesDenseReferenceGHZ(t *testing.T) {
 	c := circuit.GHZ(8)
 	model := noise.PaperDefaults()
@@ -32,7 +40,7 @@ func TestMatchesDenseReferenceGHZ(t *testing.T) {
 	}
 	want := ref.Probabilities()
 	for _, be := range bothBackends {
-		res, err := Run(c, model, exactOpts(be))
+		res, err := runAs(be, c, model, exactOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", be, err)
 		}
@@ -56,16 +64,34 @@ func TestMatchesDenseReferenceGHZ(t *testing.T) {
 	}
 }
 
-func TestDefaultExactBackendIsDDensity(t *testing.T) {
-	res, err := Run(circuit.GHZ(3), noise.Model{}, stochastic.Options{Mode: stochastic.ModeExact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExactBackend != stochastic.ExactDDensity {
-		t.Errorf("default backend = %q, want %q", res.ExactBackend, stochastic.ExactDDensity)
-	}
-	if res.DDNodes == 0 {
-		t.Error("ddensity result should report its DD node count")
+// TestRepresentationFollowsCircuit: the engine stores ρ densely up to
+// density.MaxQubits qubits and as a diagram above, and a measurement
+// sends even a small register to the diagram, whose branch clones
+// share structure where dense ones copy 16·4^n bytes each.
+func TestRepresentationFollowsCircuit(t *testing.T) {
+	measured := circuit.GHZ(4)
+	measured.Measure(0, 0)
+	reset := circuit.GHZ(4)
+	reset.Reset(0)
+	for _, tc := range []struct {
+		c    *circuit.Circuit
+		want string
+	}{
+		{circuit.GHZ(density.MaxQubits), Dense},
+		{circuit.GHZ(density.MaxQubits + 1), DDensity},
+		{measured, DDensity},
+		{reset, Dense}, // a reset is a channel, not a branch
+	} {
+		res, err := Run(tc.c, noise.Model{}, exactOpts())
+		if err != nil {
+			t.Fatalf("%s (%d qubits): %v", tc.c.Name, tc.c.NumQubits, err)
+		}
+		if res.ExactBackend != tc.want {
+			t.Errorf("%s (%d qubits): ran on %q, want %q", tc.c.Name, tc.c.NumQubits, res.ExactBackend, tc.want)
+		}
+		if (res.DDNodes > 0) != (tc.want == DDensity) {
+			t.Errorf("%s: dd_nodes = %d on %q", tc.c.Name, res.DDNodes, res.ExactBackend)
+		}
 	}
 }
 
@@ -92,7 +118,7 @@ func TestBranchingSemantics(t *testing.T) {
 	c.Append(circuit.Op{Kind: circuit.KindGate, Name: "x", Target: 1,
 		Cond: &circuit.Condition{Bits: []int{0}, Value: 1}})
 	for _, be := range bothBackends {
-		res, err := Run(c, noise.Model{}, exactOpts(be))
+		res, err := runAs(be, c, noise.Model{}, exactOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", be, err)
 		}
@@ -119,7 +145,7 @@ func TestBackendsAgreeOnDynamicNoisyCircuit(t *testing.T) {
 	c := dynamicCircuit()
 	var results [2]*stochastic.Result
 	for i, be := range bothBackends {
-		res, err := Run(c, model, exactOpts(be))
+		res, err := runAs(be, c, model, exactOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", be, err)
 		}
@@ -162,29 +188,31 @@ func TestTrackedStatesAndFidelity(t *testing.T) {
 	inv := complex(1/math.Sqrt2, 0)
 	psi := make([]complex128, 16)
 	psi[0], psi[15] = inv, inv
-	opts := exactOpts(stochastic.ExactDDensity)
+	opts := exactOpts()
 	opts.TrackStates = []uint64{0, 15}
 	opts.TrackFidelity = true
-	res, err := Run(c, model, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.TrackedProbs) != 2 {
-		t.Fatalf("tracked %d states", len(res.TrackedProbs))
-	}
-	if d := math.Abs(res.TrackedProbs[0] - ref.Probability(0)); d > 1e-12 {
-		t.Errorf("tracked P(0) off by %v", d)
-	}
-	if d := math.Abs(res.MeanFidelity - ref.FidelityWithPure(psi)); d > 1e-9 {
-		t.Errorf("fidelity differs from dense reference by %v", d)
-	}
-	if res.Properties != 3 {
-		t.Errorf("properties = %d, want 3", res.Properties)
+	for _, be := range bothBackends {
+		res, err := runAs(be, c, model, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", be, err)
+		}
+		if len(res.TrackedProbs) != 2 {
+			t.Fatalf("%s: tracked %d states", be, len(res.TrackedProbs))
+		}
+		if d := math.Abs(res.TrackedProbs[0] - ref.Probability(0)); d > 1e-12 {
+			t.Errorf("%s: tracked P(0) off by %v", be, d)
+		}
+		if d := math.Abs(res.MeanFidelity - ref.FidelityWithPure(psi)); d > 1e-9 {
+			t.Errorf("%s: fidelity differs from dense reference by %v", be, d)
+		}
+		if res.Properties != 3 {
+			t.Errorf("%s: properties = %d, want 3", be, res.Properties)
+		}
 	}
 }
 
 func TestFidelityRejectedOnMeasuringCircuit(t *testing.T) {
-	opts := exactOpts(stochastic.ExactDensity)
+	opts := exactOpts()
 	opts.TrackFidelity = true
 	if _, err := Run(dynamicCircuit(), noise.Model{}, opts); err == nil {
 		t.Fatal("track_fidelity on a measuring circuit must fail")
@@ -199,7 +227,7 @@ func TestBranchBound(t *testing.T) {
 		c.H(q)
 	}
 	c.MeasureAll()
-	_, err := Run(c, noise.Model{}, exactOpts(stochastic.ExactDDensity))
+	_, err := Run(c, noise.Model{}, exactOpts())
 	if err == nil || !strings.Contains(err.Error(), "branches") {
 		t.Fatalf("expected branch-bound error, got %v", err)
 	}
@@ -213,7 +241,7 @@ func TestBranchCoalescing(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		c.Measure(0, 0)
 	}
-	res, err := Run(c, noise.Model{}, exactOpts(stochastic.ExactDDensity))
+	res, err := Run(c, noise.Model{}, exactOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +251,14 @@ func TestBranchCoalescing(t *testing.T) {
 }
 
 func TestQubitLimits(t *testing.T) {
-	if _, err := Run(circuit.GHZ(density.MaxQubits+1), noise.Model{}, exactOpts(stochastic.ExactDensity)); err == nil {
-		t.Error("dense backend accepted an oversized register")
+	if _, err := runAs(Dense, circuit.GHZ(density.MaxQubits+1), noise.Model{}, exactOpts()); err == nil {
+		t.Error("dense representation accepted an oversized register")
 	}
-	if _, err := Run(circuit.GHZ(MaxDDQubits+1), noise.Model{}, exactOpts(stochastic.ExactDDensity)); err == nil {
-		t.Error("ddensity backend accepted an oversized register")
+	if _, err := runAs(DDensity, circuit.GHZ(MaxDDQubits+1), noise.Model{}, exactOpts()); err == nil {
+		t.Error("ddensity representation accepted an oversized register")
+	}
+	if _, err := Run(circuit.GHZ(MaxDDQubits+1), noise.Model{}, exactOpts()); err == nil {
+		t.Error("exact mode accepted an oversized register")
 	}
 }
 
@@ -238,9 +269,8 @@ func TestModeValidation(t *testing.T) {
 	if _, err := Run(circuit.GHZ(2), noise.Model{}, stochastic.Options{Mode: "bogus"}); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	bad := exactOpts("qutrit")
-	if _, err := Run(circuit.GHZ(2), noise.Model{}, bad); err == nil {
-		t.Error("unknown exact backend accepted")
+	if _, err := runAs("qutrit", circuit.GHZ(2), noise.Model{}, exactOpts()); err == nil {
+		t.Error("unknown representation accepted")
 	}
 }
 
@@ -253,7 +283,7 @@ func TestStochasticEngineRejectsExactJobs(t *testing.T) {
 }
 
 func TestTimeout(t *testing.T) {
-	opts := exactOpts(stochastic.ExactDensity)
+	opts := exactOpts()
 	opts.Timeout = time.Nanosecond
 	res, err := Run(circuit.GHZ(8), noise.PaperDefaults(), opts)
 	if err != nil {
@@ -270,7 +300,7 @@ func TestTimeout(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, circuit.GHZ(4), noise.Model{}, exactOpts(stochastic.ExactDensity)); err == nil {
+	if _, err := RunContext(ctx, circuit.GHZ(4), noise.Model{}, exactOpts()); err == nil {
 		t.Fatal("cancelled context must fail the job")
 	}
 }
@@ -281,7 +311,7 @@ func TestRunBatchSweepWithProgress(t *testing.T) {
 	seen := make(map[int]bool)
 	jobs := make([]stochastic.Job, 3)
 	for i, scale := range []float64{0, 1, 10} {
-		opts := exactOpts(stochastic.ExactDDensity)
+		opts := exactOpts()
 		opts.ProgressEvery = 1
 		opts.OnProgress = func(p stochastic.Progress) {
 			mu.Lock()
@@ -314,8 +344,8 @@ func TestRunBatchSweepWithProgress(t *testing.T) {
 }
 
 func TestBatchPartialFailure(t *testing.T) {
-	good := stochastic.Job{Circuit: circuit.GHZ(3), Opts: exactOpts(stochastic.ExactDensity)}
-	bad := stochastic.Job{Circuit: circuit.GHZ(density.MaxQubits + 1), Opts: exactOpts(stochastic.ExactDensity)}
+	good := stochastic.Job{Circuit: circuit.GHZ(3), Opts: exactOpts()}
+	bad := stochastic.Job{Circuit: circuit.GHZ(MaxDDQubits + 1), Opts: exactOpts()}
 	results, err := RunBatch(context.Background(), []stochastic.Job{good, bad}, 1)
 	if err == nil {
 		t.Fatal("batch with an invalid job must report an error")
@@ -331,7 +361,7 @@ func TestResetReleasesEntanglement(t *testing.T) {
 	c := circuit.New("bellreset", 2)
 	c.H(0).CX(0, 1).Reset(0)
 	for _, be := range bothBackends {
-		res, err := Run(c, noise.Model{}, exactOpts(be))
+		res, err := runAs(be, c, noise.Model{}, exactOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", be, err)
 		}
@@ -357,9 +387,9 @@ func TestQFT10PurityReadout(t *testing.T) {
 	c, model := circuit.QFT(10), noise.PaperDefaults()
 	var results [2]*stochastic.Result
 	for i, be := range bothBackends {
-		opts := exactOpts(be)
+		opts := exactOpts()
 		opts.TrackStates = []uint64{0}
-		res, err := Run(c, model, opts)
+		res, err := runAs(be, c, model, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", be, err)
 		}
@@ -407,7 +437,7 @@ func TestChannelTelemetryCountsEveryChannel(t *testing.T) {
 		for i, k := range kinds {
 			before[i] = telemetry.NoiseChannelApplications.With(k).Value()
 		}
-		if _, err := Run(c, noise.PaperDefaults().Scale(10), exactOpts(be)); err != nil {
+		if _, err := runAs(be, c, noise.PaperDefaults().Scale(10), exactOpts()); err != nil {
 			t.Fatalf("%s: %v", be, err)
 		}
 		for i, k := range kinds {

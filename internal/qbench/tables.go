@@ -101,14 +101,12 @@ type Runner struct {
 	// Mode selects the engine for every cell: "" or
 	// stochastic.ModeStochastic runs the Monte-Carlo engine over
 	// Backends; stochastic.ModeExact runs one deterministic
-	// density-matrix pass per cell over ExactBackends instead, so the
-	// regenerated table compares the paper's proposal against its
-	// deterministic baseline on the same workloads.
+	// density-matrix pass per cell in each representation instead
+	// (exact(ddensity) and exact(density) columns), so the regenerated
+	// table compares the paper's proposal against its deterministic
+	// baseline — and the DD form of that baseline against the dense
+	// one — on the same workloads.
 	Mode string
-	// ExactBackends lists the exact-mode representations measured as
-	// columns (defaults to ddensity then density). Only consulted in
-	// exact mode.
-	ExactBackends []string
 	// Verbose, when set, receives progress lines.
 	Verbose func(format string, args ...interface{})
 }
@@ -124,15 +122,10 @@ type engineCol struct {
 // engines returns the measured columns for the configured mode.
 func (r *Runner) engines() []engineCol {
 	if r.Mode == stochastic.ModeExact {
-		backs := r.ExactBackends
-		if len(backs) == 0 {
-			backs = []string{stochastic.ExactDDensity, stochastic.ExactDensity}
+		return []engineCol{
+			{name: "exact(" + exact.DDensity + ")", exact: exact.DDensity},
+			{name: "exact(" + exact.Dense + ")", exact: exact.Dense},
 		}
-		cols := make([]engineCol, len(backs))
-		for i, b := range backs {
-			cols[i] = engineCol{name: "exact(" + b + ")", exact: b}
-		}
-		return cols
 	}
 	cols := make([]engineCol, len(r.Backends))
 	for i, b := range r.Backends {
@@ -168,10 +161,9 @@ func (r *Runner) measure(b Benchmark, col engineCol) Cell {
 	var res *stochastic.Result
 	var err error
 	if col.exact != "" {
-		res, err = exact.RunContext(ctx, b.Circuit, r.Model, stochastic.Options{
-			Mode:         stochastic.ModeExact,
-			ExactBackend: col.exact,
-			Timeout:      r.Budget,
+		res, err = exact.RunAs(ctx, col.exact, b.Circuit, r.Model, stochastic.Options{
+			Mode:    stochastic.ModeExact,
+			Timeout: r.Budget,
 		})
 	} else {
 		// Mode passes through so an unknown value fails the cell loudly

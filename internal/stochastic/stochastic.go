@@ -39,19 +39,6 @@ const (
 	ModeExact = "exact"
 )
 
-// Exact-mode density-matrix representations accepted by
-// Options.ExactBackend.
-const (
-	// ExactDDensity stores the density matrix as a decision diagram
-	// (internal/ddensity) — the paper's structural-compression story,
-	// compact whenever ρ has structure. The exact-mode default.
-	ExactDDensity = "ddensity"
-	// ExactDensity stores the density matrix as a dense 2^n × 2^n
-	// array (internal/density) — the brute-force reference, limited to
-	// small registers.
-	ExactDensity = "density"
-)
-
 // Options configures a stochastic simulation. The struct marshals to
 // JSON (ddsimd job submissions): durations are serialised as
 // nanoseconds and the OnProgress callback is excluded.
@@ -110,10 +97,6 @@ type Options struct {
 	// trajectory knobs (Runs, Seed, Shots, ChunkSize, TargetAccuracy)
 	// are ignored; Timeout, TrackStates and TrackFidelity apply.
 	Mode string `json:"mode,omitempty"`
-	// ExactBackend selects the exact-mode density-matrix
-	// representation: ExactDDensity (default) or ExactDensity. Ignored
-	// in stochastic mode.
-	ExactBackend string `json:"exact_backend,omitempty"`
 
 	// OnProgress, when set, receives periodic snapshots (every
 	// ProgressEvery completed runs, and once at job completion) from
@@ -151,17 +134,12 @@ type Options struct {
 //     exact mode the entire trajectory vocabulary (Runs, Seed, Shots,
 //     ChunkSize, Timeout, adaptive stopping) is dropped — the
 //     deterministic result depends only on the circuit, the noise
-//     points, the tracked properties and the ExactBackend (normalised
-//     to its ExactDDensity default).
+//     points and the tracked properties.
 func (o Options) Canonical() Options {
 	if o.Mode == ModeExact {
 		c := Options{
 			Mode:          ModeExact,
-			ExactBackend:  o.ExactBackend,
 			TrackFidelity: o.TrackFidelity,
-		}
-		if c.ExactBackend == "" {
-			c.ExactBackend = ExactDDensity
 		}
 		if len(o.TrackStates) > 0 {
 			c.TrackStates = append([]uint64(nil), o.TrackStates...)
@@ -197,23 +175,15 @@ func (o Options) Canonical() Options {
 	return c
 }
 
-// ValidateMode rejects unknown Options.Mode and Options.ExactBackend
-// values. Every engine entry point calls it; "" means the respective
-// default.
+// ValidateMode rejects unknown Options.Mode values. Every engine entry
+// point calls it; "" means the stochastic default.
 func (o *Options) ValidateMode() error {
 	switch o.Mode {
 	case "", ModeStochastic, ModeExact:
-	default:
-		return fmt.Errorf("stochastic: unknown mode %q (want %s or %s)",
-			o.Mode, ModeStochastic, ModeExact)
+		return nil
 	}
-	switch o.ExactBackend {
-	case "", ExactDDensity, ExactDensity:
-	default:
-		return fmt.Errorf("stochastic: unknown exact backend %q (want %s or %s)",
-			o.ExactBackend, ExactDDensity, ExactDensity)
-	}
-	return nil
+	return fmt.Errorf("stochastic: unknown mode %q (want %s or %s)",
+		o.Mode, ModeStochastic, ModeExact)
 }
 
 func (o *Options) normalize() {
@@ -314,8 +284,9 @@ type Result struct {
 	// 0 and ConfidenceRadius does not apply (it is 0). The remaining
 	// fields below are only populated on exact results.
 	Exact bool `json:"exact,omitempty"`
-	// ExactBackend echoes the density-matrix representation used
-	// (ExactDDensity or ExactDensity).
+	// ExactBackend echoes the density-matrix representation the exact
+	// engine picked for the circuit: "density" (dense ρ) or
+	// "ddensity" (density decision diagram); see internal/exact.
 	ExactBackend string `json:"exact_backend,omitempty"`
 	// Probabilities holds all 2^n basis-state outcome probabilities of
 	// the final ensemble-averaged state — the exact analogue of the
@@ -332,8 +303,8 @@ type Result struct {
 	// Purity is tr(ρ²) of the final state: 1 for pure states, down to
 	// 1/2^n for noise-induced mixtures.
 	Purity float64 `json:"purity,omitempty"`
-	// DDNodes is the final density-diagram node count (ExactDDensity
-	// backend only) — the paper's compactness measure for the squared
+	// DDNodes is the final density-diagram node count ("ddensity"
+	// only) — the paper's compactness measure for the squared
 	// representation.
 	DDNodes int `json:"dd_nodes,omitempty"`
 }

@@ -3,7 +3,6 @@ package ddsim_test
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"ddsim"
@@ -29,25 +28,18 @@ import (
 // trajectories (which would be a determinism regression of its own)
 // is exactly what this suite is meant to catch.
 
-// oracleCase is one paper benchmark with its exact-oracle
-// configuration.
-type oracleCase struct {
-	bench qbench.Benchmark
-	// oracle is the exact backend used as ground truth: ddensity where
-	// the mixed state keeps DD structure, density for the generic-
-	// amplitude workloads (the representations agree to ~1e-9; see
-	// TestExactBackendsAgreeOnRandomDynamicCircuits).
-	oracle string
-}
-
-func oracleCases() []oracleCase {
-	return []oracleCase{
-		{qbench.GHZ(8), ddsim.ExactDDensity},
-		{qbench.QFT(8), ddsim.ExactDensity},
-		{qbench.BasisTrotter(4, 40), ddsim.ExactDensity},
-		{qbench.VQEUCCSD(6, 6), ddsim.ExactDensity},
-		{qbench.VQEUCCSD(8, 4), ddsim.ExactDensity},
-		{qbench.Ising(10, 2), ddsim.ExactDensity},
+// oracleCases lists the paper benchmarks the oracle covers. Every one
+// fits the dense engine and measures nothing, so the exact oracle runs
+// on dense ρ; internal/exact holds the density DD to 1e-9 of it on the
+// same families and channels (TestRepresentationsAgreeOnExtendedChannels).
+func oracleCases() []qbench.Benchmark {
+	return []qbench.Benchmark{
+		qbench.GHZ(8),
+		qbench.QFT(8),
+		qbench.BasisTrotter(4, 40),
+		qbench.VQEUCCSD(6, 6),
+		qbench.VQEUCCSD(8, 4),
+		qbench.Ising(10, 2),
 	}
 }
 
@@ -69,19 +61,18 @@ func TestDifferentialOracleStochasticWithinTheorem1Radius(t *testing.T) {
 	}
 	backends := []string{ddsim.BackendDD, ddsim.BackendStatevector}
 
-	for _, oc := range oracleCases() {
-		oc := oc
-		t.Run(oc.bench.Name, func(t *testing.T) {
+	for _, bench := range oracleCases() {
+		bench := bench
+		t.Run(bench.Name, func(t *testing.T) {
 			t.Parallel()
-			n := oc.bench.Circuit.NumQubits
+			n := bench.Circuit.NumQubits
 			tracked := trackedStates(n)
 			for _, ns := range noises {
 				exactOpts := ddsim.Options{
-					Mode:         ddsim.ModeExact,
-					ExactBackend: oc.oracle,
-					TrackStates:  tracked,
+					Mode:        ddsim.ModeExact,
+					TrackStates: tracked,
 				}
-				exactRes, err := ddsim.Simulate(oc.bench.Circuit, ddsim.BackendDD, ns.model, exactOpts)
+				exactRes, err := ddsim.Simulate(bench.Circuit, ddsim.BackendDD, ns.model, exactOpts)
 				if err != nil {
 					t.Fatalf("%s: exact oracle: %v", ns.name, err)
 				}
@@ -91,7 +82,7 @@ func TestDifferentialOracleStochasticWithinTheorem1Radius(t *testing.T) {
 						Seed:        11,
 						TrackStates: tracked,
 					}
-					res, err := ddsim.Simulate(oc.bench.Circuit, backend, ns.model, opts)
+					res, err := ddsim.Simulate(bench.Circuit, backend, ns.model, opts)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", ns.name, backend, err)
 					}
@@ -137,22 +128,21 @@ func oracleDevice(n int) *ddsim.Device {
 // radius of the exact density-matrix result for the same model.
 func TestDifferentialOracleExtendedChannels(t *testing.T) {
 	cases := []struct {
-		name   string
-		bench  qbench.Benchmark
-		oracle string
-		model  ddsim.NoiseModel
+		name  string
+		bench qbench.Benchmark
+		model ddsim.NoiseModel
 	}{
-		{"device", qbench.GHZ(8), ddsim.ExactDDensity,
+		{"device", qbench.GHZ(8),
 			ddsim.NoiseModel{Device: oracleDevice(8)}},
-		{"crosstalk", qbench.QFT(8), ddsim.ExactDensity,
+		{"crosstalk", qbench.QFT(8),
 			ddsim.NoiseModel{Depolarizing: 0.005,
 				Crosstalk: &ddsim.Crosstalk{Strength: 0.02, ZZBias: 0.5}}},
-		{"idle", qbench.GHZ(8), ddsim.ExactDDensity,
+		{"idle", qbench.GHZ(8),
 			ddsim.NoiseModel{Damping: 0.01,
 				Idle: &ddsim.IdleNoise{Damping: 0.005, Dephasing: 0.01}}},
-		{"twirled", qbench.QFT(8), ddsim.ExactDensity,
+		{"twirled", qbench.QFT(8),
 			ddsim.PaperNoise().Twirl()},
-		{"combined", qbench.GHZ(8), ddsim.ExactDDensity,
+		{"combined", qbench.GHZ(8),
 			ddsim.NoiseModel{
 				Device:    oracleDevice(8),
 				Crosstalk: &ddsim.Crosstalk{Strength: 0.01, ZZBias: 0.25},
@@ -169,9 +159,8 @@ func TestDifferentialOracleExtendedChannels(t *testing.T) {
 			n := oc.bench.Circuit.NumQubits
 			tracked := trackedStates(n)
 			exactRes, err := ddsim.Simulate(oc.bench.Circuit, ddsim.BackendDD, oc.model, ddsim.Options{
-				Mode:         ddsim.ModeExact,
-				ExactBackend: oc.oracle,
-				TrackStates:  tracked,
+				Mode:        ddsim.ModeExact,
+				TrackStates: tracked,
 			})
 			if err != nil {
 				t.Fatalf("exact oracle: %v", err)
@@ -202,103 +191,27 @@ func TestDifferentialOracleExtendedChannels(t *testing.T) {
 	}
 }
 
-// randomDynamicCircuit builds a small random circuit with mid-circuit
-// measurements and resets — the territory where the exact engine's
-// outcome-history branching does real work.
-func randomDynamicCircuit(n int, rng *rand.Rand) *ddsim.Circuit {
-	c := ddsim.NewCircuit(fmt.Sprintf("random_dyn_%d", rng.Int63()), n)
-	for i := 0; i < 24; i++ {
-		q := rng.Intn(n)
-		switch rng.Intn(8) {
-		case 0:
-			c.H(q)
-		case 1:
-			c.RY(q, rng.Float64()*2)
-		case 2:
-			c.RZ(q, rng.Float64()*2)
-		case 3:
-			c.X(q)
-		case 4:
-			p := rng.Intn(n)
-			if p == q {
-				p = (p + 1) % n
-			}
-			c.CX(p, q)
-		case 5:
-			c.Measure(q, q%2) // at most 2 classical bits → ≤ 4 branches
-		case 6:
-			c.Reset(q)
-		default:
-			c.H(q)
-		}
-	}
-	c.MeasureAll()
-	return c
-}
-
-// TestExactBackendsAgreeOnRandomDynamicCircuits asserts the two
-// density-matrix representations are interchangeable oracles: on
-// random noisy circuits with measurements and resets they agree to
-// 1e-9 on the full outcome distribution, the classical-register
-// distribution and the purity.
-func TestExactBackendsAgreeOnRandomDynamicCircuits(t *testing.T) {
-	model := ddsim.NoiseModel{Depolarizing: 0.02, Damping: 0.03, PhaseFlip: 0.01, DampingAsEvent: true}
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(2)
-		c := randomDynamicCircuit(n, rng)
-		var results [2]*ddsim.Result
-		for i, be := range ddsim.ExactBackends() {
-			res, err := ddsim.Simulate(c, ddsim.BackendDD, model, ddsim.Options{Mode: ddsim.ModeExact, ExactBackend: be})
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, be, err)
-			}
-			results[i] = res
-		}
-		a, b := results[0], results[1]
-		for i := range a.Probabilities {
-			if d := math.Abs(a.Probabilities[i] - b.Probabilities[i]); d > 1e-9 {
-				t.Errorf("seed %d: P(%d) differs between exact backends by %v", seed, i, d)
-			}
-		}
-		if len(a.ClassicalProbs) != len(b.ClassicalProbs) {
-			t.Errorf("seed %d: classical distributions differ in support: %d vs %d",
-				seed, len(a.ClassicalProbs), len(b.ClassicalProbs))
-		}
-		for k, v := range a.ClassicalProbs {
-			if d := math.Abs(v - b.ClassicalProbs[k]); d > 1e-9 {
-				t.Errorf("seed %d: P(c=%d) differs between exact backends by %v", seed, k, d)
-			}
-		}
-		if d := math.Abs(a.Purity - b.Purity); d > 1e-9 {
-			t.Errorf("seed %d: purity differs between exact backends by %v", seed, d)
-		}
-	}
-}
-
 // TestExactModeMatchesExactProbabilities is the acceptance check at
 // the public API: Simulate with Mode="exact" on GHZ-8 under the
 // paper's noise returns Exact=true, Runs=0 and the ExactProbabilities
-// distribution to 1e-12, on both exact backends.
+// distribution to 1e-12. internal/exact's TestMatchesDenseReferenceGHZ
+// holds both representations to the same reference.
 func TestExactModeMatchesExactProbabilities(t *testing.T) {
 	c := ddsim.GHZ(8)
 	want, err := ddsim.ExactProbabilities(c, ddsim.PaperNoise())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range ddsim.ExactBackends() {
-		res, err := ddsim.Simulate(c, ddsim.BackendDD, ddsim.PaperNoise(),
-			ddsim.Options{Mode: ddsim.ModeExact, ExactBackend: be})
-		if err != nil {
-			t.Fatalf("%s: %v", be, err)
-		}
-		if !res.Exact || res.Runs != 0 || res.ConfidenceRadius != 0 {
-			t.Fatalf("%s: exact=%v runs=%d radius=%v", be, res.Exact, res.Runs, res.ConfidenceRadius)
-		}
-		for i, p := range res.Probabilities {
-			if d := math.Abs(p - want[i]); d > 1e-12 {
-				t.Fatalf("%s: P(%d) differs from ExactProbabilities by %v", be, i, d)
-			}
+	res, err := ddsim.Simulate(c, ddsim.BackendDD, ddsim.PaperNoise(), ddsim.Options{Mode: ddsim.ModeExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Exact || res.Runs != 0 || res.ConfidenceRadius != 0 {
+		t.Fatalf("exact=%v runs=%d radius=%v", res.Exact, res.Runs, res.ConfidenceRadius)
+	}
+	for i, p := range res.Probabilities {
+		if d := math.Abs(p - want[i]); d > 1e-12 {
+			t.Fatalf("%s: P(%d) differs from ExactProbabilities by %v", res.ExactBackend, i, d)
 		}
 	}
 }

@@ -64,6 +64,14 @@
 #    only inside `func reduce`: ChunkSum is the one partial sum, reduce
 #    the one reduction both executors share, and the ckptRunner the one
 #    noise-free walker.
+# 15. Every paragraph of README.md, docs/*.md or non-test Go outside
+#    benchmark/ that names Options.ExactBackend, ExactBackends(), the
+#    -exact-backend flag or an input options.exact_backend (the literal
+#    path, or a JSON "options" block holding "exact_backend") must say
+#    "removed": exact mode picks dense ρ or the density DD from the
+#    circuit, so neither a doc nor a comment can keep offering the
+#    representation as a choice. The result's "exact_backend" echo and
+#    Result.ExactBackend stay allowed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -307,6 +315,18 @@ if ! awk '
     bad = 1
   }
   END { exit bad }' $stochsrc; then
+  fail=1
+fi
+
+# --- 15. the exact-representation knob is documented only as removed -------
+# shellcheck disable=SC2086 # gosrc_nt is a word list of paths
+if ! awk 'BEGIN { RS = "" }
+  (/Options\.ExactBackend|ExactBackends\(\)|(^|[^a-z-])-exact-backend([^a-z]|$)|options\.exact_backend/ ||
+   (/"options": *\{/ && /"exact_backend"/)) && !/removed/ {
+    printf "EXACT-BACKEND KNOB: a paragraph of %s offers Options.ExactBackend, ExactBackends(), -exact-backend or options.exact_backend; exact mode picks the representation from the circuit (say \"removed\" if describing the old knob)\n", FILENAME > "/dev/stderr"
+    bad = 1
+  }
+  END { exit bad }' README.md docs/*.md $gosrc_nt; then
   fail=1
 fi
 
