@@ -12,6 +12,7 @@ package ddsim
 // the Table Ic families, worker scaling).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -19,7 +20,7 @@ import (
 	"ddsim/internal/circuit"
 	"ddsim/internal/dd"
 	"ddsim/internal/ddback"
-	"ddsim/internal/ddensity"
+	"ddsim/internal/exact"
 	"ddsim/internal/noise"
 	"ddsim/internal/qbench"
 	"ddsim/internal/sim"
@@ -281,11 +282,12 @@ func BenchmarkAblationDeterministicDensityDD(b *testing.B) {
 	c := circuit.GHZ(12)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := ddensity.RunCircuit(c, noise.PaperDefaults())
+		res, err := exact.RunAs(context.Background(), exact.DDensity, c, noise.PaperDefaults(),
+			stochastic.Options{Mode: stochastic.ModeExact, TrackStates: []uint64{0}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if p := s.Probability(0); p < 0.4 {
+		if p := res.TrackedProbs[0]; p < 0.4 {
 			b.Fatalf("P(|0…0⟩) = %v", p)
 		}
 	}

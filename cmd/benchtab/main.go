@@ -24,8 +24,8 @@
 //
 // Exact mode (-mode exact) measures the deterministic density-matrix
 // engine instead of the stochastic one: each cell is one exact pass
-// per density-matrix representation, in an exact(ddensity) and an
-// exact(density) column — the paper's stochastic-versus-deterministic
+// per form of vec(ρ), in an exact(ddensity) (decision diagram) and an
+// exact(density) (dense) column — the paper's stochastic-versus-deterministic
 // trade-off regenerated on the same workloads, with the DD form of
 // the deterministic baseline measured against the dense one:
 //

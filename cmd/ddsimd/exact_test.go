@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ddsim"
+	"ddsim/internal/density"
 )
 
 // jsonDecode decodes and closes a response body.
@@ -29,21 +30,23 @@ func exactGHZBody(backend string) string {
 }
 
 // ghzExactReference computes the ground-truth GHZ-8 distribution the
-// service results are checked against.
+// service results are checked against, on internal/density: the
+// service's exact mode runs the exact engine, which ExactProbabilities
+// runs too, so the reference must share no kernel with it.
 func ghzExactReference(t *testing.T) []float64 {
 	t.Helper()
-	probs, err := ddsim.ExactProbabilities(ddsim.GHZ(8), ddsim.PaperNoise())
+	ref, err := density.RunCircuit(ddsim.GHZ(8), ddsim.PaperNoise())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return probs
+	return ref.Probabilities()
 }
 
 // TestExactSubmissionRoundTrip is the service half of the exact-mode
 // acceptance criterion: a GHZ-8 exact submission round-trips through
 // a live ddsimd (202 → terminal result with "exact":true, Runs 0), on
 // the dense form the engine picks for a measurement-free 8-qubit
-// register, and its probabilities match ExactProbabilities to 1e-12.
+// register, and its probabilities match the dense reference to 1e-12.
 func TestExactSubmissionRoundTrip(t *testing.T) {
 	ts, _ := newTestServer(t, 2)
 	want := ghzExactReference(t)
@@ -64,7 +67,7 @@ func TestExactSubmissionRoundTrip(t *testing.T) {
 	}
 	for i, p := range r.Probabilities {
 		if d := math.Abs(p - want[i]); d > 1e-12 {
-			t.Fatalf("P(%d) differs from ExactProbabilities by %v", i, d)
+			t.Fatalf("P(%d) differs from the dense reference by %v", i, d)
 		}
 	}
 }

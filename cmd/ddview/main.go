@@ -12,11 +12,12 @@
 //	ddview -circuit qft -n 4
 //	ddview -qasm file.qasm
 //
-// With -density the exact engine's density-matrix decision diagram is
-// rendered instead of the state-vector DD — the squared
-// representation the paper argues against tracking; add -noise to
-// apply the paper's error channels and watch the mixed state's
-// structure:
+// With -density the exact engine's decision diagram of the final mixed
+// state is rendered instead of the state-vector DD: ρ as the vector
+// vec(ρ) on 2n qubits, qubit q's row bit at level 2q and its column
+// bit at 2q+1 — the squared representation the paper argues against
+// tracking; add -noise to apply the paper's error channels and watch
+// the mixed state's structure:
 //
 //	ddview -circuit ghz -n 4 -density -noise
 //
@@ -34,7 +35,7 @@ import (
 	"ddsim/internal/circuit"
 	"ddsim/internal/dd"
 	"ddsim/internal/ddback"
-	"ddsim/internal/ddensity"
+	"ddsim/internal/exact"
 	"ddsim/internal/qbench"
 )
 
@@ -45,7 +46,7 @@ func main() {
 		qasmPath = flag.String("qasm", "", "OpenQASM 2.0 file")
 		n        = flag.Int("n", 4, "qubit count for built-in circuits")
 		damp     = flag.Float64("p", 0.3, "damping probability for -fig 1c")
-		density  = flag.Bool("density", false, "render the exact density-matrix DD of the circuit's final mixed state (internal/ddensity) instead of the state-vector DD")
+		density  = flag.Bool("density", false, "render the exact engine's vec(ρ) DD of the circuit's final mixed state (2n qubits) instead of the state-vector DD")
 		noisy    = flag.Bool("noise", false, "with -density: evolve under the paper's noise channels instead of noise-free")
 	)
 	flag.Parse()
@@ -124,14 +125,15 @@ func printCircuitState(name, qasmPath string, n int, density, noisy bool) {
 		if noisy {
 			model = ddsim.PaperNoise()
 		}
-		s, err := ddensity.RunCircuit(circ, model)
+		b, err := exact.Diagram(circ, model)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ddview:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("// %s final density matrix (noise: %v): %d DD nodes for a 2^%d × 2^%d operator, purity %.6f\n",
-			circ.Name, noisy, s.NodeCount(), circ.NumQubits, circ.NumQubits, s.Purity())
-		fmt.Print(s.Package().DOTMatrix(s.Rho()))
+		defer b.Release()
+		fmt.Printf("// %s final density matrix (noise: %v): %d DD nodes for vec(ρ), a 2^%d vector, purity %.6f\n",
+			circ.Name, noisy, b.NodeCount(), 2*circ.NumQubits, b.Norm2())
+		fmt.Print(b.Package().DOT(b.State()))
 		return
 	}
 	b, err := ddback.New(circ)

@@ -37,9 +37,10 @@
 // Exact mode (-mode exact) replaces Monte-Carlo sampling with a
 // deterministic density-matrix pass through the same circuit/noise
 // pipeline: the printed distribution is the exact one (no runs, no
-// confidence radius). The engine stores ρ densely for registers of up
-// to 10 qubits whose circuit measures nothing and as a decision
-// diagram otherwise, up to 20 qubits; the result line names the form
+// confidence radius). The engine runs ρ as a vector on 2n qubits of
+// the state-vector backend for registers of up to 10 qubits whose
+// circuit measures nothing and of the decision-diagram backend
+// otherwise, up to 20 qubits; the result line names the form
 // it picked (exact(density) or exact(ddensity)). Small registers only
 // — this is precisely the exponential object stochastic simulation
 // avoids:

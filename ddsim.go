@@ -28,12 +28,13 @@
 // Options.Mode = ModeExact routes Simulate/SimulateContext/
 // BatchSimulate to a deterministic pass that returns the entire
 // outcome distribution with zero sampling error (Result.Exact,
-// Runs = 0). The engine stores the density matrix densely when the
+// Runs = 0). The engine runs ρ as a vector, vec(ρ), on 2n qubits of
+// the trajectory backends: the state-vector backend holds it when the
 // register has at most 10 qubits and the circuit measures nothing,
-// and as a decision diagram otherwise (up to 20 qubits);
-// Result.ExactBackend says which. Measurements, resets and
-// classically conditioned gates are handled exactly by
-// probability-weighted branching over outcome histories.
+// the decision-diagram backend otherwise (up to 20 qubits);
+// Result.ExactBackend says which ("density" or "ddensity").
+// Measurements, resets and classically conditioned gates are handled
+// exactly by probability-weighted branching over outcome histories.
 //
 // Quick start:
 //
@@ -126,7 +127,6 @@ import (
 
 	"ddsim/internal/circuit"
 	"ddsim/internal/ddback"
-	"ddsim/internal/density"
 	"ddsim/internal/exact"
 	"ddsim/internal/noise"
 	"ddsim/internal/obs"
@@ -413,16 +413,20 @@ func NewBackend(c *Circuit, backend string) (Backend, error) {
 }
 
 // ExactProbabilities evolves the exact density matrix of the circuit
-// under the same noise model (channels instead of sampling) and
-// returns all 2^n basis-state probabilities. Limited to small
-// registers — this is precisely the exponential blow-up the
-// stochastic approach avoids, kept here as ground truth.
+// under the same noise model (channels instead of sampling) on the
+// exact engine and returns all 2^n basis-state probabilities. Limited
+// to registers of at most 16 qubits — this is precisely the
+// exponential blow-up the stochastic approach avoids, kept here as
+// ground truth.
 func ExactProbabilities(c *Circuit, model NoiseModel) ([]float64, error) {
-	s, err := density.RunCircuit(c, model)
+	if c != nil && c.NumQubits > exact.MaxProbQubits {
+		return nil, fmt.Errorf("ddsim: exact probabilities of %d qubits exceed the %d-qubit limit", c.NumQubits, exact.MaxProbQubits)
+	}
+	res, err := exact.Run(c, model, Options{Mode: ModeExact})
 	if err != nil {
 		return nil, err
 	}
-	return s.Probabilities(), nil
+	return res.Probabilities, nil
 }
 
 // RequiredRuns returns the number of Monte-Carlo trajectories that

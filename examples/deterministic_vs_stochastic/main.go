@@ -1,7 +1,9 @@
 // The deterministic_vs_stochastic example puts the paper's central
 // trade-off side by side: the same noisy GHZ circuit is simulated
 // (a) deterministically, tracking the full density matrix as a
-// decision diagram (the ICCAD 2020 approach of reference [20]), and
+// decision diagram — the exact engine's DD form, which stores ρ as the
+// vector vec(ρ) on 2n qubits (the ICCAD 2020 approach of reference
+// [20] tracks the same ρ as a matrix diagram), and
 // (b) stochastically, averaging Monte-Carlo trajectories (the DATE
 // 2021 approach this repository reproduces). Both must agree on the
 // outcome probabilities; they differ in representation size and in
@@ -9,13 +11,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
 	"ddsim"
 	"ddsim/internal/circuit"
-	"ddsim/internal/ddensity"
+	"ddsim/internal/exact"
 	"ddsim/internal/noise"
 )
 
@@ -28,12 +31,13 @@ func main() {
 		c := circuit.GHZ(n)
 
 		start := time.Now()
-		det, err := ddensity.RunCircuit(c, model)
+		det, err := exact.RunAs(context.Background(), exact.DDensity, c, model,
+			ddsim.Options{Mode: ddsim.ModeExact, TrackStates: []uint64{0}})
 		if err != nil {
 			log.Fatal(err)
 		}
 		detTime := time.Since(start)
-		detP := det.Probability(0)
+		detP := det.TrackedProbs[0]
 
 		start = time.Now()
 		res, err := ddsim.Simulate(c, ddsim.BackendDD, model, ddsim.Options{
@@ -46,7 +50,7 @@ func main() {
 		stoP := res.TrackedProbs[0]
 
 		fmt.Printf("%-4d %8s (%6d nodes) %8s (%2d-node ψ)  %.4f\n",
-			n, detTime.Round(time.Millisecond), det.NodeCount(),
+			n, detTime.Round(time.Millisecond), det.DDNodes,
 			stoTime.Round(time.Millisecond), 2*n-1, abs(detP-stoP))
 	}
 

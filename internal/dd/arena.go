@@ -18,7 +18,7 @@ package dd
 // (vnodeAt, mnodeAt) — which is what lets the compute caches store IDs
 // instead of pointers.
 //
-// The per-Package tables — the two unique tables and the nine compute
+// The per-Package tables — the two unique tables and the seven compute
 // caches (3.1 or 6.1 MiB depending on the register size, see
 // newCacheSet) — are one pooled unit, a tableSet, drawn whole by
 // NewPackageTol and returned whole by Release. A short job compiles a
@@ -65,9 +65,7 @@ type cacheSet struct {
 	add   []tripleEntry
 	madd  []tripleEntry
 	mm    []pairEntry
-	kron  []tripleEntry
 	dot   []dotEntry
-	ct    []ctEntry
 	norm2 []norm2Entry
 	prob  []probEntry
 }
@@ -97,18 +95,16 @@ func mvCacheBits(n int) int {
 
 // newCacheSet allocates a cache set whose mat-vec cache has 2^mvBits
 // entries. The other caches have one geometry: add 2^16 (the partner
-// of every mat-vec miss), the matrix-side caches (madd, mm, kron, ct)
-// sized for gate construction and the exact engine, and the scalar
-// read-out caches (dot, norm2, prob).
+// of every mat-vec miss), the matrix-side caches (madd, mm) sized for
+// gate construction, and the scalar read-out caches (dot, norm2,
+// prob).
 func newCacheSet(mvBits int) cacheSet {
 	return cacheSet{
 		mv:    make([]pairEntry, 1<<mvBits),
 		add:   make([]tripleEntry, 1<<16),
 		madd:  make([]tripleEntry, 1<<12),
 		mm:    make([]pairEntry, 1<<12),
-		kron:  make([]tripleEntry, 1<<10),
 		dot:   make([]dotEntry, 1<<12),
-		ct:    make([]ctEntry, 1<<10),
 		norm2: make([]norm2Entry, 1<<15),
 		prob:  make([]probEntry, 1<<13),
 	}

@@ -114,17 +114,6 @@ func (p *Package) ProductOperator(factors []*Mat2) MEdge {
 	return e
 }
 
-// Embed2x2 returns the one-level matrix diagram of a bare 2×2 matrix.
-// Useful as a Kron operand and in tests.
-func (p *Package) Embed2x2(u Mat2) MEdge {
-	var e [4]MEdge
-	e[0] = MEdge{N: nil, W: p.W.LookupC(u[0][0])}
-	e[1] = MEdge{N: nil, W: p.W.LookupC(u[0][1])}
-	e[2] = MEdge{N: nil, W: p.W.LookupC(u[1][0])}
-	e[3] = MEdge{N: nil, W: p.W.LookupC(u[1][1])}
-	return p.makeMNode(1, e)
-}
-
 // Control describes a control qubit of a gate. Positive controls
 // trigger on |1⟩ (the usual case), negative controls on |0⟩.
 type Control struct {

@@ -19,7 +19,6 @@ func TestCacheGeometry(t *testing.T) {
 		{"pairEntry", unsafe.Sizeof(pairEntry{}), 16},
 		{"tripleEntry", unsafe.Sizeof(tripleEntry{}), 20},
 		{"dotEntry", unsafe.Sizeof(dotEntry{}), 24},
-		{"ctEntry", unsafe.Sizeof(ctEntry{}), 12},
 		{"norm2Entry", unsafe.Sizeof(norm2Entry{}), 16},
 		{"probEntry", unsafe.Sizeof(probEntry{}), 16},
 	} {
@@ -108,7 +107,7 @@ func sameAfterClear[T comparable](t *testing.T, p *Package, what string, op func
 
 // FuzzComputeCache runs a fuzzed op sequence on an n-qubit package
 // (n = 2…8) — gates, Pauli strings, damping Kraus operators, Add of
-// states, Dot, ProbOne, MulMM, ConjugateTranspose and Kron — and checks
+// states, Dot, ProbOne, MulMM and Norm2 — and checks
 // every op against its own recomputation right after clearCaches. The
 // GC thresholds are tiny and reset every step, so collections recycle
 // node and weight IDs mid-sequence: a cache entry that outlived a
@@ -125,8 +124,7 @@ func FuzzComputeCache(f *testing.F) {
 		p.caches = cacheSet{
 			mv: make([]pairEntry, 256), add: make([]tripleEntry, 256),
 			madd: make([]tripleEntry, 256), mm: make([]pairEntry, 256),
-			kron: make([]tripleEntry, 256), dot: make([]dotEntry, 256),
-			ct: make([]ctEntry, 256), norm2: make([]norm2Entry, 256),
+			dot: make([]dotEntry, 256), norm2: make([]norm2Entry, 256),
 			prob: make([]probEntry, 256),
 		}
 		defer func() {
@@ -219,13 +217,9 @@ func FuzzComputeCache(f *testing.F) {
 				}
 				s := pick()
 				keep(sameAfterClear(t, p, "MulMV product", func() VEdge { return p.MulMV(m, s) }))
-			case 7: // adjoint and Kronecker products of bare 2×2 blocks
-				g := gate()
-				sameAfterClear(t, p, "ConjugateTranspose", func() MEdge { return p.ConjugateTranspose(g) })
-				u, v := p.Embed2x2(fuzzGate(r.next())), p.Embed2x2(fuzzGate(r.next()))
-				sameAfterClear(t, p, "Kron", func() MEdge { return p.Kron(u, v) })
-				w := MEdge{W: p.W.LookupC(complex(float64(r.next())/64, 0))}
-				sameAfterClear(t, p, "Kron terminal", func() MEdge { return p.Kron(u, w) })
+			case 7:
+				s := pick()
+				sameAfterClear(t, p, "Norm2", func() float64 { return p.Norm2(s) })
 			case 8:
 				p.GarbageCollect()
 			}

@@ -171,8 +171,7 @@ type pairEntry struct {
 func pairKey(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
 
 // tripleEntry memoises an operation on two nodes and a relative weight
-// (Add, AddM, Kron); a == 0 marks an empty slot (b is 0 for a terminal
-// Kron operand).
+// (Add, AddM); a == 0 marks an empty slot.
 type tripleEntry struct {
 	a, b, bw uint32
 	r        edgeRef
@@ -181,11 +180,6 @@ type tripleEntry struct {
 type dotEntry struct {
 	key uint64 // pairKey
 	r   complex128
-}
-
-type ctEntry struct {
-	m uint32
-	r edgeRef
 }
 
 type norm2Entry struct {
@@ -246,8 +240,8 @@ type Package struct {
 	// Table-activity counters (plain ints — a Package is
 	// single-goroutine by design). Unique-table lookups/hits count
 	// makeVNode/makeMNode hash-consing probes; compute lookups/hits
-	// count probes of every memoisation cache (add, multiply, kron,
-	// dot, conjugate-transpose, norm and probability).
+	// count probes of every memoisation cache (add, multiply, dot,
+	// norm and probability).
 	uLookups, uHits uint64
 	cLookups, cHits uint64
 	cConflicts      uint64
@@ -371,9 +365,7 @@ func (p *Package) clearCaches() {
 	clear(c.add)
 	clear(c.madd)
 	clear(c.mm)
-	clear(c.kron)
 	clear(c.dot)
-	clear(c.ct)
 	clear(c.norm2)
 	clear(c.prob)
 }

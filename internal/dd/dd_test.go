@@ -335,7 +335,7 @@ func TestAddCancellation(t *testing.T) {
 func TestMulMMUnitarity(t *testing.T) {
 	p := NewPackage(3)
 	h := p.SingleQubitGate(matH, 1)
-	prod := p.MulMM(h, p.ConjugateTranspose(h))
+	prod := p.MulMM(h, adjoint(p, h))
 	if prod != p.Identity() {
 		t.Error("H·H† should be the canonical identity edge")
 	}
@@ -359,9 +359,9 @@ func TestMulMMAssociates(t *testing.T) {
 
 func TestKron(t *testing.T) {
 	p := NewPackage(2)
-	z1 := p.Embed2x2(matZ)
-	x1 := p.Embed2x2(matX)
-	k := p.Kron(z1, x1) // Z ⊗ X on 2 qubits
+	z1 := embed2x2(p, matZ)
+	x1 := embed2x2(p, matX)
+	k := kron(p, z1, x1) // Z ⊗ X on 2 qubits
 	m := p.ToMatrix(k)
 	want := [][]complex128{
 		{0, 1, 0, 0},
@@ -689,4 +689,44 @@ func TestRandomCircuitNormPreserved(t *testing.T) {
 	if n2 := p.Norm2(e); math.Abs(n2-1) > 1e-8 {
 		t.Fatalf("final norm %v", n2)
 	}
+}
+
+// kron returns the Kronecker product a ⊗ b, a on the more significant
+// qubits: the reference the operator tests build products with. a's
+// levels are stacked above b's top level.
+func kron(p *Package, a, b MEdge) MEdge {
+	if a.IsZero() || b.IsZero() {
+		return p.ZeroMEdge()
+	}
+	if a.IsTerminal() {
+		return p.scaleM(b, a.W)
+	}
+	var kids [4]MEdge
+	for i := range kids {
+		kids[i] = kron(p, a.N.E[i], b)
+	}
+	return p.scaleM(p.makeMNode(a.N.Level+b.Level(), kids), a.W)
+}
+
+// embed2x2 returns the one-level matrix diagram of a bare 2×2 matrix,
+// a kron operand.
+func embed2x2(p *Package, u Mat2) MEdge {
+	var e [4]MEdge
+	for i := range e {
+		e[i] = MEdge{W: p.W.LookupC(u[i/2][i%2])}
+	}
+	return p.makeMNode(1, e)
+}
+
+// adjoint returns m† through the dense matrix.
+func adjoint(p *Package, m MEdge) MEdge {
+	dense := p.ToMatrix(m)
+	out := make([][]complex128, len(dense))
+	for r := range out {
+		out[r] = make([]complex128, len(dense))
+		for c := range out[r] {
+			out[r][c] = cmplx.Conj(dense[c][r])
+		}
+	}
+	return p.FromMatrix(out)
 }

@@ -89,8 +89,7 @@ func TestReleasedTablesKeepGeometry(t *testing.T) {
 			}
 			c := &again.caches
 			if !allZero(c.mv) || !allZero(c.add) || !allZero(c.madd) || !allZero(c.mm) ||
-				!allZero(c.kron) || !allZero(c.dot) || !allZero(c.ct) || !allZero(c.norm2) ||
-				!allZero(c.prob) {
+				!allZero(c.dot) || !allZero(c.norm2) || !allZero(c.prob) {
 				t.Fatal("recycled compute caches hold entries")
 			}
 			// The recycled package works like a fresh one.

@@ -161,8 +161,9 @@ func (p *Package) MulMV(m MEdge, v VEdge) VEdge {
 }
 
 // MulMM returns the matrix product a·b of two operator diagrams.
-// Used by tests (unitarity checks) and by the matrix–matrix
-// simulation mode of the ablation study (cf. reference [37]).
+// Used to assemble two-qubit operators from single-qubit ones, by
+// tests (unitarity checks) and by the matrix–matrix simulation mode of
+// the ablation study (cf. reference [37]).
 func (p *Package) MulMM(a, b MEdge) MEdge {
 	if a.IsZero() || b.IsZero() {
 		return p.ZeroMEdge()
@@ -203,49 +204,6 @@ func (p *Package) MulMM(a, b MEdge) MEdge {
 	return p.scaleM(r, w)
 }
 
-// Kron returns the Kronecker product a ⊗ b, where a acts on the more
-// significant qubits. b's top level must leave room for a's levels
-// below the package's qubit budget.
-func (p *Package) Kron(a, b MEdge) MEdge {
-	if a.IsZero() || b.IsZero() {
-		return p.ZeroMEdge()
-	}
-	if a.IsTerminal() {
-		return p.scaleM(b, a.W)
-	}
-	bTop := b.Level()
-
-	p.cLookups++
-	c := p.caches.kron
-	ent := &c[mixHash(uint64(a.N.id), uint64(mid(b.N)), uint64(b.W.ID()), 13)&uint64(len(c)-1)]
-	if ent.a == a.N.id && ent.b == mid(b.N) && ent.bw == b.W.ID() {
-		p.cHits++
-		return p.scaleM(p.mEdgeOf(ent.r), a.W)
-	}
-	if ent.a != 0 {
-		p.cConflicts++
-	}
-
-	r := p.kronRec(MEdge{N: a.N, W: p.W.One}, b, bTop)
-	*ent = tripleEntry{a: a.N.id, b: mid(b.N), bw: b.W.ID(), r: mRef(r)}
-	return p.scaleM(r, a.W)
-}
-
-func (p *Package) kronRec(a, b MEdge, bTop int) MEdge {
-	if a.IsZero() {
-		return p.ZeroMEdge()
-	}
-	if a.IsTerminal() {
-		return p.scaleM(b, a.W)
-	}
-	var kids [4]MEdge
-	for i := 0; i < 4; i++ {
-		kids[i] = p.kronRec(a.N.E[i], b, bTop)
-	}
-	e := p.makeMNode(a.N.Level+bTop, kids)
-	return p.scaleM(e, a.W)
-}
-
 // Dot returns the inner product ⟨a|b⟩ (conjugate-linear in a).
 func (p *Package) Dot(a, b VEdge) complex128 {
 	if a.IsZero() || b.IsZero() {
@@ -280,31 +238,4 @@ func (p *Package) Dot(a, b VEdge) complex128 {
 func (p *Package) Fidelity(a, b VEdge) float64 {
 	d := p.Dot(a, b)
 	return real(d)*real(d) + imag(d)*imag(d)
-}
-
-// ConjugateTranspose returns the adjoint (dagger) of an operator
-// diagram: quadrants 1 and 2 are swapped and all weights conjugated.
-func (p *Package) ConjugateTranspose(m MEdge) MEdge {
-	if m.IsTerminal() {
-		return MEdge{N: nil, W: p.W.Conj(m.W)}
-	}
-	w := p.W.Conj(m.W)
-	p.cLookups++
-	c := p.caches.ct
-	ent := &c[mixHash(uint64(m.N.id), 31)&uint64(len(c)-1)]
-	if ent.m == m.N.id {
-		p.cHits++
-		return p.scaleM(p.mEdgeOf(ent.r), w)
-	}
-	if ent.m != 0 {
-		p.cConflicts++
-	}
-	var kids [4]MEdge
-	kids[0] = p.ConjugateTranspose(m.N.E[0])
-	kids[1] = p.ConjugateTranspose(m.N.E[2])
-	kids[2] = p.ConjugateTranspose(m.N.E[1])
-	kids[3] = p.ConjugateTranspose(m.N.E[3])
-	r := p.makeMNode(m.N.Level, kids)
-	*ent = ctEntry{m: m.N.id, r: mRef(r)}
-	return p.scaleM(r, w)
 }

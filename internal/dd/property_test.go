@@ -387,10 +387,10 @@ func TestKronDistributesOverMulProperty(t *testing.T) {
 		for _, b := range mats {
 			for _, c := range mats {
 				for _, d := range mats {
-					lhs := p.MulMM(p.Kron(p.Embed2x2(a), p.Embed2x2(b)),
-						p.Kron(p.Embed2x2(c), p.Embed2x2(d)))
-					rhs := p.Kron(p.MulMM(p.Embed2x2(a), p.Embed2x2(c)),
-						p.MulMM(p.Embed2x2(b), p.Embed2x2(d)))
+					lhs := p.MulMM(kron(p, embed2x2(p, a), embed2x2(p, b)),
+						kron(p, embed2x2(p, c), embed2x2(p, d)))
+					rhs := kron(p, p.MulMM(embed2x2(p, a), embed2x2(p, c)),
+						p.MulMM(embed2x2(p, b), embed2x2(p, d)))
 					if lhs != rhs {
 						t.Fatalf("(A⊗B)(C⊗D) != (AC)⊗(BD) for %v %v %v %v", a, b, c, d)
 					}

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"ddsim/internal/circuit"
+	"ddsim/internal/cnum"
 	"ddsim/internal/dd"
 	"ddsim/internal/sim"
 )
@@ -52,11 +53,19 @@ type Backend struct {
 
 // New compiles the circuit into gate diagrams and prepares |0…0⟩.
 func New(c *circuit.Circuit) (*Backend, error) {
+	return NewTol(c, cnum.Tolerance)
+}
+
+// NewTol is New on a package that interns edge weights within tol
+// (dd.NewPackageTol). The exact engine's vec(ρ) uses a tolerance far
+// below the trajectory default, so its deterministic probabilities
+// carry no visible interning error.
+func NewTol(c *circuit.Circuit, tol float64) (*Backend, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	b := &Backend{
-		pkg:        dd.NewPackage(c.NumQubits),
+		pkg:        dd.NewPackageTol(c.NumQubits, tol),
 		circ:       c,
 		gates:      make([]dd.MEdge, len(c.Ops)),
 		pauliCache: make(map[pauliKey]dd.MEdge),
@@ -174,10 +183,33 @@ func (b *Backend) Collapse(qubit, outcome int, prob float64) {
 	b.setState(b.rescale(out, prob))
 }
 
+// ApplyMatrix applies the 2×2 u to target under the given controls.
+// The stochastic path applies compiled ops through ApplyOp; this is
+// the entry for matrices no circuit op names, such as the conjugated
+// column half of a gate in the exact engine's vec(ρ) program.
+func (b *Backend) ApplyMatrix(u circuit.Mat2, target int, controls []circuit.Control) {
+	g := b.pkg.ControlledGate(dd.Mat2(u), target, ddControls(controls))
+	b.setState(b.pkg.MulMV(g, b.state))
+}
+
+// Mix folds a snapshot into the current state, ψ ← w·ψ + wo·s, and
+// releases the snapshot's pin, so s must not be used afterwards.
+// Mix(s, 0, 1) makes s the current state.
+func (b *Backend) Mix(s sim.State, w, wo float64) {
+	o := s.(dd.VEdge)
+	out := b.pkg.Add(b.scaled(b.state, w), b.scaled(o, wo))
+	b.pkg.Unref(o)
+	b.setState(out)
+}
+
+// scaled returns e with its weight multiplied by f.
+func (b *Backend) scaled(e dd.VEdge, f float64) dd.VEdge {
+	return dd.VEdge{N: e.N, W: b.pkg.W.LookupC(e.W.Complex() * complex(f, 0))}
+}
+
 // rescale divides the state by √norm2.
 func (b *Backend) rescale(e dd.VEdge, norm2 float64) dd.VEdge {
-	s := complex(1/math.Sqrt(norm2), 0)
-	return dd.VEdge{N: e.N, W: b.pkg.W.LookupC(e.W.Complex() * s)}
+	return b.scaled(e, 1/math.Sqrt(norm2))
 }
 
 // ApplyDamping implements sim.Backend (Example 6 of the paper).

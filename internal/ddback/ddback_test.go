@@ -185,3 +185,51 @@ func TestForkerStateCost(t *testing.T) {
 		t.Errorf("byte cost = %d, want > 0", bytes)
 	}
 }
+
+// TestApplyMatrixAndMix: ApplyMatrix under positive and negative
+// controls reaches the state ApplyOp reaches on the same gates, and
+// Mix folds a snapshot in as w·ψ + wo·s, releasing it.
+func TestApplyMatrixAndMix(t *testing.T) {
+	c := circuit.New("cy", 3)
+	c.H(0).H(2)
+	c.Append(circuit.Op{Kind: circuit.KindGate, Name: "y", Target: 1,
+		Controls: []circuit.Control{{Qubit: 0}, {Qubit: 2, Negative: true}}})
+	ops, mats := build(t, c), build(t, circuit.New("empty", 3))
+	for i := range c.Ops {
+		ops.ApplyOp(i)
+		op := &c.Ops[i]
+		u, err := sim.ResolveOp(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mats.ApplyMatrix(u, op.Target, op.Controls)
+	}
+	want := ops.Package().ToVector(ops.State())
+	got := mats.Package().ToVector(mats.State())
+	for i := range want {
+		if d := cmplxAbs(got[i] - want[i]); d > 1e-12 {
+			t.Fatalf("amplitude %d: ApplyMatrix %v, ApplyOp %v", i, got[i], want[i])
+		}
+	}
+
+	s := mats.Snapshot()
+	mats.ApplyPauli(sim.PauliZ, 0)
+	mats.Mix(s, 0.5, 0.5) // the Z-odd half of ψ cancels
+	for i, a := range mats.Package().ToVector(mats.State()) {
+		w := want[i]
+		if i&4 != 0 { // qubit 0 reads 1
+			w = 0
+		}
+		if d := cmplxAbs(a - w); d > 1e-12 {
+			t.Fatalf("after Mix: amplitude %d = %v, want %v", i, a, w)
+		}
+	}
+	s = mats.Snapshot()
+	mats.Reset()
+	mats.Mix(s, 0, 1)
+	if p := mats.Norm2(); math.Abs(p-0.5) > 1e-12 {
+		t.Errorf("Mix(s, 0, 1) restored a state of norm² %v, want 0.5", p)
+	}
+}
+
+func cmplxAbs(a complex128) float64 { return math.Hypot(real(a), imag(a)) }

@@ -5,7 +5,13 @@
 // small registers: the Monte-Carlo estimates of internal/stochastic
 // must converge to the probabilities this simulator computes exactly,
 // which is what the convergence tests and the Theorem 1 experiment
-// verify.
+// verify, and the exact engine (internal/exact) must reproduce its ρ.
+//
+// It is a test oracle only: no product code imports it
+// (scripts/check_docs.sh rule 16). To check the exact engine it must
+// share no kernel with it, so it applies gates and channels as plain
+// UρU† and Σ_k KρK† loops on a 2^n × 2^n array, where the engine runs
+// superoperators on vec(ρ) through the trajectory backends.
 package density
 
 import (
@@ -27,12 +33,8 @@ type Simulator struct {
 	dim int
 	rho [][]complex128
 
-	// chanSuper/chanSuper2 cache the superoperators of compiled
-	// channels, keyed by operator content: a run of adjacent same-qubit
-	// channels under its joined Chan1.Key()s, a two-qubit channel under
-	// its Chan2.Key(). Clones share the maps: branches of one exact run
-	// evolve sequentially in a single goroutine.
-	chanSuper  map[string]*[4][4]complex128
+	// chanSuper2 caches the superoperators of compiled two-qubit
+	// channels under their Chan2.Key(). Clones share the map.
 	chanSuper2 map[string]*[16][16]complex128
 }
 
@@ -113,25 +115,34 @@ func (s *Simulator) rightMultiplyDagger(a circuit.Mat2, bit uint, mask, want uin
 }
 
 // ApplyChannel applies a single-qubit channel with the given Kraus
-// operators to one qubit: ρ → Σ_k K ρ K†.
+// operators to one qubit: ρ → Σ_k K ρ K†, computed on each 2×2 block
+// of ρ over the qubit's bit position in place.
 func (s *Simulator) ApplyChannel(kraus [][2][2]complex128, qubit int) {
-	bit := s.bitOf(qubit)
-	acc := make([][]complex128, s.dim)
-	for i := range acc {
-		acc[i] = make([]complex128, s.dim)
-	}
-	saved := s.rho
-	for _, k := range kraus {
-		s.rho = cloneMatrix(saved)
-		s.leftMultiply(circuit.Mat2(k), bit, 0, 0)
-		s.rightMultiplyDagger(circuit.Mat2(k), bit, 0, 0)
-		for i := range acc {
-			for j := range acc[i] {
-				acc[i][j] += s.rho[i][j]
+	stride := uint64(1) << s.bitOf(qubit)
+	dim := uint64(s.dim)
+	for rb := uint64(0); rb < dim; rb += 2 * stride {
+		for r0 := rb; r0 < rb+stride; r0++ {
+			rowA, rowB := s.rho[r0], s.rho[r0|stride]
+			for cb := uint64(0); cb < dim; cb += 2 * stride {
+				for c0 := cb; c0 < cb+stride; c0++ {
+					c1 := c0 | stride
+					blk := [2][2]complex128{{rowA[c0], rowA[c1]}, {rowB[c0], rowB[c1]}}
+					var out [2][2]complex128
+					for _, k := range kraus {
+						for i := 0; i < 2; i++ {
+							kb0 := k[i][0]*blk[0][0] + k[i][1]*blk[1][0] // (K·B)[i][0]
+							kb1 := k[i][0]*blk[0][1] + k[i][1]*blk[1][1]
+							for j := 0; j < 2; j++ {
+								out[i][j] += kb0*cmplx.Conj(k[j][0]) + kb1*cmplx.Conj(k[j][1])
+							}
+						}
+					}
+					rowA[c0], rowA[c1] = out[0][0], out[0][1]
+					rowB[c0], rowB[c1] = out[1][0], out[1][1]
+				}
 			}
 		}
 	}
-	s.rho = acc
 }
 
 func cloneMatrix(m [][]complex128) [][]complex128 {
@@ -143,77 +154,12 @@ func cloneMatrix(m [][]complex128) [][]complex128 {
 	return out
 }
 
-// ApplySuperOp applies a single-qubit superoperator to one qubit: for
-// every 2×2 block of ρ over the qubit's bit position, the vectorised
-// block [ρ00, ρ01, ρ10, ρ11] is mapped through sup. One pass touches
-// every matrix entry exactly once, with no allocation.
-func (s *Simulator) ApplySuperOp(sup *[4][4]complex128, qubit int) {
-	stride := uint64(1) << s.bitOf(qubit)
-	dim := uint64(s.dim)
-	for rb := uint64(0); rb < dim; rb += 2 * stride {
-		for r0 := rb; r0 < rb+stride; r0++ {
-			r1 := r0 | stride
-			rowA, rowB := s.rho[r0], s.rho[r1]
-			for cb := uint64(0); cb < dim; cb += 2 * stride {
-				for c0 := cb; c0 < cb+stride; c0++ {
-					c1 := c0 | stride
-					a, b := rowA[c0], rowA[c1]
-					c, d := rowB[c0], rowB[c1]
-					rowA[c0] = sup[0][0]*a + sup[0][1]*b + sup[0][2]*c + sup[0][3]*d
-					rowA[c1] = sup[1][0]*a + sup[1][1]*b + sup[1][2]*c + sup[1][3]*d
-					rowB[c0] = sup[2][0]*a + sup[2][1]*b + sup[2][2]*c + sup[2][3]*d
-					rowB[c1] = sup[3][0]*a + sup[3][1]*b + sup[3][2]*c + sup[3][3]*d
-				}
-			}
-		}
-	}
-}
-
 // ApplyChans1 applies compiled single-qubit channels exactly, in
-// order. Adjacent channels on one qubit — the depolarising → damping →
-// phase-flip run a plan binds to every qubit a gate touched — are
-// composed into a single cached superoperator, so the run costs one
-// O(4^n) blockwise pass instead of one per channel: the dense engine's
-// hot path.
+// order, one Kraus set at a time.
 func (s *Simulator) ApplyChans1(chs []noise.Chan1) {
-	for i := 0; i < len(chs); {
-		j := i + 1
-		for j < len(chs) && chs[j].Qubit == chs[i].Qubit {
-			j++
-		}
-		s.ApplySuperOp(s.fusedSuper(chs[i:j]), chs[i].Qubit)
-		i = j
+	for i := range chs {
+		s.ApplyChannel(chs[i].Kraus(), chs[i].Qubit)
 	}
-}
-
-// fusedSuper returns the superoperator of a run of same-qubit channels
-// applied first to last.
-func (s *Simulator) fusedSuper(run []noise.Chan1) *[4][4]complex128 {
-	key := run[0].Key()
-	for k := 1; k < len(run); k++ {
-		key += "|" + run[k].Key()
-	}
-	if sup, ok := s.chanSuper[key]; ok {
-		return sup
-	}
-	sup := noise.Super1(run[0].Kraus())
-	for k := 1; k < len(run); k++ {
-		next := noise.Super1(run[k].Kraus())
-		var prod [4][4]complex128
-		for i := range prod {
-			for j := range prod[i] {
-				for l := range next[i] {
-					prod[i][j] += next[i][l] * sup[l][j]
-				}
-			}
-		}
-		sup = prod
-	}
-	if s.chanSuper == nil {
-		s.chanSuper = make(map[string]*[4][4]complex128)
-	}
-	s.chanSuper[key] = &sup
-	return &sup
 }
 
 // ApplyChan2 applies one compiled correlated two-qubit channel
@@ -224,7 +170,7 @@ func (s *Simulator) ApplyChan2(ch *noise.Chan2) {
 	}
 	sup, ok := s.chanSuper2[ch.Key()]
 	if !ok {
-		v := noise.Super2(ch.Kraus())
+		v := super2(ch.Kraus())
 		sup = &v
 		s.chanSuper2[ch.Key()] = sup
 	}
@@ -272,6 +218,25 @@ func (s *Simulator) ApplySuperOp2(sup *[16][16]complex128, q0, q1 int) {
 			}
 		}
 	}
+}
+
+// super2 vectorises a two-qubit Kraus set into the 16×16
+// superoperator acting on the vectorised 4×4 block [ρ(ij)] with row
+// index i*4+j: S[(i,j),(a,b)] = Σ_k K[i][a]·conj(K[j][b]).
+func super2(kraus [][4][4]complex128) [16][16]complex128 {
+	var s [16][16]complex128
+	for _, k := range kraus {
+		for i := 0; i < 4; i++ {
+			for j := 0; j < 4; j++ {
+				for a := 0; a < 4; a++ {
+					for b := 0; b < 4; b++ {
+						s[i*4+j][a*4+b] += k[i][a] * cmplx.Conj(k[j][b])
+					}
+				}
+			}
+		}
+	}
+	return s
 }
 
 // MeasureDecohere dephases one qubit in the computational basis
@@ -342,7 +307,7 @@ func (s *Simulator) Reset(qubit int) {
 func (s *Simulator) Clone() *Simulator {
 	return &Simulator{
 		n: s.n, dim: s.dim, rho: cloneMatrix(s.rho),
-		chanSuper: s.chanSuper, chanSuper2: s.chanSuper2,
+		chanSuper2: s.chanSuper2,
 	}
 }
 

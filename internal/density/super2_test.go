@@ -103,64 +103,3 @@ func TestApplySuperOp2MatchesBruteForce(t *testing.T) {
 		}
 	}
 }
-
-// TestFusedChannelsMatchPerKraus drives compiled plans — a uniform
-// model, whose every touched qubit carries a depolarising → damping →
-// phase-flip run, and a calibrated device with idle decay — through
-// ApplyChans1 and compares every matrix entry against applying the same
-// channels one Kraus operator at a time. The uniform run must also have
-// cost one superoperator: a single cache entry under the joined keys.
-func TestFusedChannelsMatchPerKraus(t *testing.T) {
-	device := &noise.Device{
-		Name: "fuse-3q",
-		Qubits: []noise.DeviceQubit{
-			{T1us: 80, T2us: 100}, {T1us: 60, T2us: 60}, {T1us: 100, T2us: 200},
-		},
-		GateTimesNs: map[string]float64{"h": 35, "cx": 300},
-		GateErrors:  map[string]float64{"cx": 0.02, "*": 0.005},
-	}
-	for name, m := range map[string]noise.Model{
-		"uniform": {Depolarizing: 0.05, Damping: 0.1, PhaseFlip: 0.03, DampingAsEvent: true},
-		"device":  {Device: device, Idle: &noise.IdleNoise{MomentNs: 200}},
-	} {
-		c := circuit.QFT(3)
-		plan, err := m.Compile(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused, _ := New(c.NumQubits)
-		brute, _ := New(c.NumQubits)
-		perKraus := func(chs []noise.Chan1) {
-			for k := range chs {
-				brute.ApplyChannel(chs[k].Kraus(), chs[k].Qubit)
-			}
-		}
-		for i := range c.Ops {
-			op := &c.Ops[i]
-			on := plan.At(i)
-			if op.Kind != circuit.KindGate || on == nil {
-				t.Fatalf("%s: op %d carries no channels", name, i)
-			}
-			u, err := circuit.GateMatrix(op.Name, op.Params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fused.ApplyChans1(on.Pre)
-			perKraus(on.Pre)
-			fused.ApplyGate(u, op.Target, op.Controls)
-			brute.ApplyGate(u, op.Target, op.Controls)
-			fused.ApplyChans1(on.Post)
-			perKraus(on.Post)
-			for r := range brute.rho {
-				for col := range brute.rho[r] {
-					if d := cmplx.Abs(fused.rho[r][col] - brute.rho[r][col]); d > 1e-12 {
-						t.Fatalf("%s op %d: ρ[%d][%d] deviates by %g", name, i, r, col, d)
-					}
-				}
-			}
-		}
-		if name == "uniform" && len(fused.chanSuper) != 1 {
-			t.Errorf("uniform model cached %d superoperators, want the one fused dep→damp→flip run", len(fused.chanSuper))
-		}
-	}
-}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ddsim/internal/circuit"
-	"ddsim/internal/ddensity"
 	"ddsim/internal/density"
 	"ddsim/internal/noise"
 	"ddsim/internal/stochastic"
@@ -64,8 +63,8 @@ func TestMatchesDenseReferenceGHZ(t *testing.T) {
 	}
 }
 
-// TestRepresentationFollowsCircuit: the engine stores ρ densely up to
-// density.MaxQubits qubits and as a diagram above, and a measurement
+// TestRepresentationFollowsCircuit: the engine stores vec(ρ) densely up
+// to maxDenseQubits qubits and as a diagram above, and a measurement
 // sends even a small register to the diagram, whose branch clones
 // share structure where dense ones copy 16·4^n bytes each.
 func TestRepresentationFollowsCircuit(t *testing.T) {
@@ -77,8 +76,8 @@ func TestRepresentationFollowsCircuit(t *testing.T) {
 		c    *circuit.Circuit
 		want string
 	}{
-		{circuit.GHZ(density.MaxQubits), Dense},
-		{circuit.GHZ(density.MaxQubits + 1), DDensity},
+		{circuit.GHZ(maxDenseQubits), Dense},
+		{circuit.GHZ(maxDenseQubits + 1), DDensity},
 		{measured, DDensity},
 		{reset, Dense}, // a reset is a channel, not a branch
 	} {
@@ -251,7 +250,7 @@ func TestBranchCoalescing(t *testing.T) {
 }
 
 func TestQubitLimits(t *testing.T) {
-	if _, err := runAs(Dense, circuit.GHZ(density.MaxQubits+1), noise.Model{}, exactOpts()); err == nil {
+	if _, err := runAs(Dense, circuit.GHZ(maxDenseQubits+1), noise.Model{}, exactOpts()); err == nil {
 		t.Error("dense representation accepted an oversized register")
 	}
 	if _, err := runAs(DDensity, circuit.GHZ(MaxDDQubits+1), noise.Model{}, exactOpts()); err == nil {
@@ -403,13 +402,14 @@ func TestQFT10PurityReadout(t *testing.T) {
 		t.Errorf("P(0): ddensity %v, dense %v", got.TrackedProbs[0], want.TrackedProbs[0])
 	}
 
-	s, err := ddensity.RunCircuit(c, model)
+	b, err := Diagram(c, model)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Release()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	pu := s.Purity()
+	pu := b.Norm2()
 	runtime.ReadMemStats(&after)
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
 		t.Errorf("Purity allocated %d MiB, want < 64", alloc>>20)

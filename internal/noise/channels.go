@@ -378,42 +378,3 @@ func TwirlProbs(kraus [][2][2]complex128) [4]float64 {
 	}
 	return probs
 }
-
-// Super1 vectorises a single-qubit Kraus set into the 4×4
-// superoperator acting on the vectorised 2×2 block [ρ00, ρ01, ρ10, ρ11]
-// of the qubit: S[(i,j),(a,b)] = Σ_k K[i][a]·conj(K[j][b]), so that
-// Σ_k KρK† = S·vec(ρ) blockwise.
-func Super1(kraus [][2][2]complex128) [4][4]complex128 {
-	var s [4][4]complex128
-	for _, k := range kraus {
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				for a := 0; a < 2; a++ {
-					for b := 0; b < 2; b++ {
-						s[i*2+j][a*2+b] += k[i][a] * conj(k[j][b])
-					}
-				}
-			}
-		}
-	}
-	return s
-}
-
-// Super2 vectorises a two-qubit Kraus set into the 16×16
-// superoperator acting on the vectorised 4×4 block
-// [ρ(ij)] with row index i*4+j: S[(i,j),(a,b)] = Σ_k K[i][a]·conj(K[j][b]).
-func Super2(kraus [][4][4]complex128) [16][16]complex128 {
-	var s [16][16]complex128
-	for _, k := range kraus {
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				for a := 0; a < 4; a++ {
-					for b := 0; b < 4; b++ {
-						s[i*4+j][a*4+b] += k[i][a] * conj(k[j][b])
-					}
-				}
-			}
-		}
-	}
-	return s
-}

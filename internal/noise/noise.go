@@ -289,8 +289,8 @@ func (m Model) ApplyAfterGate(b sim.Backend, qubits []int, rng *rand.Rand) {
 
 // ResetKraus returns the Kraus decomposition of the reset-to-|0⟩
 // channel, K0 = |0⟩⟨0| and K1 = |0⟩⟨1| — trace preserving, final
-// qubit state |0⟩ regardless of prior state or entanglement. Both
-// density-matrix simulators realise circuit resets with it.
+// qubit state |0⟩ regardless of prior state or entanglement. The exact
+// engine and the dense reference realise circuit resets with it.
 func ResetKraus() [][2][2]complex128 {
 	return [][2][2]complex128{
 		{{1, 0}, {0, 0}}, // |0⟩⟨0|

@@ -65,15 +65,7 @@ func New(c *circuit.Circuit) (*Backend, error) {
 		if err != nil {
 			return nil, fmt.Errorf("statevec: op %d: %w", i, err)
 		}
-		var ctrlMask, ctrlWant uint64
-		for _, ctl := range op.Controls {
-			m := uint64(1) << b.bitOf(ctl.Qubit)
-			ctrlMask |= m
-			if !ctl.Negative {
-				ctrlWant |= m
-			}
-		}
-		b.gates[i] = b.compile(u, b.bitOf(op.Target), ctrlMask, ctrlWant)
+		b.gates[i] = b.compileOp(u, op.Target, op.Controls)
 	}
 	b.Reset()
 	return b, nil
@@ -105,6 +97,38 @@ func (b *Backend) Reset() {
 // ApplyOp implements sim.Backend.
 func (b *Backend) ApplyOp(i int) {
 	b.applyCompiled(&b.gates[i])
+}
+
+// compileOp compiles u on a target qubit under controls.
+func (b *Backend) compileOp(u circuit.Mat2, target int, controls []circuit.Control) compiledGate {
+	var ctrlMask, ctrlWant uint64
+	for _, ctl := range controls {
+		m := uint64(1) << b.bitOf(ctl.Qubit)
+		ctrlMask |= m
+		if !ctl.Negative {
+			ctrlWant |= m
+		}
+	}
+	return b.compile(u, b.bitOf(target), ctrlMask, ctrlWant)
+}
+
+// ApplyMatrix applies the 2×2 u to target under the given controls.
+// The stochastic path applies compiled ops through ApplyOp; this is
+// the entry for matrices no circuit op names, such as the conjugated
+// column half of a gate in the exact engine's vec(ρ) program.
+func (b *Backend) ApplyMatrix(u circuit.Mat2, target int, controls []circuit.Control) {
+	g := b.compileOp(u, target, controls)
+	b.applyCompiled(&g)
+}
+
+// Mix folds a snapshot into the current state, ψ ← w·ψ + wo·s.
+// Mix(s, 0, 1) makes s the current state.
+func (b *Backend) Mix(s sim.State, w, wo float64) {
+	o := s.([]complex128)
+	cw, co := complex(w, 0), complex(wo, 0)
+	for i := range b.v {
+		b.v[i] = cw*b.v[i] + co*o[i]
+	}
 }
 
 // compile classifies a 2×2 on the given target bit and control

@@ -178,3 +178,42 @@ func TestForkerStateCost(t *testing.T) {
 		t.Errorf("byte cost = %d, want 256 (16 amplitudes × 16 bytes)", bytes)
 	}
 }
+
+// TestApplyMatrixAndMix: ApplyMatrix under positive and negative
+// controls reaches the state ApplyOp reaches on the same gates, and
+// Mix folds a snapshot in as w·ψ + wo·s.
+func TestApplyMatrixAndMix(t *testing.T) {
+	c := circuit.New("cy", 3)
+	c.H(0).H(2)
+	c.Append(circuit.Op{Kind: circuit.KindGate, Name: "y", Target: 1,
+		Controls: []circuit.Control{{Qubit: 0}, {Qubit: 2, Negative: true}}})
+	ops, mats := build(t, c), build(t, circuit.New("empty", 3))
+	for i := range c.Ops {
+		ops.ApplyOp(i)
+		op := &c.Ops[i]
+		u, err := sim.ResolveOp(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mats.ApplyMatrix(u, op.Target, op.Controls)
+	}
+	want := ops.Amplitudes()
+	for i, a := range mats.Amplitudes() {
+		if d := cmplx.Abs(a - want[i]); d > 1e-12 {
+			t.Fatalf("amplitude %d: ApplyMatrix %v, ApplyOp %v", i, a, want[i])
+		}
+	}
+
+	s := mats.Snapshot()
+	mats.ApplyPauli(sim.PauliZ, 0)
+	mats.Mix(s, 0.5, 0.5) // the Z-odd half of ψ cancels
+	for i, a := range mats.Amplitudes() {
+		w := want[i]
+		if i&4 != 0 { // qubit 0 reads 1
+			w = 0
+		}
+		if d := cmplx.Abs(a - w); d > 1e-12 {
+			t.Fatalf("after Mix: amplitude %d = %v, want %v", i, a, w)
+		}
+	}
+}

@@ -284,9 +284,9 @@ type Result struct {
 	// 0 and ConfidenceRadius does not apply (it is 0). The remaining
 	// fields below are only populated on exact results.
 	Exact bool `json:"exact,omitempty"`
-	// ExactBackend echoes the density-matrix representation the exact
-	// engine picked for the circuit: "density" (dense ρ) or
-	// "ddensity" (density decision diagram); see internal/exact.
+	// ExactBackend echoes the form of vec(ρ) the exact engine picked
+	// for the circuit: "density" (dense) or "ddensity" (decision
+	// diagram); see internal/exact.
 	ExactBackend string `json:"exact_backend,omitempty"`
 	// Probabilities holds all 2^n basis-state outcome probabilities of
 	// the final ensemble-averaged state — the exact analogue of the
@@ -303,7 +303,7 @@ type Result struct {
 	// Purity is tr(ρ²) of the final state: 1 for pure states, down to
 	// 1/2^n for noise-induced mixtures.
 	Purity float64 `json:"purity,omitempty"`
-	// DDNodes is the final density-diagram node count ("ddensity"
+	// DDNodes is the final vec(ρ) diagram's node count ("ddensity"
 	// only) — the paper's compactness measure for the squared
 	// representation.
 	DDNodes int `json:"dd_nodes,omitempty"`

@@ -114,12 +114,12 @@ var (
 	ExactBranches = NewGauge("ddsim_exact_branches",
 		"Largest outcome-history branch count tracked by one exact-engine job.")
 
-	// ExactDDNodes is the high-water mark of density-matrix decision-
-	// diagram nodes retained by one exact-engine job (ddensity backend
+	// ExactDDNodes is the high-water mark of vector nodes retained by
+	// one exact-engine job's vec(ρ) diagram on 2n qubits (ddensity form
 	// only; the paper's structural-compression measure, squared
 	// representation included).
 	ExactDDNodes = NewGauge("ddsim_exact_dd_nodes",
-		"Largest density-matrix DD node count retained by one exact-engine job.")
+		"Largest vec(rho) DD node count retained by one exact-engine job.")
 
 	// ExactPurity is tr(ρ²) of the most recently finished exact
 	// simulation's final state: 1.0 for pure states, 1/2^n at the fully

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ddsim"
+	"ddsim/internal/density"
 	"ddsim/internal/qbench"
 )
 
@@ -193,14 +194,26 @@ func TestDifferentialOracleExtendedChannels(t *testing.T) {
 
 // TestExactModeMatchesExactProbabilities is the acceptance check at
 // the public API: Simulate with Mode="exact" on GHZ-8 under the
-// paper's noise returns Exact=true, Runs=0 and the ExactProbabilities
-// distribution to 1e-12. internal/exact's TestMatchesDenseReferenceGHZ
-// holds both representations to the same reference.
+// paper's noise returns Exact=true, Runs=0 and the dense reference's
+// distribution to 1e-12, and so does ExactProbabilities. Both run the
+// exact engine, so the reference is internal/density, which shares no
+// kernel with it. internal/exact's TestMatchesDenseReferenceGHZ holds
+// both representations to the same reference.
 func TestExactModeMatchesExactProbabilities(t *testing.T) {
 	c := ddsim.GHZ(8)
-	want, err := ddsim.ExactProbabilities(c, ddsim.PaperNoise())
+	ref, err := density.RunCircuit(c, ddsim.PaperNoise())
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := ref.Probabilities()
+	helper, err := ddsim.ExactProbabilities(c, ddsim.PaperNoise())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range helper {
+		if d := math.Abs(p - want[i]); d > 1e-12 {
+			t.Fatalf("ExactProbabilities: P(%d) differs from the dense reference by %v", i, d)
+		}
 	}
 	res, err := ddsim.Simulate(c, ddsim.BackendDD, ddsim.PaperNoise(), ddsim.Options{Mode: ddsim.ModeExact})
 	if err != nil {
@@ -211,7 +224,7 @@ func TestExactModeMatchesExactProbabilities(t *testing.T) {
 	}
 	for i, p := range res.Probabilities {
 		if d := math.Abs(p - want[i]); d > 1e-12 {
-			t.Fatalf("%s: P(%d) differs from ExactProbabilities by %v", res.ExactBackend, i, d)
+			t.Fatalf("%s: P(%d) differs from the dense reference by %v", res.ExactBackend, i, d)
 		}
 	}
 }

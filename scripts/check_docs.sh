@@ -72,6 +72,12 @@
 #    circuit, so neither a doc nor a comment can keep offering the
 #    representation as a choice. The result's "exact_backend" echo and
 #    Result.ExactBackend stay allowed.
+# 16. Exact mode has one kernel, the trajectory backends' (vec(ρ) on
+#    2n qubits, internal/exact): internal/ddensity must not exist,
+#    non-test Go under internal/dd must not declare ConjugateTranspose
+#    or Kron (the matrix-DD engine's operations, and their caches), and
+#    no non-test Go file may import ddsim/internal/density, the dense
+#    test oracle that must stay independent of the code it checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -327,6 +333,28 @@ if ! awk 'BEGIN { RS = "" }
     bad = 1
   }
   END { exit bad }' README.md docs/*.md $gosrc_nt; then
+  fail=1
+fi
+
+# --- 16. one exact kernel; the dense oracle is test-only ---------------------
+if [ -e internal/ddensity ]; then
+  echo "SECOND EXACT ENGINE: internal/ddensity exists; exact mode runs vec(ρ) on the trajectory backends (internal/exact)" >&2
+  fail=1
+fi
+ddsrc="$(find internal/dd -name '*.go' ! -name '*_test.go')"
+# shellcheck disable=SC2086 # ddsrc is a word list of paths
+if mmops="$(grep -nE '^func \([^)]*\) (ConjugateTranspose|Kron)\(' $ddsrc)"; then
+  while IFS= read -r hit; do
+    echo "MATRIX-DD ENGINE OP: $hit; exact mode needs no adjoint or Kronecker product" >&2
+  done <<< "$mmops"
+  fail=1
+fi
+allsrc_nt="$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*')"
+# shellcheck disable=SC2086 # allsrc_nt is a word list of paths
+if oracle="$(grep -nE '"ddsim/internal/density"' $allsrc_nt)"; then
+  while IFS= read -r hit; do
+    echo "DENSE ORACLE IN PRODUCT CODE: $hit; internal/density is a test oracle, use internal/exact" >&2
+  done <<< "$oracle"
   fail=1
 fi
 
