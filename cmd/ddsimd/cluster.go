@@ -7,11 +7,11 @@
 //     computes leased chunk ranges for a coordinator;
 //   - -coordinator <urls>: the ordinary job API, but every
 //     stochastic job is fanned out to the given workers through
-//     internal/cluster — chunk ranges are leased under
+//     internal/cluster — the parts of the job's plan are leased under
 //     heartbeat-renewed fencing tokens and the per-chunk sums merge
-//     in chunk order, so a job reproduces itself for a fixed
-//     -lease-chunks, and matches local simulation on statevec, sparse
-//     and cache-resident DDs (TestClusterModeBitIdentical). Exact-mode
+//     in chunk order, so a cluster run reproduces itself for the same
+//     job, and matches local simulation on statevec, sparse and
+//     cache-resident DDs (TestClusterModeBitIdentical). Exact-mode
 //     jobs stay on the local path.
 package main
 
@@ -106,13 +106,9 @@ func (s *server) runOnCluster(j *job) ([]*ddsim.Result, error) {
 		point := i
 		cfg := *s.clusterCfg
 		cfg.OnProgress = func(done, _ int) {
-			runs := done * plan.ChunkSize
-			if runs > plan.Target {
-				runs = plan.Target
-			}
 			j.publish(ddsim.Progress{
 				Job:     point,
-				Done:    runs,
+				Done:    min(done*plan.ChunkSize, plan.Target),
 				Target:  plan.Target,
 				Elapsed: time.Since(start),
 			})

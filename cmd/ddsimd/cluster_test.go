@@ -30,7 +30,6 @@ func newClusterServer(t *testing.T, n int) (*httptest.Server, *server) {
 		Workers:        urls,
 		LeaseTTL:       10 * time.Second,
 		HeartbeatEvery: time.Millisecond,
-		LeaseChunks:    2,
 	}
 	return ts, s
 }

@@ -78,8 +78,8 @@
 // -coordinator <urls> the job API is unchanged but every stochastic
 // job's chunk ranges are leased to the listed workers under
 // heartbeat-renewed fencing tokens and merged in chunk order, as
-// cluster.go describes (-lease-ttl, -lease-heartbeat, -lease-chunks
-// tune the leases; see docs/OPERATIONS.md for the cluster runbook).
+// cluster.go describes (-lease-ttl and -lease-heartbeat tune the
+// leases; see docs/OPERATIONS.md for the cluster runbook).
 package main
 
 import (
@@ -133,7 +133,6 @@ func main() {
 		coordinator = flag.String("coordinator", "", "comma-separated worker base URLs (e.g. http://h1:8345,http://h2:8345); run the job API as a cluster coordinator leasing every stochastic job's chunk ranges to these workers — results match local simulation on statevec, sparse and cache-resident DDs")
 		leaseTTL    = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator: lease lifetime without a heartbeat renewal; an expired lease is reassigned and re-simulated")
 		leaseHB     = flag.Duration("lease-heartbeat", 0, "coordinator: heartbeat/renewal cadence per lease (0 = lease-ttl/3)")
-		leaseChunks = flag.Int("lease-chunks", cluster.DefaultLeaseChunks, "coordinator: consecutive chunks per lease")
 	)
 	flag.Parse()
 
@@ -155,7 +154,6 @@ func main() {
 			Workers:        splitURLs(*coordinator),
 			LeaseTTL:       *leaseTTL,
 			HeartbeatEvery: *leaseHB,
-			LeaseChunks:    *leaseChunks,
 			DataDir:        *dataDir,
 		}
 		if _, err := cluster.New(cfg); err != nil { // validate eagerly

@@ -675,8 +675,8 @@ func (s *server) run(j *job) {
 	var err error
 	if s.clusterCfg != nil && j.spec.Options.Mode != ddsim.ModeExact {
 		// Coordinator mode: chunk ranges lease out to the worker
-		// fleet; the merged result reproduces itself for a fixed
-		// lease size, and matches the local path below only where
+		// fleet; the merged result reproduces itself for the same
+		// job, and matches the local path below only where
 		// results agree across worker counts (statevec, sparse,
 		// cache-resident DDs). Exact-mode jobs have no chunked
 		// run-index space and stay local.

@@ -18,8 +18,7 @@ import (
 
 // Coordinator defaults; override through Config.
 const (
-	DefaultLeaseTTL    = 10 * time.Second
-	DefaultLeaseChunks = 8
+	DefaultLeaseTTL = 10 * time.Second
 
 	// maxDriverFailures is the consecutive lease-RPC-failure count
 	// after which a driver declares its worker dead and exits; the
@@ -41,9 +40,6 @@ type Config struct {
 	LeaseTTL time.Duration
 	// HeartbeatEvery paces lease heartbeats (LeaseTTL/3 when zero).
 	HeartbeatEvery time.Duration
-	// LeaseChunks is the number of consecutive chunks per lease
-	// (DefaultLeaseChunks when zero).
-	LeaseChunks int
 	// DataDir, when non-empty, journals plan and part completions
 	// under <DataDir>/cluster so a coordinator restart resumes
 	// without recomputing or double-counting finished parts.
@@ -80,9 +76,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = cfg.LeaseTTL / 3
 	}
-	if cfg.LeaseChunks <= 0 {
-		cfg.LeaseChunks = DefaultLeaseChunks
-	}
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
 	}
@@ -114,25 +107,27 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, spec JobSpec) (*sto
 	var jr *journal
 	var restored map[int][]stochastic.ChunkSum
 	if c.cfg.DataDir != "" {
-		var prev *JobSpec
-		jr, prev, restored, err = openJournal(c.cfg.DataDir, jobID)
+		var head *journalEntry
+		jr, head, restored, err = openJournal(c.cfg.DataDir, jobID)
 		if err != nil {
 			return nil, err
 		}
 		defer jr.close()
-		if prev == nil {
-			// Plan goes durable before any lease: a journal holding
-			// part entries always also holds the plan they belong to.
+		if head != nil && !specsEqual(*head.Spec, spec) {
+			return nil, fmt.Errorf("cluster: journal for job %s belongs to a different spec; remove it or use a fresh job id", jobID)
+		}
+		if head == nil || head.Plan == nil || *head.Plan != plan {
+			// A fresh journal, or one cut into other parts (an older
+			// build's lease size) that cannot resume: start over. The
+			// plan goes durable before any lease.
 			if err := jr.plan(spec, plan); err != nil {
 				return nil, err
 			}
 			restored = nil
-		} else if !specsEqual(*prev, spec) {
-			return nil, fmt.Errorf("cluster: journal for job %s belongs to a different spec; remove it or use a fresh job id", jobID)
 		}
 	}
 
-	tb := newTable(plan.NumChunks, c.cfg.LeaseChunks, c.cfg.LeaseTTL, c.cfg.Clock, c.gen)
+	tb := newTable(plan, c.cfg.LeaseTTL, c.cfg.Clock, c.gen)
 	for idx, sums := range restored {
 		if err := tb.restore(idx, sums); err != nil {
 			return nil, err

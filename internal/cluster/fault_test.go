@@ -67,7 +67,6 @@ func TestWorkerKilledMidChunk(t *testing.T) {
 		Workers:        urls,
 		LeaseTTL:       100 * time.Millisecond,
 		HeartbeatEvery: 5 * time.Millisecond,
-		LeaseChunks:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,16 +102,15 @@ func TestWorkerKilledMidChunk(t *testing.T) {
 
 // TestClusterQFT16ReproducesItselfAcrossFailures runs a QFT-16 job —
 // the smallest DD size whose results move with the worker count —
-// through a 2-worker cluster with a fixed lease size twice: once
-// clean, and once with worker 0 killed inside its first lease. Every
-// lease re-runs on a fresh backend, so the two merged results must be
-// bit-identical to each other (not to a single-node run, which cuts
-// the run-index space differently).
+// through a 2-worker cluster twice: once clean, and once with worker 0
+// killed inside its first lease. Every lease re-runs one part of the
+// job's plan on a fresh backend, so the two merged results must be
+// bit-identical to each other (not to a single-node run, whose workers
+// keep one backend across their parts).
 func TestClusterQFT16ReproducesItselfAcrossFailures(t *testing.T) {
-	spec := benchSpec(t, circuit.QFTWithInput(16, 0x5a5a), 160) // 20 chunks, 10 leases
-	const leaseChunks = 2
+	spec := benchSpec(t, circuit.QFTWithInput(16, 0x5a5a), 160) // 20 chunks, 20 parts
 	urls, _, _ := startWorkers(t, 2)
-	clean := runCluster(t, urls, spec, "qft16-clean", func(c *Config) { c.LeaseChunks = leaseChunks })
+	clean := runCluster(t, urls, spec, "qft16-clean", nil)
 
 	urls, workers, servers := startWorkers(t, 2)
 	gate := newBlockingGate(t, workers[0])
@@ -121,7 +119,6 @@ func TestClusterQFT16ReproducesItselfAcrossFailures(t *testing.T) {
 		Workers:        urls,
 		LeaseTTL:       100 * time.Millisecond,
 		HeartbeatEvery: 5 * time.Millisecond,
-		LeaseChunks:    leaseChunks,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +171,6 @@ func TestLeaseExpiryByClockAdvance(t *testing.T) {
 		Workers:        urls,
 		LeaseTTL:       time.Second, // manual-clock seconds: frozen until Advance
 		HeartbeatEvery: 2 * time.Millisecond,
-		LeaseChunks:    1,
 		Clock:          clk.Now,
 	})
 	if err != nil {
@@ -254,7 +250,8 @@ func TestStaleCompletionFenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := newTable(plan.NumChunks, plan.NumChunks, time.Second, clk.Now, gen)
+	plan.PartChunks = plan.NumChunks // one part
+	tb := newTable(plan, time.Second, clk.Now, gen)
 	coord, err := New(Config{
 		Workers:        urls,
 		LeaseTTL:       time.Second,

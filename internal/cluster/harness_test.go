@@ -136,7 +136,6 @@ func runCluster(t *testing.T, urls []string, spec JobSpec, jobID string, mut fun
 		Workers:        urls,
 		LeaseTTL:       10 * time.Second,
 		HeartbeatEvery: time.Millisecond,
-		LeaseChunks:    2,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -184,7 +183,7 @@ func TestClusterBitIdentical(t *testing.T) {
 // TestClusterProgressReporting checks the OnProgress plumbing reaches
 // the terminal chunk count exactly once per accepted part.
 func TestClusterProgressReporting(t *testing.T) {
-	spec := benchSpec(t, circuit.GHZ(5), 64) // 8 chunks, 4 parts
+	spec := benchSpec(t, circuit.GHZ(5), 64) // 8 chunks, 8 parts
 	urls, _, _ := startWorkers(t, 2)
 	var mu sync.Mutex
 	var seen []int

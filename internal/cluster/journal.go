@@ -14,8 +14,8 @@ import (
 // <dataDir>/cluster/<jobID>.wal. Two entry kinds:
 //
 //	{"type":"plan", ...}  written once before any lease is granted,
-//	                      carrying the chunk plan and a fingerprint of
-//	                      the job spec
+//	                      carrying the job spec and its chunk plan; a
+//	                      journal of another plan is started over
 //	{"type":"part", ...}  appended after the lease table accepts a
 //	                      part's sums
 //
@@ -45,10 +45,9 @@ type journal struct {
 }
 
 // openJournal opens (creating directories as needed) the journal for
-// one job and replays it: the stored plan spec (nil on a fresh
-// journal) and the sums of every durably completed part, deduped by
-// part index.
-func openJournal(dataDir, jobID string) (*journal, *JobSpec, map[int][]stochastic.ChunkSum, error) {
+// one job and replays it: the plan entry (nil on a fresh journal) and
+// the sums of every durably completed part, deduped by part index.
+func openJournal(dataDir, jobID string) (*journal, *journalEntry, map[int][]stochastic.ChunkSum, error) {
 	dir := filepath.Join(dataDir, "cluster")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("cluster: %w", err)
@@ -60,7 +59,7 @@ func openJournal(dataDir, jobID string) (*journal, *JobSpec, map[int][]stochasti
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var spec *JobSpec
+	var head *journalEntry
 	parts := make(map[int][]stochastic.ChunkSum)
 	err = wal.Replay(func(line []byte) error {
 		var e journalEntry
@@ -69,7 +68,9 @@ func openJournal(dataDir, jobID string) (*journal, *JobSpec, map[int][]stochasti
 		}
 		switch e.Type {
 		case "plan":
-			spec = e.Spec
+			if e.Spec != nil {
+				head = &e
+			}
 		case "part":
 			if _, dup := parts[e.Part]; !dup {
 				parts[e.Part] = e.Sums
@@ -81,12 +82,17 @@ func openJournal(dataDir, jobID string) (*journal, *JobSpec, map[int][]stochasti
 		wal.Close()
 		return nil, nil, nil, err
 	}
-	return &journal{wal: wal}, spec, parts, nil
+	return &journal{wal: wal}, head, parts, nil
 }
 
-// plan journals the job spec and plan; must precede any lease.
+// plan starts the journal over with the job spec and plan as its only
+// entry, atomically dropping whatever it held; must precede any lease.
 func (j *journal) plan(spec JobSpec, plan stochastic.ChunkPlan) error {
-	return j.wal.Append(journalEntry{Type: "plan", Spec: &spec, Plan: &plan})
+	line, err := json.Marshal(journalEntry{Type: "plan", Spec: &spec, Plan: &plan})
+	if err != nil {
+		return err
+	}
+	return j.wal.Compact(func([][]byte) ([][]byte, error) { return [][]byte{line}, nil })
 }
 
 // part journals an accepted part's sums; called only after the lease

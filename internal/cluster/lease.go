@@ -12,8 +12,8 @@ import (
 )
 
 // The lease table is the coordinator's exactly-once ledger: the job's
-// chunk space is split into parts (fixed ranges of consecutive
-// chunks), and every part walks the dlock-style state machine
+// chunk space is split into the parts of its stochastic.ChunkPlan, and
+// every part walks the dlock-style state machine
 //
 //	pending ──Acquire──▶ leased ──Complete──▶ done
 //	   ▲                    │
@@ -80,19 +80,11 @@ type table struct {
 	done  int // parts completed
 }
 
-// newTable partitions numChunks chunks into parts of leaseChunks
-// consecutive chunks (the last part may be shorter).
-func newTable(numChunks, leaseChunks int, ttl time.Duration, now func() time.Time, gen *clusterid.Generator) *table {
-	if leaseChunks < 1 {
-		leaseChunks = 1
-	}
-	t := &table{now: now, gen: gen, ttl: ttl}
-	for first := 0; first < numChunks; first += leaseChunks {
-		count := leaseChunks
-		if first+count > numChunks {
-			count = numChunks - first
-		}
-		t.parts = append(t.parts, part{first: first, count: count})
+// newTable makes one part per part of the job's plan.
+func newTable(plan stochastic.ChunkPlan, ttl time.Duration, now func() time.Time, gen *clusterid.Generator) *table {
+	t := &table{now: now, gen: gen, ttl: ttl, parts: make([]part, plan.NumParts())}
+	for i := range t.parts {
+		t.parts[i].first, t.parts[i].count = plan.Part(i)
 	}
 	return t
 }

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"ddsim/internal/circuit"
 	"ddsim/internal/clusterid"
 	"ddsim/internal/stochastic"
 )
@@ -32,14 +34,15 @@ func (c *manualClock) Advance(d time.Duration) {
 
 // testTable builds a table on a manual clock so expiry is driven by
 // Advance, never by wall time.
-func testTable(t *testing.T, numChunks, leaseChunks int, ttl time.Duration) (*table, *manualClock) {
+func testTable(t *testing.T, numChunks, partChunks int, ttl time.Duration) (*table, *manualClock) {
 	t.Helper()
 	clk := newManualClock(time.Unix(0, 0))
 	gen, err := clusterid.NewWithClock(1, clk.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newTable(numChunks, leaseChunks, ttl, clk.Now, gen), clk
+	plan := stochastic.ChunkPlan{NumChunks: numChunks, PartChunks: partChunks}
+	return newTable(plan, ttl, clk.Now, gen), clk
 }
 
 func dummySums(first, count int) []stochastic.ChunkSum {
@@ -224,5 +227,54 @@ func TestTableRestore(t *testing.T) {
 	}
 	if len(seen) != 2 {
 		t.Errorf("leased %d parts, want the 2 unrestored ones", len(seen))
+	}
+}
+
+// TestTablePartsArePlanParts: the coordinator cuts its lease table from
+// the job's plan, and a worker that receives the spec over the wire
+// derives the same parts, so a lease's chunk range is always one part
+// of the plan both sides share.
+func TestTablePartsArePlanParts(t *testing.T) {
+	spec := benchSpec(t, circuit.GHZ(6).MeasureAll(), 800) // 100 chunks, 34 parts
+	job, err := spec.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := stochastic.PlanChunks(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := clusterid.New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := newTable(plan, time.Second, time.Now, gen)
+
+	wire, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got JobSpec
+	if err := json.Unmarshal(wire, &got); err != nil {
+		t.Fatal(err)
+	}
+	remoteJob, err := got.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := stochastic.PlanChunks(remoteJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote != plan || remote.PartChunks != 3 {
+		t.Fatalf("worker plan %+v, coordinator plan %+v; want equal, parts of 3 chunks", remote, plan)
+	}
+	if len(tb.parts) != remote.NumParts() {
+		t.Fatalf("table has %d parts, plan %d", len(tb.parts), remote.NumParts())
+	}
+	for i, p := range tb.parts {
+		if first, count := remote.Part(i); p.first != first || p.count != count {
+			t.Errorf("part %d: table [%d,+%d), plan [%d,+%d)", i, p.first, p.count, first, count)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -42,7 +44,6 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 		Workers:        urls,
 		LeaseTTL:       time.Minute, // no expiry noise in this test
 		HeartbeatEvery: time.Millisecond,
-		LeaseChunks:    2,
 		DataDir:        dataDir,
 	})
 	if err != nil {
@@ -55,12 +56,12 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 		done <- err
 	}()
 	deadline := time.After(30 * time.Second)
-	for telemetry.ClusterPartsCompleted.Value() < partsBefore+2 {
+	for telemetry.ClusterPartsCompleted.Value() < partsBefore+4 {
 		select {
 		case err := <-done:
 			t.Fatalf("job finished before the crash: %v", err)
 		case <-deadline:
-			t.Fatal("first incarnation never journaled 2 parts")
+			t.Fatal("first incarnation never journaled 4 parts")
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -76,7 +77,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	}
 
 	// Incarnation 2: fresh coordinator and fresh (ungated) workers on
-	// the same data dir. It must resume, not restart: the two
+	// the same data dir. It must resume, not restart: the four
 	// journaled parts (4 chunks) are restored, only the rest computes.
 	urls2, _, _ := startWorkers(t, 2)
 	chunksBefore := telemetry.ClusterChunksComputed.Value()
@@ -84,7 +85,6 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 		Workers:        urls2,
 		LeaseTTL:       time.Minute,
 		HeartbeatEvery: time.Millisecond,
-		LeaseChunks:    2,
 		DataDir:        dataDir,
 	})
 	if err != nil {
@@ -230,5 +230,60 @@ func TestJournalLongPartLine(t *testing.T) {
 	defer jr2.close()
 	if prev == nil || len(parts) != 3 || len(parts[0][0].Counts) != 1<<17 {
 		t.Fatalf("replay restored plan %v and %d parts, want the plan and 3 parts", prev != nil, len(parts))
+	}
+}
+
+// TestJournalOfOtherPartsStartsOver resumes a job from a hand-written
+// journal of an older build, which cut the job into leases of 2 chunks
+// and recorded a plan without a part size. Its parts do not line up
+// with the plan's parts of 1 chunk, so the coordinator must not restore
+// them: the job starts over, computes every chunk exactly once, and
+// matches the single-node result despite the journal's bogus sums.
+func TestJournalOfOtherPartsStartsOver(t *testing.T) {
+	dataDir := t.TempDir()
+	spec := benchSpec(t, circuit.GHZ(6).MeasureAll(), 96) // 12 chunks, 12 parts
+	want := singleNode(t, spec)
+	job, err := spec.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := stochastic.PlanChunks(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := fmt.Sprintf(`{"type":"plan","spec":%s,"plan":{"target":%d,"chunk_size":%d,"num_chunks":%d,"properties":%d,"delta":%v}}
+{"type":"part","part":0,"sums":[{"chunk":0,"runs":8,"counts":{"0":16}},{"chunk":1,"runs":8,"counts":{"0":16}}]}
+{"type":"part","part":1,"sums":[{"chunk":2,"runs":8,"counts":{"0":16}},{"chunk":3,"runs":8,"counts":{"0":16}}]}
+`, specJSON, plan.Target, plan.ChunkSize, plan.NumChunks, plan.Properties, plan.Delta)
+	if err := os.MkdirAll(filepath.Join(dataDir, "cluster"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	journalPath := filepath.Join(dataDir, "cluster", "old.wal")
+	if err := os.WriteFile(journalPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	urls, _, _ := startWorkers(t, 2)
+	chunksBefore := telemetry.ClusterChunksComputed.Value()
+	coord, err := New(Config{Workers: urls, DataDir: dataDir, HeartbeatEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	res, err := coord.Run(ctx, "old", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, "old-plan journal", want, res)
+	if computed := telemetry.ClusterChunksComputed.Value() - chunksBefore; computed != int64(plan.NumChunks) {
+		t.Errorf("computed %d chunks, want each of the %d exactly once", computed, plan.NumChunks)
+	}
+	if _, err := os.Stat(journalPath); !os.IsNotExist(err) {
+		t.Errorf("journal not removed after the job finished: %v", err)
 	}
 }

@@ -6,8 +6,9 @@
 // alone (stochastic/stream.go; every node of a cluster must run the
 // same build), the run-index space is split into fixed chunks, and
 // per-chunk sums are merged strictly in chunk order. Each lease runs
-// on a fresh backend, so a cluster run reproduces itself bit for bit
-// for a fixed lease size, whatever the failure schedule
+// on a fresh backend, and the parts are the job's own plan, so a
+// cluster run reproduces itself bit for bit for the same job, whatever
+// the failure schedule
 // (TestClusterQFT16ReproducesItselfAcrossFailures), and reproduces the
 // single-node result bit for bit on statevec, sparse and
 // cache-resident DDs (TestClusterBitIdentical). A larger DD's rounding

@@ -382,9 +382,6 @@ func (p *Package) TerminalEdge(w *cnum.Value) VEdge { return VEdge{N: nil, W: w}
 // VNodeCount returns the number of live vector nodes in the unique table.
 func (p *Package) VNodeCount() int { return p.vCount }
 
-// MNodeCount returns the number of live matrix nodes in the unique table.
-func (p *Package) MNodeCount() int { return p.mCount }
-
 // PeakVNodes returns the high-water mark of the vector unique table,
 // a proxy for the memory footprint of a simulation.
 func (p *Package) PeakVNodes() int { return p.peakVNodes }

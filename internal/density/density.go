@@ -145,15 +145,6 @@ func (s *Simulator) ApplyChannel(kraus [][2][2]complex128, qubit int) {
 	}
 }
 
-func cloneMatrix(m [][]complex128) [][]complex128 {
-	out := make([][]complex128, len(m))
-	for i := range m {
-		out[i] = make([]complex128, len(m[i]))
-		copy(out[i], m[i])
-	}
-	return out
-}
-
 // ApplyChans1 applies compiled single-qubit channels exactly, in
 // order, one Kraus set at a time.
 func (s *Simulator) ApplyChans1(chs []noise.Chan1) {
@@ -249,93 +240,11 @@ func (s *Simulator) MeasureDecohere(qubit int) {
 	s.ApplyChannel([][2][2]complex128{p0, p1}, qubit)
 }
 
-// ProbOne returns tr(P1 ρ), the probability that measuring the qubit
-// yields |1⟩.
-func (s *Simulator) ProbOne(qubit int) float64 {
-	bit := s.bitOf(qubit)
-	p := 0.0
-	for i := uint64(0); i < uint64(s.dim); i++ {
-		if i>>bit&1 == 1 {
-			p += real(s.rho[i][i])
-		}
-	}
-	return p
-}
-
-// MeasureProject projects the qubit onto the given measurement
-// outcome and renormalises: ρ → P ρ P / tr(P ρ). It returns the
-// outcome probability tr(P ρ). A (numerically) impossible outcome —
-// probability at or below zero — leaves the state untouched and
-// returns 0; callers branching on outcomes must check the returned
-// probability. This is the post-selected counterpart of
-// MeasureDecohere and the operation backing the exact engine's
-// outcome-history branching.
-func (s *Simulator) MeasureProject(qubit, outcome int) float64 {
-	bit := s.bitOf(qubit)
-	want := uint64(outcome) & 1
-	p := 0.0
-	for i := uint64(0); i < uint64(s.dim); i++ {
-		if i>>bit&1 == want {
-			p += real(s.rho[i][i])
-		}
-	}
-	if p <= 0 {
-		return 0
-	}
-	inv := complex(1/p, 0)
-	for i := uint64(0); i < uint64(s.dim); i++ {
-		for j := uint64(0); j < uint64(s.dim); j++ {
-			if i>>bit&1 != want || j>>bit&1 != want {
-				s.rho[i][j] = 0
-			} else {
-				s.rho[i][j] *= inv
-			}
-		}
-	}
-	return p
-}
-
 // Reset applies the deterministic reset channel (noise.ResetKraus)
 // to one qubit: ρ → K0 ρ K0† + K1 ρ K1†, trace preserving, final
 // qubit state |0⟩ regardless of prior state or entanglement.
 func (s *Simulator) Reset(qubit int) {
 	s.ApplyChannel(noise.ResetKraus(), qubit)
-}
-
-// Clone returns an independent deep copy of the simulator state, the
-// fork point of the exact engine's outcome-history branching.
-func (s *Simulator) Clone() *Simulator {
-	return &Simulator{
-		n: s.n, dim: s.dim, rho: cloneMatrix(s.rho),
-		chanSuper2: s.chanSuper2,
-	}
-}
-
-// Mix replaces the state with the convex combination
-// ρ → w·ρ + wo·ρ_o, merging two outcome-history branches back into
-// one mixed state (w and wo are the branch probabilities; they should
-// sum to the combined branch weight).
-func (s *Simulator) Mix(o *Simulator, w, wo float64) {
-	if o.dim != s.dim {
-		panic("density: Mix dimension mismatch")
-	}
-	cw, cwo := complex(w, 0), complex(wo, 0)
-	for i := range s.rho {
-		for j := range s.rho[i] {
-			s.rho[i][j] = cw*s.rho[i][j] + cwo*o.rho[i][j]
-		}
-	}
-}
-
-// Scale multiplies ρ by a scalar (used to renormalise merged branch
-// mixtures).
-func (s *Simulator) Scale(f float64) {
-	cf := complex(f, 0)
-	for i := range s.rho {
-		for j := range s.rho[i] {
-			s.rho[i][j] *= cf
-		}
-	}
 }
 
 // Probability returns ⟨idx|ρ|idx⟩, the outcome probability of one

@@ -2,6 +2,7 @@ package density
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"ddsim/internal/circuit"
@@ -18,65 +19,6 @@ func prepare(t *testing.T, c *circuit.Circuit, m noise.Model) *Simulator {
 	return s
 }
 
-func TestProbOneMatchesDiagonal(t *testing.T) {
-	c := circuit.New("probe", 3)
-	c.H(0).CX(0, 1).RY(2, 0.9)
-	s := prepare(t, c, noise.Model{Depolarizing: 0.02, Damping: 0.03, PhaseFlip: 0.01})
-	probs := s.Probabilities()
-	for q := 0; q < 3; q++ {
-		want := 0.0
-		for i, p := range probs {
-			if i>>uint(2-q)&1 == 1 {
-				want += p
-			}
-		}
-		if got := s.ProbOne(q); math.Abs(got-want) > 1e-12 {
-			t.Errorf("ProbOne(%d) = %v, want %v", q, got, want)
-		}
-	}
-}
-
-func TestMeasureProjectNormalises(t *testing.T) {
-	// GHZ: measuring q0 must yield each outcome with probability 1/2
-	// and leave a renormalised (trace 1), still-pure projected state.
-	for outcome := 0; outcome < 2; outcome++ {
-		s := prepare(t, circuit.GHZ(3), noise.Model{})
-		p := s.MeasureProject(0, outcome)
-		if math.Abs(p-0.5) > 1e-12 {
-			t.Errorf("outcome %d probability = %v, want 0.5", outcome, p)
-		}
-		if tr := real(s.Trace()); math.Abs(tr-1) > 1e-12 {
-			t.Errorf("trace after projection = %v, want 1", tr)
-		}
-		if pu := s.Purity(); math.Abs(pu-1) > 1e-12 {
-			t.Errorf("projected GHZ branch should stay pure, purity = %v", pu)
-		}
-		// The GHZ correlations survive: all qubits collapse together.
-		var idx uint64
-		if outcome == 1 {
-			idx = 7
-		}
-		if p := s.Probability(idx); math.Abs(p-1) > 1e-12 {
-			t.Errorf("outcome %d: P(|%03b⟩) = %v, want 1", outcome, idx, p)
-		}
-	}
-}
-
-func TestMeasureProjectImpossibleOutcome(t *testing.T) {
-	s, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// |00⟩: outcome 1 on q0 is impossible.
-	if p := s.MeasureProject(0, 1); p != 0 {
-		t.Errorf("impossible outcome returned probability %v", p)
-	}
-	// The state must be untouched.
-	if p := s.Probability(0); p != 1 {
-		t.Errorf("state disturbed by impossible projection: P(|00⟩) = %v", p)
-	}
-}
-
 func TestResetTracePreservingAndZeroes(t *testing.T) {
 	c := circuit.New("pre", 2)
 	c.H(0).CX(0, 1)
@@ -85,7 +27,8 @@ func TestResetTracePreservingAndZeroes(t *testing.T) {
 	if tr := real(s.Trace()); math.Abs(tr-1) > 1e-12 {
 		t.Errorf("trace after reset = %v, want 1", tr)
 	}
-	if p := s.ProbOne(1); p > 1e-12 {
+	// Qubit 1 is the low bit: |01⟩ and |11⟩ hold its 1 outcome.
+	if p := s.Probability(1) + s.Probability(3); p > 1e-12 {
 		t.Errorf("reset qubit still has P(1) = %v", p)
 	}
 	// Resetting an entangled qubit leaves the partner mixed.
@@ -94,46 +37,24 @@ func TestResetTracePreservingAndZeroes(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	s := prepare(t, circuit.GHZ(2), noise.Model{})
-	cl := s.Clone()
-	cl.MeasureProject(0, 1)
-	if p := s.Probability(0); math.Abs(p-0.5) > 1e-12 {
-		t.Errorf("mutating the clone changed the original: P(|00⟩) = %v", p)
-	}
-	if p := cl.Probability(3); math.Abs(p-1) > 1e-12 {
-		t.Errorf("clone projection wrong: P(|11⟩) = %v", p)
-	}
-}
-
 func TestMixReassemblesDecoherence(t *testing.T) {
-	// Projecting both outcomes and mixing them with their
-	// probabilities must equal the measurement-decoherence channel.
-	want := prepare(t, circuit.GHZ(2), noise.Model{})
-	want.MeasureDecohere(0)
-
-	b0 := prepare(t, circuit.GHZ(2), noise.Model{})
-	b1 := b0.Clone()
-	p0 := b0.MeasureProject(0, 0)
-	p1 := b1.MeasureProject(0, 1)
-	if math.Abs(p0+p1-1) > 1e-12 {
-		t.Fatalf("branch probabilities sum to %v", p0+p1)
-	}
-	b0.Mix(b1, p0, p1)
-	for i := uint64(0); i < 4; i++ {
-		if d := math.Abs(b0.Probability(i) - want.Probability(i)); d > 1e-12 {
-			t.Errorf("P(%d): branch mixture differs from decoherence by %v", i, d)
+	// Both outcome branches of measuring q0, P0ρP0 and P1ρP1, mixed
+	// back together must equal the measurement-decoherence channel.
+	c := circuit.New("probe", 3)
+	c.H(0).CX(0, 1).RY(2, 0.9)
+	s := prepare(t, c, noise.Model{Depolarizing: 0.02, Damping: 0.03, PhaseFlip: 0.01})
+	rho := cloneMatrix(s.rho)
+	s.MeasureDecohere(0)
+	bit := s.bitOf(0)
+	for i := range rho {
+		for j := range rho[i] {
+			want := rho[i][j]
+			if i>>bit&1 != j>>bit&1 { // the two branches share no entry here
+				want = 0
+			}
+			if d := cmplx.Abs(s.rho[i][j] - want); d > 1e-12 {
+				t.Errorf("ρ[%d][%d]: decoherence differs from the branch mixture by %v", i, j, d)
+			}
 		}
-	}
-	if d := math.Abs(b0.Purity() - want.Purity()); d > 1e-12 {
-		t.Errorf("purity differs by %v", d)
-	}
-}
-
-func TestScale(t *testing.T) {
-	s := prepare(t, circuit.GHZ(2), noise.Model{})
-	s.Scale(0.25)
-	if tr := real(s.Trace()); math.Abs(tr-0.25) > 1e-12 {
-		t.Errorf("trace after Scale(0.25) = %v", tr)
 	}
 }

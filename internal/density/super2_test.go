@@ -103,3 +103,13 @@ func TestApplySuperOp2MatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// cloneMatrix returns a deep copy of a density matrix.
+func cloneMatrix(m [][]complex128) [][]complex128 {
+	out := make([][]complex128, len(m))
+	for i := range m {
+		out[i] = make([]complex128, len(m[i]))
+		copy(out[i], m[i])
+	}
+	return out
+}

@@ -215,8 +215,47 @@ func TestBackendsAgreeOnDynamicCircuits(t *testing.T) {
 	}
 }
 
-// TestDynamicCircuitStatesAgree drives one deterministic trajectory of
-// a dynamic circuit per backend (same seed, so the same measurement
+// noiseFree runs one noise-free pass of a dynamic circuit on a fresh
+// backend: gates through ApplyOp, measurements and resets through
+// ProbOne and Collapse with outcomes drawn from an rng of the given
+// seed, and classical conditions against the measured bits. Backends
+// that agree on ProbOne draw the same outcomes.
+func noiseFree(t *testing.T, f sim.Factory, c *circuit.Circuit, seed int64) sim.Backend {
+	t.Helper()
+	b, err := f(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var clbits uint64
+	for i := range c.Ops {
+		op := &c.Ops[i]
+		if op.Cond != nil && !op.Cond.Holds(clbits) {
+			continue
+		}
+		switch op.Kind {
+		case circuit.KindGate:
+			b.ApplyOp(i)
+		case circuit.KindMeasure, circuit.KindReset:
+			p1 := b.ProbOne(op.Target)
+			outcome, prob := 0, 1-p1
+			if rng.Float64() < p1 {
+				outcome, prob = 1, p1
+			}
+			b.Collapse(op.Target, outcome, prob)
+			switch {
+			case op.Kind == circuit.KindReset && outcome == 1:
+				b.ApplyPauli(sim.PauliX, op.Target)
+			case op.Kind == circuit.KindMeasure:
+				clbits = clbits&^(1<<uint(op.Cbit)) | uint64(outcome)<<uint(op.Cbit)
+			}
+		}
+	}
+	return b
+}
+
+// TestDynamicCircuitStatesAgree drives one noise-free pass of a
+// dynamic circuit per backend (same seed, so the same measurement
 // outcomes) and checks Probability, ProbOne and SampleBasis histograms
 // agree within tolerance.
 func TestDynamicCircuitStatesAgree(t *testing.T) {
@@ -225,11 +264,7 @@ func TestDynamicCircuitStatesAgree(t *testing.T) {
 		dim := uint64(1) << 5
 		backs := map[string]sim.Backend{}
 		for name, f := range factories() {
-			b, err := stochastic.Deterministic(c, f, 12345)
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, name, err)
-			}
-			backs[name] = b
+			backs[name] = noiseFree(t, f, c, 12345)
 		}
 		ref := backs["statevec"]
 		for name, b := range backs {

@@ -75,18 +75,19 @@ func RunContext(ctx context.Context, c *circuit.Circuit, factory sim.Factory, mo
 }
 
 // RunBatch executes a set of (circuit, noise-point) jobs through one
-// shared worker pool of the given size (0 means GOMAXPROCS). Work is
-// dispatched in chunks of Options.ChunkSize trajectories; run j of a
-// job always draws from the stream of (Opts.Seed, j), and the per-chunk
-// ChunkSums are reduced in chunk order by reduce — the same function
-// ReduceChunks merges a cluster's chunks with. So a job's result on one
-// worker reproduces itself bit for bit
+// shared worker pool of the given size (0 means GOMAXPROCS). A worker
+// claims one part of a job's ChunkPlan at a time — the parts a cluster
+// leases — and keeps its backend across the parts it claims; run j of
+// a job always draws from the stream of (Opts.Seed, j), and the
+// per-chunk ChunkSums are reduced in chunk order by reduce — the same
+// function ReduceChunks merges a cluster's chunks with. So a job's
+// result on one worker reproduces itself bit for bit
 // (TestOneWorkerDDReproducesItselfQFT16), and on the statevec and
 // sparse backends and on cache-resident DDs it is bit-identical to a
 // standalone Run with any worker count
-// (TestRunBatchMatchesStandaloneRuns). On a DD whose diagrams
-// outgrow the compute caches the last bits can depend on which chunks
-// a worker's package ran before (docs/ARCHITECTURE.md, concurrency
+// (TestRunBatchMatchesStandaloneRuns). On a DD whose diagrams outgrow
+// the compute caches the last bits can depend on which parts a
+// worker's package ran before (docs/ARCHITECTURE.md, concurrency
 // invariant 2).
 //
 // The returned slice is indexed like jobs. Jobs that fail (invalid
@@ -106,7 +107,7 @@ func RunBatch(ctx context.Context, factory sim.Factory, jobs []Job, workers int)
 			continue
 		}
 		states[i] = js
-		totalRuns += js.target
+		totalRuns += js.plan.Target
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -160,12 +161,9 @@ func wrapJobErr(jobs []Job, i int, err error) error {
 // jobState is the engine-internal state of one job.
 type jobState struct {
 	job        Job
-	props      int     // L, the Theorem-1 property count
-	delta      float64 // δ = 1 − TargetConfidence
-	target     int     // planned trajectories after adaptive stopping
-	exhausted  bool    // adaptive requirement exceeded the Runs budget
+	plan       ChunkPlan
 	hasMeasure bool
-	// started and deadline are set when the job's first chunk is
+	// started and deadline are set when the job's first part is
 	// dispatched (not at engine start), so in a batch every job
 	// reports its own elapsed time and gets its own Timeout budget
 	// even though jobs run through the pool sequentially.
@@ -187,7 +185,7 @@ type jobState struct {
 	path *refPath
 
 	// Guarded by engine.mu:
-	next         int       // next run index to dispatch
+	nextPart     int       // next part of the plan to dispatch
 	done         int       // completed runs
 	ended        time.Time // time of the job's last committed chunk
 	lastProgress int
@@ -198,10 +196,10 @@ type jobState struct {
 	err          error
 }
 
-// prepareJob validates inputs and plans the trajectory target. Since
-// the Theorem-1 bound is distribution-free, the adaptive stopping
-// point depends only on (L, ε, δ) and is fixed here — which is what
-// keeps the adaptive path deterministic across worker counts.
+// prepareJob validates inputs and plans the job's chunks and parts.
+// Since the Theorem-1 bound is distribution-free, the adaptive
+// stopping point depends only on (L, ε, δ) and is fixed here — which
+// is what keeps the adaptive path deterministic across worker counts.
 func prepareJob(job Job) (*jobState, error) {
 	if job.Circuit == nil {
 		return nil, errors.New("stochastic: nil circuit")
@@ -223,35 +221,36 @@ func prepareJob(job Job) (*jobState, error) {
 	if err != nil {
 		return nil, err
 	}
-	js := &jobState{
-		job:        job,
-		props:      job.Opts.properties(),
-		delta:      delta,
-		target:     job.Opts.Runs,
-		hasMeasure: circuitMeasures(job.Circuit),
-	}
+	plan := ChunkPlan{Target: job.Opts.Runs, ChunkSize: job.Opts.ChunkSize,
+		Properties: job.Opts.properties(), Delta: delta}
 	if eps := job.Opts.TargetAccuracy; eps > 0 {
-		need, err := obs.SampleCount(js.props, eps, delta)
+		need, err := obs.SampleCount(plan.Properties, eps, delta)
 		if err != nil {
 			return nil, err
 		}
-		if need < js.target {
-			js.target = need
-		} else if need > js.target {
-			js.exhausted = true
+		if need < plan.Target {
+			plan.Target = need
+		} else if need > plan.Target {
+			plan.Exhausted = true
 		}
 	}
-	numChunks := (js.target + job.Opts.ChunkSize - 1) / job.Opts.ChunkSize
-	js.chunks = make([]ChunkSum, numChunks)
-	js.tracked = make([]float64, numChunks*len(job.Opts.TrackStates))
-	js.progTracked = make([]float64, len(job.Opts.TrackStates))
-	var plan *noise.Plan
+	plan.NumChunks = (plan.Target + plan.ChunkSize - 1) / plan.ChunkSize
+	plan.PartChunks = min(8, max(1, plan.NumChunks/32))
+	js := &jobState{
+		job:         job,
+		plan:        plan,
+		hasMeasure:  circuitMeasures(job.Circuit),
+		chunks:      make([]ChunkSum, plan.NumChunks),
+		tracked:     make([]float64, plan.NumChunks*len(job.Opts.TrackStates)),
+		progTracked: make([]float64, len(job.Opts.TrackStates)),
+	}
+	var noisePlan *noise.Plan
 	if job.Model.Enabled() {
-		if plan, err = job.Model.Compile(job.Circuit); err != nil {
+		if noisePlan, err = job.Model.Compile(job.Circuit); err != nil {
 			return nil, err
 		}
 	}
-	js.path = planRefPath(job.Circuit, plan)
+	js.path = planRefPath(job.Circuit, noisePlan)
 	return js, nil
 }
 
@@ -330,50 +329,45 @@ func (wb *compiled) reportTableStats() {
 }
 
 func (e *engine) worker() {
-	cache := make(map[*jobState]*compiled)
-	var last *jobState
+	var js *jobState // the job wb was compiled for
+	var wb *compiled
 	defer func() {
 		// Hand pooled kernel memory (node slabs, compute caches) back
 		// for the next batch; sim.Releaser is a no-op for backends
 		// without arenas.
-		for _, wb := range cache {
+		if wb != nil {
 			wb.release()
 		}
 	}()
 	for {
-		js, first, count := e.nextChunk()
-		if js == nil {
+		next, first, count := e.nextPart()
+		if next == nil {
 			return
 		}
-		if last != nil && last != js {
+		if next != js {
 			// Jobs are dispatched in submission order, so this worker
 			// will never draw the earlier job again: release its
 			// backend and checkpoints (pinned DD nodes, amplitude
 			// copies) instead of retaining them for the whole batch.
-			if wb := cache[last]; wb != nil {
+			if wb != nil {
 				wb.release()
 			}
-			delete(cache, last)
-		}
-		last = js
-		wb, ok := cache[js]
-		if !ok {
+			js = next
 			var err error
-			wb, err = e.compile(js)
-			if err != nil {
+			if wb, err = e.compile(js); err != nil {
 				e.failJob(js, err)
 				continue
 			}
-			cache[js] = wb
 		}
-		e.runChunk(js, wb, first, count)
+		e.runPart(js, wb, first, count, nil)
 	}
 }
 
-// nextChunk claims the next block of run indices, skipping jobs that
-// are fully dispatched, failed, or past their deadline. It returns a
-// nil jobState when no work remains or the context is cancelled.
-func (e *engine) nextChunk() (*jobState, int, int) {
+// nextPart claims the next part of the job plan — a block of
+// consecutive chunks — skipping jobs that are fully dispatched,
+// failed, or past their deadline. It returns a nil jobState when no
+// work remains or the context is cancelled.
+func (e *engine) nextPart() (*jobState, int, int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.ctx.Err() != nil {
@@ -381,11 +375,11 @@ func (e *engine) nextChunk() (*jobState, int, int) {
 	}
 	for e.cur < len(e.jobs) {
 		js := e.jobs[e.cur]
-		if js == nil || js.next >= js.target {
+		if js == nil || js.nextPart >= js.plan.NumParts() {
 			e.cur++
 			continue
 		}
-		if js.next == 0 {
+		if js.nextPart == 0 {
 			js.started = time.Now()
 			if js.job.Opts.Timeout > 0 {
 				js.deadline = js.started.Add(js.job.Opts.Timeout)
@@ -393,16 +387,12 @@ func (e *engine) nextChunk() (*jobState, int, int) {
 		}
 		if !js.deadline.IsZero() && time.Now().After(js.deadline) {
 			js.timedOut = true
-			js.next = js.target
+			js.nextPart = js.plan.NumParts()
 			e.cur++
 			continue
 		}
-		first := js.next
-		count := js.job.Opts.ChunkSize
-		if first+count > js.target {
-			count = js.target - first
-		}
-		js.next = first + count
+		first, count := js.plan.Part(js.nextPart)
+		js.nextPart++
 		return js, first, count
 	}
 	return nil, 0, 0
@@ -461,7 +451,7 @@ func (e *engine) failJob(js *jobState, err error) {
 	if js.err == nil {
 		js.err = err
 	}
-	js.next = js.target // stop dispatching this job
+	js.nextPart = js.plan.NumParts() // stop dispatching this job
 	e.mu.Unlock()
 }
 
@@ -481,13 +471,32 @@ func releaseHist(h map[uint64]int) {
 	}
 }
 
-// runChunk executes trajectories [first, first+count) of a job on the
-// worker's private backend and commits the chunk's ChunkSum. The
-// context and the job deadline are checked between trajectories, so a
-// cancelled chunk commits the prefix it completed.
-func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
+// runPart runs chunks [first, first+count) of a job in chunk order on
+// the worker's backend, the one loop both executors run a part
+// through: the engine's workers and RunChunks. Each chunk commits as
+// it completes; a chunk cut short by cancellation or the job deadline
+// ends the part. onChunk, when non-nil, is called after each full
+// chunk with the number of chunks done so far. It returns that number.
+func (e *engine) runPart(js *jobState, wb *compiled, first, count int, onChunk func(done int)) int {
+	for c := first; c < first+count; c++ {
+		if !e.runChunk(js, wb, c) {
+			return c - first
+		}
+		if onChunk != nil {
+			onChunk(c - first + 1)
+		}
+	}
+	return count
+}
+
+// runChunk executes the trajectories of chunk c on the worker's
+// private backend and commits the chunk's ChunkSum. The context and
+// the job deadline are checked between trajectories, so a cancelled
+// chunk commits the prefix it completed; runChunk reports whether the
+// chunk ran in full.
+func (e *engine) runChunk(js *jobState, wb *compiled, c int) bool {
 	opts := &js.job.Opts
-	c, t := first/opts.ChunkSize, len(opts.TrackStates)
+	first, count, t := c*opts.ChunkSize, js.plan.ChunkRuns(c), len(opts.TrackStates)
 	sum := ChunkSum{Chunk: c, Counts: histPool.Get().(map[uint64]int)}
 	if js.hasMeasure {
 		sum.Classical = histPool.Get().(map[uint64]int)
@@ -547,6 +556,7 @@ func (e *engine) runChunk(js *jobState, wb *compiled, first, count int) {
 		}
 	}
 	wb.reportTableStats()
+	return sum.Runs == count
 }
 
 // commit stores a chunk's sum and fires the progress callback
@@ -569,11 +579,11 @@ func (e *engine) commit(js *jobState, sum ChunkSum, deadlineHit bool) {
 	js.progFid += sum.Fidelity
 	if deadlineHit {
 		js.timedOut = true
-		js.next = js.target
+		js.nextPart = js.plan.NumParts()
 	}
 	opts := &js.job.Opts
 	if opts.OnProgress == nil || e.cbBusy || js.done <= js.lastProgress ||
-		(js.done-js.lastProgress < opts.ProgressEvery && js.done != js.target) {
+		(js.done-js.lastProgress < opts.ProgressEvery && js.done != js.plan.Target) {
 		e.mu.Unlock()
 		return
 	}
@@ -591,12 +601,12 @@ func (e *engine) progressLocked(js *jobState) Progress {
 	p := Progress{
 		Job:    e.jobIndex(js),
 		Done:   js.done,
-		Target: js.target,
+		Target: js.plan.Target,
 		// ended was stamped by this snapshot's own commit, so this is
 		// "now" for live callbacks — and for the final snapshot fired
 		// from finish (after the whole batch drained) it is still the
 		// job's own runtime, not the batch's.
-		ConfidenceRadius: obs.ConfidenceRadius(js.done, js.props, js.delta),
+		ConfidenceRadius: obs.ConfidenceRadius(js.done, js.plan.Properties, js.plan.Delta),
 		Elapsed:          js.ended.Sub(js.started),
 	}
 	if n := len(js.progTracked); n > 0 {
@@ -633,7 +643,7 @@ func (e *engine) finish(js *jobState) (*Result, error) {
 		releaseHist(js.chunks[i].Classical)
 	}
 	js.chunks, js.tracked = nil, nil
-	interrupted := e.ctx.Err() != nil && js.done < js.target && !js.timedOut
+	interrupted := e.ctx.Err() != nil && js.done < js.plan.Target && !js.timedOut
 	if res.Runs == 0 {
 		if interrupted {
 			return nil, fmt.Errorf("stochastic: no runs completed: %w", e.ctx.Err())

@@ -18,21 +18,25 @@ import (
 // run-index space that runChunk accumulates into one ChunkSum in run
 // order, and both executors — RunBatch's finish and ReduceChunks —
 // merge the sums strictly in chunk order through one function, reduce.
-// So a cluster that leases chunk ranges to workers (internal/cluster)
-// reproduces a single-node same-seed Result bit for bit on statevec,
-// sparse and cache-resident DDs (TestRunChunksReduceBitIdentical), and
-// one RunChunks call over the whole plan reproduces a 1-worker Run,
-// on a QFT-16 DD too (TestExecutorsAgreeQFT16). Every RunChunks call
-// compiles a fresh backend, so on a larger DD a cluster run reproduces
-// itself for a fixed lease size, whatever the failure schedule
+// Both also split the chunks into the same parts: the plan's parts are
+// what the engine's workers claim and what a cluster leases, and one
+// loop, runPart, runs a part on either side. So a cluster that leases
+// parts to workers (internal/cluster) reproduces a single-node
+// same-seed Result bit for bit on statevec, sparse and cache-resident
+// DDs (TestRunChunksReduceBitIdentical), and one RunChunks call over
+// the whole plan reproduces a 1-worker Run, on a QFT-16 DD too
+// (TestExecutorsAgreeQFT16). Every RunChunks call compiles a fresh
+// backend, so on a larger DD a cluster run reproduces itself for the
+// same job, whatever the failure schedule
 // (TestClusterQFT16ReproducesItselfAcrossFailures in internal/cluster),
 // but not a single-node run.
 
 // ChunkPlan describes the fixed chunk layout of one job's run-index
-// space, as the engine would dispatch it. The plan is a pure function
-// of the job (the adaptive stopping point depends only on the options,
-// not on any runtime state), so every node of a cluster derives the
-// identical plan from the job spec alone.
+// space and its split into parts, as the engine dispatches it. The
+// plan is a pure function of the job (the adaptive stopping point
+// depends only on the options, not on any runtime state), so every
+// node of a cluster derives the identical plan from the job spec
+// alone.
 type ChunkPlan struct {
 	// Target is the number of trajectories planned: Options.Runs, or
 	// the smaller Theorem-1 requirement when adaptive stopping applies.
@@ -43,6 +47,13 @@ type ChunkPlan struct {
 	// 0..NumChunks-1 and chunk c covers run indices
 	// [c*ChunkSize, min(Target, (c+1)*ChunkSize)).
 	NumChunks int `json:"num_chunks"`
+	// PartChunks is the number of consecutive chunks per part, the unit
+	// a local worker claims and a cluster leases (the last part may be
+	// shorter): min(8, max(1, NumChunks/32)). A job of up to 63 chunks
+	// runs chunk by chunk; a larger one keeps at least 32 parts to
+	// balance workers, and no part spans more than 8 chunks, so a lost
+	// lease re-simulates at most 8 chunks.
+	PartChunks int `json:"part_chunks"`
 	// Exhausted mirrors Result.BudgetExhausted: adaptive stopping was
 	// requested but the Theorem-1 requirement exceeded the Runs budget.
 	Exhausted bool `json:"exhausted,omitempty"`
@@ -58,25 +69,24 @@ func PlanChunks(job Job) (ChunkPlan, error) {
 	if err != nil {
 		return ChunkPlan{}, err
 	}
-	return ChunkPlan{
-		Target:     js.target,
-		ChunkSize:  js.job.Opts.ChunkSize,
-		NumChunks:  len(js.chunks),
-		Exhausted:  js.exhausted,
-		Properties: js.props,
-		Delta:      js.delta,
-	}, nil
+	return js.plan, nil
+}
+
+// NumParts is the number of parts, ceil(NumChunks / PartChunks).
+func (p ChunkPlan) NumParts() int {
+	return (p.NumChunks + p.PartChunks - 1) / p.PartChunks
+}
+
+// Part returns part i's chunk range [first, first+count).
+func (p ChunkPlan) Part(i int) (first, count int) {
+	first = i * p.PartChunks
+	return first, min(p.PartChunks, p.NumChunks-first)
 }
 
 // ChunkRuns returns the number of trajectories in chunk c (ChunkSize
 // for every chunk except a possibly shorter final one).
 func (p ChunkPlan) ChunkRuns(c int) int {
-	first := c * p.ChunkSize
-	n := p.ChunkSize
-	if first+n > p.Target {
-		n = p.Target - first
-	}
-	return n
+	return min(p.ChunkSize, p.Target-c*p.ChunkSize)
 }
 
 // ChunkSum is the partial sum of one chunk — the one type both
@@ -107,12 +117,12 @@ type ChunkSum struct {
 
 // RunChunks executes chunks [first, first+count) of the job's plan on
 // one backend instance and returns their per-chunk sums in chunk
-// order. Within each chunk trajectories run in ascending run-index
-// order, run j from the stream of (Seed, j), through the same runChunk
-// the in-process engine uses, so the sums are interchangeable with
-// locally computed ones. onChunk, when non-nil, is called after each
-// completed chunk with the number of chunks finished so far (progress
-// for lease heartbeats).
+// order. The chunks run through runPart, the loop the in-process
+// engine runs its parts with — trajectories in ascending run-index
+// order, run j from the stream of (Seed, j) — so the sums are
+// interchangeable with locally computed ones. onChunk, when non-nil,
+// is called after each completed chunk with the number of chunks
+// finished so far (progress for lease heartbeats).
 //
 // Cancelling ctx aborts with an error: a partially accumulated chunk
 // is never returned, because the reduction is defined over full chunks
@@ -122,9 +132,9 @@ func RunChunks(ctx context.Context, factory sim.Factory, job Job, first, count i
 	if err != nil {
 		return nil, err
 	}
-	if first < 0 || count < 1 || first+count > len(js.chunks) {
+	if first < 0 || count < 1 || first+count > js.plan.NumChunks {
 		return nil, fmt.Errorf("stochastic: chunk range [%d,%d) outside plan of %d chunks",
-			first, first+count, len(js.chunks))
+			first, first+count, js.plan.NumChunks)
 	}
 	// started only feeds progress snapshots (never fired here: the wire
 	// options cannot carry OnProgress), but keep it sane regardless.
@@ -135,22 +145,13 @@ func RunChunks(ctx context.Context, factory sim.Factory, job Job, first, count i
 		return nil, err
 	}
 	defer wb.release()
-	size := js.job.Opts.ChunkSize
-	for c := first; c < first+count; c++ {
-		lo := c * size
-		n := min(size, js.target-lo)
-		e.runChunk(js, wb, lo, n)
-		if got := js.chunks[c].Runs; got != n {
-			// The context was cancelled mid-chunk; the partial prefix
-			// must not escape.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("stochastic: chunk %d incomplete (%d of %d runs)", c, got, n)
+	if done := e.runPart(js, wb, first, count, onChunk); done < count {
+		// The context was cancelled mid-chunk; the partial prefix
+		// must not escape.
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		if onChunk != nil {
-			onChunk(c - first + 1)
-		}
+		return nil, fmt.Errorf("stochastic: chunk %d incomplete", first+done)
 	}
 	return js.chunks[first : first+count : first+count], nil
 }
@@ -174,18 +175,17 @@ func ReduceChunks(job Job, sums []ChunkSum, workers int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(sums) != len(js.chunks) {
+	if len(sums) != js.plan.NumChunks {
 		return nil, fmt.Errorf("stochastic: reduce got %d chunk sums, plan has %d chunks",
-			len(sums), len(js.chunks))
+			len(sums), js.plan.NumChunks)
 	}
-	size := js.job.Opts.ChunkSize
 	tracked := len(js.job.Opts.TrackStates)
 	for i := range sums {
 		cs := &sums[i]
 		if cs.Chunk != i {
 			return nil, fmt.Errorf("stochastic: chunk sum %d carries index %d (missing or out of order)", i, cs.Chunk)
 		}
-		if want := min(size, js.target-i*size); cs.Runs != want {
+		if want := js.plan.ChunkRuns(i); cs.Runs != want {
 			return nil, fmt.Errorf("stochastic: chunk %d has %d runs, plan requires %d", i, cs.Runs, want)
 		}
 		if len(cs.Tracked) != tracked && len(cs.Tracked) != 0 {
@@ -207,12 +207,12 @@ func ReduceChunks(job Job, sums []ChunkSum, workers int) (*Result, error) {
 // Checkpointed, Workers) are the caller's.
 func reduce(js *jobState, sums []ChunkSum) *Result {
 	res := &Result{
-		TargetRuns:      js.target,
+		TargetRuns:      js.plan.Target,
 		Counts:          make(map[uint64]int),
 		ClassicalCounts: make(map[uint64]int),
 		TrackedProbs:    make([]float64, len(js.job.Opts.TrackStates)),
-		Properties:      js.props,
-		BudgetExhausted: js.exhausted,
+		Properties:      js.plan.Properties,
+		BudgetExhausted: js.plan.Exhausted,
 	}
 	var fidelity float64
 	for i := range sums {
@@ -235,6 +235,6 @@ func reduce(js *jobState, sums []ChunkSum) *Result {
 	if js.job.Opts.TrackFidelity {
 		res.MeanFidelity = fidelity / float64(res.Runs)
 	}
-	res.ConfidenceRadius = obs.ConfidenceRadius(res.Runs, js.props, js.delta)
+	res.ConfidenceRadius = obs.ConfidenceRadius(res.Runs, js.plan.Properties, js.plan.Delta)
 	return res
 }

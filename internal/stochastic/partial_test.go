@@ -3,6 +3,8 @@ package stochastic
 import (
 	"context"
 	"encoding/json"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"ddsim/internal/circuit"
@@ -44,6 +46,32 @@ func TestPlanChunks(t *testing.T) {
 	}
 	if got := plan.ChunkRuns(6); got != 4 {
 		t.Errorf("last chunk runs = %d, want 4", got)
+	}
+	// The part rule k = min(8, max(1, NumChunks/32)) on the benchmark's
+	// shapes: a job of up to 63 chunks runs chunk by chunk, a larger one
+	// in parts of up to 8 chunks, the last part shorter.
+	for _, tc := range []struct {
+		runs, chunkSize       int
+		partChunks, numParts  int
+		lastFirst, lastChunks int
+	}{
+		{100, 16, 1, 7, 6, 1},
+		{6000, 64, 2, 47, 92, 2},
+		{30000, 64, 8, 59, 464, 5},
+	} {
+		job := partialJob(tc.runs)
+		job.Opts.ChunkSize = tc.chunkSize
+		plan, err := PlanChunks(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, count := plan.Part(plan.NumParts() - 1)
+		if plan.PartChunks != tc.partChunks || plan.NumParts() != tc.numParts ||
+			first != tc.lastFirst || count != tc.lastChunks {
+			t.Errorf("%d runs of %d: %d parts of %d chunks, last [%d,+%d); want %d of %d, last [%d,+%d)",
+				tc.runs, tc.chunkSize, plan.NumParts(), plan.PartChunks, first, count,
+				tc.numParts, tc.partChunks, tc.lastFirst, tc.lastChunks)
+		}
 	}
 	if _, err := PlanChunks(Job{}); err == nil {
 		t.Error("nil circuit accepted")
@@ -211,5 +239,101 @@ func TestExecutorsAgreeQFT16(t *testing.T) {
 	if local.TargetRuns != merged.TargetRuns || local.Properties != merged.Properties ||
 		local.ConfidenceRadius != merged.ConfidenceRadius || local.BudgetExhausted != merged.BudgetExhausted {
 		t.Errorf("plan fields differ: %+v vs %+v", local, merged)
+	}
+}
+
+// recorder is a backend that records one draw of every trajectory's
+// stream, taken when the trajectory samples. Run j's stream depends on
+// j alone, so the draw names the run: a test can tell which runs each
+// backend instance executed. A recorder's first sample waits on ready.
+type recorder struct {
+	sim.Backend
+	draws []int64
+	ready <-chan struct{}
+}
+
+func (r *recorder) SampleBasis(rng *rand.Rand) uint64 {
+	if len(r.draws) == 0 {
+		<-r.ready
+	}
+	r.draws = append(r.draws, rng.Int63())
+	return r.Backend.SampleBasis(rng)
+}
+
+// recordingFactory makes statevec recorders whose first samples wait
+// until n of them exist, so each of n workers holds a backend before
+// any runs a trajectory.
+func recordingFactory(n int) (sim.Factory, func() []*recorder) {
+	var mu sync.Mutex
+	var recs []*recorder
+	ready := make(chan struct{})
+	f := func(c *circuit.Circuit) (sim.Backend, error) {
+		b, err := statevec.Factory()(c)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		recs = append(recs, &recorder{Backend: b, ready: ready})
+		if len(recs) == n {
+			close(ready)
+		}
+		return recs[len(recs)-1], nil
+	}
+	return f, func() []*recorder { mu.Lock(); defer mu.Unlock(); return recs }
+}
+
+// TestWorkersRunWholeParts shows that the engine's workers claim the
+// plan's parts, not single chunks: in a 2-worker Run every part of 8
+// chunks ran on one backend, so each backend ran a union of whole parts.
+func TestWorkersRunWholeParts(t *testing.T) {
+	c := circuit.QFT(6)
+	opts := Options{Runs: 256, ChunkSize: 1, Seed: 5, Shots: 1}
+	plan, err := PlanChunks(Job{Circuit: c, Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.PartChunks != 8 {
+		t.Fatalf("plan has parts of %d chunks, want 8", plan.PartChunks)
+	}
+	run := func(workers int) []*recorder {
+		f, recs := recordingFactory(workers)
+		o := opts
+		o.Workers = workers
+		if _, err := Run(c, f, noise.Model{}, o); err != nil {
+			t.Fatal(err)
+		}
+		return recs()
+	}
+	runOf := make(map[int64]int)
+	for j, d := range run(1)[0].draws {
+		runOf[d] = j
+	}
+	owner := make([]int, plan.NumChunks) // 1 + the backend that ran the chunk
+	recs := run(2)
+	if len(recs) != 2 {
+		t.Fatalf("2-worker run compiled %d backends", len(recs))
+	}
+	for b, rec := range recs {
+		for _, d := range rec.draws {
+			j, ok := runOf[d]
+			if !ok {
+				t.Fatalf("backend %d ran a trajectory of no run index", b)
+			}
+			if owner[j] != 0 {
+				t.Fatalf("run %d ran twice", j)
+			}
+			owner[j] = b + 1 // ChunkSize 1: run j is chunk j
+		}
+	}
+	for i := 0; i < plan.NumParts(); i++ {
+		first, count := plan.Part(i)
+		for c := first; c < first+count; c++ {
+			if owner[c] == 0 || owner[c] != owner[first] {
+				t.Errorf("part %d split: chunk %d ran on backend %d, chunk %d on %d",
+					i, first, owner[first]-1, c, owner[c]-1)
+				break
+			}
+		}
 	}
 }

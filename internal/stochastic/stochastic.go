@@ -415,25 +415,6 @@ func measure(b sim.Backend, qubit int, rng *rand.Rand) int {
 	return outcome
 }
 
-// Deterministic performs one noise-free pass over the circuit
-// (ignoring measurements' randomness source only insofar as the seed
-// fixes it) and returns the backend holding the final state. Useful
-// for examples, tests and the property estimators' ground truth on
-// noiseless circuits.
-func Deterministic(c *circuit.Circuit, factory sim.Factory, seed int64) (sim.Backend, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	b, err := factory(c)
-	if err != nil {
-		return nil, err
-	}
-	rng, src := newStream()
-	src.seek(seed, 0)
-	replayNoiseFree(b, c, rng, make([]uint64, 1))
-	return b, nil
-}
-
 // Describe formats a one-line summary of a result for CLI output.
 func Describe(r *Result) string {
 	if r.Exact {

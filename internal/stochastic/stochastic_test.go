@@ -350,16 +350,6 @@ func TestShots(t *testing.T) {
 	}
 }
 
-func TestDeterministicHelper(t *testing.T) {
-	b, err := Deterministic(circuit.GHZ(4), ddback.Factory(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := b.Probability(0); math.Abs(p-0.5) > 1e-12 {
-		t.Errorf("P(|0000⟩) = %v", p)
-	}
-}
-
 func TestDescribe(t *testing.T) {
 	res, err := Run(circuit.GHZ(2), ddback.Factory(), noise.Model{}, Options{Runs: 10})
 	if err != nil {

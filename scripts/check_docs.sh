@@ -78,6 +78,12 @@
 #    or Kron (the matrix-DD engine's operations, and their caches), and
 #    no non-test Go file may import ddsim/internal/density, the dense
 #    test oracle that must stay independent of the code it checks.
+# 17. The part plan is a function of the job, and dead API stays dead:
+#    "lease-chunks" and "LeaseChunks" appear nowhere in non-test Go,
+#    docs/ or scripts/ (this file aside); non-test Go under
+#    internal/stochastic declares no Deterministic; non-test Go under
+#    internal/density declares no MeasureProject, ProbOne, Clone, Mix
+#    or Scale method, and none under internal/dd declares MNodeCount.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -355,6 +361,26 @@ if oracle="$(grep -nE '"ddsim/internal/density"' $allsrc_nt)"; then
   while IFS= read -r hit; do
     echo "DENSE ORACLE IN PRODUCT CODE: $hit; internal/density is a test oracle, use internal/exact" >&2
   done <<< "$oracle"
+  fail=1
+fi
+
+# --- 17. one part plan; the deleted API stays deleted -------------------------
+# shellcheck disable=SC2086 # allsrc_nt is a word list of paths
+if knob="$(grep -nE 'lease-chunks|LeaseChunks' $allsrc_nt docs/*.md $(find scripts -type f ! -name check_docs.sh))"; then
+  while IFS= read -r hit; do
+    echo "LEASE-SIZE KNOB: $hit; a lease is one part of the job's ChunkPlan" >&2
+  done <<< "$knob"
+  fail=1
+fi
+densrc="$(find internal/density -name '*.go' ! -name '*_test.go')"
+# shellcheck disable=SC2086 # stochsrc, densrc and ddsrc are word lists of paths
+dead="$(grep -nHE '^func Deterministic\(' $stochsrc || true
+  grep -nHE '^func \([^)]*\) (MeasureProject|ProbOne|Clone|Mix|Scale)\(' $densrc || true
+  grep -nHE '^func \([^)]*\) MNodeCount\(' $ddsrc || true)"
+if [ -n "$dead" ]; then
+  while IFS= read -r hit; do
+    echo "DELETED API DECLARED AGAIN: $hit" >&2
+  done <<< "$dead"
   fail=1
 fi
 

@@ -28,7 +28,7 @@ W1=18461 W2=18462 COORD=18463 SINGLE=18464
 "$BIN/ddsimd" -worker -addr 127.0.0.1:$W2 &
 "$BIN/ddsimd" -addr 127.0.0.1:$COORD \
   -coordinator "http://127.0.0.1:$W1,http://127.0.0.1:$W2" \
-  -lease-ttl 5s -lease-heartbeat 50ms -lease-chunks 2 &
+  -lease-ttl 5s -lease-heartbeat 50ms &
 "$BIN/ddsimd" -addr 127.0.0.1:$SINGLE &
 
 for port in $W1 $W2 $COORD $SINGLE; do
@@ -87,6 +87,17 @@ if [ "$cluster_res" != "$single_res" ]; then
   exit 1
 fi
 echo "   identical: $(printf '%s' "$cluster_res" | wc -c) bytes of result JSON"
+
+echo "== leases follow the job's part plan"
+# The 160-run job of chunk size 8 plans 20 chunks, one per part, so the
+# coordinator granted at least 20 leases for it (more if one was lost).
+granted=$(curl -s "http://127.0.0.1:$COORD/metrics" |
+  awk '/^ddsim_cluster_leases_granted_total / { print $2 }')
+if [ "${granted%.*}" -lt 20 ]; then
+  echo "LEASES: the coordinator granted ${granted:-no} leases, want at least 20 for 20 parts" >&2
+  exit 1
+fi
+echo "   $granted leases granted"
 
 echo "== conservation: ddload -target against the 2-worker cluster"
 "$BIN/ddload" -target "http://127.0.0.1:$COORD" -n 40 -c 8 \
