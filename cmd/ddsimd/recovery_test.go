@@ -502,113 +502,6 @@ func rawResults(t *testing.T, ts *httptest.Server, id string) string {
 	return string(v.Results)
 }
 
-// TestRecoverParentFormatDataDir restarts on a data dir in the layout
-// the job store wrote before its WAL carried records and results:
-// jobs/<id>.json, results/<id>.json and a WAL of status lines only,
-// with a finished job, a job running at the crash, and a job whose
-// terminal entry landed without its result file. The finished job is
-// served with identical result bytes; the other two re-run
-// bit-identically; and a second restart, over the log the first one
-// compacted, serves all three without simulating.
-func TestRecoverParentFormatDataDir(t *testing.T) {
-	specs := []string{
-		`{"circuit":{"name":"ghz","n":4},"noise":{"depolarizing":0.001,"damping":0.002,"damping_as_event":true},"options":{"runs":60,"seed":11,"track_states":[0]}}`,
-		`{"circuit":{"name":"ghz","n":5},"noise":{"depolarizing":0.002},"options":{"runs":80,"seed":12}}`,
-		`{"circuit":{"name":"ghz","n":3},"options":{"runs":40,"seed":13,"track_states":[0]}}`,
-	}
-	tsRef, _, _ := newPersistentServer(t, t.TempDir())
-	var ids []string
-	var ref []jobView
-	for _, spec := range specs {
-		id := submit(t, tsRef, spec)
-		ids = append(ids, id)
-		ref = append(ref, waitTerminal(t, tsRef, id))
-	}
-	finished, running, lost := ids[0], ids[1], ids[2]
-
-	dir := t.TempDir()
-	write := func(path string, v any) {
-		t.Helper()
-		data, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, v := range ref {
-		write(filepath.Join(dir, "jobs", v.ID+".json"), jobstore.Record{
-			ID: v.ID, Spec: json.RawMessage(specs[i]), Submitted: v.Submitted,
-			Circuit: v.Circuit, Qubits: v.Qubits, Gates: v.Gates, Backend: v.Backend,
-		})
-	}
-	results, err := json.Marshal(ref[0].Results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	write(filepath.Join(dir, "results", finished+".json"), jobstore.Final{
-		Status: statusDone, Results: results, Started: *ref[0].Started, Finished: *ref[0].Finished,
-	})
-	var wal strings.Builder
-	for _, l := range [][2]string{
-		{finished, statusQueued}, {running, statusQueued}, {lost, statusQueued},
-		{finished, statusRunning}, {finished, statusDone},
-		{running, statusRunning}, {lost, statusRunning}, {lost, statusDone},
-	} {
-		fmt.Fprintf(&wal, `{"id":%q,"status":%q,"t":"2024-01-01T00:00:00Z"}`+"\n", l[0], l[1])
-	}
-	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte(wal.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	servedBefore := telemetry.JobsRecovered.With("served").Value()
-	requeuedBefore := telemetry.JobsRecovered.With("requeued").Value()
-	ts2, _, stop2 := newPersistentServer(t, dir)
-	if got := telemetry.JobsRecovered.With("served").Value() - servedBefore; got != 1 {
-		t.Fatalf("%d jobs served from the old layout, want 1", got)
-	}
-	if got := telemetry.JobsRecovered.With("requeued").Value() - requeuedBefore; got != 2 {
-		t.Fatalf("%d jobs re-queued from the old layout, want 2", got)
-	}
-	if got, want := rawResults(t, ts2, finished), rawResults(t, tsRef, finished); got != want {
-		t.Fatalf("finished job's results changed across the restart:\n%s\n%s", got, want)
-	}
-	served := map[string]string{finished: rawResults(t, ts2, finished)}
-	for i, id := range []string{running, lost} {
-		v := waitTerminal(t, ts2, id)
-		if v.Status != statusDone || canonicalResults(t, v) != canonicalResults(t, ref[i+1]) {
-			t.Fatalf("re-run of %s differs from the original run: %+v", id, v)
-		}
-		served[id] = rawResults(t, ts2, id)
-	}
-	stop2()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "wal.log" {
-		t.Fatalf("data dir after migration holds %d entries, want only wal.log", len(entries))
-	}
-
-	trajBefore := telemetry.Trajectories.Value()
-	ts3, _, _ := newPersistentServer(t, dir)
-	for _, id := range ids {
-		if v := getJob(t, ts3, id); v.Status != statusDone {
-			t.Fatalf("second restart: %s is %q, want done", id, v.Status)
-		}
-		if got := rawResults(t, ts3, id); got != served[id] {
-			t.Fatalf("second restart: %s's results changed:\n%s\n%s", id, got, served[id])
-		}
-	}
-	if telemetry.Trajectories.Value() != trajBefore {
-		t.Fatal("second restart simulated a job it should have served from disk")
-	}
-}
-
 // TestRecoverRemovedOptions restarts on data dirs whose WAL carries a
 // job accepted while a since-removed option still existed:
 // options.checkpointing ("checkpointing":"off") and

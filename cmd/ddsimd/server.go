@@ -49,8 +49,6 @@ const (
 	// gaugeRefreshEvery is how often dispatch snapshot gauges are
 	// pushed to telemetry.
 	gaugeRefreshEvery = time.Second
-	// cacheSweepEvery is the TTL sweep cadence of the result cache.
-	cacheSweepEvery = 30 * time.Second
 )
 
 // Job lifecycle states.
@@ -309,16 +307,12 @@ func newServer(ctx context.Context, maxActive, workers, maxRuns int) *server {
 }
 
 // startMaintenance starts every periodic duty on its own ticker:
-// rate-bucket refills (which also evict idle buckets), result-cache
-// TTL sweeps, jobstore WAL compaction, and the telemetry snapshot
-// refresh. Call once, after the optional store/cache/limiter fields
-// are set; close stops them.
+// rate-bucket refills (which also evict idle buckets), jobstore WAL
+// compaction, and the telemetry snapshot refresh. Call once, after
+// the optional store and limiter fields are set; close stops them.
 func (s *server) startMaintenance() {
 	if s.limiter != nil {
 		s.every(s.limiter.refillEvery, func() { s.limiter.refill(time.Now()) })
-	}
-	if s.cache != nil {
-		s.every(cacheSweepEvery, func() { s.cache.Sweep(time.Now()) })
 	}
 	if s.store != nil && s.compactEvery > 0 {
 		s.every(s.compactEvery, func() {

@@ -121,9 +121,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"sync"
 
 	"ddsim/internal/circuit"
 	"ddsim/internal/ddback"
@@ -283,70 +281,26 @@ func SimulateContext(ctx context.Context, c *Circuit, backend string, model Nois
 // matches a standalone Simulate call with the same seed wherever
 // Simulate's results do not depend on the worker count
 // (TestBatchSimulateNoiseSweep).
-// Jobs may mix modes: stochastic jobs run through the trajectory
-// engine's shared pool, exact-mode jobs (Opts.Mode = ModeExact)
-// through the density-matrix engine's pool (the two pools run
-// concurrently), and the result slice and Progress.Job indices are
-// stitched back together in the caller's job order. Error messages
-// from a mixed batch number jobs within their engine's sub-batch but
-// always carry the circuit name.
+// A batch runs on one engine: every job has Opts.Mode = ModeExact,
+// and the batch runs on the density-matrix engine's pool, or none
+// has, and it runs on the trajectory engine's. A batch whose jobs
+// disagree is refused before any job runs; submit each mode as a
+// batch of its own.
 func BatchSimulate(ctx context.Context, backend string, jobs []BatchJob, workers int) ([]*Result, error) {
 	f, err := Factory(backend)
 	if err != nil {
 		return nil, err
 	}
-	var exactIdx, stochIdx []int
+	exactMode := len(jobs) > 0 && jobs[0].Opts.Mode == ModeExact
 	for i := range jobs {
-		if jobs[i].Opts.Mode == ModeExact {
-			exactIdx = append(exactIdx, i)
-		} else {
-			stochIdx = append(stochIdx, i)
+		if (jobs[i].Opts.Mode == ModeExact) != exactMode {
+			return nil, fmt.Errorf("ddsim: batch mixes exact and stochastic jobs (job %d and job 0 disagree on ModeExact); submit each mode as a batch of its own", i)
 		}
 	}
-	if len(exactIdx) == 0 {
-		return stochastic.RunBatch(ctx, f, jobs, workers)
+	if exactMode {
+		return exact.RunBatch(ctx, jobs, workers)
 	}
-	results := make([]*Result, len(jobs))
-	errs := make([]error, 2)
-	scatter := func(idx []int, sub []*Result) {
-		for k, i := range idx {
-			results[i] = sub[k]
-		}
-	}
-	pick := func(idx []int) []BatchJob {
-		sel := make([]BatchJob, len(idx))
-		for k, i := range idx {
-			sel[k] = jobs[i]
-			// The engines see a compacted sub-batch; remap the progress
-			// snapshot's job index back to the caller's numbering.
-			if cb := sel[k].Opts.OnProgress; cb != nil {
-				orig := i
-				sel[k].Opts.OnProgress = func(p Progress) {
-					p.Job = orig
-					cb(p)
-				}
-			}
-		}
-		return sel
-	}
-	// The two engines own disjoint result slots, so their pools run
-	// concurrently rather than back to back; the Go scheduler shares
-	// the cores between them.
-	var wg sync.WaitGroup
-	if len(stochIdx) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sub, err := stochastic.RunBatch(ctx, f, pick(stochIdx), workers)
-			scatter(stochIdx, sub)
-			errs[0] = err
-		}()
-	}
-	sub, err := exact.RunBatch(ctx, pick(exactIdx), workers)
-	scatter(exactIdx, sub)
-	errs[1] = err
-	wg.Wait()
-	return results, errors.Join(errs...)
+	return stochastic.RunBatch(ctx, f, jobs, workers)
 }
 
 // JobKey returns the canonical content-addressed identity of a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -156,6 +157,33 @@ func TestBatchSimulateNoiseSweep(t *testing.T) {
 	if !(mass(results[0]) > mass(results[2])) {
 		t.Errorf("GHZ mass did not degrade across sweep: %v vs %v",
 			mass(results[0]), mass(results[2]))
+	}
+}
+
+// TestBatchSimulateRefusesMixedModes submits an exact and a
+// stochastic job in one batch, either way round: BatchSimulate must
+// refuse it with an error before any job runs. A batch of one mode
+// still runs.
+func TestBatchSimulateRefusesMixedModes(t *testing.T) {
+	var ran atomic.Int64
+	job := func(mode string) BatchJob {
+		return BatchJob{Circuit: GHZ(3), Model: PaperNoise(),
+			Opts: Options{Mode: mode, Runs: 64, Seed: 1, OnProgress: func(Progress) { ran.Add(1) }}}
+	}
+	for _, modes := range [][]string{{ModeExact, ModeStochastic}, {"", ModeExact}, {ModeStochastic, ModeStochastic, ModeExact}} {
+		jobs := make([]BatchJob, len(modes))
+		for i, m := range modes {
+			jobs[i] = job(m)
+		}
+		results, err := BatchSimulate(context.Background(), BackendDD, jobs, 1)
+		if err == nil || results != nil || ran.Load() != 0 {
+			t.Fatalf("modes %q: results %v, error %v, %d progress calls; want a refusal before any job runs", modes, results, err, ran.Load())
+		}
+	}
+	for _, mode := range []string{ModeExact, ""} {
+		if results, err := BatchSimulate(context.Background(), BackendDD, []BatchJob{job(mode), job(mode)}, 1); err != nil || len(results) != 2 {
+			t.Fatalf("batch of two %q jobs: %d results, error %v", mode, len(results), err)
+		}
 	}
 }
 

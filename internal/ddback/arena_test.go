@@ -42,7 +42,7 @@ func TestReleaseReturnsPackage(t *testing.T) {
 	var rel sim.Releaser = b // the engine releases via this interface
 	rel.Release()
 	rel.Release() // idempotent
-	if b.gates != nil || b.pauliCache != nil {
+	if b.gates != nil || b.op1Cache != nil {
 		t.Fatal("Release left compiled-gate caches populated")
 	}
 	b2 := build(t, c)

@@ -17,22 +17,6 @@ import (
 	"ddsim/internal/sim"
 )
 
-type pauliKey struct {
-	p sim.Pauli
-	q int
-}
-
-type dampKey struct {
-	q     int
-	fire  bool
-	pbits uint64
-}
-
-type projKey struct {
-	q       int
-	outcome int
-}
-
 type kraus2Key struct {
 	q0, q1 int
 	u      [4][4]complex128
@@ -45,9 +29,11 @@ type Backend struct {
 	gates []dd.MEdge // compiled unitary per op index (zero stub for non-gates)
 	state dd.VEdge
 
-	pauliCache  map[pauliKey]dd.MEdge
-	dampCache   map[dampKey]dd.MEdge
-	projCache   map[projKey]dd.MEdge
+	// op1Cache memoises the single-qubit noise operators (Paulis,
+	// projectors, damping Kraus operators): per 2×2 matrix, its
+	// diagram on each qubit, built on first use. Keying on the matrix
+	// alone stores its 64 bytes once per operator, not once per qubit.
+	op1Cache    map[circuit.Mat2][]dd.MEdge
 	kraus2Cache map[kraus2Key]dd.MEdge
 }
 
@@ -65,12 +51,10 @@ func NewTol(c *circuit.Circuit, tol float64) (*Backend, error) {
 		return nil, err
 	}
 	b := &Backend{
-		pkg:        dd.NewPackageTol(c.NumQubits, tol),
-		circ:       c,
-		gates:      make([]dd.MEdge, len(c.Ops)),
-		pauliCache: make(map[pauliKey]dd.MEdge),
-		dampCache:  make(map[dampKey]dd.MEdge),
-		projCache:  make(map[projKey]dd.MEdge),
+		pkg:      dd.NewPackageTol(c.NumQubits, tol),
+		circ:     c,
+		gates:    make([]dd.MEdge, len(c.Ops)),
+		op1Cache: make(map[circuit.Mat2][]dd.MEdge),
 	}
 	for i := range c.Ops {
 		op := &c.Ops[i]
@@ -141,23 +125,31 @@ func (b *Backend) ApplyPauli(p sim.Pauli, qubit int) {
 	if p == sim.PauliI {
 		return
 	}
-	key := pauliKey{p: p, q: qubit}
-	g, ok := b.pauliCache[key]
-	if !ok {
-		var u circuit.Mat2
-		switch p {
-		case sim.PauliX:
-			u = circuit.MatX
-		case sim.PauliY:
-			u = circuit.MatY
-		case sim.PauliZ:
-			u = circuit.MatZ
-		}
-		g = b.pkg.SingleQubitGate(dd.Mat2(u), qubit)
-		b.pkg.RefM(g)
-		b.pauliCache[key] = g
+	var u circuit.Mat2
+	switch p {
+	case sim.PauliX:
+		u = circuit.MatX
+	case sim.PauliY:
+		u = circuit.MatY
+	case sim.PauliZ:
+		u = circuit.MatZ
 	}
-	b.setState(b.pkg.MulMV(g, b.state))
+	b.setState(b.pkg.MulMV(b.op1(u, qubit), b.state))
+}
+
+// op1 returns the diagram of the 2×2 noise operator u on qubit, built
+// and pinned on first use and memoised for the backend's lifetime.
+func (b *Backend) op1(u circuit.Mat2, qubit int) dd.MEdge {
+	gs, ok := b.op1Cache[u]
+	if !ok {
+		gs = make([]dd.MEdge, b.circ.NumQubits)
+		b.op1Cache[u] = gs
+	}
+	if gs[qubit].W == nil { // not built yet: every built edge has a weight
+		gs[qubit] = b.pkg.SingleQubitGate(dd.Mat2(u), qubit)
+		b.pkg.RefM(gs[qubit])
+	}
+	return gs[qubit]
 }
 
 // ProbOne implements sim.Backend.
@@ -170,16 +162,9 @@ func (b *Backend) Collapse(qubit, outcome int, prob float64) {
 	if prob <= 0 {
 		panic("ddback: Collapse with non-positive probability")
 	}
-	key := projKey{q: qubit, outcome: outcome}
-	proj, ok := b.projCache[key]
-	if !ok {
-		var u circuit.Mat2
-		u[outcome][outcome] = 1
-		proj = b.pkg.SingleQubitGate(dd.Mat2(u), qubit)
-		b.pkg.RefM(proj)
-		b.projCache[key] = proj
-	}
-	out := b.pkg.MulMV(proj, b.state)
+	var u circuit.Mat2
+	u[outcome][outcome] = 1
+	out := b.pkg.MulMV(b.op1(u, qubit), b.state)
 	b.setState(b.rescale(out, prob))
 }
 
@@ -217,20 +202,11 @@ func (b *Backend) ApplyDamping(qubit int, p float64, fire bool, branchProb float
 	if branchProb <= 0 {
 		panic("ddback: ApplyDamping with non-positive branch probability")
 	}
-	key := dampKey{q: qubit, fire: fire, pbits: math.Float64bits(p)}
-	k, ok := b.dampCache[key]
-	if !ok {
-		var u circuit.Mat2
-		if fire {
-			u = circuit.Mat2{{0, complex(math.Sqrt(p), 0)}, {0, 0}}
-		} else {
-			u = circuit.Mat2{{1, 0}, {0, complex(math.Sqrt(1-p), 0)}}
-		}
-		k = b.pkg.SingleQubitGate(dd.Mat2(u), qubit)
-		b.pkg.RefM(k)
-		b.dampCache[key] = k
+	u := circuit.Mat2{{1, 0}, {0, complex(math.Sqrt(1-p), 0)}}
+	if fire {
+		u = circuit.Mat2{{0, complex(math.Sqrt(p), 0)}, {0, 0}}
 	}
-	out := b.pkg.MulMV(k, b.state)
+	out := b.pkg.MulMV(b.op1(u, qubit), b.state)
 	b.setState(b.rescale(out, branchProb))
 }
 
@@ -368,7 +344,7 @@ func (b *Backend) Release() {
 	b.pkg.Release()
 	b.state = dd.VEdge{}
 	b.gates = nil
-	b.pauliCache, b.dampCache, b.projCache, b.kraus2Cache = nil, nil, nil, nil
+	b.op1Cache, b.kraus2Cache = nil, nil
 }
 
 // FidelityTo implements sim.Snapshotter via the DD inner product.

@@ -10,9 +10,11 @@ import (
 )
 
 // FuzzWALReplay opens a data directory built from arbitrary wal.log
-// bytes, optionally beside an older directory's record and result
-// files for job j1. For every input:
+// bytes, optionally beside the older layout's record and result files
+// for job j1. For every input:
 //   - Open never panics;
+//   - a directory holding a record or result file is refused, and its
+//     wal.log is left byte for byte as it was;
 //   - no id is recovered twice;
 //   - every recovered job with a terminal status carries its Final,
 //     and every Final carries the job's status;
@@ -61,6 +63,16 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 		s, err := Open(dir)
+		if len(record) > 0 || len(result) > 0 {
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted a directory in the older layout")
+			}
+			if got, rerr := os.ReadFile(filepath.Join(dir, "wal.log")); rerr != nil || !bytes.Equal(got, wal) {
+				t.Fatalf("refused Open changed wal.log to %q (%v), want %q", got, rerr, wal)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}

@@ -11,9 +11,9 @@
 //
 // Each line names a job and its status after the line. PutJob appends
 // a "queued" line that carries the job's Record inline; PutFinal
-// appends a terminal line that carries its Final inline; SetStatus
-// and Delete append status-only lines. A job therefore costs two
-// synced appends and creates no file. A torn final line (the
+// appends a terminal line that carries its Final inline; Delete
+// appends a status-only tombstone. A job therefore costs two synced
+// appends and creates no file. A torn final line (the
 // signature of a crash mid-append) is tolerated and ignored on
 // replay. Opening the store replays the WAL to reconstruct every
 // job's record, last status and final state, drops deleted jobs, and
@@ -25,11 +25,11 @@
 // durable line is "queued" or "running" was in flight and must be
 // re-queued by the caller.
 //
-// Open also reads a data directory written before the WAL carried
-// records and finals: one jobs/<id>.json Record per submission,
-// one results/<id>.json Final per finished job, and a WAL of status
-// lines only. The first compaction moves their contents into the WAL;
-// the two directories are then removed.
+// Open refuses a data directory in the older layout, which kept a
+// jobs/<id>.json Record per submission and a results/<id>.json Final
+// per finished job beside a WAL of status lines only. Running any
+// build from commit 14fd899 to 7ff41e2 on it once moves their
+// contents into the WAL and removes the two directories.
 //
 // A Store is safe for concurrent use by multiple goroutines.
 package jobstore
@@ -40,7 +40,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -89,9 +88,8 @@ type Recovered struct {
 	Record Record
 	// Status is the last durable status. A job whose last durable
 	// status is terminal but whose Final is not durable — which only a
-	// data directory from before the WAL carried finals can hold —
-	// recovers as "queued", so a terminal Status always comes with
-	// its Final.
+	// WAL the store did not write can hold — recovers as "queued", so
+	// a terminal Status always comes with its Final.
 	Status string
 	// Final is the terminal payload, or nil for jobs that were still
 	// in flight and must be re-queued.
@@ -134,8 +132,7 @@ type Store struct {
 
 // ValidID reports whether id is acceptable as a job identifier: non-
 // empty, at most 128 bytes, and built only from letters, digits, '.',
-// '_' and '-' (ids name files: the cluster journals and the record
-// files of older data directories).
+// '_' and '-' (ids name files: the cluster journals).
 func ValidID(id string) bool {
 	if id == "" || len(id) > 128 {
 		return false
@@ -152,10 +149,20 @@ func ValidID(id string) bool {
 }
 
 // Open opens (creating if necessary) the store rooted at dir, replays
-// the WAL and any record and result files of an older data directory,
-// compacts the WAL, removes those files, and returns the store with
-// the recovery snapshot available via Recover.
+// and compacts the WAL, and returns the store with the recovery
+// snapshot available via Recover. A directory holding a jobs or
+// results entry is in the older layout and is refused before its WAL
+// is opened, so wal.log stays as it was.
 func Open(dir string) (*Store, error) {
+	for _, old := range []string{"jobs", "results"} {
+		if _, err := os.Lstat(filepath.Join(dir, old)); !os.IsNotExist(err) {
+			if err != nil {
+				return nil, fmt.Errorf("jobstore: %w", err)
+			}
+			return nil, fmt.Errorf("jobstore: %s holds %s/, the older per-job-file layout, which this build does not read; "+
+				"run any build from commit 14fd899 to 7ff41e2 on it once to migrate it into wal.log", dir, old)
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
@@ -168,14 +175,8 @@ func Open(dir string) (*Store, error) {
 	// One read of the log serves both recovery and compaction.
 	err = wal.Compact(func(lines [][]byte) ([][]byte, error) {
 		jobs = replay(lines)
-		if err := s.loadLegacy(jobs); err != nil {
-			return nil, err
-		}
 		return compactLines(jobs)
 	})
-	if err == nil {
-		err = s.removeLegacy()
-	}
 	if err != nil {
 		wal.Close()
 		return nil, err
@@ -206,9 +207,8 @@ func (s *Store) PutJob(rec Record) error {
 	return s.wal.Append(walEntry{ID: rec.ID, Status: statusQueued, Time: time.Now().UTC(), Record: &rec})
 }
 
-// SetStatus appends an in-flight status transition to the WAL and
-// syncs it.
-func (s *Store) SetStatus(id, status string) error {
+// setStatus appends a status-only line to the WAL and syncs it.
+func (s *Store) setStatus(id, status string) error {
 	if !ValidID(id) {
 		return fmt.Errorf("jobstore: invalid job id %q", id)
 	}
@@ -231,7 +231,7 @@ func (s *Store) PutFinal(id string, f Final) error {
 // Delete removes a job from the store by appending a tombstone to the
 // WAL; replay drops the job, and the next compaction drops its lines.
 func (s *Store) Delete(id string) error {
-	return s.SetStatus(id, StatusDeleted)
+	return s.setStatus(id, StatusDeleted)
 }
 
 // Close closes the WAL handle. The store must not be used afterwards.
@@ -253,10 +253,8 @@ func (s *Store) Compact() error {
 	})
 }
 
-// jobState is one job as the WAL (and an older data directory's
-// files) describe it. Tombstoned jobs stay in the map until
-// compaction, so an older directory's record file whose job was
-// deleted is not resurrected.
+// jobState is one job as the WAL describes it. Tombstoned jobs stay
+// in the map until compaction drops them.
 type jobState struct {
 	rec    *Record
 	status string
@@ -264,9 +262,7 @@ type jobState struct {
 	// line is the job's one WAL line while that line is all there is
 	// to the job: it carries the record, and no later line moved the
 	// job on. Compaction copies it verbatim if it already says what a
-	// compacted line would. Only jobs without a record line take
-	// anything from an older data directory's files, so those files
-	// never change a job that has one.
+	// compacted line would.
 	line []byte
 }
 
@@ -367,87 +363,4 @@ func recoveredJobs(jobs map[string]*jobState) []Recovered {
 		return a.ID < b.ID
 	})
 	return out
-}
-
-func (s *Store) jobPath(id string) string { return filepath.Join(s.dir, "jobs", id+".json") }
-func (s *Store) resultPath(id string) string {
-	return filepath.Join(s.dir, "results", id+".json")
-}
-
-// loadLegacy folds an older data directory's files into jobs. A
-// record file fills in a job the WAL has no record for; one without
-// any WAL line (a crash between the record write and the WAL append)
-// recovers as queued. A result file fills in a missing final, which
-// resolve attaches only if its status is the WAL's. Result files
-// without a record are orphans and are ignored. The record files of
-// tombstoned jobs are removed, durably, before the compaction that
-// drops the tombstones.
-func (s *Store) loadLegacy(jobs map[string]*jobState) error {
-	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	removed := false
-	for _, ent := range entries {
-		id, ok := strings.CutSuffix(ent.Name(), ".json")
-		if ent.IsDir() || !ok || !ValidID(id) {
-			continue
-		}
-		j := jobs[id]
-		if j != nil && j.status == StatusDeleted {
-			if err := os.Remove(s.jobPath(id)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("jobstore: %w", err)
-			}
-			removed = true
-			continue
-		}
-		if j != nil && j.rec != nil {
-			continue // the WAL's own record wins
-		}
-		var rec Record
-		if data, err := os.ReadFile(s.jobPath(id)); err != nil ||
-			json.Unmarshal(data, &rec) != nil || rec.ID != id {
-			continue // unreadable, corrupt or mismatched: unrecoverable
-		}
-		if j == nil {
-			j = &jobState{status: statusQueued}
-			jobs[id] = j
-		}
-		j.rec = &rec
-		if j.final == nil {
-			j.final = s.loadFinal(id)
-		}
-	}
-	if removed {
-		return syncDir(filepath.Join(s.dir, "jobs"))
-	}
-	return nil
-}
-
-// loadFinal reads an older data directory's Final file, or nil when
-// absent or corrupt.
-func (s *Store) loadFinal(id string) *Final {
-	data, err := os.ReadFile(s.resultPath(id))
-	if err != nil {
-		return nil
-	}
-	var f Final
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil
-	}
-	return &f
-}
-
-// removeLegacy deletes an older data directory's record and result
-// files once the compacted WAL holds their contents.
-func (s *Store) removeLegacy() error {
-	for _, d := range []string{"jobs", "results"} {
-		if err := os.RemoveAll(filepath.Join(s.dir, d)); err != nil {
-			return fmt.Errorf("jobstore: remove %s: %w", d, err)
-		}
-	}
-	return nil
 }

@@ -42,7 +42,7 @@ func TestRoundTripFinished(t *testing.T) {
 	if err := s.PutJob(rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetStatus("j1", "running"); err != nil {
+	if err := s.setStatus("j1", "running"); err != nil {
 		t.Fatal(err)
 	}
 	fin := Final{
@@ -81,7 +81,7 @@ func TestInFlightJobsRecoverForRequeue(t *testing.T) {
 	if err := s.PutJob(testRecord("j2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetStatus("j2", "running"); err != nil {
+	if err := s.setStatus("j2", "running"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -98,23 +98,6 @@ func TestInFlightJobsRecoverForRequeue(t *testing.T) {
 	}
 }
 
-// TestRecordWithoutWALEntry covers a crash between the record write
-// and the WAL append: the job must recover as queued.
-func TestRecordWithoutWALEntry(t *testing.T) {
-	dir := t.TempDir()
-	s := reopen(t, dir)
-	rec := testRecord("j9")
-	data, _ := json.Marshal(rec)
-	if err := atomicWrite(s.jobPath("j9"), data); err != nil { // record only, no WAL line
-		t.Fatal(err)
-	}
-	s2 := reopen(t, dir)
-	recs := s2.Recover()
-	if len(recs) != 1 || recs[0].Status != "queued" {
-		t.Fatalf("recovered %+v, want one queued job", recs)
-	}
-}
-
 // TestTornWALTail appends garbage (a crash mid-append) after valid
 // entries; replay must keep everything before the tear.
 func TestTornWALTail(t *testing.T) {
@@ -123,7 +106,7 @@ func TestTornWALTail(t *testing.T) {
 	if err := s.PutJob(testRecord("j1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetStatus("j1", "running"); err != nil {
+	if err := s.setStatus("j1", "running"); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0)
@@ -154,25 +137,25 @@ func TestDeleteDropsJob(t *testing.T) {
 	if err := s.Delete("j1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(s.jobPath("j1")); !os.IsNotExist(err) {
-		t.Fatal("record file survived Delete")
-	}
+	assertOnlyWAL(t, dir)
 	s2 := reopen(t, dir)
 	if recs := s2.Recover(); len(recs) != 0 {
 		t.Fatalf("deleted job recovered: %+v", recs)
 	}
+	if st, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil || st.Size() != 0 {
+		t.Fatalf("compaction kept the deleted job's lines: %v, %v", st, err)
+	}
 }
 
-// TestDeleteTombstoneWithoutFileRemoval covers a crash after the
-// tombstone reached the WAL but before the files were removed: replay
-// must still drop the job.
+// TestDeleteTombstoneWithoutFileRemoval tombstones a job that never
+// reached a final: replay must still drop the job.
 func TestDeleteTombstoneWithoutFileRemoval(t *testing.T) {
 	dir := t.TempDir()
 	s := reopen(t, dir)
 	if err := s.PutJob(testRecord("j1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetStatus("j1", StatusDeleted); err != nil { // tombstone only
+	if err := s.setStatus("j1", StatusDeleted); err != nil { // tombstone only
 		t.Fatal(err)
 	}
 	s2 := reopen(t, dir)
@@ -189,7 +172,7 @@ func TestCompactionPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := s.SetStatus("j1", "running"); err != nil {
+		if err := s.setStatus("j1", "running"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,8 +223,8 @@ func TestInvalidIDsRejected(t *testing.T) {
 		if err := s.PutJob(testRecord(id)); err == nil {
 			t.Errorf("PutJob accepted invalid id %q", id)
 		}
-		if err := s.SetStatus(id, "running"); err == nil {
-			t.Errorf("SetStatus accepted invalid id %q", id)
+		if err := s.setStatus(id, "running"); err == nil {
+			t.Errorf("setStatus accepted invalid id %q", id)
 		}
 	}
 	if !ValidID("j1.retry_2-x") {
@@ -263,8 +246,8 @@ func TestConcurrentAppends(t *testing.T) {
 				return
 			}
 			for i := 0; i < 10; i++ {
-				if err := s.SetStatus(id, "running"); err != nil {
-					t.Errorf("SetStatus %s: %v", id, err)
+				if err := s.setStatus(id, "running"); err != nil {
+					t.Errorf("setStatus %s: %v", id, err)
 				}
 			}
 			if err := s.PutFinal(id, Final{Status: "done"}); err != nil {
@@ -291,7 +274,7 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetStatus("j1", "running"); err == nil {
+	if err := s.setStatus("j1", "running"); err == nil {
 		t.Fatal("closed store accepted a WAL append")
 	}
 }

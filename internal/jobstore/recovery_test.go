@@ -159,7 +159,7 @@ func TestCompactCopiesSettledLines(t *testing.T) {
 	if err := s.PutJob(testRecord("j2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetStatus("j2", "running"); err != nil {
+	if err := s.setStatus("j2", "running"); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(time.Millisecond) // a re-encoded line would carry a later time
@@ -259,76 +259,43 @@ func TestLongLineKeepsLaterJobs(t *testing.T) {
 	}
 }
 
-// atomicWrite writes data to path crash-safely, as the store wrote
-// the files of an older data directory.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := createTemp(path)
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		discard(tmp)
-		return err
-	}
-	return commitTemp(tmp, path)
-}
-
-// legacyJSON writes v as one file of an older data directory.
-func legacyJSON(t *testing.T, path string, v any) {
-	t.Helper()
-	data, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := atomicWrite(path, data); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOpenParentFormatDir recovers a data directory in the format the
-// store wrote before the WAL carried records and finals: jobs/<id>.json,
-// results/<id>.json and a status-only WAL. Open must recover it, leave
-// only wal.log, and recover the same again from the compacted log.
-func TestOpenParentFormatDir(t *testing.T) {
-	dir := t.TempDir()
-	done := Final{Status: "done", Results: json.RawMessage(`[{"runs":10}]`),
-		Started: time.Now().UTC().Truncate(time.Second), Finished: time.Now().UTC().Truncate(time.Second)}
-	for _, id := range []string{"done", "running", "queued", "lost", "deleted", "nowal"} {
-		legacyJSON(t, filepath.Join(dir, "jobs", id+".json"), testRecord(id))
-	}
-	legacyJSON(t, filepath.Join(dir, "results", "done.json"), done)
-	legacyJSON(t, filepath.Join(dir, "results", "deleted.json"), done)
-	legacyJSON(t, filepath.Join(dir, "results", "orphan.json"), done)
-	var wal []byte
-	for _, l := range [][2]string{
-		{"done", "queued"}, {"running", "queued"}, {"queued", "queued"}, {"lost", "queued"}, {"deleted", "queued"},
-		{"done", "running"}, {"running", "running"}, {"lost", "running"}, {"deleted", "running"},
-		{"done", "done"}, {"lost", "done"}, {"deleted", "done"}, {"deleted", StatusDeleted},
-	} {
-		wal = fmt.Appendf(wal, `{"id":%q,"status":%q,"t":"2024-01-01T00:00:00Z"}`+"\n", l[0], l[1])
-	}
-	if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	want := map[string]string{"done": "done", "running": "running", "queued": "queued", "lost": "queued", "nowal": "queued"}
-	for restart := 1; restart <= 2; restart++ {
-		got := map[string]Recovered{}
-		for _, r := range reopen(t, dir).Recover() {
-			got[r.Record.ID] = r
-		}
-		if len(got) != len(want) {
-			t.Fatalf("restart %d recovered %d jobs, want %d: %+v", restart, len(got), len(want), got)
-		}
-		for id, st := range want {
-			r := got[id]
-			if r.Status != st || r.Record.Circuit != "ghz" || (r.Final != nil) != (st == "done") {
-				t.Errorf("restart %d: %s recovered as %q (final %v), want %q", restart, id, r.Status, r.Final, st)
+// TestOpenRefusesOlderLayout puts a jobs or results entry, as the
+// older per-job-file layout kept, beside a WAL that ends in a torn
+// line: Open must refuse the directory, name the builds that migrate
+// it, and leave wal.log byte for byte as it was (the torn tail is not
+// cut), or absent if there was none.
+func TestOpenRefusesOlderLayout(t *testing.T) {
+	wal := []byte(`{"id":"j1","status":"queued","t":"2024-01-01T00:00:00Z"}` + "\n" + `{"id":"j1","st`)
+	for _, old := range []string{"jobs", "results"} {
+		for _, walData := range [][]byte{wal, nil} {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "wal.log")
+			if walData != nil {
+				if err := os.WriteFile(path, walData, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.Mkdir(filepath.Join(dir, old), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir)
+			if err == nil {
+				s.Close()
+				t.Fatalf("Open accepted a directory holding %s/", old)
+			}
+			if msg := err.Error(); !strings.Contains(msg, old+"/") || !strings.Contains(msg, "7ff41e2") {
+				t.Fatalf("refusal %q does not name %s/ and the migrating builds", msg, old)
+			}
+			got, err := os.ReadFile(path)
+			if walData == nil {
+				if !os.IsNotExist(err) {
+					t.Fatalf("refused Open created wal.log: %q, %v", got, err)
+				}
+				continue
+			}
+			if err != nil || !bytes.Equal(got, walData) {
+				t.Fatalf("refused Open changed wal.log to %q (%v), want %q", got, err, walData)
 			}
 		}
-		if f := got["done"].Final; f == nil || string(f.Results) != string(done.Results) || !f.Started.Equal(done.Started) {
-			t.Errorf("restart %d: done's final = %+v, want %+v", restart, f, done)
-		}
-		assertOnlyWAL(t, dir)
 	}
 }

@@ -29,7 +29,6 @@ package rescache
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"ddsim/internal/telemetry"
 )
@@ -76,9 +75,6 @@ type Stats struct {
 	Joins int64
 	// Evictions counts entries dropped by the LRU bounds.
 	Evictions int64
-	// TTLEvictions counts entries dropped because they outlived the
-	// TTL (Sweep plus lazy expiry on lookup).
-	TTLEvictions int64
 	// Entries and Bytes are the live cache population.
 	Entries int
 	Bytes   int64
@@ -86,9 +82,8 @@ type Stats struct {
 
 // entry is one cached key/value pair; it lives in the LRU list.
 type entry struct {
-	key    string
-	val    []byte
-	stored time.Time // when the value entered the cache (TTL anchor)
+	key string
+	val []byte
 }
 
 // flight is one in-flight computation and its subscribers.
@@ -102,8 +97,6 @@ type Cache struct {
 	mu         sync.Mutex
 	maxEntries int
 	maxBytes   int64
-	ttl        time.Duration // 0 = entries never age out
-	now        func() time.Time
 	bytes      int64
 	ll         *list.List // front = most recently used
 	entries    map[string]*list.Element
@@ -120,66 +113,10 @@ func New(maxEntries int, maxBytes int64) *Cache {
 	return &Cache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
-		now:        time.Now,
 		ll:         list.New(),
 		entries:    make(map[string]*list.Element),
 		flights:    make(map[string]*flight),
 	}
-}
-
-// SetTTL bounds the age of cached entries: values older than ttl are
-// treated as absent on lookup and removed by Sweep. A zero or
-// negative ttl disables aging (the default). Call before serving
-// traffic.
-func (c *Cache) SetTTL(ttl time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ttl = ttl
-}
-
-// SetNow injects the clock used for TTL decisions (tests only).
-func (c *Cache) SetNow(now func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = now
-}
-
-// Sweep removes every entry older than the TTL, returning how many it
-// evicted. The service runs Sweep periodically on a ticker so an idle
-// cache does not pin stale payloads until the next lookup happens to
-// touch them. A no-op without a TTL.
-func (c *Cache) Sweep(now time.Time) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ttl <= 0 {
-		return 0
-	}
-	evicted := 0
-	// Age order is insertion order, not LRU order (hits refresh
-	// recency, not stored time), so scan the whole list.
-	for el := c.ll.Back(); el != nil; {
-		prev := el.Prev()
-		if e := el.Value.(*entry); now.Sub(e.stored) > c.ttl {
-			c.removeLocked(el, e)
-			evicted++
-		}
-		el = prev
-	}
-	if evicted > 0 {
-		telemetry.ResCacheEntries.Set(int64(len(c.entries)))
-		telemetry.ResCacheBytes.Set(c.bytes)
-	}
-	return evicted
-}
-
-// removeLocked drops one expired entry and counts it as a TTL
-// eviction. Caller holds c.mu.
-func (c *Cache) removeLocked(el *list.Element, e *entry) {
-	c.ll.Remove(el)
-	delete(c.entries, e.key)
-	c.bytes -= int64(len(e.val))
-	c.stats.TTLEvictions++
-	telemetry.ResCacheTTLEvictions.Inc()
 }
 
 // GetOrJoin resolves a key per the package protocol. The returned
@@ -191,19 +128,10 @@ func (c *Cache) GetOrJoin(key string) (val []byte, wait <-chan []byte, outcome O
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry)
-		if c.ttl > 0 && c.now().Sub(e.stored) > c.ttl {
-			// Lazy expiry: an aged-out value must not be served even
-			// if the periodic sweep hasn't reached it yet.
-			c.removeLocked(el, e)
-			telemetry.ResCacheEntries.Set(int64(len(c.entries)))
-			telemetry.ResCacheBytes.Set(c.bytes)
-		} else {
-			c.ll.MoveToFront(el)
-			c.stats.Hits++
-			telemetry.ResCacheHits.Inc()
-			return e.val, nil, Hit
-		}
+		c.ll.MoveToFront(el)
+		c.stats.Hits++
+		telemetry.ResCacheHits.Inc()
+		return el.Value.(*entry).val, nil, Hit
 	}
 	if f, ok := c.flights[key]; ok {
 		ch := make(chan []byte, 1)
@@ -294,10 +222,9 @@ func (c *Cache) storeLocked(key string, val []byte) {
 		e := el.Value.(*entry)
 		c.bytes += int64(len(val)) - int64(len(e.val))
 		e.val = val
-		e.stored = c.now()
 		c.ll.MoveToFront(el)
 	} else {
-		c.entries[key] = c.ll.PushFront(&entry{key: key, val: val, stored: c.now()})
+		c.entries[key] = c.ll.PushFront(&entry{key: key, val: val})
 		c.bytes += int64(len(val))
 	}
 	for (c.maxEntries > 0 && len(c.entries) > c.maxEntries) ||

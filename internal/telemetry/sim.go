@@ -180,12 +180,6 @@ var (
 	ResCacheBytes = NewGauge("ddsim_rescache_bytes",
 		"Total payload bytes currently held by the result cache.")
 
-	// ResCacheTTLEvictions counts entries dropped by the cache's
-	// age bound (periodic sweeps plus lazy expiry on lookup),
-	// as opposed to the LRU capacity bounds counted above.
-	ResCacheTTLEvictions = NewCounter("ddsim_rescache_ttl_evictions_total",
-		"Result-cache entries evicted because they outlived the TTL.")
-
 	// QueueWaitSeconds / SimulateSeconds / PersistSeconds are the
 	// per-phase latency histograms of the ddsimd job pipeline: time
 	// from acceptance to a granted simulation slot, time simulating,

@@ -84,6 +84,11 @@
 #    internal/stochastic declares no Deterministic; non-test Go under
 #    internal/density declares no MeasureProject, ProbOne, Clone, Mix
 #    or Scale method, and none under internal/dd declares MNodeCount.
+# 18. The job store reads one format, the result cache has no TTL and
+#    a batch runs one mode: "loadLegacy", "removeLegacy", "SetTTL",
+#    "cache-ttl" and "ddsim_rescache_ttl_evictions_total" appear
+#    nowhere in non-test Go, docs/ or scripts/ (this file aside), and
+#    ddsim.go does not say that batches "may mix modes".
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -381,6 +386,21 @@ if [ -n "$dead" ]; then
   while IFS= read -r hit; do
     echo "DELETED API DECLARED AGAIN: $hit" >&2
   done <<< "$dead"
+  fail=1
+fi
+
+# --- 18. one store format, no cache TTL, one mode per batch -----------------
+# shellcheck disable=SC2086 # allsrc_nt is a word list of paths
+if dead="$(grep -nE 'loadLegacy|removeLegacy|SetTTL|cache-ttl|ddsim_rescache_ttl_evictions_total' $allsrc_nt docs/*.md $(find scripts -type f ! -name check_docs.sh))"; then
+  while IFS= read -r hit; do
+    echo "DELETED STORE READER OR CACHE TTL: $hit; the job store refuses the older layout and cached results never age out" >&2
+  done <<< "$dead"
+  fail=1
+fi
+if mixed="$(grep -niE 'may mix modes' ddsim.go)"; then
+  while IFS= read -r hit; do
+    echo "MIXED-MODE BATCH: ddsim.go:$hit; BatchSimulate refuses a batch that mixes modes" >&2
+  done <<< "$mixed"
   fail=1
 fi
 
