@@ -36,6 +36,9 @@ func TestSSEKeepaliveCadence(t *testing.T) {
 	// Occupy the only slot with a long job, then queue a second one.
 	long := `{"circuit":{"name":"ghz","n":16},"options":{"runs":10000000,"seed":1}}`
 	blocker := submit(t, ts, long)
+	// Submitted first, the blocker's goroutine can still reach the
+	// dispatcher after the queued job's and lose the slot to it.
+	waitFor(t, "the blocker to hold the slot", func() bool { return getJob(t, ts, blocker).Status == statusRunning })
 	queued := submit(t, ts, `{"circuit":{"name":"ghz","n":4},"options":{"runs":10,"seed":2}}`)
 
 	req, err := http.NewRequest(http.MethodGet, ts.URL+"/jobs/"+queued+"/events", nil)

@@ -63,10 +63,12 @@
 // (TestOneWorkerDDReproducesItselfQFT16), and on the statevec and
 // sparse backends and on cache-resident DDs results are bit-identical
 // across worker counts (TestDeterminismAcrossWorkerCounts). A DD
-// whose diagrams outgrow the compute caches (QFT-16 and up) can give
-// another result with more than one worker: its weight rounding
-// depends on what each worker's package computed before, and a
-// trajectory can then take another branch.
+// whose diagrams outgrow the compute caches (QFT-16 and up) rounds
+// its weights by what each worker's package computed before, so its
+// estimates can move in their last bits with the worker count: on
+// QFT-20 under paper noise with crosstalk and idle noise, one and two
+// workers sample identical histograms and their tracked estimates
+// agree within 1e-9 relative (TestWorkerCountsAgreeQFT20).
 //
 // # Trajectory checkpointing
 //
@@ -83,8 +85,11 @@
 // noisy or not. There is no switch: sparse jobs, and circuits whose
 // first op is a measurement or reset (a path with nothing to share),
 // replay the path instead, and Result.Checkpointed says which
-// happened. Forked and replayed runs are tested bit-equal; on dd only
-// where the weight rounding does not depend on the package's history.
+// happened. Forked and replayed runs make the same draws. They are
+// tested bit-equal on statevec; on dd, where a forked trajectory
+// applies its gates as block products from its snapshot and a replayed
+// one from the start, histograms are tested equal and estimates equal
+// to 1e-12 relative (TestForkedMatchesReplay).
 // /metrics and the CLI telemetry digests report prefix gates skipped,
 // checkpoints taken, forks served and memory retained.
 //

@@ -66,6 +66,7 @@ type MNode struct {
 	Level int
 	id    uint32
 	ref   int32
+	seen  uint64 // walk epoch that last visited the node (NodeCountM)
 	next  *MNode
 }
 
@@ -226,6 +227,16 @@ type Package struct {
 	// ProductOperator callers (gate builders, collapse, Kraus
 	// application) — a Package is single-goroutine by contract.
 	factorScratch []*Mat2
+
+	// bound is the budget and cache journal of the MulMMBounded build
+	// in progress, pointing at boundState; nil outside one.
+	bound      *mmBound
+	boundState mmBound
+
+	// mEpoch numbers the NodeCountM walks: a node whose seen field
+	// holds the current epoch was visited by the current walk. 64 bits
+	// never wrap, and take no more room in MNode than 32 (padding).
+	mEpoch uint64
 
 	// gcThreshold triggers automatic garbage collection when the
 	// combined unique-table population exceeds it; wGCThreshold does

@@ -83,21 +83,24 @@ func (p *Package) NodeCount(e VEdge) int {
 }
 
 // NodeCountM returns the number of distinct nodes reachable from an
-// operator diagram edge.
+// operator diagram edge. It marks the nodes it visits with a fresh
+// walk epoch instead of collecting them in a set, so it allocates
+// nothing: block products count every product they build.
 func (p *Package) NodeCountM(e MEdge) int {
-	seen := make(map[*MNode]bool)
-	var walk func(n *MNode)
-	walk = func(n *MNode) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		for i := range n.E {
-			walk(n.E[i].N)
-		}
+	p.mEpoch++
+	return p.countM(e.N)
+}
+
+func (p *Package) countM(n *MNode) int {
+	if n == nil || n.seen == p.mEpoch {
+		return 0
 	}
-	walk(e.N)
-	return len(seen)
+	n.seen = p.mEpoch
+	c := 1
+	for i := range n.E {
+		c += p.countM(n.E[i].N)
+	}
+	return c
 }
 
 // DOT renders the vector diagram in Graphviz format, reproducing the

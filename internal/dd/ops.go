@@ -108,10 +108,19 @@ func (p *Package) AddM(a, b MEdge) MEdge {
 	if ent.a != 0 {
 		p.cConflicts++
 	}
+	if p.bound != nil && !p.bound.step() {
+		return p.ZeroMEdge()
+	}
 
 	var kids [4]MEdge
 	for i := 0; i < 4; i++ {
 		kids[i] = p.AddM(a.N.E[i], p.scaleM(b.N.E[i], bw))
+	}
+	if p.bound != nil {
+		if p.bound.abandoned {
+			return p.ZeroMEdge()
+		}
+		p.bound.madd = append(p.bound.madd, maddUndo{ent, *ent})
 	}
 	r := p.makeMNode(a.N.Level, kids)
 	*ent = tripleEntry{a: a.N.id, b: b.N.id, bw: bw.ID(), r: mRef(r)}
@@ -190,6 +199,9 @@ func (p *Package) MulMM(a, b MEdge) MEdge {
 	if ent.key != 0 {
 		p.cConflicts++
 	}
+	if p.bound != nil && !p.bound.step() {
+		return p.ZeroMEdge()
+	}
 
 	var kids [4]MEdge
 	for row := 0; row < 2; row++ {
@@ -199,9 +211,74 @@ func (p *Package) MulMM(a, b MEdge) MEdge {
 			kids[2*row+col] = p.AddM(t0, t1)
 		}
 	}
+	if p.bound != nil {
+		if p.bound.abandoned {
+			return p.ZeroMEdge()
+		}
+		p.bound.mm = append(p.bound.mm, mmUndo{ent, *ent})
+	}
 	r := p.makeMNode(a.N.Level, kids)
 	*ent = pairEntry{key: key, r: mRef(r)}
 	return p.scaleM(r, w)
+}
+
+// mmBound is the state of one MulMMBounded build: the cache-missing
+// MulMM/AddM steps it may still take, whether it ran out of them, and
+// every mm and madd slot it wrote, with the slot's previous contents.
+type mmBound struct {
+	left      int
+	abandoned bool
+	mm        []mmUndo
+	madd      []maddUndo
+}
+
+type mmUndo struct {
+	slot *pairEntry
+	old  pairEntry
+}
+
+type maddUndo struct {
+	slot *tripleEntry
+	old  tripleEntry
+}
+
+// step charges one cache-missing step to the build and reports whether
+// the step may run. Once none is left the build is abandoned: every
+// later miss returns at once, and no frame above it builds a node or
+// writes a cache entry, so the recursion unwinds in a few cache probes
+// per level.
+func (b *mmBound) step() bool {
+	if b.left == 0 {
+		b.abandoned = true
+		return false
+	}
+	b.left--
+	return true
+}
+
+// MulMMBounded is MulMM within a work budget, for products that are
+// worth keeping only while they stay small: it gives up after steps
+// cache-missing MulMM and AddM recursions. An abandoned build puts back
+// every mm and madd cache slot it wrote, in reverse order, so it leaves
+// no entry behind; the nodes and weights it made are unpinned garbage
+// for the next collection. A finished build also reports the product's
+// node count.
+func (p *Package) MulMMBounded(a, b MEdge, steps int) (r MEdge, nodes int, ok bool) {
+	bound := &p.boundState
+	*bound = mmBound{left: steps, mm: bound.mm[:0], madd: bound.madd[:0]}
+	p.bound = bound
+	r = p.MulMM(a, b)
+	p.bound = nil
+	if bound.abandoned {
+		for i := len(bound.mm) - 1; i >= 0; i-- {
+			*bound.mm[i].slot = bound.mm[i].old
+		}
+		for i := len(bound.madd) - 1; i >= 0; i-- {
+			*bound.madd[i].slot = bound.madd[i].old
+		}
+		return MEdge{}, 0, false
+	}
+	return r, p.NodeCountM(r), true
 }
 
 // Dot returns the inner product ⟨a|b⟩ (conjugate-linear in a).

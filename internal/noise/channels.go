@@ -200,13 +200,16 @@ func (ch *Chan1) Apply(b sim.Backend, rng *rand.Rand) {
 // fireDampingEvent realises one relaxation event of the Section III
 // event semantics: full-strength damping (γ = 1), branch-selected
 // between decay and the no-decay projection with the probabilities of
-// Example 6.
+// Example 6. It draws the branch uniform whatever P(1) is, so a P(1)
+// that rounds to 0 or 1 on one backend and not on another cannot
+// change how many draws the trajectory takes.
 func fireDampingEvent(b sim.Backend, q int, rng *rand.Rand) {
 	p1 := b.ProbOne(q)
+	r := rng.Float64()
 	if p1 <= 0 {
 		return // qubit already in |0⟩: the event is invisible
 	}
-	if p1 >= 1 || rng.Float64() < p1 {
+	if r < p1 {
 		b.ApplyDamping(q, 1, true, p1)
 	} else {
 		b.ApplyDamping(q, 1, false, 1-p1)
@@ -215,14 +218,16 @@ func fireDampingEvent(b sim.Backend, q int, rng *rand.Rand) {
 
 // applyExactDamping samples the exact channel of Example 6 with γ = p:
 // the branch probabilities depend on the current state through
-// P(q = 1), so there is no state-independent draw to split off.
+// P(q = 1), so there is no state-independent draw to split off. Like
+// fireDampingEvent it draws one uniform whatever P(1) is.
 func applyExactDamping(b sim.Backend, q int, p float64, rng *rand.Rand) {
 	pFire := p * b.ProbOne(q) // ‖A0|ψ⟩‖²
+	r := rng.Float64()
 	if pFire <= 0 {
 		// Qubit is (numerically) in |0⟩; A1 acts as identity.
 		return
 	}
-	if rng.Float64() < pFire {
+	if r < pFire {
 		b.ApplyDamping(q, p, true, pFire)
 	} else {
 		b.ApplyDamping(q, p, false, 1-pFire)

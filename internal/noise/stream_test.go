@@ -5,8 +5,9 @@ package noise
 // calls Fire itself, so for bit-identical trajectories draw-then-fire
 // must make exactly the backend calls, and leave the rng exactly
 // where, the one-piece Apply of before the split did. The reference
-// below is that Apply, kept verbatim; the golden file pins what it
-// produced at the commit before the split.
+// below is that Apply, kept verbatim but for one rule adopted later: a
+// damping event draws its branch uniform whatever P(1) is. The golden
+// file pins what the reference produces under that rule.
 
 import (
 	"fmt"
@@ -59,7 +60,8 @@ func (r *recorder) ApplyKraus2(q0, q1 int, k [4][4]complex128, branchProb float6
 	r.logf("kraus2 ? q%d q%d", q0, q1)
 }
 
-// legacyApply1 is Chan1.Apply as it stood before the draw/fire split.
+// legacyApply1 is Chan1.Apply as it stood before the draw/fire split,
+// with the damping branches under the one-draw rule.
 func legacyApply1(ch *Chan1, b sim.Backend, rng *rand.Rand) {
 	switch ch.Kind {
 	case ChanDepolarizing:
@@ -73,10 +75,11 @@ func legacyApply1(ch *Chan1, b sim.Backend, rng *rand.Rand) {
 				return
 			}
 			p1 := b.ProbOne(q)
+			r := rng.Float64()
 			if p1 <= 0 {
 				return
 			}
-			if p1 >= 1 || rng.Float64() < p1 {
+			if r < p1 {
 				b.ApplyDamping(q, 1, true, p1)
 			} else {
 				b.ApplyDamping(q, 1, false, 1-p1)
@@ -85,10 +88,11 @@ func legacyApply1(ch *Chan1, b sim.Backend, rng *rand.Rand) {
 		}
 		p1 := b.ProbOne(q)
 		pFire := ch.P * p1
+		r := rng.Float64()
 		if pFire <= 0 {
 			return
 		}
-		if rng.Float64() < pFire {
+		if r < pFire {
 			b.ApplyDamping(q, ch.P, true, pFire)
 		} else {
 			b.ApplyDamping(q, ch.P, false, 1-pFire)
@@ -210,9 +214,10 @@ func TestDrawThenFireMatchesLegacyApply(t *testing.T) {
 	}
 }
 
-// TestStreamGolden pins the logs of seeds 1 and 7 to the file written
-// by the pre-split Apply itself, so the reference above cannot drift
-// together with the code it checks.
+// TestStreamGolden pins the logs of seeds 1 and 7 to a recorded file,
+// so the reference above cannot drift together with the code it
+// checks. The file was written by the pre-split Apply itself, and
+// recorded again when damping events went to one branch draw each.
 func TestStreamGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, seed := range []int64{1, 7} {
@@ -410,6 +415,63 @@ func TestCompiledRollsAreApplyAfterGateDraws(t *testing.T) {
 				}
 				if j >= 0 && len(legacy.log) == 0 {
 					t.Errorf("%s op %d roll %d: a draw under the threshold fired nothing", name, i, j)
+				}
+			}
+		}
+	}
+}
+
+// countingSource counts the values drawn from a seeded source.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (c *countingSource) Int63() int64 { c.draws++; return c.Source.Int63() }
+
+// fixedProbOne answers every ProbOne with p1 and accepts any damping
+// branch.
+type fixedProbOne struct {
+	sim.Backend // the damping paths call nothing else
+	p1          float64
+}
+
+func (f fixedProbOne) ProbOne(int) float64                    { return f.p1 }
+func (fixedProbOne) ApplyDamping(int, float64, bool, float64) {}
+
+// TestDampingDrawsIgnoreProbOneRounding: a damping event takes one
+// branch draw whatever P(1) is, so a P(1) of exactly 0 or 1 leaves the
+// stream where one a rounding error away (1e-15, 1 − 1e-15) does — on
+// the event and the exact channel, through Fire, Apply and the
+// reference loop alike.
+func TestDampingDrawsIgnoreProbOneRounding(t *testing.T) {
+	event := newChan1(ChanDamping, 0, 0.4, true, LabelDamping)
+	exact := newChan1(ChanDamping, 0, 0.4, false, LabelDamping)
+	paths := map[string]func(b sim.Backend, rng *rand.Rand){
+		"event Fire":  func(b sim.Backend, rng *rand.Rand) { event.Fire(b, rng, 0) },
+		"event Apply": func(b sim.Backend, rng *rand.Rand) { event.Apply(b, rng) },
+		"exact Apply": func(b sim.Backend, rng *rand.Rand) { exact.Apply(b, rng) },
+		"ApplyAfterGate event": func(b sim.Backend, rng *rand.Rand) {
+			Model{Damping: 0.4, DampingAsEvent: true}.ApplyAfterGate(b, []int{0}, rng)
+		},
+		"ApplyAfterGate exact": func(b sim.Backend, rng *rand.Rand) {
+			Model{Damping: 0.4}.ApplyAfterGate(b, []int{0}, rng)
+		},
+	}
+	for name, apply := range paths {
+		for _, pair := range [][2]float64{{0, 1e-15}, {1, 1 - 1e-15}} {
+			for seed := int64(1); seed <= 200; seed++ {
+				var draws [2]int
+				var next [2]int64
+				for i, p1 := range pair {
+					src := &countingSource{Source: rand.NewSource(seed)}
+					rng := rand.New(src)
+					apply(fixedProbOne{p1: p1}, rng)
+					draws[i], next[i] = src.draws, rng.Int63()
+				}
+				if draws[0] != draws[1] || next[0] != next[1] {
+					t.Fatalf("%s seed %d: P(1) = %v drew %d, P(1) = %v drew %d",
+						name, seed, pair[0], draws[0], pair[1], draws[1])
 				}
 			}
 		}

@@ -130,6 +130,10 @@ type TableStats struct {
 	// unique tables' slot capacity at the snapshot.
 	UniqueMaxProbe int64
 	UniqueLoad     float64
+	// BlockApplications counts the operators the instance applied to
+	// its state for runs of gates: one per block product, a block of
+	// one gate included. Fewer than the gates applied when runs fuse.
+	BlockApplications int64
 }
 
 // TableStatser is an optional backend capability: exposing

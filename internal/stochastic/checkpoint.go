@@ -31,9 +31,13 @@ package stochastic
 // (ckptRunner.run) making the same draws, and a restored state is the
 // product of the identical operation sequence. Same-seed results are
 // therefore bit-identical forked or replayed, wherever the backend's
-// rounding does not depend on its history; the differential tests in
-// checkpoint_test.go (TestCheckpointedMatchesPlainSameSeed) enforce
-// this against a backend wrapper that hides sim.Forker.
+// rounding depends neither on its history nor on where a run of gates
+// starts; the differential tests in checkpoint_test.go
+// (TestCheckpointedMatchesPlainSameSeed) enforce this against a
+// backend wrapper that hides sim.Forker. The DD backend applies runs
+// of gates as block products, and a forked trajectory's runs start at
+// its snapshot, a replayed one's at op 0, so on dd the two agree to
+// rounding (TestForkedMatchesReplay).
 
 import (
 	"math"

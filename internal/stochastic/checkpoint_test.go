@@ -401,8 +401,9 @@ func TestCheckpointOnUnsupportedBackend(t *testing.T) {
 }
 
 // forkedVsReplay runs one job on f and on replayFactory(f) and demands
-// bit-equal estimates, histograms and fidelity.
-func forkedVsReplay(t *testing.T, label string, c *circuit.Circuit, f sim.Factory, m noise.Model, opts Options) {
+// equal histograms, and estimates and fidelity equal to rel relative
+// difference (0: bit-equal).
+func forkedVsReplay(t *testing.T, label string, c *circuit.Circuit, f sim.Factory, m noise.Model, opts Options, rel float64) {
 	t.Helper()
 	plain, err := Run(c, replayFactory(f), m, opts)
 	if err != nil {
@@ -415,7 +416,47 @@ func forkedVsReplay(t *testing.T, label string, c *circuit.Circuit, f sim.Factor
 	if !forked.Checkpointed {
 		t.Fatalf("%s: did not fork", label)
 	}
-	assertResultsIdentical(t, label, plain, forked)
+	assertResultsClose(t, label, plain, forked, rel)
+}
+
+// sameDrawsForkedReplayed runs each trajectory of a job through a
+// forking and a replaying runner on fresh backends of f, shots
+// included, and demands that both take the same number of draws.
+func sameDrawsForkedReplayed(t *testing.T, label string, c *circuit.Circuit, f sim.Factory, m noise.Model, opts Options) {
+	t.Helper()
+	p := pathOf(t, c, m)
+	var draws [2][]int
+	for leg, fork := range []bool{true, false} {
+		b, err := f(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var forker sim.Forker
+		if fork {
+			forker = b.(sim.Forker)
+		}
+		r, _ := newCkptRunner(b, forker, c, p)
+		src := new(drawCounter)
+		rng := rand.New(src)
+		clbits := make([]uint64, 1)
+		for j := 0; j < opts.Runs; j++ {
+			src.seek(opts.Seed, uint64(j))
+			src.n = 0
+			r.run(rng, clbits, new(ckptStats), new(noise.ChannelCounts))
+			for s := 0; s < opts.Shots; s++ {
+				b.SampleBasis(rng)
+			}
+			draws[leg] = append(draws[leg], src.n)
+		}
+		if rel, ok := b.(sim.Releaser); ok {
+			rel.Release()
+		}
+	}
+	for j := range draws[0] {
+		if draws[0][j] != draws[1][j] {
+			t.Fatalf("%s run %d: %d draws forked, %d replayed", label, j, draws[0][j], draws[1][j])
+		}
+	}
 }
 
 // forkCircuit has every op kind the reference path must handle behind
@@ -448,7 +489,12 @@ func forkCircuit() *circuit.Circuit {
 // on a circuit with non-Clifford phases two workers do not reproduce
 // even their own previous run (ROADMAP item 2); its multi-worker
 // differential stays on the cache-resident circuits of
-// TestCheckpointedMatchesPlainSameSeed.
+// TestCheckpointedMatchesPlainSameSeed. Nor is its one-worker leg
+// bit-exact: a forked trajectory applies its gate runs as block
+// products from its snapshot on, a replayed one from op 0, and the
+// products round differently. That leg demands identical histograms
+// and draw counts, and estimates equal to 1e-12 relative; the statevec
+// legs stay bit-exact.
 func TestForkedMatchesReplay(t *testing.T) {
 	paper := noise.PaperDefaults().Scale(10)
 	xtalk, idle := paper, paper
@@ -483,10 +529,16 @@ func TestForkedMatchesReplay(t *testing.T) {
 						continue // see above
 					}
 					for seed := int64(1); seed <= 20; seed++ {
-						forkedVsReplay(t, b.name, tc.circ, b.factory, tc.model, Options{
+						opts := Options{
 							Runs: 48, Seed: 1000 * seed, Shots: 2, Workers: workers, ChunkSize: 8,
 							TrackStates: []uint64{0, 5, 15}, TrackFidelity: true,
-						})
+						}
+						if b.name == "dd" {
+							forkedVsReplay(t, b.name, tc.circ, b.factory, tc.model, opts, 1e-12)
+							sameDrawsForkedReplayed(t, b.name, tc.circ, b.factory, tc.model, opts)
+							continue
+						}
+						forkedVsReplay(t, b.name, tc.circ, b.factory, tc.model, opts, 0)
 					}
 				}
 			}
@@ -540,7 +592,7 @@ func TestForkedMatchesReplayAtEveryPosition(t *testing.T) {
 			delete(want, j)
 			forkedVsReplay(t, tc.name, tc.circ, tc.factory, model, Options{
 				Runs: 3, Seed: seed, Workers: 1, TrackStates: []uint64{0, 1}, TrackFidelity: true,
-			})
+			}, 0)
 		}
 		if len(want) > 0 {
 			t.Errorf("%s: no seed fires first at rolls %v", tc.name, want)

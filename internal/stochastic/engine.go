@@ -320,6 +320,7 @@ func (wb *compiled) reportTableStats() {
 	telemetry.DDComputeConflicts.Add(cur.ComputeConflicts - prev.ComputeConflicts)
 	telemetry.DDNodesCreated.Add(cur.NodesCreated - prev.NodesCreated)
 	telemetry.DDGCRuns.Add(cur.GCRuns - prev.GCRuns)
+	telemetry.DDBlockApplications.Add(cur.BlockApplications - prev.BlockApplications)
 	telemetry.DDPeakNodes.SetMax(cur.PeakNodes)
 	for i, c := range cur.UniqueProbe {
 		telemetry.DDUniqueProbeLen.ObserveN(float64(i+1), c-prev.UniqueProbe[i])

@@ -20,6 +20,14 @@ import (
 // MeanFidelity, Runs).
 func assertResultsIdentical(t *testing.T, label string, a, b *Result) {
 	t.Helper()
+	assertResultsClose(t, label, a, b, 0)
+}
+
+// assertResultsClose is assertResultsIdentical with TrackedProbs and
+// MeanFidelity held to a relative difference of rel (0: bit equality);
+// Runs and the histograms must still be identical.
+func assertResultsClose(t *testing.T, label string, a, b *Result, rel float64) {
+	t.Helper()
 	if a.Runs != b.Runs {
 		t.Errorf("%s: runs %d vs %d", label, a.Runs, b.Runs)
 	}
@@ -40,14 +48,20 @@ func assertResultsIdentical(t *testing.T, label string, a, b *Result) {
 		}
 	}
 	for i := range a.TrackedProbs {
-		if a.TrackedProbs[i] != b.TrackedProbs[i] {
-			t.Errorf("%s: tracked[%d] = %v vs %v (not bit-identical)",
-				label, i, a.TrackedProbs[i], b.TrackedProbs[i])
+		if !relClose(a.TrackedProbs[i], b.TrackedProbs[i], rel) {
+			t.Errorf("%s: tracked[%d] = %v vs %v (relative tolerance %g)",
+				label, i, a.TrackedProbs[i], b.TrackedProbs[i], rel)
 		}
 	}
-	if a.MeanFidelity != b.MeanFidelity {
-		t.Errorf("%s: fidelity %v vs %v", label, a.MeanFidelity, b.MeanFidelity)
+	if !relClose(a.MeanFidelity, b.MeanFidelity, rel) {
+		t.Errorf("%s: fidelity %v vs %v (relative tolerance %g)", label, a.MeanFidelity, b.MeanFidelity, rel)
 	}
+}
+
+// relClose reports whether x and y differ by at most rel relative to
+// the larger magnitude; rel 0 demands equality.
+func relClose(x, y, rel float64) bool {
+	return x == y || math.Abs(x-y) <= rel*math.Max(math.Abs(x), math.Abs(y))
 }
 
 // TestDeterminismAcrossWorkerCounts is the chunked-dispatch regression

@@ -96,8 +96,9 @@ func histLine(h map[uint64]int) string {
 // TestKernelGolden pins same-seed DD results to a recorded file, so a
 // change to the DD kernel, the engine or the random stream that moves
 // any number shows up across commits, not only against a second in-tree
-// implementation. The file's header ('#' lines) names the commit that
-// recorded it; record again only with a new stream version.
+// implementation. The file's header ('#' lines) names the change that
+// recorded it; record again only with a change to the random stream's
+// definition or to how the DD kernel rounds, and name it there.
 func TestKernelGolden(t *testing.T) {
 	checkGolden(t, "testdata/kernel_golden.txt", goldenLog(t, ddback.Factory(), []goldenJob{
 		{"ghz4+measure", circuit.GHZ(4).MeasureAll(), goldenNoise, []uint64{0, 7, 15}, []int{1, 4}},
@@ -124,10 +125,11 @@ func ctrlGeneralCircuit() *circuit.Circuit {
 }
 
 // TestStatevecGolden is TestKernelGolden for the dense backend. Dense
-// arithmetic is history-free, so every worker count belongs. The file
-// was recorded at the commit before the structure-aware kernels, and a
-// kernel may differ from the generic 2×2 loop it replaced only in the
-// sign of a zero, which no recorded field can see.
+// arithmetic is history-free, so every worker count belongs. The
+// structure-aware kernels did not move the file, which was recorded
+// through the generic 2×2 loop: a kernel may differ from that loop
+// only in the sign of a zero, which no recorded field can see. It was
+// recorded again when damping events went to one branch draw each.
 func TestStatevecGolden(t *testing.T) {
 	checkGolden(t, "testdata/statevec_golden.txt", goldenLog(t, statevec.Factory(), []goldenJob{
 		{"ghz4+measure", circuit.GHZ(4).MeasureAll(), goldenNoise, []uint64{0, 7, 15}, []int{1, 4}},
@@ -156,11 +158,11 @@ measure q[1] -> c[1];
 // TestDynamicGolden pins noise-free dynamic circuits — measurements,
 // resets and conditioned gates with gates behind the first of them —
 // on both forking backends. Every trajectory of such a job continues
-// past the reference path's end op by op, forked or replayed; the file
-// was recorded while the forked leg still ran through an outcome-history
-// segment cache, so it also shows that cache's removal moved no bit.
-// forkCircuit's T makes DD interning history-dependent, so its DD leg
-// runs one worker only.
+// past the reference path's end op by op, forked or replayed. The DD
+// legs were recorded again when gate runs became block products; the
+// statevec legs have not moved since the forked leg ran through an
+// outcome-history segment cache. forkCircuit's T makes DD interning
+// history-dependent, so its DD leg runs one worker only.
 func TestDynamicGolden(t *testing.T) {
 	qasmNoise, err := qasm.Parse("qasm_noise", qasmNoiseSrc)
 	if err != nil {

@@ -1,12 +1,14 @@
 package stochastic
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
 	"ddsim/internal/circuit"
 	"ddsim/internal/ddback"
+	"ddsim/internal/noise"
 	"ddsim/internal/sim"
 )
 
@@ -82,4 +84,33 @@ func TestOneWorkerDDJobUnmovedByEarlierJobs(t *testing.T) {
 	run(2)
 	run(3)
 	assertResultsIdentical(t, "QFT-24, one worker, first job vs re-run", first, run(1))
+}
+
+// TestWorkerCountsAgreeQFT20: one and two DD workers running the same
+// QFT-20 job under paper noise with crosstalk and idle noise sample
+// the same histogram, and their tracked estimates differ by at most
+// 1e-9 relative, over five seeds. Two workers' packages round
+// differently, since each computed other trajectories before; the
+// block products are the same in both (ddback builds them before any
+// trajectory), and a damping event draws its branch whatever P(1) is,
+// so that rounding cannot make a trajectory take another number of
+// draws. The repository benchmark's worker check rests on this.
+func TestWorkerCountsAgreeQFT20(t *testing.T) {
+	c := circuit.QFT(20)
+	m := noise.PaperDefaults().Scale(3)
+	m.Crosstalk = &noise.Crosstalk{Strength: 0.006, ZZBias: 0.5}
+	m.Idle = &noise.IdleNoise{Damping: 0.0015, Dephasing: 0.0015}
+	for seed := int64(1); seed <= 5; seed++ {
+		opts := Options{Runs: 600, Seed: seed, Workers: 1, TrackStates: []uint64{0, 1, 1 << 19}}
+		one, err := Run(c, ddback.Factory(), m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Workers = 2
+		two, err := Run(c, ddback.Factory(), m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertResultsClose(t, fmt.Sprintf("QFT-20 seed %d, one worker vs two", seed), one, two, 1e-9)
+	}
 }

@@ -345,23 +345,11 @@ type drawCounter struct {
 func (d *drawCounter) Uint64() uint64 { d.n++; return d.stream.Uint64() }
 func (d *drawCounter) Int63() int64   { return int64(d.Uint64() >> 1) }
 
-// probOneLog records what the trajectory's damping events saw.
-type probOneLog struct {
-	sim.Backend
-	seen []float64
-}
-
-func (l *probOneLog) ProbOne(q int) float64 {
-	p := l.Backend.ProbOne(q)
-	l.seen = append(l.seen, p)
-	return p
-}
-
 // TestTrajectoryDrawCounts pins what a trajectory draws along the path
 // (stream.go): one position draw while rolls remain, and per event the
 // channel's own draw plus what its Fire needs — one for the Pauli of a
-// depolarising hit, one for the branch of a damping event on a qubit
-// that is neither |0⟩ nor |1⟩, none for a phase flip. A GHZ-64
+// depolarising hit, one for the branch of a damping event whatever the
+// qubit's P(1), none for a phase flip. A GHZ-64
 // trajectory without an event therefore makes exactly one draw, however
 // it is run: forked and replayed trajectories make the same draws.
 func TestTrajectoryDrawCounts(t *testing.T) {
@@ -375,23 +363,22 @@ func TestTrajectoryDrawCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := &probOneLog{Backend: inner}
 		var forker sim.Forker
 		if fork {
 			forker = inner.(sim.Forker)
 		}
-		r, _ := newCkptRunner(b, forker, c, p)
+		r, _ := newCkptRunner(inner, forker, c, p)
 		src := new(drawCounter)
 		rng := rand.New(src)
 		clbits := make([]uint64, 1)
 		for seed := int64(0); seed < 400; seed++ {
 			src.seek(seed, 0)
-			src.n, b.seen = 0, b.seen[:0]
+			src.n = 0
 			r.run(rng, clbits, new(ckptStats), new(noise.ChannelCounts))
 
 			// The same walk on a twin stream, counting.
 			twinSrc.seek(seed, 0)
-			want, k, seen := 0, 0, b.seen
+			want, k := 0, 0
 			for j := 0; j < len(p.rolls); j++ {
 				want++ // position
 				if j = p.nextFire(twin, j); j == len(p.rolls) {
@@ -405,11 +392,8 @@ func TestTrajectoryDrawCounts(t *testing.T) {
 					want++
 					twin.Int63()
 				case noise.LabelDamping:
-					if p1 := seen[0]; p1 > 0 && p1 < 1 {
-						want++
-						twin.Float64()
-					}
-					seen = seen[1:]
+					want++
+					twin.Float64()
 				}
 			}
 			if src.n != want {

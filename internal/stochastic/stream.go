@@ -22,7 +22,12 @@ import "math/rand"
 //     draws what its event needs (the Pauli of a depolarising hit, the
 //     branch of a damping event).
 //  2. Behind the path's end, one draw per roll, measurement and reset in
-//     operation order (runRange).
+//     operation order (runRange), plus what a fired event needs.
+//
+// A damping branch is one Float64 whatever the qubit's P(1), as is a
+// measurement: a P(1) that rounds to exactly 0 or 1 in one package and
+// not in another must not change how many draws the rest of the
+// trajectory starts from.
 //  3. Options.Shots calls of Backend.SampleBasis.
 //
 // Changing any of this changes every sampled number of every job, so it

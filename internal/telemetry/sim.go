@@ -62,6 +62,13 @@ var (
 	DDPeakNodes = NewGauge("ddsim_dd_peak_nodes",
 		"Largest live vector-node population observed in one DD package.")
 
+	// DDBlockApplications counts the operators DD backends applied for
+	// runs of gates: one per block product (internal/ddback), a block
+	// of one gate included. Against GateApplications it shows how far
+	// the runs fused.
+	DDBlockApplications = NewCounter("ddsim_dd_block_applications_total",
+		"Decision-diagram operators applied for runs of gates (block products, single gates included).")
+
 	// GateApplications counts unitary gate applications executed by
 	// simulation workers (trajectories, checkpoint-prefix construction
 	// and fidelity reference runs alike).
