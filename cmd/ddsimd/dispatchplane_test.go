@@ -297,12 +297,14 @@ func TestPhaseHistogramsExposed(t *testing.T) {
 	}
 }
 
-// TestSameSeedBitIdentical re-runs an identical submission (cache
-// disabled, so both actually simulate through the dispatcher) and
-// requires byte-identical results.
+// TestSameSeedBitIdentical re-runs an identical submission (the
+// server retains one job, so the second submission evicts the first
+// and both actually simulate through the dispatcher) and requires
+// byte-identical results.
 func TestSameSeedBitIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := newServer(ctx, 2, 2, 10_000_000)
+	s.maxJobs = 1
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -320,7 +322,7 @@ func TestSameSeedBitIdentical(t *testing.T) {
 		t.Fatalf("statuses %s/%s, want done/done", a.Status, b.Status)
 	}
 	if a.Cached || b.Cached {
-		t.Fatalf("cache disabled but a job was served cached")
+		t.Fatalf("first job evicted but a job was served cached")
 	}
 	ra, rb := canonicalResults(t, a), canonicalResults(t, b)
 	if ra != rb {

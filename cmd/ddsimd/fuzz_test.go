@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ddsim/internal/jobstore"
-	"ddsim/internal/rescache"
 )
 
 // Fuzz-run bounds. The kernels have no node or time budget yet, so a
@@ -112,7 +111,6 @@ func FuzzSubmit(f *testing.F) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := newServer(ctx, 1, 1, fuzzMaxRuns)
-	s.cache = rescache.New(64, 1<<20)
 	s.store = store
 	ts := httptest.NewServer(s.handler())
 	f.Cleanup(func() {

@@ -1,6 +1,6 @@
 // Command ddsimd is the long-running stochastic-simulation service: an
 // HTTP/JSON API over the same Monte-Carlo engine the CLIs use, with
-// durable job persistence, a content-addressed result cache,
+// durable job persistence, content-addressed cache hits and dedup,
 // admission control and live telemetry in Prometheus text format.
 // The full HTTP reference lives in docs/API.md and the deployment
 // runbook in docs/OPERATIONS.md.
@@ -17,7 +17,7 @@
 //	GET    /jobs/{id}/events live progress stream (server-sent events:
 //	                         "progress" snapshots, then one "result")
 //	GET    /metrics          Prometheus metrics (jobs, trajectories,
-//	                         cache and store activity, DD table hit
+//	                         cache-hit and store activity, DD table hit
 //	                         rates, per-backend wall time)
 //	GET    /healthz          liveness probe
 //
@@ -53,11 +53,12 @@
 //
 // Caching: a simulation is a pure function of its canonical job key
 // (circuit text, backend, noise points, seed-relevant options — see
-// ddsim.JobKey), so finished results are cached in memory (LRU,
-// bounded by -cache-entries and -cache-mb) and identical in-flight
-// submissions run once and fan out ("cached": true in the job view;
-// ddsim_rescache_* metrics count hits, misses, dedup joins, bytes and
-// evictions).
+// ddsim.JobKey), so a submission identical to a retained job that
+// finished clean is served that job's results, and identical
+// in-flight submissions run once and fan out ("cached": true in the
+// job view; ddsim_rescache_* metrics count hits, misses and dedup
+// joins). Retention, and so the reach of a hit, is -max-jobs: once
+// every job holding a key is evicted, the key simulates again.
 //
 // Admission control: per-client token-bucket rate limiting
 // (-rate-limit, -rate-burst) and a bounded unfinished-job queue
@@ -96,7 +97,6 @@ import (
 
 	"ddsim/internal/cluster"
 	"ddsim/internal/jobstore"
-	"ddsim/internal/rescache"
 )
 
 // splitURLs parses the -coordinator worker list: comma-separated base
@@ -117,11 +117,9 @@ func main() {
 		maxActive  = flag.Int("max-active", 2, "jobs simulating concurrently; further jobs queue in priority order")
 		workers    = flag.Int("workers", 0, "worker-pool size per job (0 = all cores)")
 		maxRuns    = flag.Int("max-runs", 10_000_000, "largest accepted per-point trajectory budget (0 = unlimited)")
-		maxJobs    = flag.Int("max-jobs", 256, "retained jobs; the oldest finished jobs (and their results) are evicted beyond this (0 = unlimited)")
+		maxJobs    = flag.Int("max-jobs", 256, "retained jobs, which serve identical resubmissions as cache hits; the oldest finished jobs (and their results) are evicted beyond this (0 = unlimited)")
 		maxPending = flag.Int("max-pending", 128, "unfinished jobs accepted before submissions are shed with 429 (0 = unlimited)")
 		dataDir    = flag.String("data-dir", "", "job-store directory; empty disables persistence (jobs and results do not survive restarts)")
-		cacheSize  = flag.Int("cache-entries", 1024, "result-cache entry bound (with -cache-mb 0 too: dedup-only mode)")
-		cacheMB    = flag.Int("cache-mb", 256, "result-cache payload bound in MiB")
 		rateLimit  = flag.Float64("rate-limit", 0, "per-client submissions per second (0 = unlimited)")
 		rateBurst  = flag.Int("rate-burst", 10, "per-client submission burst capacity")
 		keepalive  = flag.Duration("sse-keepalive", defaultSSEKeepalive, "keepalive-comment cadence on idle event streams (0 disables)")
@@ -165,7 +163,6 @@ func main() {
 	s.maxPending = *maxPending
 	s.sseKeepalive = *keepalive
 	s.compactEvery = *compactEvr
-	s.cache = rescache.New(*cacheSize, int64(*cacheMB)<<20)
 	if *rateLimit > 0 {
 		s.limiter = newRateLimiter(*rateLimit, *rateBurst)
 	}

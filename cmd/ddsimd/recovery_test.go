@@ -16,7 +16,6 @@ import (
 
 	"ddsim"
 	"ddsim/internal/jobstore"
-	"ddsim/internal/rescache"
 	"ddsim/internal/telemetry"
 )
 
@@ -33,7 +32,6 @@ func newPersistentServer(t *testing.T, dir string) (*httptest.Server, *server, f
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := newServer(ctx, 1, 2, 10_000_000)
-	s.cache = rescache.New(1024, 256<<20)
 	s.store = store
 	s.restore()
 	ts := httptest.NewServer(s.handler())
@@ -232,10 +230,10 @@ func TestCancelFinishedJobNoop(t *testing.T) {
 }
 
 // TestResultCacheHit is the acceptance test for the result cache:
-// resubmitting an identical job is served from rescache without
-// re-simulation — a cache hit and zero new trajectories.
+// resubmitting an identical job is served from the retained finished
+// job without re-simulation — a cache hit and zero new trajectories.
 func TestResultCacheHit(t *testing.T) {
-	ts, s := newTestServer(t, 2)
+	ts, _ := newTestServer(t, 2)
 	body := `{
 		"circuit": {"name": "ghz", "n": 5},
 		"noise": {"depolarizing": 0.001, "damping": 0.002, "phase_flip": 0.001, "damping_as_event": true},
@@ -247,7 +245,7 @@ func TestResultCacheHit(t *testing.T) {
 	}
 
 	traj := telemetry.Trajectories.Value()
-	hits := s.cache.Stats().Hits
+	hits := telemetry.ResCacheHits.Value()
 	second := waitTerminal(t, ts, submit(t, ts, body))
 	if second.Status != statusDone {
 		t.Fatalf("second run: %q (%s)", second.Status, second.Error)
@@ -258,8 +256,8 @@ func TestResultCacheHit(t *testing.T) {
 	if telemetry.Trajectories.Value() != traj {
 		t.Fatalf("cache hit burned %d trajectories", telemetry.Trajectories.Value()-traj)
 	}
-	if s.cache.Stats().Hits != hits+1 {
-		t.Fatalf("cache hits %d, want %d", s.cache.Stats().Hits, hits+1)
+	if telemetry.ResCacheHits.Value() != hits+1 {
+		t.Fatalf("cache hits %d, want %d", telemetry.ResCacheHits.Value(), hits+1)
 	}
 	if !reflect.DeepEqual(first.Results[0].Counts, second.Results[0].Counts) ||
 		!reflect.DeepEqual(first.Results[0].TrackedProbs, second.Results[0].TrackedProbs) {
@@ -305,11 +303,11 @@ func TestDeviceGateNameIsNotACacheHit(t *testing.T) {
 
 // TestInFlightDedup: N identical submissions run the simulation once
 // and fan the result out to all N. A blocker occupies the only
-// simulation slot, so all four identical jobs register with the cache
-// (one leads the flight, three join) before any of them can start —
-// the dedup is deterministic, not a timing accident.
+// simulation slot, so all four identical jobs resolve their key (one
+// leads, three join) before any of them can start — the dedup is
+// deterministic, not a timing accident.
 func TestInFlightDedup(t *testing.T) {
-	ts, s := newTestServer(t, 1)
+	ts, _ := newTestServer(t, 1)
 	blocker := submit(t, ts, `{
 		"circuit": {"name": "ghz", "n": 12},
 		"noise": {"depolarizing": 0.001, "damping": 0.002, "phase_flip": 0.001, "damping_as_event": true},
@@ -327,18 +325,13 @@ func TestInFlightDedup(t *testing.T) {
 		"noise": {"depolarizing": 0.001, "damping": 0.002, "phase_flip": 0.001, "damping_as_event": true},
 		"options": {"runs": 200, "seed": 42, "track_states": [0]}
 	}`
+	joins := telemetry.ResCacheJoins.Value()
 	var ids []string
 	for i := 0; i < 4; i++ {
 		ids = append(ids, submit(t, ts, body))
 	}
-	// Let every job goroutine reach the cache before the slot frees.
-	deadline = time.Now().Add(10 * time.Second)
-	for s.cache.Stats().Joins < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d dedup joins registered, want 3", s.cache.Stats().Joins)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Let every job goroutine resolve its key before the slot frees.
+	waitJoins(t, joins+3)
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+blocker, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -373,11 +366,114 @@ func TestInFlightDedup(t *testing.T) {
 	}
 }
 
-// TestPriorityDispatch: with one slot busy, a high-priority job beats
-// an earlier-submitted low-priority one to the next slot.
-func TestPriorityDispatch(t *testing.T) {
+// TestCancelledLeaderHandsOff: a leader cancelled while its three
+// followers wait hands the key on. The followers re-resolve it, so
+// exactly one of them simulates and the other two are served its
+// results, byte for byte.
+func TestCancelledLeaderHandsOff(t *testing.T) {
 	ts, s := newTestServer(t, 1)
-	s.cache = nil // identical specs must not dedup for this test
+	blocker := submit(t, ts, `{
+		"circuit": {"name": "ghz", "n": 12},
+		"noise": {"depolarizing": 0.001, "damping": 0.002, "phase_flip": 0.001, "damping_as_event": true},
+		"options": {"runs": 3000000, "seed": 1, "chunk_size": 16}
+	}`)
+	deadline := time.Now().Add(10 * time.Second)
+	for getJob(t, ts, blocker).Status != statusRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	body := `{
+		"circuit": {"name": "ghz", "n": 6},
+		"noise": {"depolarizing": 0.001, "damping": 0.002, "phase_flip": 0.001, "damping_as_event": true},
+		"options": {"runs": 200, "seed": 43, "track_states": [0]}
+	}`
+	joins := telemetry.ResCacheJoins.Value()
+	var ids []string
+	for i := 0; i < 4; i++ {
+		ids = append(ids, submit(t, ts, body))
+	}
+	waitJoins(t, joins+3)
+
+	// The leader is the job that holds the key.
+	s.mu.Lock()
+	var leader string
+	for _, j := range s.byKey {
+		for _, id := range ids {
+			if j.id == id {
+				leader = id
+			}
+		}
+	}
+	s.mu.Unlock()
+	if leader == "" {
+		t.Fatal("no submission leads the key")
+	}
+	cancelJob(t, ts, leader)
+	if v := waitTerminal(t, ts, leader); v.Status != statusCancelled || v.Cached {
+		t.Fatalf("leader %s: status %q cached=%v, want cancelled", leader, v.Status, v.Cached)
+	}
+	// Two followers join the one that took over before the slot frees.
+	waitJoins(t, joins+5)
+	cancelJob(t, ts, blocker)
+
+	var simulated string
+	var cached []string
+	for _, id := range ids {
+		if id == leader {
+			continue
+		}
+		v := waitTerminal(t, ts, id)
+		if v.Status != statusDone {
+			t.Fatalf("follower %s: %q (%s)", id, v.Status, v.Error)
+		}
+		if v.Cached {
+			cached = append(cached, id)
+		} else {
+			simulated = id
+		}
+	}
+	waitTerminal(t, ts, blocker)
+	if simulated == "" || len(cached) != 2 {
+		t.Fatalf("hand-off split = %q simulated / %v cached, want one and two", simulated, cached)
+	}
+	want := rawResults(t, ts, simulated)
+	for _, id := range cached {
+		if got := rawResults(t, ts, id); got != want {
+			t.Fatalf("follower %s results differ from the new leader's:\n%s\n%s", id, got, want)
+		}
+	}
+}
+
+// waitJoins waits until the dedup-join counter reaches want.
+func waitJoins(t *testing.T, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for telemetry.ResCacheJoins.Value() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("dedup joins at %d, want %d", telemetry.ResCacheJoins.Value(), want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// cancelJob sends DELETE /jobs/{id}.
+func cancelJob(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+}
+
+// TestPriorityDispatch: with one slot busy, a high-priority job beats
+// an earlier-submitted low-priority one to the next slot. The two
+// differ in seed, so neither joins the other.
+func TestPriorityDispatch(t *testing.T) {
+	ts, _ := newTestServer(t, 1)
 	blocker := submit(t, ts, `{
 		"circuit": {"name": "ghz", "n": 12},
 		"noise": {"depolarizing": 0.001, "damping": 0.002, "phase_flip": 0.001, "damping_as_event": true},
@@ -389,7 +485,7 @@ func TestPriorityDispatch(t *testing.T) {
 	}`)
 	high := submit(t, ts, `{
 		"circuit": {"name": "ghz", "n": 3},
-		"options": {"runs": 10, "seed": 1},
+		"options": {"runs": 10, "seed": 2},
 		"priority": 50
 	}`)
 	// Both waiters must be enqueued before the slot frees.
@@ -472,9 +568,6 @@ func TestRescacheMetricsExposed(t *testing.T) {
 		"ddsim_rescache_hits_total",
 		"ddsim_rescache_misses_total",
 		"ddsim_rescache_dedup_joins_total",
-		"ddsim_rescache_evictions_total",
-		"ddsim_rescache_entries",
-		"ddsim_rescache_bytes",
 		"ddsim_jobstore_wal_appends_total",
 		"ddsim_jobs_recovered_total",
 		"ddsim_jobs_rejected_total",

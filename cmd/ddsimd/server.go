@@ -18,7 +18,6 @@ import (
 	"ddsim/internal/exact"
 	"ddsim/internal/jobstore"
 	"ddsim/internal/qbench"
-	"ddsim/internal/rescache"
 	"ddsim/internal/telemetry"
 )
 
@@ -132,8 +131,9 @@ func (v jobView) MarshalJSON() ([]byte, error) {
 // job is terminal it holds only what view prints: the transition
 // drops its circuit, noise points and submitted source (spec keeps
 // only the sweep) and keeps its results as one encoded slice, shared
-// with the store and the result cache. Jobs restored from the store
-// in a terminal state start out that way, with a no-op cancel.
+// with the store and with every job served from it. Jobs restored
+// from the store in a terminal state start out that way, with a no-op
+// cancel.
 type job struct {
 	id       string
 	seq      int64 // dispatch tiebreak: submission order
@@ -141,7 +141,7 @@ type job struct {
 	circ     *ddsim.Circuit
 	models   []ddsim.NoiseModel
 	backend  string
-	key      string // canonical content hash; "" = uncacheable
+	key      string // canonical content hash (ddsim.JobKey); "" = uncacheable
 	priority int
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -166,7 +166,7 @@ type job struct {
 	results   json.RawMessage // encoded []*ddsim.Result, set on reaching a terminal status
 	cacheable bool            // results are a pure function of key (see encodeResults)
 	errMsg    string
-	cached    bool // result served from the cache or an identical in-flight job
+	cached    bool // results served by an identical finished or in-flight job
 	subs      map[chan ddsim.Progress]struct{}
 	done      chan struct{} // closed on reaching a terminal status
 }
@@ -244,6 +244,11 @@ func (j *job) dropInputs() {
 func (j *job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.terminalLocked()
+}
+
+// terminalLocked is terminal for a caller that holds j.mu.
+func (j *job) terminalLocked() bool {
 	return j.status == statusDone || j.status == statusCancelled || j.status == statusFailed
 }
 
@@ -262,7 +267,6 @@ type server struct {
 
 	disp    *dispatch.Dispatcher // priority-ordered execution slots
 	store   *jobstore.Store      // durable job/result persistence; nil = ephemeral
-	cache   *rescache.Cache      // content-addressed result cache; nil = disabled
 	limiter *rateLimiter         // per-client submission rate limit; nil = off
 
 	// sseKeepalive is the idle-stream keepalive cadence (0 disables);
@@ -281,6 +285,11 @@ type server struct {
 	jobs  map[string]*job
 	order []string // submission order, for stable listings
 	next  int
+	// byKey names, for each job key, the job that answers it: the
+	// in-flight leader simulating it, or the newest retained job that
+	// finished clean and cacheable (see resolve). An entry names a job
+	// in jobs; pruneLocked drops it with its job.
+	byKey map[string]*job
 
 	wg sync.WaitGroup
 }
@@ -289,9 +298,9 @@ type server struct {
 // ctx to abort everything, e.g. on shutdown). maxActive bounds the
 // number of concurrently simulating jobs, workers the per-job pool
 // size, and maxRuns the accepted per-point trajectory budget. The
-// returned server has no store, cache or rate limiter (all three are
-// optional); set them before serving requests — main.go constructs
-// them from flags, so the defaults live in exactly one place.
+// returned server has no store or rate limiter (both are optional);
+// set them before serving requests — main.go constructs them from
+// flags, so the defaults live in exactly one place.
 func newServer(ctx context.Context, maxActive, workers, maxRuns int) *server {
 	return &server{
 		baseCtx:      ctx,
@@ -303,6 +312,7 @@ func newServer(ctx context.Context, maxActive, workers, maxRuns int) *server {
 		sseKeepalive: defaultSSEKeepalive,
 		stop:         make(chan struct{}),
 		jobs:         make(map[string]*job),
+		byKey:        make(map[string]*job),
 	}
 }
 
@@ -518,9 +528,9 @@ func (s *server) newJob(spec jobSpec, circ *ddsim.Circuit, models []ddsim.NoiseM
 		subs:      make(map[chan ddsim.Progress]struct{}),
 		done:      make(chan struct{}),
 	}
-	// The canonical content hash keys the result cache and in-flight
-	// dedup. Circuits the QASM writer cannot express have no key and
-	// bypass caching.
+	// The canonical content hash keys cache hits and in-flight dedup.
+	// Circuits the QASM writer cannot express have no key and always
+	// simulate.
 	if key, err := ddsim.JobKey(circ, spec.Backend, models, spec.Options); err == nil {
 		j.key = key
 	}
@@ -627,13 +637,13 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // run drives one job through its lifecycle: resolve it against the
-// result cache (serve a hit instantly, or join an identical in-flight
-// job), otherwise wait for a simulation slot in priority order,
-// execute every noise point through one shared worker pool, record
-// and persist the outcome, and settle the cache flight. Cancelling
-// the job context at any stage aborts cleanly — while queued the job
-// just flips to cancelled, while running the engine returns the
-// partial results with Interrupted set.
+// jobs of the same key (serve a hit instantly, or join an identical
+// in-flight job), otherwise wait for a simulation slot in priority
+// order, execute every noise point through one shared worker pool,
+// and record and persist the outcome, which wakes the jobs that
+// joined it. Cancelling the job context at any stage aborts cleanly —
+// while queued the job just flips to cancelled, while running the
+// engine returns the partial results with Interrupted set.
 func (s *server) run(j *job) {
 	defer s.wg.Done()
 	defer s.pending.Add(-1)
@@ -641,17 +651,13 @@ func (s *server) run(j *job) {
 	// is over, whether or not anyone ever called DELETE.
 	defer j.cancel()
 
-	finished, leader := s.serveCached(j)
-	if finished {
+	if s.resolve(j) {
 		return
 	}
 	enqueued := time.Now()
 	if err := s.disp.Acquire(j.ctx, j.priority, j.seq); err != nil {
 		telemetry.JobsQueued.Dec()
 		s.finalize(j, nil, nil)
-		if leader {
-			s.cache.Abort(j.key)
-		}
 		return
 	}
 	defer s.disp.Release()
@@ -687,90 +693,105 @@ func (s *server) run(j *job) {
 	telemetry.SimulateSeconds.Observe(time.Since(simStart).Seconds())
 	telemetry.JobsRunning.Dec()
 	s.finalize(j, results, err)
-	if leader {
-		if payload, ok := j.cachePayload(); ok {
-			s.cache.Complete(j.key, payload)
-		} else {
-			s.cache.Abort(j.key)
-		}
-	}
 }
 
-// serveCached resolves a job against the result cache per the
-// rescache protocol. It returns finished=true when the job reached a
-// terminal state without simulating (cache hit, dedup join, or
-// cancellation while waiting on one); otherwise the caller must
-// simulate, and leader=true obliges it to settle the flight with
-// Complete or Abort.
-func (s *server) serveCached(j *job) (finished, leader bool) {
-	if s.cache == nil || j.key == "" {
-		return false, false
+// resolve settles a job against byKey before it simulates. It
+// returns true when the job reached a terminal state without
+// simulating; false obliges the caller to simulate it, as the leader
+// of its key when it has one. Each pass reads the key's entry l:
+//
+//   - none, or l finished without cacheable results: j becomes the
+//     entry and simulates (a miss);
+//   - l finished clean and cacheable: j is served l's encoded results
+//     (a hit);
+//   - l is in flight: j waits for l (a join) and, if l ends
+//     cacheable, is served its results. Otherwise the pass repeats,
+//     so one of l's waiters takes over as the new leader.
+//
+// A job cancelled before it is served finishes cancelled, never as a
+// hit.
+func (s *server) resolve(j *job) bool {
+	if j.key == "" {
+		return false
 	}
 	for {
 		// A definitively cancelled job (DELETE before this goroutine
-		// got here, or shutdown) must terminate as cancelled — a
-		// cache hit must not overrule an acknowledged cancellation.
+		// got here or while it waited, or shutdown) must terminate as
+		// cancelled — a hit must not overrule an acknowledged
+		// cancellation.
 		if j.ctx.Err() != nil {
 			telemetry.JobsQueued.Dec()
 			s.finalize(j, nil, nil)
-			return true, false
+			return true
 		}
-		val, ch, outcome := s.cache.GetOrJoin(j.key)
-		switch outcome {
-		case rescache.Hit:
-			return s.finishFromCache(j, val), false
-		case rescache.Join:
-			select {
-			case v, ok := <-ch:
-				if !ok {
-					continue // leader aborted: retry (maybe lead now)
-				}
-				return s.finishFromCache(j, v), false
-			case <-j.ctx.Done():
-				s.cache.Leave(j.key, ch)
-				telemetry.JobsQueued.Dec()
-				s.finalize(j, nil, nil)
-				return true, false
+		s.mu.Lock()
+		l := s.byKey[j.key]
+		var results json.RawMessage
+		settled, cacheable := false, false
+		if l != nil {
+			results, settled, cacheable = l.outcome()
+		}
+		if l == nil || settled && !cacheable {
+			s.byKey[j.key] = j
+			s.mu.Unlock()
+			telemetry.ResCacheMisses.Inc()
+			return false
+		}
+		s.mu.Unlock()
+		if settled {
+			telemetry.ResCacheHits.Inc()
+			s.finishFromCache(j, results)
+			return true
+		}
+		telemetry.ResCacheJoins.Inc()
+		select {
+		case <-l.done:
+			// Read the leader itself: byKey may already have dropped
+			// it, evicted, when the leader's results are still good.
+			if results, _, cacheable = l.outcome(); cacheable && j.ctx.Err() == nil {
+				s.finishFromCache(j, results)
+				return true
 			}
-		default: // rescache.Lead
-			return false, true
+		case <-j.ctx.Done():
 		}
 	}
 }
 
-// finishFromCache completes a job with a cached payload, marking it
-// done without burning any trajectories; the job adopts the payload
-// as its encoded results. A payload that fails to decode (cannot
-// happen with payloads this process wrote) reports false and the job
-// simulates normally.
-func (s *server) finishFromCache(j *job, payload []byte) bool {
-	var results []*ddsim.Result
-	if err := json.Unmarshal(payload, &results); err != nil || len(results) == 0 {
-		return false
-	}
+// outcome reports the job's encoded results, whether it reached a
+// terminal status, and whether those results answer its key.
+func (j *job) outcome() (results json.RawMessage, settled, cacheable bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.results, j.terminalLocked(), j.cacheable
+}
+
+// finishFromCache completes a job with the encoded results of an
+// identical job, marking it done without burning any trajectories,
+// and makes it the newest job that answers its key.
+func (s *server) finishFromCache(j *job, results json.RawMessage) {
 	telemetry.JobsQueued.Dec()
 	now := time.Now()
 	j.mu.Lock()
 	j.status = statusDone
 	j.started = now
 	j.finished = now
-	j.results = payload
+	j.results = results
+	j.cacheable = true
 	j.cached = true
 	j.dropInputs()
 	telemetry.E2ESeconds.Observe(now.Sub(j.submitted).Seconds())
 	j.mu.Unlock()
 	telemetry.JobsDone.With(statusDone).Inc()
 	close(j.done)
-	s.persistFinal(j)
-	return true
-}
 
-// cachePayload returns the job's encoded results for the cache, but
-// only when completion judged them a pure function of the job key.
-func (j *job) cachePayload() ([]byte, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.results, j.cacheable
+	s.mu.Lock()
+	// Only a retained job may hold the key, and never in place of an
+	// in-flight leader.
+	if l := s.byKey[j.key]; s.jobs[j.id] == j && (l == nil || l.terminal()) {
+		s.byKey[j.key] = j
+	}
+	s.mu.Unlock()
+	s.persistFinal(j)
 }
 
 // finalize records a job's terminal state and persists it.
@@ -879,7 +900,9 @@ func allResultsClean(results []*ddsim.Result) bool {
 // results) once more than maxJobs are tracked, returning the evicted
 // ids. Queued and running jobs are never evicted — their population
 // is bounded separately by the maxPending admission check — so a
-// long-lived server stays at bounded memory. Caller holds s.mu and
+// long-lived server stays at bounded memory. An evicted job that
+// answered its key stops answering it, so an identical submission
+// after that simulates again. Caller holds s.mu and
 // must pass the returned ids to evictFromStore *after* unlocking:
 // the store deletion fsyncs, and an fsync under s.mu would stall
 // every HTTP handler.
@@ -894,6 +917,9 @@ func (s *server) pruneLocked() []string {
 		j := s.jobs[id]
 		if excess > 0 && j.terminal() {
 			delete(s.jobs, id)
+			if s.byKey[j.key] == j {
+				delete(s.byKey, j.key)
+			}
 			evicted = append(evicted, id)
 			excess--
 			continue
@@ -985,7 +1011,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	n := len(s.jobs)
 	s.mu.Unlock()
-	h := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"status":           "ok",
 		"jobs":             n,
 		"jobs_queued":      telemetry.JobsQueued.Value(),
@@ -993,13 +1019,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"persistence":      s.store != nil,
 		"dispatch_waiting": s.disp.Waiting(),
 		"dispatch_granted": s.disp.Granted(),
-	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		h["cache_entries"] = cs.Entries
-		h["cache_bytes"] = cs.Bytes
-	}
-	writeJSON(w, http.StatusOK, h)
+	})
 }
 
 // handleEvents streams a job's Progress snapshots as server-sent

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"ddsim/internal/rescache"
 	"ddsim/internal/telemetry"
 )
 
@@ -23,7 +22,6 @@ func newTestServer(t *testing.T, maxActive int) (*httptest.Server, *server) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := newServer(ctx, maxActive, 2, 10_000_000)
-	s.cache = rescache.New(1024, 256<<20)
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -475,13 +473,16 @@ func TestSubmissionValidation(t *testing.T) {
 
 // TestFinishedJobEviction checks the retention policy: once more than
 // maxJobs are tracked, the oldest finished jobs disappear from the
-// table while newer ones survive.
+// table while newer ones survive. Retention also bounds cache hits: an
+// identical submission is served while a job holding its results is
+// retained, and simulates again once every such job is evicted.
 func TestFinishedJobEviction(t *testing.T) {
 	ts, s := newTestServer(t, 1)
 	s.maxJobs = 2
+	const body = `{"circuit": {"name": "ghz", "n": 3}, "options": {"runs": 5}}`
 	var ids []string
 	for i := 0; i < 4; i++ {
-		id := submit(t, ts, `{"circuit": {"name": "ghz", "n": 3}, "options": {"runs": 5}}`)
+		id := submit(t, ts, body)
 		waitTerminal(t, ts, id)
 		ids = append(ids, id)
 	}
@@ -498,6 +499,20 @@ func TestFinishedJobEviction(t *testing.T) {
 	}
 	for _, id := range ids[2:] {
 		getJob(t, ts, id)
+	}
+
+	// The two retained jobs were served from the first; either holds
+	// the key.
+	if v := waitTerminal(t, ts, submit(t, ts, body)); v.Status != statusDone || !v.Cached {
+		t.Fatalf("fifth submission: status %q cached=%v, want a hit", v.Status, v.Cached)
+	}
+	// Two other jobs evict every holder of the key.
+	for seed := 1; seed <= 2; seed++ {
+		other := fmt.Sprintf(`{"circuit": {"name": "ghz", "n": 3}, "options": {"runs": 5, "seed": %d}}`, seed)
+		waitTerminal(t, ts, submit(t, ts, other))
+	}
+	if v := waitTerminal(t, ts, submit(t, ts, body)); v.Status != statusDone || v.Cached {
+		t.Fatalf("resubmission after eviction: status %q cached=%v, want simulated", v.Status, v.Cached)
 	}
 }
 

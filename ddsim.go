@@ -323,8 +323,9 @@ func BatchSimulate(ctx context.Context, backend string, jobs []BatchJob, workers
 // trajectories, and their Results are equal wherever the engine's
 // results do not depend on the worker count (see Simulate). That
 // makes the key safe to use for result caching and in-flight
-// deduplication (the ddsimd service does both; see internal/rescache):
-// a cached answer is one the job could have computed. A key is stable
+// deduplication (the ddsimd service does both from its job table; see
+// cmd/ddsimd's resolve): a cached answer is one the job could have
+// computed. A key is stable
 // within one build only: it is never persisted or sent over the wire,
 // so the serialisation may change freely between builds. Circuits
 // containing an op the QASM writer cannot express return an error;

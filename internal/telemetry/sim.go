@@ -168,24 +168,16 @@ var (
 	WALCompactions = NewCounter("ddsim_jobstore_wal_compactions_total",
 		"Runtime write-ahead-log compactions in the job store.")
 
-	// ResCacheHits / ResCacheMisses / ResCacheJoins classify result-
-	// cache lookups: served from cache, led to a fresh simulation, or
+	// ResCacheHits / ResCacheMisses / ResCacheJoins classify how ddsimd
+	// resolves a keyed submission against its job table: served from a
+	// retained finished job, led to a fresh simulation, or
 	// deduplicated onto an identical in-flight job.
 	ResCacheHits = NewCounter("ddsim_rescache_hits_total",
-		"Result-cache lookups served from the cache.")
+		"Submissions served the results of an identical retained job.")
 	ResCacheMisses = NewCounter("ddsim_rescache_misses_total",
-		"Result-cache lookups that led a fresh simulation.")
+		"Submissions that led a fresh simulation.")
 	ResCacheJoins = NewCounter("ddsim_rescache_dedup_joins_total",
-		"Result-cache lookups deduplicated onto an in-flight identical job.")
-
-	// ResCacheEvictions counts entries dropped by the cache's LRU
-	// bounds; ResCacheEntries / ResCacheBytes are the live population.
-	ResCacheEvictions = NewCounter("ddsim_rescache_evictions_total",
-		"Result-cache entries evicted by the LRU bounds.")
-	ResCacheEntries = NewGauge("ddsim_rescache_entries",
-		"Result-cache entries currently held.")
-	ResCacheBytes = NewGauge("ddsim_rescache_bytes",
-		"Total payload bytes currently held by the result cache.")
+		"Submissions deduplicated onto an in-flight identical job.")
 
 	// QueueWaitSeconds / SimulateSeconds / PersistSeconds are the
 	// per-phase latency histograms of the ddsimd job pipeline: time

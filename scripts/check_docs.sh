@@ -89,6 +89,15 @@
 #    "cache-ttl" and "ddsim_rescache_ttl_evictions_total" appear
 #    nowhere in non-test Go, docs/ or scripts/ (this file aside), and
 #    ddsim.go does not say that batches "may mix modes".
+# 19. ddsimd's flags and its one result store: every `-flag` row of
+#    the docs/OPERATIONS.md "## Flags" table is registered in
+#    cmd/ddsimd/main.go and every flag registered there has a row;
+#    and "internal/rescache", "rescache.", "cache-entries",
+#    "cache-mb", "ddsim_rescache_evictions_total",
+#    "ddsim_rescache_entries" and "ddsim_rescache_bytes" appear nowhere
+#    in non-test Go, docs/ or scripts/ (this file aside): the job table
+#    answers cache hits, so neither a second cache nor its bounds may
+#    come back.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -401,6 +410,30 @@ if mixed="$(grep -niE 'may mix modes' ddsim.go)"; then
   while IFS= read -r hit; do
     echo "MIXED-MODE BATCH: ddsim.go:$hit; BatchSimulate refuses a batch that mixes modes" >&2
   done <<< "$mixed"
+  fail=1
+fi
+
+# --- 19. the flag table matches main.go; one result store -------------------
+flagrows="$(awk '/^## / { inflags = ($0 == "## Flags") } inflags' docs/OPERATIONS.md \
+  | grep -oE '^\| `-[a-z0-9-]+`' | sed -E 's/^\| `-//; s/`$//' | sort -u || true)"
+registered="$(grep -oE 'flag\.[A-Za-z0-9]+\("[a-z0-9-]+"' cmd/ddsimd/main.go | sed -E 's/.*\("//; s/"$//' | sort -u)"
+if [ -z "$flagrows" ] || [ -z "$registered" ]; then
+  echo "NO DDSIMD FLAGS FOUND in docs/OPERATIONS.md or cmd/ddsimd/main.go — checker broken?" >&2
+  exit 1
+fi
+while IFS= read -r f; do
+  echo "UNREGISTERED FLAG: -$f has a row in the docs/OPERATIONS.md flag table but cmd/ddsimd/main.go does not register it" >&2
+  fail=1
+done < <(comm -23 <(echo "$flagrows") <(echo "$registered"))
+while IFS= read -r f; do
+  echo "UNDOCUMENTED FLAG: cmd/ddsimd/main.go registers -$f but the docs/OPERATIONS.md flag table has no row for it" >&2
+  fail=1
+done < <(comm -13 <(echo "$flagrows") <(echo "$registered"))
+# shellcheck disable=SC2086 # allsrc_nt is a word list of paths
+if dead="$(grep -nE 'internal/rescache|rescache\.|cache-entries|cache-mb|ddsim_rescache_(evictions_total|entries|bytes)' $allsrc_nt docs/*.md $(find scripts -type f ! -name check_docs.sh))"; then
+  while IFS= read -r hit; do
+    echo "SECOND RESULT STORE: $hit; retained jobs answer cache hits and -max-jobs bounds them" >&2
+  done <<< "$dead"
   fail=1
 fi
 
