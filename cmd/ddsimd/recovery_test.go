@@ -390,6 +390,7 @@ func TestCancelledLeaderHandsOff(t *testing.T) {
 		"options": {"runs": 200, "seed": 43, "track_states": [0]}
 	}`
 	joins := telemetry.ResCacheJoins.Value()
+	hits, misses := telemetry.ResCacheHits.Value(), telemetry.ResCacheMisses.Value()
 	var ids []string
 	for i := 0; i < 4; i++ {
 		ids = append(ids, submit(t, ts, body))
@@ -437,6 +438,12 @@ func TestCancelledLeaderHandsOff(t *testing.T) {
 	waitTerminal(t, ts, blocker)
 	if simulated == "" || len(cached) != 2 {
 		t.Fatalf("hand-off split = %q simulated / %v cached, want one and two", simulated, cached)
+	}
+	// Joins count waits: the three first waits on the cancelled leader
+	// and the two on its successor. The two leaders are the misses.
+	if dh, dm, dj := telemetry.ResCacheHits.Value()-hits, telemetry.ResCacheMisses.Value()-misses,
+		telemetry.ResCacheJoins.Value()-joins; dh != 0 || dm != 2 || dj != 5 {
+		t.Fatalf("hits/misses/joins = %d/%d/%d, want 0/2/5", dh, dm, dj)
 	}
 	want := rawResults(t, ts, simulated)
 	for _, id := range cached {

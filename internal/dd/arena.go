@@ -25,14 +25,25 @@ package dd
 // fresh Package per worker per job; with the unit pooled, the next
 // package of the same register class starts from the geometry the
 // last one grew its unique tables to, instead of regrowing them from
-// 4 096 slots and dropping every intermediate table. Only emptied
-// geometry crosses Release: the caches are cleared and the tables
-// Reset, so no node, weight or cache entry survives, and node and
-// weight IDs start at 1 in every package. That geometry cannot change
-// a result because GarbageCollect frees and re-inserts nodes in ID
-// order (rehashV), never in table-slot order. The node slabs (and
-// cnum's value slabs) stay in class-independent pools, so a small
-// package reuses the slabs a large one released.
+// 4 096 slots and dropping every intermediate table. The unique tables
+// cross Release emptied (Reset), so no node or weight survives. The
+// caches cross it uncleared, because a clear is a memclr of their whole
+// size, which a small job would pay on every Release. Instead node IDs
+// continue across the packages that share a set. The set records in
+// vBase/mBase the highest vector and matrix node IDs its packages have
+// handed out, and the next package numbers its nodes from base+1 (its
+// ID window). Every entry an earlier package left keys on an ID at or
+// below the base, which no live node has, so it never hits, and a slot
+// holding one counts as empty. Every hash mixes IDs relative to the
+// base, so a package probes the same slots, and counts the same hits
+// and conflicts, as one on a zeroed set with IDs from 1; weight IDs
+// still start at 1 in every package. Only when a base passes maxIDBase
+// does Release clear the caches for real and restart the windows at 0.
+// Table geometry cannot change a result either, because
+// GarbageCollect frees and re-inserts nodes in ID order (rehashV),
+// never in table-slot order. The node slabs (and cnum's value slabs)
+// stay in class-independent pools, so a small package reuses the slabs
+// a large one released.
 
 import (
 	"sync"
@@ -111,18 +122,27 @@ func newCacheSet(mvBits int) cacheSet {
 }
 
 // tableSet is the unit a Package draws from its register class's pool
-// and Release returns to it: the unique tables (see swisstable.go) and
-// the compute caches. A pooled set is empty — tables Reset, caches
-// cleared — but keeps the geometry its last package grew it to.
+// and Release returns to it: the unique tables (see swisstable.go), the
+// compute caches and the ID windows. A pooled set has empty tables at
+// the geometry its last package grew them to; its caches hold only
+// entries keyed on IDs at or below vBase/mBase, the highest vector and
+// matrix node IDs its packages have handed out.
 type tableSet struct {
-	vt     swiss.Table[*VNode]
-	mt     swiss.Table[*MNode]
-	caches cacheSet
+	vt           swiss.Table[*VNode]
+	mt           swiss.Table[*MNode]
+	caches       cacheSet
+	vBase, mBase uint32
 }
 
+// maxIDBase bounds the ID windows. A Release that leaves a base above
+// it clears the caches and restarts both windows at 0, so every package
+// has at least 2^31 IDs of each kind ahead of it (more nodes than
+// memory holds).
+const maxIDBase = 1 << 31
+
 // smallTableSets and largeTableSets pool the two register classes
-// (mvCacheBits) apart, so a 10-qubit job never draws, or clears, the
-// tables a 24-qubit job grew.
+// (mvCacheBits) apart, so a 10-qubit job never draws the tables a
+// 24-qubit job grew.
 var smallTableSets, largeTableSets sync.Pool
 
 // tableSetPool returns the pool of the class whose mat-vec cache has
@@ -154,14 +174,14 @@ func newTableSet(mvBits int) tableSet {
 }
 
 // vnodeAt resolves a vector node ID to its arena slot; ID 0 is the
-// terminal. allocVNode opens a slab only once the previous one is
-// full, so ID k lives at slab (k−1)/nodeSlabSize, index
-// (k−1)%nodeSlabSize.
+// terminal. allocVNode hands out IDs from vBase+1 and opens a slab only
+// once the previous one is full, so ID vBase+k lives at slab
+// (k−1)/nodeSlabSize, index (k−1)%nodeSlabSize.
 func (p *Package) vnodeAt(id uint32) *VNode {
 	if id == 0 {
 		return nil
 	}
-	k := id - 1
+	k := id - 1 - p.vBase
 	return &p.vSlabs[k/nodeSlabSize][k%nodeSlabSize]
 }
 
@@ -170,7 +190,7 @@ func (p *Package) mnodeAt(id uint32) *MNode {
 	if id == 0 {
 		return nil
 	}
-	k := id - 1
+	k := id - 1 - p.mBase
 	return &p.mSlabs[k/nodeSlabSize][k%nodeSlabSize]
 }
 
@@ -234,20 +254,33 @@ func (p *Package) freeMNode(n *MNode) {
 // Release returns the package's pooled kernel memory — the table set
 // of its register class, node slabs and the weight table's value slabs
 // — to the process-wide pools for the next Package. The table set goes
-// back emptied but with its grown geometry. The package (and every
-// edge, node or weight obtained from it) must not be used afterwards;
-// its tables are dropped so accidental use fails fast. Backends call
-// this when a worker retires a compiled job (sim.Releaser).
+// back with empty tables at their grown geometry and its ID windows
+// moved past this package's nodes. The package (and every edge, node
+// or weight obtained from it) must not be used afterwards; its tables
+// are dropped so accidental use fails fast. Backends call this when a
+// worker retires a compiled job (sim.Releaser).
 func (p *Package) Release() {
 	if p.released {
 		return
 	}
+	ts := p.release()
+	tableSetPool(len(ts.caches.mv)).Put(&ts)
+}
+
+// release retires the package and returns its table set instead of
+// pooling it. Moving the ID windows past the package's nodes retires
+// every cache entry it wrote, so the caches are cleared only when a
+// window would pass maxIDBase.
+func (p *Package) release() tableSet {
 	p.released = true
-	p.clearCaches()
+	p.vBase, p.mBase = p.nextVID-1, p.nextMID-1
+	if p.vBase > maxIDBase || p.mBase > maxIDBase {
+		p.clearCaches()
+		p.vBase, p.mBase = 0, 0
+	}
 	p.vt.Reset(0) // keeps the geometry, drops every node pointer
 	p.mt.Reset(0)
 	ts := p.tableSet
-	tableSetPool(len(ts.caches.mv)).Put(&ts)
 	p.tableSet = tableSet{}
 	for i := range p.vSlabs {
 		s := p.vSlabs[i][:cap(p.vSlabs[i])]
@@ -264,4 +297,5 @@ func (p *Package) Release() {
 	p.vSlabs, p.mSlabs = nil, nil
 	p.vFree, p.mFree = nil, nil
 	p.W.Release()
+	return ts
 }

@@ -96,8 +96,8 @@ func BenchmarkMulMVHit(b *testing.B) {
 func BenchmarkMulMVMiss(b *testing.B) {
 	p, g, e := benchMulMV(b)
 	// The slots one cold call fills (MulMV recurses through the mat-vec
-	// and add caches only). Emptying just those is the clearCaches the
-	// call sees, without timing a multi-MiB clear.
+	// and add caches only). Emptying just those gives every call the
+	// cold caches a collection leaves, without timing a multi-MiB clear.
 	sinkV = p.MulMV(g, e)
 	var mvSlots, addSlots []int
 	for i, ent := range p.caches.mv {
@@ -127,6 +127,23 @@ func BenchmarkMulMVMiss(b *testing.B) {
 	misses := float64((after.ComputeLookups - after.ComputeHits) - (before.ComputeLookups - before.ComputeHits))
 	b.ReportMetric(misses/float64(b.N), "misses/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/misses, "ns/miss")
+}
+
+// BenchmarkPackageNewRelease is a small job's package lifecycle: a
+// 10-qubit package draws its register class's table set, builds a GHZ
+// state gate by gate, and releases the set. The build is a few hundred
+// nodes, so the cost is the draw and the release.
+func BenchmarkPackageNewRelease(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := NewPackage(10)
+		e := p.MulMV(p.SingleQubitGate(matH, 0), p.ZeroState())
+		for q := 1; q < 10; q++ {
+			e = p.MulMV(p.ControlledGate(matX, q, []Control{{Qubit: q - 1}}), e)
+		}
+		sinkV = e
+		p.Release()
+	}
 }
 
 func BenchmarkUniqueTableGC(b *testing.B) {

@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"testing"
 	"unsafe"
+
+	"ddsim/internal/cnum"
 )
 
 // TestCacheGeometry pins the compute-cache layout: pointer-free
@@ -94,10 +96,13 @@ func fuzzGate(b byte) Mat2 {
 // sameAfterClear evaluates op with the caches as the sequence left
 // them, clears every compute cache, evaluates op again and fails unless
 // both results are identical — the same node and weight pointers, or
-// the bit-identical scalar.
-func sameAfterClear[T comparable](t *testing.T, p *Package, what string, op func() T) T {
+// the bit-identical scalar. Unless check is set it only evaluates op.
+func sameAfterClear[T comparable](t *testing.T, p *Package, check bool, what string, op func() T) T {
 	t.Helper()
 	warm := op()
+	if !check {
+		return warm
+	}
 	p.clearCaches()
 	if cold := op(); cold != warm {
 		t.Fatalf("%s: warm-cache result %v, recomputed after clearCaches %v", what, warm, cold)
@@ -112,119 +117,127 @@ func sameAfterClear[T comparable](t *testing.T, p *Package, what string, op func
 // GC thresholds are tiny and reset every step, so collections recycle
 // node and weight IDs mid-sequence: a cache entry that outlived a
 // collection, or an ID resolved to the wrong arena slot, makes a
-// warm-cache result differ from the cold one.
+// warm-cache result differ from the cold one. The package under test
+// starts on the table set of a released predecessor that ran the same
+// program unchecked, so its first op probes slots that hold the
+// predecessor's entries under the same relative keys, and one of them
+// answering makes that op differ from its recomputation too.
 func FuzzComputeCache(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nq uint8, prog []byte) {
 		n := 2 + int(nq)%7
-		p := NewPackage(n)
 		// 256-entry caches: clearing them after every op is cheap, and
 		// slots are overwritten constantly, so hits and conflict
 		// evictions both occur at these register sizes.
-		pooled := p.caches
-		p.caches = cacheSet{
-			mv: make([]pairEntry, 256), add: make([]tripleEntry, 256),
-			madd: make([]tripleEntry, 256), mm: make([]pairEntry, 256),
-			dot: make([]dotEntry, 256), norm2: make([]norm2Entry, 256),
-			prob: make([]probEntry, 256),
-		}
+		pred := NewPackage(n)
+		pooled := pred.caches
+		pred.caches = smallCacheSet()
+		runCacheProgram(t, pred, n, prog, false)
+		p := newPackageOn(n, cnum.Tolerance, pred.release())
 		defer func() {
 			p.caches = pooled
 			p.Release()
 		}()
-		r := &progReader{b: prog}
-		states := []VEdge{p.ZeroState()}
-		p.Ref(states[0])
-		var ops []MEdge
-		pick := func() VEdge { return states[int(r.next())%len(states)] }
-		// keep pins e in the state pool: appended while the pool is
-		// small, otherwise replacing the slot the next byte names.
-		keep := func(e VEdge) {
-			if p.Norm2(e) > 1e-12 {
-				e = p.Normalize(e)
-			}
-			p.Ref(e)
-			if len(states) < 4 {
-				states = append(states, e)
-				return
-			}
-			i := int(r.next()) % len(states)
-			p.Unref(states[i])
-			states[i] = e
-		}
-		gate := func() MEdge {
-			u, q, c := fuzzGate(r.next()), int(r.next())%n, r.next()
-			var ctrls []Control
-			if c%3 != 0 {
-				ctrls = []Control{{Qubit: (q + 1 + int(c)%(n-1)) % n, Negative: c&0x80 != 0}}
-			}
-			return sameAfterClear(t, p, "ControlledGate", func() MEdge { return p.ControlledGate(u, q, ctrls) })
-		}
-		for step := 0; step < 64 && r.more(); step++ {
-			switch r.next() % 9 {
-			case 0: // gate
-				g, s := gate(), pick()
-				keep(sameAfterClear(t, p, "MulMV gate", func() VEdge { return p.MulMV(g, s) }))
-			case 1: // Pauli string
-				mask, kinds := r.next(), r.next()
-				paulis := [4]Mat2{matI, matX, matY, matZ}
-				factors := p.factorSlice()
-				for q := 0; q < n; q++ {
-					if mask>>uint(q)&1 != 0 {
-						k := paulis[(int(kinds)+q)%4]
-						factors[q] = &k
-					}
-				}
-				g, s := p.ProductOperator(factors), pick()
-				keep(sameAfterClear(t, p, "MulMV Pauli", func() VEdge { return p.MulMV(g, s) }))
-			case 2: // amplitude-damping Kraus branch
-				gamma, q, jump, s := float64(r.next())/255, int(r.next())%n, r.next()&1 == 1, pick()
-				k := Mat2{{1, 0}, {0, complex(math.Sqrt(1-gamma), 0)}}
-				if jump {
-					k = Mat2{{0, complex(math.Sqrt(gamma), 0)}, {0, 0}}
-				}
-				type branch struct {
-					e VEdge
-					w float64
-				}
-				b := sameAfterClear(t, p, "ApplyKraus", func() branch {
-					e, w := p.ApplyKraus(s, k, q)
-					return branch{e, w}
-				})
-				keep(b.e)
-			case 3: // Add of states
-				a, b := pick(), pick()
-				keep(sameAfterClear(t, p, "Add", func() VEdge { return p.Add(a, b) }))
-			case 4:
-				a, b := pick(), pick()
-				sameAfterClear(t, p, "Dot", func() complex128 { return p.Dot(a, b) })
-			case 5:
-				s, q := pick(), int(r.next())%n
-				sameAfterClear(t, p, "ProbOne", func() float64 { return p.ProbOne(s, q) })
-			case 6: // MulMM into the operator pool
-				a := gate()
-				b := a
-				if len(ops) > 0 {
-					b = ops[int(r.next())%len(ops)]
-				}
-				m := sameAfterClear(t, p, "MulMM", func() MEdge { return p.MulMM(a, b) })
-				p.RefM(m)
-				if len(ops) < 3 {
-					ops = append(ops, m)
-				} else {
-					i := int(r.next()) % len(ops)
-					p.UnrefM(ops[i])
-					ops[i] = m
-				}
-				s := pick()
-				keep(sameAfterClear(t, p, "MulMV product", func() VEdge { return p.MulMV(m, s) }))
-			case 7:
-				s := pick()
-				sameAfterClear(t, p, "Norm2", func() float64 { return p.Norm2(s) })
-			case 8:
-				p.GarbageCollect()
-			}
-			p.SetGCThresholds(48, 64)
-			p.MaybeGC()
-		}
+		runCacheProgram(t, p, n, prog, true)
 	})
+}
+
+// runCacheProgram decodes and runs one FuzzComputeCache program on p,
+// checking every op against its recomputation when check is set.
+func runCacheProgram(t *testing.T, p *Package, n int, prog []byte, check bool) {
+	t.Helper()
+	r := &progReader{b: prog}
+	states := []VEdge{p.ZeroState()}
+	p.Ref(states[0])
+	var ops []MEdge
+	pick := func() VEdge { return states[int(r.next())%len(states)] }
+	// keep pins e in the state pool: appended while the pool is
+	// small, otherwise replacing the slot the next byte names.
+	keep := func(e VEdge) {
+		if p.Norm2(e) > 1e-12 {
+			e = p.Normalize(e)
+		}
+		p.Ref(e)
+		if len(states) < 4 {
+			states = append(states, e)
+			return
+		}
+		i := int(r.next()) % len(states)
+		p.Unref(states[i])
+		states[i] = e
+	}
+	gate := func() MEdge {
+		u, q, c := fuzzGate(r.next()), int(r.next())%n, r.next()
+		var ctrls []Control
+		if c%3 != 0 {
+			ctrls = []Control{{Qubit: (q + 1 + int(c)%(n-1)) % n, Negative: c&0x80 != 0}}
+		}
+		return sameAfterClear(t, p, check, "ControlledGate", func() MEdge { return p.ControlledGate(u, q, ctrls) })
+	}
+	for step := 0; step < 64 && r.more(); step++ {
+		switch r.next() % 9 {
+		case 0: // gate
+			g, s := gate(), pick()
+			keep(sameAfterClear(t, p, check, "MulMV gate", func() VEdge { return p.MulMV(g, s) }))
+		case 1: // Pauli string
+			mask, kinds := r.next(), r.next()
+			paulis := [4]Mat2{matI, matX, matY, matZ}
+			factors := p.factorSlice()
+			for q := 0; q < n; q++ {
+				if mask>>uint(q)&1 != 0 {
+					k := paulis[(int(kinds)+q)%4]
+					factors[q] = &k
+				}
+			}
+			g, s := p.ProductOperator(factors), pick()
+			keep(sameAfterClear(t, p, check, "MulMV Pauli", func() VEdge { return p.MulMV(g, s) }))
+		case 2: // amplitude-damping Kraus branch
+			gamma, q, jump, s := float64(r.next())/255, int(r.next())%n, r.next()&1 == 1, pick()
+			k := Mat2{{1, 0}, {0, complex(math.Sqrt(1-gamma), 0)}}
+			if jump {
+				k = Mat2{{0, complex(math.Sqrt(gamma), 0)}, {0, 0}}
+			}
+			type branch struct {
+				e VEdge
+				w float64
+			}
+			b := sameAfterClear(t, p, check, "ApplyKraus", func() branch {
+				e, w := p.ApplyKraus(s, k, q)
+				return branch{e, w}
+			})
+			keep(b.e)
+		case 3: // Add of states
+			a, b := pick(), pick()
+			keep(sameAfterClear(t, p, check, "Add", func() VEdge { return p.Add(a, b) }))
+		case 4:
+			a, b := pick(), pick()
+			sameAfterClear(t, p, check, "Dot", func() complex128 { return p.Dot(a, b) })
+		case 5:
+			s, q := pick(), int(r.next())%n
+			sameAfterClear(t, p, check, "ProbOne", func() float64 { return p.ProbOne(s, q) })
+		case 6: // MulMM into the operator pool
+			a := gate()
+			b := a
+			if len(ops) > 0 {
+				b = ops[int(r.next())%len(ops)]
+			}
+			m := sameAfterClear(t, p, check, "MulMM", func() MEdge { return p.MulMM(a, b) })
+			p.RefM(m)
+			if len(ops) < 3 {
+				ops = append(ops, m)
+			} else {
+				i := int(r.next()) % len(ops)
+				p.UnrefM(ops[i])
+				ops[i] = m
+			}
+			s := pick()
+			keep(sameAfterClear(t, p, check, "MulMV product", func() VEdge { return p.MulMV(m, s) }))
+		case 7:
+			s := pick()
+			sameAfterClear(t, p, check, "Norm2", func() float64 { return p.Norm2(s) })
+		case 8:
+			p.GarbageCollect()
+		}
+		p.SetGCThresholds(48, 64)
+		p.MaybeGC()
+	}
 }

@@ -128,6 +128,24 @@ func mid(n *MNode) uint32 {
 	return n.id
 }
 
+// vKey is a vector node's ID relative to the package's ID window, 0 for
+// the terminal: the form every hash mixes in, so slot choices are those
+// of a package whose IDs start at 1.
+func (p *Package) vKey(n *VNode) uint64 {
+	if n == nil {
+		return 0
+	}
+	return uint64(n.id - p.vBase)
+}
+
+// mKey is the matrix analogue of vKey.
+func (p *Package) mKey(n *MNode) uint64 {
+	if n == nil {
+		return 0
+	}
+	return uint64(n.id - p.mBase)
+}
+
 // mixHash folds a sequence of small integers into a 64-bit hash
 // (splitmix64-style finalisation between words).
 func mixHash(words ...uint64) uint64 {
@@ -147,10 +165,13 @@ func mixHash(words ...uint64) uint64 {
 // C++ package (geometry in newCacheSet). Entries hold node and weight
 // IDs instead of pointers — half the bytes per entry, and no cache
 // memory for the Go collector to scan — and results are resolved back
-// through the arenas (vnodeAt, mnodeAt, cnum.Table.ByID). IDs start at
-// 1, so a zero key marks an empty slot. An ID stays bound to its node
-// or weight until the next GarbageCollect, the only point where slots
-// are recycled, and that clears every cache.
+// through the arenas (vnodeAt, mnodeAt, cnum.Table.ByID). A package's
+// node IDs lie above the vBase/mBase of its ID window (see arena.go),
+// so a slot whose key node ID is at or below the base is empty: never
+// written, or written by an earlier package of the table set. Slot
+// indices hash IDs relative to the base (vKey, mKey). An ID stays
+// bound to its node or weight until the next GarbageCollect, the only
+// point where slots are recycled, and that clears every cache.
 
 // edgeRef is a cached result edge: node ID (0 = terminal) and weight ID.
 type edgeRef struct{ n, w uint32 }
@@ -172,7 +193,7 @@ type pairEntry struct {
 func pairKey(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
 
 // tripleEntry memoises an operation on two nodes and a relative weight
-// (Add, AddM); a == 0 marks an empty slot.
+// (Add, AddM).
 type tripleEntry struct {
 	a, b, bw uint32
 	r        edgeRef
@@ -343,16 +364,21 @@ func NewPackageTol(n int, tol float64) *Package {
 	if n < 1 || n > MaxQubits {
 		panic(fmt.Sprintf("dd: unsupported qubit count %d (want 1..%d)", n, MaxQubits))
 	}
-	p := &Package{
+	return newPackageOn(n, tol, getTableSet(mvCacheBits(n)))
+}
+
+// newPackageOn builds a package on the table set ts, numbering its
+// nodes from the set's ID windows.
+func newPackageOn(n int, tol float64, ts tableSet) *Package {
+	return &Package{
 		W:            cnum.NewTableTol(tol),
 		nQubits:      n,
-		nextVID:      1,
-		nextMID:      1,
+		nextVID:      ts.vBase + 1,
+		nextMID:      ts.mBase + 1,
 		gcThreshold:  250000,
 		wGCThreshold: 400000,
-		tableSet:     getTableSet(mvCacheBits(n)),
+		tableSet:     ts,
 	}
-	return p
 }
 
 // NumQubits returns the register size the package was created for.
@@ -370,6 +396,9 @@ func (p *Package) qubitToLevel(q int) int {
 // levelToQubit converts a diagram level to a qubit index.
 func (p *Package) levelToQubit(level int) int { return p.nQubits - level }
 
+// clearCaches empties every compute cache. GarbageCollect needs it
+// because it recycles node IDs; Release, only when it restarts the ID
+// windows (see arena.go).
 func (p *Package) clearCaches() {
 	c := &p.caches
 	clear(c.mv)
@@ -420,17 +449,17 @@ func (p *Package) factorSlice() []*Mat2 {
 // ids).
 func (p *Package) vHash(level int, e0, e1 VEdge) uint64 {
 	return mixHash(uint64(level),
-		uint64(vid(e0.N)), uint64(e0.W.ID()),
-		uint64(vid(e1.N)), uint64(e1.W.ID()))
+		p.vKey(e0.N), uint64(e0.W.ID()),
+		p.vKey(e1.N), uint64(e1.W.ID()))
 }
 
 // mHash is the matrix analogue of vHash.
 func (p *Package) mHash(level int, e [4]MEdge) uint64 {
 	return mixHash(uint64(level),
-		uint64(mid(e[0].N)), uint64(e[0].W.ID()),
-		uint64(mid(e[1].N)), uint64(e[1].W.ID()),
-		uint64(mid(e[2].N)), uint64(e[2].W.ID()),
-		uint64(mid(e[3].N)), uint64(e[3].W.ID()))
+		p.mKey(e[0].N), uint64(e[0].W.ID()),
+		p.mKey(e[1].N), uint64(e[1].W.ID()),
+		p.mKey(e[2].N), uint64(e[2].W.ID()),
+		p.mKey(e[3].N), uint64(e[3].W.ID()))
 }
 
 // makeVNode normalises and hash-conses a vector node at the given

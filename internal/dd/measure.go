@@ -19,12 +19,12 @@ func (p *Package) nodeNorm2(n *VNode) float64 {
 	}
 	p.cLookups++
 	c := p.caches.norm2
-	ent := &c[mixHash(uint64(n.id), 41)&uint64(len(c)-1)]
+	ent := &c[mixHash(p.vKey(n), 41)&uint64(len(c)-1)]
 	if ent.n == n.id {
 		p.cHits++
 		return ent.v
 	}
-	if ent.n != 0 {
+	if ent.n > p.vBase {
 		p.cConflicts++
 	}
 	r := n.E[0].W.Mag2()*p.nodeNorm2(n.E[0].N) +
@@ -69,12 +69,12 @@ func (p *Package) probOneNode(n *VNode, level int) float64 {
 	}
 	p.cLookups++
 	c := p.caches.prob
-	ent := &c[mixHash(uint64(n.id), uint64(level), 43)&uint64(len(c)-1)]
+	ent := &c[mixHash(p.vKey(n), uint64(level), 43)&uint64(len(c)-1)]
 	if ent.n == n.id && int(ent.level) == level {
 		p.cHits++
 		return ent.v
 	}
-	if ent.n != 0 {
+	if ent.n > p.vBase {
 		p.cConflicts++
 	}
 	r := n.E[0].W.Mag2()*p.probOneNode(n.E[0].N, level) +

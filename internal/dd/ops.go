@@ -48,12 +48,12 @@ func (p *Package) Add(a, b VEdge) VEdge {
 	bw := p.W.Div(b.W, a.W)
 	p.cLookups++
 	c := p.caches.add
-	ent := &c[mixHash(uint64(a.N.id), uint64(b.N.id), uint64(bw.ID()))&uint64(len(c)-1)]
+	ent := &c[mixHash(p.vKey(a.N), p.vKey(b.N), uint64(bw.ID()))&uint64(len(c)-1)]
 	if ent.a == a.N.id && ent.b == b.N.id && ent.bw == bw.ID() {
 		p.cHits++
 		return p.scaleV(p.vEdgeOf(ent.r), a.W)
 	}
-	if ent.a != 0 {
+	if ent.a > p.vBase {
 		p.cConflicts++
 	}
 
@@ -100,12 +100,12 @@ func (p *Package) AddM(a, b MEdge) MEdge {
 	bw := p.W.Div(b.W, a.W)
 	p.cLookups++
 	c := p.caches.madd
-	ent := &c[mixHash(uint64(a.N.id), uint64(b.N.id), uint64(bw.ID()))&uint64(len(c)-1)]
+	ent := &c[mixHash(p.mKey(a.N), p.mKey(b.N), uint64(bw.ID()))&uint64(len(c)-1)]
 	if ent.a == a.N.id && ent.b == b.N.id && ent.bw == bw.ID() {
 		p.cHits++
 		return p.scaleM(p.mEdgeOf(ent.r), a.W)
 	}
-	if ent.a != 0 {
+	if ent.a > p.mBase {
 		p.cConflicts++
 	}
 	if p.bound != nil && !p.bound.step() {
@@ -149,12 +149,12 @@ func (p *Package) MulMV(m MEdge, v VEdge) VEdge {
 	p.cLookups++
 	key := pairKey(m.N.id, v.N.id)
 	c := p.caches.mv
-	ent := &c[mixHash(uint64(m.N.id), uint64(v.N.id))&uint64(len(c)-1)]
+	ent := &c[mixHash(p.mKey(m.N), p.vKey(v.N))&uint64(len(c)-1)]
 	if ent.key == key {
 		p.cHits++
 		return p.scaleV(p.vEdgeOf(ent.r), w)
 	}
-	if ent.key != 0 {
+	if uint32(ent.key>>32) > p.mBase {
 		p.cConflicts++
 	}
 
@@ -191,12 +191,12 @@ func (p *Package) MulMM(a, b MEdge) MEdge {
 	p.cLookups++
 	key := pairKey(a.N.id, b.N.id)
 	c := p.caches.mm
-	ent := &c[mixHash(uint64(a.N.id), uint64(b.N.id), 7)&uint64(len(c)-1)]
+	ent := &c[mixHash(p.mKey(a.N), p.mKey(b.N), 7)&uint64(len(c)-1)]
 	if ent.key == key {
 		p.cHits++
 		return p.scaleM(p.mEdgeOf(ent.r), w)
 	}
-	if ent.key != 0 {
+	if uint32(ent.key>>32) > p.mBase {
 		p.cConflicts++
 	}
 	if p.bound != nil && !p.bound.step() {
@@ -297,12 +297,12 @@ func (p *Package) Dot(a, b VEdge) complex128 {
 	p.cLookups++
 	key := pairKey(a.N.id, b.N.id)
 	c := p.caches.dot
-	ent := &c[mixHash(uint64(a.N.id), uint64(b.N.id), 29)&uint64(len(c)-1)]
+	ent := &c[mixHash(p.vKey(a.N), p.vKey(b.N), 29)&uint64(len(c)-1)]
 	if ent.key == key {
 		p.cHits++
 		return w * ent.r
 	}
-	if ent.key != 0 {
+	if uint32(ent.key>>32) > p.vBase {
 		p.cConflicts++
 	}
 	r := p.Dot(a.N.E[0], b.N.E[0]) + p.Dot(a.N.E[1], b.N.E[1])

@@ -170,14 +170,17 @@ var (
 
 	// ResCacheHits / ResCacheMisses / ResCacheJoins classify how ddsimd
 	// resolves a keyed submission against its job table: served from a
-	// retained finished job, led to a fresh simulation, or
-	// deduplicated onto an identical in-flight job.
+	// retained finished job, led to a fresh simulation, or waited on an
+	// identical in-flight job. Joins count waits, not submissions: a
+	// follower whose leader ends without cacheable results resolves
+	// again, and a second wait counts again, so hits + misses + joins
+	// exceeds the keyed submissions whenever a leader is cancelled.
 	ResCacheHits = NewCounter("ddsim_rescache_hits_total",
 		"Submissions served the results of an identical retained job.")
 	ResCacheMisses = NewCounter("ddsim_rescache_misses_total",
 		"Submissions that led a fresh simulation.")
 	ResCacheJoins = NewCounter("ddsim_rescache_dedup_joins_total",
-		"Submissions deduplicated onto an in-flight identical job.")
+		"Waits of a submission on an in-flight identical job; a submission whose leader ends uncacheable waits, and counts, again.")
 
 	// QueueWaitSeconds / SimulateSeconds / PersistSeconds are the
 	// per-phase latency histograms of the ddsimd job pipeline: time
