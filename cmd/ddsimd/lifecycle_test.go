@@ -15,6 +15,8 @@ import (
 
 	"ddsim"
 	"ddsim/internal/cluster"
+	"ddsim/internal/jobstore"
+	"ddsim/internal/telemetry"
 )
 
 // ghzQASM is an n-qubit GHZ preparation as an inline-QASM circuit
@@ -220,6 +222,203 @@ func TestResultBytesIdenticalAcrossViews(t *testing.T) {
 	for name, got := range views {
 		if !bytes.Equal([]byte(got), want) {
 			t.Errorf("%s results differ from json.Marshal of the engine's:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}
+
+// lifecycleCounters is a snapshot of the telemetry the lifecycle
+// moves: the two gauges and ddsim_jobs_done_total by status.
+type lifecycleCounters struct {
+	queued, running int64
+	done            map[string]int64
+}
+
+func readLifecycleCounters() lifecycleCounters {
+	c := lifecycleCounters{
+		queued:  telemetry.JobsQueued.Value(),
+		running: telemetry.JobsRunning.Value(),
+		done:    map[string]int64{},
+	}
+	for _, st := range []string{statusDone, statusCancelled, statusFailed} {
+		c.done[st] = telemetry.JobsDone.With(st).Value()
+	}
+	return c
+}
+
+// checkSettled asserts that every job is terminal with its done
+// channel closed, that both gauges are back at base, and that
+// ddsim_jobs_done_total moved by exactly want.
+func checkSettled(t *testing.T, label string, s *server, base lifecycleCounters, want map[string]int64, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		if j == nil {
+			t.Fatalf("%s: job %s not in the table", label, id)
+		}
+		select {
+		case <-j.done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: job %s never settled", label, id)
+		}
+		if !j.terminal() {
+			t.Errorf("%s: job %s has done closed but is not terminal", label, id)
+		}
+	}
+	got := readLifecycleCounters()
+	if got.queued != base.queued || got.running != base.running {
+		t.Errorf("%s: gauges queued %d running %d, want %d and %d",
+			label, got.queued, got.running, base.queued, base.running)
+	}
+	for st, n := range got.done {
+		if d := n - base.done[st]; d != want[st] {
+			t.Errorf("%s: ddsim_jobs_done_total{status=%q} moved by %d, want %d", label, st, d, want[st])
+		}
+	}
+}
+
+// waitStatus polls a job until it reports status.
+func waitStatus(t *testing.T, ts *httptest.Server, id, status string) {
+	t.Helper()
+	waitFor(t, "job "+id+" "+status, func() bool { return getJob(t, ts, id).Status == status })
+}
+
+// TestLifecycleCounters drives every path through the job state
+// machine and checks its telemetry after each: the queued and running
+// gauges return to their baseline, ddsim_jobs_done_total counts each
+// settled job once under its status (a job restored settled counts
+// nothing), and every job's done channel is closed.
+func TestLifecycleCounters(t *testing.T) {
+	small := func(seed int) string {
+		return fmt.Sprintf(`{"circuit": {"name": "ghz", "n": 4}, "options": {"runs": 40, "seed": %d}}`, seed)
+	}
+	long := `{"circuit": ` + ghzQASM(12) + `, "noise": {"depolarizing": 0.001, "damping": 0.002},
+		"options": {"runs": 3000000, "seed": 1, "progress_every": 1, "chunk_size": 16}}`
+
+	t.Run("direct", func(t *testing.T) {
+		// No HTTP: the constructor, admit and the terminal edges alone.
+		ctx, cancel := context.WithCancel(context.Background())
+		s := newServer(ctx, 1, 1, 0)
+		t.Cleanup(func() { cancel(); s.wait() })
+		build := func(id string) (jobstore.Recovered, jobSpec, *ddsim.Circuit, []ddsim.NoiseModel) {
+			var spec jobSpec
+			if err := json.Unmarshal([]byte(small(5)), &spec); err != nil {
+				t.Fatal(err)
+			}
+			circ, models, err := s.compile(&spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return jobstore.Recovered{Record: jobstore.Record{ID: id, Backend: spec.Backend, Submitted: time.Now()}},
+				spec, circ, models
+		}
+		base := readLifecycleCounters()
+		s.admit(newJob(build("j1")))
+		checkSettled(t, "admitted", s, base, map[string]int64{statusDone: 1}, "j1")
+
+		base = readLifecycleCounters()
+		s.admit(newJob(build("j2")))
+		checkSettled(t, "served from j1", s, base, map[string]int64{statusDone: 1}, "j2")
+		if v := s.jobs["j2"].view(false); !v.Cached || v.Started == nil {
+			t.Errorf("j2 served from the cache: %+v", v)
+		}
+
+		base = readLifecycleCounters()
+		rc, spec, _, _ := build("j3")
+		j := newJob(rc, spec, nil, nil)
+		s.failRestored(j, fmt.Errorf("limits changed"))
+		s.publish(j)
+		checkSettled(t, "failed at restore", s, base, map[string]int64{statusFailed: 1}, "j3")
+
+		base = readLifecycleCounters()
+		rc.Record.ID = "j4"
+		rc.Status, rc.Final = statusDone, &jobstore.Final{Status: statusDone}
+		s.publish(newJob(rc, spec, nil, nil))
+		checkSettled(t, "constructed settled", s, base, nil, "j4")
+	})
+
+	ts, s := newTestServer(t, 1)
+
+	base := readLifecycleCounters()
+	a := submit(t, ts, small(1))
+	checkSettled(t, "done", s, base, map[string]int64{statusDone: 1}, a)
+
+	base = readLifecycleCounters()
+	hit := submit(t, ts, small(1))
+	checkSettled(t, "cache hit", s, base, map[string]int64{statusDone: 1}, hit)
+	if v := getJob(t, ts, hit); !v.Cached {
+		t.Errorf("cache hit %s not cached", hit)
+	}
+
+	base = readLifecycleCounters()
+	running := submit(t, ts, long)
+	waitFor(t, "a committed trajectory", func() bool { return getJob(t, ts, running).Progress != nil })
+	cancelJob(t, ts, running)
+	checkSettled(t, "cancelled while running", s, base, map[string]int64{statusCancelled: 1}, running)
+	if v := getJob(t, ts, running); v.Status != statusCancelled || len(v.Results) != 1 || !v.Results[0].Interrupted {
+		t.Errorf("cancelled while running: status %s, results %+v", v.Status, v.Results)
+	}
+
+	base = readLifecycleCounters()
+	blocker := submit(t, ts, long)
+	waitStatus(t, ts, blocker, statusRunning)
+	queued := submit(t, ts, small(2))
+	cancelJob(t, ts, queued)
+	cancelJob(t, ts, blocker)
+	checkSettled(t, "cancelled while queued", s, base, map[string]int64{statusCancelled: 2}, blocker, queued)
+	if v := getJob(t, ts, queued); v.Status != statusCancelled || v.Started != nil {
+		t.Errorf("cancelled while queued: %+v", v)
+	}
+
+	base = readLifecycleCounters()
+	blocker = submit(t, ts, long)
+	waitStatus(t, ts, blocker, statusRunning)
+	joins := telemetry.ResCacheJoins.Value()
+	leader := submit(t, ts, small(3))
+	joined := submit(t, ts, small(3))
+	waitJoins(t, joins+1)
+	cancelJob(t, ts, blocker)
+	checkSettled(t, "join", s, base, map[string]int64{statusCancelled: 1, statusDone: 2}, blocker, leader, joined)
+	if v := getJob(t, ts, joined); !v.Cached {
+		t.Errorf("joined job %s not cached", joined)
+	}
+}
+
+// TestLifecycleCountersRestore restarts a store holding a finished
+// job and two jobs in flight at shutdown, on a server whose run limit
+// one of them now exceeds: the finished job is served and counts
+// nothing, the re-queued one counts its own end, and the one that no
+// longer compiles counts failed.
+func TestLifecycleCountersRestore(t *testing.T) {
+	dir := t.TempDir()
+	ts1, s1, stop1 := newPersistentServer(t, dir)
+	served := submit(t, ts1, `{"circuit": {"name": "ghz", "n": 4}, "options": {"runs": 40, "seed": 1}}`)
+	waitTerminal(t, ts1, served)
+	base := readLifecycleCounters()
+	blocker := submit(t, ts1, `{"circuit": `+ghzQASM(12)+`, "options": {"runs": 3000000, "seed": 1, "chunk_size": 16}}`)
+	waitStatus(t, ts1, blocker, statusRunning)
+	requeued := submit(t, ts1, `{"circuit": {"name": "ghz", "n": 4}, "options": {"runs": 40, "seed": 2}}`)
+	stop1() // a shutdown: both in-flight jobs settle cancelled in memory only
+	checkSettled(t, "shutdown", s1, base, map[string]int64{statusCancelled: 2}, blocker, requeued)
+
+	store, err := jobstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s2 := newServer(ctx, 1, 2, 1000) // the blocker's runs no longer compile
+	s2.store = store
+	t.Cleanup(func() { cancel(); s2.wait(); store.Close() })
+	base = readLifecycleCounters()
+	nServed, nRequeued := s2.restore()
+	if nServed != 1 || nRequeued != 1 {
+		t.Fatalf("restored %d served, %d re-queued; want 1 and 1", nServed, nRequeued)
+	}
+	checkSettled(t, "restore", s2, base, map[string]int64{statusDone: 1, statusFailed: 1}, served, blocker, requeued)
+	for id, want := range map[string]string{served: statusDone, blocker: statusFailed, requeued: statusDone} {
+		if v := s2.jobs[id].view(false); v.Status != want {
+			t.Errorf("restored job %s: status %s, want %s", id, v.Status, want)
 		}
 	}
 }

@@ -50,15 +50,6 @@ const (
 	gaugeRefreshEvery = time.Second
 )
 
-// Job lifecycle states.
-const (
-	statusQueued    = "queued"    // accepted, waiting for an active-job slot
-	statusRunning   = "running"   // trajectories executing
-	statusDone      = "done"      // finished normally (possibly with per-point errors)
-	statusCancelled = "cancelled" // DELETE /jobs/{id} or server shutdown
-	statusFailed    = "failed"    // no point produced a result
-)
-
 // circuitSpec selects the circuit of a submission: either inline
 // OpenQASM 2.0 source or a named built-in benchmark family with a
 // qubit count (see qbench.BuiltinNames).
@@ -127,50 +118,6 @@ func (v jobView) MarshalJSON() ([]byte, error) {
 	}{fields(v), v.results})
 }
 
-// job is one accepted submission and its lifecycle state. Once the
-// job is terminal it holds only what view prints: the transition
-// drops its circuit, noise points and submitted source (spec keeps
-// only the sweep) and keeps its results as one encoded slice, shared
-// with the store and with every job served from it. Jobs restored
-// from the store in a terminal state start out that way, with a no-op
-// cancel.
-type job struct {
-	id       string
-	seq      int64 // dispatch tiebreak: submission order
-	spec     jobSpec
-	circ     *ddsim.Circuit
-	models   []ddsim.NoiseModel
-	backend  string
-	key      string // canonical content hash (ddsim.JobKey); "" = uncacheable
-	priority int
-	ctx      context.Context
-	cancel   context.CancelFunc
-
-	// userCancel distinguishes an explicit DELETE from a shutdown-
-	// induced context cancellation: only the former persists a
-	// terminal "cancelled" state (a shutdown leaves the job in-flight
-	// on disk so a restart re-queues it).
-	userCancel atomic.Bool
-
-	// circName/qubits/gates summarise the compiled circuit for views.
-	circName string
-	qubits   int
-	gates    int
-
-	mu        sync.Mutex
-	status    string
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	progress  *ddsim.Progress
-	results   json.RawMessage // encoded []*ddsim.Result, set on reaching a terminal status
-	cacheable bool            // results are a pure function of key (see encodeResults)
-	errMsg    string
-	cached    bool // results served by an identical finished or in-flight job
-	subs      map[chan ddsim.Progress]struct{}
-	done      chan struct{} // closed on reaching a terminal status
-}
-
 // publish stores the latest progress snapshot and fans it out to SSE
 // subscribers without blocking the engine (slow subscribers drop
 // intermediate snapshots; the final state always arrives via done).
@@ -232,24 +179,6 @@ func (j *job) view(includeResults bool) jobView {
 		v.results = j.results
 	}
 	return v
-}
-
-// dropInputs releases what a terminal job was compiled from; view
-// needs only the sweep. Caller holds j.mu.
-func (j *job) dropInputs() {
-	j.circ, j.models = nil, nil
-	j.spec = jobSpec{Sweep: j.spec.Sweep}
-}
-
-func (j *job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.terminalLocked()
-}
-
-// terminalLocked is terminal for a caller that holds j.mu.
-func (j *job) terminalLocked() bool {
-	return j.status == statusDone || j.status == statusCancelled || j.status == statusFailed
 }
 
 // server owns the job table and the HTTP handlers of ddsimd.
@@ -506,44 +435,10 @@ func (s *server) compile(spec *jobSpec) (*ddsim.Circuit, []ddsim.NoiseModel, err
 	return circ, models, nil
 }
 
-// newJob builds the in-memory job for a compiled submission and
-// allocates its id. The job is NOT yet in the table — the caller
-// persists it first and then calls publish, so a submission that
-// fails persistence (500) is never observable via the API.
-func (s *server) newJob(spec jobSpec, circ *ddsim.Circuit, models []ddsim.NoiseModel) *job {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j := &job{
-		spec:      spec,
-		circ:      circ,
-		models:    models,
-		backend:   spec.Backend,
-		priority:  spec.Priority,
-		circName:  circ.Name,
-		qubits:    circ.NumQubits,
-		gates:     circ.GateCount(),
-		ctx:       ctx,
-		cancel:    cancel,
-		status:    statusQueued,
-		submitted: time.Now(),
-		subs:      make(map[chan ddsim.Progress]struct{}),
-		done:      make(chan struct{}),
-	}
-	// The canonical content hash keys cache hits and in-flight dedup.
-	// Circuits the QASM writer cannot express have no key and always
-	// simulate.
-	if key, err := ddsim.JobKey(circ, spec.Backend, models, spec.Options); err == nil {
-		j.key = key
-	}
-	s.mu.Lock()
-	s.next++
-	j.id = fmt.Sprintf("j%d", s.next)
-	j.seq = int64(s.next)
-	s.mu.Unlock()
-	return j
-}
-
-// publish inserts an accepted (and, with a store, persisted) job
-// into the table, making it visible to the API.
+// publish inserts a job into the table, making it visible to the API:
+// an accepted (and, with a store, persisted) job from admit, or a job
+// restored settled. A submission that fails persistence (500) is never
+// published, so it is never observable.
 func (s *server) publish(j *job) {
 	s.mu.Lock()
 	s.jobs[j.id] = j
@@ -551,21 +446,6 @@ func (s *server) publish(j *job) {
 	evicted := s.pruneLocked()
 	s.mu.Unlock()
 	s.evictFromStore(evicted)
-}
-
-// record renders the job's durable submission record.
-func (j *job) record() jobstore.Record {
-	spec, _ := json.Marshal(j.spec)
-	return jobstore.Record{
-		ID:        j.id,
-		Spec:      spec,
-		Priority:  j.priority,
-		Submitted: j.submitted,
-		Circuit:   j.circName,
-		Qubits:    j.qubits,
-		Gates:     j.gates,
-		Backend:   j.backend,
-	}
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -606,32 +486,39 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := s.newJob(spec, circ, models)
+	s.mu.Lock()
+	s.next++
+	id := fmt.Sprintf("j%d", s.next)
+	s.mu.Unlock()
+	rec := jobstore.Record{
+		ID:        id,
+		Priority:  spec.Priority,
+		Submitted: time.Now(),
+		Circuit:   circ.Name,
+		Qubits:    circ.NumQubits,
+		Gates:     circ.GateCount(),
+		Backend:   spec.Backend,
+	}
 	if s.store != nil {
-		if err := s.store.PutJob(j.record()); err != nil {
+		rec.Spec, _ = json.Marshal(spec)
+		if err := s.store.PutJob(rec); err != nil {
 			// The durability contract is broken; refuse the job rather
 			// than accept work that a restart would silently lose. The
-			// job was never published, so nothing observed it, and the
+			// job was never built, so nothing observed it, and the
 			// failed append cut its line back out of the WAL (or, if
 			// it could not, closed the WAL for every later write).
-			j.cancel()
 			writeErr(w, http.StatusInternalServerError, "persist job: %v", err)
 			return
 		}
 	}
-	s.publish(j)
-
-	telemetry.JobsQueued.Inc()
-	s.pending.Add(1)
-	s.wg.Add(1)
-	go s.run(j)
+	s.admit(newJob(jobstore.Recovered{Record: rec}, spec, circ, models))
 
 	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":     j.id,
+		"id":     id,
 		"status": statusQueued,
 		"links": map[string]string{
-			"self":   "/jobs/" + j.id,
-			"events": "/jobs/" + j.id + "/events",
+			"self":   "/jobs/" + id,
+			"events": "/jobs/" + id + "/events",
 		},
 	})
 }
@@ -656,19 +543,13 @@ func (s *server) run(j *job) {
 	}
 	enqueued := time.Now()
 	if err := s.disp.Acquire(j.ctx, j.priority, j.seq); err != nil {
-		telemetry.JobsQueued.Dec()
-		s.finalize(j, nil, nil)
+		s.complete(j, nil, nil)
 		return
 	}
 	defer s.disp.Release()
 	telemetry.QueueWaitSeconds.Observe(time.Since(enqueued).Seconds())
 
-	telemetry.JobsQueued.Dec()
-	telemetry.JobsRunning.Inc()
-	j.mu.Lock()
-	j.status = statusRunning
-	j.started = time.Now()
-	j.mu.Unlock()
+	j.start()
 
 	simStart := time.Now()
 	var results []*ddsim.Result
@@ -691,8 +572,7 @@ func (s *server) run(j *job) {
 		results, err = ddsim.BatchSimulate(j.ctx, j.backend, batch, s.workers)
 	}
 	telemetry.SimulateSeconds.Observe(time.Since(simStart).Seconds())
-	telemetry.JobsRunning.Dec()
-	s.finalize(j, results, err)
+	s.complete(j, results, err)
 }
 
 // resolve settles a job against byKey before it simulates. It
@@ -720,8 +600,7 @@ func (s *server) resolve(j *job) bool {
 		// cancelled — a hit must not overrule an acknowledged
 		// cancellation.
 		if j.ctx.Err() != nil {
-			telemetry.JobsQueued.Dec()
-			s.finalize(j, nil, nil)
+			s.complete(j, nil, nil)
 			return true
 		}
 		s.mu.Lock()
@@ -755,145 +634,6 @@ func (s *server) resolve(j *job) bool {
 		case <-j.ctx.Done():
 		}
 	}
-}
-
-// outcome reports the job's encoded results, whether it reached a
-// terminal status, and whether those results answer its key.
-func (j *job) outcome() (results json.RawMessage, settled, cacheable bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.results, j.terminalLocked(), j.cacheable
-}
-
-// finishFromCache completes a job with the encoded results of an
-// identical job, marking it done without burning any trajectories,
-// and makes it the newest job that answers its key.
-func (s *server) finishFromCache(j *job, results json.RawMessage) {
-	telemetry.JobsQueued.Dec()
-	now := time.Now()
-	j.mu.Lock()
-	j.status = statusDone
-	j.started = now
-	j.finished = now
-	j.results = results
-	j.cacheable = true
-	j.cached = true
-	j.dropInputs()
-	telemetry.E2ESeconds.Observe(now.Sub(j.submitted).Seconds())
-	j.mu.Unlock()
-	telemetry.JobsDone.With(statusDone).Inc()
-	close(j.done)
-
-	s.mu.Lock()
-	// Only a retained job may hold the key, and never in place of an
-	// in-flight leader.
-	if l := s.byKey[j.key]; s.jobs[j.id] == j && (l == nil || l.terminal()) {
-		s.byKey[j.key] = j
-	}
-	s.mu.Unlock()
-	s.persistFinal(j)
-}
-
-// finalize records a job's terminal state and persists it.
-func (s *server) finalize(j *job, results []*ddsim.Result, err error) {
-	j.complete(results, err)
-	s.persistFinal(j)
-}
-
-// persistFinal writes the job's terminal state to the store. A
-// cancellation that was *not* an explicit DELETE — i.e. the server is
-// shutting down or crashed — is deliberately not persisted: the WAL
-// keeps the job's last in-flight status, so the next start re-queues
-// and re-runs it with the same seed.
-func (s *server) persistFinal(j *job) {
-	if s.store == nil {
-		return
-	}
-	j.mu.Lock()
-	f := jobstore.Final{
-		Status:   j.status,
-		Error:    j.errMsg,
-		Results:  j.results,
-		Started:  j.started,
-		Finished: j.finished,
-	}
-	j.mu.Unlock()
-	if f.Status == statusCancelled && !j.userCancel.Load() {
-		return
-	}
-	start := time.Now()
-	err := s.store.PutFinal(j.id, f)
-	telemetry.PersistSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ddsimd: persist final state of %s: %v\n", j.id, err)
-	}
-}
-
-// complete records the terminal state of a job and wakes up every
-// event stream. A cancelled job keeps whatever partial results the
-// engine aggregated (their Interrupted flag is set by the engine). A
-// cancellation that raced the natural end of the simulation — every
-// point finished, nothing interrupted — still counts as done. The
-// results are encoded here, once, outside the lock.
-func (j *job) complete(results []*ddsim.Result, err error) {
-	enc, cacheable := encodeResults(results)
-	j.mu.Lock()
-	j.finished = time.Now()
-	j.results = enc
-	j.cacheable = cacheable && err == nil
-	j.dropInputs()
-	switch {
-	case err == nil && allResultsClean(results):
-		j.status = statusDone
-	case j.ctx.Err() != nil:
-		j.status = statusCancelled
-	case err != nil && !anyResult(results):
-		j.status = statusFailed
-	default:
-		j.status = statusDone
-	}
-	if err != nil {
-		j.errMsg = err.Error()
-	}
-	telemetry.E2ESeconds.Observe(j.finished.Sub(j.submitted).Seconds())
-	telemetry.JobsDone.With(j.status).Inc()
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// encodeResults renders results in the wire form of GET /jobs/{id}
-// (nil when there are none) and reports whether a later identical
-// submission may be served them: only a complete, un-truncated
-// outcome may. An unencodable outcome has no results and is not
-// cacheable.
-func encodeResults(results []*ddsim.Result) (json.RawMessage, bool) {
-	if len(results) == 0 {
-		return nil, false
-	}
-	enc, err := json.Marshal(results)
-	if err != nil {
-		return nil, false
-	}
-	for _, r := range results {
-		if r == nil || r.Interrupted || r.TimedOut {
-			return enc, false
-		}
-	}
-	return enc, true
-}
-
-// allResultsClean reports whether every point produced a result and
-// none was cut short by cancellation.
-func allResultsClean(results []*ddsim.Result) bool {
-	if len(results) == 0 {
-		return false
-	}
-	for _, r := range results {
-		if r == nil || r.Interrupted {
-			return false
-		}
-	}
-	return true
 }
 
 // pruneLocked evicts the oldest finished jobs (and their retained
@@ -941,15 +681,6 @@ func (s *server) evictFromStore(ids []string) {
 			fmt.Fprintf(os.Stderr, "ddsimd: evict %s from store: %v\n", id, err)
 		}
 	}
-}
-
-func anyResult(results []*ddsim.Result) bool {
-	for _, r := range results {
-		if r != nil {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *server) lookup(w http.ResponseWriter, r *http.Request) *job {

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"ddsim/internal/clusterid"
 	"ddsim/internal/stochastic"
 	"ddsim/internal/telemetry"
 )
@@ -50,8 +49,6 @@ type Config struct {
 	// Clock supplies the coordinator's notion of now for lease expiry
 	// (time.Now when nil); tests inject a manual clock.
 	Clock func() time.Time
-	// Node is this coordinator's clusterid node (0..1023).
-	Node int
 	// OnProgress, when non-nil, receives completed/total chunk counts
 	// after every accepted part.
 	OnProgress func(doneChunks, totalChunks int)
@@ -62,7 +59,6 @@ type Config struct {
 // Run owns its lease table and journal.
 type Coordinator struct {
 	cfg Config
-	gen *clusterid.Generator
 }
 
 // New validates cfg and returns a Coordinator.
@@ -82,11 +78,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	gen, err := clusterid.NewWithClock(cfg.Node, cfg.Clock)
-	if err != nil {
-		return nil, err
-	}
-	return &Coordinator{cfg: cfg, gen: gen}, nil
+	return &Coordinator{cfg: cfg}, nil
 }
 
 // Run executes one job across the cluster and returns its result (see
@@ -127,7 +119,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, spec JobSpec) (*sto
 		}
 	}
 
-	tb := newTable(plan, c.cfg.LeaseTTL, c.cfg.Clock, c.gen)
+	tb := newTable(plan, c.cfg.LeaseTTL, c.cfg.Clock)
 	for idx, sums := range restored {
 		if err := tb.restore(idx, sums); err != nil {
 			return nil, err

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ddsim/internal/circuit"
-	"ddsim/internal/clusterid"
 	"ddsim/internal/stochastic"
 	"ddsim/internal/telemetry"
 )
@@ -28,7 +27,7 @@ type blockingGate struct {
 
 func newBlockingGate(t *testing.T, w *Worker) *blockingGate {
 	g := &blockingGate{blocked: make(chan struct{}), release: make(chan struct{})}
-	w.Gate = func(clusterid.ID, int) {
+	w.Gate = func(Token, int) {
 		g.once.Do(func() { close(g.blocked) })
 		<-g.release
 	}
@@ -246,12 +245,8 @@ func TestStaleCompletionFenced(t *testing.T) {
 	workers[0].DropHeartbeats = dropping.Load
 
 	clk := newManualClock(time.Unix(2000, 0))
-	gen, err := clusterid.NewWithClock(7, clk.Now)
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan.PartChunks = plan.NumChunks // one part
-	tb := newTable(plan, time.Second, clk.Now, gen)
+	tb := newTable(plan, time.Second, clk.Now)
 	coord, err := New(Config{
 		Workers:        urls,
 		LeaseTTL:       time.Second,

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"ddsim/internal/clusterid"
 	"ddsim/internal/stochastic"
 	"ddsim/internal/telemetry"
 )
@@ -20,8 +20,8 @@ import (
 //	   └────Release──────────┘        (expiry: reclaimed by a later
 //	                                   Acquire, which mints a new fence)
 //
-// Each Acquire mints a fresh fencing token — a clusterid snowflake, so
-// tokens are strictly monotonic per coordinator. Complete and Renew
+// Each Acquire mints a fresh fencing token from one process-wide
+// counter, so tokens strictly increase in mint order. Complete and Renew
 // succeed only while their token is the part's *current* lease; after
 // a reclaim the old token can never be current again, so a stale
 // worker's sums (or a duplicate delivery) are rejected no matter when
@@ -38,10 +38,29 @@ var (
 	ErrDone = errors.New("cluster: part already completed")
 )
 
+// Token is a lease's fencing token. The zero value is never minted,
+// so 0 can mean "no lease"; on the wire a token is 16 hex digits.
+type Token uint64
+
+func (t Token) String() string { return fmt.Sprintf("%016x", uint64(t)) }
+
+// lastToken is the most recently minted token. It starts at the wall
+// clock in nanoseconds, so a restarted coordinator mints above every
+// token of its previous incarnation (unless that one averaged more
+// than one mint per nanosecond): a worker answers a repeated token as
+// a retry of the lease it already runs, so a reused token would serve
+// an old part's sums for a new lease.
+var lastToken atomic.Uint64
+
+func init() { lastToken.Store(uint64(time.Now().UnixNano())) }
+
+// mintToken returns a token above every token minted before it.
+func mintToken() Token { return Token(lastToken.Add(1)) }
+
 // Lease is one granted work assignment.
 type Lease struct {
 	// ID is the fencing token.
-	ID clusterid.ID
+	ID Token
 	// Part is the part index within the table.
 	Part int
 	// First and Count delimit the chunk range [First, First+Count).
@@ -62,8 +81,8 @@ const (
 type part struct {
 	first, count int
 	state        partState
-	lease        clusterid.ID // current fence; 0 before the first grant
-	holder       string       // worker URL, diagnostics only
+	lease        Token  // current fence; 0 before the first grant
+	holder       string // worker URL, diagnostics only
 	granted      time.Time
 	expires      time.Time
 	sums         []stochastic.ChunkSum
@@ -74,15 +93,14 @@ type part struct {
 type table struct {
 	mu    sync.Mutex
 	now   func() time.Time
-	gen   *clusterid.Generator
 	ttl   time.Duration
 	parts []part
 	done  int // parts completed
 }
 
 // newTable makes one part per part of the job's plan.
-func newTable(plan stochastic.ChunkPlan, ttl time.Duration, now func() time.Time, gen *clusterid.Generator) *table {
-	t := &table{now: now, gen: gen, ttl: ttl, parts: make([]part, plan.NumParts())}
+func newTable(plan stochastic.ChunkPlan, ttl time.Duration, now func() time.Time) *table {
+	t := &table{now: now, ttl: ttl, parts: make([]part, plan.NumParts())}
 	for i := range t.parts {
 		t.parts[i].first, t.parts[i].count = plan.Part(i)
 	}
@@ -134,7 +152,7 @@ func (t *table) Acquire(holder string) (Lease, bool) {
 			continue
 		}
 		p.state = partLeased
-		p.lease = t.gen.Next()
+		p.lease = mintToken()
 		p.holder = holder
 		p.granted = now
 		p.expires = now.Add(t.ttl)

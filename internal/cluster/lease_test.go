@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ddsim/internal/circuit"
-	"ddsim/internal/clusterid"
 	"ddsim/internal/stochastic"
 )
 
@@ -37,12 +36,8 @@ func (c *manualClock) Advance(d time.Duration) {
 func testTable(t *testing.T, numChunks, partChunks int, ttl time.Duration) (*table, *manualClock) {
 	t.Helper()
 	clk := newManualClock(time.Unix(0, 0))
-	gen, err := clusterid.NewWithClock(1, clk.Now)
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan := stochastic.ChunkPlan{NumChunks: numChunks, PartChunks: partChunks}
-	return newTable(plan, ttl, clk.Now, gen), clk
+	return newTable(plan, ttl, clk.Now), clk
 }
 
 func dummySums(first, count int) []stochastic.ChunkSum {
@@ -244,11 +239,7 @@ func TestTablePartsArePlanParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := clusterid.New(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := newTable(plan, time.Second, time.Now, gen)
+	tb := newTable(plan, time.Second, time.Now)
 
 	wire, err := json.Marshal(spec)
 	if err != nil {
@@ -275,6 +266,46 @@ func TestTablePartsArePlanParts(t *testing.T) {
 	for i, p := range tb.parts {
 		if first, count := remote.Part(i); p.first != first || p.count != count {
 			t.Errorf("part %d: table [%d,+%d), plan [%d,+%d)", i, p.first, p.count, first, count)
+		}
+	}
+}
+
+// TestConcurrentMintUnique: Acquire calls racing on two tables mint
+// distinct nonzero tokens, each goroutine's strictly increasing — the
+// fence order holds across every table of the process.
+func TestConcurrentMintUnique(t *testing.T) {
+	const goroutines, per = 8, 250
+	tables := [2]*table{}
+	for i := range tables {
+		tables[i], _ = testTable(t, goroutines*per, 1, time.Minute)
+	}
+	got := make([][]Token, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				l, ok := tables[(g+i)%2].Acquire("w")
+				if !ok {
+					t.Error("acquire failed with parts pending")
+					return
+				}
+				got[g] = append(got[g], l.ID)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[Token]bool)
+	for g, ids := range got {
+		for i, id := range ids {
+			if id == 0 || seen[id] {
+				t.Fatalf("goroutine %d draw %d: token %v is zero or repeated", g, i, id)
+			}
+			seen[id] = true
+			if i > 0 && id <= ids[i-1] {
+				t.Fatalf("goroutine %d: token %v after %v", g, id, ids[i-1])
+			}
 		}
 	}
 }

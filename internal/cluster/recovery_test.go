@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ddsim/internal/circuit"
-	"ddsim/internal/clusterid"
 	"ddsim/internal/stochastic"
 	"ddsim/internal/telemetry"
 )
@@ -30,7 +29,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	// two parts (chunks 0–3) through and stalls every later chunk.
 	urls, workers, _ := startWorkers(t, 2)
 	release := make(chan struct{})
-	gateFn := func(_ clusterid.ID, chunk int) {
+	gateFn := func(_ Token, chunk int) {
 		if chunk >= 4 {
 			<-release
 		}

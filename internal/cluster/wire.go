@@ -19,8 +19,8 @@
 // seeds, same sums), and the only thing that must never happen is the
 // same chunk merging twice or two workers' overlapping sums merging at
 // all. The coordinator guarantees that with dlock-style leases: every
-// lease carries a fencing token (a monotonic snowflake ID from
-// internal/clusterid), and a completion is accepted only while its
+// lease carries a fencing token (drawn from a process-wide counter
+// that only increases), and a completion is accepted only while its
 // token is the part's current lease. Everything else — worker loss,
 // lease expiry, duplicate delivery, coordinator restart — reduces to
 // "the fence rejects it" or "the chunk runs again".

@@ -7,16 +7,15 @@ import (
 	"net/http"
 	"sync"
 
-	"ddsim/internal/clusterid"
 	"ddsim/internal/sim"
 	"ddsim/internal/stochastic"
 	"ddsim/internal/telemetry"
 )
 
-// maxWorkerTasks bounds the retained task map. Completed tasks whose
+// maxWorkerTasks bounds the retained task map. Finished tasks whose
 // coordinator never collected them (a coordinator that died after the
-// lease was reassigned) are evicted oldest-first past this bound;
-// re-simulation covers anything evicted.
+// lease was reassigned) are evicted oldest lease first past this
+// bound; re-simulation covers anything evicted.
 const maxWorkerTasks = 64
 
 // Worker serves leased chunk computations. It is stateless across
@@ -32,7 +31,7 @@ type Worker struct {
 	// with the lease token and the absolute chunk index. Tests use it
 	// to block a worker mid-range so lease expiry and stale-completion
 	// schedules become deterministic.
-	Gate func(lease clusterid.ID, chunk int)
+	Gate func(lease Token, chunk int)
 
 	// DropHeartbeats, when set, makes /work/heartbeat fail with 503 —
 	// a heartbeat-path network partition in one switch, for fault
@@ -40,8 +39,7 @@ type Worker struct {
 	DropHeartbeats func() bool
 
 	mu    sync.Mutex
-	tasks map[clusterid.ID]*workerTask
-	order []clusterid.ID // insertion order, for bounded eviction
+	tasks map[Token]*workerTask
 }
 
 type workerTask struct {
@@ -56,7 +54,7 @@ type workerTask struct {
 
 // NewWorker returns a worker resolving backends through resolve.
 func NewWorker(resolve func(backend string) (sim.Factory, error)) *Worker {
-	return &Worker{resolve: resolve, tasks: make(map[clusterid.ID]*workerTask)}
+	return &Worker{resolve: resolve, tasks: make(map[Token]*workerTask)}
 }
 
 // Handler returns the worker's HTTP routes, mountable under any mux.
@@ -112,7 +110,6 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.tasks[lease] = t
-	w.order = append(w.order, lease)
 	w.evictLocked()
 	w.mu.Unlock()
 
@@ -211,45 +208,34 @@ func (w *Worker) lookup(id string, rw http.ResponseWriter) *workerTask {
 	return t
 }
 
-// evictLocked drops the oldest non-running tasks past maxWorkerTasks.
-// Callers hold w.mu.
+// evictLocked drops finished tasks past maxWorkerTasks, the one with
+// the smallest token first: tokens increase with mint time, so that is
+// the oldest lease. Running tasks are never evicted. Callers hold w.mu.
 func (w *Worker) evictLocked() {
-	for len(w.tasks) > maxWorkerTasks && len(w.order) > 0 {
-		victimIdx := -1
-		for i, id := range w.order {
-			t, ok := w.tasks[id]
-			if !ok {
-				w.order = append(w.order[:i], w.order[i+1:]...)
-				victimIdx = -2 // order shrank; rescan
-				break
-			}
+	for len(w.tasks) > maxWorkerTasks {
+		var victim Token
+		for id, t := range w.tasks {
 			t.mu.Lock()
 			idle := t.phase != phaseRunning
 			t.mu.Unlock()
-			if idle {
-				victimIdx = i
-				break
+			if idle && (victim == 0 || id < victim) {
+				victim = id
 			}
 		}
-		if victimIdx == -2 {
-			continue
-		}
-		if victimIdx < 0 {
+		if victim == 0 {
 			return // everything is running; let it be
 		}
-		id := w.order[victimIdx]
-		w.order = append(w.order[:victimIdx], w.order[victimIdx+1:]...)
-		w.tasks[id].cancel()
-		delete(w.tasks, id)
+		w.tasks[victim].cancel()
+		delete(w.tasks, victim)
 	}
 }
 
-func parseLeaseID(s string) (clusterid.ID, error) {
+func parseLeaseID(s string) (Token, error) {
 	var id uint64
 	if _, err := fmt.Sscanf(s, "%016x", &id); err != nil || id == 0 {
 		return 0, fmt.Errorf("cluster: malformed lease id %q", s)
 	}
-	return clusterid.ID(id), nil
+	return Token(id), nil
 }
 
 func writeJSON(rw http.ResponseWriter, v any) {

@@ -98,6 +98,13 @@
 #    in non-test Go, docs/ or scripts/ (this file aside): the job table
 #    answers cache hits, so neither a second cache nor its bounds may
 #    come back.
+# 20. One job state machine and one token source: non-test Go in
+#    cmd/ddsimd has exactly one `&job{` literal, and writes a job's
+#    `.status`, closes `j.done` and moves the JobsQueued, JobsRunning
+#    or JobsDone telemetry only in cmd/ddsimd/lifecycle.go; and
+#    "internal/clusterid" and "clusterid." appear nowhere in non-test
+#    Go, docs/ or scripts/ (this file aside): fencing tokens come from
+#    one counter in internal/cluster.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -433,6 +440,29 @@ done < <(comm -13 <(echo "$flagrows") <(echo "$registered"))
 if dead="$(grep -nE 'internal/rescache|rescache\.|cache-entries|cache-mb|ddsim_rescache_(evictions_total|entries|bytes)' $allsrc_nt docs/*.md $(find scripts -type f ! -name check_docs.sh))"; then
   while IFS= read -r hit; do
     echo "SECOND RESULT STORE: $hit; retained jobs answer cache hits and -max-jobs bounds them" >&2
+  done <<< "$dead"
+  fail=1
+fi
+
+# --- 20. one job state machine; one token source ----------------------------
+ddsimdsrc="$(find cmd/ddsimd -name '*.go' ! -name '*_test.go')"
+# shellcheck disable=SC2086 # ddsimdsrc is a word list of paths
+literals="$(cat $ddsimdsrc | grep -o '&job{' | wc -l)"
+if [ "$literals" -ne 1 ]; then
+  echo "SECOND JOB CONSTRUCTOR: non-test Go in cmd/ddsimd has $literals &job{ literals, want 1 (newJob)" >&2
+  fail=1
+fi
+# shellcheck disable=SC2086 # ddsimdsrc is a word list of paths
+if edges="$(grep -nE '\.status = |close\(j\.done\)|Jobs(Queued|Running|Done)\.(Inc|Dec|Add|Set|With)\(' $ddsimdsrc | grep -v '^cmd/ddsimd/lifecycle\.go:')"; then
+  while IFS= read -r hit; do
+    echo "LIFECYCLE EDGE OUTSIDE lifecycle.go: $hit; use setStatusLocked, admit or settle" >&2
+  done <<< "$edges"
+  fail=1
+fi
+# shellcheck disable=SC2086 # allsrc_nt is a word list of paths
+if dead="$(grep -nE 'internal/clusterid|clusterid\.' $allsrc_nt docs/*.md $(find scripts -type f ! -name check_docs.sh))"; then
+  while IFS= read -r hit; do
+    echo "DELETED TOKEN GENERATOR: $hit; fencing tokens come from internal/cluster's counter" >&2
   done <<< "$dead"
   fail=1
 fi
