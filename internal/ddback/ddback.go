@@ -1,9 +1,9 @@
 // Package ddback adapts the decision-diagram engine (internal/dd) to
 // the sim.Backend interface. This is the paper's proposed simulator:
-// one compiled gate diagram per circuit operation, and per-qubit
-// caches for the small operators injected by the noise model, so each
-// of the M stochastic runs reduces to a sequence of memoised
-// DD matrix–vector products.
+// one compiled gate diagram per circuit operation, and one cached
+// diagram per single-qubit noise operator and qubit (crosstalk pairs
+// are two Paulis), so each of the M stochastic runs reduces to a
+// sequence of memoised DD matrix–vector products.
 //
 // Runs of gates are applied as products (the "combine operations"
 // strategy of Zulehner and Wille, IEEE TCAD 2019). ApplyOp does not
@@ -325,11 +325,10 @@ func (b *Backend) ApplyDamping(qubit int, p float64, fire bool, branchProb float
 	b.setState(b.rescale(out, branchProb))
 }
 
-// ApplyKraus2 implements sim.Backend: the 4×4 operator on (q0, q1)
-// is decomposed into Σ_{ij} |i⟩⟨j|_{q0} ⊗ B_{ij,q1} — a sum of
-// products of single-qubit diagrams on disjoint qubits — built once
-// and memoised, so repeated crosstalk branches reduce to cached
-// DD matrix–vector products like every other noise operator.
+// ApplyKraus2 implements sim.Backend for the exact engine's 4×4
+// superoperators: the operator on (q0, q1) is decomposed into
+// Σ_{ij} |i⟩⟨j|_{q0} ⊗ B_{ij,q1}, a sum of products of single-qubit
+// diagrams on disjoint qubits, built once per (q0, q1, u) and memoised.
 func (b *Backend) ApplyKraus2(q0, q1 int, u [4][4]complex128, branchProb float64) {
 	if branchProb <= 0 {
 		panic("ddback: ApplyKraus2 with non-positive branch probability")

@@ -333,14 +333,15 @@ func (ch *Chan2) Threshold() float64 {
 	return acc
 }
 
-// Fire applies the correlated Pauli pair the draw r selected. Pauli
-// branches are trace-preserving, so no renormalisation is needed.
+// Fire applies the pair the draw r selected as P0 on Q0 and P1 on Q1,
+// which is P0⊗P1 (trace-preserving, so nothing is renormalised).
 func (ch *Chan2) Fire(b sim.Backend, r float64) {
 	acc := 0.0
 	for _, t := range ch.Terms {
 		acc += t.Prob
 		if r < acc {
-			b.ApplyKraus2(ch.Q0, ch.Q1, PauliPairMat(t.P0, t.P1), 1)
+			b.ApplyPauli(t.P0, ch.Q0)
+			b.ApplyPauli(t.P1, ch.Q1)
 			return
 		}
 	}

@@ -5,9 +5,10 @@ package noise
 // calls Fire itself, so for bit-identical trajectories draw-then-fire
 // must make exactly the backend calls, and leave the rng exactly
 // where, the one-piece Apply of before the split did. The reference
-// below is that Apply, kept verbatim but for one rule adopted later: a
-// damping event draws its branch uniform whatever P(1) is. The golden
-// file pins what the reference produces under that rule.
+// below is that Apply, kept verbatim but for two rules adopted later:
+// a damping event draws its branch uniform whatever P(1) is, and a
+// Pauli-pair branch is applied as its two single-qubit Paulis. The
+// golden file pins what the reference produces under those rules.
 
 import (
 	"fmt"
@@ -46,18 +47,6 @@ func (r *recorder) ProbOne(q int) float64 {
 
 func (r *recorder) ApplyDamping(q int, p float64, fire bool, branchProb float64) {
 	r.logf("damping q%d p=%.17g fire=%t branch=%.17g", q, p, fire, branchProb)
-}
-
-func (r *recorder) ApplyKraus2(q0, q1 int, k [4][4]complex128, branchProb float64) {
-	for p0 := sim.PauliI; p0 <= sim.PauliZ; p0++ {
-		for p1 := sim.PauliI; p1 <= sim.PauliZ; p1++ {
-			if k == PauliPairMat(p0, p1) {
-				r.logf("kraus2 %s%s q%d q%d branch=%v", p0, p1, q0, q1, branchProb)
-				return
-			}
-		}
-	}
-	r.logf("kraus2 ? q%d q%d", q0, q1)
 }
 
 // legacyApply1 is Chan1.Apply as it stood before the draw/fire split,
@@ -120,14 +109,16 @@ func legacyApply1(ch *Chan1, b sim.Backend, rng *rand.Rand) {
 	}
 }
 
-// legacyApply2 is Chan2.Apply as it stood before the split.
+// legacyApply2 is Chan2.Apply as it stood before the split, with the
+// selected pair applied as its two Paulis.
 func legacyApply2(ch *Chan2, b sim.Backend, rng *rand.Rand) {
 	r := rng.Float64()
 	acc := 0.0
 	for _, t := range ch.Terms {
 		acc += t.Prob
 		if r < acc {
-			b.ApplyKraus2(ch.Q0, ch.Q1, PauliPairMat(t.P0, t.P1), 1)
+			b.ApplyPauli(t.P0, ch.Q0)
+			b.ApplyPauli(t.P1, ch.Q1)
 			return
 		}
 	}
@@ -167,8 +158,10 @@ func streamChannels() ([]Chan1, Chan2) {
 
 // streamLog samples five rounds of every channel from one seeded rng
 // and returns the backend calls, closed by the rng's next value — its
-// position in the stream.
-func streamLog(seed int64, apply1 func(*Chan1, sim.Backend, *rand.Rand), apply2 func(*Chan2, sim.Backend, *rand.Rand)) []string {
+// position in the stream. pairs holds the calls of each round's Chan2
+// that fired, joined by "; ", so a check can tell them from the same
+// calls made by a single-qubit channel.
+func streamLog(seed int64, apply1 func(*Chan1, sim.Backend, *rand.Rand), apply2 func(*Chan2, sim.Backend, *rand.Rand)) (log, pairs []string) {
 	chans, pair := streamChannels()
 	rng := rand.New(rand.NewSource(seed))
 	rec := &recorder{}
@@ -176,10 +169,14 @@ func streamLog(seed int64, apply1 func(*Chan1, sim.Backend, *rand.Rand), apply2 
 		for i := range chans {
 			apply1(&chans[i], rec, rng)
 		}
+		n := len(rec.log)
 		apply2(&pair, rec, rng)
+		if n < len(rec.log) {
+			pairs = append(pairs, strings.Join(rec.log[n:], "; "))
+		}
 	}
 	rec.logf("next %d", rng.Int63())
-	return rec.log
+	return rec.log, pairs
 }
 
 func sameLog(a, b []string) bool {
@@ -194,20 +191,23 @@ func TestDrawThenFireMatchesLegacyApply(t *testing.T) {
 	apply2 := func(ch *Chan2, b sim.Backend, rng *rand.Rand) { ch.Apply(b, rng) }
 	kinds := map[string]bool{}
 	for seed := int64(1); seed <= 1000; seed++ {
-		want := streamLog(seed, legacyApply1, legacyApply2)
-		if got := streamLog(seed, apply1, apply2); !sameLog(got, want) {
+		want, wantPairs := streamLog(seed, legacyApply1, legacyApply2)
+		if got, _ := streamLog(seed, apply1, apply2); !sameLog(got, want) {
 			t.Fatalf("seed %d: Apply diverges from the pre-split Apply:\n%s\nwant:\n%s", seed, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
-		if got := streamLog(seed, drawThenFire1, drawThenFire2); !sameLog(got, want) {
+		if got, _ := streamLog(seed, drawThenFire1, drawThenFire2); !sameLog(got, want) {
 			t.Fatalf("seed %d: draw-then-fire diverges from the pre-split Apply:\n%s\nwant:\n%s", seed, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 		for _, line := range want {
 			f := strings.Fields(line)
 			kinds[f[0]+" "+f[1]] = true
 		}
+		for _, p := range wantPairs {
+			kinds["pair "+p] = true
+		}
 	}
 	// The comparison is only as good as the branches it reached.
-	for _, k := range []string{"pauli I", "pauli X", "pauli Y", "pauli Z", "kraus2 ZZ", "kraus2 IX", "damping q1", "damping q2"} {
+	for _, k := range []string{"pauli I", "pauli X", "pauli Y", "pauli Z", "pair pauli Z q1; pauli Z q2", "pair pauli I q1; pauli X q2", "damping q1", "damping q2"} {
 		if !kinds[k] {
 			t.Errorf("no seed produced a %q call", k)
 		}
@@ -217,12 +217,14 @@ func TestDrawThenFireMatchesLegacyApply(t *testing.T) {
 // TestStreamGolden pins the logs of seeds 1 and 7 to a recorded file,
 // so the reference above cannot drift together with the code it
 // checks. The file was written by the pre-split Apply itself, and
-// recorded again when damping events went to one branch draw each.
+// recorded again when damping events went to one branch draw each and
+// when a Pauli pair went from one kraus2 call to two pauli calls.
 func TestStreamGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, seed := range []int64{1, 7} {
 		fmt.Fprintf(&sb, "seed %d\n", seed)
-		for _, line := range streamLog(seed, drawThenFire1, drawThenFire2) {
+		log, _ := streamLog(seed, drawThenFire1, drawThenFire2)
+		for _, line := range log {
 			sb.WriteString(line + "\n")
 		}
 	}

@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"ddsim/internal/circuit"
+	"ddsim/internal/ddback"
 	"ddsim/internal/noise"
 	"ddsim/internal/sim"
+	"ddsim/internal/sparsemat"
+	"ddsim/internal/statevec"
 )
 
 // randomKraus2 draws a random 4×4 operator with a positive branch
@@ -85,31 +88,94 @@ func TestApplyKraus2BackendsAgree(t *testing.T) {
 	}
 }
 
-// TestApplyKraus2PauliPairMatchesApplyPauli pins the operand
-// convention: ApplyKraus2 with the matrix of P0⊗P1 (q0 on the high
-// bit) must equal ApplyPauli(P0, q0) then ApplyPauli(P1, q1), up to
-// global phase, on every backend.
+// checkPauliPair prepares c on two backends from f and applies the
+// pair P0⊗P1 to (q0, q1) — q0 on the high bit — on one as
+// ApplyPauli(p0, q0) then ApplyPauli(p1, q1), the way noise.Chan2.Fire
+// applies a crosstalk branch, and on the other as ApplyKraus2 of
+// noise.PauliPairMat(p0, p1). On statevec and sparse every amplitude
+// must be equal: both paths multiply by the same ±1, ±i entries, and
+// the 4×4 pass only adds products with its zero entries, which can
+// leave +0 where the Paulis leave −0, so equality is IEEE ==. On dd,
+// whose rounding depends on the products before, the states must agree
+// within 1e-12 in normalised fidelity and squared norm.
+func checkPauliPair(t *testing.T, name string, f sim.Factory, c *circuit.Circuit, q0, q1 int, p0, p1 sim.Pauli) {
+	t.Helper()
+	viaPauli := runAll(t, f, c)
+	viaPauli.ApplyPauli(p0, q0)
+	viaPauli.ApplyPauli(p1, q1)
+	viaKraus := runAll(t, f, c)
+	viaKraus.ApplyKraus2(q0, q1, noise.PauliPairMat(p0, p1), 1)
+	var a, b []complex128
+	switch pb := viaPauli.(type) {
+	case *statevec.Backend:
+		a, b = pb.Amplitudes(), viaKraus.(*statevec.Backend).Amplitudes()
+	case *sparsemat.Backend:
+		a, b = pb.Amplitudes(), viaKraus.(*sparsemat.Backend).Amplitudes()
+	case *ddback.Backend:
+		kb := viaKraus.(*ddback.Backend)
+		a, b = pb.Package().ToVector(pb.State()), kb.Package().ToVector(kb.State())
+		pb.Release()
+		kb.Release()
+		var dot complex128
+		var na, nb float64
+		for i := range a {
+			dot += cmplx.Conj(a[i]) * b[i]
+			na += real(a[i])*real(a[i]) + imag(a[i])*imag(a[i])
+			nb += real(b[i])*real(b[i]) + imag(b[i])*imag(b[i])
+		}
+		d := cmplx.Abs(dot)
+		if fid := d * d / (na * nb); 1-fid > 1e-12 || math.Abs(na-nb) > 1e-12 {
+			t.Fatalf("dd %s: %v%v on (q%d, q%d): fidelity %v, squared norms %v (Paulis) and %v (ApplyKraus2)",
+				c.Name, p0, p1, q0, q1, fid, na, nb)
+		}
+		return
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s %s: %v%v on (q%d, q%d): amplitude %d is %v as two Paulis, %v as ApplyKraus2",
+				name, c.Name, p0, p1, q0, q1, i, a[i], b[i])
+		}
+	}
+}
+
+// TestApplyKraus2PauliPairMatchesApplyPauli pins the operand convention
+// and the crosstalk fire path (checkPauliPair) for all 16 Pauli pairs
+// on every ordered qubit pair of a 5-qubit register — ascending and
+// descending, adjacent and not — on states prepared by random circuits.
 func TestApplyKraus2PauliPairMatchesApplyPauli(t *testing.T) {
-	c := randomCircuit(4, 14, 42)
-	paulis := []sim.Pauli{sim.PauliI, sim.PauliX, sim.PauliY, sim.PauliZ}
-	for name, f := range factories() {
-		for _, p0 := range paulis {
-			for _, p1 := range paulis {
-				viaKraus := runAll(t, f, c)
-				viaKraus.ApplyKraus2(1, 3, noise.PauliPairMat(p0, p1), 1)
-				viaPauli := runAll(t, f, c)
-				viaPauli.ApplyPauli(p0, 1)
-				viaPauli.ApplyPauli(p1, 3)
-				for i := 0; i < 16; i++ {
-					a, b := viaKraus.Probability(uint64(i)), viaPauli.Probability(uint64(i))
-					if math.Abs(a-b) > 1e-12 {
-						t.Fatalf("%s: P0=%v P1=%v basis %d: kraus %v vs pauli %v",
-							name, p0, p1, i, a, b)
+	const n = 5
+	for seed := int64(0); seed < 3; seed++ {
+		c := randomCircuit(n, 40, seed)
+		for name, f := range factories() {
+			for q0 := 0; q0 < n; q0++ {
+				for q1 := 0; q1 < n; q1++ {
+					for p := 0; p < 16 && q0 != q1; p++ {
+						checkPauliPair(t, name, f, c, q0, q1, sim.Pauli(p/4), sim.Pauli(p%4))
 					}
 				}
 			}
 		}
 	}
+}
+
+// FuzzPauliPairs checks the same property on a fuzzed random circuit
+// of 2–8 qubits, a fuzzed ordered qubit pair and a fuzzed Pauli pair,
+// on all three backends.
+func FuzzPauliPairs(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(20), uint8(0), uint8(1), uint8(15))
+	f.Add(int64(2), uint8(8), uint8(60), uint8(7), uint8(0), uint8(10))
+	f.Add(int64(3), uint8(2), uint8(5), uint8(1), uint8(0), uint8(1))
+	f.Add(int64(4), uint8(6), uint8(40), uint8(2), uint8(4), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, nq, gates, a, b, pair uint8) {
+		n := 2 + int(nq)%7
+		q0 := int(a) % n
+		q1 := (q0 + 1 + int(b)%(n-1)) % n
+		p := int(pair) % 16
+		c := randomCircuit(n, int(gates)%80, seed)
+		for name, f := range factories() {
+			checkPauliPair(t, name, f, c, q0, q1, sim.Pauli(p/4), sim.Pauli(p%4))
+		}
+	})
 }
 
 // TestApplyKraus2BranchProbRenormalises checks the branchProb

@@ -81,12 +81,12 @@ type Backend interface {
 	// precomputed branch probability branchProb (must be positive).
 	ApplyDamping(qubit int, p float64, fire bool, branchProb float64)
 
-	// ApplyKraus2 applies one branch of a correlated two-qubit
-	// channel: the 4×4 operator k acts on the ordered pair (q0, q1),
-	// with q0 indexing the high bit of the 2-qubit basis |q0 q1⟩, and
-	// the state is renormalised by the precomputed branch probability
-	// branchProb (must be positive; 1 for trace-preserving branches
-	// such as correlated Pauli errors).
+	// ApplyKraus2 applies the 4×4 operator k to the ordered pair
+	// (q0, q1), q0 on the high bit of the 2-qubit basis |q0 q1⟩, and
+	// renormalises by the precomputed branch probability branchProb
+	// (must be positive; 1 for a unitary k). The exact engine applies
+	// its superoperators on vec(ρ) through it; a trajectory's
+	// correlated Pauli pair goes through ApplyPauli, one qubit each.
 	ApplyKraus2(q0, q1 int, k [4][4]complex128, branchProb float64)
 
 	// SampleBasis draws one basis-state index from the current state.

@@ -16,35 +16,33 @@ import (
 // path (refPath.nextFire, refPath.fire) samples what rolling every
 // channel one by one samples, and pins what it draws.
 
-// branchRecorder is a backend that records the one noise operation a
-// fired channel applies, as a small code: 0–3 a Pauli, 4/5 a damping
-// branch, 16+ a Pauli pair.
+// branchRecorder is a backend that records the noise operation a fired
+// channel applies, as a small code: 0–3 a Pauli, 4/5 a damping branch,
+// 16+4·P0+P1 a crosstalk pair, which noise.Chan2.Fire applies as two
+// ApplyPauli calls. start must precede each Fire.
 type branchRecorder struct {
 	sim.Backend // nil: every method a channel's Fire may call is below
 	code        int
+	paulis      int // ApplyPauli calls since start
 }
 
-var pauliPairs = func() (m [16][4][4]complex128) {
-	for i := range m {
-		m[i] = noise.PauliPairMat(sim.Pauli(i/4), sim.Pauli(i%4))
-	}
-	return m
-}()
+func (b *branchRecorder) start() { b.code, b.paulis = -1, 0 }
 
-func (b *branchRecorder) ApplyPauli(p sim.Pauli, _ int) { b.code = int(p) }
-func (b *branchRecorder) ProbOne(int) float64           { return 0.3 }
+func (b *branchRecorder) ApplyPauli(p sim.Pauli, _ int) {
+	switch b.paulis++; b.paulis {
+	case 1:
+		b.code = int(p)
+	case 2:
+		b.code = 16 + 4*b.code + int(p)
+	default:
+		b.code = -1
+	}
+}
+func (b *branchRecorder) ProbOne(int) float64 { return 0.3 }
 func (b *branchRecorder) ApplyDamping(_ int, _ float64, fire bool, _ float64) {
 	b.code = 4
 	if fire {
 		b.code = 5
-	}
-}
-func (b *branchRecorder) ApplyKraus2(_, _ int, k [4][4]complex128, _ float64) {
-	b.code = -1
-	for i := range pauliPairs {
-		if k == pauliPairs[i] {
-			b.code = 16 + i
-		}
 	}
 }
 
@@ -96,6 +94,7 @@ func scanPerRoll(p *refPath, rng *rand.Rand, src *stream, from int, rec *branchR
 		if x := float64(src.Uint64()>>11) * 0x1p-53; x < p.rolls[j].thr {
 			if rec != nil {
 				ro := &p.rolls[j]
+				rec.start()
 				p.plan.At(int(ro.op)).Fire(int(ro.ch), x, rec, rng)
 			}
 			return j
@@ -185,6 +184,7 @@ func TestScheduleSamplesWhatRollingSamples(t *testing.T) {
 			src.seek(1, uint64(i))
 			first, second := p.nextFire(rng, 0), len(p.rolls)
 			if first < len(p.rolls) {
+				rec.start()
 				p.fire(first, rec, rng)
 				second = p.nextFire(rng, first+1)
 			}
@@ -327,7 +327,7 @@ func TestFiredChannelAlwaysSelectsABranch(t *testing.T) {
 	p := pathOf(t, c, m)
 	rec := new(branchRecorder)
 	for j := range p.rolls {
-		rec.code = -1
+		rec.start()
 		p.fire(j, rec, rng)
 		if rec.code < 0 || rec.code == int(sim.PauliI) || rec.code == 16 {
 			t.Errorf("roll %d (op %d channel %d): fired into code %d, want a non-identity branch",
