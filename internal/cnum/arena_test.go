@@ -85,30 +85,106 @@ func TestZeroOneSurviveSweep(t *testing.T) {
 	}
 }
 
-// TestReleaseReturnsSlabs: Release pools the slabs, is idempotent,
-// and a fresh table allocating afterwards (likely from the pooled
-// slabs) starts clean.
-func TestReleaseReturnsSlabs(t *testing.T) {
-	tb := NewTable()
-	// Force more than one slab so the loop in Release iterates.
-	for i := 0; i < valueSlabSize+10; i++ {
-		tb.Lookup(float64(i)*1e-3, 1)
+// growDirectory interns n distinct values into tb at a tight
+// tolerance spacing, enough to grow the cell directory past its
+// minimum and to fill several value slabs.
+func growDirectory(tb *Table, n int) {
+	for i := 0; i < n; i++ {
+		tb.Lookup(float64(i%541)*1e-3, float64(i/541)*1e-3)
 	}
-	if len(tb.slabs) < 2 {
-		t.Fatalf("expected ≥2 slabs, got %d", len(tb.slabs))
+}
+
+// internRun interns a fixed value sequence into tb, sweeps away two
+// values in three, and interns a second sequence into the recycled
+// slots. It returns every value it interned, as IDs and numbers.
+func internRun(tb *Table) (ids []uint32, vals []complex128) {
+	note := func(v *Value) *Value {
+		ids = append(ids, v.ID())
+		vals = append(vals, v.Complex())
+		return v
 	}
-	tb.Release()
-	tb.Release() // idempotent
-	if tb.slabs != nil || tb.cells.Groups() != 0 || tb.Zero != nil {
-		t.Fatal("Release left table fields populated")
+	var kept []*Value
+	for i := 0; i < 3000; i++ {
+		v := note(tb.Lookup(math.Cos(float64(i)*0.37), math.Sin(float64(i)*1.1)))
+		if i%3 == 0 {
+			kept = append(kept, v)
+		}
+	}
+	tb.BeginMark()
+	for _, v := range kept {
+		tb.Mark(v)
+	}
+	tb.Sweep()
+	for i := 0; i < 2500; i++ {
+		note(tb.Lookup(math.Sin(float64(i)*0.53), math.Cos(float64(i)*0.29)))
+	}
+	return ids, vals
+}
+
+// TestResetKeepsSlabsAndDirectory: Reset keeps the value slabs and the
+// grown cell directory, reuses the slabs in order, and the table then
+// interns — through a sweep — with the same IDs and values as a table
+// from NewTable.
+func TestResetKeepsSlabsAndDirectory(t *testing.T) {
+	tb := NewTableTol(1e-12) // tight tolerance: every insert is distinct
+	growDirectory(tb, 20000)
+	groups := tb.cells.Groups()
+	if groups <= minCellGroups {
+		t.Fatalf("the directory stayed at %d groups; the test needs a grown one", groups)
+	}
+	var firsts []*Value
+	for _, s := range tb.slabs {
+		firsts = append(firsts, &s[0])
+	}
+	tb.Reset(Tolerance)
+	if tb.cells.Groups() != groups {
+		t.Fatalf("Reset left %d directory groups, want the grown %d", tb.cells.Groups(), groups)
+	}
+	if len(tb.slabs) != 1 || cap(tb.slabs) < len(firsts) || tb.Count() != 2 {
+		t.Fatalf("after Reset: %d slabs in use, %d kept, %d values; want 1, ≥ %d, 2",
+			len(tb.slabs), cap(tb.slabs), tb.Count(), len(firsts))
 	}
 	fresh := NewTable()
-	v := fresh.Lookup(0.5, -0.5)
-	if v.Re() != 0.5 || v.Im() != -0.5 {
-		t.Fatalf("fresh table after Release returned %v", v.Complex())
+	gotIDs, gotVals := internRun(tb)
+	wantIDs, wantVals := internRun(fresh)
+	for i := range wantIDs {
+		if gotIDs[i] != wantIDs[i] || gotVals[i] != wantVals[i] {
+			t.Fatalf("value %d: id %d %v after Reset, id %d %v on a new table",
+				i, gotIDs[i], gotVals[i], wantIDs[i], wantVals[i])
+		}
 	}
-	if fresh.Zero.Re() != 0 || fresh.One.Re() != 1 {
-		t.Fatal("fresh table constants wrong after pooled-slab reuse")
+	if tb.Count() != fresh.Count() || tb.HitRate() != fresh.HitRate() {
+		t.Fatalf("count/hit rate %d/%v after Reset, %d/%v on a new table",
+			tb.Count(), tb.HitRate(), fresh.Count(), fresh.HitRate())
+	}
+	for i := range tb.slabs {
+		if i < len(firsts) && &tb.slabs[i][0] != firsts[i] {
+			t.Fatalf("slab %d was not reused in place", i)
+		}
+	}
+}
+
+// TestSweepIDsIndependentOfDirectoryGeometry: the same workload through
+// a sweep hands out the same weight IDs on a new table and on a Reset
+// one whose cell directory grew eight times larger. The slot order of
+// the two directories differs, so a sweep that put dead values on the
+// free list in slot order would recycle them in another order, and the
+// IDs after the sweep — which key the DD compute caches — would depend
+// on what the table interned before its Reset.
+func TestSweepIDsIndependentOfDirectoryGeometry(t *testing.T) {
+	grown := NewTableTol(1e-12)
+	growDirectory(grown, 20000)
+	grown.Reset(Tolerance)
+	fresh := NewTable()
+	if grown.cells.Groups() == fresh.cells.Groups() {
+		t.Fatalf("both directories have %d groups; the test compares two geometries", fresh.cells.Groups())
+	}
+	gotIDs, _ := internRun(grown)
+	wantIDs, _ := internRun(fresh)
+	for i := range wantIDs {
+		if gotIDs[i] != wantIDs[i] {
+			t.Fatalf("value %d: id %d on the grown directory, %d on a new one", i, gotIDs[i], wantIDs[i])
+		}
 	}
 }
 

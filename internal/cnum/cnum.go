@@ -25,7 +25,8 @@ package cnum
 import (
 	"fmt"
 	"math"
-	"sync"
+
+	"ddsim/internal/swiss"
 )
 
 // Tolerance is the default per-component distance below which two
@@ -81,8 +82,9 @@ func trimFloat(f float64) string {
 }
 
 // Table interns complex values. The zero Table is not ready for use;
-// create one with NewTable. Tables are not safe for concurrent use;
-// the simulator gives every worker its own table (and DD package).
+// create one with NewTable, and empty it for reuse with Reset. Tables
+// are not safe for concurrent use; the simulator gives every worker its
+// own table (and DD package).
 type Table struct {
 	cells cellTable
 
@@ -92,11 +94,10 @@ type Table struct {
 	// Arena storage: values live in append-only slabs whose backing
 	// arrays never move, and Sweep recycles dead values through the
 	// free list instead of dropping them to the Go collector. A
-	// recycled slot keeps its id, so live IDs stay dense.
+	// recycled slot keeps its id, so live IDs stay dense. Reset keeps
+	// the slabs in the list's spare capacity for the next use.
 	slabs [][]Value
 	free  *Value
-
-	released bool
 
 	// tol is the per-component identification distance; cell is the
 	// side of one hash-grid cell (4·tol, see neighborDir).
@@ -121,26 +122,35 @@ func NewTable() *Table { return NewTableTol(Tolerance) }
 // density-matrix results carry no visible interning error, while the
 // stochastic engine keeps the JKU default for maximal node sharing.
 func NewTableTol(tol float64) *Table {
-	if tol <= 0 {
-		panic("cnum: tolerance must be positive")
-	}
-	t := &Table{nextID: 1, tol: tol, cell: 4 * tol, cells: getCellTable()}
-	t.Zero = t.Lookup(0, 0)
-	t.One = t.Lookup(1, 0)
+	t := &Table{cells: cellTable{Table: swiss.NewTable[cellSlot](minCellGroups)}}
+	t.Reset(tol)
 	return t
 }
 
-// valueSlabSize is the number of values per arena slab. Slabs are
-// append-only (the backing array never moves, so interior pointers
-// stay valid) and are returned to a process-wide pool by Release.
-const valueSlabSize = 2048
-
-var valueSlabPool = sync.Pool{
-	New: func() interface{} {
-		s := make([]Value, 0, valueSlabSize)
-		return &s
-	},
+// Reset empties the table for reuse at tolerance tol. It keeps the
+// value slabs and the cell directory at the size they grew to, and the
+// table then interns exactly as one from NewTableTol(tol) would: the
+// same representatives with the same IDs (the directory's geometry
+// decides no result, see Sweep). No *Value obtained before the Reset
+// may be dereferenced again.
+func (t *Table) Reset(tol float64) {
+	if tol <= 0 {
+		panic("cnum: tolerance must be positive")
+	}
+	t.cells.Reset(0)
+	t.cells.resident = 0
+	t.slabs, t.free = t.slabs[:0], nil
+	t.count, t.nextID = 0, 1
+	t.lookups, t.hits = 0, 0
+	t.tol, t.cell = tol, 4*tol
+	t.Zero = t.Lookup(0, 0)
+	t.One = t.Lookup(1, 0)
 }
+
+// valueSlabSize is the number of values per arena slab. Slabs are
+// append-only: the backing array never moves, so interior pointers
+// stay valid.
+const valueSlabSize = 2048
 
 // newValue materialises one interned value: from the free list (the
 // slot keeps its id — live IDs stay unique because a value is only
@@ -155,12 +165,26 @@ func (t *Table) newValue(re, im float64) *Value {
 		return v
 	}
 	if len(t.slabs) == 0 || len(t.slabs[len(t.slabs)-1]) == valueSlabSize {
-		t.slabs = append(t.slabs, (*valueSlabPool.Get().(*[]Value))[:0])
+		t.slabs = nextSlab(t.slabs)
 	}
 	s := &t.slabs[len(t.slabs)-1]
 	*s = append(*s, Value{re: re, im: im, id: t.nextID})
 	t.nextID++
 	return &(*s)[len(*s)-1]
+}
+
+// nextSlab appends an empty slab to list: the one a Reset left in the
+// list's spare capacity if it is a full-size slab, else a new one. The
+// spare capacity can also hold nil entries (append grows the list in
+// steps), and a slab of less than full capacity would move its values
+// when it filled up.
+func nextSlab(list [][]Value) [][]Value {
+	if n := len(list); n < cap(list) {
+		if s := list[:n+1][n]; cap(s) == valueSlabSize {
+			return append(list, s[:0])
+		}
+	}
+	return append(list, make([]Value, 0, valueSlabSize))
 }
 
 // ByID returns the value with the given ID, which must have been
@@ -193,26 +217,6 @@ func (t *Table) Unpin(v *Value) {
 		panic("cnum: Unpin of unpinned value")
 	}
 	v.pins--
-}
-
-// Release returns the table's arena slabs to the process-wide pool for
-// reuse by future tables. The table must not be used afterwards, and no
-// *Value obtained from it may be dereferenced again.
-func (t *Table) Release() {
-	if t.released {
-		return
-	}
-	t.released = true
-	for i := range t.slabs {
-		s := t.slabs[i][:cap(t.slabs[i])]
-		clear(s) // drop chain pointers so pooled slabs retain nothing
-		s = s[:0]
-		valueSlabPool.Put(&s)
-	}
-	t.slabs, t.free = nil, nil
-	putCellTable(&t.cells)
-	t.cells = cellTable{}
-	t.Zero, t.One = nil, nil
 }
 
 // Count returns the number of distinct interned values.
@@ -351,7 +355,11 @@ func (t *Table) Mark(v *Value) {
 //
 // Every cell chain is filtered in slot order, keeping within-cell
 // order; the control words are then rebuilt from the surviving cells,
-// so emptied cells leave no tombstones behind.
+// so emptied cells leave no tombstones behind. The free list is then
+// rebuilt by a walk of the value slabs in ID order, never in slot
+// order: it decides the IDs handed out after the sweep, weight IDs key
+// the DD compute caches, and slot order depends on the directory's
+// geometry, which a Reset table inherits from its earlier uses.
 func (t *Table) Sweep() int {
 	dropped := 0
 	liveCells := 0
@@ -368,8 +376,6 @@ func (t *Table) Sweep() int {
 				dropped++
 				t.count--
 				v.re, v.im = math.NaN(), math.NaN()
-				v.next = t.free
-				t.free = v
 			}
 			v = next
 		}
@@ -379,6 +385,15 @@ func (t *Table) Sweep() int {
 		}
 	})
 	t.cells.rebuild(liveCells)
+	t.free = nil
+	for _, s := range t.slabs {
+		for i := range s {
+			if v := &s[i]; math.IsNaN(v.re) { // poisoned: dead now or before
+				v.next = t.free
+				t.free = v
+			}
+		}
+	}
 	return dropped
 }
 
@@ -464,11 +479,4 @@ func (t *Table) Conj(a *Value) *Value {
 		return a
 	}
 	return t.Lookup(a.re, -a.im)
-}
-
-// ApproxEqual reports whether two float pairs are within the default
-// Tolerance of each other per component — the comparison a
-// default-tolerance table uses.
-func ApproxEqual(a, b complex128) bool {
-	return math.Abs(real(a)-real(b)) <= Tolerance && math.Abs(imag(a)-imag(b)) <= Tolerance
 }

@@ -7,6 +7,13 @@ import (
 	"testing/quick"
 )
 
+// ApproxEqual reports whether two float pairs are within the default
+// Tolerance of each other per component — the comparison a
+// default-tolerance table uses.
+func ApproxEqual(a, b complex128) bool {
+	return math.Abs(real(a)-real(b)) <= Tolerance && math.Abs(imag(a)-imag(b)) <= Tolerance
+}
+
 func TestZeroOneCanonical(t *testing.T) {
 	tb := NewTable()
 	if tb.Zero.Re() != 0 || tb.Zero.Im() != 0 {

@@ -13,7 +13,9 @@ import (
 // not), ±(cell−tol/2) (adjacent grid cell, reachable only through the
 // neighbour probe) — which is exactly where the cell directory could
 // diverge from the plain scan. Periodic identical mark/sweep rounds
-// exercise chain filtering and the tombstone-free rebuild mid-sequence.
+// exercise chain filtering and the tombstone-free rebuild mid-sequence,
+// and a Reset partway through must leave a table that agrees with a
+// fresh model from then on.
 //
 // The seed corpus covers the near-underflow scales of
 // zeroweight_test.go (1e-4 … 1e-6 amplitude factors, whose products
@@ -68,6 +70,14 @@ func FuzzInternTol(f *testing.F) {
 				// interning into the (partly recycled) table.
 				if i%5 == 4 {
 					p.sweep(tbVals, mdVals, 2)
+					tbVals, mdVals = tbVals[:0], mdVals[:0]
+				}
+				// A Reset partway through: the table keeps its slabs
+				// and directory and must intern as a new one would.
+				if i == len(vals)/2 {
+					p.tb.Reset(tol)
+					p.md = newModelTable(tol)
+					p.count()
 					tbVals, mdVals = tbVals[:0], mdVals[:0]
 				}
 			}

@@ -13,37 +13,7 @@ package cnum
 // package's garbage collection), which filters the cell chains and
 // rebuilds the control words from the surviving cells.
 
-import (
-	"sync"
-
-	"ddsim/internal/swiss"
-)
-
-// cellTablePool recycles minimum-geometry cell directories across
-// Table lifetimes (like the value-slab pool): a short job builds one
-// weight table per worker, and the ~100 KiB directory would otherwise
-// dominate its allocation profile. Tables that grew past the minimum
-// are left to the Go collector.
-var cellTablePool = sync.Pool{
-	New: func() interface{} {
-		return &cellTable{Table: swiss.NewTable[cellSlot](minCellGroups)}
-	},
-}
-
-// getCellTable draws a clean minimum-size directory from the pool.
-func getCellTable() cellTable { return *cellTablePool.Get().(*cellTable) }
-
-// putCellTable returns a directory to the pool, scrubbed of value
-// pointers. Grown directories are dropped.
-func putCellTable(t *cellTable) {
-	if t.Groups() != minCellGroups {
-		return
-	}
-	ct := *t
-	ct.Reset(0)
-	ct.resident = 0
-	cellTablePool.Put(&ct)
-}
+import "ddsim/internal/swiss"
 
 // minCellGroups is the smallest cell-table size (512 groups = 4096
 // slots). Sweep never compacts below it, so steady-state workloads do

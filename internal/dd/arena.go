@@ -1,35 +1,38 @@
 package dd
 
-// The kernel memory plane: slab arenas and free lists for decision-
-// diagram nodes, and process-wide pools (one per register class) for
-// the per-Package tables.
+// The kernel memory plane: everything a Package keeps is one unit, a
+// tableSet, which NewPackageTol takes from the free list of its
+// register class and Release puts back.
 //
 // makeVNode/makeMNode sit on the innermost simulation loop; allocating
 // every transient node individually hands millions of short-lived,
 // pointer-dense objects to the Go collector per noisy trajectory
-// batch. Instead, nodes live in append-only slabs owned by their
-// Package (backing arrays never move, so node pointers stay valid) and
-// dead nodes are recycled through a free list when the package's own
-// GarbageCollect drops them from the unique tables — the only point
-// where no compute-cache entry or unique-table slot can still mention
-// them. A recycled slot keeps the id it was assigned at first
-// materialisation, so live node IDs stay dense and stable for the
-// unique-table hashing, and an ID addresses its slot directly
-// (vnodeAt, mnodeAt) — which is what lets the compute caches store IDs
-// instead of pointers.
+// batch. Instead, nodes live in append-only slabs (backing arrays
+// never move, so node pointers stay valid) and dead nodes are recycled
+// through a free list when the package's own GarbageCollect drops them
+// from the unique tables — the only point where no compute-cache entry
+// or unique-table slot can still mention them. A recycled slot keeps
+// the id it was assigned at first materialisation, so live node IDs
+// stay dense and stable for the unique-table hashing, and an ID
+// addresses its slot directly (vnodeAt, mnodeAt) — which is what lets
+// the compute caches store IDs instead of pointers.
 //
-// The per-Package tables — the two unique tables and the seven compute
-// caches (3.1 or 6.1 MiB depending on the register size, see
-// newCacheSet) — are one pooled unit, a tableSet, drawn whole by
-// NewPackageTol and returned whole by Release. A short job compiles a
-// fresh Package per worker per job; with the unit pooled, the next
-// package of the same register class starts from the geometry the
-// last one grew its unique tables to, instead of regrowing them from
-// 4 096 slots and dropping every intermediate table. The unique tables
-// cross Release emptied (Reset), so no node or weight survives. The
-// caches cross it uncleared, because a clear is a memclr of their whole
-// size, which a small job would pay on every Release. Instead node IDs
-// continue across the packages that share a set. The set records in
+// The unit holds the two unique tables, the seven compute caches (3.1
+// or 6.1 MiB depending on the register size, see newCacheSet) with
+// their ID windows, the node slabs and the weight table (cnum.Table:
+// its value slabs and cell directory). A short job builds a fresh
+// Package per worker per job; with the unit reused, the next package
+// of the same register class starts from the geometry the last one
+// grew all of them to, instead of regrowing them and dropping every
+// intermediate array. A slab never leaves its unit, so nothing is
+// cleared for the Go collector's sake: the stale pointers a released
+// package leaves in its slabs reach only memory of the same unit. The
+// unique tables cross Release emptied (Reset) and the weight table is
+// emptied when the next package takes the unit (cnum.Table.Reset, at
+// that package's tolerance), so no node or weight survives. The caches
+// cross uncleared, because a clear is a memclr of their whole size,
+// which a small job would pay on every Release. Instead node IDs
+// continue across the packages that share a unit. The unit records in
 // vBase/mBase the highest vector and matrix node IDs its packages have
 // handed out, and the next package numbers its nodes from base+1 (its
 // ID window). Every entry an earlier package left keys on an ID at or
@@ -39,35 +42,24 @@ package dd
 // and conflicts, as one on a zeroed set with IDs from 1; weight IDs
 // still start at 1 in every package. Only when a base passes maxIDBase
 // does Release clear the caches for real and restart the windows at 0.
-// Table geometry cannot change a result either, because
-// GarbageCollect frees and re-inserts nodes in ID order (rehashV),
-// never in table-slot order. The node slabs (and cnum's value slabs)
-// stay in class-independent pools, so a small package reuses the slabs
-// a large one released.
+// Geometry cannot change a result either, because GarbageCollect frees
+// nodes in ID order (rehashV) and cnum.Table.Sweep frees weights in ID
+// order, never in table-slot order.
+//
+// The free lists are LIFO and the Go collector never empties them: a
+// class's list holds at most as many units as that class had packages
+// live at once, each at the size its largest package grew it to.
 
 import (
 	"sync"
 
+	"ddsim/internal/cnum"
 	"ddsim/internal/swiss"
 )
 
 // nodeSlabSize is the number of nodes per arena slab (VNode slabs are
 // ~72 KiB, MNode slabs ~136 KiB at this size).
 const nodeSlabSize = 1024
-
-var vSlabPool = sync.Pool{
-	New: func() interface{} {
-		s := make([]VNode, 0, nodeSlabSize)
-		return &s
-	},
-}
-
-var mSlabPool = sync.Pool{
-	New: func() interface{} {
-		s := make([]MNode, 0, nodeSlabSize)
-		return &s
-	},
-}
 
 // cacheSet bundles the direct-mapped compute caches. Every cache
 // length is a power of two; lookups index with hash & (len−1).
@@ -121,16 +113,23 @@ func newCacheSet(mvBits int) cacheSet {
 	}
 }
 
-// tableSet is the unit a Package draws from its register class's pool
-// and Release returns to it: the unique tables (see swisstable.go), the
-// compute caches and the ID windows. A pooled set has empty tables at
-// the geometry its last package grew them to; its caches hold only
-// entries keyed on IDs at or below vBase/mBase, the highest vector and
-// matrix node IDs its packages have handed out.
+// tableSet is the unit a Package takes from its register class's free
+// list and Release puts back: the weight table, the unique tables (see
+// swisstable.go), the compute caches and ID windows, and the node
+// slabs. A unit on a free list has empty unique tables at the geometry
+// its last package grew them to, node slabs kept in the spare capacity
+// of vSlabs/mSlabs, and caches holding only entries keyed on IDs at or
+// below vBase/mBase, the highest vector and matrix node IDs its
+// packages have handed out.
 type tableSet struct {
+	// W interns all edge weights of diagrams managed by the package.
+	W *cnum.Table
+
 	vt           swiss.Table[*VNode]
 	mt           swiss.Table[*MNode]
 	caches       cacheSet
+	vSlabs       [][]VNode
+	mSlabs       [][]MNode
 	vBase, mBase uint32
 }
 
@@ -140,33 +139,59 @@ type tableSet struct {
 // memory holds).
 const maxIDBase = 1 << 31
 
-// smallTableSets and largeTableSets pool the two register classes
+// unitList is the free list of one register class, a LIFO of released
+// units. Packages are built and released on many worker goroutines, so
+// a mutex guards it.
+type unitList struct {
+	mu    sync.Mutex
+	units []tableSet
+}
+
+// smallUnits and largeUnits keep the two register classes
 // (mvCacheBits) apart, so a 10-qubit job never draws the tables a
 // 24-qubit job grew.
-var smallTableSets, largeTableSets sync.Pool
+var smallUnits, largeUnits unitList
 
-// tableSetPool returns the pool of the class whose mat-vec cache has
+// unitsOf returns the free list of the class whose mat-vec cache has
 // mvLen entries.
-func tableSetPool(mvLen int) *sync.Pool {
+func unitsOf(mvLen int) *unitList {
 	if mvLen == 1<<largeMVCacheBits {
-		return &largeTableSets
+		return &largeUnits
 	}
-	return &smallTableSets
+	return &smallUnits
 }
 
-// getTableSet returns an empty table set of the class with a
-// 2^mvBits-entry mat-vec cache, pooled when one is available.
+// getTableSet takes the most recently released unit of the class with
+// a 2^mvBits-entry mat-vec cache, or allocates one if none is free.
 func getTableSet(mvBits int) tableSet {
-	if ts, ok := tableSetPool(1 << mvBits).Get().(*tableSet); ok {
-		return *ts
+	l := unitsOf(1 << mvBits)
+	l.mu.Lock()
+	n := len(l.units)
+	if n == 0 {
+		l.mu.Unlock()
+		return newTableSet(mvBits)
 	}
-	return newTableSet(mvBits)
+	ts := l.units[n-1]
+	l.units[n-1] = tableSet{}
+	l.units = l.units[:n-1]
+	l.mu.Unlock()
+	return ts
 }
 
-// newTableSet allocates a table set: minimum-size unique tables and
-// fresh caches with a 2^mvBits-entry mat-vec cache.
+// putTableSet puts a released unit on its class's free list.
+func putTableSet(ts tableSet) {
+	l := unitsOf(len(ts.caches.mv))
+	l.mu.Lock()
+	l.units = append(l.units, ts)
+	l.mu.Unlock()
+}
+
+// newTableSet allocates a unit: a minimum-size weight table and unique
+// tables, no slabs, and fresh caches with a 2^mvBits-entry mat-vec
+// cache.
 func newTableSet(mvBits int) tableSet {
 	return tableSet{
+		W:      cnum.NewTable(),
 		vt:     swiss.NewTable[*VNode](minVGroups),
 		mt:     swiss.NewTable[*MNode](minMGroups),
 		caches: newCacheSet(mvBits),
@@ -205,7 +230,7 @@ func (p *Package) allocVNode() *VNode {
 		return n
 	}
 	if len(p.vSlabs) == 0 || len(p.vSlabs[len(p.vSlabs)-1]) == nodeSlabSize {
-		p.vSlabs = append(p.vSlabs, (*vSlabPool.Get().(*[]VNode))[:0])
+		p.vSlabs = nextSlab(p.vSlabs)
 	}
 	s := &p.vSlabs[len(p.vSlabs)-1]
 	*s = append(*s, VNode{id: p.nextVID})
@@ -221,12 +246,26 @@ func (p *Package) allocMNode() *MNode {
 		return n
 	}
 	if len(p.mSlabs) == 0 || len(p.mSlabs[len(p.mSlabs)-1]) == nodeSlabSize {
-		p.mSlabs = append(p.mSlabs, (*mSlabPool.Get().(*[]MNode))[:0])
+		p.mSlabs = nextSlab(p.mSlabs)
 	}
 	s := &p.mSlabs[len(p.mSlabs)-1]
 	*s = append(*s, MNode{id: p.nextMID})
 	p.nextMID++
 	return &(*s)[len(*s)-1]
+}
+
+// nextSlab appends an empty slab to list: the one an earlier package
+// of the unit left in the list's spare capacity if it is a full-size
+// slab, else a new one. The spare capacity can also hold nil entries
+// (append grows the list in steps), and a slab of less than full
+// capacity would move its nodes when it filled up.
+func nextSlab[N VNode | MNode](list [][]N) [][]N {
+	if n := len(list); n < cap(list) {
+		if s := list[:n+1][n]; cap(s) == nodeSlabSize {
+			return append(list, s[:0])
+		}
+	}
+	return append(list, make([]N, 0, nodeSlabSize))
 }
 
 // freeVNode pushes a node just dropped by GarbageCollect onto the free
@@ -251,26 +290,25 @@ func (p *Package) freeMNode(n *MNode) {
 	p.mFree = n
 }
 
-// Release returns the package's pooled kernel memory — the table set
-// of its register class, node slabs and the weight table's value slabs
-// — to the process-wide pools for the next Package. The table set goes
-// back with empty tables at their grown geometry and its ID windows
-// moved past this package's nodes. The package (and every edge, node
-// or weight obtained from it) must not be used afterwards; its tables
-// are dropped so accidental use fails fast. Backends call this when a
-// worker retires a compiled job (sim.Releaser).
+// Release puts the package's unit back on its register class's free
+// list for the next Package: the unique tables emptied at their grown
+// geometry, the ID windows moved past this package's nodes, and the
+// node slabs and weight table as they are. The package (and every
+// edge, node or weight obtained from it) must not be used afterwards;
+// its fields are dropped, W included, so accidental use fails fast.
+// Backends call this when a worker retires a compiled job
+// (sim.Releaser).
 func (p *Package) Release() {
 	if p.released {
 		return
 	}
-	ts := p.release()
-	tableSetPool(len(ts.caches.mv)).Put(&ts)
+	putTableSet(p.release())
 }
 
-// release retires the package and returns its table set instead of
-// pooling it. Moving the ID windows past the package's nodes retires
-// every cache entry it wrote, so the caches are cleared only when a
-// window would pass maxIDBase.
+// release retires the package and returns its unit instead of putting
+// it on the free list. Moving the ID windows past the package's nodes
+// retires every cache entry it wrote, so the caches are cleared only
+// when a window would pass maxIDBase.
 func (p *Package) release() tableSet {
 	p.released = true
 	p.vBase, p.mBase = p.nextVID-1, p.nextMID-1
@@ -278,24 +316,11 @@ func (p *Package) release() tableSet {
 		p.clearCaches()
 		p.vBase, p.mBase = 0, 0
 	}
-	p.vt.Reset(0) // keeps the geometry, drops every node pointer
+	p.vt.Reset(0) // keeps the geometry
 	p.mt.Reset(0)
+	p.vSlabs, p.mSlabs = p.vSlabs[:0], p.mSlabs[:0]
 	ts := p.tableSet
 	p.tableSet = tableSet{}
-	for i := range p.vSlabs {
-		s := p.vSlabs[i][:cap(p.vSlabs[i])]
-		clear(s) // pooled slabs must not retain nodes or weights
-		s = s[:0]
-		vSlabPool.Put(&s)
-	}
-	for i := range p.mSlabs {
-		s := p.mSlabs[i][:cap(p.mSlabs[i])]
-		clear(s)
-		s = s[:0]
-		mSlabPool.Put(&s)
-	}
-	p.vSlabs, p.mSlabs = nil, nil
 	p.vFree, p.mFree = nil, nil
-	p.W.Release()
 	return ts
 }

@@ -11,8 +11,8 @@ import (
 
 // TestCacheGeometry pins the compute-cache layout: pointer-free
 // entries of the documented sizes, the two mat-vec geometries by
-// register size, and one pool per geometry — a package never draws a
-// set of the other geometry, whatever was released before it.
+// register size, and one free list per geometry — a package never
+// draws a unit of the other geometry, whatever was released before it.
 func TestCacheGeometry(t *testing.T) {
 	for _, c := range []struct {
 		name      string

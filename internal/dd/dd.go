@@ -220,26 +220,21 @@ type probEntry struct {
 // compute tables and the squared-norm caches. Create one per worker
 // goroutine; a Package must not be shared between goroutines.
 type Package struct {
-	// W interns all edge weights of diagrams managed by this package.
-	W *cnum.Table
-
 	nQubits int
 
-	// tableSet holds the unique tables (open-addressing swiss tables,
-	// see swisstable.go) and the compute caches, drawn from and returned
-	// to the pool of the package's register class (see arena.go);
-	// vCount/mCount track the live unique-table populations.
+	// tableSet is all the memory the package keeps (see arena.go): the
+	// weight table W, the unique tables (open-addressing swiss tables,
+	// see swisstable.go), the compute caches and the node slabs, taken
+	// from and put back on the free list of the package's register
+	// class. vCount/mCount track the live unique-table populations.
 	tableSet
 	vCount  int
 	nextVID uint32
 	mCount  int
 	nextMID uint32
 
-	// Node arena (see arena.go): append-only slabs owning every node of
-	// this package, with free lists of slots recycled by GarbageCollect.
-	vSlabs       [][]VNode
+	// Free lists of node slots recycled by GarbageCollect.
 	vFree        *VNode
-	mSlabs       [][]MNode
 	mFree        *MNode
 	nodesCreated int
 	released     bool
@@ -367,11 +362,11 @@ func NewPackageTol(n int, tol float64) *Package {
 	return newPackageOn(n, tol, getTableSet(mvCacheBits(n)))
 }
 
-// newPackageOn builds a package on the table set ts, numbering its
-// nodes from the set's ID windows.
+// newPackageOn builds a package on the unit ts, numbering its nodes
+// from the unit's ID windows and interning weights at tol.
 func newPackageOn(n int, tol float64, ts tableSet) *Package {
+	ts.W.Reset(tol)
 	return &Package{
-		W:            cnum.NewTableTol(tol),
 		nQubits:      n,
 		nextVID:      ts.vBase + 1,
 		nextMID:      ts.mBase + 1,

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"ddsim/internal/cnum"
@@ -89,61 +91,143 @@ func cacheKeys(c *cacheSet) (entries int, maxV, maxM uint32) {
 	return entries, maxV, maxM
 }
 
-// TestReleasedTablesKeepGeometry: a 24-qubit package that grew its
-// unique tables hands them, emptied but at their grown size, to the
-// next 24-qubit package, and a 10-qubit package never draws them. The
-// tables are recognised by the address of their first slot. sync.Pool
-// may drop a Put (it does so at random under the race detector), so a
-// miss is retried; a 10-qubit package drawing the tables is a failure
-// at once.
-func TestReleasedTablesKeepGeometry(t *testing.T) {
-	for attempt := 1; ; attempt++ {
-		big := NewPackage(24)
-		growNodes(big, 40000)
-		vGroups, mGroups := big.vt.Groups(), big.mt.Groups()
-		if vGroups <= minVGroups {
-			t.Fatalf("growNodes left the vector table at %d groups", vGroups)
-		}
-		slot := big.vt.At(0)
-		big.Release()
+// weightGroups returns the group count of a weight table's cell
+// directory, which cnum keeps unexported: the length of its control
+// words.
+func weightGroups(w *cnum.Table) int {
+	return reflect.ValueOf(w).Elem().FieldByName("cells").FieldByName("ctrl").Len()
+}
 
-		small := NewPackage(10)
-		if small.vt.At(0) == slot {
-			t.Fatal("a 10-qubit package drew the tables a 24-qubit package released")
+// TestReleasedTablesKeepGeometry: a 24-qubit package that grew its
+// unique tables, node slabs and weight table hands them, emptied but at
+// their grown size, to the next 24-qubit package, and a 10-qubit
+// package never draws them. The unit is recognised by the address of
+// its first unique-table slot; its slabs by the addresses of their
+// first nodes and values.
+func TestReleasedTablesKeepGeometry(t *testing.T) {
+	big := NewPackage(24)
+	growNodes(big, 40000)
+	for i := 0; i < 20000; i++ { // grow the weight table's cell directory
+		big.W.Lookup(float64(i%541)*1e-3, float64(i/541)*1e-3)
+	}
+	vGroups, mGroups, wGroups := big.vt.Groups(), big.mt.Groups(), weightGroups(big.W)
+	if vGroups <= minVGroups {
+		t.Fatalf("growNodes left the vector table at %d groups", vGroups)
+	}
+	if wGroups <= 512 {
+		t.Fatalf("the weight directory stayed at %d groups", wGroups)
+	}
+	slot, w := big.vt.At(0), big.W
+	var vFirsts []*VNode
+	for _, s := range big.vSlabs {
+		vFirsts = append(vFirsts, &s[0])
+	}
+	firstValue := w.ByID(1)
+	big.Release()
+	if big.W != nil {
+		t.Fatal("a released package still holds its weight table")
+	}
+
+	small := NewPackage(10)
+	defer small.Release()
+	if small.vt.At(0) == slot || small.W == w {
+		t.Fatal("a 10-qubit package drew the unit a 24-qubit package released")
+	}
+	again := NewPackage(24)
+	defer again.Release()
+	if again.vt.At(0) != slot || again.W != w {
+		t.Fatal("the next 24-qubit package did not draw the unit the last one released")
+	}
+	if again.vt.Groups() != vGroups || again.mt.Groups() != mGroups || weightGroups(again.W) != wGroups {
+		t.Fatalf("recycled tables have %d/%d/%d groups, want %d/%d/%d",
+			again.vt.Groups(), again.mt.Groups(), weightGroups(again.W), vGroups, mGroups, wGroups)
+	}
+	if len(again.vSlabs) != 0 || cap(again.vSlabs) < len(vFirsts) {
+		t.Fatalf("recycled unit has %d vector slabs in use and room for %d, want 0 and ≥ %d",
+			len(again.vSlabs), cap(again.vSlabs), len(vFirsts))
+	}
+	resident := 0
+	again.vt.ForEach(func(**VNode) { resident++ })
+	again.mt.ForEach(func(**MNode) { resident++ })
+	if resident != 0 || again.vCount != 0 || again.W.Count() != 2 || again.nextVID != again.vBase+1 ||
+		again.nextMID != again.mBase+1 || again.vBase < 40000 {
+		t.Fatalf("recycled tables hold %d nodes and %d weights (vCount %d, next ids %d/%d, bases %d/%d)",
+			resident, again.W.Count(), again.vCount, again.nextVID, again.nextMID, again.vBase, again.mBase)
+	}
+	if _, maxV, maxM := cacheKeys(&again.caches); maxV > again.vBase || maxM > again.mBase {
+		t.Fatalf("a recycled cache entry keys on vector id %d / matrix id %d, above the bases %d/%d",
+			maxV, maxM, again.vBase, again.mBase)
+	}
+	// The recycled package works like a fresh one, on the same slabs.
+	e := again.MulMV(again.SingleQubitGate(matH, 0), again.ZeroState())
+	if got := again.Norm2(e); math.Abs(got-1) > 1e-12 {
+		t.Fatalf("recycled package: norm %v after H", got)
+	}
+	if again.W.ByID(1) != firstValue || &again.vSlabs[0][0] != vFirsts[0] {
+		t.Fatal("the recycled package did not reuse the unit's first weight and node slabs")
+	}
+	growNodes(again, 40000)
+	for i := range vFirsts {
+		if &again.vSlabs[i][0] != vFirsts[i] {
+			t.Fatalf("vector slab %d was not reused in place", i)
 		}
-		again := NewPackage(24)
-		drawn := again.vt.At(0) == slot
-		if drawn {
-			if again.vt.Groups() != vGroups || again.mt.Groups() != mGroups {
-				t.Fatalf("recycled tables have %d/%d groups, want %d/%d",
-					again.vt.Groups(), again.mt.Groups(), vGroups, mGroups)
-			}
-			resident := 0
-			again.vt.ForEach(func(**VNode) { resident++ })
-			again.mt.ForEach(func(**MNode) { resident++ })
-			if resident != 0 || again.vCount != 0 || again.nextVID != again.vBase+1 ||
-				again.nextMID != again.mBase+1 || again.vBase < 40000 {
-				t.Fatalf("recycled tables hold %d nodes (vCount %d, next ids %d/%d, bases %d/%d)",
-					resident, again.vCount, again.nextVID, again.nextMID, again.vBase, again.mBase)
-			}
-			if _, maxV, maxM := cacheKeys(&again.caches); maxV > again.vBase || maxM > again.mBase {
-				t.Fatalf("a recycled cache entry keys on vector id %d / matrix id %d, above the bases %d/%d",
-					maxV, maxM, again.vBase, again.mBase)
-			}
-			// The recycled package works like a fresh one.
-			e := again.MulMV(again.SingleQubitGate(matH, 0), again.ZeroState())
-			if got := again.Norm2(e); math.Abs(got-1) > 1e-12 {
-				t.Fatalf("recycled package: norm %v after H", got)
-			}
+	}
+	checkArenaInvariants(t, again)
+}
+
+// TestFreeListBound: a class's free list holds at most as many units
+// as the class had packages live at once. New and Release in turn on
+// one goroutine leave one unit per class; W goroutines that each hold
+// one live package leave at most W.
+func TestFreeListBound(t *testing.T) {
+	lists := []*unitList{&smallUnits, &largeUnits}
+	var saved [][]tableSet
+	for _, l := range lists {
+		l.mu.Lock()
+		saved = append(saved, l.units)
+		l.units = nil
+		l.mu.Unlock()
+	}
+	defer func() {
+		for i, l := range lists {
+			l.mu.Lock()
+			l.units = saved[i]
+			l.mu.Unlock()
 		}
-		small.Release()
-		again.Release()
-		if drawn {
-			return
-		}
-		if attempt == 20 {
-			t.Fatal("no 24-qubit package drew the released 24-qubit tables in 20 attempts")
-		}
+	}()
+	count := func() (small, large int) {
+		smallUnits.mu.Lock()
+		largeUnits.mu.Lock()
+		defer smallUnits.mu.Unlock()
+		defer largeUnits.mu.Unlock()
+		return len(smallUnits.units), len(largeUnits.units)
+	}
+
+	for i := 0; i < 20; i++ {
+		p := NewPackage(6 + 18*(i%2))
+		growNodes(p, 2000)
+		p.Release()
+	}
+	if s, l := count(); s != 1 || l != 1 {
+		t.Fatalf("sequential packages left %d small and %d large units, want 1 and 1", s, l)
+	}
+
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				p := NewPackage(8)
+				growNodes(p, 500)
+				p.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if s, l := count(); s < 1 || s > workers || l != 1 {
+		t.Fatalf("%d goroutines left %d small and %d large units, want 1..%d and 1", workers, s, l, workers)
 	}
 }
 
@@ -378,21 +462,14 @@ func TestGCNodeIDsIndependentOfTableGeometry(t *testing.T) {
 	fresh := newPackageOn(12, cnum.Tolerance, newTableSet(mvCacheBits(12)))
 	defer fresh.Release()
 
-	var recycled *Package
-	for attempt := 0; recycled == nil; attempt++ {
-		if attempt == 20 {
-			t.Fatal("no 12-qubit package drew grown tables in 20 attempts")
-		}
-		g := NewPackage(12)
-		growNodes(g, 40000)
-		g.Release()
-		if p := NewPackage(12); p.vt.Groups() >= 8192 {
-			recycled = p
-		} else {
-			p.Release()
-		}
-	}
+	g := NewPackage(12)
+	growNodes(g, 40000)
+	g.Release()
+	recycled := NewPackage(12) // draws the unit g grew
 	defer recycled.Release()
+	if recycled.vt.Groups() < 8192 {
+		t.Fatalf("the recycled package starts at %d groups, want the 8 192 g grew", recycled.vt.Groups())
+	}
 
 	idsA, createdA, ampsA := idRun(t, fresh)
 	idsB, createdB, ampsB := idRun(t, recycled)

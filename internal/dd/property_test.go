@@ -343,10 +343,10 @@ func TestArenaRecycleInvariants(t *testing.T) {
 }
 
 // TestPackageReleasePools churns packages of both register classes
-// through build/GC/Release in parallel so the process-wide slab pools
-// and the per-class table-set pools (with tables grown past their
-// minimum) see concurrent Put/Get traffic — under -race this is the
-// data-race check for the memory plane's only cross-goroutine surface.
+// through build/GC/Release in parallel so the per-class free lists of
+// units (with tables and slabs grown past their minimum) see
+// concurrent take/put traffic — under -race this is the data-race
+// check for the memory plane's only cross-goroutine surface.
 func TestPackageReleasePools(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		w := w

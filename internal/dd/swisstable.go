@@ -22,7 +22,7 @@ import "ddsim/internal/cnum"
 const (
 	// minVGroups/minMGroups are the unique-table sizes of a new table
 	// set (512 groups = 4096 slots and 128 groups = 1024 slots). Tables
-	// never shrink, so a pooled set keeps what it grew to.
+	// never shrink, so a reused unit keeps what it grew to.
 	minVGroups = 512
 	minMGroups = 128
 )
@@ -66,7 +66,7 @@ func (p *Package) findM(h uint64, level int, e [4]MEdge) (*MNode, int, int) {
 // slabs in ID order, skipping free slots (Level 0, see freeVNode),
 // never the table's slots: the order in which dead nodes reach the
 // free list decides the IDs handed out after a collection, and slot
-// order depends on the geometry the table started at, which a pooled
+// order depends on the geometry the table started at, which a reused
 // table inherits from an earlier package (see arena.go). The table
 // never shrinks (see swiss.Table.Reset), so steady-state collections
 // allocate nothing and probe lengths still reset because the load

@@ -470,9 +470,9 @@ func (b *Backend) StateCost(s sim.State) (nodes, bytes int64) {
 	return n, n * approxVNodeBytes
 }
 
-// Release implements sim.Releaser: the underlying DD package returns
-// its pooled kernel memory (node slabs, compute caches, weight slabs)
-// for reuse by future backends. The backend, its snapshots and its
+// Release implements sim.Releaser: the underlying DD package puts its
+// memory (tables, compute caches, node slabs, weight table) back on its
+// register class's free list for reuse by future backends. The backend, its snapshots and its
 // state handles must not be used afterwards.
 func (b *Backend) Release() {
 	b.pkg.Release()

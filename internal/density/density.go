@@ -34,7 +34,7 @@ type Simulator struct {
 	rho [][]complex128
 
 	// chanSuper2 caches the superoperators of compiled two-qubit
-	// channels under their Chan2.Key(). Clones share the map.
+	// channels under their formatted terms. Clones share the map.
 	chanSuper2 map[string]*[16][16]complex128
 }
 
@@ -159,11 +159,12 @@ func (s *Simulator) ApplyChan2(ch *noise.Chan2) {
 	if s.chanSuper2 == nil {
 		s.chanSuper2 = make(map[string]*[16][16]complex128)
 	}
-	sup, ok := s.chanSuper2[ch.Key()]
+	key := fmt.Sprint(ch.Terms)
+	sup, ok := s.chanSuper2[key]
 	if !ok {
 		v := super2(ch.Kraus())
 		sup = &v
-		s.chanSuper2[ch.Key()] = sup
+		s.chanSuper2[key] = sup
 	}
 	s.ApplySuperOp2(sup, ch.Q0, ch.Q1)
 }

@@ -1,16 +1,14 @@
 // Concrete noise-channel instances: the compiled form of a Model. A
 // Chan1 is one single-qubit channel bound to a qubit, a Chan2 one
-// correlated two-qubit Pauli channel bound to a gate's qubit pair. Both carry a stable key (for superoperator/Kraus-diagram
-// caches in the exact engines), a Kraus view (for the density-matrix
+// correlated two-qubit Pauli channel bound to a gate's qubit pair.
+// Both carry a Kraus view (for the exact engine, the density-matrix
 // reference and CPTP tests) and a stochastic Apply (for trajectory
 // sampling), so the Monte-Carlo and exact engines consume the same
 // objects.
 package noise
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 
 	"ddsim/internal/sim"
 )
@@ -66,29 +64,7 @@ type Chan1 struct {
 	Event bool
 	// Probs are the I/X/Y/Z probabilities of a ChanPauli channel.
 	Probs [4]float64
-
-	key string
 }
-
-func (ch *Chan1) buildKey() string {
-	switch ch.Kind {
-	case ChanDepolarizing:
-		return fmt.Sprintf("depol:%.17g", ch.P)
-	case ChanDamping:
-		return fmt.Sprintf("damp:%.17g:%t", ch.P, ch.Event)
-	case ChanPhaseFlip:
-		return fmt.Sprintf("flip:%.17g", ch.P)
-	case ChanPauli:
-		return fmt.Sprintf("pauli:%.17g,%.17g,%.17g,%.17g",
-			ch.Probs[0], ch.Probs[1], ch.Probs[2], ch.Probs[3])
-	}
-	return "?"
-}
-
-// Key identifies the channel's operator content (not its qubit):
-// channels with equal keys share superoperators and Kraus diagrams in
-// the exact engines' caches.
-func (ch *Chan1) Key() string { return ch.key }
 
 // Kraus returns the channel's Kraus decomposition (ΣK†K = I).
 func (ch *Chan1) Kraus() [][2][2]complex128 {
@@ -250,27 +226,7 @@ type Chan2 struct {
 	// Terms are the non-identity branches; the identity branch holds
 	// the remaining 1 − ΣProb.
 	Terms []PairTerm
-
-	key string
 }
-
-// newChan2 builds a two-qubit channel with its cache key precomputed.
-func newChan2(q0, q1 int, terms []PairTerm, label int) Chan2 {
-	ch := Chan2{Q0: q0, Q1: q1, Label: label, Terms: terms}
-	var sb strings.Builder
-	sb.WriteString("pauli2:")
-	for i, t := range terms {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		fmt.Fprintf(&sb, "%s%s=%.17g", t.P0, t.P1, t.Prob)
-	}
-	ch.key = sb.String()
-	return ch
-}
-
-// Key identifies the channel's operator content; see Chan1.Key.
-func (ch *Chan2) Key() string { return ch.key }
 
 // pauliMat2 returns the 2×2 matrix of a Pauli operator.
 func pauliMat2(p sim.Pauli) [2][2]complex128 {

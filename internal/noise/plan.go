@@ -39,7 +39,7 @@ func (x *Crosstalk) Validate() error {
 // the channel Compile attaches after a two-qubit gate, exposed for
 // direct exact-engine use and tests.
 func (x *Crosstalk) Channel(q0, q1 int) Chan2 {
-	return newChan2(q0, q1, x.terms(), LabelCrosstalk)
+	return Chan2{Q0: q0, Q1: q1, Label: LabelCrosstalk, Terms: x.terms()}
 }
 
 // terms expands the configuration into the 15 non-identity Pauli-pair
@@ -239,7 +239,6 @@ func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 	if m.Crosstalk != nil {
 		xtalk = m.Crosstalk.Channel(0, 0)
 	}
-	keys := chanKeys{}
 	for i := range c.Ops {
 		op := &c.Ops[i]
 		if op.Kind == circuit.KindBarrier {
@@ -258,9 +257,9 @@ func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 						continue
 					}
 					pd, pf := m.idleProbs(q, k)
-					on.Pre = m.appendDamping(keys, on.Pre, q, pd, false, LabelIdle)
+					on.Pre = m.appendDamping(on.Pre, q, pd, false, LabelIdle)
 					if pf > 0 {
-						on.Pre = append(on.Pre, keys.bind(Chan1{Kind: ChanPhaseFlip, Qubit: q, Label: LabelIdle, P: pf}))
+						on.Pre = append(on.Pre, Chan1{Kind: ChanPhaseFlip, Qubit: q, Label: LabelIdle, P: pf})
 					}
 				}
 			}
@@ -274,11 +273,11 @@ func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 			for _, q := range qs {
 				dep, damp, flip, event := m.gateRates(name, q)
 				if dep > 0 {
-					on.Post = append(on.Post, keys.bind(Chan1{Kind: ChanDepolarizing, Qubit: q, Label: LabelDepolarizing, P: dep}))
+					on.Post = append(on.Post, Chan1{Kind: ChanDepolarizing, Qubit: q, Label: LabelDepolarizing, P: dep})
 				}
-				on.Post = m.appendDamping(keys, on.Post, q, damp, event, LabelDamping)
+				on.Post = m.appendDamping(on.Post, q, damp, event, LabelDamping)
 				if flip > 0 {
-					on.Post = append(on.Post, keys.bind(Chan1{Kind: ChanPhaseFlip, Qubit: q, Label: LabelPhaseFlip, P: flip}))
+					on.Post = append(on.Post, Chan1{Kind: ChanPhaseFlip, Qubit: q, Label: LabelPhaseFlip, P: flip})
 				}
 			}
 			if len(xtalk.Terms) > 0 && len(qs) == 2 {
@@ -299,28 +298,9 @@ func (m Model) Compile(c *circuit.Circuit) (*Plan, error) {
 	return p, nil
 }
 
-// chanKeys shares cache keys between the channel instances of one
-// Compile: a plan binds the same few operator contents to many qubits
-// — three per job for a uniform model — and formatting the key is most
-// of what building an instance costs.
-type chanKeys map[Chan1]string
-
-// bind completes a channel instance with its cache key.
-func (ck chanKeys) bind(ch Chan1) Chan1 {
-	content := ch
-	content.Qubit, content.Label = 0, 0
-	key, ok := ck[content]
-	if !ok {
-		key = ch.buildKey()
-		ck[content] = key
-	}
-	ch.key = key
-	return ch
-}
-
 // appendDamping appends the T1 channel with probability p — twirled
 // into its Pauli-channel approximation when the model is Twirled.
-func (m Model) appendDamping(keys chanKeys, dst []Chan1, q int, p float64, event bool, label int) []Chan1 {
+func (m Model) appendDamping(dst []Chan1, q int, p float64, event bool, label int) []Chan1 {
 	if p <= 0 {
 		return dst
 	}
@@ -331,7 +311,7 @@ func (m Model) appendDamping(keys chanKeys, dst []Chan1, q int, p float64, event
 		}
 		ch = Chan1{Kind: ChanPauli, Qubit: q, Label: label, Probs: TwirlProbs(ch.Kraus())}
 	}
-	return append(dst, keys.bind(ch))
+	return append(dst, ch)
 }
 
 // gateRates resolves the post-gate channel probabilities for one

@@ -7,18 +7,14 @@ import (
 	"testing"
 )
 
-// newChan1 builds a channel instance with its cache key precomputed.
+// newChan1 builds a channel instance.
 func newChan1(kind ChanKind, qubit int, p float64, event bool, label int) Chan1 {
-	ch := Chan1{Kind: kind, Qubit: qubit, Label: label, P: p, Event: event}
-	ch.key = ch.buildKey()
-	return ch
+	return Chan1{Kind: kind, Qubit: qubit, Label: label, P: p, Event: event}
 }
 
 // newPauliChan1 builds a general Pauli channel instance.
 func newPauliChan1(qubit int, probs [4]float64, label int) Chan1 {
-	ch := Chan1{Kind: ChanPauli, Qubit: qubit, Label: label, Probs: probs}
-	ch.key = ch.buildKey()
-	return ch
+	return Chan1{Kind: ChanPauli, Qubit: qubit, Label: label, Probs: probs}
 }
 
 // applyKraus1 evolves a 2×2 density block through a Kraus set:
@@ -98,7 +94,7 @@ func TestTwirlProbsSumToOne(t *testing.T) {
 			sum += p
 		}
 		if math.Abs(sum-1) > 1e-12 {
-			t.Fatalf("twirl probabilities sum to %v (channel %s)", sum, ch.Key())
+			t.Fatalf("twirl probabilities sum to %v (channel %+v)", sum, ch)
 		}
 	}
 }

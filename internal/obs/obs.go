@@ -38,28 +38,10 @@ func HoeffdingFailureProb(m int, eps float64) float64 {
 	return 2 * math.Exp(-2*float64(m)*eps*eps)
 }
 
-// UnionFailureProb bounds the probability that any of L properties
-// deviates by ε when estimated from M shared samples.
-func UnionFailureProb(m, properties int, eps float64) float64 {
-	p := float64(properties) * HoeffdingFailureProb(m, eps)
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
 // ConfidenceRadius inverts Theorem 1: given M samples, L properties
 // and confidence 1−delta, it returns the accuracy ε guaranteed.
 func ConfidenceRadius(m, properties int, delta float64) float64 {
 	return math.Sqrt(math.Log(2*float64(properties)/delta) / (2 * float64(m)))
-}
-
-// PaperIterationCheck reproduces the paper's own calculation: with
-// M = 30000 iterations, tracking L = 1000 properties at 95 %
-// confidence yields an error margin below 0.01 (Section V). It
-// returns that margin.
-func PaperIterationCheck() float64 {
-	return ConfidenceRadius(30000, 1000, 0.05)
 }
 
 // Estimator accumulates samples of one [0,1]-bounded property and

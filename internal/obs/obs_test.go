@@ -7,6 +7,24 @@ import (
 	"testing/quick"
 )
 
+// UnionFailureProb bounds the probability that any of L properties
+// deviates by ε when estimated from M shared samples.
+func UnionFailureProb(m, properties int, eps float64) float64 {
+	p := float64(properties) * HoeffdingFailureProb(m, eps)
+	if p > 1 {
+		return 1
+	}
+	return p
+}
+
+// PaperIterationCheck reproduces the paper's own calculation: with
+// M = 30000 iterations, tracking L = 1000 properties at 95 %
+// confidence yields an error margin below 0.01 (Section V). It
+// returns that margin.
+func PaperIterationCheck() float64 {
+	return ConfidenceRadius(30000, 1000, 0.05)
+}
+
 func TestSampleCountPaperValue(t *testing.T) {
 	// The paper (Section V): M = 30000 iterations correspond to
 	// tracking 1000 properties with error margin < 0.01 at 95 %

@@ -467,6 +467,23 @@ if dead="$(grep -nE 'internal/clusterid|clusterid\.' $allsrc_nt docs/*.md $(find
   fail=1
 fi
 
+# --- 21. one pooled unit per DD package; no dead channel keys ---------------
+kernelsrc="$(find internal/dd internal/cnum -name '*.go' ! -name '*_test.go')"
+# shellcheck disable=SC2086 # kernelsrc is a word list of paths
+if pools="$(grep -nH 'sync\.Pool' $kernelsrc)"; then
+  while IFS= read -r hit; do
+    echo "SYNC.POOL IN THE DD KERNEL: $hit; a package's memory is one unit on its register class's free list" >&2
+  done <<< "$pools"
+  fail=1
+fi
+# shellcheck disable=SC2086 # allsrc_nt is a word list of paths
+if dead="$(grep -nE 'vSlabPool|mSlabPool|valueSlabPool|cellTablePool|putCellTable|chanKeys|buildKey' $allsrc_nt docs/*.md)"; then
+  while IFS= read -r hit; do
+    echo "DELETED POOL OR CHANNEL KEY: $hit; slabs and directories stay in their package's unit, and channels carry no cache key" >&2
+  done <<< "$dead"
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED" >&2
   exit 1
