@@ -3,13 +3,13 @@
 //   - default: the single-node service — every job simulates on the
 //     local worker pool;
 //   - -worker: a stateless computation worker — no job table, no
-//     store, no cache; it serves only the /work lease plane and
-//     computes leased chunk ranges for a coordinator;
+//     store, no cache; it serves only POST /work/run, computing one
+//     leased chunk range per request and streaming its sums back;
 //   - -coordinator <urls>: the ordinary job API, but every
 //     stochastic job is fanned out to the given workers through
 //     internal/cluster — the parts of the job's plan are leased under
-//     heartbeat-renewed fencing tokens and the per-chunk sums merge
-//     in chunk order, so a cluster run reproduces itself for the same
+//     fencing tokens, each lease renewed by its stream's keepalive
+//     lines, and the per-chunk sums merge in chunk order, so a cluster run reproduces itself for the same
 //     job, and matches local simulation on statevec, sparse and
 //     cache-resident DDs (TestClusterModeBitIdentical). Exact-mode
 //     jobs stay on the local path.
@@ -29,12 +29,12 @@ import (
 )
 
 // runWorker is the -worker mode main loop: serve the work plane until
-// the signal context fires, then drain in-flight leases.
+// the signal context fires, then let in-flight leases finish for up
+// to 10 s and cut the rest, whose coordinators re-lease them.
 func runWorker(ctx context.Context, addr string) {
-	w := cluster.NewWorker(ddsim.Factory)
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           workerHandler(w),
+		Handler:           workerHandler(cluster.NewWorker(ddsim.Factory)),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errCh := make(chan error, 1)
@@ -44,8 +44,9 @@ func runWorker(ctx context.Context, addr string) {
 	case <-ctx.Done():
 		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_ = srv.Shutdown(shutCtx)
-		w.Close()
+		if srv.Shutdown(shutCtx) != nil {
+			_ = srv.Close() // the drain timed out: hang up on the rest
+		}
 		fmt.Fprintln(os.Stderr, "ddsimd: worker drained, bye")
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -22,15 +22,10 @@ func newClusterServer(t *testing.T, n int) (*httptest.Server, *server) {
 		w := cluster.NewWorker(ddsim.Factory)
 		ws := httptest.NewServer(workerHandler(w))
 		t.Cleanup(ws.Close)
-		t.Cleanup(w.Close)
 		urls[i] = ws.URL
 	}
 	ts, s := newTestServer(t, 2)
-	s.clusterCfg = &cluster.Config{
-		Workers:        urls,
-		LeaseTTL:       10 * time.Second,
-		HeartbeatEvery: time.Millisecond,
-	}
+	s.clusterCfg = &cluster.Config{Workers: urls}
 	return ts, s
 }
 
@@ -149,9 +144,8 @@ func TestClusterModeExactStaysLocal(t *testing.T) {
 func TestClusterModeDeadWorkersFailJob(t *testing.T) {
 	ts, s := newTestServer(t, 2)
 	s.clusterCfg = &cluster.Config{
-		Workers:        []string{"http://127.0.0.1:1"},
-		LeaseTTL:       50 * time.Millisecond,
-		HeartbeatEvery: 5 * time.Millisecond,
+		Workers:  []string{"http://127.0.0.1:1"},
+		LeaseTTL: 50 * time.Millisecond,
 	}
 	v := waitTerminal(t, ts, submit(t, ts, `{
 		"circuit": {"name": "ghz", "n": 4},
@@ -163,12 +157,11 @@ func TestClusterModeDeadWorkersFailJob(t *testing.T) {
 }
 
 // TestWorkerHandlerSurface covers the -worker mode routing table:
-// observability endpoints respond, and a malformed lease is a client
-// error.
+// observability endpoints respond, a malformed lease is a client
+// error, and the polling routes of older builds are gone, so a
+// coordinator of such a build gets a 404.
 func TestWorkerHandlerSurface(t *testing.T) {
-	w := cluster.NewWorker(ddsim.Factory)
-	defer w.Close()
-	ws := httptest.NewServer(workerHandler(w))
+	ws := httptest.NewServer(workerHandler(cluster.NewWorker(ddsim.Factory)))
 	defer ws.Close()
 
 	resp, err := http.Get(ws.URL + "/healthz")
@@ -191,13 +184,23 @@ func TestWorkerHandlerSurface(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("metrics: status %d", resp.StatusCode)
 	}
-	resp, err = http.Post(ws.URL+"/work/lease", "application/json", strings.NewReader("{"))
+	resp, err = http.Post(ws.URL+"/work/run", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed lease: status %d, want 400", resp.StatusCode)
+	}
+	for _, path := range []string{"/work/lease", "/work/heartbeat", "/work/complete"} {
+		resp, err = http.Post(ws.URL+path, "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 

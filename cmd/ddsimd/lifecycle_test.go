@@ -125,9 +125,8 @@ func TestTerminalJobsDropInputs(t *testing.T) {
 
 	// A coordinator whose only worker is unreachable fails the job.
 	s1.clusterCfg = &cluster.Config{
-		Workers:        []string{"http://127.0.0.1:1"},
-		LeaseTTL:       50 * time.Millisecond,
-		HeartbeatEvery: 5 * time.Millisecond,
+		Workers:  []string{"http://127.0.0.1:1"},
+		LeaseTTL: 50 * time.Millisecond,
 	}
 	failed := submit(t, ts1, `{"circuit": `+ghzQASM(3)+`, "options": {"runs": 16, "seed": 9}}`)
 	if v := waitTerminal(t, ts1, failed); v.Status != statusFailed {

@@ -74,13 +74,13 @@
 // start).
 //
 // Cluster modes: with -worker the process is a stateless computation
-// worker serving only the /work lease endpoints (POST /work/lease,
-// /work/heartbeat, /work/complete) plus /metrics and /healthz; with
-// -coordinator <urls> the job API is unchanged but every stochastic
-// job's chunk ranges are leased to the listed workers under
-// heartbeat-renewed fencing tokens and merged in chunk order, as
-// cluster.go describes (-lease-ttl and -lease-heartbeat tune the
-// leases; see docs/OPERATIONS.md for the cluster runbook).
+// worker serving only POST /work/run, which streams one leased chunk
+// range's sums, plus /metrics and /healthz; with -coordinator <urls>
+// the job API is unchanged but every stochastic job's chunk ranges
+// are leased to the listed workers under fencing tokens, each lease
+// living as long as its streamed request, and merged in chunk order,
+// as cluster.go describes (-lease-ttl bounds a silent stream; see
+// docs/OPERATIONS.md for the cluster runbook).
 package main
 
 import (
@@ -126,10 +126,9 @@ func main() {
 		compactEvr = flag.Duration("compact-every", 10*time.Minute, "jobstore WAL compaction cadence (0 disables; needs -data-dir)")
 
 		// Cluster modes (see cluster.go and docs/OPERATIONS.md).
-		workerMode  = flag.Bool("worker", false, "run as a stateless cluster worker: serve only the /work lease endpoints (plus /metrics and /healthz) and compute chunk ranges leased by a coordinator")
+		workerMode  = flag.Bool("worker", false, "run as a stateless cluster worker: serve only POST /work/run (plus /metrics and /healthz) and compute chunk ranges leased by a coordinator")
 		coordinator = flag.String("coordinator", "", "comma-separated worker base URLs (e.g. http://h1:8345,http://h2:8345); run the job API as a cluster coordinator leasing every stochastic job's chunk ranges to these workers — results match local simulation on statevec, sparse and cache-resident DDs")
-		leaseTTL    = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator: lease lifetime without a heartbeat renewal; an expired lease is reassigned and re-simulated")
-		leaseHB     = flag.Duration("lease-heartbeat", 0, "coordinator: heartbeat/renewal cadence per lease (0 = lease-ttl/3)")
+		leaseTTL    = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator: lease lifetime without a keepalive line from its worker (sent every lease-ttl/3); an expired lease is reassigned and re-simulated")
 	)
 	flag.Parse()
 
@@ -148,10 +147,9 @@ func main() {
 	s := newServer(ctx, *maxActive, *workers, *maxRuns)
 	if *coordinator != "" {
 		cfg := cluster.Config{
-			Workers:        splitURLs(*coordinator),
-			LeaseTTL:       *leaseTTL,
-			HeartbeatEvery: *leaseHB,
-			DataDir:        *dataDir,
+			Workers:  splitURLs(*coordinator),
+			LeaseTTL: *leaseTTL,
+			DataDir:  *dataDir,
 		}
 		if _, err := cluster.New(cfg); err != nil { // validate eagerly
 			fmt.Fprintln(os.Stderr, "ddsimd:", err)

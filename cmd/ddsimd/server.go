@@ -311,16 +311,12 @@ func (s *server) handler() http.Handler {
 }
 
 // workerHandler is the -worker mode routing table: the cluster work
-// plane (lease grant, heartbeat renewal, completion hand-off) plus
-// observability. The /work handlers live in internal/cluster; the
-// routes are re-registered here so the docs gate keeps docs/API.md
-// covering them.
+// plane (one streamed request per lease) plus observability. The
+// /work/run handler lives in internal/cluster; the route is
+// re-registered here so the docs gate keeps docs/API.md covering it.
 func workerHandler(wk *cluster.Worker) http.Handler {
 	mux := http.NewServeMux()
-	h := wk.Handler()
-	mux.Handle("POST /work/lease", h)
-	mux.Handle("POST /work/heartbeat", h)
-	mux.Handle("POST /work/complete", h)
+	mux.Handle("POST /work/run", wk.Handler())
 	mux.Handle("GET /metrics", telemetry.Handler())
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "mode": "worker"})

@@ -19,9 +19,9 @@ import (
 const (
 	DefaultLeaseTTL = 10 * time.Second
 
-	// maxDriverFailures is the consecutive lease-RPC-failure count
-	// after which a driver declares its worker dead and exits; the
-	// remaining drivers absorb the released and reclaimed parts.
+	// maxDriverFailures is the consecutive failed-lease count after
+	// which a driver declares its worker dead and exits; the remaining
+	// drivers absorb the released and reclaimed parts.
 	maxDriverFailures = 5
 
 	// acquirePollEvery paces a driver's retry when every part is
@@ -34,17 +34,18 @@ type Config struct {
 	// Workers are the base URLs of the worker endpoints
 	// (e.g. http://host:7421), one driver each.
 	Workers []string
-	// LeaseTTL is how long a lease lives without a renewal
-	// (DefaultLeaseTTL when zero).
+	// LeaseTTL is how long a lease lives without a keepalive line
+	// from its worker (DefaultLeaseTTL when zero). Workers send one
+	// every LeaseTTL/3.
 	LeaseTTL time.Duration
-	// HeartbeatEvery paces lease heartbeats (LeaseTTL/3 when zero).
-	HeartbeatEvery time.Duration
 	// DataDir, when non-empty, journals plan and part completions
 	// under <DataDir>/cluster so a coordinator restart resumes
 	// without recomputing or double-counting finished parts.
 	DataDir string
-	// Client is the HTTP client for worker RPCs (http.DefaultClient
-	// when nil).
+	// Client is the HTTP client for worker requests
+	// (http.DefaultClient when nil). A lease's request lasts as long
+	// as its part computes, so a client Timeout cuts parts that run
+	// longer.
 	Client *http.Client
 	// Clock supplies the coordinator's notion of now for lease expiry
 	// (time.Now when nil); tests inject a manual clock.
@@ -69,8 +70,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = cfg.LeaseTTL / 3
+	if cfg.LeaseTTL < 3*minKeepalive {
+		return nil, fmt.Errorf("cluster: lease TTL %v below %v: workers refuse a keepalive under %v", cfg.LeaseTTL, 3*minKeepalive, minKeepalive)
 	}
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
@@ -148,8 +149,8 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, spec JobSpec) (*sto
 		}(url)
 	}
 	// Once every part is in, cancel the run context so drivers still
-	// tending lost leases (a dead worker's heartbeat loop, a fenced
-	// straggler) let go instead of outliving the job.
+	// following lost leases (a stalled stream, a fenced straggler) let
+	// go instead of outliving the job.
 	go func() {
 		for !tb.Done() {
 			if !sleepCtx(runCtx, acquirePollEvery) {
@@ -191,9 +192,9 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, spec JobSpec) (*sto
 	return res, nil
 }
 
-// drive is one worker's loop: acquire a part, hand it to the worker,
-// tend the lease to resolution, repeat. It exits when the job
-// completes, the context dies, or the worker fails too many RPCs in a
+// drive is one worker's loop: acquire a part, stream it from the
+// worker, resolve the lease, repeat. It exits when the job completes,
+// the context dies, or the worker fails maxDriverFailures leases in a
 // row.
 func (c *Coordinator) drive(ctx context.Context, url string, spec JobSpec, tb *table, jr *journal, fatal func(error)) {
 	failures := 0
@@ -205,153 +206,159 @@ func (c *Coordinator) drive(ctx context.Context, url string, spec JobSpec, tb *t
 			}
 			continue
 		}
-		req := leaseRequest{LeaseID: lease.ID.String(), Job: spec, First: lease.First, Count: lease.Count}
-		if err := c.post(ctx, url+"/work/lease", req, nil); err != nil {
-			telemetry.ClusterWorkerFailures.Inc()
-			// The grant never reached a live worker (or the reply was
-			// lost — idempotent on the worker side); put the part back.
-			_ = tb.Release(lease)
-			failures++
-			if failures >= maxDriverFailures {
-				return
-			}
-			if !sleepCtx(ctx, c.cfg.HeartbeatEvery) {
-				return
-			}
+		if c.run(ctx, url, spec, lease, tb, jr, fatal) {
+			failures = 0
 			continue
 		}
-		failures = 0
-		c.tend(ctx, url, lease, tb, jr, fatal)
-	}
-}
-
-// tend heartbeats one granted lease until it resolves: completed
-// (sums accepted and journaled), failed (released for another
-// worker), lost (expired on a dead heartbeat path — the table
-// reclaims it and the tender gives up one extra TTL later), or
-// fenced (the tender keeps following the worker and delivers the late
-// completion anyway, letting the fence reject it — which keeps the
-// worker's task map drained and the stale-completion counter honest).
-//
-// Once the lease passes its deadline the tender stops renewing for
-// good, even if heartbeats recover: the part may have been reclaimed,
-// and only the table knows — renewing would race the reclaim, whereas
-// following to completion resolves through the fence either way.
-func (c *Coordinator) tend(ctx context.Context, url string, lease Lease, tb *table, jr *journal, fatal func(error)) {
-	fenced := false
-	for {
-		if !sleepCtx(ctx, c.cfg.HeartbeatEvery) {
-			return
-		}
-		var hb heartbeatResponse
-		if err := c.post(ctx, url+"/work/heartbeat", heartbeatRequest{LeaseID: lease.ID.String()}, &hb); err != nil {
-			telemetry.ClusterWorkerFailures.Inc()
-			if c.cfg.Clock().After(lease.Expires) {
-				fenced = true // expired: never renew again
-				if c.cfg.Clock().After(lease.Expires.Add(c.cfg.LeaseTTL)) {
-					// A full TTL past the deadline and still no
-					// answer: the worker is gone. Acquire has (or
-					// will) reclaim the part.
-					return
-				}
-			}
-			continue
-		}
-		if !fenced && c.cfg.Clock().After(lease.Expires) {
-			fenced = true
-		}
-		switch hb.Phase {
-		case phaseFailed:
-			if !fenced {
-				_ = tb.Release(lease)
-			}
-			return
-		case phaseRunning:
-			if fenced {
-				continue
-			}
-			switch exp, err := tb.Renew(lease); {
-			case err == nil:
-				lease.Expires = exp
-			case errors.Is(err, ErrDone):
-				return // another worker finished the part
-			default:
-				// Reassigned under us; keep tending so the late
-				// completion is still collected (and fenced).
-				fenced = true
-			}
-		case phaseDone:
-			var comp completeResponse
-			if err := c.post(ctx, url+"/work/complete", completeRequest{LeaseID: lease.ID.String()}, &comp); err != nil {
-				telemetry.ClusterWorkerFailures.Inc()
-				if fenced {
-					return // best-effort collection only
-				}
-				if c.cfg.Clock().After(lease.Expires) {
-					return
-				}
-				continue
-			}
-			err := tb.Complete(lease, comp.Sums)
-			switch {
-			case errors.Is(err, ErrFenced), errors.Is(err, ErrDone):
-				telemetry.ClusterStaleCompletions.Inc()
-				return
-			case err != nil:
-				// Malformed sums: burn the lease and re-simulate.
-				_ = tb.Release(lease)
-				telemetry.ClusterWorkerFailures.Inc()
-				return
-			}
-			if jr != nil {
-				if jerr := jr.part(lease.Part, comp.Sums); jerr != nil {
-					// Durability is gone; finishing the job could
-					// double-count after a restart. Abort loudly.
-					fatal(fmt.Errorf("cluster: journal part %d: %w", lease.Part, jerr))
-					return
-				}
-			}
-			if cb := c.cfg.OnProgress; cb != nil {
-				cb(tb.Progress())
-			}
-			return
-		default:
-			telemetry.ClusterWorkerFailures.Inc()
+		telemetry.ClusterWorkerFailures.Inc()
+		failures++
+		if failures >= maxDriverFailures || !sleepCtx(ctx, c.keepalive()) {
 			return
 		}
 	}
 }
 
-// post sends one JSON RPC; out may be nil for 202-style replies.
-func (c *Coordinator) post(ctx context.Context, url string, in, out any) error {
-	body, err := json.Marshal(in)
+// keepalive is the cadence of a worker's keepalive lines, and of a
+// driver's check of its lease's deadline.
+func (c *Coordinator) keepalive() time.Duration { return c.cfg.LeaseTTL / 3 }
+
+// run hands one lease to the worker as a POST /work/run and resolves
+// it from the streamed lines. It reports false when the worker let
+// the lease down (the part is then back in the table). It hangs up
+// before it returns, which stops the worker's computation.
+func (c *Coordinator) run(ctx context.Context, url string, spec JobSpec, lease Lease, tb *table, jr *journal, fatal func(error)) bool {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	body, err := json.Marshal(runRequest{
+		LeaseID:   lease.ID.String(),
+		Job:       spec,
+		First:     lease.First,
+		Count:     lease.Count,
+		Keepalive: c.keepalive(),
+	})
 	if err != nil {
-		return err
+		fatal(fmt.Errorf("cluster: encode run request: %w", err))
+		return true
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
+	lines := make(chan runLine)
+	go func() {
+		defer close(lines)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/work/run", bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := c.cfg.Client.Do(req)
+		if err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			readLines(ctx, resp.Body, lines)
+		}
 	}()
-	if resp.StatusCode/100 != 2 {
-		var e errorResponse
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("cluster: %s: %s (%s)", url, e.Error, resp.Status)
+	kept := c.resolve(ctx, lease, lines, tb, jr, fatal)
+	cancel()
+	for range lines { // the request is gone before run returns
+	}
+	return kept
+}
+
+// readLines decodes a /work/run stream onto lines until its final
+// line, a read or decode error, or ctx ends. The caller reads a closed
+// channel before a final line as a broken stream.
+func readLines(ctx context.Context, r io.Reader, lines chan<- runLine) {
+	dec := json.NewDecoder(r)
+	for {
+		var l runLine
+		if dec.Decode(&l) != nil {
+			return
 		}
-		return fmt.Errorf("cluster: %s: %s", url, resp.Status)
+		select {
+		case lines <- l:
+		case <-ctx.Done():
+			return
+		}
+		if l.final() {
+			return
+		}
 	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// resolve follows one lease's stream to its end. A keepalive renews
+// the lease; once the part is done or the lease fenced, the stream is
+// dropped. The final sums go through the fence (a fenced completion is
+// counted stale) and then into the journal. An error line, a broken
+// stream, or no line before the lease's deadline gives the part back
+// and reports false. lines must close once ctx ends.
+func (c *Coordinator) resolve(ctx context.Context, lease Lease, lines <-chan runLine, tb *table, jr *journal, fatal func(error)) bool {
+	tick := time.NewTicker(c.keepalive())
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			if c.cfg.Clock().After(lease.Expires) {
+				giveBack(tb, lease, true)
+				return false
+			}
+		case l, ok := <-lines:
+			switch {
+			case ctx.Err() != nil:
+				return true // the job finished elsewhere, or was cancelled
+			case !ok || l.Error != "":
+				giveBack(tb, lease, false)
+				return false
+			case !l.final():
+				exp, err := tb.Renew(lease)
+				if err != nil {
+					return true // ErrDone or ErrFenced: the lease is gone
+				}
+				lease.Expires = exp
+			default:
+				return c.accept(lease, l.Sums, tb, jr, fatal)
+			}
+		}
 	}
-	return nil
+}
+
+// accept completes a lease with its sums through the fence, journals
+// the part and reports progress. Sums that do not cover the lease's
+// range give the part back and report false.
+func (c *Coordinator) accept(lease Lease, sums []stochastic.ChunkSum, tb *table, jr *journal, fatal func(error)) bool {
+	err := tb.Complete(lease, sums)
+	switch {
+	case errors.Is(err, ErrFenced), errors.Is(err, ErrDone):
+		telemetry.ClusterStaleCompletions.Inc()
+		return true
+	case err != nil:
+		giveBack(tb, lease, false)
+		return false
+	}
+	if jr != nil {
+		if err := jr.part(lease.Part, sums); err != nil {
+			// Durability is gone; finishing the job could
+			// double-count after a restart. Abort loudly.
+			fatal(fmt.Errorf("cluster: journal part %d: %w", lease.Part, err))
+			return true
+		}
+	}
+	if cb := c.cfg.OnProgress; cb != nil {
+		cb(tb.Progress())
+	}
+	return true
+}
+
+// giveBack returns a lost lease's part to the table for the next
+// Acquire. A part that an expiry reclaim or another worker's
+// completion has already taken stays as it is.
+func giveBack(tb *table, lease Lease, expired bool) {
+	if tb.Release(lease) != nil {
+		return
+	}
+	telemetry.ClusterReassignments.Inc()
+	if expired {
+		telemetry.ClusterLeasesExpired.Inc()
+	}
 }
 
 // specsEqual compares two specs by canonical JSON (Options carries no

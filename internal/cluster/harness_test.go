@@ -67,7 +67,6 @@ func startWorkers(t *testing.T, n int) ([]string, []*Worker, []*httptest.Server)
 		w := NewWorker(testResolve)
 		srv := httptest.NewServer(w.Handler())
 		t.Cleanup(srv.Close)
-		t.Cleanup(w.Close)
 		urls[i], workers[i], servers[i] = srv.URL, w, srv
 	}
 	return urls, workers, servers
@@ -129,14 +128,11 @@ func assertIdentical(t *testing.T, label string, want, got *stochastic.Result) {
 	}
 }
 
-// runCluster runs spec through a coordinator over the given workers.
+// runCluster runs spec through a coordinator over the given workers,
+// configured with nothing but the worker list unless mut says more.
 func runCluster(t *testing.T, urls []string, spec JobSpec, jobID string, mut func(*Config)) *stochastic.Result {
 	t.Helper()
-	cfg := Config{
-		Workers:        urls,
-		LeaseTTL:       10 * time.Second,
-		HeartbeatEvery: time.Millisecond,
-	}
+	cfg := Config{Workers: urls}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -207,12 +203,31 @@ func TestClusterProgressReporting(t *testing.T) {
 	}
 }
 
+// TestClusterDefaultConfig runs the 8-part GHZ-5 job on two workers
+// configured with nothing but their URLs: a part costs the time it
+// computes, not a poll period, so the job finishes well inside a
+// second, bit-identical to the single-node run.
+func TestClusterDefaultConfig(t *testing.T) {
+	spec := benchSpec(t, circuit.GHZ(5), 64) // 8 chunks, 8 parts
+	want := singleNode(t, spec)
+	urls, _, _ := startWorkers(t, 2)
+	start := time.Now()
+	got := runCluster(t, urls, spec, "defaults", nil)
+	if elapsed := time.Since(start); elapsed >= time.Second {
+		t.Errorf("8-part job on default settings took %v, want under 1s", elapsed)
+	}
+	assertIdentical(t, "defaults", want, got)
+}
+
 // TestCoordinatorValidation covers construction and spec errors.
 func TestCoordinatorValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("coordinator with no workers accepted")
 	}
 	urls, _, _ := startWorkers(t, 1)
+	if _, err := New(Config{Workers: urls, LeaseTTL: time.Millisecond}); err == nil {
+		t.Error("coordinator with a lease TTL below three keepalives' worth accepted")
+	}
 	coord, err := New(Config{Workers: urls})
 	if err != nil {
 		t.Fatal(err)

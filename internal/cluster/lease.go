@@ -47,9 +47,8 @@ func (t Token) String() string { return fmt.Sprintf("%016x", uint64(t)) }
 // lastToken is the most recently minted token. It starts at the wall
 // clock in nanoseconds, so a restarted coordinator mints above every
 // token of its previous incarnation (unless that one averaged more
-// than one mint per nanosecond): a worker answers a repeated token as
-// a retry of the lease it already runs, so a reused token would serve
-// an old part's sums for a new lease.
+// than one mint per nanosecond), and a token a worker sees names one
+// lease only.
 var lastToken atomic.Uint64
 
 func init() { lastToken.Store(uint64(time.Now().UnixNano())) }

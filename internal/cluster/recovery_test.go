@@ -40,10 +40,9 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 
 	partsBefore := telemetry.ClusterPartsCompleted.Value()
 	coord1, err := New(Config{
-		Workers:        urls,
-		LeaseTTL:       time.Minute, // no expiry noise in this test
-		HeartbeatEvery: time.Millisecond,
-		DataDir:        dataDir,
+		Workers:  urls,
+		LeaseTTL: time.Minute, // no expiry noise in this test
+		DataDir:  dataDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +80,9 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	urls2, _, _ := startWorkers(t, 2)
 	chunksBefore := telemetry.ClusterChunksComputed.Value()
 	coord2, err := New(Config{
-		Workers:        urls2,
-		LeaseTTL:       time.Minute,
-		HeartbeatEvery: time.Millisecond,
-		DataDir:        dataDir,
+		Workers:  urls2,
+		LeaseTTL: time.Minute,
+		DataDir:  dataDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +130,7 @@ func TestJournalRejectsForeignSpec(t *testing.T) {
 	specB := specA
 	specB.Options.Seed++ // different seed → different job
 	urls, _, _ := startWorkers(t, 1)
-	coord, err := New(Config{Workers: urls, DataDir: dataDir, HeartbeatEvery: time.Millisecond})
+	coord, err := New(Config{Workers: urls, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +266,7 @@ func TestJournalOfOtherPartsStartsOver(t *testing.T) {
 
 	urls, _, _ := startWorkers(t, 2)
 	chunksBefore := telemetry.ClusterChunksComputed.Value()
-	coord, err := New(Config{Workers: urls, DataDir: dataDir, HeartbeatEvery: time.Millisecond})
+	coord, err := New(Config{Workers: urls, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,16 @@
 //
 // Topology: the coordinator owns the job and initiates every
 // connection; workers are stateless HTTP servers (ddsimd -worker)
-// exposing three endpoints:
+// exposing one endpoint:
 //
-//	POST /work/lease      start computing a chunk range (async, 202)
-//	POST /work/heartbeat  report phase and progress for a lease
-//	POST /work/complete   hand over the per-chunk sums for a lease
+//	POST /work/run  compute a lease's chunk range, streaming NDJSON
+//	                keepalive lines and then one final line with the
+//	                per-chunk sums (or an error)
+//
+// A lease lives as long as its request: every keepalive line renews
+// it, the final line completes it through the fence, and a stream that
+// breaks, or stays silent past the lease's deadline, gives the part
+// back. A coordinator that hangs up stops the worker's computation.
 //
 // The coordinator journals its plan and every accepted part through a
 // jobstore.WAL, so a restart on the same data dir resumes the job
@@ -40,6 +45,7 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"ddsim/internal/noise"
 	"ddsim/internal/qasm"
@@ -63,7 +69,8 @@ type JobSpec struct {
 	// Noise is the noise model applied to every trajectory.
 	Noise noise.Model `json:"noise"`
 	// Options are the engine options. OnProgress is not serialisable
-	// and stays nil on workers; progress flows through heartbeats.
+	// and stays nil on workers; the coordinator reports progress per
+	// accepted part.
 	Options stochastic.Options `json:"options"`
 }
 
@@ -80,52 +87,33 @@ func (s JobSpec) Job() (stochastic.Job, error) {
 	return stochastic.Job{Circuit: c, Model: s.Noise, Opts: s.Options}, nil
 }
 
-// leaseRequest asks a worker to start computing chunks
-// [First, First+Count) of the job's plan. LeaseID is the fencing
-// token; the worker echoes it in every subsequent exchange.
-type leaseRequest struct {
-	LeaseID string  `json:"lease_id"`
-	Job     JobSpec `json:"job"`
-	First   int     `json:"first"`
-	Count   int     `json:"count"`
+// runRequest asks a worker to compute chunks [First, First+Count) of
+// the job's plan. LeaseID is the fencing token, for the worker's
+// diagnostics and gates. Keepalive is the cadence of the keepalive
+// lines the worker streams while it computes (LeaseTTL/3).
+type runRequest struct {
+	LeaseID   string        `json:"lease_id"`
+	Job       JobSpec       `json:"job"`
+	First     int           `json:"first"`
+	Count     int           `json:"count"`
+	Keepalive time.Duration `json:"keepalive_ns"`
 }
 
-// Worker phase strings reported by heartbeats.
-const (
-	phaseRunning = "running"
-	phaseDone    = "done"
-	phaseFailed  = "failed"
-)
+// minKeepalive is the shortest keepalive cadence a worker accepts: a
+// shorter one would spend the stream on keepalive lines.
+const minKeepalive = time.Millisecond
 
-// heartbeatRequest queries the status of a lease.
-type heartbeatRequest struct {
-	LeaseID string `json:"lease_id"`
+// runLine is one line of a /work/run stream. A line with neither field
+// is a keepalive; the last line carries either the per-chunk sums of
+// the leased range, in chunk order, or the error that ended the
+// computation. JSON round-trips float64 bit-exactly (Go marshals
+// shortest-round-trip), so the sums merge identically to locally
+// computed ones.
+type runLine struct {
+	Sums  []stochastic.ChunkSum `json:"sums,omitempty"`
+	Error string                `json:"error,omitempty"`
 }
 
-// heartbeatResponse reports a lease's worker-side state.
-type heartbeatResponse struct {
-	Phase      string `json:"phase"`
-	ChunksDone int    `json:"chunks_done"`
-	Error      string `json:"error,omitempty"`
-}
-
-// completeRequest fetches the finished sums of a lease. The transfer
-// is pull-based: the worker keeps the sums until the coordinator
-// collects them (or the worker process exits — re-simulation covers
-// that).
-type completeRequest struct {
-	LeaseID string `json:"lease_id"`
-}
-
-// completeResponse carries the per-chunk sums of the leased range, in
-// chunk order. JSON round-trips float64 bit-exactly (Go marshals
-// shortest-round-trip), so these merge identically to locally computed
-// sums.
-type completeResponse struct {
-	Sums []stochastic.ChunkSum `json:"sums"`
-}
-
-// errorResponse is the body of every non-2xx worker reply.
-type errorResponse struct {
-	Error string `json:"error"`
-}
+// final reports whether the line ends the stream. A sums field that
+// is present but empty ends it too, and the lease table rejects it.
+func (l runLine) final() bool { return l.Sums != nil || l.Error != "" }

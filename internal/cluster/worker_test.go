@@ -1,119 +1,117 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"ddsim/internal/circuit"
+	"ddsim/internal/stochastic"
 )
 
-// workerClient drives one worker's /work endpoints directly, one lease
-// of a one-chunk job at a time.
-type workerClient struct {
-	t    *testing.T
-	url  string
-	rpc  *Coordinator // for its post helper
-	spec JobSpec
-}
-
-func newWorkerClient(t *testing.T) (*workerClient, *Worker) {
+// postRun posts a /work/run body to the worker at url.
+func postRun(t *testing.T, url string, body []byte) *http.Response {
 	t.Helper()
+	resp, err := http.Post(url+"/work/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+// TestWorkerStreamsRun reads one lease's stream: keepalive lines at the
+// stated cadence while the worker computes, then exactly one final
+// line whose sums are the leased range's, equal to a local RunChunks.
+func TestWorkerStreamsRun(t *testing.T) {
+	spec := benchSpec(t, circuit.GHZ(3), 32) // 4 chunks
 	urls, workers, _ := startWorkers(t, 1)
-	return &workerClient{
-		t:    t,
-		url:  urls[0],
-		rpc:  &Coordinator{cfg: Config{Client: http.DefaultClient}},
-		spec: benchSpec(t, circuit.GHZ(3), 8), // one chunk
-	}, workers[0]
-}
-
-func (c *workerClient) lease(id Token) {
-	c.t.Helper()
-	req := leaseRequest{LeaseID: id.String(), Job: c.spec, First: 0, Count: 1}
-	if err := c.rpc.post(context.Background(), c.url+"/work/lease", req, nil); err != nil {
-		c.t.Fatalf("lease %v: %v", id, err)
+	gate := newBlockingGate(t, workers[0])
+	body, err := json.Marshal(runRequest{LeaseID: Token(7).String(), Job: spec, First: 1, Count: 2, Keepalive: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// waitDone polls the lease's heartbeat until its task has finished.
-func (c *workerClient) waitDone(id Token) {
-	c.t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var hb heartbeatResponse
-		if err := c.rpc.post(context.Background(), c.url+"/work/heartbeat", heartbeatRequest{LeaseID: id.String()}, &hb); err != nil {
-			c.t.Fatalf("heartbeat %v: %v", id, err)
-		}
-		if hb.Phase == phaseDone {
-			return
-		}
-		if hb.Phase == phaseFailed || time.Now().After(deadline) {
-			c.t.Fatalf("lease %v: phase %q (%s)", id, hb.Phase, hb.Error)
-		}
-		time.Sleep(time.Millisecond)
+	resp := postRun(t, urls[0], body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
-}
-
-// heldTokens returns the tokens of the tasks the worker retains.
-func heldTokens(w *Worker) map[Token]bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	held := make(map[Token]bool, len(w.tasks))
-	for id := range w.tasks {
-		held[id] = true
-	}
-	return held
-}
-
-// TestWorkerForgetsCollectedLeases: a task whose sums the coordinator
-// collected leaves nothing behind on the worker.
-func TestWorkerForgetsCollectedLeases(t *testing.T) {
-	c, w := newWorkerClient(t)
-	for id := Token(1); id <= 200; id++ {
-		c.lease(id)
-		c.waitDone(id)
-		var comp completeResponse
-		if err := c.rpc.post(context.Background(), c.url+"/work/complete", completeRequest{LeaseID: id.String()}, &comp); err != nil {
-			t.Fatalf("complete %v: %v", id, err)
+	dec := json.NewDecoder(resp.Body)
+	<-gate.blocked
+	for i := 0; i < 2; i++ {
+		var l runLine
+		if err := dec.Decode(&l); err != nil {
+			t.Fatal(err)
 		}
-		if len(comp.Sums) != 1 {
-			t.Fatalf("lease %v: %d sums, want 1", id, len(comp.Sums))
+		if l.final() {
+			t.Fatalf("line %d of a gated computation is final: %+v", i, l)
 		}
 	}
-	if held := heldTokens(w); len(held) != 0 {
-		t.Fatalf("worker retains %d tasks after every lease was collected", len(held))
+	close(gate.release)
+	var l runLine
+	for !l.final() {
+		l = runLine{}
+		if err := dec.Decode(&l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.Error != "" {
+		t.Fatal(l.Error)
+	}
+	job, err := spec.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := testResolve(spec.Backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stochastic.RunChunks(context.Background(), factory, job, 1, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(l.Sums, want) {
+		t.Errorf("streamed sums %+v, want %+v", l.Sums, want)
+	}
+	if err := dec.Decode(&l); err == nil {
+		t.Errorf("a line followed the final one: %+v", l)
 	}
 }
 
-// TestWorkerEvictsOldestIdleTasks: past maxWorkerTasks uncollected
-// tasks, the worker drops finished tasks smallest token first and
-// keeps every running one, however old.
-func TestWorkerEvictsOldestIdleTasks(t *testing.T) {
-	const running, total = 10, maxWorkerTasks + 6
-	c, w := newWorkerClient(t)
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
-	w.Gate = func(id Token, _ int) {
-		if id <= running {
-			<-release
+// TestWorkerRejectsMalformedRuns: a body the worker cannot run is a
+// 400 with an error body, answered before any line.
+func TestWorkerRejectsMalformedRuns(t *testing.T) {
+	spec := benchSpec(t, circuit.GHZ(3), 32) // 4 chunks
+	req := func(mut func(*runRequest)) string {
+		r := runRequest{LeaseID: Token(7).String(), Job: spec, First: 0, Count: 1, Keepalive: time.Second}
+		mut(&r)
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return string(b)
 	}
-	for id := Token(1); id <= total; id++ {
-		c.lease(id)
-		if id > running {
-			c.waitDone(id)
+	urls, _, _ := startWorkers(t, 1)
+	for name, body := range map[string]string{
+		"truncated":       "{",
+		"zero lease id":   req(func(r *runRequest) { r.LeaseID = Token(0).String() }),
+		"no keepalive":    req(func(r *runRequest) { r.Keepalive = 0 }),
+		"bad qasm":        req(func(r *runRequest) { r.Job.QASM = "not qasm" }),
+		"range past plan": req(func(r *runRequest) { r.First, r.Count = 3, 2 }),
+		"empty range":     req(func(r *runRequest) { r.Count = 0 }),
+		"unknown backend": req(func(r *runRequest) { r.Job.Backend = "abacus" }),
+	} {
+		resp := postRun(t, urls[0], []byte(body))
+		var e runLine
+		if resp.StatusCode != http.StatusBadRequest || json.NewDecoder(resp.Body).Decode(&e) != nil || e.Error == "" {
+			t.Errorf("%s: status %d, error %q; want 400 with an error body", name, resp.StatusCode, e.Error)
 		}
-	}
-	held := heldTokens(w)
-	if len(held) != maxWorkerTasks {
-		t.Fatalf("worker retains %d tasks, want %d", len(held), maxWorkerTasks)
-	}
-	for id := Token(1); id <= total; id++ {
-		evicted := id > running && id <= total-maxWorkerTasks+running
-		if held[id] == evicted {
-			t.Errorf("task %v: retained %v, want %v", id, held[id], !evicted)
+		if !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
+			t.Errorf("%s: content type %q", name, resp.Header.Get("Content-Type"))
 		}
 	}
 }

@@ -253,16 +253,15 @@ func checkArenaInvariants(t *testing.T, p *Package) {
 }
 
 // checkCtrlConsistency verifies a unique table's control words against
-// its slots: every resident is found again at its own slot under its
-// own hash — so its control byte carries its H2 fingerprint and lies
-// on its probe sequence — and the slots ForEach reports occupied are
-// exactly the non-nil ones.
+// its slots: behind every occupied control byte sits a non-nil
+// resident that is found again at its own slot under its own hash — so
+// its control byte carries its H2 fingerprint and lies on its probe
+// sequence. Slots behind empty control bytes may hold anything: Reset
+// empties only the control words.
 func checkCtrlConsistency[N comparable](t *testing.T, name string, tab *swiss.Table[N], hash func(N) uint64) {
 	t.Helper()
 	var nilN N
-	occupied := 0
 	tab.ForEach(func(s *N) {
-		occupied++
 		if *s == nilN {
 			t.Fatalf("%s: occupied control byte over nil slot", name)
 		}
@@ -270,15 +269,6 @@ func checkCtrlConsistency[N comparable](t *testing.T, name string, tab *swiss.Ta
 			t.Fatalf("%s: resident not found at its own slot under its own hash", name)
 		}
 	})
-	nonNil := 0
-	for i := 0; i < tab.Groups()*swiss.GroupSize; i++ {
-		if *tab.At(i) != nilN {
-			nonNil++
-		}
-	}
-	if nonNil != occupied {
-		t.Fatalf("%s: %d non-nil slots but %d occupied control bytes", name, nonNil, occupied)
-	}
 }
 
 // found reports whether a probe of hash h reaches slot s.

@@ -122,7 +122,7 @@ type ChunkSum struct {
 // order, run j from the stream of (Seed, j) — so the sums are
 // interchangeable with locally computed ones. onChunk, when non-nil,
 // is called after each completed chunk with the number of chunks
-// finished so far (progress for lease heartbeats).
+// finished so far.
 //
 // Cancelling ctx aborts with an error: a partially accumulated chunk
 // is never returned, because the reduction is defined over full chunks

@@ -188,11 +188,14 @@ func (t *Table[S]) ForEach(fn func(*S)) {
 
 // Reset empties the table and sizes it for n residents — the
 // rehash-on-load path of growth and garbage-collection compaction. It
-// never shrinks: when the geometry is unchanged it clears the arrays
-// in place (so steady-state collections allocate nothing); otherwise
-// it allocates fresh ones and leaves the old arrays untouched, so a
-// caller holding a copy of the old Table can move its entries straight
-// across.
+// never shrinks: when the geometry is unchanged it empties the control
+// words in place (so steady-state collections allocate nothing) and
+// leaves the slots as they are, since no probe reads a slot behind an
+// empty control byte; otherwise it allocates fresh arrays and leaves
+// the old ones untouched, so a caller holding a copy of the old Table
+// can move its entries straight across. A stale slot keeps what it
+// points to reachable until Place overwrites it, so the kernel tables
+// keep only pointers into their own unit's memory there.
 func (t *Table[S]) Reset(n int) {
 	if groups := groupsFor(n, len(t.ctrl)); groups != len(t.ctrl) {
 		*t = NewTable[S](groups)
@@ -201,7 +204,6 @@ func (t *Table[S]) Reset(n int) {
 	for i := range t.ctrl {
 		t.ctrl[i] = emptyWord
 	}
-	clear(t.slots)
 }
 
 // Probe is a position in the probe sequence of one hash: the groups

@@ -8,16 +8,18 @@ var (
 	ClusterLeasesGranted = NewCounter("ddsim_cluster_leases_granted_total",
 		"Chunk-range leases granted by the coordinator.")
 
-	// ClusterLeaseRenewals counts successful heartbeat renewals.
+	// ClusterLeaseRenewals counts renewals by a worker's keepalive
+	// lines.
 	ClusterLeaseRenewals = NewCounter("ddsim_cluster_lease_renewals_total",
-		"Lease deadline extensions from successful heartbeats.")
+		"Lease deadline extensions from worker keepalive lines.")
 
 	// ClusterLeasesExpired counts leases that passed their deadline
-	// and were reclaimed, and ClusterReassignments the resulting
-	// re-grants of the same part (currently 1:1 with expiries; kept
-	// separate so voluntary-release reassignment can diverge).
+	// with no line from their worker and were reclaimed, and
+	// ClusterReassignments every lost lease whose part went back to
+	// be leased again: an expired one, or one whose stream broke or
+	// ended in an error.
 	ClusterLeasesExpired = NewCounter("ddsim_cluster_leases_expired_total",
-		"Leases reclaimed after missing their heartbeat deadline.")
+		"Leases reclaimed after their worker's stream stayed silent past the deadline.")
 	ClusterReassignments = NewCounter("ddsim_cluster_reassignments_total",
 		"Parts re-leased to another worker after a lease was lost.")
 
@@ -27,10 +29,11 @@ var (
 	ClusterStaleCompletions = NewCounter("ddsim_cluster_stale_completions_total",
 		"Chunk completions rejected by lease fencing.")
 
-	// ClusterWorkerFailures counts worker RPC failures seen by
-	// coordinator drivers (connection refused, non-2xx, bad body).
+	// ClusterWorkerFailures counts leases a worker let down, as seen
+	// by coordinator drivers: connection refused, non-2xx, an error
+	// line, malformed sums, or a stream that broke or went silent.
 	ClusterWorkerFailures = NewCounter("ddsim_cluster_worker_failures_total",
-		"Failed coordinator-to-worker RPCs.")
+		"Lease streams that failed between coordinator and worker.")
 
 	// ClusterPartsCompleted counts parts accepted by the lease table
 	// exactly once each.
@@ -41,13 +44,14 @@ var (
 	ClusterChunksComputed = NewCounter("ddsim_cluster_chunks_computed_total",
 		"Trajectory chunks computed by this process in worker mode.")
 
-	// ClusterWorkerRequests counts worker-side requests by phase
-	// (endpoint): lease, heartbeat, complete.
+	// ClusterWorkerRequests counts worker-side requests by endpoint;
+	// the one endpoint is run.
 	ClusterWorkerRequests = NewCounterVec("ddsim_cluster_worker_requests_total",
 		"Worker-mode requests served, by endpoint.", "endpoint")
 
 	// ClusterLeaseSeconds distributes the grant-to-completion time of
-	// accepted leases.
+	// accepted leases: the time a part took, since its sums arrive on
+	// the stream the moment they exist.
 	ClusterLeaseSeconds = NewHistogram("ddsim_cluster_lease_seconds",
 		"Grant-to-completion time of accepted leases.",
 		LogBuckets(1e-3, 1e3, 5))

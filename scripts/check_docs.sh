@@ -105,6 +105,16 @@
 #    "internal/clusterid" and "clusterid." appear nowhere in non-test
 #    Go, docs/ or scripts/ (this file aside): fencing tokens come from
 #    one counter in internal/cluster.
+# 21. One pooled unit per DD package: non-test Go under internal/dd
+#    and internal/cnum uses no sync.Pool, and the deleted pool and
+#    channel-key names appear nowhere in non-test Go or docs/.
+# 22. One streamed request per lease: "/work/lease", "/work/heartbeat",
+#    "/work/complete", "-lease-heartbeat", "HeartbeatEvery",
+#    "DropHeartbeats", "workerTask", "maxWorkerTasks" and "evictLocked"
+#    appear nowhere in non-test Go, README.md, docs/ or scripts/ (this
+#    file aside): a worker answers POST /work/run with its part's sums,
+#    so neither the polling routes, their cadence knob nor the worker's
+#    task table may come back.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -480,6 +490,15 @@ fi
 if dead="$(grep -nE 'vSlabPool|mSlabPool|valueSlabPool|cellTablePool|putCellTable|chanKeys|buildKey' $allsrc_nt docs/*.md)"; then
   while IFS= read -r hit; do
     echo "DELETED POOL OR CHANNEL KEY: $hit; slabs and directories stay in their package's unit, and channels carry no cache key" >&2
+  done <<< "$dead"
+  fail=1
+fi
+
+# --- 22. one streamed request per lease ---------------------------------------
+# shellcheck disable=SC2086 # allsrc_nt is a word list of paths
+if dead="$(grep -nE '/work/(lease|heartbeat|complete)|lease-heartbeat|HeartbeatEvery|DropHeartbeats|workerTask|maxWorkerTasks|evictLocked' $allsrc_nt README.md docs/*.md $(find scripts -type f ! -name check_docs.sh))"; then
+  while IFS= read -r hit; do
+    echo "LEASE POLLING: $hit; a lease is one POST /work/run whose stream carries keepalives and the part's sums" >&2
   done <<< "$dead"
   fail=1
 fi

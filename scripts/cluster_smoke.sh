@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # cluster_smoke.sh — boots a real multi-process cluster (two -worker
 # ddsimd processes plus one coordinator, over real TCP) and gates on
-# the distributed subsystem's two contracts, exactly as CI's
-# cluster-smoke job runs it:
+# the distributed subsystem's two contracts on the default lease
+# settings, exactly as CI's cluster-smoke job runs it:
 #
 #   1. bit-identity: a paper-noise benchmark submitted to the
 #      coordinator returns results byte-identical to a single-node
@@ -27,8 +27,7 @@ W1=18461 W2=18462 COORD=18463 SINGLE=18464
 "$BIN/ddsimd" -worker -addr 127.0.0.1:$W1 &
 "$BIN/ddsimd" -worker -addr 127.0.0.1:$W2 &
 "$BIN/ddsimd" -addr 127.0.0.1:$COORD \
-  -coordinator "http://127.0.0.1:$W1,http://127.0.0.1:$W2" \
-  -lease-ttl 5s -lease-heartbeat 50ms &
+  -coordinator "http://127.0.0.1:$W1,http://127.0.0.1:$W2" &
 "$BIN/ddsimd" -addr 127.0.0.1:$SINGLE &
 
 for port in $W1 $W2 $COORD $SINGLE; do
